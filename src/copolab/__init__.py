@@ -18,14 +18,12 @@ from .disorder import (
     DisorderLaw,
     LawKind,
     RateFunctionEval,
-    TiltParams,
     log_mgf,
     log_mgf_prime,
     q1,
     q2,
     rate_function,
     sample,
-    sample_tilted,
 )
 from .kernel import (
     FamilyKind,
@@ -43,16 +41,13 @@ from .kernel import (
     tail_function,
 )
 from .partition import (
-    Free,
     LogPartition,
     QuenchedInstance,
     RareStretch,
     Trimmed,
     brute_force_log_Z,
-    fractional_moment_mc,
     log_Z,
     log_Z_restricted,
-    log_Z_windowed,
     log_annealed_Z,
     make_instance,
 )

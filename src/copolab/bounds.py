@@ -1,9 +1,8 @@
 """Closed-form bound formulas and cross-family comparison tables.
 
-Every bound is carried as a log-value internally; exponentiation happens
-only when a caller asks for the linear value or at serialization, since the
-exponents routinely reach -100 and below.  Default constants follow the
-family-specific admissibility thresholds with a 0.1 margin.
+Every bound is returned as a log-value, since the exponents routinely
+reach -100 and below.  Default constants follow the family-specific
+admissibility thresholds with a 0.1 margin.
 """
 
 from __future__ import annotations
@@ -19,11 +18,9 @@ __all__ = [
     "SharperBounds",
     "BoundReport",
     "log_upper_general",
-    "upper_general",
     "sharper_bounds",
     "rss_threshold",
     "log_rss_bound",
-    "rss_bounds",
     "psi",
     "m_h",
     "bound_table",
@@ -48,11 +45,6 @@ def log_upper_general(
     x = 1.0 / h
     ratio = family.tail(x) / family.evaluate(x)
     return -b * q1(law, beta) * x * math.log(ratio)
-
-
-def upper_general(family, law, beta, h, b: float = 0.9) -> float:
-    """Linear value of the general upper bound (may underflow to 0.0)."""
-    return math.exp(min(log_upper_general(family, law, beta, h, b), _LOG_COUNT_GUARD))
 
 
 @dataclass(frozen=True)
@@ -163,11 +155,6 @@ def log_rss_bound(
         p = u / (u - 1.0)
         return -b * h**-p * q1v**p
     return -b * q1v * math.log(1.0 / h) / h
-
-
-def rss_bounds(family, law, beta, h, b: float = None) -> float:
-    """Linear value of the rare-stretch lower bound."""
-    return math.exp(log_rss_bound(family, law, beta, h, b))
 
 
 def psi(family: SlowlyVaryingFamily, u_arg: float, eps: float) -> float:

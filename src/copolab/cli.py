@@ -3,9 +3,10 @@
 Every subcommand echoes its fully resolved scientific configuration in the
 output header, and all randomness flows through the --seed flag with
 counter-split replica seeds, so a run can be reproduced byte for byte from
-its own output.  Execution details (thread count, output path) do not enter
-the header.  Exit codes: 0 success, 1 verification failure, 2 usage or
-configuration error.
+its own output.  The output path does not enter the header.  Exit codes:
+0 success, 1 verification failure, 2 usage or configuration error; NaN or
+infinite values of --beta, --h, --upsilon, --cl or any --h-grid entry are
+configuration errors, rejected before anything is computed or written.
 
 Verification report schema: a JSON object with keys "config" (the resolved
 run configuration), "artifact_version", "suites" (one entry per suite run,
@@ -82,7 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=1000)
         p.add_argument("--replicas", type=int, default=32)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default=None)
 
@@ -134,6 +134,17 @@ def _family(args) -> SlowlyVaryingFamily:
     return SlowlyVaryingFamily(kind=_FAMILIES[args.family], upsilon=args.upsilon, c_L=args.cl)
 
 
+def _check_finite(args) -> None:
+    named = [
+        ("--beta", args.beta), ("--h", args.h), ("--upsilon", args.upsilon), ("--cl", args.cl)
+    ]
+    if args.h_grid:
+        named += [("--h-grid", float(tok)) for tok in args.h_grid.split(",") if tok.strip()]
+    for flag, value in named:
+        if value is not None and not math.isfinite(value):
+            raise SystemExit2(f"{flag} must be finite, got {value}")
+
+
 def _h_values(args) -> list[float]:
     if args.h_grid:
         return [float(tok) for tok in args.h_grid.split(",") if tok.strip()]
@@ -168,7 +179,9 @@ def _resolved_config(args, extra=None) -> dict:
 
 def _emit(args, config, rows, columns, default_format="csv"):
     fmt = args.format or default_format
-    header = json.dumps({"artifact_version": __version__, "config": config}, sort_keys=True)
+    header = json.dumps(
+        {"artifact_version": __version__, "config": config}, sort_keys=True, allow_nan=False
+    )
     if fmt == "csv":
         lines = ["# " + header, ",".join(columns)]
         for row in rows:
@@ -200,8 +213,7 @@ def _cmd_estimate(args) -> int:
     rows = []
     for h in h_values:
         est = estimators.estimate_free_energy(
-            kernel, law, args.beta, h, args.n, args.replicas, args.seed,
-            threads=args.threads,
+            kernel, law, args.beta, h, args.n, args.replicas, args.seed
         )
         row = {"beta": args.beta, "h": h}
         row.update(est.to_dict())
@@ -290,13 +302,15 @@ def _suite_oracle(args, family, law, kernel) -> dict:
 
 
 def _suite_moments(args, family, law, kernel) -> dict:
-    plan = estimators.trimmed_plan(family.upsilon, law, beta=0.5, h=0.3, c1=3.3, c2=1.5)
+    beta = args.beta if args.beta is not None else 0.5
+    h = args.h if args.h is not None else 0.3
+    plan = estimators.trimmed_plan(family.upsilon, law, beta=beta, h=h, c1=3.3, c2=1.5)
     moment_kernel = kernel
     if kernel.support_cap < plan.N:
         moment_kernel = build_kernel(family, plan.N)
     replicas = max(2000, min(args.replicas, 20000))
     report = estimators.trimmed_moment_check(
-        moment_kernel, law, 0.5, 0.3, plan, replicas=replicas, seed=args.seed
+        moment_kernel, law, beta, h, plan, replicas=replicas, seed=args.seed
     )
     report["checks"] = [
         {"name": "second_moment_identity", "kind": "assert", "ok": report["identity_ok"]},
@@ -430,6 +444,7 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
+        _check_finite(args)
         return commands[args.command](args)
     except SystemExit2 as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "LawKind",
     "DisorderLaw",
-    "TiltParams",
     "RateFunctionEval",
     "GAUSSIAN",
     "BINARY",
@@ -29,7 +28,6 @@ __all__ = [
     "q2",
     "rate_function",
     "sample",
-    "sample_tilted",
     "spawn_rng",
 ]
 
@@ -63,13 +61,6 @@ class DisorderLaw:
 
 GAUSSIAN = DisorderLaw(LawKind.STANDARD_GAUSSIAN)
 BINARY = DisorderLaw(LawKind.SYMMETRIC_BINARY)
-
-
-@dataclass(frozen=True)
-class TiltParams:
-    """Strength of an exponential tilt; must stay inside the finite domain."""
-
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -131,32 +122,15 @@ def q2(law: DisorderLaw, beta: float) -> float:
     return log_mgf(law, 2.0 * beta) - 2.0 * log_mgf(law, beta)
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Maximize a unimodal f on [lo, hi] to absolute tolerance tol on y."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def rate_function(law: DisorderLaw, x: float) -> RateFunctionEval:
     """Legendre transform sup_y [x*y - lambda(y)] of the cumulant function.
 
     The optimizer solves lambda'(y) = x, which has a unique root because
     lambda' is strictly increasing.  Solved by safeguarded Newton on the
-    stationarity condition (tolerance 1e-12 on y) with a golden-section
-    fallback; the domain is [0, C) with C the supremum of tilted means.
+    stationarity condition (tolerance 1e-12 on y): a step that would leave
+    the current bracket bisects it instead, and a solve that has not
+    converged after 200 steps raises RuntimeError.  The domain is [0, C)
+    with C the supremum of tilted means.
     """
     if x < 0:
         raise ValueError(f"rate function evaluated on x >= 0 only, got {x}")
@@ -197,7 +171,7 @@ def rate_function(law: DisorderLaw, x: float) -> RateFunctionEval:
             break
         y = y_new
     if not converged:
-        y = _golden_section_max(lambda t: x * t - log_mgf(law, t), 0.0, hi)
+        raise RuntimeError(f"conjugate optimizer for x={x} did not converge in 200 steps")
 
     sigma = x * y - log_mgf(law, y)
     return RateFunctionEval(x=x, sigma=max(sigma, 0.0), argmax_y=y)
@@ -212,24 +186,10 @@ def sample(law: DisorderLaw, n: int, seed: int) -> np.ndarray:
     """Draw n IID charges; deterministic given the seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    return _draw(law, n, rng, beta=0.0)
+    return _draw(law, n, np.random.default_rng(seed))
 
 
-def sample_tilted(law: DisorderLaw, tilt: TiltParams, n: int, seed: int) -> np.ndarray:
-    """Draw n IID charges under the exponentially tilted marginal."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_beta(law, tilt.beta)
-    rng = np.random.default_rng(seed)
-    return _draw(law, n, rng, beta=tilt.beta)
-
-
-def _draw(law: DisorderLaw, n: int, rng: np.random.Generator, beta: float) -> np.ndarray:
+def _draw(law: DisorderLaw, n: int, rng: np.random.Generator) -> np.ndarray:
     if law.kind is LawKind.STANDARD_GAUSSIAN:
-        # tilting a unit Gaussian shifts the mean to beta
-        return rng.standard_normal(n) + beta
-    if beta == 0.0:
-        return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-    p_plus = 1.0 / (1.0 + math.exp(-2.0 * beta))  # e^beta / (2 cosh beta)
-    return np.where(rng.random(n) < p_plus, 1.0, -1.0)
+        return rng.standard_normal(n)
+    return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0

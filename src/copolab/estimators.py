@@ -1,8 +1,9 @@
 """Free-energy estimation and numerical verification engines.
 
-The estimators run seeded Monte Carlo over disorder replicas with
-counter-split seeds, so results are bit-identical regardless of execution
-order or thread count.  The verification engines evaluate the
+Every loop over quenched disorder replicas goes through ``replica_log_z``:
+replica i draws its charges from ``spawn_rng(seed, i)``, so the seed and
+the replica index alone fix each replica's value, whatever the replica
+count or evaluation order.  The verification engines evaluate the
 change-of-measure, rare-stretch, trimmed second-moment and coarse-graining
 constructions at desk scale and return plain-dict reports: every value is
 recorded, and quantities that the asymptotic theory only guarantees for
@@ -12,12 +13,10 @@ sufficiently small h are reported with measured thresholds, never assumed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.stats import binom, norm
+from scipy.special import betainc, log_ndtr, ndtr
 
 from . import bounds as bounds_mod
 from .disorder import (
@@ -53,6 +52,7 @@ __all__ = [
     "PenalizationPlan",
     "DEFAULT_C4",
     "DEFAULT_C5",
+    "replica_log_z",
     "estimate_free_energy",
     "calibrate_subadditive_constants",
     "block_log_success",
@@ -89,14 +89,25 @@ class FreeEnergyEstimate:
         return asdict(self)
 
 
-def _replica_log_z(kernel, law, beta, h, n, seed, index) -> float:
-    omega = _draw_omega(law, n, seed, index)
-    inst = make_instance(law, beta, h, omega=omega)
-    return log_Z(inst, kernel).value
+def replica_log_z(
+    kernel: RenewalKernel,
+    law: DisorderLaw,
+    beta: float,
+    h: float,
+    n: int,
+    seed: int,
+    replicas: int,
+) -> np.ndarray:
+    """Quenched log Z over n sites for replicas 0..replicas-1.
 
-
-def _draw_omega(law, n, seed, index):
-    return _draw(law, n, spawn_rng(seed, index), beta=0.0)
+    Replica i draws its charges from ``spawn_rng(seed, i)`` and is evaluated
+    with the exact row-loop ``log_Z``, so entry i depends on (seed, i) only.
+    """
+    out = np.empty(replicas)
+    for i in range(replicas):
+        omega = _draw(law, n, spawn_rng(seed, i))
+        out[i] = log_Z(make_instance(law, beta, h, omega=omega), kernel).value
+    return out
 
 
 def estimate_free_energy(
@@ -107,7 +118,6 @@ def estimate_free_energy(
     n: int,
     replicas: int,
     seed: int,
-    threads: int = 1,
     c4: float = None,
     c5: float = None,
     z_score: float = 1.96,
@@ -125,15 +135,7 @@ def estimate_free_energy(
     c4 = DEFAULT_C4 if c4 is None else c4
     c5 = DEFAULT_C5 if c5 is None else c5
 
-    indices = range(replicas)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(
-                pool.map(lambda i: _replica_log_z(kernel, law, beta, h, n, seed, i), indices)
-            )
-    else:
-        vals = [_replica_log_z(kernel, law, beta, h, n, seed, i) for i in indices]
-    per_site = np.asarray(vals) / n
+    per_site = replica_log_z(kernel, law, beta, h, n, seed, replicas) / n
     mean = float(per_site.mean())
     stderr = float(per_site.std(ddof=1) / math.sqrt(replicas))
     return FreeEnergyEstimate(
@@ -193,10 +195,7 @@ def calibrate_subadditive_constants(
             means = []
             sems = []
             for size in (n_small + m_small, n_small, m_small):
-                vals = [
-                    _replica_log_z(kernel, law, beta, h, size, seed + 1000 + t, i)
-                    for i in range(replicas)
-                ]
+                vals = replica_log_z(kernel, law, beta, h, size, seed + 1000 + t, replicas)
                 means.append(float(np.mean(vals)))
                 sems.append(float(np.std(vals, ddof=1) / math.sqrt(replicas)))
             d = means[0] - means[1] - means[2] - 3.0 * math.fsum(sems)
@@ -219,23 +218,26 @@ def block_log_success(law: DisorderLaw, q: float, ell: int) -> float:
     if ell < 1:
         raise ValueError("block length must be >= 1")
     if law.kind is LawKind.STANDARD_GAUSSIAN:
-        return float(norm.logsf(q * math.sqrt(ell)))
+        return float(log_ndtr(-q * math.sqrt(ell)))
     # sum of ell signs is 2X - ell with X ~ Bin(ell, 1/2)
     threshold = math.ceil(ell * (1.0 + q) / 2.0)
     if threshold > ell:
         return -math.inf
-    return float(binom.logsf(threshold - 1, ell, 0.5))
+    # P(X >= t) is the regularized incomplete beta I_{1/2}(t, ell - t + 1)
+    with np.errstate(divide="ignore"):
+        return float(np.log(betainc(threshold, ell - threshold + 1, 0.5)))
 
 
 def tilted_block_success(law: DisorderLaw, beta: float, threshold_rate: float, ell: int) -> float:
     """Probability, under the beta-tilt, that a block mean reaches threshold_rate."""
     if law.kind is LawKind.STANDARD_GAUSSIAN:
-        return float(norm.sf((threshold_rate - beta) * math.sqrt(ell)))
+        return float(ndtr((beta - threshold_rate) * math.sqrt(ell)))
     p_plus = 1.0 / (1.0 + math.exp(-2.0 * beta))
     threshold = math.ceil(ell * (1.0 + threshold_rate) / 2.0)
     if threshold > ell:
         return 0.0
-    return float(binom.sf(threshold - 1, ell, p_plus))
+    # P(Bin(ell, p) >= t) = I_p(t, ell - t + 1)
+    return float(betainc(threshold, ell - threshold + 1, p_plus))
 
 
 @dataclass(frozen=True)
@@ -509,7 +511,7 @@ def trimmed_moment_check(
     lam = log_mgf(law, beta)
     lhs_vals = np.empty(replicas)
     for i in range(replicas):
-        omega = _draw_omega(law, span, seed, i)
+        omega = _draw(law, span, spawn_rng(seed, i))
         prefix = np.zeros(span + 1)
         prefix[1:] = np.cumsum(beta * omega - lam + h)
         log_zt = _trimmed_core(kernel, constraint, plan.N, prefix=prefix)
@@ -720,6 +722,8 @@ def coarse_graining_check(
     psi_val = bounds_mod.psi(kernel.family, c3 / h, eps=0.05)
     tail_at_inv_h = kernel.family.tail(1.0 / h)
     if psi_val > 1.0:
+        from scipy.integrate import quad  # only this check integrates
+
         integral, _ = quad(integrand, 1.0, psi_val, limit=200)
         a_analytic = (21.0 / tail_at_inv_h) * 2.0 * (c3 / h) * integral
     else:
@@ -728,11 +732,10 @@ def coarse_graining_check(
     # fractional-moment spot check on a j-grid
     spot = []
     for j in sorted({max(n_win // 4, 2), max(half, 2), max(3 * n_win // 4, 2), n_win}):
-        vals = np.empty(replicas)
-        for i in range(replicas):
-            omega = _draw_omega(law, j, seed + j, i)
-            inst = make_instance(law, beta, h, omega=omega)
-            vals[i] = math.exp(theta * log_Z(inst, kernel).value)
+        log_z = replica_log_z(kernel, law, beta, h, j, seed + j, replicas)
+        # math.exp per value keeps spot values bit-stable; np.exp may round
+        # the last bit differently
+        vals = np.array([math.exp(theta * v) for v in log_z.tolist()])
         mean = float(vals.mean())
         sem = float(vals.std(ddof=1) / math.sqrt(replicas))
         benchmark = math.exp(3.0) * float(u[j])

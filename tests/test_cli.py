@@ -1,12 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from copolab.cli import main
 from copolab.kernel import FamilyKind, SlowlyVaryingFamily, build_kernel
-from copolab.partition import log_annealed_Z
 from copolab.kernel import renewal_mass
 
 
@@ -25,6 +28,39 @@ def test_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(["verify", "nosuchsuite"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate", "--beta", "1.0", "--h", "nan"],
+        ["annealed", "--h", "inf"],
+        ["estimate", "--beta", "nan", "--h", "0.3"],
+        ["bounds", "--beta", "1.0", "--h-grid", "0.1,nan"],
+        ["kernel-info", "--upsilon", "inf"],
+        ["kernel-info", "--cl", "nan"],
+    ],
+    ids=["estimate-h-nan", "annealed-h-inf", "estimate-beta-nan", "bounds-grid-nan",
+         "upsilon-inf", "cl-nan"],
+)
+def test_non_finite_input_exits_2_without_artifact(tmp_path, capsys, args):
+    out = tmp_path / "out.csv"
+    assert run_cli([*args, "--n", "100", "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_skips_scipy_stats_and_integrate():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, copolab.cli; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_estimate_deterministic_output(tmp_path):
@@ -151,6 +187,19 @@ def test_verify_moments_suite_passes(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["suites"]["moments"]["identity_ok"] is True
+
+
+def test_verify_moments_honours_beta(tmp_path):
+    out = tmp_path / "moments.json"
+    code = run_cli(
+        ["verify", "moments", "--beta", "0.3", "--seed", "2", "--replicas", "2000",
+         "--out", str(out)]
+    )
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["config"]["beta"] == 0.3
+    assert payload["suites"]["moments"]["plan"]["beta"] == 0.3
+    assert payload["suites"]["moments"]["plan"]["h"] == 0.3
 
 
 def test_verify_penalization_suite_passes(tmp_path):

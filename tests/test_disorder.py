@@ -8,15 +8,14 @@ from copolab.disorder import (
     GAUSSIAN,
     DisorderLaw,
     LawKind,
-    TiltParams,
     log_mgf,
     log_mgf_prime,
     q1,
     q2,
     rate_function,
     sample,
-    sample_tilted,
 )
+from copolab.estimators import tilted_block_success
 
 
 def test_log_mgf_gaussian_closed_form():
@@ -157,32 +156,8 @@ def test_sample_normalization_moments():
         assert abs(draws.var() - 1.0) < 0.02
 
 
-def test_tilted_gaussian_mean():
-    beta = 0.8
-    draws = sample_tilted(GAUSSIAN, TiltParams(beta), 1_000_000, seed=11)
-    stderr = draws.std() / math.sqrt(len(draws))
-    assert abs(draws.mean() - beta) <= 4 * stderr
-
-
-def test_tilted_binary_frequency():
-    beta = 0.6
-    draws = sample_tilted(BINARY, TiltParams(beta), 500_000, seed=13)
-    p_plus = math.exp(beta) / (2 * math.cosh(beta))
-    freq = (draws > 0).mean()
-    stderr = math.sqrt(p_plus * (1 - p_plus) / len(draws))
-    assert abs(freq - p_plus) <= 4 * stderr
-
-
-def test_zero_tilt_matches_untilted():
-    a = sample_tilted(BINARY, TiltParams(0.0), 100, seed=5)
-    b = sample(BINARY, 100, seed=5)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_tilted_block_means_exceed_shifted_threshold():
-    # under the tilt, the frequency of block sums above b*slope*k grows past 1/2
+    # under the tilt, a block mean reaches b * lambda'(beta) with probability past 1/2
     beta, b_frac, k = 1.0, 0.9, 400
     for law in (GAUSSIAN, BINARY):
-        draws = sample_tilted(law, TiltParams(beta), k * 500, seed=17).reshape(500, k)
-        threshold = b_frac * log_mgf_prime(law, beta) * k
-        assert (draws.sum(axis=1) >= threshold).mean() > 0.5
+        assert tilted_block_success(law, beta, b_frac * log_mgf_prime(law, beta), k) > 0.5

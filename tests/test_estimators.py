@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 from copolab import estimators as est
 from copolab.bounds import log_upper_general
-from copolab.disorder import BINARY, GAUSSIAN, q1, q2, rate_function
+from copolab.disorder import BINARY, GAUSSIAN, _draw, q1, q2, rate_function, spawn_rng
 from copolab.kernel import build_kernel
-from copolab.partition import log_annealed_Z
+from copolab.partition import brute_force_log_Z, log_annealed_Z, make_instance
 
 
 @pytest.fixture(scope="module")
@@ -47,14 +48,27 @@ def test_estimate_beta_zero_matches_annealed(log_kernel_small):
     assert got.stderr == pytest.approx(0.0, abs=1e-13)
 
 
-def test_estimate_determinism_across_threads(log_kernel_small):
-    runs = [
-        est.estimate_free_energy(
-            log_kernel_small, BINARY, beta=0.8, h=0.4, n=300, replicas=12, seed=5, threads=t
-        )
-        for t in (1, 3)
-    ]
-    assert runs[0] == runs[1]
+def test_replica_values_do_not_depend_on_replica_count(log_kernel_small):
+    many = est.replica_log_z(log_kernel_small, BINARY, 0.8, 0.4, 300, 5, replicas=12)
+    few = est.replica_log_z(log_kernel_small, BINARY, 0.8, 0.4, 300, 5, replicas=5)
+    np.testing.assert_array_equal(many[:5], few)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 12),
+    beta=st.floats(0.0, 2.0),
+    h=st.floats(-50.0, 50.0),
+    law=st.sampled_from([GAUSSIAN, BINARY]),
+    seed=st.integers(0, 2**32 - 1),
+    replicas=st.integers(1, 3),
+)
+def test_replica_log_z_matches_enumeration(log_kernel_small, n, beta, h, law, seed, replicas):
+    got = est.replica_log_z(log_kernel_small, law, beta, h, n, seed, replicas)
+    for i, value in enumerate(got):
+        omega = _draw(law, n, spawn_rng(seed, i))
+        exact = brute_force_log_Z(make_instance(law, beta, h, omega=omega), log_kernel_small)
+        assert abs(value - exact.value) <= 1e-10 * max(1.0, abs(exact.value))
 
 
 def test_calibrated_constants_validate_on_holdout(log_kernel_small):

@@ -5,8 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from copolab.kernel import (
-    FamilyKind,
-    SlowlyVaryingFamily,
     TiltTransform,
     build_kernel,
     check_eta_kernel,

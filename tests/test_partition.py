@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from copolab.disorder import BINARY, GAUSSIAN, spawn_rng
+from copolab.estimators import replica_log_z
 from copolab.kernel import renewal_mass
 from copolab.partition import (
-    Free,
     RareStretch,
     Trimmed,
     brute_force_log_Z,
-    fractional_moment_mc,
     log_Z,
     log_Z_restricted,
-    log_Z_windowed,
     log_annealed_Z,
     make_instance,
     rare_stretch_flags,
@@ -92,30 +90,6 @@ def test_floor_bound_single_excursion(log_kernel_small):
         inst = make_instance(GAUSSIAN, 1.5, -0.6, n=n, seed=int(rng.integers(0, 2**32)))
         floor = math.log(log_kernel_small.mass(n)) - math.log(2.0)
         assert log_Z(inst, log_kernel_small).value >= floor
-
-
-def test_windowed_bracket_contains_exact(log_kernel_small):
-    rng = np.random.default_rng(61)
-    for _ in range(8):
-        n = int(rng.integers(50, 120))
-        beta = float(rng.uniform(0.0, 1.5))
-        h = float(rng.uniform(-0.6, 0.6))
-        inst = make_instance(GAUSSIAN, beta, h, n=n, seed=int(rng.integers(0, 2**32)))
-        exact = log_Z(inst, log_kernel_small).value
-        lower, upper = log_Z_windowed(inst, log_kernel_small, window=12)
-        assert lower.value <= exact + 1e-12
-        assert upper.value >= exact - 1e-12
-        # the bracket tightens as the window grows
-        lower2, upper2 = log_Z_windowed(inst, log_kernel_small, window=36)
-        assert upper2.value - lower2.value <= upper.value - lower.value + 1e-12
-
-
-def test_windowed_full_window_recovers_exact(log_kernel_small):
-    inst = make_instance(BINARY, 0.9, 0.2, n=70, seed=14)
-    exact = log_Z(inst, log_kernel_small).value
-    lower, upper = log_Z_windowed(inst, log_kernel_small, window=70)
-    assert lower.value == pytest.approx(exact, rel=1e-14)
-    assert upper.value == pytest.approx(exact, rel=1e-14)
 
 
 def test_charge_prefix_increments():
@@ -275,26 +249,23 @@ def test_trimmed_mean_is_disorder_average(log_kernel_small):
     assert abs(mean - math.exp(exact)) <= 4 * sem
 
 
+def _fractional_moment(kernel, theta, beta, h, n, seed, replicas):
+    # mean and standard error of Z^theta over Gaussian replicas
+    vals = np.exp(theta * replica_log_z(kernel, GAUSSIAN, beta, h, n, seed, replicas))
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
+
+
 def test_fractional_moment_theta_one_matches_annealed(log_kernel_small):
     # weak disorder and a short system keep the first-moment estimator
     # well conditioned; at large beta the mean is dominated by rare draws
     n, beta, h = 15, 0.3, 0.2
     exact = math.exp(log_annealed_Z(log_kernel_small, n, h))
-
-    def factory(i):
-        rng = spawn_rng(7, i)
-        return make_instance(GAUSSIAN, beta, h, omega=rng.standard_normal(n))
-
-    mean, stderr = fractional_moment_mc(factory, log_kernel_small, 1.0, 4000)
+    mean, stderr = _fractional_moment(log_kernel_small, 1.0, beta, h, n, 7, 4000)
     assert abs(mean - exact) <= 4 * stderr
 
 
 def test_fractional_moment_theta_zero_is_one(log_kernel_small):
-    def factory(i):
-        rng = spawn_rng(8, i)
-        return make_instance(GAUSSIAN, 1.0, 0.5, omega=rng.standard_normal(20))
-
-    mean, stderr = fractional_moment_mc(factory, log_kernel_small, 0.0, 200)
+    mean, stderr = _fractional_moment(log_kernel_small, 0.0, 1.0, 0.5, 20, 8, 200)
     assert mean == 1.0 and stderr == 0.0
 
 
@@ -307,12 +278,7 @@ def test_fractional_moment_jensen_direction(log_kernel_small):
         h = float(rng.uniform(-0.5, 0.5))
         theta = float(rng.uniform(0.2, 0.9))
         annealed = log_annealed_Z(log_kernel_small, n, h)
-
-        def factory(i, n=n, beta=beta, h=h):
-            gen = spawn_rng(23, i)
-            return make_instance(GAUSSIAN, beta, h, omega=gen.standard_normal(n))
-
-        mean, stderr = fractional_moment_mc(factory, log_kernel_small, theta, 400)
+        mean, stderr = _fractional_moment(log_kernel_small, theta, beta, h, n, 23, 400)
         assert mean <= math.exp(theta * annealed) + 3 * stderr
 
 
