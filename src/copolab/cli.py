@@ -6,7 +6,9 @@ counter-split replica seeds, so a run can be reproduced byte for byte from
 its own output.  The output path does not enter the header.  Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error; NaN or
 infinite values of --beta, --h, --upsilon, --cl or any --h-grid entry are
-configuration errors, rejected before anything is computed or written.
+configuration errors, rejected before anything is computed or written, and
+finite values that overflow a DP (a non-finite value in any row of
+estimate, sweep or annealed) exit 2 without writing the artifact.
 
 Verification report schema: a JSON object with keys "config" (the resolved
 run configuration), "artifact_version", "suites" (one entry per suite run,
@@ -14,13 +16,17 @@ each a dict of recorded values plus "checks", a list of {name, kind, ok}
 where kind is "assert" or "scan"), and "pass" (true when every assert-kind
 check holds).  Scan-kind checks record measured thresholds and never fail
 a run.  Suite payloads carry stable field names: "oracle" reports
-worst_relative_error; "moments" embeds the trimmed-ensemble report
+worst_relative_error (row-loop and batched DP against enumeration) and
+worst_block_edge_relative_error (batched DP against the row loop at
+block_edge_sizes); "moments" embeds the trimmed-ensemble report
 (exact_log_mean_restricted, product_lower_bound_log, identity_{lhs,rhs}_
 {mean,sigma}, identity_abs_diff, identity_three_sigma, induction_bound_log,
 plan); "penalization" lists per-h points (k, defect_expression, linf_holds,
 log_bound_closed_form, log_bound_rate_form); "coarse" reports n_window,
 theta, a_term, b_term, a_term_analytic_integral, rho_proxy, the
-fractional_moment_spot grid and the green_constant pair.  Tabular
+fractional_moment_spot grid and the green_constant pair, or feasible false
+with a note when the window exceeds its budget or the crossover tilt is
+supercritical (a scan finding, window_feasible).  Tabular
 subcommands write CSV whose first line is a "# ..." comment holding the
 same config object; floats serialize as shortest round-trip decimals in
 both formats.
@@ -36,9 +42,9 @@ import sys
 import numpy as np
 
 from . import __version__, bounds as bounds_mod, estimators
-from .disorder import BINARY, GAUSSIAN, q1
+from .disorder import BINARY, GAUSSIAN, _draw, q1, spawn_rng
 from .kernel import FamilyKind, SlowlyVaryingFamily, build_kernel, defect_Kk
-from .partition import brute_force_log_Z, log_Z, log_annealed_Z, make_instance
+from .partition import _BLOCK, brute_force_log_Z, log_Z, log_annealed_Z, make_instance
 
 _FAMILIES = {
     "sub-logarithmic": FamilyKind.SUB_LOGARITHMIC,
@@ -145,6 +151,14 @@ def _check_finite(args) -> None:
             raise SystemExit2(f"{flag} must be finite, got {value}")
 
 
+def _check_rows_finite(rows) -> None:
+    # finite flags can still overflow inside a DP; refuse the artifact then
+    for row in rows:
+        for key, value in row.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SystemExit2(f"{key} = {value} at h = {row['h']}: the inputs overflow the DP")
+
+
 def _h_values(args) -> list[float]:
     if args.h_grid:
         return [float(tok) for tok in args.h_grid.split(",") if tok.strip()]
@@ -218,6 +232,7 @@ def _cmd_estimate(args) -> int:
         row = {"beta": args.beta, "h": h}
         row.update(est.to_dict())
         rows.append(row)
+    _check_rows_finite(rows)
     columns = [
         "beta", "h", "n", "replicas", "mean_log_z_per_site", "stderr",
         "upper_bracket", "lower_bracket", "c4", "c5",
@@ -233,6 +248,7 @@ def _cmd_annealed(args) -> int:
     for h in _h_values(args):
         value = log_annealed_Z(kernel, args.n, h)
         rows.append({"h": h, "n": args.n, "log_annealed_z": value, "per_site": value / args.n})
+    _check_rows_finite(rows)
     _emit(args, _resolved_config(args), rows, ["h", "n", "log_annealed_z", "per_site"])
     return 0
 
@@ -281,23 +297,42 @@ def _cmd_kernel_info(args) -> int:
 
 
 def _suite_oracle(args, family, law, kernel) -> dict:
+    # the row-loop log_Z and the batched replica DP against enumeration at
+    # N <= 12, and the batched DP against the row loop across block edges
     rng = np.random.default_rng(args.seed)
+
+    def batch(law_i, n, replicas):
+        beta = float(rng.uniform(0.0, 2.0))
+        h = float(rng.uniform(-1.0, 1.0))
+        seed = int(rng.integers(0, 2**32))
+        values = estimators.replica_log_z(kernel, law_i, beta, h, n, seed, replicas)
+        for r, value in enumerate(values.tolist()):
+            yield value, make_instance(law_i, beta, h, omega=_draw(law_i, n, spawn_rng(seed, r)))
+
     worst = 0.0
     trials = 60
     for i in range(trials):
-        beta = float(rng.uniform(0.0, 2.0))
-        h = float(rng.uniform(-1.0, 1.0))
         n = int(rng.integers(2, 13))
-        law_i = GAUSSIAN if i % 2 == 0 else BINARY
-        inst = make_instance(law_i, beta, h, n=n, seed=int(rng.integers(0, 2**32)))
-        exact = log_Z(inst, kernel).value
-        brute = brute_force_log_Z(inst, kernel).value
-        worst = max(worst, abs(exact - brute) / max(1.0, abs(exact)))
-    ok = worst <= 1e-10
+        for value, inst in batch(GAUSSIAN if i % 2 == 0 else BINARY, n, 2):
+            brute = brute_force_log_Z(inst, kernel).value
+            for exact in (log_Z(inst, kernel).value, value):
+                worst = max(worst, abs(exact - brute) / max(1.0, abs(brute)))
+    worst_blocked = 0.0
+    sizes = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+    for n in sizes:
+        for law_i in (GAUSSIAN, BINARY):
+            for value, inst in batch(law_i, n, 3):
+                exact = log_Z(inst, kernel).value
+                worst_blocked = max(worst_blocked, abs(value - exact) / max(1.0, abs(exact)))
     return {
         "trials": trials,
         "worst_relative_error": worst,
-        "checks": [{"name": "dp_matches_enumeration", "kind": "assert", "ok": ok}],
+        "block_edge_sizes": list(sizes),
+        "worst_block_edge_relative_error": worst_blocked,
+        "checks": [
+            {"name": "dp_matches_enumeration", "kind": "assert", "ok": worst <= 1e-10},
+            {"name": "batched_dp_matches_row_loop", "kind": "assert", "ok": worst_blocked <= 1e-10},
+        ],
     }
 
 
@@ -365,10 +400,14 @@ def _suite_coarse(args, family, law, kernel) -> dict:
     report = estimators.coarse_graining_check(
         kernel, law, beta, h, c3, replicas=max(100, min(args.replicas, 1000)), seed=args.seed
     )
-    finite = report.get("feasible", False) and all(
+    # an infeasible window (budget exceeded or supercritical tilt) is a
+    # finding about (h, eta), not a fault; it carries no values to check
+    feasible = bool(report["feasible"])
+    finite = not feasible or all(
         math.isfinite(report[key]) for key in ("a_term", "b_term", "green_constant_full_range")
     )
     report["checks"] = [
+        {"name": "window_feasible", "kind": "scan", "ok": feasible},
         {"name": "report_values_finite", "kind": "assert", "ok": bool(finite)},
         {
             "name": "green_constant_stability",

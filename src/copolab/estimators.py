@@ -1,13 +1,15 @@
 """Free-energy estimation and numerical verification engines.
 
 Every loop over quenched disorder replicas goes through ``replica_log_z``:
-replica i draws its charges from ``spawn_rng(seed, i)``, so the seed and
-the replica index alone fix each replica's value, whatever the replica
-count or evaluation order.  The verification engines evaluate the
-change-of-measure, rare-stretch, trimmed second-moment and coarse-graining
-constructions at desk scale and return plain-dict reports: every value is
-recorded, and quantities that the asymptotic theory only guarantees for
-sufficiently small h are reported with measured thresholds, never assumed.
+replica i draws its charges from ``spawn_rng(seed, i)`` and all replicas
+are evaluated together by the batched, blocked quenched DP of
+``partition``, so the seed and the replica index alone fix each replica's
+value, bit for bit, whatever the replica count or evaluation order.  The
+verification engines evaluate the change-of-measure, rare-stretch, trimmed
+second-moment and coarse-graining constructions at desk scale and return
+plain-dict reports: every value is recorded, and quantities that the
+asymptotic theory only guarantees for sufficiently small h are reported
+with measured thresholds, never assumed.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from .kernel import (
 )
 from .partition import (
     Trimmed,
+    _log_z_replicas,
     _trimmed_core,
-    log_Z,
     log_annealed_Z,
     make_instance,
 )
@@ -100,14 +102,16 @@ def replica_log_z(
 ) -> np.ndarray:
     """Quenched log Z over n sites for replicas 0..replicas-1.
 
-    Replica i draws its charges from ``spawn_rng(seed, i)`` and is evaluated
-    with the exact row-loop ``log_Z``, so entry i depends on (seed, i) only.
+    Replica i draws its charges from ``spawn_rng(seed, i)``; all replicas go
+    through one batched, blocked DP that agrees with the row-loop ``log_Z``
+    to rounding, and entry i depends on (seed, i) only, never on the
+    replica count.
     """
-    out = np.empty(replicas)
+    prefixes = np.empty((replicas, n + 1))
     for i in range(replicas):
         omega = _draw(law, n, spawn_rng(seed, i))
-        out[i] = log_Z(make_instance(law, beta, h, omega=omega), kernel).value
-    return out
+        prefixes[i] = make_instance(law, beta, h, omega=omega).charge_prefix
+    return _log_z_replicas(prefixes, kernel)
 
 
 def estimate_free_energy(
@@ -672,7 +676,9 @@ def coarse_graining_check(
     fractional-moment spot check against e^3 times the tilted renewal mass,
     and the empirical constant of the Green-function bound together with its
     stability under doubling the range.  Everything is recorded; nothing is
-    assumed to be in the asymptotic regime.
+    assumed to be in the asymptotic regime.  A window beyond n_budget, or a
+    crossover tilt whose renewal mass leaves the float range (supercritical
+    at this h and eta), gives {"feasible": False, ...} with a note.
     """
     q1v = q1(law, beta)
     if not c3 < q1v:
@@ -695,7 +701,15 @@ def coarse_graining_check(
 
     tilted = check_eta_kernel(kernel, h, eta)
     need = max(n_win, green_n_max)
-    u = renewal_mass(tilted, need)
+    try:
+        u = renewal_mass(tilted, need)
+    except OverflowError as exc:
+        return {
+            "feasible": False,
+            "n_window": n_win,
+            "eta": eta,
+            "note": f"crossover tilt is supercritical at this h: {exc}",
+        }
 
     # near/far split: sum_{n in [N, M]} K(n-j)^theta u(j) over j < N/2 and
     # j in [N/2, N); inner sums collapse to cumulative sums over K^theta

@@ -3,10 +3,15 @@
 The quenched partition function sums, over renewal configurations ending at
 N and over the two signs of every excursion, the weight K(gap) * 1/2 per
 excursion times exp of the accumulated charge on excursions below the
-interface.  The recursion over the last renewal point before N is evaluated
-with a running-maximum log-sum-exp per target index, so charges of order
-N*h never overflow.  A brute-force enumeration oracle over all renewal
-subsets backs the DP for small N.
+interface.  ``log_Z`` evaluates the recursion over the last renewal point
+before N row by row with a running-maximum log-sum-exp per target index, so
+charges of order N*h never overflow; it is the reference oracle.  Replica
+batches go through ``_log_z_replicas``, the same recursion for all replicas
+at once in source blocks: log space inside a block, and one Toeplitz(K)
+GEMM on block values scaled by their own maximum to push a finished block
+to every later target.  It agrees with the row loop to rounding (1e-10
+relative is the tested gate).  A brute-force enumeration oracle over all
+renewal subsets backs both for small N.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ __all__ = [
 ]
 
 _LOG2 = math.log(2.0)
+_BLOCK = 64  # source block width of the replica-batched quenched DP
+_CHUNK = 256  # targets per push of one block; bounds the Toeplitz copy
+_GEMM_REPLICAS = 8  # replicas per GEMM in the push
 
 
 @dataclass(frozen=True)
@@ -145,6 +153,70 @@ def log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> LogPartition:
         )
         lz[m] = _logsumexp(terms)
     return LogPartition(value=float(lz[n]), n=n)
+
+
+def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
+    """Quenched log Z_N of every row of an (R, N+1) charge-prefix array.
+
+    Same recursion as ``log_Z``, split into two causal convolutions of
+    a(j) = Z(j) and b(j) = Z(j) e^{-S_j}:
+    Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Sources are cut into blocks
+    of _BLOCK sites.  A block is filled row by row in log space, for all
+    replicas at once, from its own earlier rows and from per-target log
+    accumulators that hold every earlier block.  A finished block is scaled
+    by its per-replica maximum, pushed to all later targets with Toeplitz(K)
+    GEMMs of _CHUNK targets each, and merged into the accumulators with
+    logaddexp.  A replica's value does not depend on the other rows or on R.
+    """
+    replicas, n = prefix.shape[0], prefix.shape[1] - 1
+    if n < 1:
+        raise ValueError("need at least one site")
+    if n > kernel.support_cap:
+        raise ValueError(f"kernel support {kernel.support_cap} < N = {n}")
+    s = prefix
+    # gaps[_BLOCK - u:] = log K(u)/2, ..., log K(1)/2, 0: the weights of row u
+    # of a block over its sources 0..u-1 and over its own pushed part
+    gaps = np.append(kernel.log_masses[_BLOCK:0:-1] - _LOG2, 0.0)
+    # windows[t, u] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t
+    windows = np.lib.stride_tricks.sliding_window_view(kernel.masses[1:], _BLOCK)[:, ::-1]
+    # acc[:, 0, m], acc[:, 1, m]: log sum_j K(m - j) a(j), b(j) over pushed blocks
+    acc = np.full((replicas, 2, n + 1), -np.inf)
+    # block[:, 0, u] = log a(j0 + u); block[:, 1, u] = log b(j0 + u) + S_j0, since
+    # charges relative to the block start keep the rounding of log b small
+    block = np.empty((replicas, 2, _BLOCK))
+    # BLAS may sum in an order that follows the matrix shape, so every GEMM
+    # takes _GEMM_REPLICAS replicas (zero-padded) and never sees R
+    scaled = np.zeros((-(-replicas // _GEMM_REPLICAS) * _GEMM_REPLICAS, 2, _BLOCK))
+    stacked = scaled.reshape(-1, 2 * _GEMM_REPLICAS, _BLOCK)
+    for j0 in range(0, n + 1, _BLOCK):
+        j1 = min(j0 + _BLOCK, n + 1)
+        s_rel = s[:, j0:j1] - s[:, j0 : j0 + 1]
+        # row u holds the pushed part of Z(j0 + u) until it is filled
+        np.logaddexp(acc[:, 0, j0:j1], s[:, j0:j1] + acc[:, 1, j0:j1], out=block[:, 0, : j1 - j0])
+        block[:, 0, : j1 - j0] -= _LOG2
+        block[:, 1] = -np.inf
+        if j0 == 0:
+            block[:, 0, 0] = 0.0
+        block[:, 1, 0] = block[:, 0, 0]
+        for u in range(1, j1 - j0):
+            terms = block[:, :, : u + 1] + gaps[_BLOCK - u :]
+            terms[:, 1] += s_rel[:, u : u + 1]
+            top = np.maximum.reduce(terms, axis=(1, 2))
+            terms -= top[:, None, None]
+            total = np.add.reduce(np.exp(terms, out=terms).reshape(replicas, 2 * u + 2), axis=1)
+            np.add(np.log(total, out=total), top, out=block[:, 0, u])
+            np.subtract(block[:, 0, u], s_rel[:, u], out=block[:, 1, u])
+        if j1 > n:
+            return block[:, 0, n - j0].copy()
+        offset = block.max(axis=2, keepdims=True)
+        np.exp(block - offset, out=scaled[:replicas])
+        offset[:, 1, 0] -= s[:, j0]
+        for t0 in range(0, n + 1 - j1, _CHUNK):
+            t1 = min(t0 + _CHUNK, n + 1 - j1)
+            toeplitz = np.ascontiguousarray(windows[t0:t1])
+            gathered = np.matmul(stacked, toeplitz.T).reshape(-1, 2, t1 - t0)[:replicas]
+            target = acc[:, :, j1 + t0 : j1 + t1]
+            np.logaddexp(target, np.log(gathered) + offset, out=target)
 
 
 def brute_force_log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> LogPartition:

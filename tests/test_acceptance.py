@@ -348,8 +348,11 @@ def test_criterion_9_green_function_stability(big_kernels):
 
 def test_criterion_10_estimate_thread_determinism(tmp_path):
     # seed and replica index fix every replica, so a fixed seed must give the
-    # same bytes on every run, whether the values come from flags or --config
+    # same bytes on every run, whether the values come from flags or --config,
+    # and the batched DP must give every replica the same bits whatever the
+    # number of replicas evaluated with it
     from copolab.cli import main
+    from copolab.kernel import FamilyKind, SlowlyVaryingFamily
 
     values = {"beta": "1.0", "h": "0.4", "n": "250", "replicas": "16", "seed": "314"}
     flags = [token for key, val in values.items() for token in ("--" + key, val)]
@@ -361,6 +364,20 @@ def test_criterion_10_estimate_thread_determinism(tmp_path):
         out = tmp_path / f"det{i}.csv"
         assert main([*argv, "--out", str(out)]) == 0
         outputs.append(out.read_bytes())
-    ok = all(o == outputs[0] for o in outputs)
-    _report(10, ok, f"{len(outputs[0])} bytes identical over 3 flag runs and 1 --config run")
+    same_bytes = all(o == outputs[0] for o in outputs)
+
+    # the kernel and law the estimate command builds for these flags
+    kernel = build_kernel(SlowlyVaryingFamily(FamilyKind.LOGARITHMIC, 2.0, 1.0), 1000)
+    full = est.replica_log_z(kernel, GAUSSIAN, 1.0, 0.4, 250, 314, replicas=16)
+    batch_free = all(
+        np.array_equal(full[:k], est.replica_log_z(kernel, GAUSSIAN, 1.0, 0.4, 250, 314, replicas=k))
+        for k in (1, 5, 9)
+    )
+    ok = same_bytes and batch_free
+    _report(
+        10,
+        ok,
+        f"{len(outputs[0])} bytes identical over 3 flag runs and 1 --config run: {same_bytes}; "
+        f"replicas=16 prefixes bit-equal to replicas=1, 5, 9: {batch_free}",
+    )
     assert ok

@@ -6,6 +6,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from copolab.cli import main
@@ -50,12 +51,32 @@ def test_non_finite_input_exits_2_without_artifact(tmp_path, capsys, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate", "--beta", "1.0", "--h", "1e308", "--replicas", "2"],
+        ["estimate", "--beta", "1e200", "--h", "0.1", "--replicas", "2"],
+        ["sweep", "--beta", "1.0", "--h-grid", "1e308,0.1", "--replicas", "2"],
+        ["annealed", "--h", "1e308"],
+    ],
+    ids=["estimate-h-overflow", "estimate-beta-overflow", "sweep-h-overflow",
+         "annealed-h-overflow"],
+)
+def test_overflowing_finite_input_exits_2_without_artifact(tmp_path, capsys, args):
+    out = tmp_path / "out.csv"
+    with np.errstate(all="ignore"):
+        assert run_cli([*args, "--n", "50", "--out", str(out)]) == 2
+    assert "overflow the DP" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_skips_scipy_stats_and_integrate():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    heavy = ("scipy.stats", "scipy.integrate", "scipy.signal", "scipy.linalg")
     probe = (
         "import sys, copolab.cli; "
-        "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))"
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
@@ -176,7 +197,12 @@ def test_verify_oracle_suite_passes_fast(tmp_path):
     assert elapsed < 60.0
     payload = json.loads(out.read_text())
     assert payload["pass"] is True
-    assert payload["suites"]["oracle"]["worst_relative_error"] <= 1e-10
+    oracle = payload["suites"]["oracle"]
+    assert oracle["worst_relative_error"] <= 1e-10
+    assert oracle["worst_block_edge_relative_error"] <= 1e-10
+    assert {c["name"] for c in oracle["checks"]} == {
+        "dp_matches_enumeration", "batched_dp_matches_row_loop"
+    }
 
 
 def test_verify_moments_suite_passes(tmp_path):
@@ -221,3 +247,18 @@ def test_verify_coarse_suite_records_scans(tmp_path):
     payload = json.loads(out.read_text())
     kinds = {c["name"]: c["kind"] for c in payload["suites"]["coarse"]["checks"]}
     assert kinds["green_constant_stability"] == "scan"
+
+
+def test_verify_coarse_records_supercritical_tilt_as_scan(tmp_path):
+    # at eta = 0.1 the crossover tilt of the Gaussian law at h = 0.08 is
+    # supercritical: its renewal mass leaves the float range
+    out = tmp_path / "coarse.json"
+    with np.errstate(over="ignore"):
+        code = run_cli(["verify", "coarse", "--h", "0.08", "--seed", "2", "--out", str(out)])
+    assert code == 0
+    suite = json.loads(out.read_text())["suites"]["coarse"]
+    assert suite["feasible"] is False
+    assert "supercritical" in suite["note"]
+    checks = {c["name"]: c for c in suite["checks"]}
+    assert checks["window_feasible"] == {"name": "window_feasible", "kind": "scan", "ok": False}
+    assert checks["report_values_finite"]["ok"] is True

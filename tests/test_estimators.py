@@ -9,7 +9,7 @@ from copolab import estimators as est
 from copolab.bounds import log_upper_general
 from copolab.disorder import BINARY, GAUSSIAN, _draw, q1, q2, rate_function, spawn_rng
 from copolab.kernel import build_kernel
-from copolab.partition import brute_force_log_Z, log_annealed_Z, make_instance
+from copolab.partition import _BLOCK, brute_force_log_Z, log_Z, log_annealed_Z, make_instance
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +49,47 @@ def test_estimate_beta_zero_matches_annealed(log_kernel_small):
 
 
 def test_replica_values_do_not_depend_on_replica_count(log_kernel_small):
-    many = est.replica_log_z(log_kernel_small, BINARY, 0.8, 0.4, 300, 5, replicas=12)
-    few = est.replica_log_z(log_kernel_small, BINARY, 0.8, 0.4, 300, 5, replicas=5)
-    np.testing.assert_array_equal(many[:5], few)
+    # bit-equal whatever the batch width, which the GEMMs of the batched DP
+    # must not leak into a replica's value
+    many = est.replica_log_z(log_kernel_small, BINARY, 0.8, 0.4, 300, 5, replicas=100)
+    for count in (1, 2, 3, 5, 8, 17):
+        few = est.replica_log_z(log_kernel_small, BINARY, 0.8, 0.4, 300, 5, replicas=count)
+        np.testing.assert_array_equal(many[:count], few)
+
+
+def _assert_matches_row_loop(kernel, law, beta, h, n, seed, replicas):
+    got = est.replica_log_z(kernel, law, beta, h, n, seed, replicas)
+    ref = np.array([
+        log_Z(make_instance(law, beta, h, omega=_draw(law, n, spawn_rng(seed, i))), kernel).value
+        for i in range(replicas)
+    ])
+    np.testing.assert_array_less(np.abs(got - ref), 1e-10 * np.maximum(1.0, np.abs(ref)))
+    return ref
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4 * _BLOCK),
+    beta=st.floats(0.0, 2.0),
+    h=st.floats(-50.0, 50.0),
+    law=st.sampled_from([GAUSSIAN, BINARY]),
+    seed=st.integers(0, 2**32 - 1),
+    replicas=st.integers(1, 3),
+)
+def test_replica_log_z_matches_row_loop(log_kernel_small, n, beta, h, law, seed, replicas):
+    _assert_matches_row_loop(log_kernel_small, law, beta, h, n, seed, replicas)
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+@pytest.mark.parametrize("beta,h", [(2.0, 1.0), (1.0, 2.0), (1.0, -5.0)])
+def test_replica_log_z_matches_row_loop_over_wide_log_range(log_kernel_small, law, beta, h):
+    # (2, 1) drives the charges to |S| ~ 1e3 with log Z of order one, (1, 2)
+    # takes log Z itself into the thousands, and h = -5 is strongly
+    # delocalized: log Z ~ -11 while b(j) = Z(j) e^{-S_j} spans e^{1e4}
+    n = 2000
+    ref = _assert_matches_row_loop(log_kernel_small, law, beta, h, n, 3, 3)
+    prefix = make_instance(law, beta, h, omega=_draw(law, n, spawn_rng(3, 0))).charge_prefix
+    assert max(np.abs(prefix).max(), np.abs(ref).max()) > 500.0
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -387,6 +425,14 @@ def test_coarse_graining_infeasible_report(big_kernels):
     report = est.coarse_graining_check(kernel, GAUSSIAN, 1.0, h=0.01, c3=0.45)
     assert report["feasible"] is False
     assert report["required_log_n"] == pytest.approx(45.0)
+
+
+def test_coarse_graining_supercritical_tilt_is_infeasible(big_kernels):
+    c3 = 0.9 * q1(GAUSSIAN, 1.0)
+    with np.errstate(over="ignore"):
+        report = est.coarse_graining_check(big_kernels["log"], GAUSSIAN, 1.0, h=0.08, c3=c3)
+    assert report["feasible"] is False
+    assert "renewal mass left the float range" in report["note"]
 
 
 def test_coarse_graining_rejects_c3_above_rate(big_kernels):
