@@ -16,12 +16,13 @@ each a dict of recorded values plus "checks", a list of {name, kind, ok}
 where kind is "assert" or "scan"), and "pass" (true when every assert-kind
 check holds).  Scan-kind checks record measured thresholds and never fail
 a run.  Suite payloads carry stable field names: "oracle" reports
-worst_relative_error (row-loop and batched DP against enumeration) and
+worst_relative_error (row-loop and batched DP against enumeration),
 worst_block_edge_relative_error (batched DP against the row loop at
-block_edge_sizes); "moments" embeds the trimmed-ensemble report
-(exact_log_mean_restricted, product_lower_bound_log, identity_{lhs,rhs}_
-{mean,sigma}, identity_abs_diff, identity_three_sigma, induction_bound_log,
-plan); "penalization" lists per-h points (k, defect_expression, linf_holds,
+block_edge_sizes) and worst_trimmed_relative_error (batched trimmed engine
+against its row loop on trimmed_trials small plans); "moments" embeds the
+trimmed-ensemble report (exact_log_mean_restricted, product_lower_bound_log,
+identity_{lhs,rhs}_{mean,sigma}, identity_abs_diff, identity_three_sigma,
+induction_bound_log, plan); "penalization" lists per-h points (k, defect_expression, linf_holds,
 log_bound_closed_form, log_bound_rate_form); "coarse" reports n_window,
 theta, a_term, b_term, a_term_analytic_integral, rho_proxy, the
 fractional_moment_spot grid and the green_constant pair, or feasible false
@@ -44,7 +45,16 @@ import numpy as np
 from . import __version__, bounds as bounds_mod, estimators
 from .disorder import BINARY, GAUSSIAN, _draw, q1, spawn_rng
 from .kernel import FamilyKind, SlowlyVaryingFamily, build_kernel, defect_Kk
-from .partition import _BLOCK, brute_force_log_Z, log_Z, log_annealed_Z, make_instance
+from .partition import (
+    _BLOCK,
+    Trimmed,
+    _trimmed_log_z_replicas,
+    brute_force_log_Z,
+    log_Z,
+    log_Z_restricted,
+    log_annealed_Z,
+    make_instance,
+)
 
 _FAMILIES = {
     "sub-logarithmic": FamilyKind.SUB_LOGARITHMIC,
@@ -298,7 +308,8 @@ def _cmd_kernel_info(args) -> int:
 
 def _suite_oracle(args, family, law, kernel) -> dict:
     # the row-loop log_Z and the batched replica DP against enumeration at
-    # N <= 12, and the batched DP against the row loop across block edges
+    # N <= 12, the batched DP against the row loop across block edges, and
+    # the batched trimmed engine against its row loop on small plans
     rng = np.random.default_rng(args.seed)
 
     def batch(law_i, n, replicas):
@@ -324,14 +335,34 @@ def _suite_oracle(args, family, law, kernel) -> dict:
             for value, inst in batch(law_i, n, 3):
                 exact = log_Z(inst, kernel).value
                 worst_blocked = max(worst_blocked, abs(value - exact) / max(1.0, abs(exact)))
+    worst_trimmed = 0.0
+    trimmed_trials = 12
+    for i in range(trimmed_trials):
+        # small feasible plans, N from the shortest path to past the reach clip
+        plan = Trimmed(M=int(rng.integers(2, 7)), k=int(rng.integers(1, 4)), m=int(rng.integers(1, 5)))
+        n = int(rng.integers(plan.m * (plan.M + 1) + 1, plan.m * (plan.M**2 + plan.k) + 3))
+        law_i = GAUSSIAN if i % 2 == 0 else BINARY
+        beta, h = float(rng.uniform(0.0, 2.0)), float(rng.uniform(-1.0, 1.0))
+        seed = int(rng.integers(0, 2**32))
+        instances = [
+            make_instance(law_i, beta, h, omega=_draw(law_i, n, spawn_rng(seed, r))) for r in range(3)
+        ]
+        values = _trimmed_log_z_replicas([inst.charge_prefix for inst in instances], kernel, plan, n)
+        for value, inst in zip(values.tolist(), instances):
+            exact = log_Z_restricted(inst, kernel, plan).value
+            worst_trimmed = max(worst_trimmed, abs(value - exact) / max(1.0, abs(exact)))
     return {
         "trials": trials,
         "worst_relative_error": worst,
         "block_edge_sizes": list(sizes),
         "worst_block_edge_relative_error": worst_blocked,
+        "trimmed_trials": trimmed_trials,
+        "worst_trimmed_relative_error": worst_trimmed,
         "checks": [
             {"name": "dp_matches_enumeration", "kind": "assert", "ok": worst <= 1e-10},
             {"name": "batched_dp_matches_row_loop", "kind": "assert", "ok": worst_blocked <= 1e-10},
+            {"name": "trimmed_engine_matches_row_loop", "kind": "assert",
+             "ok": worst_trimmed <= 1e-10},
         ],
     }
 

@@ -5,7 +5,10 @@ replica i draws its charges from ``spawn_rng(seed, i)`` and all replicas
 are evaluated together by the batched, blocked quenched DP of
 ``partition``, so the seed and the replica index alone fix each replica's
 value, bit for bit, whatever the replica count or evaluation order.  The
-verification engines evaluate the change-of-measure, rare-stretch, trimmed
+trimmed second-moment check does the same for the restricted ensemble:
+replica i draws from ``spawn_rng(seed, i)`` and the batched trimmed engine
+of ``partition`` evaluates the replicas one fixed-width group at a time.
+The verification engines evaluate the change-of-measure, rare-stretch, trimmed
 second-moment and coarse-graining constructions at desk scale and return
 plain-dict reports: every value is recorded, and quantities that the
 asymptotic theory only guarantees for sufficiently small h are reported
@@ -25,7 +28,6 @@ from .disorder import (
     DisorderLaw,
     LawKind,
     _draw,
-    log_mgf,
     log_mgf_prime,
     q1,
     q2,
@@ -42,7 +44,7 @@ from .kernel import (
 from .partition import (
     Trimmed,
     _log_z_replicas,
-    _trimmed_core,
+    _trimmed_log_z_replicas,
     log_annealed_Z,
     make_instance,
 )
@@ -72,6 +74,8 @@ __all__ = [
 # and validated on a holdout set (see tests).
 DEFAULT_C4 = 2.0
 DEFAULT_C5 = 4.0
+
+_PATH_PAIRS = 32  # replica pairs per vectorized draw of the overlap sampler
 
 
 @dataclass(frozen=True)
@@ -443,40 +447,42 @@ def _independent_jump_backward(kernel, plan):
     return stages, long_w, short_w, log_offset, size
 
 
-def _sample_short_intervals(stages, long_w, short_w, plan, rng):
-    """Draw one path under the tilted ensemble law; return its short intervals."""
-    big_m, k, m = plan.M, plan.k, plan.m
-    x = 0
-    shorts = []
+def _sample_short_intervals(stages, long_w, short_w, plan, draws):
+    """Short intervals of paths drawn under the tilted ensemble law.
+
+    draws[p, g - 1] is the uniform variate of path p at stage g; returns the
+    (paths, m, 2) array of [start, end) of each path's short excursions.
+    Every path takes the same per-row sum, cumsum and count as a 1-D
+    searchsorted, so it draws what one path at a time would.
+    """
+    big_m, m = plan.M, plan.m
+    paths = draws.shape[0]
+    x = np.zeros(paths, dtype=np.int64)
+    shorts = np.empty((paths, m, 2), dtype=np.int64)
     for g in range(1, 2 * m + 1):
         if g % 2 == 1:
             w, start = long_w, big_m
         else:
             w, start = short_w, 1
-        nxt_stage = stages[g]
-        probs = w * nxt_stage[x + start : x + start + len(w)]
-        total = probs.sum()
-        cdf = np.cumsum(probs)
-        draw = rng.random() * total
-        j = int(np.searchsorted(cdf, draw, side="right"))
-        j = min(j, len(w) - 1)
+        windows = np.lib.stride_tricks.sliding_window_view(stages[g], len(w))
+        probs = windows[x + start] * w
+        cdf = np.cumsum(probs, axis=1)
+        draw = draws[:, g - 1] * probs.sum(axis=1)
+        j = np.minimum(np.count_nonzero(cdf <= draw[:, None], axis=1), len(w) - 1)
         ell = start + j
         if g % 2 == 0:
-            shorts.append((x, x + ell))
+            shorts[:, g // 2 - 1, 0] = x
+            shorts[:, g // 2 - 1, 1] = x + ell
         x += ell
     return shorts
 
 
-def _interval_overlap(first, second) -> int:
-    total = 0
-    for a1, b1 in first:
-        for a2, b2 in second:
-            if a2 >= b1:
-                break
-            lo, hi = max(a1, a2), min(b1, b2)
-            if hi > lo:
-                total += hi - lo
-    return total
+def _interval_overlap(first, second):
+    """Sites covered by both lists of [start, end) intervals, (..., m, 2) each."""
+    first, second = np.asarray(first), np.asarray(second)
+    lo = np.maximum(first[..., :, None, 0], second[..., None, :, 0])
+    hi = np.minimum(first[..., :, None, 1], second[..., None, :, 1])
+    return np.maximum(hi - lo, 0).sum(axis=(-2, -1))
 
 
 def trimmed_moment_check(
@@ -494,7 +500,11 @@ def trimmed_moment_check(
     product lower bound; (b) two independent Monte Carlo estimators of the
     normalized second moment -- replica averages of (Z/EZ)^2 versus the
     overlap expectation under the tilted independent-jump path law -- which
-    the identity says must agree; (c) the induction bound envelope.
+    the identity says must agree; (c) the induction bound envelope.  The
+    exact mean in (a) is the batched trimmed engine on the zero-disorder
+    charges (h per site); the replicas of (b) go through the same engine,
+    drawn one group at a time, and the overlap paths are drawn in groups
+    of _PATH_PAIRS replica pairs from one stream.
     """
     if plan.N > kernel.support_cap:
         raise ValueError(
@@ -507,30 +517,35 @@ def trimmed_moment_check(
         raise ValueError("q2 is infinite: the second-moment identity degenerates")
 
     constraint = Trimmed(M=plan.M, k=plan.k, m=plan.m)
-    exact_log_mean = _trimmed_core(kernel, constraint, plan.N, prefix=None, annealed_h=h)
+    span = min(plan.m * (plan.M * plan.M + plan.k), plan.N - 1)
+    # the disorder mean is the engine on the single zero-disorder charge row
+    mean_prefix = make_instance(law, 0.0, h, omega=np.zeros(span)).charge_prefix
+    exact_log_mean = float(_trimmed_log_z_replicas([mean_prefix], kernel, constraint, plan.N)[0])
     product_log = _first_moment_product_log(kernel, plan)
 
-    # (b) left side: disorder replicas of (Z restricted / exact mean)^2
-    span = min(plan.m * (plan.M * plan.M + plan.k), plan.N - 1)
-    lam = log_mgf(law, beta)
-    lhs_vals = np.empty(replicas)
-    for i in range(replicas):
-        omega = _draw(law, span, spawn_rng(seed, i))
-        prefix = np.zeros(span + 1)
-        prefix[1:] = np.cumsum(beta * omega - lam + h)
-        log_zt = _trimmed_core(kernel, constraint, plan.N, prefix=prefix)
-        lhs_vals[i] = math.exp(2.0 * (log_zt - exact_log_mean))
+    # (b) left side: disorder replicas of (Z restricted / exact mean)^2;
+    # replica i draws from spawn_rng(seed, i), one engine group at a time
+    prefixes = (
+        make_instance(law, beta, h, omega=_draw(law, span, spawn_rng(seed, i))).charge_prefix
+        for i in range(replicas)
+    )
+    log_zt = _trimmed_log_z_replicas(prefixes, kernel, constraint, plan.N)
+    lhs_vals = np.exp(2.0 * (log_zt - exact_log_mean))
     lhs_mean = float(lhs_vals.mean())
     lhs_sigma = float(lhs_vals.std(ddof=1) / math.sqrt(replicas))
 
-    # (b) right side: overlap expectation under the tilted path law
+    # (b) right side: overlap expectation under the tilted path law; pair i
+    # takes the next 2 x 2m uniforms of one stream, first path then second
     stages, long_w, short_w, _, _ = _independent_jump_backward(kernel, plan)
     rng = spawn_rng(seed, 1_000_000)
     rhs_vals = np.empty(replicas)
-    for i in range(replicas):
-        first = _sample_short_intervals(stages, long_w, short_w, plan, rng)
-        second = _sample_short_intervals(stages, long_w, short_w, plan, rng)
-        rhs_vals[i] = math.exp(q2v * _interval_overlap(first, second))
+    for i0 in range(0, replicas, _PATH_PAIRS):
+        pairs = min(_PATH_PAIRS, replicas - i0)
+        draws = rng.random((pairs, 2, 2 * plan.m)).reshape(2 * pairs, 2 * plan.m)
+        shorts = _sample_short_intervals(stages, long_w, short_w, plan, draws)
+        overlap = _interval_overlap(shorts[0::2], shorts[1::2])
+        # math.exp, as one pair at a time took it, keeps the values bit-identical
+        rhs_vals[i0 : i0 + pairs] = [math.exp(q2v * v) for v in overlap.tolist()]
     rhs_mean = float(rhs_vals.mean())
     rhs_sigma = float(rhs_vals.std(ddof=1) / math.sqrt(replicas))
 

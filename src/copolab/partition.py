@@ -12,6 +12,13 @@ GEMM on block values scaled by their own maximum to push a finished block
 to every later target.  It agrees with the row loop to rounding (1e-10
 relative is the tested gate).  A brute-force enumeration oracle over all
 renewal subsets backs both for small N.
+
+The trimmed (alternating long/short) ensemble follows the same pattern:
+``_trimmed_core`` is the one-instance stage loop behind
+``log_Z_restricted`` and the oracle, and ``_trimmed_log_z_replicas`` runs
+the stages for groups of _GEMM_REPLICAS replicas, each long stage a banded
+Toeplitz GEMM.  Both engines build their push matrices from
+``_toeplitz_view``.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ _LOG2 = math.log(2.0)
 _BLOCK = 64  # source block width of the replica-batched quenched DP
 _CHUNK = 256  # targets per push of one block; bounds the Toeplitz copy
 _GEMM_REPLICAS = 8  # replicas per GEMM in the push
+_TRIMMED_CHUNK = 64  # targets per long-stage GEMM of the trimmed engine
 
 
 @dataclass(frozen=True)
@@ -155,6 +163,16 @@ def log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> LogPartition:
     return LogPartition(value=float(lz[n]), n=n)
 
 
+def _toeplitz_view(taps: np.ndarray, width: int) -> np.ndarray:
+    """Strided Toeplitz view V[r, c] = taps[r - c + width - 1], no copy.
+
+    Row r is a target and column c a source at lag r - c; V has
+    len(taps) - width + 1 rows and width columns.  Both replica engines
+    build their push matrices from it.
+    """
+    return np.lib.stride_tricks.sliding_window_view(taps, width)[:, ::-1]
+
+
 def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     """Quenched log Z_N of every row of an (R, N+1) charge-prefix array.
 
@@ -178,7 +196,7 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     # of a block over its sources 0..u-1 and over its own pushed part
     gaps = np.append(kernel.log_masses[_BLOCK:0:-1] - _LOG2, 0.0)
     # windows[t, u] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t
-    windows = np.lib.stride_tricks.sliding_window_view(kernel.masses[1:], _BLOCK)[:, ::-1]
+    windows = _toeplitz_view(kernel.masses[1:], _BLOCK)
     # acc[:, 0, m], acc[:, 1, m]: log sum_j K(m - j) a(j), b(j) over pushed blocks
     acc = np.full((replicas, 2, n + 1), -np.inf)
     # block[:, 0, u] = log a(j0 + u); block[:, 1, u] = log b(j0 + u) + S_j0, since
@@ -256,13 +274,13 @@ def log_Z_restricted(instance, kernel, constraint) -> LogPartition:
     The trimmed family is a forward DP over the alternating long/short
     structure in the linear domain with per-stage rescaling; only short
     excursions collect charges, so each stage's dynamic range stays small.
+    It runs the row loop ``_trimmed_core``, the oracle of the batched
+    ``_trimmed_log_z_replicas``.
     """
     if isinstance(constraint, RareStretch):
         return _rare_stretch_value(instance, kernel, constraint)
     if isinstance(constraint, Trimmed):
-        value = _trimmed_core(
-            kernel, constraint, instance.n, prefix=instance.charge_prefix
-        )
+        value = _trimmed_core(kernel, constraint, instance.n, instance.charge_prefix)
         return LogPartition(value=value, n=instance.n)
     raise TypeError(f"unknown constraint {constraint!r}")
 
@@ -300,31 +318,42 @@ def _rare_stretch_value(instance, kernel, constraint) -> LogPartition:
     return LogPartition(value=float(total), n=n)
 
 
-def _short_kernel(kernel, k: int, h: float = None):
-    """Short-jump weights K(1..k), annealed variant weighted by e^{h n}."""
-    w = kernel.masses[1 : k + 1].copy()
-    if h is not None:
-        w *= np.exp(h * np.arange(1, k + 1))
-    return w
+def _trimmed_size(kernel, plan, n_sites) -> int:
+    """Positions 0..size-1 reachable before the closing excursion to N.
 
-
-def _trimmed_core(kernel, plan, n_sites, prefix=None, annealed_h=None) -> float:
+    size - 1 is the farthest end of the 2m excursions, m(M^2 + k), clipped
+    to N - 1; size is 0 when even the shortest path overshoots N.
+    """
     big_m, k, m = plan.M, plan.k, plan.m
     if big_m < 2 or k < 1 or m < 1:
         raise ValueError("need M >= 2, k >= 1, m >= 1")
     if big_m * big_m > kernel.support_cap or n_sites > kernel.support_cap:
         raise ValueError("plan exceeds the kernel support")
-    reach = m * (big_m * big_m + k)  # farthest position after 2m excursions
-    if reach + 1 > n_sites:
-        reach = n_sites - 1
     if m * (big_m + 1) + 1 > n_sites:
-        return -math.inf  # even the shortest path overshoots N
-    if prefix is not None and len(prefix) < min(m * (big_m * big_m + k), n_sites - 1) + 1:
-        raise ValueError("charge prefix too short for the plan")
+        return 0
+    return min(m * (big_m * big_m + k), n_sites - 1) + 1
 
+
+def _closing_weights(kernel, n_sites, size) -> np.ndarray:
+    """K(N - x)/2 of the final above excursion from x to N, 0 where out of range."""
+    gaps = n_sites - np.arange(size)
+    valid = (gaps >= 1) & (gaps <= kernel.support_cap)
+    closing = np.zeros(size)
+    closing[valid] = 0.5 * kernel.masses[gaps[valid]]
+    return closing
+
+
+def _trimmed_core(kernel, plan, n_sites, prefix) -> float:
+    """Trimmed log Z of one charge prefix, one stage at a time (the oracle)."""
+    size = _trimmed_size(kernel, plan, n_sites)
+    if size == 0:
+        return -math.inf
+    if len(prefix) < size:
+        raise ValueError("charge prefix too short for the plan")
+    big_m, k, m = plan.M, plan.k, plan.m
     long_w = kernel.masses[big_m : big_m * big_m + 1]
-    short_w = _short_kernel(kernel, k, h=annealed_h)
-    size = reach + 1
+    short_w = kernel.masses[1 : k + 1]
+    s = prefix[:size]
     f = np.zeros(size)
     f[0] = 1.0
     offset = 0.0
@@ -342,16 +371,10 @@ def _trimmed_core(kernel, plan, n_sites, prefix=None, annealed_h=None) -> float:
         f /= top
         offset += math.log(top)
 
-        if prefix is None:
-            nxt = np.zeros(size)
-            for ell in range(1, k + 1):
-                nxt[ell:] += f[: size - ell] * short_w[ell - 1]
-        else:
-            s = prefix[:size]
-            nxt = np.zeros(size)
-            for ell in range(1, k + 1):
-                charge = np.exp(s[ell:] - s[: size - ell])
-                nxt[ell:] += f[: size - ell] * short_w[ell - 1] * charge
+        nxt = np.zeros(size)
+        for ell in range(1, k + 1):
+            charge = np.exp(s[ell:] - s[: size - ell])
+            nxt[ell:] += f[: size - ell] * short_w[ell - 1] * charge
         f = nxt * 0.5
         top = f.max()
         if top <= 0.0:
@@ -359,23 +382,100 @@ def _trimmed_core(kernel, plan, n_sites, prefix=None, annealed_h=None) -> float:
         f /= top
         offset += math.log(top)
 
-    # final above excursion to N: weight K(N - x) / 2 over reachable x >= 1
-    x = np.arange(size)
-    gaps = n_sites - x
-    valid = (gaps >= 1) & (gaps <= kernel.support_cap) & (f > 0.0)
-    if not valid.any():
-        return -math.inf
-    closing = np.zeros(size)
-    closing[valid] = kernel.masses[gaps[valid]]
-    total = float(np.dot(f, closing)) * 0.5
+    # final above excursion to N over reachable x >= 1
+    total = float(np.dot(f, _closing_weights(kernel, n_sites, size)))
     if total <= 0.0:
         return -math.inf
     return math.log(total) + offset
 
 
-def trimmed_log_mean(kernel, plan, n_sites: int, h: float) -> float:
-    """Exact log of the disorder-averaged restricted partition function."""
-    return _trimmed_core(kernel, plan, n_sites, prefix=None, annealed_h=h)
+def _trimmed_log_z_replicas(prefix, kernel, plan, n_sites) -> np.ndarray:
+    """Trimmed log Z_N of every charge-prefix row of ``prefix``.
+
+    ``prefix`` is an (R, n+1) array or any iterable of rows (a generator
+    drawing them on demand keeps the working set independent of R).  Same
+    stages as ``_trimmed_core``, for _GEMM_REPLICAS rows at a time, zero-
+    padded, in buffers allocated once per call.  The long stage is one
+    banded Toeplitz matrix T[c, r] = K(r + M^2 - c)/2 over gaps in [M, M^2],
+    applied as an (8, W) @ (W, _TRIMMED_CHUNK) GEMM per chunk of targets;
+    only chunks inside the support the plan gives are visited.  The short
+    stage uses the k charge rows e^{S[x] - S[x-l]} K(l)/2, computed once per
+    group.  Every stage is rescaled to a unit maximum per row with per-row
+    log offsets; a row whose maximum is 0, or whose closing sum is 0, gives
+    -inf.  A row's value depends neither on R nor on the other rows.
+    """
+    rows = iter(prefix)
+    size = _trimmed_size(kernel, plan, n_sites)
+    if size == 0:
+        return np.full(sum(1 for _ in rows), -math.inf)
+    big_m, k, m = plan.M, plan.k, plan.m
+    lead = big_m * big_m  # zero sites left of position 0, read by the long stage
+    chunk = _TRIMMED_CHUNK
+    width = chunk + lead - big_m  # sources that reach one chunk of targets
+    taps = np.zeros(2 * chunk + lead - big_m - 1)
+    taps[chunk - 1 : chunk + lead - big_m] = 0.5 * kernel.masses[big_m : lead + 1]
+    # toeplitz[c, r] = K(r + M^2 - c)/2: from source t0 - M^2 + c to target t0 + r
+    toeplitz = np.ascontiguousarray(_toeplitz_view(taps, width).T)
+    closing = _closing_weights(kernel, n_sites, size)
+    short_w = 0.5 * kernel.masses[1 : k + 1]
+
+    # charge[l - 1, :, x] = e^{S[x] - S[x-l]} K(l)/2 for x >= l
+    charge = np.zeros((k, _GEMM_REPLICAS, size))
+    # position x sits at column lead + x; the last chunk of a stage may write
+    # up to chunk - 1 columns past size, which nothing reads
+    f = np.empty((_GEMM_REPLICAS, lead + size + chunk))
+    g = np.empty_like(f)
+    log_scale = np.empty(_GEMM_REPLICAS)
+    dead = np.empty(_GEMM_REPLICAS, dtype=bool)
+
+    def rescale(values):
+        top = values.max(axis=1)
+        empty = top <= 0.0
+        dead[:] |= empty
+        top[empty] = 1.0
+        values /= top[:, None]
+        log_scale[:] += np.log(top)
+
+    out = [np.empty(0)]
+    while True:
+        # rows are taken one at a time, so a generator never holds a group
+        count = 0
+        for r, row in zip(range(_GEMM_REPLICAS), rows):
+            if len(row) < size:
+                raise ValueError("charge prefix too short for the plan")
+            for ell in range(1, k + 1):
+                np.subtract(row[ell:size], row[: size - ell], out=charge[ell - 1, r, ell:])
+            count += 1
+        if count == 0:
+            return np.concatenate(out)
+        charge[:, count:] = 0.0  # padding rows carry zero charges
+        for ell in range(1, k + 1):
+            rows_l = charge[ell - 1, :, ell:]
+            np.exp(rows_l, out=rows_l)
+            rows_l *= short_w[ell - 1]
+        f.fill(0.0)
+        f[:, lead] = 1.0
+        log_scale.fill(0.0)
+        dead.fill(False)
+        for stage in range(m):
+            # g holds the long stage on its support [lo, hi] and is read
+            # nowhere else; f is zero outside the support it is given
+            lo = stage * (big_m + 1) + big_m
+            hi = min(stage * (lead + k) + lead, size - 1)
+            for t0 in range(lo, hi + 1, chunk):
+                np.matmul(f[:, t0 : t0 + width], toeplitz, out=g[:, lead + t0 : lead + t0 + chunk])
+            rescale(g[:, lead + lo : lead + hi + 1])
+            f.fill(0.0)
+            for ell in range(1, k + 1):
+                a, b = lead + lo + ell, lead + min(hi + ell, size - 1) + 1
+                f[:, a:b] += g[:, a - ell : b - ell] * charge[ell - 1, :, a - lead : b - lead]
+            rescale(f[:, lead + lo + 1 : lead + min(hi + k, size - 1) + 1])
+        total = f[:, lead : lead + size] @ closing
+        dead |= total <= 0.0
+        total[dead] = 1.0
+        values = np.log(total) + log_scale
+        values[dead] = -math.inf
+        out.append(values[:count])
 
 
 def log_annealed_Z(kernel: RenewalKernel, n: int, h: float) -> float:

@@ -201,8 +201,18 @@ def test_verify_oracle_suite_passes_fast(tmp_path):
     assert oracle["worst_relative_error"] <= 1e-10
     assert oracle["worst_block_edge_relative_error"] <= 1e-10
     assert {c["name"] for c in oracle["checks"]} == {
-        "dp_matches_enumeration", "batched_dp_matches_row_loop"
+        "dp_matches_enumeration", "batched_dp_matches_row_loop", "trimmed_engine_matches_row_loop"
     }
+
+
+def test_verify_oracle_checks_trimmed_engine(tmp_path):
+    out = tmp_path / "oracle.json"
+    assert run_cli(["verify", "oracle", "--seed", "5", "--law", "binary", "--out", str(out)]) == 0
+    oracle = json.loads(out.read_text())["suites"]["oracle"]
+    check = next(c for c in oracle["checks"] if c["name"] == "trimmed_engine_matches_row_loop")
+    assert check == {"name": "trimmed_engine_matches_row_loop", "kind": "assert", "ok": True}
+    assert oracle["trimmed_trials"] >= 10
+    assert 0.0 <= oracle["worst_trimmed_relative_error"] <= 1e-10
 
 
 def test_verify_moments_suite_passes(tmp_path):

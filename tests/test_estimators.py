@@ -297,7 +297,7 @@ def _enumerate_trimmed_paths(kernel, plan, h):
 def test_trimmed_identity_against_exhaustive_enumeration(log_kernel_small, law):
     # tiny plan: enumerate every path pair, integrate the disorder per site
     # (factor e^{q2} on doubly-covered sites), and pin both estimators
-    from copolab.partition import trimmed_log_mean, Trimmed
+    from copolab.partition import Trimmed, _trimmed_log_z_replicas
 
     plan = est.TrimmedPlan(k=2, M=3, N=40, m=2, c1=3.3, c2=1.5, beta=0.7, h=0.25)
     h, q2v = plan.h, q2(law, plan.beta)
@@ -305,7 +305,10 @@ def test_trimmed_identity_against_exhaustive_enumeration(log_kernel_small, law):
     total = math.fsum(w for w, _ in paths)
 
     # restricted mean: enumeration vs the convolution DP (sign factors 2^-5)
-    exact_mean = trimmed_log_mean(log_kernel_small, Trimmed(M=3, k=2, m=2), plan.N, h)
+    mean_prefix = make_instance(law, 0.0, h, omega=np.zeros(plan.N)).charge_prefix
+    exact_mean = _trimmed_log_z_replicas(
+        [mean_prefix], log_kernel_small, Trimmed(M=3, k=2, m=2), plan.N
+    )[0]
     assert exact_mean == pytest.approx(math.log(total) + 5 * math.log(0.5), rel=1e-12)
 
     ratio_exact = (
@@ -345,6 +348,78 @@ def test_trimmed_moment_beta_zero_ratio_is_one(moment_kernel):
     assert report["identity_rhs_mean"] == 1.0
     assert report["identity_rhs_sigma"] == 0.0
     assert report["identity_lhs_mean"] == pytest.approx(1.0, abs=1e-9)
+
+
+def _scalar_short_intervals(stages, long_w, short_w, plan, rng):
+    # reference: one path at a time, one scalar draw per stage
+    big_m, m = plan.M, plan.m
+    x = 0
+    shorts = []
+    for g in range(1, 2 * m + 1):
+        w, start = (long_w, big_m) if g % 2 == 1 else (short_w, 1)
+        probs = w * stages[g][x + start : x + start + len(w)]
+        total = probs.sum()
+        cdf = np.cumsum(probs)
+        draw = rng.random() * total
+        j = min(int(np.searchsorted(cdf, draw, side="right")), len(w) - 1)
+        ell = start + j
+        if g % 2 == 0:
+            shorts.append((x, x + ell))
+        x += ell
+    return shorts
+
+
+def _scalar_overlap(first, second):
+    total = 0
+    for a1, b1 in first:
+        for a2, b2 in second:
+            if a2 >= b1:
+                break
+            lo, hi = max(a1, a2), min(b1, b2)
+            if hi > lo:
+                total += hi - lo
+    return total
+
+
+@pytest.mark.parametrize(
+    "law,beta,c1,c2,replicas",
+    [(GAUSSIAN, 0.5, 3.3, 1.0, 100), (BINARY, 0.8, 3.3, 1.2, 150), (GAUSSIAN, 0.3, 5.0, 1.0, 133)],
+)
+def test_trimmed_rhs_matches_scalar_sampler_bit_for_bit(big_kernels, law, beta, c1, c2, replicas):
+    # the vectorized sampler draws the same paths from the same stream as
+    # sampling one path at a time, so the RHS mean and sigma are unchanged
+    kernel, seed = big_kernels["log"], 17
+    plan = est.trimmed_plan(2.0, law, beta, 0.3, c1, c2)
+    stages, long_w, short_w, _, _ = est._independent_jump_backward(kernel, plan)
+    rng = spawn_rng(seed, 1_000_000)
+    q2v = q2(law, beta)
+    vals = np.empty(replicas)
+    for i in range(replicas):
+        first = _scalar_short_intervals(stages, long_w, short_w, plan, rng)
+        second = _scalar_short_intervals(stages, long_w, short_w, plan, rng)
+        vals[i] = math.exp(q2v * _scalar_overlap(first, second))
+    report = est.trimmed_moment_check(kernel, law, beta, 0.3, plan, replicas=replicas, seed=seed)
+    assert report["identity_rhs_mean"] == float(vals.mean())
+    assert report["identity_rhs_sigma"] == float(vals.std(ddof=1) / math.sqrt(replicas))
+
+
+def test_trimmed_moment_check_working_set_does_not_grow_with_replicas(big_kernels):
+    # replicas are drawn and evaluated one engine group at a time, so the
+    # traced peak at the largest benchmark plan (M = 24) is flat in R
+    import tracemalloc
+
+    plan = est.trimmed_plan(2.0, GAUSSIAN, 0.5, 0.3, 3.3, 1.6)
+    assert plan.M == 24
+    peaks = []
+    for replicas in (100, 400):
+        tracemalloc.start()
+        try:
+            est.trimmed_moment_check(big_kernels["log"], GAUSSIAN, 0.5, 0.3, plan, replicas, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 256 * 1024
+    assert max(peaks) < 4 * 1024 * 1024
 
 
 def test_penalization_plan_and_final_bound_paths(big_kernels):

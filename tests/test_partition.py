@@ -2,21 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from copolab.disorder import BINARY, GAUSSIAN, spawn_rng
-from copolab.estimators import replica_log_z
+from copolab.disorder import BINARY, GAUSSIAN, _draw, spawn_rng
+from copolab.estimators import replica_log_z, trimmed_plan
 from copolab.kernel import renewal_mass
 from copolab.partition import (
     RareStretch,
     Trimmed,
+    _trimmed_core,
+    _trimmed_log_z_replicas,
     brute_force_log_Z,
     log_Z,
     log_Z_restricted,
     log_annealed_Z,
     make_instance,
     rare_stretch_flags,
-    trimmed_log_mean,
 )
+
+
+def _trimmed_log_mean(kernel, plan, n, h):
+    # the disorder mean: the engine on the zero-disorder charges h per site
+    prefix = make_instance(GAUSSIAN, 0.0, h, omega=np.zeros(n)).charge_prefix
+    return float(_trimmed_log_z_replicas([prefix], kernel, plan, n)[0])
 
 
 def test_log_z_single_site(log_kernel_small):
@@ -230,14 +238,14 @@ def test_trimmed_log_mean_matches_brute(log_kernel_small):
             w *= log_kernel_small.mass(gap) * 0.5 * math.exp(h * gap)
             w *= log_kernel_small.mass(n - tau1 - gap) * 0.5
             total += w
-    got = trimmed_log_mean(log_kernel_small, Trimmed(M=big_m, k=k, m=1), n, h)
+    got = _trimmed_log_mean(log_kernel_small, Trimmed(M=big_m, k=k, m=1), n, h)
     assert got == pytest.approx(math.log(total), rel=1e-10)
 
 
 def test_trimmed_mean_is_disorder_average(log_kernel_small):
     # MC average of the quenched restricted value converges to the exact mean
     plan, n, beta, h = Trimmed(M=4, k=2, m=2), 80, 0.6, 0.2
-    exact = trimmed_log_mean(log_kernel_small, plan, n, h)
+    exact = _trimmed_log_mean(log_kernel_small, plan, n, h)
     vals = []
     for i in range(4000):
         rng = spawn_rng(99, i)
@@ -299,3 +307,82 @@ def test_superadditivity_of_mean_log_z(log_kernel_small):
     m_n, s_n = mean_log(80)
     m_m, s_m = mean_log(80)
     assert m_nm >= m_n + m_m - 3 * (s_nm + s_n + s_m)
+
+
+def _trimmed_prefixes(law, beta, h, n, seed, rows):
+    return np.array([
+        make_instance(law, beta, h, omega=_draw(law, n, spawn_rng(seed, i))).charge_prefix
+        for i in range(rows)
+    ])
+
+
+def _assert_trimmed_values_match(got, ref):
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(ref))
+    finite = np.isfinite(ref)
+    assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-10 * np.maximum(1.0, np.abs(ref[finite])))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    big_m=st.integers(2, 6),
+    k=st.integers(1, 3),
+    m=st.integers(1, 4),
+    where=st.sampled_from(["infeasible", "clipped", "free"]),
+    fraction=st.floats(0.0, 1.0),
+    beta=st.floats(0.0, 2.0),
+    h=st.floats(-2.0, 2.0),
+    law=st.sampled_from([GAUSSIAN, BINARY]),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 10),
+)
+def test_trimmed_engine_matches_row_loop(
+    log_kernel_small, big_m, k, m, where, fraction, beta, h, law, seed, rows
+):
+    # N below the shortest path (-inf on both sides), inside the reach clip
+    # reach = N - 1, or past the farthest position m(M^2 + k)
+    shortest, farthest = m * (big_m + 1) + 1, m * (big_m * big_m + k)
+    low, high = {
+        "infeasible": (1, shortest - 1),
+        "clipped": (shortest, farthest),
+        "free": (farthest + 1, farthest + 40),
+    }[where]
+    n = low + int(fraction * (high - low))
+    plan = Trimmed(M=big_m, k=k, m=m)
+    instances = [
+        make_instance(law, beta, h, omega=_draw(law, n, spawn_rng(seed, i))) for i in range(rows)
+    ]
+    got = _trimmed_log_z_replicas(
+        np.array([inst.charge_prefix for inst in instances]), log_kernel_small, plan, n
+    )
+    ref = np.array([log_Z_restricted(inst, log_kernel_small, plan).value for inst in instances])
+    _assert_trimmed_values_match(got, ref)
+    if where == "infeasible":
+        assert np.all(np.isneginf(ref))
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_trimmed_engine_matches_row_loop_on_benchmark_plans(big_kernels, law):
+    # every (c1, c2) x beta plan of the moments_check benchmark, 8 replicas
+    # drawn as trimmed_moment_check draws them
+    kernel = big_kernels["log"]
+    for c1, c2 in ((3.3, 1.0), (3.3, 1.2), (3.3, 1.4), (3.3, 1.6), (5.0, 1.0)):
+        for beta in (0.3, 0.5, 0.8):
+            tp = trimmed_plan(2.0, law, beta, 0.3, c1, c2)
+            span = min(tp.m * (tp.M * tp.M + tp.k), tp.N - 1)
+            prefix = _trimmed_prefixes(law, beta, 0.3, span, 11, 8)
+            plan = Trimmed(M=tp.M, k=tp.k, m=tp.m)
+            got = _trimmed_log_z_replicas(prefix, kernel, plan, tp.N)
+            ref = np.array([_trimmed_core(kernel, plan, tp.N, row) for row in prefix])
+            assert np.all(np.isfinite(ref))
+            _assert_trimmed_values_match(got, ref)
+
+
+def test_trimmed_engine_values_do_not_depend_on_replica_count(log_kernel_small):
+    # bit-equal whatever the number of rows and their neighbours: every
+    # GEMM takes a zero-padded group of the same width
+    plan, n = Trimmed(M=7, k=2, m=3), 180
+    prefix = _trimmed_prefixes(BINARY, 0.8, 0.3, n, 5, 100)
+    many = _trimmed_log_z_replicas(prefix, log_kernel_small, plan, n)
+    for count in (1, 2, 7, 8, 9, 17):
+        few = _trimmed_log_z_replicas(prefix[:count], log_kernel_small, plan, n)
+        np.testing.assert_array_equal(many[:count], few)
