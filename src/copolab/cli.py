@@ -18,8 +18,9 @@ check holds).  Scan-kind checks record measured thresholds and never fail
 a run.  Suite payloads carry stable field names: "oracle" reports
 worst_relative_error (row-loop and batched DP against enumeration),
 worst_block_edge_relative_error (batched DP against the row loop at
-block_edge_sizes) and worst_trimmed_relative_error (batched trimmed engine
-against its row loop on trimmed_trials small plans); "moments" embeds the
+block_edge_sizes, the edges of its 16-row sub-blocks and 64-site blocks)
+and worst_trimmed_relative_error (batched trimmed engine against its row
+loop on trimmed_trials small plans); "moments" embeds the
 trimmed-ensemble report (exact_log_mean_restricted, product_lower_bound_log,
 identity_{lhs,rhs}_{mean,sigma}, identity_abs_diff, identity_three_sigma,
 induction_bound_log, plan); "penalization" lists per-h points (k, defect_expression, linf_holds,
@@ -47,12 +48,13 @@ from .disorder import BINARY, GAUSSIAN, _draw, q1, spawn_rng
 from .kernel import FamilyKind, SlowlyVaryingFamily, build_kernel, defect_Kk
 from .partition import (
     _BLOCK,
+    _FILL_ROWS,
     Trimmed,
+    _annealed_log_z,
     _trimmed_log_z_replicas,
     brute_force_log_Z,
     log_Z,
     log_Z_restricted,
-    log_annealed_Z,
     make_instance,
 )
 
@@ -234,11 +236,11 @@ def _cmd_estimate(args) -> int:
     law = _LAWS[args.law]
     kernel = build_kernel(family, max(args.n, 1000))
     h_values = _h_values(args)
+    estimates = estimators.sweep_free_energy(
+        kernel, law, args.beta, h_values, args.n, args.replicas, args.seed
+    )
     rows = []
-    for h in h_values:
-        est = estimators.estimate_free_energy(
-            kernel, law, args.beta, h, args.n, args.replicas, args.seed
-        )
+    for h, est in zip(h_values, estimates):
         row = {"beta": args.beta, "h": h}
         row.update(est.to_dict())
         rows.append(row)
@@ -254,9 +256,9 @@ def _cmd_estimate(args) -> int:
 def _cmd_annealed(args) -> int:
     family = _family(args)
     kernel = build_kernel(family, max(args.n, 1000))
+    h_values = _h_values(args)
     rows = []
-    for h in _h_values(args):
-        value = log_annealed_Z(kernel, args.n, h)
+    for h, value in zip(h_values, _annealed_log_z(kernel, args.n, h_values).tolist()):
         rows.append({"h": h, "n": args.n, "log_annealed_z": value, "per_site": value / args.n})
     _check_rows_finite(rows)
     _emit(args, _resolved_config(args), rows, ["h", "n", "log_annealed_z", "per_site"])
@@ -308,8 +310,9 @@ def _cmd_kernel_info(args) -> int:
 
 def _suite_oracle(args, family, law, kernel) -> dict:
     # the row-loop log_Z and the batched replica DP against enumeration at
-    # N <= 12, the batched DP against the row loop across block edges, and
-    # the batched trimmed engine against its row loop on small plans
+    # N <= 12, the batched DP against the row loop across sub-block and
+    # block edges, and the batched trimmed engine against its row loop on
+    # small plans
     rng = np.random.default_rng(args.seed)
 
     def batch(law_i, n, replicas):
@@ -329,7 +332,8 @@ def _suite_oracle(args, family, law, kernel) -> dict:
             for exact in (log_Z(inst, kernel).value, value):
                 worst = max(worst, abs(exact - brute) / max(1.0, abs(brute)))
     worst_blocked = 0.0
-    sizes = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+    edges = (_FILL_ROWS, 3 * _FILL_ROWS, _BLOCK)  # sub-block and block edges
+    sizes = tuple(e + d for e in edges for d in (-1, 0, 1)) + (3 * _BLOCK + 5,)
     for n in sizes:
         for law_i in (GAUSSIAN, BINARY):
             for value, inst in batch(law_i, n, 3):

@@ -1,13 +1,14 @@
 """Free-energy estimation and numerical verification engines.
 
 Every loop over quenched disorder replicas goes through ``replica_log_z``:
-replica i draws its charges from ``spawn_rng(seed, i)`` and all replicas
-are evaluated together by the batched, blocked quenched DP of
-``partition``, so the seed and the replica index alone fix each replica's
-value, bit for bit, whatever the replica count or evaluation order.  The
-trimmed second-moment check does the same for the restricted ensemble:
-replica i draws from ``spawn_rng(seed, i)`` and the batched trimmed engine
-of ``partition`` evaluates the replicas one fixed-width group at a time.
+replica i draws its charges from ``spawn_rng(seed, i)``, once for a whole
+grid of fields, and all rows are evaluated together by the batched,
+blocked quenched DP of ``partition``, so the seed, the replica index and
+the field alone fix each value, bit for bit, whatever the replica count,
+the grid or the evaluation order.  The trimmed second-moment check does
+the same for the restricted ensemble: replica i draws from
+``spawn_rng(seed, i)`` and the batched trimmed engine of ``partition``
+evaluates the replicas one fixed-width group at a time.
 The verification engines evaluate the change-of-measure, rare-stretch, trimmed
 second-moment and coarse-graining constructions at desk scale and return
 plain-dict reports: every value is recorded, and quantities that the
@@ -57,6 +58,7 @@ __all__ = [
     "DEFAULT_C4",
     "DEFAULT_C5",
     "replica_log_z",
+    "sweep_free_energy",
     "estimate_free_energy",
     "calibrate_subadditive_constants",
     "block_log_success",
@@ -99,23 +101,78 @@ def replica_log_z(
     kernel: RenewalKernel,
     law: DisorderLaw,
     beta: float,
-    h: float,
+    h,
     n: int,
     seed: int,
     replicas: int,
 ) -> np.ndarray:
     """Quenched log Z over n sites for replicas 0..replicas-1.
 
-    Replica i draws its charges from ``spawn_rng(seed, i)``; all replicas go
+    ``h`` is one field or a 1-D grid of fields; the result has shape
+    np.shape(h) + (replicas,).  Replica i draws its disorder once, from
+    ``spawn_rng(seed, i)``, and takes it to every field; all rows go
     through one batched, blocked DP that agrees with the row-loop ``log_Z``
-    to rounding, and entry i depends on (seed, i) only, never on the
-    replica count.
+    to rounding.  A value depends on (seed, i, h) only, never on the
+    replica count or the grid.
     """
-    prefixes = np.empty((replicas, n + 1))
-    for i in range(replicas):
-        omega = _draw(law, n, spawn_rng(seed, i))
-        prefixes[i] = make_instance(law, beta, h, omega=omega).charge_prefix
-    return _log_z_replicas(prefixes, kernel)
+    fields = np.asarray(h, dtype=float)
+    omegas = [_draw(law, n, spawn_rng(seed, i)) for i in range(replicas)]
+    # charges past the float range turn non-finite, and their rows NaN
+    with np.errstate(over="ignore"):
+        prefixes = [
+            make_instance(law, beta, field, omega=omega).charge_prefix
+            for field in fields.reshape(-1).tolist()
+            for omega in omegas
+        ]
+    values = _log_z_replicas(np.array(prefixes).reshape(-1, n + 1), kernel)
+    return values.reshape(fields.shape + (replicas,))
+
+
+def sweep_free_energy(
+    kernel: RenewalKernel,
+    law: DisorderLaw,
+    beta: float,
+    h_values,
+    n: int,
+    replicas: int,
+    seed: int,
+    c4: float = None,
+    c5: float = None,
+    z_score: float = 1.96,
+) -> list[FreeEnergyEstimate]:
+    """Replica average of log Z / n with brackets, at every h of ``h_values``.
+
+    One ``replica_log_z`` call over the grid: replica i has the same
+    disorder at every h, and an estimate equals the one-field estimate at
+    its h bit for bit.  The upper bracket is the sub-additive envelope
+    (mean*n + c4*log n + c5)/n evaluated at the simulated size; the lower
+    bracket subtracts z_score standard errors from the mean.
+    """
+    if replicas < 2:
+        raise ValueError("need at least 2 replicas")
+    if n > kernel.support_cap:
+        raise ValueError(f"kernel support {kernel.support_cap} < n = {n}")
+    c4 = DEFAULT_C4 if c4 is None else c4
+    c5 = DEFAULT_C5 if c5 is None else c5
+
+    estimates = []
+    for values in replica_log_z(kernel, law, beta, list(h_values), n, seed, replicas):
+        per_site = values / n
+        mean = float(per_site.mean())
+        stderr = float(per_site.std(ddof=1) / math.sqrt(replicas))
+        estimates.append(
+            FreeEnergyEstimate(
+                n=n,
+                replicas=replicas,
+                mean_log_z_per_site=mean,
+                stderr=stderr,
+                upper_bracket=(mean * n + c4 * math.log(n) + c5) / n,
+                lower_bracket=mean - z_score * stderr,
+                c4=c4,
+                c5=c5,
+            )
+        )
+    return estimates
 
 
 def estimate_free_energy(
@@ -130,32 +187,8 @@ def estimate_free_energy(
     c5: float = None,
     z_score: float = 1.96,
 ) -> FreeEnergyEstimate:
-    """Replica average of log Z / n with brackets.
-
-    The upper bracket is the sub-additive envelope (mean*n + c4*log n + c5)/n
-    evaluated at the simulated size; the lower bracket subtracts z_score
-    standard errors from the mean.
-    """
-    if replicas < 2:
-        raise ValueError("need at least 2 replicas")
-    if n > kernel.support_cap:
-        raise ValueError(f"kernel support {kernel.support_cap} < n = {n}")
-    c4 = DEFAULT_C4 if c4 is None else c4
-    c5 = DEFAULT_C5 if c5 is None else c5
-
-    per_site = replica_log_z(kernel, law, beta, h, n, seed, replicas) / n
-    mean = float(per_site.mean())
-    stderr = float(per_site.std(ddof=1) / math.sqrt(replicas))
-    return FreeEnergyEstimate(
-        n=n,
-        replicas=replicas,
-        mean_log_z_per_site=mean,
-        stderr=stderr,
-        upper_bracket=(mean * n + c4 * math.log(n) + c5) / n,
-        lower_bracket=mean - z_score * stderr,
-        c4=c4,
-        c5=c5,
-    )
+    """``sweep_free_energy`` at the single field h."""
+    return sweep_free_energy(kernel, law, beta, [h], n, replicas, seed, c4, c5, z_score)[0]
 
 
 def calibrate_subadditive_constants(
@@ -434,10 +467,8 @@ def _independent_jump_backward(kernel, plan):
         w = long_w if g % 2 == 1 else short_w
         start = big_m if g % 2 == 1 else 1
         nxt = np.zeros(size + pad)
-        cur = stages[g]
-        for j, weight in enumerate(w):
-            ell = start + j
-            nxt[:size] += weight * cur[ell : ell + size]
+        # nxt[x] = sum_j w[j] cur[x + start + j], one correlation per stage
+        nxt[:size] = np.correlate(stages[g][start : start + size + len(w) - 1], w, mode="valid")
         top = nxt.max()
         if top <= 0.0:
             raise ValueError("trimmed ensemble is empty for this plan")

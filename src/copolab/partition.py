@@ -6,12 +6,16 @@ excursion times exp of the accumulated charge on excursions below the
 interface.  ``log_Z`` evaluates the recursion over the last renewal point
 before N row by row with a running-maximum log-sum-exp per target index, so
 charges of order N*h never overflow; it is the reference oracle.  Replica
-batches go through ``_log_z_replicas``, the same recursion for all replicas
-at once in source blocks: log space inside a block, and one Toeplitz(K)
-GEMM on block values scaled by their own maximum to push a finished block
-to every later target.  It agrees with the row loop to rounding (1e-10
-relative is the tested gate).  A brute-force enumeration oracle over all
-renewal subsets backs both for small N.
+batches go through ``_log_z_replicas``, the same recursion for groups of
+_GEMM_REPLICAS replicas in source blocks: inside a block a linear-domain
+solve (nilpotent doubling on 16-row diagonal sub-blocks, Toeplitz GEMMs
+for the earlier ones), or the row-by-row log-space fill for a replica
+whose charges vary too much there, and one Toeplitz(K) GEMM on block
+values scaled by their own maximum to push a finished block to every
+later target.  It agrees with the row loop to rounding (1e-10 relative is
+the tested gate).  A brute-force enumeration oracle over all renewal
+subsets backs both for small N.  The annealed value ``log_annealed_Z`` is
+the same engine on the zero-disorder charges, h per site.
 
 The trimmed (alternating long/short) ensemble follows the same pattern:
 ``_trimmed_core`` is the one-instance stage loop behind
@@ -48,6 +52,8 @@ _LOG2 = math.log(2.0)
 _BLOCK = 64  # source block width of the replica-batched quenched DP
 _CHUNK = 256  # targets per push of one block; bounds the Toeplitz copy
 _GEMM_REPLICAS = 8  # replicas per GEMM in the push
+_FILL_ROWS = 16  # rows per diagonal sub-block of the linear-domain block fill
+_FILL_VARIATION = 256.0  # largest in-block charge variation filled in the linear domain
 _TRIMMED_CHUNK = 64  # targets per long-stage GEMM of the trimmed engine
 
 
@@ -178,63 +184,190 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
 
     Same recursion as ``log_Z``, split into two causal convolutions of
     a(j) = Z(j) and b(j) = Z(j) e^{-S_j}:
-    Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Sources are cut into blocks
-    of _BLOCK sites.  A block is filled row by row in log space, for all
-    replicas at once, from its own earlier rows and from per-target log
-    accumulators that hold every earlier block.  A finished block is scaled
-    by its per-replica maximum, pushed to all later targets with Toeplitz(K)
-    GEMMs of _CHUNK targets each, and merged into the accumulators with
-    logaddexp.  A replica's value does not depend on the other rows or on R.
+    Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Rows go through in groups of
+    _GEMM_REPLICAS, zero-padded, in buffers allocated once per call.  Sources
+    are cut into blocks of _BLOCK sites.  Inside a block Z solves
+    (I - L) z = p, with p the part pushed from earlier blocks and
+    L[u, v] = K(u - v)/2 (1 + e^{S_u - S_v}) >= 0 for v < u; ``_fill_linear``
+    solves it in the linear domain and ``_fill_log``, row by row in log
+    space, takes the replicas whose charges vary too much inside the block.
+    A finished block, scaled per replica, is pushed to all later targets
+    with Toeplitz(K) GEMMs of _CHUNK targets each and added to per-target
+    linear accumulators that share one log scale per replica and channel.
+    A row holding a non-finite charge gives NaN.  A replica's value depends
+    neither on the other rows nor on R.
     """
     replicas, n = prefix.shape[0], prefix.shape[1] - 1
     if n < 1:
         raise ValueError("need at least one site")
     if n > kernel.support_cap:
         raise ValueError(f"kernel support {kernel.support_cap} < N = {n}")
-    s = prefix
+    out = np.full(replicas, np.nan)
+    rows = np.flatnonzero(np.isfinite(prefix).all(axis=1))
+    # lower[u, v] = K(u - v)/2 for v < u inside a block, else 0
+    taps = np.zeros(2 * _BLOCK - 1)
+    taps[_BLOCK:] = 0.5 * kernel.masses[1:_BLOCK]
+    lower = _toeplitz_view(taps, _BLOCK)
+    diagonal = np.ascontiguousarray(lower[:_FILL_ROWS, :_FILL_ROWS])
+    # earlier[q - 1][v, t] = K(r0 + t - v)/2, r0 = q _FILL_ROWS: from the block's
+    # rows v < r0 to the rows r0 + t of sub-block q
+    earlier = [
+        np.ascontiguousarray(lower[r0 : r0 + _FILL_ROWS, :r0].T)
+        for r0 in range(_FILL_ROWS, _BLOCK, _FILL_ROWS)
+    ]
     # gaps[_BLOCK - u:] = log K(u)/2, ..., log K(1)/2, 0: the weights of row u
     # of a block over its sources 0..u-1 and over its own pushed part
     gaps = np.append(kernel.log_masses[_BLOCK:0:-1] - _LOG2, 0.0)
     # windows[t, u] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t
     windows = _toeplitz_view(kernel.masses[1:], _BLOCK)
-    # acc[:, 0, m], acc[:, 1, m]: log sum_j K(m - j) a(j), b(j) over pushed blocks
-    acc = np.full((replicas, 2, n + 1), -np.inf)
-    # block[:, 0, u] = log a(j0 + u); block[:, 1, u] = log b(j0 + u) + S_j0, since
-    # charges relative to the block start keep the rounding of log b small
-    block = np.empty((replicas, 2, _BLOCK))
+    s = np.empty((_GEMM_REPLICAS, n + 1))
+    # acc[:, 0, m] e^{ref[:, 0]}, acc[:, 1, m] e^{ref[:, 1]}: sum_j K(m - j) a(j),
+    # b(j) over pushed blocks.  ref is the largest block offset pushed so
+    # far, so every target holds at least K(m - j0) times the value 1 of
+    # that block's largest source: nothing in acc that carries weight
+    # underflows, and what a rescale drops was negligible
+    acc = np.empty((_GEMM_REPLICAS, 2, n + 1))
+    ref = np.empty((_GEMM_REPLICAS, 2))
     # BLAS may sum in an order that follows the matrix shape, so every GEMM
-    # takes _GEMM_REPLICAS replicas (zero-padded) and never sees R
-    scaled = np.zeros((-(-replicas // _GEMM_REPLICAS) * _GEMM_REPLICAS, 2, _BLOCK))
-    stacked = scaled.reshape(-1, 2 * _GEMM_REPLICAS, _BLOCK)
-    for j0 in range(0, n + 1, _BLOCK):
-        j1 = min(j0 + _BLOCK, n + 1)
-        s_rel = s[:, j0:j1] - s[:, j0 : j0 + 1]
-        # row u holds the pushed part of Z(j0 + u) until it is filled
-        np.logaddexp(acc[:, 0, j0:j1], s[:, j0:j1] + acc[:, 1, j0:j1], out=block[:, 0, : j1 - j0])
-        block[:, 0, : j1 - j0] -= _LOG2
-        block[:, 1] = -np.inf
-        if j0 == 0:
-            block[:, 0, 0] = 0.0
-        block[:, 1, 0] = block[:, 0, 0]
-        for u in range(1, j1 - j0):
-            terms = block[:, :, : u + 1] + gaps[_BLOCK - u :]
-            terms[:, 1] += s_rel[:, u : u + 1]
-            top = np.maximum.reduce(terms, axis=(1, 2))
-            terms -= top[:, None, None]
-            total = np.add.reduce(np.exp(terms, out=terms).reshape(replicas, 2 * u + 2), axis=1)
-            np.add(np.log(total, out=total), top, out=block[:, 0, u])
-            np.subtract(block[:, 0, u], s_rel[:, u], out=block[:, 1, u])
-        if j1 > n:
-            return block[:, 0, n - j0].copy()
-        offset = block.max(axis=2, keepdims=True)
-        np.exp(block - offset, out=scaled[:replicas])
-        offset[:, 1, 0] -= s[:, j0]
-        for t0 in range(0, n + 1 - j1, _CHUNK):
-            t1 = min(t0 + _CHUNK, n + 1 - j1)
-            toeplitz = np.ascontiguousarray(windows[t0:t1])
-            gathered = np.matmul(stacked, toeplitz.T).reshape(-1, 2, t1 - t0)[:replicas]
-            target = acc[:, :, j1 + t0 : j1 + t1]
-            np.logaddexp(target, np.log(gathered) + offset, out=target)
+    # takes one zero-padded group of _GEMM_REPLICAS replicas and never sees R
+    for g0 in range(0, len(rows), _GEMM_REPLICAS):
+        group = rows[g0 : g0 + _GEMM_REPLICAS]
+        s[: len(group)] = prefix[group]
+        s[len(group) :] = 0.0  # padding rows carry zero charges
+        acc.fill(0.0)
+        ref.fill(-np.inf)
+        for j0 in range(0, n + 1, _BLOCK):
+            j1 = min(j0 + _BLOCK, n + 1)
+            charges = s[:, j0:j1]
+            if j0 == 0:
+                pushed = np.full((_GEMM_REPLICAS, j1), -np.inf)
+                pushed[:, 0] = 0.0
+            else:
+                logs = np.log(acc[:, :, j0:j1]) + ref[:, :, None]
+                pushed = np.logaddexp(logs[:, 0], charges + logs[:, 1]) - _LOG2
+            steep = np.abs(np.diff(charges, axis=1)).sum(axis=1) > _FILL_VARIATION
+            # a = scaled[:, 0] e^{offset[:, 0]}, b = scaled[:, 1] e^{offset[:, 1]}
+            scaled, offset = _fill_linear(pushed, charges, steep, diagonal, earlier)
+            if steep.any():
+                block = _fill_log(pushed[steep], charges[steep] - charges[steep, :1], gaps)
+                top = block.max(axis=2)
+                scaled[steep, :, : j1 - j0] = np.exp(block - top[:, :, None])
+                top[:, 1] -= charges[steep, 0]
+                offset[steep] = top
+            if j1 > n:
+                values = np.log(scaled[:, 0, n - j0]) + offset[:, 0]
+                if steep.any():
+                    values[steep] = block[:, 0, n - j0]
+                out[group] = values[: len(group)]
+                break
+            if (offset > ref).any():
+                raised = np.maximum(ref, offset)
+                acc[:, :, j1:] *= np.exp(ref - raised)[:, :, None]
+                ref = raised
+            scaled *= np.exp(offset - ref)[:, :, None]
+            stacked = scaled.reshape(2 * _GEMM_REPLICAS, _BLOCK)
+            for t0 in range(0, n + 1 - j1, _CHUNK):
+                t1 = min(t0 + _CHUNK, n + 1 - j1)
+                toeplitz = np.ascontiguousarray(windows[t0:t1])
+                target = acc[:, :, j1 + t0 : j1 + t1]
+                target += np.matmul(stacked, toeplitz.T).reshape(_GEMM_REPLICAS, 2, t1 - t0)
+    return out
+
+
+def _fill_linear(pushed, charges, steep, diagonal, earlier):
+    """Solve one block's (I - L) z = p in the linear domain, all rows at once.
+
+    ``pushed`` holds log p and ``charges`` the block's S, one row per
+    replica.  Returns ``scaled`` (rows, 2, _BLOCK) and ``offset`` (rows, 2)
+    with a = scaled[:, 0] e^{offset[:, 0]} and b = scaled[:, 1] e^{offset[:, 1]}.
+    p is scaled by its row maximum and the charges are centred at the
+    mid-range `mid` of the row, so that x = z e^{-max log p} and
+    y = x e^{mid - S} are what the block holds.  Rows are solved in
+    sub-blocks of _FILL_ROWS: the block's earlier rows enter through
+    Toeplitz(K/2) GEMMs on the pair (x, y), as in the push,
+    L[u, v] x_v = K(u-v)/2 x_v + e^{S_u - mid} K(u-v)/2 y_v, and the
+    diagonal sub-block A of L, nilpotent, by
+    (I - A)^{-1} = (I + A)(I + A^2)(I + A^4)(I + A^8).
+
+    Why this is accurate to rounding: an entry (I - L)^{-1}[u, v] sums, over
+    in-block renewal paths v = w_0 < ... < w_k = u, products of
+    K(gap)/2 (1 + e^{dS}) <= K(gap) e^{max(dS, 0)}, so it is at most
+    e^{TV} times the renewal mass u(u - v) <= 1, TV being the charge
+    variation sum |S_{i+1} - S_i| over the block; the same factor bounds
+    how far p, and so x, fall below their maximum.  With TV <=
+    _FILL_VARIATION = 256, x and y stay within e^{+-(3 TV/2 + 30)} of 1,
+    far inside the double range e^{+-708}: nothing overflows and no term
+    that carries weight is subnormal.  Every term is nonnegative, so the
+    error is componentwise relative (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 8).  Rows flagged ``steep`` are given flat
+    charges here, which keeps them finite, and are refilled by the caller.
+    """
+    rows, width = pushed.shape
+    top = pushed.max(axis=1)
+    mid = 0.5 * (charges.max(axis=1) + charges.min(axis=1))
+    # past the block's width (its last block only) p = 0 and flat charges
+    # keep the padded rows finite; nothing reads them
+    p = np.zeros((rows, _BLOCK))
+    np.exp(pushed - top[:, None], out=p[:, :width])
+    rel = np.zeros((rows, _BLOCK))
+    rel[:, :width] = charges - mid[:, None]
+    rel[steep] = 0.0
+    up, down = np.exp(rel), np.exp(-rel)  # e^{S_u - mid}, e^{mid - S_v}
+    # the diagonal sub-blocks A of every sub-block at once, and their
+    # inverses sum_{k<16} A^k = (I + A^8)(I + A^4)(I + A^2)(I + A)
+    subs = (rows, -(-width // _FILL_ROWS), _FILL_ROWS)
+    span = subs[1] * _FILL_ROWS
+    a = up[:, :span].reshape(subs)[..., :, None] * down[:, :span].reshape(subs)[..., None, :]
+    a += 1.0
+    a *= diagonal
+    inverse = a + np.eye(_FILL_ROWS)
+    for _ in range(3):
+        a = np.matmul(a, a)
+        inverse += np.matmul(a, inverse)
+    scaled = np.zeros((rows, 2, _BLOCK))
+    flat = scaled.reshape(2 * rows, _BLOCK)
+    for q, r0 in enumerate(range(0, width, _FILL_ROWS)):
+        r1 = r0 + _FILL_ROWS
+        c = p[:, r0:r1]
+        if q:
+            pair = np.matmul(flat[:, :r0], earlier[q - 1]).reshape(rows, 2, _FILL_ROWS)
+            c += pair[:, 0]
+            c += up[:, r0:r1] * pair[:, 1]
+        z = np.matmul(inverse[:, q], c[:, :, None])[:, :, 0]
+        scaled[:, 0, r0:r1] = z
+        np.multiply(z, down[:, r0:r1], out=scaled[:, 1, r0:r1])
+    # a unit maximum per row and channel, as the caller's push assumes
+    peak = scaled[:, :, :width].max(axis=2)
+    scaled /= peak[:, :, None]
+    offset = np.log(peak)
+    offset[:, 0] += top
+    offset[:, 1] += top - mid
+    return scaled, offset
+
+
+def _fill_log(pushed, rel, gaps) -> np.ndarray:
+    """One block filled row by row in log space: the fallback of steep rows.
+
+    ``pushed`` holds log p and ``rel`` the charges relative to the block
+    start.  Returns block[:, 0, u] = log a(j0 + u) and
+    block[:, 1, u] = log b(j0 + u) + S_j0; charges relative to the block
+    start keep the rounding of log b small.
+    """
+    rows, width = pushed.shape
+    block = np.empty((rows, 2, width))
+    # row u holds the pushed part of Z(j0 + u) until it is filled
+    block[:, 0] = pushed
+    block[:, 1] = -np.inf
+    block[:, 1, 0] = block[:, 0, 0]
+    for u in range(1, width):
+        terms = block[:, :, : u + 1] + gaps[_BLOCK - u :]
+        terms[:, 1] += rel[:, u : u + 1]
+        top = np.maximum.reduce(terms, axis=(1, 2))
+        terms -= top[:, None, None]
+        total = np.add.reduce(np.exp(terms, out=terms).reshape(rows, 2 * u + 2), axis=1)
+        np.add(np.log(total, out=total), top, out=block[:, 0, u])
+        np.subtract(block[:, 0, u], rel[:, u], out=block[:, 1, u])
+    return block
 
 
 def brute_force_log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> LogPartition:
@@ -481,19 +614,25 @@ def _trimmed_log_z_replicas(prefix, kernel, plan, n_sites) -> np.ndarray:
 def log_annealed_Z(kernel: RenewalKernel, n: int, h: float) -> float:
     """Exact log of the disorder-averaged partition function.
 
-    Disorder-free DP: each excursion of length l carries (1 + e^{h l})/2.
+    Each excursion of length l carries (1 + e^{h l})/2, the quenched weight
+    of the zero-disorder charges h per site; see ``_annealed_log_z``.
+    """
+    return float(_annealed_log_z(kernel, n, [h])[0])
+
+
+def _annealed_log_z(kernel: RenewalKernel, n: int, h_values) -> np.ndarray:
+    """Annealed log Z_n at every h of ``h_values``, one engine call.
+
+    Row i is the zero-disorder charge prefix of h_values[i] (h cumulated
+    site by site) through ``_log_z_replicas``; a row whose charges leave
+    the float range gives NaN.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > kernel.support_cap:
         raise ValueError(f"kernel support {kernel.support_cap} < n = {n}")
-    log_k = kernel.log_masses
-    lengths = np.arange(0, n + 1, dtype=float)
-    log_factor = np.logaddexp(0.0, h * lengths) - _LOG2
-    la = np.empty(n + 1)
-    la[0] = 0.0
-    for m in range(1, n + 1):
-        terms = la[:m] + log_k[1 : m + 1][::-1] + log_factor[1 : m + 1][::-1]
-        la[m] = _logsumexp(terms)
-    return float(la[n])
-
+    fields = np.asarray(h_values, dtype=float)
+    prefix = np.zeros((len(fields), n + 1))
+    with np.errstate(over="ignore"):
+        np.cumsum(np.repeat(fields[:, None], n, axis=1), axis=1, out=prefix[:, 1:])
+    return _log_z_replicas(prefix, kernel)

@@ -146,6 +146,21 @@ def test_sweep_runs_over_grid(tmp_path):
     assert len(lines) == 4  # header comment, column row, two sweeps
 
 
+def test_sweep_rows_equal_estimate_rows_bytewise(tmp_path):
+    # one engine call over the grid: every sweep row is the estimate row at
+    # its h, whatever the neighbours of its replicas in the batch
+    common = ["--beta", "0.9", "--n", "150", "--replicas", "5", "--seed", "11"]
+    grid = ["0.4", "-0.25", "0.05"]
+    sweep = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--h-grid", ",".join(grid), *common, "--out", str(sweep)]) == 0
+    sweep_rows = sweep.read_text().splitlines()[2:]
+    assert len(sweep_rows) == len(grid)
+    for h, row in zip(grid, sweep_rows):
+        single = tmp_path / f"estimate{h}.csv"
+        assert run_cli(["estimate", "--h", h, *common, "--out", str(single)]) == 0
+        assert single.read_text().splitlines()[2:] == [row]
+
+
 def test_kernel_info_normalization_positive(tmp_path):
     out = tmp_path / "info.json"
     code = run_cli(["kernel-info", "--n", "1200", "--out", str(out)])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,17 @@ from copolab import estimators as est
 from copolab.bounds import log_upper_general
 from copolab.disorder import BINARY, GAUSSIAN, _draw, q1, q2, rate_function, spawn_rng
 from copolab.kernel import build_kernel
-from copolab.partition import _BLOCK, brute_force_log_Z, log_Z, log_annealed_Z, make_instance
+from copolab.partition import (
+    _BLOCK,
+    _FILL_ROWS,
+    _FILL_VARIATION,
+    QuenchedInstance,
+    _log_z_replicas,
+    brute_force_log_Z,
+    log_Z,
+    log_annealed_Z,
+    make_instance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -90,6 +101,84 @@ def test_replica_log_z_matches_row_loop_over_wide_log_range(log_kernel_small, la
     ref = _assert_matches_row_loop(log_kernel_small, law, beta, h, n, 3, 3)
     prefix = make_instance(law, beta, h, omega=_draw(law, n, spawn_rng(3, 0))).charge_prefix
     assert max(np.abs(prefix).max(), np.abs(ref).max()) > 500.0
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 47, 48, 49])
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_replica_log_z_matches_row_loop_at_sub_block_edges(log_kernel_small, law, n):
+    # N + 1 rows end just before, on and just after a diagonal sub-block edge
+    assert _FILL_ROWS == 16
+    _assert_matches_row_loop(log_kernel_small, law, 1.2, 0.3, n, 4, 3)
+
+
+def test_engine_mixes_steep_and_linear_replicas(log_kernel_small):
+    # steep blocks (charge variation above _FILL_VARIATION: rows 1 and 3 in
+    # their three full blocks, the last row in its second block only) fill
+    # in log space next to blocks filled in the linear domain; each row is
+    # its own single-row value bit for bit
+    n = 3 * _BLOCK + 20
+    rows = []
+    for i, (beta, h) in enumerate([(1.0, 0.3), (2.0, 8.0), (0.5, -0.2), (1.0, -9.0), (1.5, 1.0)]):
+        rows.append(make_instance(GAUSSIAN, beta, h, omega=_draw(GAUSSIAN, n, spawn_rng(6, i))).charge_prefix)
+    jump = make_instance(BINARY, 0.8, 0.1, omega=_draw(BINARY, n, spawn_rng(6, 9))).charge_prefix
+    jump[_BLOCK + 10 :] += 300.0  # one step of 300 inside the second block only
+    rows.append(jump)
+    prefix = np.array(rows)
+    variation = np.array([
+        [np.abs(np.diff(row[j0 : j0 + _BLOCK])).sum() for j0 in range(0, n + 1, _BLOCK)] for row in prefix
+    ])
+    steep = variation > _FILL_VARIATION
+    assert steep[[1, 3], :3].all() and not steep[[0, 2, 4]].any()
+    assert steep[-1].tolist() == [False, True, False, False]
+    batch = _log_z_replicas(prefix, log_kernel_small)
+    for i, row in enumerate(prefix):
+        assert _log_z_replicas(row[None], log_kernel_small)[0] == batch[i]
+        exact = log_Z(
+            QuenchedInstance(omega=np.zeros(n), beta=0.0, h=0.0, lambda_beta=0.0, charge_prefix=row),
+            log_kernel_small,
+        ).value
+        assert abs(batch[i] - exact) <= 1e-10 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("h", [0.4, -0.4])
+def test_log_annealed_z_matches_row_loop_at_4000(log_kernel_4000, h):
+    # the engine on the zero-disorder charge row against the row-loop log_Z
+    n = 4000
+    exact = log_Z(make_instance(GAUSSIAN, 0.0, h, omega=np.zeros(n)), log_kernel_4000).value
+    got = log_annealed_Z(log_kernel_4000, n, h)
+    assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4 * _BLOCK),
+    beta=st.floats(0.0, 2.0),
+    h0=st.floats(-1.0, 1.0),
+    step=st.floats(0.01, 0.5),
+    law=st.sampled_from([GAUSSIAN, BINARY]),
+    seed=st.integers(0, 2**32 - 1),
+    replicas=st.integers(1, 3),
+)
+def test_replica_log_z_monotone_and_convex_in_h(log_kernel_small, n, beta, h0, step, law, seed, replicas):
+    # h enters every path weight linearly, so for fixed disorder log Z is
+    # non-decreasing and convex in h (tolerances of the row-loop test)
+    grid = h0 + step * np.arange(6)
+    values = est.replica_log_z(log_kernel_small, law, beta, grid, n, seed, replicas)
+    assert values.shape == (len(grid), replicas)
+    assert np.diff(values, axis=0).min() >= 0.0
+    assert np.diff(values, 2, axis=0).min() >= -1e-8
+
+
+def test_engine_edge_cases_emit_no_warnings(log_kernel_small):
+    # the log-space fallback (|h| = 50) and non-finite charges (NaN rows)
+    # run without numpy RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (50.0, -50.0):
+            assert np.isfinite(est.replica_log_z(log_kernel_small, GAUSSIAN, 1.0, h, 300, 2, 3)).all()
+        overflow = est.replica_log_z(log_kernel_small, GAUSSIAN, 1.0, [1e308, 0.1], 100, 2, 2)
+        assert np.isnan(overflow[0]).all() and np.isfinite(overflow[1]).all()
+        assert math.isnan(log_annealed_Z(log_kernel_small, 100, 1e308))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
