@@ -5,8 +5,9 @@ K(n) = L(n)/n has a slowly varying numerator, with IID charges attached to
 the excursions below a solvent interface.  The package computes quenched,
 restricted and annealed partition functions exactly (log-domain dynamic
 programming plus a brute-force oracle), estimates the free energy by seeded
-Monte Carlo, and evaluates the change-of-measure, rare-stretch and
-second-moment constructions together with their closed-form bounds.
+Monte Carlo, and evaluates the change-of-measure, second-moment and
+coarse-graining constructions together with their closed-form bounds
+(among them the rare-stretch lower bound).
 """
 
 __version__ = "0.1.0"
@@ -38,12 +39,9 @@ from .kernel import (
     independent_jumps_law,
     penalized_kernel,
     renewal_mass,
-    tail_function,
 )
 from .partition import (
-    LogPartition,
     QuenchedInstance,
-    RareStretch,
     Trimmed,
     brute_force_log_Z,
     log_Z,

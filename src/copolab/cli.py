@@ -328,8 +328,8 @@ def _suite_oracle(args, family, law, kernel) -> dict:
     for i in range(trials):
         n = int(rng.integers(2, 13))
         for value, inst in batch(GAUSSIAN if i % 2 == 0 else BINARY, n, 2):
-            brute = brute_force_log_Z(inst, kernel).value
-            for exact in (log_Z(inst, kernel).value, value):
+            brute = brute_force_log_Z(inst, kernel)
+            for exact in (log_Z(inst, kernel), value):
                 worst = max(worst, abs(exact - brute) / max(1.0, abs(brute)))
     worst_blocked = 0.0
     edges = (_FILL_ROWS, 3 * _FILL_ROWS, _BLOCK)  # sub-block and block edges
@@ -337,7 +337,7 @@ def _suite_oracle(args, family, law, kernel) -> dict:
     for n in sizes:
         for law_i in (GAUSSIAN, BINARY):
             for value, inst in batch(law_i, n, 3):
-                exact = log_Z(inst, kernel).value
+                exact = log_Z(inst, kernel)
                 worst_blocked = max(worst_blocked, abs(value - exact) / max(1.0, abs(exact)))
     worst_trimmed = 0.0
     trimmed_trials = 12
@@ -353,7 +353,7 @@ def _suite_oracle(args, family, law, kernel) -> dict:
         ]
         values = _trimmed_log_z_replicas([inst.charge_prefix for inst in instances], kernel, plan, n)
         for value, inst in zip(values.tolist(), instances):
-            exact = log_Z_restricted(inst, kernel, plan).value
+            exact = log_Z_restricted(inst, kernel, plan)
             worst_trimmed = max(worst_trimmed, abs(value - exact) / max(1.0, abs(exact)))
     return {
         "trials": trials,

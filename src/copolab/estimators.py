@@ -9,7 +9,7 @@ the grid or the evaluation order.  The trimmed second-moment check does
 the same for the restricted ensemble: replica i draws from
 ``spawn_rng(seed, i)`` and the batched trimmed engine of ``partition``
 evaluates the replicas one fixed-width group at a time.
-The verification engines evaluate the change-of-measure, rare-stretch, trimmed
+The verification engines evaluate the change-of-measure, trimmed
 second-moment and coarse-graining constructions at desk scale and return
 plain-dict reports: every value is recorded, and quantities that the
 asymptotic theory only guarantees for sufficiently small h are reported
@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.special import betainc, log_ndtr, ndtr
 
 from . import bounds as bounds_mod
 from .disorder import (
@@ -46,13 +45,11 @@ from .partition import (
     Trimmed,
     _log_z_replicas,
     _trimmed_log_z_replicas,
-    log_annealed_Z,
     make_instance,
 )
 
 __all__ = [
     "FreeEnergyEstimate",
-    "RareStretchPlan",
     "TrimmedPlan",
     "PenalizationPlan",
     "DEFAULT_C4",
@@ -60,10 +57,7 @@ __all__ = [
     "replica_log_z",
     "sweep_free_energy",
     "estimate_free_energy",
-    "calibrate_subadditive_constants",
-    "block_log_success",
     "tilted_block_success",
-    "rare_stretch_bound",
     "trimmed_plan",
     "trimmed_moment_check",
     "penalization_plan",
@@ -71,13 +65,18 @@ __all__ = [
     "coarse_graining_check",
 ]
 
-# Empirical sub-additivity correction constants, fitted with
-# calibrate_subadditive_constants over beta <= 2, |h| <= 1 at desk scale
-# and validated on a holdout set (see tests).
+# Empirical sub-additivity correction constants of the upper bracket, fitted
+# over beta <= 2, |h| <= 1 at desk scale; the test
+# test_default_constants_cover_exact_surpluses checks them against exact
+# annealed surpluses.
 DEFAULT_C4 = 2.0
 DEFAULT_C5 = 4.0
+_Z_SCORE = 1.96  # standard errors below the mean in the lower bracket
 
 _PATH_PAIRS = 32  # replica pairs per vectorized draw of the overlap sampler
+_COARSE_ETA = 0.1  # crossover parameter of the tilt in coarse_graining_check
+_COARSE_N_BUDGET = 20_000  # largest window e^(c3/h) that check evaluates
+_COARSE_M_CAP = 50_000  # cap on its far end M_h
 
 
 @dataclass(frozen=True)
@@ -136,24 +135,20 @@ def sweep_free_energy(
     n: int,
     replicas: int,
     seed: int,
-    c4: float = None,
-    c5: float = None,
-    z_score: float = 1.96,
 ) -> list[FreeEnergyEstimate]:
     """Replica average of log Z / n with brackets, at every h of ``h_values``.
 
     One ``replica_log_z`` call over the grid: replica i has the same
     disorder at every h, and an estimate equals the one-field estimate at
     its h bit for bit.  The upper bracket is the sub-additive envelope
-    (mean*n + c4*log n + c5)/n evaluated at the simulated size; the lower
-    bracket subtracts z_score standard errors from the mean.
+    (mean*n + c4*log n + c5)/n evaluated at the simulated size, with
+    c4 = DEFAULT_C4 and c5 = DEFAULT_C5; the lower bracket subtracts
+    _Z_SCORE standard errors from the mean.
     """
     if replicas < 2:
         raise ValueError("need at least 2 replicas")
     if n > kernel.support_cap:
         raise ValueError(f"kernel support {kernel.support_cap} < n = {n}")
-    c4 = DEFAULT_C4 if c4 is None else c4
-    c5 = DEFAULT_C5 if c5 is None else c5
 
     estimates = []
     for values in replica_log_z(kernel, law, beta, list(h_values), n, seed, replicas):
@@ -166,10 +161,10 @@ def sweep_free_energy(
                 replicas=replicas,
                 mean_log_z_per_site=mean,
                 stderr=stderr,
-                upper_bracket=(mean * n + c4 * math.log(n) + c5) / n,
-                lower_bracket=mean - z_score * stderr,
-                c4=c4,
-                c5=c5,
+                upper_bracket=(mean * n + DEFAULT_C4 * math.log(n) + DEFAULT_C5) / n,
+                lower_bracket=mean - _Z_SCORE * stderr,
+                c4=DEFAULT_C4,
+                c5=DEFAULT_C5,
             )
         )
     return estimates
@@ -183,94 +178,15 @@ def estimate_free_energy(
     n: int,
     replicas: int,
     seed: int,
-    c4: float = None,
-    c5: float = None,
-    z_score: float = 1.96,
 ) -> FreeEnergyEstimate:
     """``sweep_free_energy`` at the single field h."""
-    return sweep_free_energy(kernel, law, beta, [h], n, replicas, seed, c4, c5, z_score)[0]
-
-
-def calibrate_subadditive_constants(
-    kernel: RenewalKernel,
-    law: DisorderLaw,
-    beta_max: float,
-    h_max: float,
-    trials: int,
-    seed: int = 0,
-    replicas: int = 16,
-    c4_grid=None,
-    c5_grid=None,
-) -> tuple[float, float]:
-    """Smallest grid constants making the corrected sequence sub-additive.
-
-    Samples (beta, h, N, M) tuples and measures the super-additivity surplus
-    of the replica means (exact annealed values when beta = 0; a three-sigma
-    noise allowance is granted to Monte Carlo surpluses).  Among the grid
-    pairs covering every sampled surplus, returns the one with the smallest
-    correction envelope c4*log(1000) + c5, ties toward smaller c4.
-    Empirical by construction; validate on a holdout before trusting it.
-    """
-    if trials < 50:
-        raise ValueError("need at least 50 trials")
-    c4_grid = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0] if c4_grid is None else list(c4_grid)
-    c5_grid = [0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 10.0] if c5_grid is None else list(c5_grid)
-    rng = np.random.default_rng(seed)
-    cap = kernel.support_cap
-
-    constraints = []  # (surplus, log(N*M/(N+M)))
-    for t in range(trials):
-        beta = float(rng.choice([0.0, 0.5 * beta_max, beta_max]))
-        h = float(rng.uniform(-h_max, h_max))
-        n_small = int(rng.integers(40, 200))
-        m_small = int(rng.integers(40, 200))
-        if n_small + m_small > cap:
-            continue
-        if beta == 0.0:
-            d = (
-                log_annealed_Z(kernel, n_small + m_small, h)
-                - log_annealed_Z(kernel, n_small, h)
-                - log_annealed_Z(kernel, m_small, h)
-            )
-        else:
-            means = []
-            sems = []
-            for size in (n_small + m_small, n_small, m_small):
-                vals = replica_log_z(kernel, law, beta, h, size, seed + 1000 + t, replicas)
-                means.append(float(np.mean(vals)))
-                sems.append(float(np.std(vals, ddof=1) / math.sqrt(replicas)))
-            d = means[0] - means[1] - means[2] - 3.0 * math.fsum(sems)
-        gap = math.log(n_small * m_small / (n_small + m_small))
-        constraints.append((d, gap))
-
-    feasible = [
-        (c4, c5)
-        for c4 in c4_grid
-        for c5 in c5_grid
-        if all(d <= c4 * gap + c5 for d, gap in constraints)
-    ]
-    if not feasible:
-        return c4_grid[-1], c5_grid[-1]
-    return min(feasible, key=lambda pair: (pair[0] * math.log(1000.0) + pair[1], pair[0]))
-
-
-def block_log_success(law: DisorderLaw, q: float, ell: int) -> float:
-    """Exact log-probability that an ell-block charge sum reaches q*ell."""
-    if ell < 1:
-        raise ValueError("block length must be >= 1")
-    if law.kind is LawKind.STANDARD_GAUSSIAN:
-        return float(log_ndtr(-q * math.sqrt(ell)))
-    # sum of ell signs is 2X - ell with X ~ Bin(ell, 1/2)
-    threshold = math.ceil(ell * (1.0 + q) / 2.0)
-    if threshold > ell:
-        return -math.inf
-    # P(X >= t) is the regularized incomplete beta I_{1/2}(t, ell - t + 1)
-    with np.errstate(divide="ignore"):
-        return float(np.log(betainc(threshold, ell - threshold + 1, 0.5)))
+    return sweep_free_energy(kernel, law, beta, [h], n, replicas, seed)[0]
 
 
 def tilted_block_success(law: DisorderLaw, beta: float, threshold_rate: float, ell: int) -> float:
     """Probability, under the beta-tilt, that a block mean reaches threshold_rate."""
+    from scipy.special import betainc, ndtr  # kept off the import path of the CLI
+
     if law.kind is LawKind.STANDARD_GAUSSIAN:
         return float(ndtr((beta - threshold_rate) * math.sqrt(ell)))
     p_plus = 1.0 / (1.0 + math.exp(-2.0 * beta))
@@ -279,101 +195,6 @@ def tilted_block_success(law: DisorderLaw, beta: float, threshold_rate: float, e
         return 0.0
     # P(Bin(ell, p) >= t) = I_p(t, ell - t + 1)
     return float(betainc(threshold, ell - threshold + 1, p_plus))
-
-
-@dataclass(frozen=True)
-class RareStretchPlan:
-    """Rare-stretch lower-bound evaluation at one (beta, h)."""
-
-    q: float
-    ell: int
-    p_ell: float
-    log_p_ell: float
-    gain: float
-    lower_bound: float
-    log_lower_bound: float
-    eps: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def _rare_stretch_gain(kernel, law, h, log_p, ell, eps) -> float:
-    # h*ell - (5/2 + eps) log ell + log of the effective numerator at 1/p
-    log_l_eff = math.log(kernel.normalization) + math.log(
-        kernel.family.evaluate_log(-log_p)
-    )
-    return h * ell - (2.5 + eps) * math.log(ell) + log_l_eff
-
-
-def rare_stretch_bound(
-    kernel: RenewalKernel,
-    law: DisorderLaw,
-    beta: float,
-    h: float,
-    ell: int = None,
-    eps: float = 0.05,
-) -> RareStretchPlan:
-    """Lower bound (p(ell)/ell) * g(h, ell) from the flagged-block strategy.
-
-    Block success probabilities are exact tails (normal or binomial), not
-    large-deviation asymptotics.  With ell=None the block length maximizing
-    the bound is selected on a geometric grid (ratio 1.2, ties toward the
-    smaller length).  Raises when the gain is nonpositive on the whole grid.
-    """
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    if not 0.0 < beta < law.beta_bar:
-        raise ValueError(f"beta must lie in (0, beta_bar), got {beta}")
-    q = log_mgf_prime(law, beta)
-    sigma = rate_function(law, q).sigma
-
-    def evaluate(candidate: int):
-        log_p = block_log_success(law, q, candidate)
-        if log_p == -math.inf:
-            return None
-        gain = _rare_stretch_gain(kernel, law, h, log_p, candidate, eps)
-        return log_p, gain
-
-    if ell is not None:
-        got = evaluate(ell)
-        if got is None:
-            raise ValueError(f"block length {ell} has zero success probability")
-        log_p, gain = got
-        chosen = ell
-    else:
-        ell_cap = max(int(650.0 / max(sigma, 1e-12)), 8)
-        grid, value = [], 2
-        while value <= ell_cap:
-            grid.append(value)
-            value = max(value + 1, int(value * 1.2))
-        best = None
-        for candidate in grid:
-            got = evaluate(candidate)
-            if got is None:
-                continue
-            log_p, gain = got
-            if gain <= 0:
-                continue
-            score = log_p - math.log(candidate) + math.log(gain)
-            if best is None or score > best[0]:  # strict: ties keep smaller ell
-                best = (score, candidate, log_p, gain)
-        if best is None:
-            raise ValueError(f"rare-stretch bound is vacuous at h={h}: gain <= 0 on the whole grid")
-        _, chosen, log_p, gain = best
-
-    p = math.exp(log_p)
-    log_lower = log_p - math.log(chosen) + (math.log(gain) if gain > 0 else -math.inf)
-    return RareStretchPlan(
-        q=q,
-        ell=chosen,
-        p_ell=p,
-        log_p_ell=log_p,
-        gain=gain,
-        lower_bound=(p / chosen) * gain,
-        log_lower_bound=log_lower,
-        eps=eps,
-    )
 
 
 @dataclass(frozen=True)
@@ -708,11 +529,8 @@ def coarse_graining_check(
     beta: float,
     h: float,
     c3: float,
-    eta: float = 0.1,
     replicas: int = 200,
     seed: int = 0,
-    n_budget: int = 20_000,
-    m_cap: int = 50_000,
     green_n_max: int = 10_000,
 ) -> dict:
     """Coarse-graining diagnostics built on the crossover-tilted renewal.
@@ -722,30 +540,32 @@ def coarse_graining_check(
     fractional-moment spot check against e^3 times the tilted renewal mass,
     and the empirical constant of the Green-function bound together with its
     stability under doubling the range.  Everything is recorded; nothing is
-    assumed to be in the asymptotic regime.  A window beyond n_budget, or a
-    crossover tilt whose renewal mass leaves the float range (supercritical
-    at this h and eta), gives {"feasible": False, ...} with a note.
+    assumed to be in the asymptotic regime.  The tilt's crossover parameter
+    is eta = _COARSE_ETA and M_h is capped at _COARSE_M_CAP.  A window beyond
+    _COARSE_N_BUDGET, or a crossover tilt whose renewal mass leaves the float
+    range (supercritical at this h and eta), gives {"feasible": False, ...}
+    with a note.
     """
     q1v = q1(law, beta)
     if not c3 < q1v:
         raise ValueError(f"c3={c3} must be below q1(beta)={q1v}")
     log_n = c3 / h
-    if log_n > math.log(n_budget):
+    if log_n > math.log(_COARSE_N_BUDGET):
         return {
             "feasible": False,
             "required_log_n": log_n,
-            "n_budget": n_budget,
+            "n_budget": _COARSE_N_BUDGET,
             "note": "window size e^(c3/h) exceeds the configured budget at this h",
         }
     n_win = int(math.exp(log_n))
     theta = 1.0 - h / c3
 
     mh = bounds_mod.m_h(kernel.family, h / c3, eps=0.05)
-    m_eff = m_cap if mh.count is None else min(mh.count, m_cap)
+    m_eff = _COARSE_M_CAP if mh.count is None else min(mh.count, _COARSE_M_CAP)
     m_eff = min(m_eff, kernel.support_cap)
     truncated = mh.count is None or mh.count > m_eff
 
-    tilted = check_eta_kernel(kernel, h, eta)
+    tilted = check_eta_kernel(kernel, h, _COARSE_ETA)
     need = max(n_win, green_n_max)
     try:
         u = renewal_mass(tilted, need)
@@ -753,7 +573,7 @@ def coarse_graining_check(
         return {
             "feasible": False,
             "n_window": n_win,
-            "eta": eta,
+            "eta": _COARSE_ETA,
             "note": f"crossover tilt is supercritical at this h: {exc}",
         }
 
@@ -833,6 +653,6 @@ def coarse_graining_check(
         "green_constant_half_range": c_half,
         "green_constant_full_range": c_full,
         "green_relative_change": abs(c_full - c_half) / c_half if c_half > 0 else math.inf,
-        "eta": eta,
+        "eta": _COARSE_ETA,
         "c3": c3,
     }

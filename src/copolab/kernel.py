@@ -7,8 +7,8 @@ point x_min; this touches only finitely many masses and leaves every tail
 ratio unchanged.  The running tail integral of L(y)/y has an exact
 antiderivative for the frozen-plus-asymptotic form in all three families
 (an upper incomplete gamma in the super-logarithmic case), which is what
-``tail_function`` evaluates; quadrature is kept as an independent oracle in
-the test suite.
+``SlowlyVaryingFamily.tail`` evaluates; quadrature is kept as an independent
+oracle in the test suite.
 
 The constant c_L is treated as a shape parameter: a single multiplicative
 normalization is applied so the masses plus the analytic tail estimate sum
@@ -24,7 +24,6 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaincc, gamma as _gamma_fn
 
 __all__ = [
     "FamilyKind",
@@ -32,7 +31,6 @@ __all__ = [
     "RenewalKernel",
     "TiltTransform",
     "TiltedKernel",
-    "tail_function",
     "build_kernel",
     "renewal_mass",
     "check_eta_kernel",
@@ -109,23 +107,10 @@ class SlowlyVaryingFamily:
             return self.c_L / ((u - 1.0) * math.log(lx) ** (u - 1.0))
         if self.kind is FamilyKind.LOGARITHMIC:
             return self.c_L / ((u - 1.0) * lx ** (u - 1.0))
+        from scipy.special import gamma, gammaincc  # only this family needs them
+
         s = lx ** (1.0 / u)
-        return self.c_L * u * _gamma_fn(u) * float(gammaincc(u, s))
-
-    def tail_leading_order(self, x: float) -> float:
-        """Leading-order form of the tail integral, for cross-checks only."""
-        lx = math.log(max(x, self.x_min))
-        u = self.upsilon
-        if self.kind is FamilyKind.SUB_LOGARITHMIC:
-            return self.c_L / ((u - 1.0) * math.log(lx) ** (u - 1.0))
-        if self.kind is FamilyKind.LOGARITHMIC:
-            return self.c_L / ((u - 1.0) * lx ** (u - 1.0))
-        return self.c_L * u * lx ** (1.0 - 1.0 / u) * math.exp(-(lx ** (1.0 / u)))
-
-
-def tail_function(family: SlowlyVaryingFamily, x: float) -> float:
-    """Tail integral of L(y)/y from x to infinity."""
-    return family.tail(x)
+        return self.c_L * u * gamma(u) * float(gammaincc(u, s))
 
 
 @dataclass(frozen=True)
@@ -143,12 +128,8 @@ class RenewalKernel:
     tail_mass: float
     normalization: float
 
-    def mass(self, n: int, zero_convention: bool = False) -> float:
-        """K(n); with zero_convention, n = 0 maps to 1 (empty-gap factor)."""
-        if n == 0:
-            if zero_convention:
-                return 1.0
-            raise ValueError("K(0) is only defined under the explicit convention flag")
+    def mass(self, n: int) -> float:
+        """K(n) for n in the support 1..support_cap."""
         if not 1 <= n <= self.support_cap:
             raise ValueError(f"n={n} outside kernel support 1..{self.support_cap}")
         return float(self.masses[n])

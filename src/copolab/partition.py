@@ -37,11 +37,8 @@ from .kernel import RenewalKernel
 
 __all__ = [
     "QuenchedInstance",
-    "LogPartition",
-    "RareStretch",
     "Trimmed",
     "make_instance",
-    "rare_stretch_flags",
     "log_Z",
     "brute_force_log_Z",
     "log_Z_restricted",
@@ -93,30 +90,6 @@ def make_instance(
 
 
 @dataclass(frozen=True)
-class LogPartition:
-    """Natural log of a partition function over n sites."""
-
-    value: float
-    n: int
-
-
-@dataclass(frozen=True)
-class RareStretch:
-    """Single-trajectory family targeting flagged disorder blocks.
-
-    The sites are cut into blocks of length ell; block i is flagged when its
-    charge sum reaches q*ell.  The selected path goes below the interface
-    exactly on flagged blocks, with one above-interface excursion bridging
-    each gap and one final above excursion to N.  block_flags may be given
-    explicitly; otherwise they are computed from the instance.
-    """
-
-    q: float
-    ell: int
-    block_flags: tuple = None
-
-
-@dataclass(frozen=True)
 class Trimmed:
     """Alternating long/short excursion ensemble.
 
@@ -130,15 +103,6 @@ class Trimmed:
     m: int
 
 
-def rare_stretch_flags(omega: np.ndarray, q: float, ell: int) -> np.ndarray:
-    """Boolean success flags of the full ell-blocks of omega."""
-    nblocks = len(omega) // ell
-    if nblocks == 0:
-        return np.zeros(0, dtype=bool)
-    sums = omega[: nblocks * ell].reshape(nblocks, ell).sum(axis=1)
-    return sums >= q * ell
-
-
 def _logsumexp(values: np.ndarray) -> float:
     m = values.max()
     if not math.isfinite(m):
@@ -146,7 +110,7 @@ def _logsumexp(values: np.ndarray) -> float:
     return float(m + math.log(np.exp(values - m).sum()))
 
 
-def log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> LogPartition:
+def log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> float:
     """Quenched log partition function, exact O(N^2) renewal decomposition."""
     n = instance.n
     if n < 1:
@@ -166,7 +130,7 @@ def log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> LogPartition:
             - _LOG2
         )
         lz[m] = _logsumexp(terms)
-    return LogPartition(value=float(lz[n]), n=n)
+    return float(lz[n])
 
 
 def _toeplitz_view(taps: np.ndarray, width: int) -> np.ndarray:
@@ -370,7 +334,7 @@ def _fill_log(pushed, rel, gaps) -> np.ndarray:
     return block
 
 
-def brute_force_log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> LogPartition:
+def brute_force_log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> float:
     """Exhaustive oracle: every renewal subset containing N, both excursion signs.
 
     Enumerates all 2^(N-1) subsets of interior renewal points; the two signs
@@ -398,57 +362,18 @@ def brute_force_log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> LogP
             pos += 1
         w *= k_mass[n - prev] * 0.5 * (1.0 + math.exp(s[n] - s[prev]))
         weights.append(w)
-    return LogPartition(value=math.log(math.fsum(weights)), n=n)
+    return math.log(math.fsum(weights))
 
 
-def log_Z_restricted(instance, kernel, constraint) -> LogPartition:
-    """Log partition restricted to a path family; -inf if the family is empty.
+def log_Z_restricted(instance: QuenchedInstance, kernel: RenewalKernel, plan: Trimmed) -> float:
+    """Log partition restricted to the trimmed family; -inf if it is empty.
 
-    The trimmed family is a forward DP over the alternating long/short
-    structure in the linear domain with per-stage rescaling; only short
-    excursions collect charges, so each stage's dynamic range stays small.
-    It runs the row loop ``_trimmed_core``, the oracle of the batched
-    ``_trimmed_log_z_replicas``.
+    A forward DP over the alternating long/short structure in the linear
+    domain with per-stage rescaling; only short excursions collect charges,
+    so each stage's dynamic range stays small.  It runs the row loop
+    ``_trimmed_core``, the oracle of the batched ``_trimmed_log_z_replicas``.
     """
-    if isinstance(constraint, RareStretch):
-        return _rare_stretch_value(instance, kernel, constraint)
-    if isinstance(constraint, Trimmed):
-        value = _trimmed_core(kernel, constraint, instance.n, instance.charge_prefix)
-        return LogPartition(value=value, n=instance.n)
-    raise TypeError(f"unknown constraint {constraint!r}")
-
-
-def _rare_stretch_value(instance, kernel, constraint) -> LogPartition:
-    n = instance.n
-    ell = constraint.ell
-    if ell < 1 or ell > n:
-        raise ValueError(f"block length {ell} inconsistent with N = {n}")
-    if constraint.block_flags is not None:
-        flags = np.asarray(constraint.block_flags, dtype=bool)
-        if len(flags) != n // ell:
-            raise ValueError("block_flags length does not match the number of full blocks")
-    else:
-        flags = rare_stretch_flags(instance.omega, constraint.q, ell)
-    s = instance.charge_prefix
-    log_k = kernel.log_masses
-    cap = kernel.support_cap
-
-    total = 0.0
-    prev_end = 0
-    for i in np.flatnonzero(flags):
-        start, end = int(i) * ell, (int(i) + 1) * ell
-        gap = start - prev_end
-        if gap > 0:
-            if gap > cap:
-                return LogPartition(value=-math.inf, n=n)
-            total += log_k[gap] - _LOG2  # above-interface bridge
-        total += log_k[ell] - _LOG2 + (s[end] - s[start])  # below on the block
-        prev_end = end
-    if prev_end < n:
-        if n - prev_end > cap:
-            return LogPartition(value=-math.inf, n=n)
-        total += log_k[n - prev_end] - _LOG2  # final above excursion
-    return LogPartition(value=float(total), n=n)
+    return _trimmed_core(kernel, plan, instance.n, instance.charge_prefix)
 
 
 def _trimmed_size(kernel, plan, n_sites) -> int:

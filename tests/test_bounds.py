@@ -12,13 +12,12 @@ from copolab.bounds import (
     sharper_bounds,
 )
 from copolab.disorder import BINARY, GAUSSIAN, DisorderLaw, LawKind, q1
-from copolab.kernel import tail_function
 
 
 def test_upper_general_plugin_value(families):
     # direct plug-in at (logarithmic, beta=1 Gaussian, h=0.01, b=0.9)
     fam = families["log"]
-    ratio = tail_function(fam, 100.0) / float(fam.evaluate(100.0))
+    ratio = fam.tail(100.0) / float(fam.evaluate(100.0))
     expected = -0.9 * 0.5 * 100.0 * math.log(ratio)
     assert log_upper_general(fam, GAUSSIAN, 1.0, 0.01, 0.9) == pytest.approx(
         expected, rel=1e-12
@@ -39,7 +38,7 @@ def test_upper_general_log_ratio_asymptotics(families):
         fam = families[name]
         measured = []
         for x in [1e60, 1e120, 1e260]:
-            ratio = math.log(tail_function(fam, x) / float(fam.evaluate(x)))
+            ratio = math.log(fam.tail(x) / float(fam.evaluate(x)))
             measured.append(ratio / math.log(math.log(x)))
         assert measured[-1] == pytest.approx(coeff, rel=0.35)
         assert abs(measured[-1] - coeff) <= abs(measured[0] - coeff) + 1e-12
@@ -177,7 +176,7 @@ def test_formula_fidelity_recomputed_logs(families):
     row = bound_table(fam, law, beta, [h])[0]
     x = 1.0 / h
     expected_general = -0.9 * q1(law, beta) * x * math.log(
-        tail_function(fam, x) / float(fam.evaluate(x))
+        fam.tail(x) / float(fam.evaluate(x))
     )
     assert row.log_upper_general == pytest.approx(expected_general, abs=1e-12)
     expected_rss = -(rss_threshold(fam) + 0.1) * q1(law, beta) * math.log(x) / h

@@ -73,7 +73,7 @@ def test_overflowing_finite_input_exits_2_without_artifact(tmp_path, capsys, arg
 def test_cli_import_skips_scipy_stats_and_integrate():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    heavy = ("scipy.stats", "scipy.integrate", "scipy.signal", "scipy.linalg")
+    heavy = ("scipy.special", "scipy.stats", "scipy.integrate", "scipy.signal", "scipy.linalg")
     probe = (
         "import sys, copolab.cli; "
         f"print(sorted(m for m in {heavy!r} if m in sys.modules))"

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import norm
 
 from copolab import estimators as est
 from copolab.bounds import log_upper_general
@@ -71,7 +70,7 @@ def test_replica_values_do_not_depend_on_replica_count(log_kernel_small):
 def _assert_matches_row_loop(kernel, law, beta, h, n, seed, replicas):
     got = est.replica_log_z(kernel, law, beta, h, n, seed, replicas)
     ref = np.array([
-        log_Z(make_instance(law, beta, h, omega=_draw(law, n, spawn_rng(seed, i))), kernel).value
+        log_Z(make_instance(law, beta, h, omega=_draw(law, n, spawn_rng(seed, i))), kernel)
         for i in range(replicas)
     ])
     np.testing.assert_array_less(np.abs(got - ref), 1e-10 * np.maximum(1.0, np.abs(ref)))
@@ -136,7 +135,7 @@ def test_engine_mixes_steep_and_linear_replicas(log_kernel_small):
         exact = log_Z(
             QuenchedInstance(omega=np.zeros(n), beta=0.0, h=0.0, lambda_beta=0.0, charge_prefix=row),
             log_kernel_small,
-        ).value
+        )
         assert abs(batch[i] - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
@@ -144,7 +143,7 @@ def test_engine_mixes_steep_and_linear_replicas(log_kernel_small):
 def test_log_annealed_z_matches_row_loop_at_4000(log_kernel_4000, h):
     # the engine on the zero-disorder charge row against the row-loop log_Z
     n = 4000
-    exact = log_Z(make_instance(GAUSSIAN, 0.0, h, omega=np.zeros(n)), log_kernel_4000).value
+    exact = log_Z(make_instance(GAUSSIAN, 0.0, h, omega=np.zeros(n)), log_kernel_4000)
     got = log_annealed_Z(log_kernel_4000, n, h)
     assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
 
@@ -167,6 +166,23 @@ def test_replica_log_z_monotone_and_convex_in_h(log_kernel_small, n, beta, h0, s
     assert values.shape == (len(grid), replicas)
     assert np.diff(values, axis=0).min() >= 0.0
     assert np.diff(values, 2, axis=0).min() >= -1e-8
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 4 * _BLOCK),
+    h=st.floats(-50.0, 50.0),
+    law=st.sampled_from([GAUSSIAN, BINARY]),
+    seed=st.integers(0, 2**32 - 1),
+    replicas=st.integers(1, 3),
+)
+def test_replica_log_z_at_beta_zero_is_annealed(log_kernel_small, n, h, law, seed, replicas):
+    # at beta = 0 every charge is h whatever the disorder, so each replica
+    # is the annealed value
+    exact = log_annealed_Z(log_kernel_small, n, h)
+    got = est.replica_log_z(log_kernel_small, law, 0.0, h, n, seed, replicas)
+    assert got.shape == (replicas,)
+    assert np.abs(got - exact).max() <= 1e-10 * max(1.0, abs(exact))
 
 
 def test_engine_edge_cases_emit_no_warnings(log_kernel_small):
@@ -195,42 +211,7 @@ def test_replica_log_z_matches_enumeration(log_kernel_small, n, beta, h, law, se
     for i, value in enumerate(got):
         omega = _draw(law, n, spawn_rng(seed, i))
         exact = brute_force_log_Z(make_instance(law, beta, h, omega=omega), log_kernel_small)
-        assert abs(value - exact.value) <= 1e-10 * max(1.0, abs(exact.value))
-
-
-def test_calibrated_constants_validate_on_holdout(log_kernel_small):
-    c4, c5 = est.calibrate_subadditive_constants(
-        log_kernel_small, GAUSSIAN, beta_max=1.0, h_max=0.6, trials=50, seed=3, replicas=8
-    )
-    # holdout: exact annealed surpluses on fresh pairs must be covered
-    rng = np.random.default_rng(1234)
-    passed = total = 0
-    for _ in range(80):
-        n = int(rng.integers(40, 600))
-        m = int(rng.integers(40, 600))
-        h = float(rng.uniform(-0.6, 0.6))
-        d = (
-            log_annealed_Z(log_kernel_small, n + m, h)
-            - log_annealed_Z(log_kernel_small, n, h)
-            - log_annealed_Z(log_kernel_small, m, h)
-        )
-        total += 1
-        passed += d <= c4 * math.log(n * m / (n + m)) + c5
-    assert passed / total >= 0.95
-
-
-def test_calibration_huge_constants_always_pass(log_kernel_small):
-    c4, c5 = est.calibrate_subadditive_constants(
-        log_kernel_small,
-        GAUSSIAN,
-        beta_max=0.0,
-        h_max=0.5,
-        trials=50,
-        seed=9,
-        c4_grid=[1000.0],
-        c5_grid=[1000.0],
-    )
-    assert (c4, c5) == (1000.0, 1000.0)
+        assert abs(value - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
 def test_default_constants_cover_exact_surpluses(log_kernel_small):
@@ -247,26 +228,6 @@ def test_default_constants_cover_exact_surpluses(log_kernel_small):
         assert d <= est.DEFAULT_C4 * math.log(n * m / (n + m)) + est.DEFAULT_C5
 
 
-def test_block_success_gaussian_tail():
-    # slope of the Gaussian cumulant at beta=1 is 1; block of 25 needs a
-    # 5-sigma excursion
-    oracle = float(norm.sf(5.0))
-    got = math.exp(est.block_log_success(GAUSSIAN, q=1.0, ell=25))
-    assert got == pytest.approx(oracle, rel=1e-12)
-    assert got == pytest.approx(2.8665157187919333e-07, rel=1e-9)
-
-
-def test_block_success_binary_enumeration_oracle():
-    # exact enumeration of sign sums for a small block
-    ell, q = 10, 0.35
-    from itertools import product
-
-    count = sum(1 for signs in product((-1, 1), repeat=ell) if sum(signs) >= q * ell)
-    oracle = count / 2.0**ell
-    got = math.exp(est.block_log_success(BINARY, q, ell))
-    assert got == pytest.approx(oracle, rel=1e-12)
-
-
 def test_tilted_block_success_binary_enumeration_oracle():
     from itertools import product
 
@@ -279,71 +240,6 @@ def test_tilted_block_success_binary_enumeration_oracle():
             total += p_plus**ups * (1 - p_plus) ** (ell - ups)
     got = est.tilted_block_success(BINARY, beta, rate, ell)
     assert got == pytest.approx(total, rel=1e-12)
-
-
-def test_rare_stretch_explicit_block_length(log_kernel_small):
-    plan = est.rare_stretch_bound(log_kernel_small, GAUSSIAN, beta=1.0, h=0.8, ell=16)
-    assert plan.q == 1.0
-    assert plan.p_ell == pytest.approx(float(norm.sf(4.0)), rel=1e-12)
-    assert plan.gain > 0
-    assert plan.lower_bound == pytest.approx((plan.p_ell / 16) * plan.gain, rel=1e-12)
-
-
-def test_rare_stretch_gain_sign_flip_scan(log_kernel_small):
-    # the gain turns positive at a finite multiple of the schedule
-    # (5/2 + upsilon + 2 eps) log(1/h)/h; record the measured flip point
-    law, beta, h, eps = GAUSSIAN, 1.0, 0.1, 0.05
-    schedule = (2.5 + log_kernel_small.family.upsilon + 2 * eps) * math.log(1 / h) / h
-    flip = None
-    for mult in np.geomspace(0.25, 16.0, 40):
-        ell = max(2, int(mult * schedule))
-        log_p = est.block_log_success(law, 1.0, ell)
-        gain = est._rare_stretch_gain(log_kernel_small, law, h, log_p, ell, eps)
-        if gain > 0:
-            flip = ell
-            break
-    assert flip is not None
-    small = est._rare_stretch_gain(
-        log_kernel_small, law, h, est.block_log_success(law, 1.0, 4), 4, eps
-    )
-    assert small < 0
-
-
-def test_rare_stretch_auto_selection_and_vacuous_error(big_kernels):
-    kernel = big_kernels["log"]
-    plan = est.rare_stretch_bound(kernel, GAUSSIAN, beta=1.0, h=0.8)
-    assert plan.gain > 0 and plan.lower_bound > 0
-    with pytest.raises(ValueError, match="vacuous"):
-        est.rare_stretch_bound(kernel, GAUSSIAN, beta=2.0, h=1e-4)
-
-
-def test_rare_stretch_bound_below_mc_estimate(log_kernel_small):
-    # the constructive lower bound must sit below a direct estimate
-    plan = est.rare_stretch_bound(log_kernel_small, GAUSSIAN, beta=1.0, h=0.8, ell=16)
-    got = est.estimate_free_energy(
-        log_kernel_small, GAUSSIAN, beta=1.0, h=0.8, n=2000, replicas=24, seed=19
-    )
-    assert plan.lower_bound <= got.mean_log_z_per_site + 3 * got.stderr
-
-
-def test_rare_stretch_lower_below_general_upper_across_families(big_kernels):
-    # cross-module ordering: the constructive lower bound sits below the
-    # closed-form upper bound wherever both are defined; h* recorded
-    h_grid = [0.1 * 2.0**-j for j in range(6)]
-    for kernel in big_kernels.values():
-        ordered_from = None
-        for h in h_grid:
-            try:
-                plan = est.rare_stretch_bound(kernel, GAUSSIAN, beta=1.0, h=h)
-            except ValueError:
-                continue  # vacuous at this h: nothing to compare
-            upper = log_upper_general(kernel.family, GAUSSIAN, 1.0, h, 0.9)
-            if plan.log_lower_bound <= upper:
-                ordered_from = h if ordered_from is None else ordered_from
-            else:
-                ordered_from = None
-        assert ordered_from is not None
-        assert ordered_from >= h_grid[-1]
 
 
 def test_trimmed_plan_schedule_and_constraints():

@@ -13,7 +13,6 @@ from copolab.kernel import (
     independent_jumps_law,
     penalized_kernel,
     renewal_mass,
-    tail_function,
 )
 
 
@@ -27,7 +26,7 @@ def test_tail_logarithmic_closed_form(families):
     fam = families["log"]
     for x in [10.0, 1e3, 1e6, 1e12]:
         expected = fam.c_L / ((fam.upsilon - 1) * math.log(x) ** (fam.upsilon - 1))
-        assert tail_function(fam, x) == pytest.approx(expected, rel=1e-12)
+        assert fam.tail(x) == pytest.approx(expected, rel=1e-12)
 
 
 def test_tail_window_differences_match_quadrature(families):
@@ -37,7 +36,7 @@ def test_tail_window_differences_match_quadrature(families):
         for x in [3.0, 50.0, 1e4, 1e8]:
             upper = 100.0 * x
             oracle = quadrature_window(fam, x, upper)
-            window = tail_function(fam, x) - tail_function(fam, upper)
+            window = fam.tail(x) - fam.tail(upper)
             assert window == pytest.approx(oracle, rel=1e-8)
 
 
@@ -45,7 +44,7 @@ def test_tail_decreases_toward_zero(families):
     # decay speed is family specific (the sub-logarithmic tail shrinks like
     # 1/log log x), so only positivity and strict decrease are asserted far out
     for fam in families.values():
-        far, farther = tail_function(fam, 1e100), tail_function(fam, 1e280)
+        far, farther = fam.tail(1e100), fam.tail(1e280)
         assert 0.0 < farther < far
 
 
@@ -54,7 +53,7 @@ def test_tail_derivative_is_minus_density(families):
     for fam in families.values():
         for x in [30.0, 1e3, 1e6]:
             step = x * 1e-6
-            numeric = (tail_function(fam, x + step) - tail_function(fam, x - step)) / (2 * step)
+            numeric = (fam.tail(x + step) - fam.tail(x - step)) / (2 * step)
             expected = -float(fam.evaluate(x)) / x
             assert numeric == pytest.approx(expected, rel=1e-6)
 
@@ -62,15 +61,18 @@ def test_tail_derivative_is_minus_density(families):
 def test_tail_super_logarithmic_asymptotic_leading_order(families):
     # the exact tail approaches c_L*ups*(log x)^(1-1/ups)*exp(-(log x)^(1/ups))
     fam = families["super"]
+    u = fam.upsilon
     for x in [1e12, 1e40]:
-        ratio = tail_function(fam, x) / fam.tail_leading_order(x)
+        lx = math.log(x)
+        leading = fam.c_L * u * lx ** (1.0 - 1.0 / u) * math.exp(-(lx ** (1.0 / u)))
+        ratio = fam.tail(x) / leading
         assert 0.7 <= ratio <= 1.3
 
 
 def test_tail_monotone_decreasing(families):
     for fam in families.values():
         xs = [5.0, 20.0, 1e3, 1e5, 1e9]
-        vals = [tail_function(fam, x) for x in xs]
+        vals = [fam.tail(x) for x in xs]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
@@ -136,7 +138,7 @@ def test_build_kernel_rejects_small_support(families):
 
 
 def test_kernel_zero_convention(log_kernel_small):
-    assert log_kernel_small.mass(0, zero_convention=True) == 1.0
+    # the law lives on 1..support_cap: K(0) is refused, not taken as 1
     with pytest.raises(ValueError):
         log_kernel_small.mass(0)
 
@@ -246,7 +248,7 @@ def test_defect_check_eta_recorded_comparison_at_millis(big_kernels):
     kernel = big_kernels["log"]
     h, eta = 1e-3, 0.1
     defect = defect_check_eta(kernel, h, eta)
-    target = tail_function(kernel.family, 1.0 / h) / 6.0
+    target = kernel.family.tail(1.0 / h) / 6.0
     assert math.isfinite(defect) and math.isfinite(target)
     assert target > 0
     assert defect < 0.0 < target

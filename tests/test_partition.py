@@ -8,7 +8,6 @@ from copolab.disorder import BINARY, GAUSSIAN, _draw, spawn_rng
 from copolab.estimators import replica_log_z, trimmed_plan
 from copolab.kernel import renewal_mass
 from copolab.partition import (
-    RareStretch,
     Trimmed,
     _trimmed_core,
     _trimmed_log_z_replicas,
@@ -17,7 +16,6 @@ from copolab.partition import (
     log_Z_restricted,
     log_annealed_Z,
     make_instance,
-    rare_stretch_flags,
 )
 
 
@@ -32,7 +30,7 @@ def test_log_z_single_site(log_kernel_small):
     expected = math.log(log_kernel_small.mass(1)) + math.log(
         0.5 * (1.0 + math.exp(inst.charge_prefix[1]))
     )
-    assert log_Z(inst, log_kernel_small).value == pytest.approx(expected, rel=1e-14)
+    assert log_Z(inst, log_kernel_small) == pytest.approx(expected, rel=1e-14)
 
 
 def test_log_z_free_disorder_reduces_to_renewal_mass(log_kernel_small):
@@ -40,7 +38,7 @@ def test_log_z_free_disorder_reduces_to_renewal_mass(log_kernel_small):
     u = renewal_mass(log_kernel_small, 40)
     for seed in (1, 2):
         inst = make_instance(GAUSSIAN, 0.0, 0.0, n=40, seed=seed)
-        assert log_Z(inst, log_kernel_small).value == pytest.approx(
+        assert log_Z(inst, log_kernel_small) == pytest.approx(
             math.log(u[40]), rel=1e-12
         )
 
@@ -52,7 +50,7 @@ def test_brute_force_two_site_expansion(log_kernel_small):
     direct = k2 * 0.5 * (1 + math.exp(s[2])) + k1**2 * 0.25 * (1 + math.exp(s[1])) * (
         1 + math.exp(s[2] - s[1])
     )
-    assert brute_force_log_Z(inst, log_kernel_small).value == pytest.approx(
+    assert brute_force_log_Z(inst, log_kernel_small) == pytest.approx(
         math.log(direct), rel=1e-14
     )
 
@@ -65,15 +63,15 @@ def test_brute_force_refuses_large_n(log_kernel_small):
 
 def test_dp_matches_brute_force_pinned_instance(log_kernel_small):
     inst = make_instance(GAUSSIAN, 1.0, 0.3, n=12, seed=7)
-    exact = log_Z(inst, log_kernel_small).value
-    brute = brute_force_log_Z(inst, log_kernel_small).value
+    exact = log_Z(inst, log_kernel_small)
+    brute = brute_force_log_Z(inst, log_kernel_small)
     assert abs(exact - brute) <= 1e-10 * max(1.0, abs(exact))
 
 
 def test_brute_force_free_disorder_is_renewal_mass(log_kernel_small):
     u = renewal_mass(log_kernel_small, 3)
     inst = make_instance(BINARY, 0.0, 0.0, n=3, seed=1)
-    assert brute_force_log_Z(inst, log_kernel_small).value == pytest.approx(
+    assert brute_force_log_Z(inst, log_kernel_small) == pytest.approx(
         math.log(u[3]), rel=1e-14
     )
 
@@ -86,8 +84,8 @@ def test_dp_matches_brute_force_random_instances(log_kernel_small):
         h = float(rng.uniform(-1.0, 1.0))
         n = int(rng.integers(1, 15))
         inst = make_instance(law, beta, h, n=n, seed=int(rng.integers(0, 2**63)))
-        exact = log_Z(inst, log_kernel_small).value
-        brute = brute_force_log_Z(inst, log_kernel_small).value
+        exact = log_Z(inst, log_kernel_small)
+        brute = brute_force_log_Z(inst, log_kernel_small)
         assert abs(exact - brute) <= 1e-10 * max(1.0, abs(exact))
 
 
@@ -97,7 +95,7 @@ def test_floor_bound_single_excursion(log_kernel_small):
         n = int(rng.integers(2, 60))
         inst = make_instance(GAUSSIAN, 1.5, -0.6, n=n, seed=int(rng.integers(0, 2**32)))
         floor = math.log(log_kernel_small.mass(n)) - math.log(2.0)
-        assert log_Z(inst, log_kernel_small).value >= floor
+        assert log_Z(inst, log_kernel_small) >= floor
 
 
 def test_charge_prefix_increments():
@@ -118,7 +116,7 @@ def test_convexity_and_monotonicity_in_h(log_kernel_small):
         vals = []
         for h in grid:
             inst = make_instance(GAUSSIAN, beta, float(h), omega=omega)
-            vals.append(log_Z(inst, log_kernel_small).value)
+            vals.append(log_Z(inst, log_kernel_small))
         vals = np.array(vals)
         assert np.diff(vals).min() >= 0.0
         assert np.diff(vals, 2).min() >= -1e-8
@@ -129,7 +127,7 @@ def test_beta_zero_reduces_to_annealed(log_kernel_small):
         exact = log_annealed_Z(log_kernel_small, 35, h)
         for seed in (5, 6):
             inst = make_instance(BINARY, 0.0, h, n=35, seed=seed)
-            assert log_Z(inst, log_kernel_small).value == pytest.approx(exact, rel=1e-12)
+            assert log_Z(inst, log_kernel_small) == pytest.approx(exact, rel=1e-12)
 
 
 def test_annealed_h_zero_is_renewal_mass(log_kernel_small):
@@ -171,38 +169,9 @@ def test_restricted_below_unrestricted(log_kernel_small):
     rng = np.random.default_rng(10)
     for _ in range(10):
         inst = make_instance(GAUSSIAN, 1.0, 0.4, n=60, seed=int(rng.integers(0, 2**32)))
-        free = log_Z(inst, log_kernel_small).value
-        rare = log_Z_restricted(inst, log_kernel_small, RareStretch(q=0.8, ell=10))
+        free = log_Z(inst, log_kernel_small)
         trim = log_Z_restricted(inst, log_kernel_small, Trimmed(M=3, k=2, m=2))
-        assert rare.value <= free + 1e-12
-        assert trim.value <= free + 1e-12
-
-
-def test_rare_stretch_all_blocks_flagged_product(log_kernel_small):
-    # force every block flag: the value is the single forced-path product
-    n, ell = 40, 10
-    inst = make_instance(GAUSSIAN, 1.0, 0.2, n=n, seed=12)
-    flags = (True,) * (n // ell)
-    got = log_Z_restricted(inst, log_kernel_small, RareStretch(q=0.0, ell=ell, block_flags=flags))
-    expected = (n // ell) * (math.log(log_kernel_small.mass(ell)) - math.log(2)) + float(
-        inst.charge_prefix[n]
-    )
-    assert got.value == pytest.approx(expected, rel=1e-12)
-
-
-def test_rare_stretch_flags_definition():
-    # block sums 2.0, -2.0, 1.5, 0.4 against threshold q*ell = 0.8
-    omega = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 0.5, 0.2, 0.2])
-    flags = rare_stretch_flags(omega, q=0.4, ell=2)
-    np.testing.assert_array_equal(flags, [True, False, True, False])
-
-
-def test_rare_stretch_no_flagged_blocks_single_excursion(log_kernel_small):
-    inst = make_instance(GAUSSIAN, 0.5, 0.1, n=30, seed=3)
-    flags = (False, False, False)
-    got = log_Z_restricted(inst, log_kernel_small, RareStretch(q=9.0, ell=10, block_flags=flags))
-    expected = math.log(log_kernel_small.mass(30)) - math.log(2)
-    assert got.value == pytest.approx(expected, rel=1e-12)
+        assert trim <= free + 1e-12
 
 
 def test_trimmed_hand_checkable_small_plan(log_kernel_small):
@@ -217,13 +186,13 @@ def test_trimmed_hand_checkable_small_plan(log_kernel_small):
         w *= log_kernel_small.mass(n - tau1 - 1) * 0.5
         total += w
     got = log_Z_restricted(inst, log_kernel_small, Trimmed(M=big_m, k=1, m=1))
-    assert got.value == pytest.approx(math.log(total), rel=1e-10)
+    assert got == pytest.approx(math.log(total), rel=1e-10)
 
 
 def test_trimmed_infeasible_returns_neg_inf(log_kernel_small):
     inst = make_instance(GAUSSIAN, 1.0, 0.0, n=10, seed=2)
     got = log_Z_restricted(inst, log_kernel_small, Trimmed(M=6, k=1, m=2))
-    assert got.value == -math.inf
+    assert got == -math.inf
 
 
 def test_trimmed_log_mean_matches_brute(log_kernel_small):
@@ -251,7 +220,7 @@ def test_trimmed_mean_is_disorder_average(log_kernel_small):
         rng = spawn_rng(99, i)
         omega = rng.standard_normal(n)
         inst = make_instance(GAUSSIAN, beta, h, omega=omega)
-        vals.append(math.exp(log_Z_restricted(inst, log_kernel_small, plan).value))
+        vals.append(math.exp(log_Z_restricted(inst, log_kernel_small, plan)))
     mean = float(np.mean(vals))
     sem = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     assert abs(mean - math.exp(exact)) <= 4 * sem
@@ -298,7 +267,7 @@ def test_superadditivity_of_mean_log_z(log_kernel_small):
             log_Z(
                 make_instance(GAUSSIAN, beta, h, omega=spawn_rng(31 + n, i).standard_normal(n)),
                 log_kernel_small,
-            ).value
+            )
             for i in range(reps)
         ]
         return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(reps))
@@ -354,7 +323,7 @@ def test_trimmed_engine_matches_row_loop(
     got = _trimmed_log_z_replicas(
         np.array([inst.charge_prefix for inst in instances]), log_kernel_small, plan, n
     )
-    ref = np.array([log_Z_restricted(inst, log_kernel_small, plan).value for inst in instances])
+    ref = np.array([log_Z_restricted(inst, log_kernel_small, plan) for inst in instances])
     _assert_trimmed_values_match(got, ref)
     if where == "infeasible":
         assert np.all(np.isneginf(ref))
