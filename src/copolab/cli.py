@@ -45,10 +45,19 @@ import numpy as np
 
 from . import __version__, bounds as bounds_mod, estimators
 from .disorder import BINARY, GAUSSIAN, _draw, q1, spawn_rng
-from .kernel import FamilyKind, SlowlyVaryingFamily, build_kernel, defect_Kk
+from .kernel import (
+    _MASS_BLOCK,
+    FamilyKind,
+    SlowlyVaryingFamily,
+    build_kernel,
+    defect_Kk,
+    renewal_mass,
+)
 from .partition import (
     _BLOCK,
     _FILL_ROWS,
+    _GEMM_REPLICAS,
+    _PASS_GROUPS,
     Trimmed,
     _annealed_log_z,
     _trimmed_log_z_replicas,
@@ -311,8 +320,9 @@ def _cmd_kernel_info(args) -> int:
 def _suite_oracle(args, family, law, kernel) -> dict:
     # the row-loop log_Z and the batched replica DP against enumeration at
     # N <= 12, the batched DP against the row loop across sub-block and
-    # block edges, and the batched trimmed engine against its row loop on
-    # small plans
+    # block edges and over two passes of groups, the batched trimmed engine
+    # against its row loop on small plans, and the blocked renewal mass
+    # against the row loop at beta = h = 0, where Z_N = u(N)
     rng = np.random.default_rng(args.seed)
 
     def batch(law_i, n, replicas):
@@ -355,6 +365,18 @@ def _suite_oracle(args, family, law, kernel) -> dict:
         for value, inst in zip(values.tolist(), instances):
             exact = log_Z_restricted(inst, kernel, plan)
             worst_trimmed = max(worst_trimmed, abs(value - exact) / max(1.0, abs(exact)))
+    two_pass = {"replicas": (_PASS_GROUPS + 1) * _GEMM_REPLICAS, "n": 3 * _BLOCK + 5}
+    worst_two_pass = 0.0
+    for law_i in (GAUSSIAN, BINARY):
+        for value, inst in batch(law_i, two_pass["n"], two_pass["replicas"]):
+            exact = log_Z(inst, kernel)
+            worst_two_pass = max(worst_two_pass, abs(value - exact) / max(1.0, abs(exact)))
+    mass_sizes = tuple(e + d for e in (_MASS_BLOCK, 2 * _MASS_BLOCK) for d in (-1, 0, 1))
+    worst_mass = 0.0
+    for n in mass_sizes:
+        mass = float(renewal_mass(kernel, n)[n])
+        exact = math.exp(log_Z(make_instance(law, 0.0, 0.0, omega=np.zeros(n)), kernel))
+        worst_mass = max(worst_mass, abs(mass - exact) / exact)
     return {
         "trials": trials,
         "worst_relative_error": worst,
@@ -362,11 +384,17 @@ def _suite_oracle(args, family, law, kernel) -> dict:
         "worst_block_edge_relative_error": worst_blocked,
         "trimmed_trials": trimmed_trials,
         "worst_trimmed_relative_error": worst_trimmed,
+        "two_pass_batch": two_pass,
+        "worst_two_pass_relative_error": worst_two_pass,
+        "renewal_mass_sizes": list(mass_sizes),
+        "worst_renewal_mass_relative_error": worst_mass,
         "checks": [
             {"name": "dp_matches_enumeration", "kind": "assert", "ok": worst <= 1e-10},
-            {"name": "batched_dp_matches_row_loop", "kind": "assert", "ok": worst_blocked <= 1e-10},
+            {"name": "batched_dp_matches_row_loop", "kind": "assert",
+             "ok": max(worst_blocked, worst_two_pass) <= 1e-10},
             {"name": "trimmed_engine_matches_row_loop", "kind": "assert",
              "ok": worst_trimmed <= 1e-10},
+            {"name": "renewal_mass_matches_row_loop", "kind": "assert", "ok": worst_mass <= 1e-10},
         ],
     }
 

@@ -28,6 +28,7 @@ from .disorder import (
     DisorderLaw,
     LawKind,
     _draw,
+    log_mgf,
     log_mgf_prime,
     q1,
     q2,
@@ -43,9 +44,9 @@ from .kernel import (
 )
 from .partition import (
     Trimmed,
+    _charge_prefix,
     _log_z_replicas,
     _trimmed_log_z_replicas,
-    make_instance,
 )
 
 __all__ = [
@@ -109,21 +110,20 @@ def replica_log_z(
 
     ``h`` is one field or a 1-D grid of fields; the result has shape
     np.shape(h) + (replicas,).  Replica i draws its disorder once, from
-    ``spawn_rng(seed, i)``, and takes it to every field; all rows go
-    through one batched, blocked DP that agrees with the row-loop ``log_Z``
-    to rounding.  A value depends on (seed, i, h) only, never on the
+    ``spawn_rng(seed, i)``, and takes it to every field; the charge rows of
+    all replicas and fields come from one ``_charge_prefix`` call, and all
+    rows go through one batched, blocked DP that agrees with the row-loop
+    ``log_Z`` to rounding.  A value depends on (seed, i, h) only, never on the
     replica count or the grid.
     """
     fields = np.asarray(h, dtype=float)
-    omegas = [_draw(law, n, spawn_rng(seed, i)) for i in range(replicas)]
+    omegas = np.empty((replicas, n))
+    for i in range(replicas):
+        omegas[i] = _draw(law, n, spawn_rng(seed, i))
     # charges past the float range turn non-finite, and their rows NaN
     with np.errstate(over="ignore"):
-        prefixes = [
-            make_instance(law, beta, field, omega=omega).charge_prefix
-            for field in fields.reshape(-1).tolist()
-            for omega in omegas
-        ]
-    values = _log_z_replicas(np.array(prefixes).reshape(-1, n + 1), kernel)
+        prefix = _charge_prefix(omegas, beta, log_mgf(law, beta), fields.reshape(-1, 1, 1))
+    values = _log_z_replicas(prefix.reshape(-1, n + 1), kernel)
     return values.reshape(fields.shape + (replicas,))
 
 
@@ -371,14 +371,15 @@ def trimmed_moment_check(
     constraint = Trimmed(M=plan.M, k=plan.k, m=plan.m)
     span = min(plan.m * (plan.M * plan.M + plan.k), plan.N - 1)
     # the disorder mean is the engine on the single zero-disorder charge row
-    mean_prefix = make_instance(law, 0.0, h, omega=np.zeros(span)).charge_prefix
+    mean_prefix = _charge_prefix(np.zeros(span), 0.0, log_mgf(law, 0.0), h)
     exact_log_mean = float(_trimmed_log_z_replicas([mean_prefix], kernel, constraint, plan.N)[0])
     product_log = _first_moment_product_log(kernel, plan)
 
     # (b) left side: disorder replicas of (Z restricted / exact mean)^2;
     # replica i draws from spawn_rng(seed, i), one engine group at a time
+    lam = log_mgf(law, beta)
     prefixes = (
-        make_instance(law, beta, h, omega=_draw(law, span, spawn_rng(seed, i))).charge_prefix
+        _charge_prefix(_draw(law, span, spawn_rng(seed, i)), beta, lam, h)
         for i in range(replicas)
     )
     log_zt = _trimmed_log_z_replicas(prefixes, kernel, constraint, plan.N)

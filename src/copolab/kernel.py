@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 _EXP_GUARD = 700.0  # largest exponent allowed anywhere near an exp()
+_MASS_BLOCK = 64  # sites per block of the blocked renewal-mass solve
 
 
 class FamilyKind(str, Enum):
@@ -270,9 +271,21 @@ def independent_jumps_law(kernel: RenewalKernel, h: float, big_m: int, k: int) -
 def renewal_mass(ker: RenewalKernel | TiltedKernel, n_max: int) -> np.ndarray:
     """Renewal mass function u(0..n_max): u(0)=1, u(n)=sum_j mass(j) u(n-j).
 
-    Plain O(n_max^2) convolution.  Works for proper and defective laws; for
-    a supercritical tilt the values grow geometrically and the computation
-    is refused once they leave the float range.
+    A blocked lower-triangular Toeplitz solve of (I - T) u = e_0, with
+    T[n, j] = mass(n - j) for j < n, in blocks of _MASS_BLOCK sites.  The
+    first block is the recursion itself, site by site.  The inverse of a
+    block's diagonal part I - L is the lower-triangular Toeplitz matrix of
+    that first block, u(0.._MASS_BLOCK-1), so every later block is its
+    product with the mass pulled from all earlier sites, and that pull is
+    one correlation of the masses with u (a Toeplitz matrix-vector
+    product).  Every term is nonnegative, so the rounding
+    error is componentwise relative: the values agree with the per-site
+    recursion to a few ulps.  Works for proper and defective laws; for a
+    supercritical tilt the values grow geometrically and the computation is
+    refused at the first site whose value leaves the float range, the site
+    the recursion reports.  Building the inverse from the recursion, not by
+    nilpotent doubling, keeps that site exact even inside the first block,
+    where an overflowed power of L times a zero would turn earlier rows NaN.
     """
     if isinstance(ker, TiltedKernel):
         if ker.masses is None:
@@ -284,11 +297,47 @@ def renewal_mass(ker: RenewalKernel | TiltedKernel, n_max: int) -> np.ndarray:
         raise ValueError(f"n_max={n_max} exceeds the kernel support {cap}")
     u = np.zeros(n_max + 1)
     u[0] = 1.0
-    for n in range(1, n_max + 1):
-        u[n] = np.dot(masses[1 : n + 1], u[n - 1 :: -1])
-        if not math.isfinite(u[n]):
-            raise OverflowError(f"renewal mass left the float range at n={n}")
+    with np.errstate(over="ignore"):
+        for n in range(1, min(n_max, _MASS_BLOCK - 1) + 1):
+            u[n] = np.dot(masses[1 : n + 1], u[n - 1 :: -1])
+            if not math.isfinite(u[n]):
+                raise OverflowError(f"renewal mass left the float range at n={n}")
+        if n_max < _MASS_BLOCK:
+            return u
+        taps = np.zeros(2 * _MASS_BLOCK - 1)
+        taps[_MASS_BLOCK - 1 :] = u[:_MASS_BLOCK]
+        # inverse[r, c] = u(r - c): the renewal mass inside one block
+        inverse = np.ascontiguousarray(_toeplitz_view(taps, _MASS_BLOCK))
+        # flipped[i] = K(n_max - i), so that each pull is one correlation
+        flipped = masses[n_max:0:-1].copy()
+        for t0 in range(_MASS_BLOCK, n_max + 1, _MASS_BLOCK):
+            t1 = min(t0 + _MASS_BLOCK, n_max + 1)
+            # pulled[r] = sum_{j < t0} K(t0 + r - j) u(j)
+            pulled = np.correlate(flipped[n_max - t1 + 1 : n_max], u[:t0], "valid")[::-1]
+            # row r reads pulled[:r + 1] only: solve up to the first entry that
+            # overflowed, whose product with a zero above the diagonal is NaN
+            width = _finite_count(pulled)
+            u[t0 : t0 + width] = inverse[:width, :width] @ pulled[:width]
+            width = _finite_count(u[t0 : t0 + width])
+            if t0 + width < t1:
+                raise OverflowError(f"renewal mass left the float range at n={t0 + width}")
     return u
+
+
+def _finite_count(values: np.ndarray) -> int:
+    """Number of leading finite entries of ``values``."""
+    finite = np.isfinite(values)
+    return len(values) if finite.all() else int(finite.argmin())
+
+
+def _toeplitz_view(taps: np.ndarray, width: int) -> np.ndarray:
+    """Strided Toeplitz view V[r, c] = taps[r - c + width - 1], no copy.
+
+    Row r is a target and column c a source at lag r - c; V has
+    len(taps) - width + 1 rows and width columns.  ``renewal_mass`` and both
+    replica engines of ``partition`` build their Toeplitz matrices from it.
+    """
+    return np.lib.stride_tricks.sliding_window_view(taps, width)[:, ::-1]
 
 
 def defect_Kk(kernel: RenewalKernel, h: float, k: int) -> float:

@@ -7,13 +7,13 @@ interface.  ``log_Z`` evaluates the recursion over the last renewal point
 before N row by row with a running-maximum log-sum-exp per target index, so
 charges of order N*h never overflow; it is the reference oracle.  Replica
 batches go through ``_log_z_replicas``, the same recursion for groups of
-_GEMM_REPLICAS replicas in source blocks: inside a block a linear-domain
-solve (nilpotent doubling on 16-row diagonal sub-blocks, Toeplitz GEMMs
-for the earlier ones), or the row-by-row log-space fill for a replica
-whose charges vary too much there, and one Toeplitz(K) GEMM on block
-values scaled by their own maximum to push a finished block to every
-later target.  It agrees with the row loop to rounding (1e-10 relative is
-the tested gate).  A brute-force enumeration oracle over all renewal
+_GEMM_REPLICAS replicas, run _PASS_GROUPS groups per pass, in source
+blocks: inside a block a linear-domain solve (nilpotent doubling on 16-row
+diagonal sub-blocks, Toeplitz GEMMs for the earlier ones), or the
+row-by-row log-space fill for a replica whose charges vary too much there,
+and one Toeplitz(K) GEMM per group on block values scaled by their own
+maximum to push a finished block to every later target.  It agrees with
+the row loop to rounding (1e-10 relative is the tested gate).  A brute-force enumeration oracle over all renewal
 subsets backs both for small N.  The annealed value ``log_annealed_Z`` is
 the same engine on the zero-disorder charges, h per site.
 
@@ -22,7 +22,8 @@ The trimmed (alternating long/short) ensemble follows the same pattern:
 ``log_Z_restricted`` and the oracle, and ``_trimmed_log_z_replicas`` runs
 the stages for groups of _GEMM_REPLICAS replicas, each long stage a banded
 Toeplitz GEMM.  Both engines build their push matrices from
-``_toeplitz_view``.
+``kernel._toeplitz_view``.  ``_charge_prefix`` is the one place where
+disorder becomes charge prefix sums.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderLaw, log_mgf, sample
-from .kernel import RenewalKernel
+from .kernel import RenewalKernel, _toeplitz_view
 
 __all__ = [
     "QuenchedInstance",
@@ -49,6 +50,7 @@ _LOG2 = math.log(2.0)
 _BLOCK = 64  # source block width of the replica-batched quenched DP
 _CHUNK = 256  # targets per push of one block; bounds the Toeplitz copy
 _GEMM_REPLICAS = 8  # replicas per GEMM in the push
+_PASS_GROUPS = 4  # groups of _GEMM_REPLICAS replicas per pass of the quenched engine
 _FILL_ROWS = 16  # rows per diagonal sub-block of the linear-domain block fill
 _FILL_VARIATION = 256.0  # largest in-block charge variation filled in the linear domain
 _TRIMMED_CHUNK = 64  # targets per long-stage GEMM of the trimmed engine
@@ -82,11 +84,24 @@ def make_instance(
         omega = sample(law, n, seed)
     omega = np.asarray(omega, dtype=float)
     lam = log_mgf(law, beta)
-    prefix = np.zeros(len(omega) + 1)
-    prefix[1:] = np.cumsum(beta * omega - lam + h)
     return QuenchedInstance(
-        omega=omega, beta=beta, h=h, lambda_beta=lam, charge_prefix=prefix
+        omega=omega, beta=beta, h=h, lambda_beta=lam,
+        charge_prefix=_charge_prefix(omega, beta, lam, h),
     )
+
+
+def _charge_prefix(omega: np.ndarray, beta: float, lam: float, h) -> np.ndarray:
+    """Charge prefix sums of every disorder row of ``omega`` (..., n).
+
+    S[..., m] = sum_{i<=m} (beta*omega_i - lam + h), S[..., 0] = 0, with
+    lam = lambda(beta); ``h`` is a field or an array of fields that
+    broadcasts against ``omega``.  One cumulative sum adds the sites in
+    order, so a row of a batch equals the same row alone, bit for bit.
+    """
+    terms = beta * omega - lam + h
+    prefix = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
+    np.cumsum(terms, axis=-1, out=prefix[..., 1:])
+    return prefix
 
 
 @dataclass(frozen=True)
@@ -133,28 +148,21 @@ def log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> float:
     return float(lz[n])
 
 
-def _toeplitz_view(taps: np.ndarray, width: int) -> np.ndarray:
-    """Strided Toeplitz view V[r, c] = taps[r - c + width - 1], no copy.
-
-    Row r is a target and column c a source at lag r - c; V has
-    len(taps) - width + 1 rows and width columns.  Both replica engines
-    build their push matrices from it.
-    """
-    return np.lib.stride_tricks.sliding_window_view(taps, width)[:, ::-1]
-
-
 def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     """Quenched log Z_N of every row of an (R, N+1) charge-prefix array.
 
     Same recursion as ``log_Z``, split into two causal convolutions of
     a(j) = Z(j) and b(j) = Z(j) e^{-S_j}:
-    Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Rows go through in groups of
-    _GEMM_REPLICAS, zero-padded, in buffers allocated once per call.  Sources
-    are cut into blocks of _BLOCK sites.  Inside a block Z solves
-    (I - L) z = p, with p the part pushed from earlier blocks and
-    L[u, v] = K(u - v)/2 (1 + e^{S_u - S_v}) >= 0 for v < u; ``_fill_linear``
-    solves it in the linear domain and ``_fill_log``, row by row in log
-    space, takes the replicas whose charges vary too much inside the block.
+    Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Rows go through in passes of
+    up to _PASS_GROUPS groups of _GEMM_REPLICAS rows, the last group
+    zero-padded, in buffers allocated once per call; every GEMM is one
+    group's own product, stacked over the pass's groups in one
+    ``np.matmul`` call.  Sources are cut into blocks of _BLOCK sites.
+    Inside a block Z solves (I - L) z = p, with p the part pushed from
+    earlier blocks and L[u, v] = K(u - v)/2 (1 + e^{S_u - S_v}) >= 0 for
+    v < u; ``_fill_linear`` solves it in the linear domain and
+    ``_fill_log``, row by row in log space, takes the replicas whose charges
+    vary too much inside the block.
     A finished block, scaled per replica, is pushed to all later targets
     with Toeplitz(K) GEMMs of _CHUNK targets each and added to per-target
     linear accumulators that share one log scale per replica and channel.
@@ -168,6 +176,8 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
         raise ValueError(f"kernel support {kernel.support_cap} < N = {n}")
     out = np.full(replicas, np.nan)
     rows = np.flatnonzero(np.isfinite(prefix).all(axis=1))
+    if len(rows) == 0:
+        return out
     # lower[u, v] = K(u - v)/2 for v < u inside a block, else 0
     taps = np.zeros(2 * _BLOCK - 1)
     taps[_BLOCK:] = 0.5 * kernel.masses[1:_BLOCK]
@@ -184,27 +194,30 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     gaps = np.append(kernel.log_masses[_BLOCK:0:-1] - _LOG2, 0.0)
     # windows[t, u] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t
     windows = _toeplitz_view(kernel.masses[1:], _BLOCK)
-    s = np.empty((_GEMM_REPLICAS, n + 1))
+    # rows per pass: whole groups, at most _PASS_GROUPS of them
+    lanes = _GEMM_REPLICAS * min(_PASS_GROUPS, -(-len(rows) // _GEMM_REPLICAS))
+    s_all = np.empty((lanes, n + 1))
     # acc[:, 0, m] e^{ref[:, 0]}, acc[:, 1, m] e^{ref[:, 1]}: sum_j K(m - j) a(j),
     # b(j) over pushed blocks.  ref is the largest block offset pushed so
     # far, so every target holds at least K(m - j0) times the value 1 of
     # that block's largest source: nothing in acc that carries weight
     # underflows, and what a rescale drops was negligible
-    acc = np.empty((_GEMM_REPLICAS, 2, n + 1))
-    ref = np.empty((_GEMM_REPLICAS, 2))
+    acc_all = np.empty((lanes, 2, n + 1))
     # BLAS may sum in an order that follows the matrix shape, so every GEMM
     # takes one zero-padded group of _GEMM_REPLICAS replicas and never sees R
-    for g0 in range(0, len(rows), _GEMM_REPLICAS):
-        group = rows[g0 : g0 + _GEMM_REPLICAS]
-        s[: len(group)] = prefix[group]
-        s[len(group) :] = 0.0  # padding rows carry zero charges
+    for p0 in range(0, len(rows), lanes):
+        batch = rows[p0 : p0 + lanes]
+        width = _GEMM_REPLICAS * -(-len(batch) // _GEMM_REPLICAS)
+        s, acc = s_all[:width], acc_all[:width]
+        s[: len(batch)] = prefix[batch]
+        s[len(batch) :] = 0.0  # padding rows carry zero charges
         acc.fill(0.0)
-        ref.fill(-np.inf)
+        ref = np.full((width, 2), -np.inf)
         for j0 in range(0, n + 1, _BLOCK):
             j1 = min(j0 + _BLOCK, n + 1)
             charges = s[:, j0:j1]
             if j0 == 0:
-                pushed = np.full((_GEMM_REPLICAS, j1), -np.inf)
+                pushed = np.full((width, j1), -np.inf)
                 pushed[:, 0] = 0.0
             else:
                 logs = np.log(acc[:, :, j0:j1]) + ref[:, :, None]
@@ -222,19 +235,19 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
                 values = np.log(scaled[:, 0, n - j0]) + offset[:, 0]
                 if steep.any():
                     values[steep] = block[:, 0, n - j0]
-                out[group] = values[: len(group)]
+                out[batch] = values[: len(batch)]
                 break
             if (offset > ref).any():
                 raised = np.maximum(ref, offset)
                 acc[:, :, j1:] *= np.exp(ref - raised)[:, :, None]
                 ref = raised
             scaled *= np.exp(offset - ref)[:, :, None]
-            stacked = scaled.reshape(2 * _GEMM_REPLICAS, _BLOCK)
+            stacked = scaled.reshape(-1, 2 * _GEMM_REPLICAS, _BLOCK)
             for t0 in range(0, n + 1 - j1, _CHUNK):
                 t1 = min(t0 + _CHUNK, n + 1 - j1)
                 toeplitz = np.ascontiguousarray(windows[t0:t1])
                 target = acc[:, :, j1 + t0 : j1 + t1]
-                target += np.matmul(stacked, toeplitz.T).reshape(_GEMM_REPLICAS, 2, t1 - t0)
+                target += np.matmul(stacked, toeplitz.T).reshape(width, 2, t1 - t0)
     return out
 
 
@@ -266,7 +279,7 @@ def _fill_linear(pushed, charges, steep, diagonal, earlier):
     Numerical Algorithms, ch. 8).  Rows flagged ``steep`` are given flat
     charges here, which keeps them finite, and are refilled by the caller.
     """
-    rows, width = pushed.shape
+    rows, width = pushed.shape  # rows: whole groups of _GEMM_REPLICAS
     top = pushed.max(axis=1)
     mid = 0.5 * (charges.max(axis=1) + charges.min(axis=1))
     # past the block's width (its last block only) p = 0 and flat charges
@@ -294,7 +307,8 @@ def _fill_linear(pushed, charges, steep, diagonal, earlier):
         r1 = r0 + _FILL_ROWS
         c = p[:, r0:r1]
         if q:
-            pair = np.matmul(flat[:, :r0], earlier[q - 1]).reshape(rows, 2, _FILL_ROWS)
+            grouped = flat[:, :r0].reshape(-1, 2 * _GEMM_REPLICAS, r0)
+            pair = np.matmul(grouped, earlier[q - 1]).reshape(rows, 2, _FILL_ROWS)
             c += pair[:, 0]
             c += up[:, r0:r1] * pair[:, 1]
         z = np.matmul(inverse[:, q], c[:, :, None])[:, :, 0]

@@ -215,8 +215,11 @@ def test_verify_oracle_suite_passes_fast(tmp_path):
     oracle = payload["suites"]["oracle"]
     assert oracle["worst_relative_error"] <= 1e-10
     assert oracle["worst_block_edge_relative_error"] <= 1e-10
+    assert oracle["worst_two_pass_relative_error"] <= 1e-10
+    assert oracle["worst_renewal_mass_relative_error"] <= 1e-10
     assert {c["name"] for c in oracle["checks"]} == {
-        "dp_matches_enumeration", "batched_dp_matches_row_loop", "trimmed_engine_matches_row_loop"
+        "dp_matches_enumeration", "batched_dp_matches_row_loop", "trimmed_engine_matches_row_loop",
+        "renewal_mass_matches_row_loop",
     }
 
 
@@ -278,8 +281,7 @@ def test_verify_coarse_records_supercritical_tilt_as_scan(tmp_path):
     # at eta = 0.1 the crossover tilt of the Gaussian law at h = 0.08 is
     # supercritical: its renewal mass leaves the float range
     out = tmp_path / "coarse.json"
-    with np.errstate(over="ignore"):
-        code = run_cli(["verify", "coarse", "--h", "0.08", "--seed", "2", "--out", str(out)])
+    code = run_cli(["verify", "coarse", "--h", "0.08", "--seed", "2", "--out", str(out)])
     assert code == 0
     suite = json.loads(out.read_text())["suites"]["coarse"]
     assert suite["feasible"] is False

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from copolab import estimators as est
 from copolab.bounds import log_upper_general
-from copolab.disorder import BINARY, GAUSSIAN, _draw, q1, q2, rate_function, spawn_rng
+from copolab.disorder import BINARY, GAUSSIAN, _draw, log_mgf, q1, q2, rate_function, spawn_rng
 from copolab.kernel import build_kernel
 from copolab.partition import (
     _BLOCK,
     _FILL_ROWS,
     _FILL_VARIATION,
+    _GEMM_REPLICAS,
+    _PASS_GROUPS,
     QuenchedInstance,
     _log_z_replicas,
     brute_force_log_Z,
@@ -137,6 +139,48 @@ def test_engine_mixes_steep_and_linear_replicas(log_kernel_small):
             log_kernel_small,
         )
         assert abs(batch[i] - exact) <= 1e-10 * max(1.0, abs(exact))
+
+
+def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kernel_small):
+    # 100 rows run as passes of _PASS_GROUPS groups: steep rows sit in the
+    # first, sixth and last group, and a non-finite row in the third pass
+    # shifts every later row to another group; each row still equals its
+    # own single-row value bit for bit
+    assert _GEMM_REPLICAS * _PASS_GROUPS == 32
+    n = 2 * _BLOCK + 30
+    prefix = np.array([
+        make_instance(
+            GAUSSIAN, 1.0, 8.0 if i in (3, 41, 99) else 0.2, omega=_draw(GAUSSIAN, n, spawn_rng(8, i))
+        ).charge_prefix
+        for i in range(100)
+    ])
+    steep = np.abs(np.diff(prefix[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
+    assert np.flatnonzero(steep).tolist() == [3, 41, 99]
+    prefix[70, 5] = np.inf
+    batch = _log_z_replicas(prefix, log_kernel_small)
+    assert np.isnan(batch[70]) and np.isfinite(np.delete(batch, 70)).all()
+    for i, row in enumerate(prefix):
+        single = _log_z_replicas(row[None], log_kernel_small)[0]
+        assert single == batch[i] or (np.isnan(single) and np.isnan(batch[i]))
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_replica_log_z_charge_rows_equal_make_instance_rows(log_kernel_small, law):
+    # the bulk charge rows of a 3-field grid give the values of rows built
+    # one replica and one field at a time, as make_instance builds them, bit
+    # for bit
+    n, beta, seed, replicas, grid = 150, 0.9, 12, 11, [-0.3, 0.05, 0.6]
+    got = est.replica_log_z(log_kernel_small, law, beta, grid, n, seed, replicas)
+    rows = []
+    for h in grid:
+        for i in range(replicas):
+            omega = _draw(law, n, spawn_rng(seed, i))
+            row = np.zeros(n + 1)
+            row[1:] = np.cumsum(beta * omega - log_mgf(law, beta) + h)
+            np.testing.assert_array_equal(make_instance(law, beta, h, omega=omega).charge_prefix, row)
+            rows.append(row)
+    want = _log_z_replicas(np.array(rows), log_kernel_small).reshape(len(grid), replicas)
+    np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("h", [0.4, -0.4])
@@ -489,8 +533,7 @@ def test_coarse_graining_infeasible_report(big_kernels):
 
 def test_coarse_graining_supercritical_tilt_is_infeasible(big_kernels):
     c3 = 0.9 * q1(GAUSSIAN, 1.0)
-    with np.errstate(over="ignore"):
-        report = est.coarse_graining_check(big_kernels["log"], GAUSSIAN, 1.0, h=0.08, c3=c3)
+    report = est.coarse_graining_check(big_kernels["log"], GAUSSIAN, 1.0, h=0.08, c3=c3)
     assert report["feasible"] is False
     assert "renewal mass left the float range" in report["note"]
 

@@ -162,6 +162,43 @@ def test_renewal_mass_positive_and_banded(big_kernels):
     assert band.max() / band.min() < 50.0
 
 
+def _renewal_mass_row_loop(masses, n_max):
+    """The per-site recursion u(n) = sum_j K(j) u(n - j), u(0) = 1: the reference."""
+    u = np.zeros(n_max + 1)
+    u[0] = 1.0
+    with np.errstate(over="ignore"):
+        for n in range(1, n_max + 1):
+            u[n] = np.dot(masses[1 : n + 1], u[n - 1 :: -1])
+    return u
+
+
+@pytest.mark.parametrize("name", ["sub", "log", "super"])
+def test_renewal_mass_matches_row_loop(big_kernels, name):
+    # the blocked solve against the recursion, on both sides of block edges,
+    # for the base law and a subcritical crossover tilt
+    kernel = big_kernels[name]
+    tilted = check_eta_kernel(kernel, 0.01, 0.9)
+    assert tilted.defect > 0.0
+    for law in (kernel, tilted):
+        ref = _renewal_mass_row_loop(law.masses, 10_000)
+        for n in (1, 63, 64, 65, 128, 2000, 10_000):
+            got = renewal_mass(law, n)
+            assert got.shape == (n + 1,)
+            np.testing.assert_allclose(got, ref[: n + 1], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("h", [0.08, 1.0, 20.0])
+def test_renewal_mass_refuses_supercritical_tilt_at_the_row_loop_site(big_kernels, h):
+    # the first site whose value leaves the float range, inside the first
+    # block (h = 20) or past it, is the recursion's; no numpy warning
+    tilted = check_eta_kernel(big_kernels["log"], h, 0.1)
+    ref = _renewal_mass_row_loop(tilted.masses, 10_000)
+    site = int(np.isfinite(ref).argmin())
+    assert site > 0
+    with pytest.raises(OverflowError, match=f"left the float range at n={site}$"):
+        renewal_mass(tilted, 10_000)
+
+
 def test_renewal_mass_defective_geometric_bound(big_kernels):
     # total renewal visits of a defective law are at most 1/defect
     kernel = big_kernels["log"]
