@@ -30,14 +30,11 @@ from .kernel import (
     FamilyKind,
     RenewalKernel,
     SlowlyVaryingFamily,
-    TiltedKernel,
-    TiltTransform,
     build_kernel,
     check_eta_kernel,
     defect_Kk,
     defect_check_eta,
     independent_jumps_law,
-    penalized_kernel,
     renewal_mass,
 )
 from .partition import (

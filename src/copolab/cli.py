@@ -10,6 +10,13 @@ configuration errors, rejected before anything is computed or written, and
 finite values that overflow a DP (a non-finite value in any row of
 estimate, sweep or annealed) exit 2 without writing the artifact.
 
+The verify suites read the field flags they use and no others: moments
+and coarse read --beta and --h, penalization reads --beta (it scans its own
+h values), oracle reads neither (it draws its own), and none reads
+--h-grid.  A single-suite run given a field flag its suite does not read
+exits 2 without writing anything; "verify all" passes each flag to the
+suites that read it.
+
 Verification report schema: a JSON object with keys "config" (the resolved
 run configuration), "artifact_version", "suites" (one entry per suite run,
 each a dict of recorded values plus "checks", a list of {name, kind, ok}
@@ -188,7 +195,7 @@ def _h_values(args) -> list[float]:
     return [args.h]
 
 
-class SystemExit2(Exception):
+class SystemExit2(ValueError):
     """Configuration error surfaced with exit code 2."""
 
 
@@ -225,6 +232,10 @@ def _emit(args, config, rows, columns, default_format="csv"):
     else:
         payload = {"artifact_version": __version__, "config": config, "rows": rows}
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -374,7 +385,7 @@ def _suite_oracle(args, family, law, kernel) -> dict:
     mass_sizes = tuple(e + d for e in (_MASS_BLOCK, 2 * _MASS_BLOCK) for d in (-1, 0, 1))
     worst_mass = 0.0
     for n in mass_sizes:
-        mass = float(renewal_mass(kernel, n)[n])
+        mass = float(renewal_mass(kernel.masses, n)[n])
         exact = math.exp(log_Z(make_instance(law, 0.0, 0.0, omega=np.zeros(n)), kernel))
         worst_mass = max(worst_mass, abs(mass - exact) / exact)
     return {
@@ -487,21 +498,27 @@ def _suite_coarse(args, family, law, kernel) -> dict:
 
 
 def _cmd_verify(args) -> int:
+    # each suite with the field flags it reads; no suite reads --h-grid
+    runners = {
+        "oracle": (_suite_oracle, ()),
+        "moments": (_suite_moments, ("beta", "h")),
+        "penalization": (_suite_penalization, ("beta",)),
+        "coarse": (_suite_coarse, ("beta", "h")),
+    }
+    names = list(runners) if args.suite == "all" else [args.suite]
+    read = {flag for name in names for flag in runners[name][1]}
+    for flag in ("beta", "h", "h_grid"):
+        if getattr(args, flag) is not None and flag not in read:
+            option = "--" + flag.replace("_", "-")
+            raise SystemExit2(f"verify {args.suite} does not read {option}")
     family = _family(args)
     law = _LAWS[args.law]
     support = max(args.n, 20_000)
     kernel = build_kernel(family, support)
-    runners = {
-        "oracle": _suite_oracle,
-        "moments": _suite_moments,
-        "penalization": _suite_penalization,
-        "coarse": _suite_coarse,
-    }
-    names = list(runners) if args.suite == "all" else [args.suite]
     suites = {}
     ok = True
     for name in names:
-        suites[name] = runners[name](args, family, law, kernel)
+        suites[name] = runners[name][0](args, family, law, kernel)
         for check in suites[name]["checks"]:
             if check["kind"] == "assert" and not check["ok"]:
                 ok = False
@@ -512,11 +529,7 @@ def _cmd_verify(args) -> int:
         "pass": ok,
     }
     text = json.dumps(payload, sort_keys=True, indent=1, default=_json_default) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, text)
     return 0 if ok else 1
 
 
@@ -548,9 +561,6 @@ def main(argv=None) -> int:
     try:
         _check_finite(args)
         return commands[args.command](args)
-    except SystemExit2 as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -57,7 +57,6 @@ __all__ = [
     "DEFAULT_C5",
     "replica_log_z",
     "sweep_free_energy",
-    "estimate_free_energy",
     "tilted_block_success",
     "trimmed_plan",
     "trimmed_moment_check",
@@ -170,19 +169,6 @@ def sweep_free_energy(
     return estimates
 
 
-def estimate_free_energy(
-    kernel: RenewalKernel,
-    law: DisorderLaw,
-    beta: float,
-    h: float,
-    n: int,
-    replicas: int,
-    seed: int,
-) -> FreeEnergyEstimate:
-    """``sweep_free_energy`` at the single field h."""
-    return sweep_free_energy(kernel, law, beta, [h], n, replicas, seed)[0]
-
-
 def tilted_block_success(law: DisorderLaw, beta: float, threshold_rate: float, ell: int) -> float:
     """Probability, under the beta-tilt, that a block mean reaches threshold_rate."""
     from scipy.special import betainc, ndtr  # kept off the import path of the CLI
@@ -227,6 +213,8 @@ def trimmed_plan(
     q2v = q2(law, beta)
     if not c2 > q2v:
         raise ValueError(f"c2={c2} violates c2 > q2(beta) = {q2v}")
+    if h <= 0:
+        raise ValueError(f"h must be positive, got {h}")
     log_inv_h = math.log(1.0 / h)
     if log_inv_h <= 1.0:
         raise ValueError(f"h={h} too large: log(1/h) must exceed 1")
@@ -268,9 +256,7 @@ def _independent_jump_backward(kernel, plan):
     Each stage is rescaled to a unit maximum.
     """
     big_m, k, m, n_sites, h = plan.M, plan.k, plan.m, plan.N, plan.h
-    jumps = independent_jumps_law(kernel, h, big_m, k)
-    long_w = jumps.long_masses
-    short_w = jumps.short_masses
+    long_w, short_w = independent_jumps_law(kernel, h, big_m, k)
     reach = m * (big_m * big_m + k)
     size = reach + 1
 
@@ -547,6 +533,8 @@ def coarse_graining_check(
     range (supercritical at this h and eta), gives {"feasible": False, ...}
     with a note.
     """
+    if h <= 0:
+        raise ValueError(f"h must be positive, got {h}")
     q1v = q1(law, beta)
     if not c3 < q1v:
         raise ValueError(f"c3={c3} must be below q1(beta)={q1v}")

@@ -1,5 +1,11 @@
 """Inter-arrival laws K(n) = L(n)/n with slowly varying L, and their tilts.
 
+A law is a plain mass array.  ``RenewalKernel.masses`` and the crossover
+tilt that ``check_eta_kernel`` returns (possibly defective) are indexed by
+length with index 0 unused, and ``renewal_mass`` takes either;
+``independent_jumps_law`` returns its two proper jump laws as a pair of
+arrays.
+
 Three families of slowly varying numerators are built in (sub-logarithmic,
 logarithmic, super-logarithmic decay).  The asymptotic forms are undefined or
 negative near the origin, so L is frozen at its value at a family-specific
@@ -29,12 +35,9 @@ __all__ = [
     "FamilyKind",
     "SlowlyVaryingFamily",
     "RenewalKernel",
-    "TiltTransform",
-    "TiltedKernel",
     "build_kernel",
     "renewal_mass",
     "check_eta_kernel",
-    "penalized_kernel",
     "independent_jumps_law",
     "defect_Kk",
     "defect_check_eta",
@@ -169,38 +172,13 @@ def build_kernel(family: SlowlyVaryingFamily, n_max: int) -> RenewalKernel:
     )
 
 
-class TiltTransform(str, Enum):
-    CHECK_ETA = "check_eta"
-    PENALIZED_KK = "penalized_kk"
-    HAT_INDEPENDENT_JUMPS = "hat_independent_jumps"
-
-
-@dataclass(frozen=True)
-class TiltedKernel:
-    """A transformed inter-arrival law, possibly defective.
-
-    For CHECK_ETA and PENALIZED_KK, ``masses`` holds the transformed law on
-    the base support and ``defect`` is one minus its stored-mass sum (the
-    dedicated defect operations additionally account for the analytic tail).
-    For HAT_INDEPENDENT_JUMPS the two proper conditional laws are stored in
-    ``long_masses`` (lengths M..M^2) and ``short_masses`` (lengths 1..k),
-    each summing to one, and ``defect`` is zero by construction.
-    """
-
-    base: RenewalKernel
-    transform: TiltTransform
-    params: tuple
-    masses: np.ndarray | None
-    defect: float
-    long_masses: np.ndarray | None = None
-    short_masses: np.ndarray | None = None
-
-
-def check_eta_kernel(kernel: RenewalKernel, h: float, eta: float = 0.1) -> TiltedKernel:
-    """Reward/penalty tilt with crossover at 1/(eta^2 h).
+def check_eta_kernel(kernel: RenewalKernel, h: float, eta: float = 0.1) -> np.ndarray:
+    """Masses of the reward/penalty tilt with crossover at 1/(eta^2 h).
 
     K(l) * (1/2 + 1/2 exp(h*l)) up to the crossover, then
-    K(l) * (1/2 + 1/2 exp(-eta*h*l)) beyond it.
+    K(l) * (1/2 + 1/2 exp(-eta*h*l)) beyond it, on the kernel support with
+    index 0 unused, like ``RenewalKernel.masses``.  The law may be
+    defective; ``defect_check_eta`` gives its defect with the analytic tail.
     """
     if h < 0 or not 0 < eta < 1:
         raise ValueError("need h >= 0 and eta in (0, 1)")
@@ -213,40 +191,18 @@ def check_eta_kernel(kernel: RenewalKernel, h: float, eta: float = 0.1) -> Tilte
         crossover = 1.0 / (eta * eta * h)
         sign = np.where(n <= crossover, 1.0, -eta)
         factor = 0.5 + 0.5 * np.exp(h * n * sign)
-    masses = kernel.masses * factor
-    return TiltedKernel(
-        base=kernel,
-        transform=TiltTransform.CHECK_ETA,
-        params=(h, eta),
-        masses=masses,
-        defect=1.0 - math.fsum(masses[1:].tolist()),
-    )
+    return kernel.masses * factor
 
 
-def penalized_kernel(kernel: RenewalKernel, h: float, k: int) -> TiltedKernel:
-    """Reward up to length k, penalty beyond: K(l)*(1/2 + 1/2 e^{+-h l})."""
-    if h < 0 or k < 1:
-        raise ValueError("need h >= 0 and k >= 1")
-    if h * k > _EXP_GUARD:
-        raise OverflowError(f"h*k = {h * k:.1f} exceeds the exponent guard")
-    n = np.arange(0, kernel.support_cap + 1, dtype=float)
-    sign = np.where(n <= k, 1.0, -1.0)
-    factor = 0.5 + 0.5 * np.exp(h * n * sign)
-    masses = kernel.masses * factor
-    return TiltedKernel(
-        base=kernel,
-        transform=TiltTransform.PENALIZED_KK,
-        params=(h, k),
-        masses=masses,
-        defect=1.0 - math.fsum(masses[1:].tolist()),
-    )
-
-
-def independent_jumps_law(kernel: RenewalKernel, h: float, big_m: int, k: int) -> TiltedKernel:
+def independent_jumps_law(
+    kernel: RenewalKernel, h: float, big_m: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Two proper conditional jump laws: long in [M, M^2], short in [1, k].
 
-    Long jumps are distributed as K restricted to [M, M^2]; short jumps as
-    e^{h n} K(n) restricted to [1, k].  Each coordinate is normalized to one.
+    Returns (long_masses, short_masses): long jumps are distributed as K
+    restricted to [M, M^2], short jumps as e^{h n} K(n) restricted to
+    [1, k], and each array is normalized to one.  Entry j is the mass of
+    length M + j, respectively 1 + j.
     """
     if big_m < 2 or k < 1:
         raise ValueError("need M >= 2 and k >= 1")
@@ -257,19 +213,15 @@ def independent_jumps_law(kernel: RenewalKernel, h: float, big_m: int, k: int) -
     long_raw = kernel.masses[big_m : big_m * big_m + 1].copy()
     short_n = np.arange(1, k + 1, dtype=float)
     short_raw = kernel.masses[1 : k + 1] * np.exp(h * short_n)
-    return TiltedKernel(
-        base=kernel,
-        transform=TiltTransform.HAT_INDEPENDENT_JUMPS,
-        params=(h, big_m, k),
-        masses=None,
-        defect=0.0,
-        long_masses=long_raw / long_raw.sum(),
-        short_masses=short_raw / short_raw.sum(),
-    )
+    return long_raw / long_raw.sum(), short_raw / short_raw.sum()
 
 
-def renewal_mass(ker: RenewalKernel | TiltedKernel, n_max: int) -> np.ndarray:
+def renewal_mass(masses: np.ndarray, n_max: int) -> np.ndarray:
     """Renewal mass function u(0..n_max): u(0)=1, u(n)=sum_j mass(j) u(n-j).
+
+    ``masses`` is a law on 1..len(masses) - 1 with index 0 unused:
+    ``RenewalKernel.masses`` or a tilt of it such as ``check_eta_kernel``
+    returns.
 
     A blocked lower-triangular Toeplitz solve of (I - T) u = e_0, with
     T[n, j] = mass(n - j) for j < n, in blocks of _MASS_BLOCK sites.  The
@@ -287,12 +239,7 @@ def renewal_mass(ker: RenewalKernel | TiltedKernel, n_max: int) -> np.ndarray:
     nilpotent doubling, keeps that site exact even inside the first block,
     where an overflowed power of L times a zero would turn earlier rows NaN.
     """
-    if isinstance(ker, TiltedKernel):
-        if ker.masses is None:
-            raise TypeError("independent-jumps law has no single renewal mass function")
-        masses, cap = ker.masses, ker.base.support_cap
-    else:
-        masses, cap = ker.masses, ker.support_cap
+    cap = len(masses) - 1
     if n_max > cap:
         raise ValueError(f"n_max={n_max} exceeds the kernel support {cap}")
     u = np.zeros(n_max + 1)

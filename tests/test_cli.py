@@ -117,7 +117,7 @@ def test_annealed_h_zero_equals_renewal_mass(tmp_path):
     run_cli(["annealed", "--h", "0", "--n", "500", "--out", str(out)])
     value = float(out.read_text().splitlines()[2].split(",")[2])
     kernel = build_kernel(SlowlyVaryingFamily(FamilyKind.LOGARITHMIC, 2.0, 1.0), 1000)
-    assert value == pytest.approx(math.log(renewal_mass(kernel, 500)[500]), rel=1e-12)
+    assert value == pytest.approx(math.log(renewal_mass(kernel.masses, 500)[500]), rel=1e-12)
 
 
 def test_bounds_csv_schema(tmp_path):
@@ -289,3 +289,31 @@ def test_verify_coarse_records_supercritical_tilt_as_scan(tmp_path):
     checks = {c["name"]: c for c in suite["checks"]}
     assert checks["window_feasible"] == {"name": "window_feasible", "kind": "scan", "ok": False}
     assert checks["report_values_finite"]["ok"] is True
+
+
+@pytest.mark.parametrize("suite", ["moments", "coarse"])
+@pytest.mark.parametrize("h", ["0", "-0.0", "-0.1"])
+def test_verify_nonpositive_h_exits_2_without_artifact(tmp_path, capsys, suite, h):
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", suite, "--h", h, "--out", str(out)]) == 2
+    assert "h must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "oracle", "--beta", "1.0"],
+        ["verify", "oracle", "--h", "0.3"],
+        ["verify", "penalization", "--h", "0.3"],
+        ["verify", "moments", "--h-grid", "0.3,0.2"],
+        ["verify", "all", "--h-grid", "0.3"],
+    ],
+    ids=["oracle-beta", "oracle-h", "penalization-h", "moments-h-grid", "all-h-grid"],
+)
+def test_verify_refuses_a_flag_its_suite_does_not_read(tmp_path, capsys, args):
+    # an ignored flag would be echoed in the report header as if it were used
+    out = tmp_path / "report.json"
+    assert run_cli([*args, "--out", str(out)]) == 2
+    assert "does not read --" in capsys.readouterr().err
+    assert not out.exists()

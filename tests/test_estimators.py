@@ -33,27 +33,27 @@ def moment_kernel(families):
 def test_estimate_localized_regime(log_kernel_small):
     # deep in the localized phase the single-below-excursion bound h - lambda
     # must be cleared by the replica mean
-    got = est.estimate_free_energy(
-        log_kernel_small, GAUSSIAN, beta=1.0, h=2.0, n=2000, replicas=64, seed=42
-    )
+    got = est.sweep_free_energy(
+        log_kernel_small, GAUSSIAN, beta=1.0, h_values=[2.0], n=2000, replicas=64, seed=42
+    )[0]
     assert got.mean_log_z_per_site >= 2.0 - 0.5 - 0.05
     assert got.lower_bracket <= got.mean_log_z_per_site <= got.upper_bracket + 1.96 * got.stderr
 
 
 def test_estimate_delocalized_window(log_kernel_small):
     n = 2000
-    got = est.estimate_free_energy(
-        log_kernel_small, GAUSSIAN, beta=1.0, h=-0.5, n=n, replicas=32, seed=7
-    )
+    got = est.sweep_free_energy(
+        log_kernel_small, GAUSSIAN, beta=1.0, h_values=[-0.5], n=n, replicas=32, seed=7
+    )[0]
     floor = 2.0 * math.log(log_kernel_small.mass(n) / 2.0) / n
     assert floor <= got.mean_log_z_per_site <= 0.0
 
 
 def test_estimate_beta_zero_matches_annealed(log_kernel_small):
     n, h = 500, 0.3
-    got = est.estimate_free_energy(
-        log_kernel_small, GAUSSIAN, beta=0.0, h=h, n=n, replicas=4, seed=1
-    )
+    got = est.sweep_free_energy(
+        log_kernel_small, GAUSSIAN, beta=0.0, h_values=[h], n=n, replicas=4, seed=1
+    )[0]
     assert got.mean_log_z_per_site == pytest.approx(
         log_annealed_Z(log_kernel_small, n, h) / n, rel=1e-12
     )

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import copolab
 from copolab.kernel import (
-    TiltTransform,
     build_kernel,
     check_eta_kernel,
     defect_Kk,
     defect_check_eta,
     independent_jumps_law,
-    penalized_kernel,
     renewal_mass,
 )
 
@@ -144,7 +143,7 @@ def test_kernel_zero_convention(log_kernel_small):
 
 
 def test_renewal_mass_small_cases(log_kernel_small):
-    u = renewal_mass(log_kernel_small, 2)
+    u = renewal_mass(log_kernel_small.masses, 2)
     assert u[0] == 1.0
     assert u[1] == pytest.approx(log_kernel_small.mass(1), rel=1e-15)
     assert u[2] == pytest.approx(
@@ -154,7 +153,7 @@ def test_renewal_mass_small_cases(log_kernel_small):
 
 def test_renewal_mass_positive_and_banded(big_kernels):
     kernel = big_kernels["log"]
-    u = renewal_mass(kernel, 5000)
+    u = renewal_mass(kernel.masses, 5000)
     assert np.all(u[1:] > 0)
     # u(n)*n/L(n) stays in a bounded band for large n
     n = np.arange(1000, 5001)
@@ -178,11 +177,11 @@ def test_renewal_mass_matches_row_loop(big_kernels, name):
     # for the base law and a subcritical crossover tilt
     kernel = big_kernels[name]
     tilted = check_eta_kernel(kernel, 0.01, 0.9)
-    assert tilted.defect > 0.0
-    for law in (kernel, tilted):
-        ref = _renewal_mass_row_loop(law.masses, 10_000)
+    assert 1.0 - math.fsum(tilted[1:]) > 0.0
+    for masses in (kernel.masses, tilted):
+        ref = _renewal_mass_row_loop(masses, 10_000)
         for n in (1, 63, 64, 65, 128, 2000, 10_000):
-            got = renewal_mass(law, n)
+            got = renewal_mass(masses, n)
             assert got.shape == (n + 1,)
             np.testing.assert_allclose(got, ref[: n + 1], rtol=1e-12, atol=0.0)
 
@@ -192,7 +191,7 @@ def test_renewal_mass_refuses_supercritical_tilt_at_the_row_loop_site(big_kernel
     # the first site whose value leaves the float range, inside the first
     # block (h = 20) or past it, is the recursion's; no numpy warning
     tilted = check_eta_kernel(big_kernels["log"], h, 0.1)
-    ref = _renewal_mass_row_loop(tilted.masses, 10_000)
+    ref = _renewal_mass_row_loop(tilted, 10_000)
     site = int(np.isfinite(ref).argmin())
     assert site > 0
     with pytest.raises(OverflowError, match=f"left the float range at n={site}$"):
@@ -200,14 +199,13 @@ def test_renewal_mass_refuses_supercritical_tilt_at_the_row_loop_site(big_kernel
 
 
 def test_renewal_mass_defective_geometric_bound(big_kernels):
-    # total renewal visits of a defective law are at most 1/defect
-    kernel = big_kernels["log"]
-    h = 0.0125
-    plan_k = 106  # scheduled window at this h, defect known negative
-    tilted = penalized_kernel(kernel, h, plan_k)
-    assert tilted.defect > 0
+    # total renewal visits of a defective law are at most 1/defect; the
+    # subcritical crossover tilt is defective on the support
+    tilted = check_eta_kernel(big_kernels["log"], 0.01, 0.9)
+    defect = 1.0 - math.fsum(tilted[1:])
+    assert defect > 0
     u = renewal_mass(tilted, 4000)
-    assert math.fsum(u[1:].tolist()) <= 1.0 / tilted.defect
+    assert math.fsum(u[1:].tolist()) <= 1.0 / defect
 
 
 def test_check_eta_kernel_exact_formula(log_kernel_small):
@@ -217,17 +215,22 @@ def test_check_eta_kernel_exact_formula(log_kernel_small):
     for n in [1, 100, 1999, 2000]:
         sign = 1.0 if n <= crossover else -eta
         expected = log_kernel_small.mass(n) * (0.5 + 0.5 * math.exp(h * n * sign))
-        assert tilted.masses[n] == pytest.approx(expected, rel=1e-15)
+        assert tilted[n] == pytest.approx(expected, rel=1e-15)
 
 
 def test_independent_jumps_proper_conditionals(log_kernel_small):
-    law = independent_jumps_law(log_kernel_small, h=0.3, big_m=20, k=2)
-    assert law.transform is TiltTransform.HAT_INDEPENDENT_JUMPS
-    assert law.long_masses.sum() == pytest.approx(1.0, abs=1e-12)
-    assert law.short_masses.sum() == pytest.approx(1.0, abs=1e-12)
-    assert law.defect == 0.0
-    with pytest.raises(TypeError):
-        renewal_mass(law, 10)
+    long_masses, short_masses = independent_jumps_law(log_kernel_small, h=0.3, big_m=20, k=2)
+    assert long_masses.sum() == pytest.approx(1.0, abs=1e-12)
+    assert short_masses.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_removed_tilt_and_wrapper_api_stays_gone():
+    # a tilted law is its mass array, and sweep_free_energy serves one field
+    removed = ("TiltedKernel", "TiltTransform", "penalized_kernel", "estimate_free_energy")
+    for module in (copolab, copolab.kernel, copolab.estimators):
+        for name in removed:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert name not in getattr(module, "__all__", ())
 
 
 def test_defect_kk_zero_field(big_kernels):
@@ -265,14 +268,15 @@ def test_defect_check_eta_zero_field(big_kernels):
 
 
 def test_defect_check_eta_matches_stored_masses(big_kernels):
-    # dedicated evaluator and the tilted-kernel mass sum agree up to the
+    # dedicated evaluator and the tilted mass sum agree up to the
     # analytic tail correction beyond the support
     kernel = big_kernels["log"]
     h, eta = 0.01, 0.1
     tilted = check_eta_kernel(kernel, h, eta)
     by_op = defect_check_eta(kernel, h, eta)
     tail_correction = 0.5 * kernel.tail_mass * (-math.expm1(-eta * h * (kernel.support_cap + 1)))
-    assert by_op == pytest.approx(tilted.defect - tail_correction, rel=1e-9)
+    defect = 1.0 - math.fsum(tilted[1:])
+    assert by_op == pytest.approx(defect - tail_correction, rel=1e-9)
 
 
 def test_defect_check_eta_recorded_comparison_at_millis(big_kernels):

@@ -35,7 +35,7 @@ def test_log_z_single_site(log_kernel_small):
 
 def test_log_z_free_disorder_reduces_to_renewal_mass(log_kernel_small):
     # beta = 0, h = 0 wipes every weight, leaving the renewal probability
-    u = renewal_mass(log_kernel_small, 40)
+    u = renewal_mass(log_kernel_small.masses, 40)
     for seed in (1, 2):
         inst = make_instance(GAUSSIAN, 0.0, 0.0, n=40, seed=seed)
         assert log_Z(inst, log_kernel_small) == pytest.approx(
@@ -69,7 +69,7 @@ def test_dp_matches_brute_force_pinned_instance(log_kernel_small):
 
 
 def test_brute_force_free_disorder_is_renewal_mass(log_kernel_small):
-    u = renewal_mass(log_kernel_small, 3)
+    u = renewal_mass(log_kernel_small.masses, 3)
     inst = make_instance(BINARY, 0.0, 0.0, n=3, seed=1)
     assert brute_force_log_Z(inst, log_kernel_small) == pytest.approx(
         math.log(u[3]), rel=1e-14
@@ -131,7 +131,7 @@ def test_beta_zero_reduces_to_annealed(log_kernel_small):
 
 
 def test_annealed_h_zero_is_renewal_mass(log_kernel_small):
-    u = renewal_mass(log_kernel_small, 120)
+    u = renewal_mass(log_kernel_small.masses, 120)
     assert log_annealed_Z(log_kernel_small, 120, 0.0) == pytest.approx(
         math.log(u[120]), rel=1e-12
     )
