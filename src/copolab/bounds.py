@@ -220,7 +220,6 @@ class BoundReport:
     log_upper_sharper: float
     log_lower_rss: float
     log_lower_sublog: float | None
-    constants_used: dict
     flags: str
 
     def to_dict(self) -> dict:
@@ -232,27 +231,25 @@ def bound_table(
     law: DisorderLaw,
     beta: float,
     h_grid,
-    b_general: float = 0.9,
-    b_rss: float = None,
-    delta: float = 0.05,
 ) -> list[BoundReport]:
-    """All bounds over a descending h grid; ordering violations are flagged."""
+    """All bounds over a descending h grid, each at its default constants.
+
+    Ordering violations are flagged.
+    """
     h_grid = [float(h) for h in h_grid]
     if not h_grid:
         raise ValueError("h grid must be nonempty")
     if any(b >= a for a, b in zip(h_grid, h_grid[1:])):
         raise ValueError("h grid must be strictly descending")
-    if b_rss is None:
-        b_rss = rss_threshold(family) + 0.1
 
     rows = []
     for h in h_grid:
         flags = []
-        lug = log_upper_general(family, law, beta, h, b_general)
+        lug = log_upper_general(family, law, beta, h)
         if lug > 0:
             flags.append("upper_general_exceeds_one")
-        sb = sharper_bounds(family, law, beta, h, delta)
-        lrss = log_rss_bound(family, law, beta, h, b_rss)
+        sb = sharper_bounds(family, law, beta, h)
+        lrss = log_rss_bound(family, law, beta, h)
         log_lower_sublog = None
         if family.kind is FamilyKind.SUB_LOGARITHMIC and sb.log_lower is not None:
             log_lower_sublog = sb.log_lower
@@ -269,13 +266,6 @@ def bound_table(
                 log_upper_sharper=sb.log_upper,
                 log_lower_rss=lrss,
                 log_lower_sublog=log_lower_sublog,
-                constants_used={
-                    "b": b_general,
-                    "c_plus": sb.c_plus,
-                    "c_minus": sb.c_minus,
-                    "c": b_rss,
-                    "delta": delta,
-                },
                 flags=";".join(flags),
             )
         )

@@ -4,18 +4,25 @@ Every subcommand echoes its fully resolved scientific configuration in the
 output header, and all randomness flows through the --seed flag with
 counter-split replica seeds, so a run can be reproduced byte for byte from
 its own output.  The output path does not enter the header.  Exit codes:
-0 success, 1 verification failure, 2 usage or configuration error; NaN or
-infinite values of --beta, --h, --upsilon, --cl or any --h-grid entry are
-configuration errors, rejected before anything is computed or written, and
-finite values that overflow a DP (a non-finite value in any row of
-estimate, sweep or annealed) exit 2 without writing the artifact.
+0 success, 1 verification failure, 2 usage or configuration error, an
+unwritable --out included; NaN or infinite values of --beta, --h,
+--upsilon, --cl or any --h-grid entry are configuration errors, rejected
+before anything is computed or written, and finite values that overflow a
+DP (a non-finite value in any row of estimate, sweep or annealed) exit 2
+without writing the artifact.
 
-The verify suites read the field flags they use and no others: moments
-and coarse read --beta and --h, penalization reads --beta (it scans its own
-h values), oracle reads neither (it draws its own), and none reads
---h-grid.  A single-suite run given a field flag its suite does not read
-exits 2 without writing anything; "verify all" passes each flag to the
-suites that read it.
+Every command takes the model flags --family, --upsilon, --cl, --law, --n
+and --seed.  Of the run flags --beta, --h, --h-grid, --replicas and
+--format, each command reads the ones _READS lists: estimate and sweep all
+five, annealed --h, --h-grid and --format, bounds all but --replicas,
+kernel-info --h and --format; of the verify suites, moments and coarse read
+--beta, --h and --replicas, penalization --beta (it scans its own h
+values) and oracle none (it draws its own), and "verify all" reads what
+any of its suites reads.  A run flag given, on the command line or in the
+--config file, to a command that does not read it exits 2 without writing
+anything, and so do --h together with --h-grid and an --h-grid holding no
+value.  --replicas defaults to 32 where it is read, and the header records
+the model flags and the run flags the command read, so it replays as flags.
 
 Verification report schema: a JSON object with keys "config" (the resolved
 run configuration), "artifact_version", "suites" (one entry per suite run,
@@ -74,12 +81,23 @@ from .partition import (
     make_instance,
 )
 
-_FAMILIES = {
-    "sub-logarithmic": FamilyKind.SUB_LOGARITHMIC,
-    "logarithmic": FamilyKind.LOGARITHMIC,
-    "super-logarithmic": FamilyKind.SUPER_LOGARITHMIC,
-}
 _LAWS = {"gaussian": GAUSSIAN, "binary": BINARY}
+# the run flags each command and verify suite reads
+_READS = {
+    "estimate": {"beta", "h", "h_grid", "replicas", "format"},
+    "sweep": {"beta", "h", "h_grid", "replicas", "format"},
+    "annealed": {"h", "h_grid", "format"},
+    "bounds": {"beta", "h", "h_grid", "format"},
+    "kernel-info": {"h", "format"},
+    "oracle": set(),
+    "moments": {"beta", "h", "replicas"},
+    "penalization": {"beta"},
+    "coarse": {"beta", "h", "replicas"},
+}
+_HEADER_KEYS = (
+    "command", "suite", "family", "upsilon", "c_L", "law", "beta", "h", "h_grid", "n",
+    "replicas", "seed", "format",
+)
 
 
 def _read_config_file(path: str) -> dict:
@@ -107,15 +125,18 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, need_beta=False, need_h=False):
         # SUPPRESS keeps a pre-subcommand --config from being clobbered
         p.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-        p.add_argument("--family", choices=sorted(_FAMILIES), default="logarithmic")
+        families = sorted(kind.value for kind in FamilyKind)
+        p.add_argument("--family", choices=families, default="logarithmic")
         p.add_argument("--upsilon", type=float, default=2.0)
-        p.add_argument("--cl", type=float, default=1.0, help="shape constant of the numerator")
+        p.add_argument(
+            "--cl", dest="c_L", type=float, default=1.0, help="shape constant of the numerator"
+        )
         p.add_argument("--law", choices=sorted(_LAWS), default="gaussian")
         p.add_argument("--beta", type=float, required=need_beta, default=None)
         p.add_argument("--h", type=float, required=need_h, default=None)
         p.add_argument("--h-grid", default=None, help="comma-separated descending h values")
         p.add_argument("--n", type=int, default=1000)
-        p.add_argument("--replicas", type=int, default=32)
+        p.add_argument("--replicas", type=int, default=None, help="default 32 where read")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default=None)
@@ -137,13 +158,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify", help="run a verification suite")
     add_common(p_v)
-    p_v.add_argument(
-        "suite", choices=["oracle", "moments", "penalization", "coarse", "all"]
-    )
+    p_v.add_argument("suite", choices=[*_SUITES, "all"])
     return parser
 
 
-def _apply_config_file(parser, argv):
+def _apply_config_file(argv):
     # flags override file values: parse once to find --config, install file
     # values as defaults, then parse for real
     probe = argparse.ArgumentParser(add_help=False)
@@ -164,19 +183,50 @@ def _apply_config_file(parser, argv):
     return expanded
 
 
-def _family(args) -> SlowlyVaryingFamily:
-    return SlowlyVaryingFamily(kind=_FAMILIES[args.family], upsilon=args.upsilon, c_L=args.cl)
+class SystemExit2(ValueError):
+    """Configuration error surfaced with exit code 2."""
 
 
-def _check_finite(args) -> None:
+def _parse(argv) -> argparse.Namespace:
+    """Parse and check a command line; the namespace is the run configuration.
+
+    On top of the flags it adds h_values (where the command reads an h
+    grid), kernel_family, disorder_law, suites (verify only) and config, the
+    header: every model flag and every run flag the command read.
+    """
+    args = _build_parser().parse_args(_apply_config_file(argv))
+    label, names = args.command, [args.command]
+    if args.command == "verify":
+        label = f"verify {args.suite}"
+        names = args.suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    reads = set().union(*(_READS[name] for name in names))
+    for flag in ("beta", "h", "h_grid", "replicas", "format"):
+        if getattr(args, flag) is not None and flag not in reads:
+            raise SystemExit2(f"{label} does not read --{flag.replace('_', '-')}")
+    if "replicas" in reads and args.replicas is None:
+        args.replicas = 32
+    grid = []
+    if args.h_grid is not None:
+        if args.h is not None:
+            raise SystemExit2(f"{label} takes --h or --h-grid, not both")
+        grid = [float(tok) for tok in args.h_grid.split(",") if tok.strip()]
+        if not grid:
+            raise SystemExit2(f"--h-grid {args.h_grid!r} holds no h value")
     named = [
-        ("--beta", args.beta), ("--h", args.h), ("--upsilon", args.upsilon), ("--cl", args.cl)
+        ("--beta", args.beta), ("--h", args.h), ("--upsilon", args.upsilon), ("--cl", args.c_L)
     ]
-    if args.h_grid:
-        named += [("--h-grid", float(tok)) for tok in args.h_grid.split(",") if tok.strip()]
-    for flag, value in named:
+    for flag, value in named + [("--h-grid", h) for h in grid]:
         if value is not None and not math.isfinite(value):
             raise SystemExit2(f"{flag} must be finite, got {value}")
+    if "h_grid" in reads:
+        if not grid and args.h is None:
+            raise SystemExit2("one of --h or --h-grid is required")
+        args.h_values = grid or [args.h]
+    args.kernel_family = SlowlyVaryingFamily(FamilyKind(args.family), args.upsilon, args.c_L)
+    args.disorder_law = _LAWS[args.law]
+    header = {key: getattr(args, key, None) for key in _HEADER_KEYS}
+    args.config = {key: value for key, value in header.items() if value is not None}
+    return args
 
 
 def _check_rows_finite(rows) -> None:
@@ -187,42 +237,10 @@ def _check_rows_finite(rows) -> None:
                 raise SystemExit2(f"{key} = {value} at h = {row['h']}: the inputs overflow the DP")
 
 
-def _h_values(args) -> list[float]:
-    if args.h_grid:
-        return [float(tok) for tok in args.h_grid.split(",") if tok.strip()]
-    if args.h is None:
-        raise SystemExit2("one of --h or --h-grid is required")
-    return [args.h]
-
-
-class SystemExit2(ValueError):
-    """Configuration error surfaced with exit code 2."""
-
-
-def _resolved_config(args, extra=None) -> dict:
-    cfg = {
-        "command": args.command,
-        "family": args.family,
-        "upsilon": args.upsilon,
-        "c_L": args.cl,
-        "law": args.law,
-        "beta": args.beta,
-        "h": args.h,
-        "h_grid": args.h_grid,
-        "n": args.n,
-        "replicas": args.replicas,
-        "seed": args.seed,
-        "format": args.format,
-    }
-    if extra:
-        cfg.update(extra)
-    return {k: v for k, v in cfg.items() if v is not None}
-
-
-def _emit(args, config, rows, columns, default_format="csv"):
+def _emit(args, rows, columns, default_format="csv"):
     fmt = args.format or default_format
     header = json.dumps(
-        {"artifact_version": __version__, "config": config}, sort_keys=True, allow_nan=False
+        {"artifact_version": __version__, "config": args.config}, sort_keys=True, allow_nan=False
     )
     if fmt == "csv":
         lines = ["# " + header, ",".join(columns)]
@@ -230,7 +248,7 @@ def _emit(args, config, rows, columns, default_format="csv"):
             lines.append(",".join(_cell(row.get(c)) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
-        payload = {"artifact_version": __version__, "config": config, "rows": rows}
+        payload = {"artifact_version": __version__, "config": args.config, "rows": rows}
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     _write(args, text)
 
@@ -252,15 +270,12 @@ def _cell(value) -> str:
 
 
 def _cmd_estimate(args) -> int:
-    family = _family(args)
-    law = _LAWS[args.law]
-    kernel = build_kernel(family, max(args.n, 1000))
-    h_values = _h_values(args)
+    kernel = build_kernel(args.kernel_family, max(args.n, 1000))
     estimates = estimators.sweep_free_energy(
-        kernel, law, args.beta, h_values, args.n, args.replicas, args.seed
+        kernel, args.disorder_law, args.beta, args.h_values, args.n, args.replicas, args.seed
     )
     rows = []
-    for h, est in zip(h_values, estimates):
+    for h, est in zip(args.h_values, estimates):
         row = {"beta": args.beta, "h": h}
         row.update(est.to_dict())
         rows.append(row)
@@ -269,46 +284,39 @@ def _cmd_estimate(args) -> int:
         "beta", "h", "n", "replicas", "mean_log_z_per_site", "stderr",
         "upper_bracket", "lower_bracket", "c4", "c5",
     ]
-    _emit(args, _resolved_config(args), rows, columns)
+    _emit(args, rows, columns)
     return 0
 
 
 def _cmd_annealed(args) -> int:
-    family = _family(args)
-    kernel = build_kernel(family, max(args.n, 1000))
-    h_values = _h_values(args)
+    kernel = build_kernel(args.kernel_family, max(args.n, 1000))
     rows = []
-    for h, value in zip(h_values, _annealed_log_z(kernel, args.n, h_values).tolist()):
+    for h, value in zip(args.h_values, _annealed_log_z(kernel, args.n, args.h_values).tolist()):
         rows.append({"h": h, "n": args.n, "log_annealed_z": value, "per_site": value / args.n})
     _check_rows_finite(rows)
-    _emit(args, _resolved_config(args), rows, ["h", "n", "log_annealed_z", "per_site"])
+    _emit(args, rows, ["h", "n", "log_annealed_z", "per_site"])
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    family = _family(args)
-    law = _LAWS[args.law]
-    reports = bounds_mod.bound_table(family, law, args.beta, _h_values(args))
-    rows = []
-    for rep in reports:
-        row = rep.to_dict()
-        row.pop("constants_used")
-        rows.append(row)
+    reports = bounds_mod.bound_table(
+        args.kernel_family, args.disorder_law, args.beta, args.h_values
+    )
     columns = [
         "family", "upsilon", "c_L", "beta", "h", "log_upper_general",
         "log_upper_sharper", "log_lower_rss", "log_lower_sublog", "flags",
     ]
-    _emit(args, _resolved_config(args), rows, columns)
+    _emit(args, [rep.to_dict() for rep in reports], columns)
     return 0
 
 
 def _cmd_kernel_info(args) -> int:
-    family = _family(args)
+    family = args.kernel_family
     kernel = build_kernel(family, max(args.n, 1000))
     h = args.h if args.h is not None else 0.05
     diagnostics = {}
     try:
-        plan = estimators.penalization_plan(kernel, _LAWS[args.law], beta=1.0, h=h)
+        plan = estimators.penalization_plan(kernel, args.disorder_law, beta=1.0, h=h)
         diagnostics["defect_expression_at_scheduled_window"] = defect_Kk(kernel, h, plan.k)
         diagnostics["scheduled_window"] = plan.k
         diagnostics["phi"] = plan.phi
@@ -324,11 +332,11 @@ def _cmd_kernel_info(args) -> int:
         "mass_sum_with_tail": float(np.sum(kernel.masses)) + kernel.tail_mass,
         "defect_diagnostics": diagnostics,
     }
-    _emit(args, _resolved_config(args), [info], list(info), default_format="json")
+    _emit(args, [info], list(info), default_format="json")
     return 0
 
 
-def _suite_oracle(args, family, law, kernel) -> dict:
+def _suite_oracle(args, kernel) -> dict:
     # the row-loop log_Z and the batched replica DP against enumeration at
     # N <= 12, the batched DP against the row loop across sub-block and
     # block edges and over two passes of groups, the batched trimmed engine
@@ -386,7 +394,8 @@ def _suite_oracle(args, family, law, kernel) -> dict:
     worst_mass = 0.0
     for n in mass_sizes:
         mass = float(renewal_mass(kernel.masses, n)[n])
-        exact = math.exp(log_Z(make_instance(law, 0.0, 0.0, omega=np.zeros(n)), kernel))
+        inst = make_instance(args.disorder_law, 0.0, 0.0, omega=np.zeros(n))
+        exact = math.exp(log_Z(inst, kernel))
         worst_mass = max(worst_mass, abs(mass - exact) / exact)
     return {
         "trials": trials,
@@ -410,7 +419,8 @@ def _suite_oracle(args, family, law, kernel) -> dict:
     }
 
 
-def _suite_moments(args, family, law, kernel) -> dict:
+def _suite_moments(args, kernel) -> dict:
+    family, law = args.kernel_family, args.disorder_law
     beta = args.beta if args.beta is not None else 0.5
     h = args.h if args.h is not None else 0.3
     plan = estimators.trimmed_plan(family.upsilon, law, beta=beta, h=h, c1=3.3, c2=1.5)
@@ -429,7 +439,8 @@ def _suite_moments(args, family, law, kernel) -> dict:
     return report
 
 
-def _suite_penalization(args, family, law, kernel) -> dict:
+def _suite_penalization(args, kernel) -> dict:
+    family, law = args.kernel_family, args.disorder_law
     beta = args.beta if args.beta is not None else 1.0
     points = []
     consistent = True
@@ -467,7 +478,8 @@ def _suite_penalization(args, family, law, kernel) -> dict:
     }
 
 
-def _suite_coarse(args, family, law, kernel) -> dict:
+def _suite_coarse(args, kernel) -> dict:
+    law = args.disorder_law
     beta = args.beta if args.beta is not None else 1.0
     c3 = 0.9 * q1(law, beta)
     h = args.h if args.h is not None else c3 / math.log(1000.0)
@@ -497,36 +509,23 @@ def _suite_coarse(args, family, law, kernel) -> dict:
     return report
 
 
+_SUITES = {
+    "oracle": _suite_oracle,
+    "moments": _suite_moments,
+    "penalization": _suite_penalization,
+    "coarse": _suite_coarse,
+}
+
+
 def _cmd_verify(args) -> int:
-    # each suite with the field flags it reads; no suite reads --h-grid
-    runners = {
-        "oracle": (_suite_oracle, ()),
-        "moments": (_suite_moments, ("beta", "h")),
-        "penalization": (_suite_penalization, ("beta",)),
-        "coarse": (_suite_coarse, ("beta", "h")),
-    }
-    names = list(runners) if args.suite == "all" else [args.suite]
-    read = {flag for name in names for flag in runners[name][1]}
-    for flag in ("beta", "h", "h_grid"):
-        if getattr(args, flag) is not None and flag not in read:
-            option = "--" + flag.replace("_", "-")
-            raise SystemExit2(f"verify {args.suite} does not read {option}")
-    family = _family(args)
-    law = _LAWS[args.law]
-    support = max(args.n, 20_000)
-    kernel = build_kernel(family, support)
-    suites = {}
-    ok = True
-    for name in names:
-        suites[name] = runners[name][0](args, family, law, kernel)
-        for check in suites[name]["checks"]:
-            if check["kind"] == "assert" and not check["ok"]:
-                ok = False
+    kernel = build_kernel(args.kernel_family, max(args.n, 20_000))
+    suites = {name: _SUITES[name](args, kernel) for name in args.suites}
+    ok = all(
+        check["ok"] for suite in suites.values() for check in suite["checks"]
+        if check["kind"] == "assert"
+    )
     payload = {
-        "artifact_version": __version__,
-        "config": _resolved_config(args, {"suite": args.suite}),
-        "suites": suites,
-        "pass": ok,
+        "artifact_version": __version__, "config": args.config, "suites": suites, "pass": ok
     }
     text = json.dumps(payload, sort_keys=True, indent=1, default=_json_default) + "\n"
     _write(args, text)
@@ -542,14 +541,6 @@ def _json_default(value):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    try:
-        argv = _apply_config_file(parser, argv)
-    except (OSError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    args = parser.parse_args(argv)
     commands = {
         "estimate": _cmd_estimate,
         "sweep": _cmd_estimate,
@@ -559,9 +550,9 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        _check_finite(args)
+        args = _parse(list(sys.argv[1:] if argv is None else argv))
         return commands[args.command](args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -308,8 +308,15 @@ def test_verify_nonpositive_h_exits_2_without_artifact(tmp_path, capsys, suite, 
         ["verify", "penalization", "--h", "0.3"],
         ["verify", "moments", "--h-grid", "0.3,0.2"],
         ["verify", "all", "--h-grid", "0.3"],
+        ["verify", "penalization", "--replicas", "7"],
+        ["verify", "oracle", "--format", "json"],
+        ["annealed", "--beta", "1.0"],
+        ["bounds", "--beta", "1.0", "--h", "0.1", "--replicas", "4"],
+        ["kernel-info", "--h-grid", "0.1"],
     ],
-    ids=["oracle-beta", "oracle-h", "penalization-h", "moments-h-grid", "all-h-grid"],
+    ids=["oracle-beta", "oracle-h", "penalization-h", "moments-h-grid", "all-h-grid",
+         "penalization-replicas", "oracle-format", "annealed-beta", "bounds-replicas",
+         "kernel-info-h-grid"],
 )
 def test_verify_refuses_a_flag_its_suite_does_not_read(tmp_path, capsys, args):
     # an ignored flag would be echoed in the report header as if it were used
@@ -317,3 +324,65 @@ def test_verify_refuses_a_flag_its_suite_does_not_read(tmp_path, capsys, args):
     assert run_cli([*args, "--out", str(out)]) == 2
     assert "does not read --" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate", "--beta", "1.0", "--h", "0.3", "--h-grid", "0.2,0.1"],
+        ["sweep", "--beta", "1.0", "--h-grid", ","],
+        ["annealed", "--h-grid", " , "],
+    ],
+    ids=["h-with-h-grid", "h-grid-comma", "h-grid-blank"],
+)
+def test_ambiguous_or_empty_h_input_exits_2_without_artifact(tmp_path, capsys, args):
+    # --h next to --h-grid would be dropped, and an empty grid gives no rows
+    out = tmp_path / "out.csv"
+    assert run_cli([*args, "--n", "50", "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli(["annealed", "--h", "0.1", "--n", "50", "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def _header_config(path):
+    text = path.read_text()
+    if text.startswith("# "):
+        return json.loads(text.splitlines()[0][2:])["config"]
+    return json.loads(text)["config"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate", "--beta", "0.7", "--h", "0.2", "--n", "120", "--replicas", "5",
+         "--seed", "21", "--family", "sub-logarithmic", "--law", "binary", "--format", "json"],
+        ["sweep", "--beta", "0.5", "--h-grid", "0.4,0.2", "--n", "100", "--replicas", "3",
+         "--seed", "4", "--upsilon", "2.5", "--cl", "1.5"],
+        ["annealed", "--h-grid", "0.3,0.1", "--n", "300", "--family", "super-logarithmic"],
+        ["bounds", "--beta", "1.0", "--h-grid", "0.2,0.1", "--law", "binary", "--format", "json"],
+        ["kernel-info", "--h", "0.04", "--n", "1200", "--format", "csv"],
+        ["verify", "oracle", "--seed", "3"],
+        ["verify", "penalization", "--beta", "0.8", "--family", "sub-logarithmic"],
+    ],
+    ids=["estimate", "sweep", "annealed", "bounds", "kernel-info", "verify-oracle",
+         "verify-penalization"],
+)
+def test_header_replays_as_flags(tmp_path, args):
+    # the header holds every value the run used and nothing else
+    first = tmp_path / "first"
+    assert run_cli([*args, "--out", str(first)]) == 0
+    config = _header_config(first)
+    replay = [config.pop("command")]
+    if "suite" in config:
+        replay.append(config.pop("suite"))
+    for key, value in config.items():
+        replay += ["--cl" if key == "c_L" else "--" + key.replace("_", "-"), str(value)]
+    second = tmp_path / "second"
+    assert run_cli([*replay, "--out", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
