@@ -24,7 +24,6 @@ from .disorder import (
     q1,
     q2,
     rate_function,
-    sample,
 )
 from .kernel import (
     FamilyKind,
@@ -38,13 +37,12 @@ from .kernel import (
     renewal_mass,
 )
 from .partition import (
-    QuenchedInstance,
     Trimmed,
     brute_force_log_Z,
+    charge_prefix,
     log_Z,
     log_Z_restricted,
     log_annealed_Z,
-    make_instance,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -21,8 +21,11 @@ values) and oracle none (it draws its own), and "verify all" reads what
 any of its suites reads.  A run flag given, on the command line or in the
 --config file, to a command that does not read it exits 2 without writing
 anything, and so do --h together with --h-grid and an --h-grid holding no
-value.  --replicas defaults to 32 where it is read, and the header records
-the model flags and the run flags the command read, so it replays as flags.
+value.  --replicas defaults to 32 where it is read, and a value below 2
+exits 2.  The header records the model flags and the run flags the command
+read, so it replays as flags.  A --config file's flags sit right after the
+command, so a flag on the command line beats the file; its suite line is
+ignored.
 
 Verification report schema: a JSON object with keys "config" (the resolved
 run configuration), "artifact_version", "suites" (one entry per suite run,
@@ -73,12 +76,12 @@ from .partition import (
     _GEMM_REPLICAS,
     _PASS_GROUPS,
     Trimmed,
-    _annealed_log_z,
     _trimmed_log_z_replicas,
     brute_force_log_Z,
+    charge_prefix,
     log_Z,
     log_Z_restricted,
-    make_instance,
+    log_annealed_Z,
 )
 
 _LAWS = {"gaussian": GAUSSIAN, "binary": BINARY}
@@ -163,24 +166,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv):
-    # flags override file values: parse once to find --config, install file
-    # values as defaults, then parse for real
+    # the file's flags go right after the command, ahead of the user's own
+    # flags, so argparse's last-wins rule lets a flag in any spelling it
+    # accepts (--seed 12, --seed=12, --see 12) beat the file
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
-    if not known.config:
+    path = probe.parse_known_args(argv)[0].config
+    if not path:
         return argv
-    file_values = _read_config_file(known.config)
-    expanded = list(argv)
-    command = next((a for a in argv if not a.startswith("-")), None)
-    for key, val in file_values.items():
-        flag = "--" + key.replace("_", "-")
-        if flag in argv:
-            continue
-        if command == "verify" and key == "suite":
-            continue  # positional, must come from the command line
-        expanded.extend([flag, val])
-    return expanded
+    probe.add_argument("rest", nargs=argparse.REMAINDER)  # the command and what follows it
+    at = len(argv) - len(probe.parse_known_args(argv)[0].rest) + 1
+    flags = [
+        f"--{key.replace('_', '-')}={value}"
+        for key, value in _read_config_file(path).items()
+        if key != "suite"  # a positional: the suite comes from the command line
+    ]
+    return argv[:at] + flags + argv[at:]
 
 
 class SystemExit2(ValueError):
@@ -205,6 +206,8 @@ def _parse(argv) -> argparse.Namespace:
             raise SystemExit2(f"{label} does not read --{flag.replace('_', '-')}")
     if "replicas" in reads and args.replicas is None:
         args.replicas = 32
+    if args.replicas is not None and args.replicas < 2:
+        raise SystemExit2(f"--replicas must be at least 2, got {args.replicas}")
     grid = []
     if args.h_grid is not None:
         if args.h is not None:
@@ -291,7 +294,7 @@ def _cmd_estimate(args) -> int:
 def _cmd_annealed(args) -> int:
     kernel = build_kernel(args.kernel_family, max(args.n, 1000))
     rows = []
-    for h, value in zip(args.h_values, _annealed_log_z(kernel, args.n, args.h_values).tolist()):
+    for h, value in zip(args.h_values, log_annealed_Z(kernel, args.n, args.h_values).tolist()):
         rows.append({"h": h, "n": args.n, "log_annealed_z": value, "per_site": value / args.n})
     _check_rows_finite(rows)
     _emit(args, rows, ["h", "n", "log_annealed_z", "per_site"])
@@ -336,6 +339,14 @@ def _cmd_kernel_info(args) -> int:
     return 0
 
 
+def _worst_relative_error(pairs) -> float:
+    """Largest |value - exact| / max(1, |exact|) over (value, exact) pairs, 0 for none."""
+    worst = 0.0
+    for value, exact in pairs:
+        worst = max(worst, abs(value - exact) / max(1.0, abs(exact)))
+    return worst
+
+
 def _suite_oracle(args, kernel) -> dict:
     # the row-loop log_Z and the batched replica DP against enumeration at
     # N <= 12, the batched DP against the row loop across sub-block and
@@ -344,58 +355,57 @@ def _suite_oracle(args, kernel) -> dict:
     # against the row loop at beta = h = 0, where Z_N = u(N)
     rng = np.random.default_rng(args.seed)
 
-    def batch(law_i, n, replicas):
-        beta = float(rng.uniform(0.0, 2.0))
-        h = float(rng.uniform(-1.0, 1.0))
+    def draw(law_i, n, replicas):
+        # a random (beta, h) and replica seed, with the charge rows of its replicas
+        beta, h = float(rng.uniform(0.0, 2.0)), float(rng.uniform(-1.0, 1.0))
         seed = int(rng.integers(0, 2**32))
-        values = estimators.replica_log_z(kernel, law_i, beta, h, n, seed, replicas)
-        for r, value in enumerate(values.tolist()):
-            yield value, make_instance(law_i, beta, h, omega=_draw(law_i, n, spawn_rng(seed, r)))
+        rows = [
+            charge_prefix(law_i, beta, h, _draw(law_i, n, spawn_rng(seed, r)))
+            for r in range(replicas)
+        ]
+        return beta, h, seed, rows
 
-    worst = 0.0
+    def batch(law_i, n, replicas):
+        # replica_log_z values, each with the charge row it was computed on
+        beta, h, seed, rows = draw(law_i, n, replicas)
+        values = estimators.replica_log_z(kernel, law_i, beta, h, n, seed, replicas)
+        return zip(values.tolist(), rows)
+
+    enumerated = []
     trials = 60
     for i in range(trials):
         n = int(rng.integers(2, 13))
-        for value, inst in batch(GAUSSIAN if i % 2 == 0 else BINARY, n, 2):
-            brute = brute_force_log_Z(inst, kernel)
-            for exact in (log_Z(inst, kernel), value):
-                worst = max(worst, abs(exact - brute) / max(1.0, abs(brute)))
-    worst_blocked = 0.0
+        for value, row in batch(GAUSSIAN if i % 2 == 0 else BINARY, n, 2):
+            brute = brute_force_log_Z(row, kernel)
+            enumerated += [(log_Z(row, kernel), brute), (value, brute)]
+    worst = _worst_relative_error(enumerated)
     edges = (_FILL_ROWS, 3 * _FILL_ROWS, _BLOCK)  # sub-block and block edges
     sizes = tuple(e + d for e in edges for d in (-1, 0, 1)) + (3 * _BLOCK + 5,)
-    for n in sizes:
-        for law_i in (GAUSSIAN, BINARY):
-            for value, inst in batch(law_i, n, 3):
-                exact = log_Z(inst, kernel)
-                worst_blocked = max(worst_blocked, abs(value - exact) / max(1.0, abs(exact)))
-    worst_trimmed = 0.0
+    worst_blocked = _worst_relative_error(
+        (value, log_Z(row, kernel))
+        for n in sizes for law_i in (GAUSSIAN, BINARY) for value, row in batch(law_i, n, 3)
+    )
+    trimmed = []
     trimmed_trials = 12
     for i in range(trimmed_trials):
         # small feasible plans, N from the shortest path to past the reach clip
         plan = Trimmed(M=int(rng.integers(2, 7)), k=int(rng.integers(1, 4)), m=int(rng.integers(1, 5)))
         n = int(rng.integers(plan.m * (plan.M + 1) + 1, plan.m * (plan.M**2 + plan.k) + 3))
-        law_i = GAUSSIAN if i % 2 == 0 else BINARY
-        beta, h = float(rng.uniform(0.0, 2.0)), float(rng.uniform(-1.0, 1.0))
-        seed = int(rng.integers(0, 2**32))
-        instances = [
-            make_instance(law_i, beta, h, omega=_draw(law_i, n, spawn_rng(seed, r))) for r in range(3)
-        ]
-        values = _trimmed_log_z_replicas([inst.charge_prefix for inst in instances], kernel, plan, n)
-        for value, inst in zip(values.tolist(), instances):
-            exact = log_Z_restricted(inst, kernel, plan)
-            worst_trimmed = max(worst_trimmed, abs(value - exact) / max(1.0, abs(exact)))
+        *_, rows = draw(GAUSSIAN if i % 2 == 0 else BINARY, n, 3)
+        values = _trimmed_log_z_replicas(rows, kernel, plan, n).tolist()
+        trimmed += [(v, log_Z_restricted(row, kernel, plan, n)) for v, row in zip(values, rows)]
+    worst_trimmed = _worst_relative_error(trimmed)
     two_pass = {"replicas": (_PASS_GROUPS + 1) * _GEMM_REPLICAS, "n": 3 * _BLOCK + 5}
-    worst_two_pass = 0.0
-    for law_i in (GAUSSIAN, BINARY):
-        for value, inst in batch(law_i, two_pass["n"], two_pass["replicas"]):
-            exact = log_Z(inst, kernel)
-            worst_two_pass = max(worst_two_pass, abs(value - exact) / max(1.0, abs(exact)))
+    worst_two_pass = _worst_relative_error(
+        (value, log_Z(row, kernel))
+        for law_i in (GAUSSIAN, BINARY)
+        for value, row in batch(law_i, two_pass["n"], two_pass["replicas"])
+    )
     mass_sizes = tuple(e + d for e in (_MASS_BLOCK, 2 * _MASS_BLOCK) for d in (-1, 0, 1))
     worst_mass = 0.0
     for n in mass_sizes:
         mass = float(renewal_mass(kernel.masses, n)[n])
-        inst = make_instance(args.disorder_law, 0.0, 0.0, omega=np.zeros(n))
-        exact = math.exp(log_Z(inst, kernel))
+        exact = math.exp(log_Z(charge_prefix(args.disorder_law, 0.0, 0.0, np.zeros(n)), kernel))
         worst_mass = max(worst_mass, abs(mass - exact) / exact)
     return {
         "trials": trials,

@@ -27,7 +27,6 @@ __all__ = [
     "q1",
     "q2",
     "rate_function",
-    "sample",
     "spawn_rng",
 ]
 
@@ -180,13 +179,6 @@ def rate_function(law: DisorderLaw, x: float) -> RateFunctionEval:
 def spawn_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based split of a master seed; independent of draw order."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
-
-
-def sample(law: DisorderLaw, n: int, seed: int) -> np.ndarray:
-    """Draw n IID charges; deterministic given the seed."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _draw(law, n, np.random.default_rng(seed))
 
 
 def _draw(law: DisorderLaw, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -28,7 +28,6 @@ from .disorder import (
     DisorderLaw,
     LawKind,
     _draw,
-    log_mgf,
     log_mgf_prime,
     q1,
     q2,
@@ -42,12 +41,7 @@ from .kernel import (
     independent_jumps_law,
     renewal_mass,
 )
-from .partition import (
-    Trimmed,
-    _charge_prefix,
-    _log_z_replicas,
-    _trimmed_log_z_replicas,
-)
+from .partition import Trimmed, _log_z_replicas, _trimmed_log_z_replicas, charge_prefix
 
 __all__ = [
     "FreeEnergyEstimate",
@@ -110,7 +104,7 @@ def replica_log_z(
     ``h`` is one field or a 1-D grid of fields; the result has shape
     np.shape(h) + (replicas,).  Replica i draws its disorder once, from
     ``spawn_rng(seed, i)``, and takes it to every field; the charge rows of
-    all replicas and fields come from one ``_charge_prefix`` call, and all
+    all replicas and fields come from one ``charge_prefix`` call, and all
     rows go through one batched, blocked DP that agrees with the row-loop
     ``log_Z`` to rounding.  A value depends on (seed, i, h) only, never on the
     replica count or the grid.
@@ -121,7 +115,7 @@ def replica_log_z(
         omegas[i] = _draw(law, n, spawn_rng(seed, i))
     # charges past the float range turn non-finite, and their rows NaN
     with np.errstate(over="ignore"):
-        prefix = _charge_prefix(omegas, beta, log_mgf(law, beta), fields.reshape(-1, 1, 1))
+        prefix = charge_prefix(law, beta, fields.reshape(-1, 1, 1), omegas)
     values = _log_z_replicas(prefix.reshape(-1, n + 1), kernel)
     return values.reshape(fields.shape + (replicas,))
 
@@ -357,16 +351,14 @@ def trimmed_moment_check(
     constraint = Trimmed(M=plan.M, k=plan.k, m=plan.m)
     span = min(plan.m * (plan.M * plan.M + plan.k), plan.N - 1)
     # the disorder mean is the engine on the single zero-disorder charge row
-    mean_prefix = _charge_prefix(np.zeros(span), 0.0, log_mgf(law, 0.0), h)
+    mean_prefix = charge_prefix(law, 0.0, h, np.zeros(span))
     exact_log_mean = float(_trimmed_log_z_replicas([mean_prefix], kernel, constraint, plan.N)[0])
     product_log = _first_moment_product_log(kernel, plan)
 
     # (b) left side: disorder replicas of (Z restricted / exact mean)^2;
     # replica i draws from spawn_rng(seed, i), one engine group at a time
-    lam = log_mgf(law, beta)
     prefixes = (
-        _charge_prefix(_draw(law, span, spawn_rng(seed, i)), beta, lam, h)
-        for i in range(replicas)
+        charge_prefix(law, beta, h, _draw(law, span, spawn_rng(seed, i))) for i in range(replicas)
     )
     log_zt = _trimmed_log_z_replicas(prefixes, kernel, constraint, plan.N)
     lhs_vals = np.exp(2.0 * (log_zt - exact_log_mean))

@@ -180,10 +180,7 @@ def check_eta_kernel(kernel: RenewalKernel, h: float, eta: float = 0.1) -> np.nd
     index 0 unused, like ``RenewalKernel.masses``.  The law may be
     defective; ``defect_check_eta`` gives its defect with the analytic tail.
     """
-    if h < 0 or not 0 < eta < 1:
-        raise ValueError("need h >= 0 and eta in (0, 1)")
-    if 1.0 / (eta * eta) > _EXP_GUARD:
-        raise OverflowError(f"1/eta^2 = {1.0 / (eta * eta):.1f} exceeds the exponent guard")
+    _check_eta(h, eta)
     n = np.arange(0, kernel.support_cap + 1, dtype=float)
     if h == 0:
         factor = np.ones_like(n)
@@ -304,12 +301,7 @@ def defect_Kk(kernel: RenewalKernel, h: float, k: int) -> float:
         raise ValueError("h must be >= 0")
     if h * k > _EXP_GUARD:
         raise OverflowError(f"h*k = {h * k:.1f} exceeds the exponent guard")
-    cap = kernel.support_cap
-    n = np.arange(0, cap + 1, dtype=float)
-    reward = kernel.masses[1 : k + 1] * np.expm1(h * n[1 : k + 1])
-    penalty = kernel.masses[k + 1 :] * (-np.expm1(-h * n[k + 1 :]))
-    tail_term = kernel.tail_mass * (-math.expm1(-h * (cap + 1)))
-    return math.fsum(reward.tolist()) - math.fsum(penalty.tolist()) - tail_term
+    return _tilt_excess(kernel, h, k, h)
 
 
 def defect_check_eta(kernel: RenewalKernel, h: float, eta: float = 0.1) -> float:
@@ -320,10 +312,7 @@ def defect_check_eta(kernel: RenewalKernel, h: float, eta: float = 0.1) -> float
     """
     if h == 0.0:
         return 0.0
-    if h < 0 or not 0 < eta < 1:
-        raise ValueError("need h >= 0 and eta in (0, 1)")
-    if 1.0 / (eta * eta) > _EXP_GUARD:
-        raise OverflowError(f"1/eta^2 = {1.0 / (eta * eta):.1f} exceeds the exponent guard")
+    _check_eta(h, eta)
     crossover = int(1.0 / (eta * eta * h))
     cap = kernel.support_cap
     if crossover > cap:
@@ -331,10 +320,27 @@ def defect_check_eta(kernel: RenewalKernel, h: float, eta: float = 0.1) -> float
             f"crossover 1/(eta^2 h) = {crossover} exceeds the kernel support {cap}; "
             "rebuild the kernel with a larger support"
         )
+    return -0.5 * _tilt_excess(kernel, h, crossover, eta * h)
+
+
+def _check_eta(h: float, eta: float) -> None:
+    """Argument and exponent-guard checks shared by the crossover-tilt functions."""
+    if h < 0 or not 0 < eta < 1:
+        raise ValueError("need h >= 0 and eta in (0, 1)")
+    if 1.0 / (eta * eta) > _EXP_GUARD:
+        raise OverflowError(f"1/eta^2 = {1.0 / (eta * eta):.1f} exceeds the exponent guard")
+
+
+def _tilt_excess(kernel: RenewalKernel, h: float, crossover: int, rate: float) -> float:
+    """Mass excess of a reward/penalty tilt, twice its (sum - 1).
+
+    sum_{l<=crossover} K(l)(e^{hl}-1) - sum_{l>crossover} K(l)(1-e^{-rate l}),
+    the analytic tail mass beyond the support taking the penalty at
+    support_cap + 1; each side is summed in compensated arithmetic.
+    """
+    cap = kernel.support_cap
     n = np.arange(0, cap + 1, dtype=float)
-    t = crossover
-    reward = kernel.masses[1 : t + 1] * np.expm1(h * n[1 : t + 1])
-    penalty = kernel.masses[t + 1 :] * (-np.expm1(-eta * h * n[t + 1 :]))
-    tail_term = kernel.tail_mass * (-math.expm1(-eta * h * (cap + 1)))
-    excess = math.fsum(reward.tolist()) - math.fsum(penalty.tolist()) - tail_term
-    return -0.5 * excess
+    reward = kernel.masses[1 : crossover + 1] * np.expm1(h * n[1 : crossover + 1])
+    penalty = kernel.masses[crossover + 1 :] * (-np.expm1(-rate * n[crossover + 1 :]))
+    tail_term = kernel.tail_mass * (-math.expm1(-rate * (cap + 1)))
+    return math.fsum(reward.tolist()) - math.fsum(penalty.tolist()) - tail_term

@@ -1,29 +1,30 @@
 """Exact partition functions by log-domain dynamic programming.
 
-The quenched partition function sums, over renewal configurations ending at
-N and over the two signs of every excursion, the weight K(gap) * 1/2 per
-excursion times exp of the accumulated charge on excursions below the
-interface.  ``log_Z`` evaluates the recursion over the last renewal point
-before N row by row with a running-maximum log-sum-exp per target index, so
-charges of order N*h never overflow; it is the reference oracle.  Replica
-batches go through ``_log_z_replicas``, the same recursion for groups of
+A disorder realisation enters only through its charge-prefix row S, which
+``charge_prefix`` builds; every function here takes rows.  The quenched
+partition function sums, over renewal configurations ending at N and over
+the two signs of every excursion, the weight K(gap) * 1/2 per excursion
+times exp of the accumulated charge on excursions below the interface.
+``log_Z`` evaluates the recursion over the last renewal point before N row
+by row with a running-maximum log-sum-exp per target index, so charges of
+order N*h never overflow; it is the reference oracle.  Replica batches go
+through ``_log_z_replicas``, the same recursion for groups of
 _GEMM_REPLICAS replicas, run _PASS_GROUPS groups per pass, in source
 blocks: inside a block a linear-domain solve (nilpotent doubling on 16-row
 diagonal sub-blocks, Toeplitz GEMMs for the earlier ones), or the
 row-by-row log-space fill for a replica whose charges vary too much there,
 and one Toeplitz(K) GEMM per group on block values scaled by their own
 maximum to push a finished block to every later target.  It agrees with
-the row loop to rounding (1e-10 relative is the tested gate).  A brute-force enumeration oracle over all renewal
-subsets backs both for small N.  The annealed value ``log_annealed_Z`` is
-the same engine on the zero-disorder charges, h per site.
+the row loop to rounding (1e-10 relative is the tested gate).  A
+brute-force enumeration oracle over all renewal subsets backs both for
+small N.  The annealed value ``log_annealed_Z`` is the same engine on the
+zero-disorder charge rows, h per site.
 
 The trimmed (alternating long/short) ensemble follows the same pattern:
-``_trimmed_core`` is the one-instance stage loop behind
-``log_Z_restricted`` and the oracle, and ``_trimmed_log_z_replicas`` runs
-the stages for groups of _GEMM_REPLICAS replicas, each long stage a banded
-Toeplitz GEMM.  Both engines build their push matrices from
-``kernel._toeplitz_view``.  ``_charge_prefix`` is the one place where
-disorder becomes charge prefix sums.
+``log_Z_restricted`` is the one-row stage loop and the oracle, and
+``_trimmed_log_z_replicas`` runs the stages for groups of _GEMM_REPLICAS
+replicas, each long stage a banded Toeplitz GEMM.  Both engines build
+their push matrices from ``kernel._toeplitz_view``.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import DisorderLaw, log_mgf, sample
+from .disorder import GAUSSIAN, DisorderLaw, log_mgf
 from .kernel import RenewalKernel, _toeplitz_view
 
 __all__ = [
-    "QuenchedInstance",
     "Trimmed",
-    "make_instance",
+    "charge_prefix",
     "log_Z",
     "brute_force_log_Z",
     "log_Z_restricted",
@@ -56,49 +56,16 @@ _FILL_VARIATION = 256.0  # largest in-block charge variation filled in the linea
 _TRIMMED_CHUNK = 64  # targets per long-stage GEMM of the trimmed engine
 
 
-@dataclass(frozen=True)
-class QuenchedInstance:
-    """One disorder realization with its per-site charge prefix sums.
-
-    charge_prefix[n] = sum_{i<=n} (beta*omega_i - lambda(beta) + h), with
-    charge_prefix[0] = 0.  The difference of two prefix values is the charge
-    collected by an excursion below the interface.
-    """
-
-    omega: np.ndarray
-    beta: float
-    h: float
-    lambda_beta: float
-    charge_prefix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.omega)
-
-
-def make_instance(
-    law: DisorderLaw, beta: float, h: float, n: int = None, seed: int = None, omega=None
-) -> QuenchedInstance:
-    """Build an instance from a fresh sample (law, n, seed) or a given omega."""
-    if omega is None:
-        omega = sample(law, n, seed)
-    omega = np.asarray(omega, dtype=float)
-    lam = log_mgf(law, beta)
-    return QuenchedInstance(
-        omega=omega, beta=beta, h=h, lambda_beta=lam,
-        charge_prefix=_charge_prefix(omega, beta, lam, h),
-    )
-
-
-def _charge_prefix(omega: np.ndarray, beta: float, lam: float, h) -> np.ndarray:
+def charge_prefix(law: DisorderLaw, beta: float, h, omega: np.ndarray) -> np.ndarray:
     """Charge prefix sums of every disorder row of ``omega`` (..., n).
 
-    S[..., m] = sum_{i<=m} (beta*omega_i - lam + h), S[..., 0] = 0, with
-    lam = lambda(beta); ``h`` is a field or an array of fields that
-    broadcasts against ``omega``.  One cumulative sum adds the sites in
-    order, so a row of a batch equals the same row alone, bit for bit.
+    S[..., m] = sum_{i<=m} (beta*omega_i - lambda(beta) + h), S[..., 0] = 0;
+    ``h`` is a field or an array of fields that broadcasts against
+    ``omega``.  The difference of two prefix values is the charge collected
+    by an excursion below the interface.  One cumulative sum adds the sites
+    in order, so a row of a batch equals the same row alone, bit for bit.
     """
-    terms = beta * omega - lam + h
+    terms = beta * omega - log_mgf(law, beta) + h
     prefix = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
     np.cumsum(terms, axis=-1, out=prefix[..., 1:])
     return prefix
@@ -125,14 +92,16 @@ def _logsumexp(values: np.ndarray) -> float:
     return float(m + math.log(np.exp(values - m).sum()))
 
 
-def log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> float:
-    """Quenched log partition function, exact O(N^2) renewal decomposition."""
-    n = instance.n
+def log_Z(prefix: np.ndarray, kernel: RenewalKernel) -> float:
+    """Quenched log Z_N of one (N+1,) charge-prefix row.
+
+    The exact O(N^2) renewal decomposition, one target row at a time.
+    """
+    n = len(prefix) - 1
     if n < 1:
         raise ValueError("need at least one site")
     if n > kernel.support_cap:
         raise ValueError(f"kernel support {kernel.support_cap} < N = {n}")
-    s = instance.charge_prefix
     log_k = kernel.log_masses
     lz = np.empty(n + 1)
     lz[0] = 0.0
@@ -141,7 +110,7 @@ def log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> float:
         terms = (
             lz[:m]
             + log_k[1 : m + 1][::-1]
-            + np.logaddexp(0.0, s[m] - s[:m])
+            + np.logaddexp(0.0, prefix[m] - prefix[:m])
             - _LOG2
         )
         lz[m] = _logsumexp(terms)
@@ -348,19 +317,18 @@ def _fill_log(pushed, rel, gaps) -> np.ndarray:
     return block
 
 
-def brute_force_log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> float:
+def brute_force_log_Z(prefix: np.ndarray, kernel: RenewalKernel) -> float:
     """Exhaustive oracle: every renewal subset containing N, both excursion signs.
 
     Enumerates all 2^(N-1) subsets of interior renewal points; the two signs
     of each excursion contribute the exact factor (1 + e^charge)/2.  Weights
     are accumulated with exact float summation.  Refuses N > 20.
     """
-    n = instance.n
+    n = len(prefix) - 1
     if n > 20:
         raise ValueError(f"brute force limited to N <= 20, got {n}")
     if n > kernel.support_cap:
         raise ValueError(f"kernel support {kernel.support_cap} < N = {n}")
-    s = instance.charge_prefix
     k_mass = kernel.masses
     weights = []
     for mask in range(1 << (n - 1)):
@@ -370,24 +338,13 @@ def brute_force_log_Z(instance: QuenchedInstance, kernel: RenewalKernel) -> floa
         pos = 1
         while bits:
             if bits & 1:
-                w *= k_mass[pos - prev] * 0.5 * (1.0 + math.exp(s[pos] - s[prev]))
+                w *= k_mass[pos - prev] * 0.5 * (1.0 + math.exp(prefix[pos] - prefix[prev]))
                 prev = pos
             bits >>= 1
             pos += 1
-        w *= k_mass[n - prev] * 0.5 * (1.0 + math.exp(s[n] - s[prev]))
+        w *= k_mass[n - prev] * 0.5 * (1.0 + math.exp(prefix[n] - prefix[prev]))
         weights.append(w)
     return math.log(math.fsum(weights))
-
-
-def log_Z_restricted(instance: QuenchedInstance, kernel: RenewalKernel, plan: Trimmed) -> float:
-    """Log partition restricted to the trimmed family; -inf if it is empty.
-
-    A forward DP over the alternating long/short structure in the linear
-    domain with per-stage rescaling; only short excursions collect charges,
-    so each stage's dynamic range stays small.  It runs the row loop
-    ``_trimmed_core``, the oracle of the batched ``_trimmed_log_z_replicas``.
-    """
-    return _trimmed_core(kernel, plan, instance.n, instance.charge_prefix)
 
 
 def _trimmed_size(kernel, plan, n_sites) -> int:
@@ -415,8 +372,16 @@ def _closing_weights(kernel, n_sites, size) -> np.ndarray:
     return closing
 
 
-def _trimmed_core(kernel, plan, n_sites, prefix) -> float:
-    """Trimmed log Z of one charge prefix, one stage at a time (the oracle)."""
+def log_Z_restricted(prefix, kernel: RenewalKernel, plan: Trimmed, n_sites: int) -> float:
+    """Log Z_N restricted to the trimmed family; -inf if it is empty.
+
+    ``prefix`` is one charge-prefix row, of which the first positions the
+    plan reaches are read.  A forward DP over the alternating long/short
+    structure in the linear domain, one stage at a time, with per-stage
+    rescaling; only short excursions collect charges, so each stage's
+    dynamic range stays small.  It is the oracle of the batched
+    ``_trimmed_log_z_replicas``.
+    """
     size = _trimmed_size(kernel, plan, n_sites)
     if size == 0:
         return -math.inf
@@ -466,7 +431,7 @@ def _trimmed_log_z_replicas(prefix, kernel, plan, n_sites) -> np.ndarray:
 
     ``prefix`` is an (R, n+1) array or any iterable of rows (a generator
     drawing them on demand keeps the working set independent of R).  Same
-    stages as ``_trimmed_core``, for _GEMM_REPLICAS rows at a time, zero-
+    stages as ``log_Z_restricted``, for _GEMM_REPLICAS rows at a time, zero-
     padded, in buffers allocated once per call.  The long stage is one
     banded Toeplitz matrix T[c, r] = K(r + M^2 - c)/2 over gaps in [M, M^2],
     applied as an (8, W) @ (W, _TRIMMED_CHUNK) GEMM per chunk of targets;
@@ -550,28 +515,20 @@ def _trimmed_log_z_replicas(prefix, kernel, plan, n_sites) -> np.ndarray:
         out.append(values[:count])
 
 
-def log_annealed_Z(kernel: RenewalKernel, n: int, h: float) -> float:
-    """Exact log of the disorder-averaged partition function.
+def log_annealed_Z(kernel: RenewalKernel, n: int, h):
+    """Exact log of the disorder-averaged partition function at every field of ``h``.
 
-    Each excursion of length l carries (1 + e^{h l})/2, the quenched weight
-    of the zero-disorder charges h per site; see ``_annealed_log_z``.
-    """
-    return float(_annealed_log_z(kernel, n, [h])[0])
-
-
-def _annealed_log_z(kernel: RenewalKernel, n: int, h_values) -> np.ndarray:
-    """Annealed log Z_n at every h of ``h_values``, one engine call.
-
-    Row i is the zero-disorder charge prefix of h_values[i] (h cumulated
-    site by site) through ``_log_z_replicas``; a row whose charges leave
-    the float range gives NaN.
+    ``h`` is one field or a grid of fields, and the result has shape
+    np.shape(h).  Each excursion of length l carries (1 + e^{h l})/2, the
+    quenched weight of the zero-disorder charges h per site, so the value is
+    ``_log_z_replicas`` on the zero-disorder charge row of each field; a
+    field whose charges leave the float range gives NaN.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > kernel.support_cap:
         raise ValueError(f"kernel support {kernel.support_cap} < n = {n}")
-    fields = np.asarray(h_values, dtype=float)
-    prefix = np.zeros((len(fields), n + 1))
+    fields = np.asarray(h, dtype=float)
     with np.errstate(over="ignore"):
-        np.cumsum(np.repeat(fields[:, None], n, axis=1), axis=1, out=prefix[:, 1:])
-    return _log_z_replicas(prefix, kernel)
+        prefix = charge_prefix(GAUSSIAN, 0.0, fields.reshape(-1, 1), np.zeros(n))
+    return _log_z_replicas(prefix, kernel).reshape(fields.shape)[()]

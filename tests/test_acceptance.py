@@ -14,7 +14,7 @@ from scipy.integrate import quad
 
 from copolab import estimators as est
 from copolab.bounds import bound_table
-from copolab.disorder import BINARY, GAUSSIAN, q1, q2, rate_function
+from copolab.disorder import BINARY, GAUSSIAN, _draw, q1, q2, rate_function
 from copolab.kernel import (
     build_kernel,
     check_eta_kernel,
@@ -22,7 +22,7 @@ from copolab.kernel import (
     defect_check_eta,
     renewal_mass,
 )
-from copolab.partition import brute_force_log_Z, log_Z, log_annealed_Z, make_instance
+from copolab.partition import brute_force_log_Z, charge_prefix, log_Z, log_annealed_Z
 
 H_GRID = [0.1 * 2.0**-j for j in range(7)]
 ETA_SCAN = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -123,9 +123,10 @@ def test_criterion_1_oracle_equivalence(log_kernel_small):
         beta = float(rng.uniform(0.0, 2.0))
         h = float(rng.uniform(-1.0, 1.0))
         n = int(rng.integers(1, 15))
-        inst = make_instance(law, beta, h, n=n, seed=int(rng.integers(0, 2**63)))
-        exact = log_Z(inst, log_kernel_small)
-        brute = brute_force_log_Z(inst, log_kernel_small)
+        omega = _draw(law, n, np.random.default_rng(int(rng.integers(0, 2**63))))
+        prefix = charge_prefix(law, beta, h, omega)
+        exact = log_Z(prefix, log_kernel_small)
+        brute = brute_force_log_Z(prefix, log_kernel_small)
         worst = max(worst, abs(exact - brute) / max(1.0, abs(exact)))
     elapsed = time.time() - start
     ok = worst <= 1e-10 and elapsed < 60.0
@@ -276,7 +277,7 @@ def test_criterion_7_convexity_monotonicity(log_kernel_small):
         omega = rng.standard_normal(n)
         vals = np.array(
             [
-                log_Z(make_instance(GAUSSIAN, beta, float(h), omega=omega), log_kernel_small)
+                log_Z(charge_prefix(GAUSSIAN, beta, float(h), omega), log_kernel_small)
                 for h in grid
             ]
         )

@@ -176,13 +176,24 @@ def test_config_file_with_flag_override(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     run_cli(["--config", str(cfg), "estimate", "--out", str(out_a)])
-    run_cli(
-        ["--config", str(cfg), "estimate", "--seed", "12", "--out", str(out_b)]
-    )
     header_a = json.loads(out_a.read_text().splitlines()[0][2:])
-    header_b = json.loads(out_b.read_text().splitlines()[0][2:])
     assert header_a["config"]["seed"] == 11
-    assert header_b["config"]["seed"] == 12
+    # every spelling argparse accepts beats the file
+    for flag in (["--seed", "12"], ["--seed=12"], ["--see", "12"]):
+        run_cli(["--config", str(cfg), "estimate", *flag, "--out", str(out_b)])
+        header_b = json.loads(out_b.read_text().splitlines()[0][2:])
+        assert header_b["config"]["seed"] == 12
+
+
+@pytest.mark.parametrize("file_suite", ["oracle", "moments"])
+def test_config_file_suite_line_is_ignored(tmp_path, file_suite):
+    # the suite is a positional: it comes from the command line
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed = 3\nsuite = {file_suite}\n")
+    out = tmp_path / "report.json"
+    assert run_cli(["--config", str(cfg), "verify", "oracle", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["suite"], config["seed"]) == ("oracle", 3)
 
 
 def test_regenerate_from_embedded_config(tmp_path):
@@ -332,11 +343,15 @@ def test_verify_refuses_a_flag_its_suite_does_not_read(tmp_path, capsys, args):
         ["estimate", "--beta", "1.0", "--h", "0.3", "--h-grid", "0.2,0.1"],
         ["sweep", "--beta", "1.0", "--h-grid", ","],
         ["annealed", "--h-grid", " , "],
+        ["verify", "moments", "--replicas", "0"],
+        ["verify", "coarse", "--replicas", "-5"],
     ],
-    ids=["h-with-h-grid", "h-grid-comma", "h-grid-blank"],
+    ids=["h-with-h-grid", "h-grid-comma", "h-grid-blank", "moments-replicas-0",
+         "coarse-replicas-negative"],
 )
 def test_ambiguous_or_empty_h_input_exits_2_without_artifact(tmp_path, capsys, args):
-    # --h next to --h-grid would be dropped, and an empty grid gives no rows
+    # --h next to --h-grid would be dropped, an empty grid gives no rows, and
+    # a verify suite would clamp --replicas below 2 yet echo it
     out = tmp_path / "out.csv"
     assert run_cli([*args, "--n", "50", "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err

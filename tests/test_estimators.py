@@ -15,12 +15,11 @@ from copolab.partition import (
     _FILL_VARIATION,
     _GEMM_REPLICAS,
     _PASS_GROUPS,
-    QuenchedInstance,
     _log_z_replicas,
     brute_force_log_Z,
+    charge_prefix,
     log_Z,
     log_annealed_Z,
-    make_instance,
 )
 
 
@@ -72,7 +71,7 @@ def test_replica_values_do_not_depend_on_replica_count(log_kernel_small):
 def _assert_matches_row_loop(kernel, law, beta, h, n, seed, replicas):
     got = est.replica_log_z(kernel, law, beta, h, n, seed, replicas)
     ref = np.array([
-        log_Z(make_instance(law, beta, h, omega=_draw(law, n, spawn_rng(seed, i))), kernel)
+        log_Z(charge_prefix(law, beta, h, _draw(law, n, spawn_rng(seed, i))), kernel)
         for i in range(replicas)
     ])
     np.testing.assert_array_less(np.abs(got - ref), 1e-10 * np.maximum(1.0, np.abs(ref)))
@@ -100,7 +99,7 @@ def test_replica_log_z_matches_row_loop_over_wide_log_range(log_kernel_small, la
     # delocalized: log Z ~ -11 while b(j) = Z(j) e^{-S_j} spans e^{1e4}
     n = 2000
     ref = _assert_matches_row_loop(log_kernel_small, law, beta, h, n, 3, 3)
-    prefix = make_instance(law, beta, h, omega=_draw(law, n, spawn_rng(3, 0))).charge_prefix
+    prefix = charge_prefix(law, beta, h, _draw(law, n, spawn_rng(3, 0)))
     assert max(np.abs(prefix).max(), np.abs(ref).max()) > 500.0
 
 
@@ -120,8 +119,8 @@ def test_engine_mixes_steep_and_linear_replicas(log_kernel_small):
     n = 3 * _BLOCK + 20
     rows = []
     for i, (beta, h) in enumerate([(1.0, 0.3), (2.0, 8.0), (0.5, -0.2), (1.0, -9.0), (1.5, 1.0)]):
-        rows.append(make_instance(GAUSSIAN, beta, h, omega=_draw(GAUSSIAN, n, spawn_rng(6, i))).charge_prefix)
-    jump = make_instance(BINARY, 0.8, 0.1, omega=_draw(BINARY, n, spawn_rng(6, 9))).charge_prefix
+        rows.append(charge_prefix(GAUSSIAN, beta, h, _draw(GAUSSIAN, n, spawn_rng(6, i))))
+    jump = charge_prefix(BINARY, 0.8, 0.1, _draw(BINARY, n, spawn_rng(6, 9)))
     jump[_BLOCK + 10 :] += 300.0  # one step of 300 inside the second block only
     rows.append(jump)
     prefix = np.array(rows)
@@ -134,10 +133,7 @@ def test_engine_mixes_steep_and_linear_replicas(log_kernel_small):
     batch = _log_z_replicas(prefix, log_kernel_small)
     for i, row in enumerate(prefix):
         assert _log_z_replicas(row[None], log_kernel_small)[0] == batch[i]
-        exact = log_Z(
-            QuenchedInstance(omega=np.zeros(n), beta=0.0, h=0.0, lambda_beta=0.0, charge_prefix=row),
-            log_kernel_small,
-        )
+        exact = log_Z(row, log_kernel_small)
         assert abs(batch[i] - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
@@ -149,9 +145,9 @@ def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kerne
     assert _GEMM_REPLICAS * _PASS_GROUPS == 32
     n = 2 * _BLOCK + 30
     prefix = np.array([
-        make_instance(
-            GAUSSIAN, 1.0, 8.0 if i in (3, 41, 99) else 0.2, omega=_draw(GAUSSIAN, n, spawn_rng(8, i))
-        ).charge_prefix
+        charge_prefix(
+            GAUSSIAN, 1.0, 8.0 if i in (3, 41, 99) else 0.2, _draw(GAUSSIAN, n, spawn_rng(8, i))
+        )
         for i in range(100)
     ])
     steep = np.abs(np.diff(prefix[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
@@ -165,9 +161,9 @@ def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kerne
 
 
 @pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
-def test_replica_log_z_charge_rows_equal_make_instance_rows(log_kernel_small, law):
+def test_replica_log_z_charge_rows_equal_single_rows(log_kernel_small, law):
     # the bulk charge rows of a 3-field grid give the values of rows built
-    # one replica and one field at a time, as make_instance builds them, bit
+    # one replica and one field at a time, as charge_prefix builds them, bit
     # for bit
     n, beta, seed, replicas, grid = 150, 0.9, 12, 11, [-0.3, 0.05, 0.6]
     got = est.replica_log_z(log_kernel_small, law, beta, grid, n, seed, replicas)
@@ -177,7 +173,7 @@ def test_replica_log_z_charge_rows_equal_make_instance_rows(log_kernel_small, la
             omega = _draw(law, n, spawn_rng(seed, i))
             row = np.zeros(n + 1)
             row[1:] = np.cumsum(beta * omega - log_mgf(law, beta) + h)
-            np.testing.assert_array_equal(make_instance(law, beta, h, omega=omega).charge_prefix, row)
+            np.testing.assert_array_equal(charge_prefix(law, beta, h, omega), row)
             rows.append(row)
     want = _log_z_replicas(np.array(rows), log_kernel_small).reshape(len(grid), replicas)
     np.testing.assert_array_equal(got, want)
@@ -187,7 +183,7 @@ def test_replica_log_z_charge_rows_equal_make_instance_rows(log_kernel_small, la
 def test_log_annealed_z_matches_row_loop_at_4000(log_kernel_4000, h):
     # the engine on the zero-disorder charge row against the row-loop log_Z
     n = 4000
-    exact = log_Z(make_instance(GAUSSIAN, 0.0, h, omega=np.zeros(n)), log_kernel_4000)
+    exact = log_Z(charge_prefix(GAUSSIAN, 0.0, h, np.zeros(n)), log_kernel_4000)
     got = log_annealed_Z(log_kernel_4000, n, h)
     assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
 
@@ -254,7 +250,7 @@ def test_replica_log_z_matches_enumeration(log_kernel_small, n, beta, h, law, se
     got = est.replica_log_z(log_kernel_small, law, beta, h, n, seed, replicas)
     for i, value in enumerate(got):
         omega = _draw(law, n, spawn_rng(seed, i))
-        exact = brute_force_log_Z(make_instance(law, beta, h, omega=omega), log_kernel_small)
+        exact = brute_force_log_Z(charge_prefix(law, beta, h, omega), log_kernel_small)
         assert abs(value - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
@@ -334,7 +330,7 @@ def test_trimmed_identity_against_exhaustive_enumeration(log_kernel_small, law):
     total = math.fsum(w for w, _ in paths)
 
     # restricted mean: enumeration vs the convolution DP (sign factors 2^-5)
-    mean_prefix = make_instance(law, 0.0, h, omega=np.zeros(plan.N)).charge_prefix
+    mean_prefix = charge_prefix(law, 0.0, h, np.zeros(plan.N))
     exact_mean = _trimmed_log_z_replicas(
         [mean_prefix], log_kernel_small, Trimmed(M=3, k=2, m=2), plan.N
     )[0]

@@ -225,12 +225,22 @@ def test_independent_jumps_proper_conditionals(log_kernel_small):
 
 
 def test_removed_tilt_and_wrapper_api_stays_gone():
-    # a tilted law is its mass array, and sweep_free_energy serves one field
-    removed = ("TiltedKernel", "TiltTransform", "penalized_kernel", "estimate_free_energy")
-    for module in (copolab, copolab.kernel, copolab.estimators):
+    # a tilted law is its mass array, sweep_free_energy serves one field, and
+    # a disorder realisation is its charge-prefix row; every export resolves
+    removed = (
+        "TiltedKernel", "TiltTransform", "penalized_kernel", "estimate_free_energy",
+        "QuenchedInstance", "make_instance", "sample", "_trimmed_core", "_annealed_log_z",
+    )
+    modules = (
+        copolab, copolab.kernel, copolab.estimators, copolab.partition, copolab.disorder,
+        copolab.bounds,
+    )
+    for module in modules:
         for name in removed:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert name not in getattr(module, "__all__", ())
+        for name in module.__all__:
+            assert hasattr(module, name), f"stale export {module.__name__}.{name}"
 
 
 def test_defect_kk_zero_field(big_kernels):

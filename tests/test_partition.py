@@ -4,74 +4,72 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copolab.disorder import BINARY, GAUSSIAN, _draw, spawn_rng
+from copolab.disorder import BINARY, GAUSSIAN, _draw, log_mgf, spawn_rng
 from copolab.estimators import replica_log_z, trimmed_plan
 from copolab.kernel import renewal_mass
 from copolab.partition import (
     Trimmed,
-    _trimmed_core,
     _trimmed_log_z_replicas,
     brute_force_log_Z,
+    charge_prefix,
     log_Z,
     log_Z_restricted,
     log_annealed_Z,
-    make_instance,
 )
 
 
 def _trimmed_log_mean(kernel, plan, n, h):
     # the disorder mean: the engine on the zero-disorder charges h per site
-    prefix = make_instance(GAUSSIAN, 0.0, h, omega=np.zeros(n)).charge_prefix
+    prefix = charge_prefix(GAUSSIAN, 0.0, h, np.zeros(n))
     return float(_trimmed_log_z_replicas([prefix], kernel, plan, n)[0])
 
 
 def test_log_z_single_site(log_kernel_small):
-    inst = make_instance(GAUSSIAN, 1.0, 0.2, n=1, seed=4)
+    prefix = charge_prefix(GAUSSIAN, 1.0, 0.2, _draw(GAUSSIAN, 1, np.random.default_rng(4)))
     expected = math.log(log_kernel_small.mass(1)) + math.log(
-        0.5 * (1.0 + math.exp(inst.charge_prefix[1]))
+        0.5 * (1.0 + math.exp(prefix[1]))
     )
-    assert log_Z(inst, log_kernel_small) == pytest.approx(expected, rel=1e-14)
+    assert log_Z(prefix, log_kernel_small) == pytest.approx(expected, rel=1e-14)
 
 
 def test_log_z_free_disorder_reduces_to_renewal_mass(log_kernel_small):
     # beta = 0, h = 0 wipes every weight, leaving the renewal probability
     u = renewal_mass(log_kernel_small.masses, 40)
     for seed in (1, 2):
-        inst = make_instance(GAUSSIAN, 0.0, 0.0, n=40, seed=seed)
-        assert log_Z(inst, log_kernel_small) == pytest.approx(
+        prefix = charge_prefix(GAUSSIAN, 0.0, 0.0, _draw(GAUSSIAN, 40, np.random.default_rng(seed)))
+        assert log_Z(prefix, log_kernel_small) == pytest.approx(
             math.log(u[40]), rel=1e-12
         )
 
 
 def test_brute_force_two_site_expansion(log_kernel_small):
-    inst = make_instance(BINARY, 0.7, -0.1, n=2, seed=9)
-    s = inst.charge_prefix
+    s = charge_prefix(BINARY, 0.7, -0.1, _draw(BINARY, 2, np.random.default_rng(9)))
     k1, k2 = log_kernel_small.mass(1), log_kernel_small.mass(2)
     direct = k2 * 0.5 * (1 + math.exp(s[2])) + k1**2 * 0.25 * (1 + math.exp(s[1])) * (
         1 + math.exp(s[2] - s[1])
     )
-    assert brute_force_log_Z(inst, log_kernel_small) == pytest.approx(
+    assert brute_force_log_Z(s, log_kernel_small) == pytest.approx(
         math.log(direct), rel=1e-14
     )
 
 
 def test_brute_force_refuses_large_n(log_kernel_small):
-    inst = make_instance(GAUSSIAN, 1.0, 0.0, n=21, seed=0)
+    prefix = charge_prefix(GAUSSIAN, 1.0, 0.0, _draw(GAUSSIAN, 21, np.random.default_rng(0)))
     with pytest.raises(ValueError):
-        brute_force_log_Z(inst, log_kernel_small)
+        brute_force_log_Z(prefix, log_kernel_small)
 
 
 def test_dp_matches_brute_force_pinned_instance(log_kernel_small):
-    inst = make_instance(GAUSSIAN, 1.0, 0.3, n=12, seed=7)
-    exact = log_Z(inst, log_kernel_small)
-    brute = brute_force_log_Z(inst, log_kernel_small)
+    prefix = charge_prefix(GAUSSIAN, 1.0, 0.3, _draw(GAUSSIAN, 12, np.random.default_rng(7)))
+    exact = log_Z(prefix, log_kernel_small)
+    brute = brute_force_log_Z(prefix, log_kernel_small)
     assert abs(exact - brute) <= 1e-10 * max(1.0, abs(exact))
 
 
 def test_brute_force_free_disorder_is_renewal_mass(log_kernel_small):
     u = renewal_mass(log_kernel_small.masses, 3)
-    inst = make_instance(BINARY, 0.0, 0.0, n=3, seed=1)
-    assert brute_force_log_Z(inst, log_kernel_small) == pytest.approx(
+    prefix = charge_prefix(BINARY, 0.0, 0.0, _draw(BINARY, 3, np.random.default_rng(1)))
+    assert brute_force_log_Z(prefix, log_kernel_small) == pytest.approx(
         math.log(u[3]), rel=1e-14
     )
 
@@ -83,9 +81,10 @@ def test_dp_matches_brute_force_random_instances(log_kernel_small):
         beta = float(rng.uniform(0.0, 2.0))
         h = float(rng.uniform(-1.0, 1.0))
         n = int(rng.integers(1, 15))
-        inst = make_instance(law, beta, h, n=n, seed=int(rng.integers(0, 2**63)))
-        exact = log_Z(inst, log_kernel_small)
-        brute = brute_force_log_Z(inst, log_kernel_small)
+        omega = _draw(law, n, np.random.default_rng(int(rng.integers(0, 2**63))))
+        prefix = charge_prefix(law, beta, h, omega)
+        exact = log_Z(prefix, log_kernel_small)
+        brute = brute_force_log_Z(prefix, log_kernel_small)
         assert abs(exact - brute) <= 1e-10 * max(1.0, abs(exact))
 
 
@@ -93,17 +92,18 @@ def test_floor_bound_single_excursion(log_kernel_small):
     rng = np.random.default_rng(3)
     for _ in range(20):
         n = int(rng.integers(2, 60))
-        inst = make_instance(GAUSSIAN, 1.5, -0.6, n=n, seed=int(rng.integers(0, 2**32)))
+        omega = _draw(GAUSSIAN, n, np.random.default_rng(int(rng.integers(0, 2**32))))
         floor = math.log(log_kernel_small.mass(n)) - math.log(2.0)
-        assert log_Z(inst, log_kernel_small) >= floor
+        assert log_Z(charge_prefix(GAUSSIAN, 1.5, -0.6, omega), log_kernel_small) >= floor
 
 
 def test_charge_prefix_increments():
-    inst = make_instance(GAUSSIAN, 1.2, 0.3, n=200, seed=8)
-    inc = np.diff(inst.charge_prefix)
-    expected = 1.2 * inst.omega - inst.lambda_beta + 0.3
+    omega = _draw(GAUSSIAN, 200, np.random.default_rng(8))
+    prefix = charge_prefix(GAUSSIAN, 1.2, 0.3, omega)
+    inc = np.diff(prefix)
+    expected = 1.2 * omega - log_mgf(GAUSSIAN, 1.2) + 0.3
     np.testing.assert_allclose(inc, expected, atol=1e-12)
-    assert inst.charge_prefix[0] == 0.0
+    assert prefix[0] == 0.0
 
 
 def test_convexity_and_monotonicity_in_h(log_kernel_small):
@@ -115,8 +115,7 @@ def test_convexity_and_monotonicity_in_h(log_kernel_small):
         omega = rng.standard_normal(n)
         vals = []
         for h in grid:
-            inst = make_instance(GAUSSIAN, beta, float(h), omega=omega)
-            vals.append(log_Z(inst, log_kernel_small))
+            vals.append(log_Z(charge_prefix(GAUSSIAN, beta, float(h), omega), log_kernel_small))
         vals = np.array(vals)
         assert np.diff(vals).min() >= 0.0
         assert np.diff(vals, 2).min() >= -1e-8
@@ -126,8 +125,8 @@ def test_beta_zero_reduces_to_annealed(log_kernel_small):
     for h in (-0.4, 0.0, 0.7):
         exact = log_annealed_Z(log_kernel_small, 35, h)
         for seed in (5, 6):
-            inst = make_instance(BINARY, 0.0, h, n=35, seed=seed)
-            assert log_Z(inst, log_kernel_small) == pytest.approx(exact, rel=1e-12)
+            prefix = charge_prefix(BINARY, 0.0, h, _draw(BINARY, 35, np.random.default_rng(seed)))
+            assert log_Z(prefix, log_kernel_small) == pytest.approx(exact, rel=1e-12)
 
 
 def test_annealed_h_zero_is_renewal_mass(log_kernel_small):
@@ -168,30 +167,30 @@ def test_annealed_delocalized_window(log_kernel_4000):
 def test_restricted_below_unrestricted(log_kernel_small):
     rng = np.random.default_rng(10)
     for _ in range(10):
-        inst = make_instance(GAUSSIAN, 1.0, 0.4, n=60, seed=int(rng.integers(0, 2**32)))
-        free = log_Z(inst, log_kernel_small)
-        trim = log_Z_restricted(inst, log_kernel_small, Trimmed(M=3, k=2, m=2))
+        omega = _draw(GAUSSIAN, 60, np.random.default_rng(int(rng.integers(0, 2**32))))
+        prefix = charge_prefix(GAUSSIAN, 1.0, 0.4, omega)
+        free = log_Z(prefix, log_kernel_small)
+        trim = log_Z_restricted(prefix, log_kernel_small, Trimmed(M=3, k=2, m=2), 60)
         assert trim <= free + 1e-12
 
 
 def test_trimmed_hand_checkable_small_plan(log_kernel_small):
     # m=1, k=1: direct sum over tau_1 in [M, M^2], tau_2 = tau_1 + 1
     big_m, n = 3, 60
-    inst = make_instance(GAUSSIAN, 0.9, 0.25, n=n, seed=21)
-    s = inst.charge_prefix
+    s = charge_prefix(GAUSSIAN, 0.9, 0.25, _draw(GAUSSIAN, n, np.random.default_rng(21)))
     total = 0.0
     for tau1 in range(big_m, big_m * big_m + 1):
         w = log_kernel_small.mass(tau1) * 0.5
         w *= log_kernel_small.mass(1) * 0.5 * math.exp(s[tau1 + 1] - s[tau1])
         w *= log_kernel_small.mass(n - tau1 - 1) * 0.5
         total += w
-    got = log_Z_restricted(inst, log_kernel_small, Trimmed(M=big_m, k=1, m=1))
+    got = log_Z_restricted(s, log_kernel_small, Trimmed(M=big_m, k=1, m=1), n)
     assert got == pytest.approx(math.log(total), rel=1e-10)
 
 
 def test_trimmed_infeasible_returns_neg_inf(log_kernel_small):
-    inst = make_instance(GAUSSIAN, 1.0, 0.0, n=10, seed=2)
-    got = log_Z_restricted(inst, log_kernel_small, Trimmed(M=6, k=1, m=2))
+    prefix = charge_prefix(GAUSSIAN, 1.0, 0.0, _draw(GAUSSIAN, 10, np.random.default_rng(2)))
+    got = log_Z_restricted(prefix, log_kernel_small, Trimmed(M=6, k=1, m=2), 10)
     assert got == -math.inf
 
 
@@ -219,8 +218,8 @@ def test_trimmed_mean_is_disorder_average(log_kernel_small):
     for i in range(4000):
         rng = spawn_rng(99, i)
         omega = rng.standard_normal(n)
-        inst = make_instance(GAUSSIAN, beta, h, omega=omega)
-        vals.append(math.exp(log_Z_restricted(inst, log_kernel_small, plan)))
+        prefix = charge_prefix(GAUSSIAN, beta, h, omega)
+        vals.append(math.exp(log_Z_restricted(prefix, log_kernel_small, plan, n)))
     mean = float(np.mean(vals))
     sem = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     assert abs(mean - math.exp(exact)) <= 4 * sem
@@ -265,7 +264,7 @@ def test_superadditivity_of_mean_log_z(log_kernel_small):
     def mean_log(n):
         vals = [
             log_Z(
-                make_instance(GAUSSIAN, beta, h, omega=spawn_rng(31 + n, i).standard_normal(n)),
+                charge_prefix(GAUSSIAN, beta, h, spawn_rng(31 + n, i).standard_normal(n)),
                 log_kernel_small,
             )
             for i in range(reps)
@@ -280,8 +279,7 @@ def test_superadditivity_of_mean_log_z(log_kernel_small):
 
 def _trimmed_prefixes(law, beta, h, n, seed, rows):
     return np.array([
-        make_instance(law, beta, h, omega=_draw(law, n, spawn_rng(seed, i))).charge_prefix
-        for i in range(rows)
+        charge_prefix(law, beta, h, _draw(law, n, spawn_rng(seed, i))) for i in range(rows)
     ])
 
 
@@ -317,13 +315,9 @@ def test_trimmed_engine_matches_row_loop(
     }[where]
     n = low + int(fraction * (high - low))
     plan = Trimmed(M=big_m, k=k, m=m)
-    instances = [
-        make_instance(law, beta, h, omega=_draw(law, n, spawn_rng(seed, i))) for i in range(rows)
-    ]
-    got = _trimmed_log_z_replicas(
-        np.array([inst.charge_prefix for inst in instances]), log_kernel_small, plan, n
-    )
-    ref = np.array([log_Z_restricted(inst, log_kernel_small, plan) for inst in instances])
+    prefix = _trimmed_prefixes(law, beta, h, n, seed, rows)
+    got = _trimmed_log_z_replicas(prefix, log_kernel_small, plan, n)
+    ref = np.array([log_Z_restricted(row, log_kernel_small, plan, n) for row in prefix])
     _assert_trimmed_values_match(got, ref)
     if where == "infeasible":
         assert np.all(np.isneginf(ref))
@@ -341,7 +335,7 @@ def test_trimmed_engine_matches_row_loop_on_benchmark_plans(big_kernels, law):
             prefix = _trimmed_prefixes(law, beta, 0.3, span, 11, 8)
             plan = Trimmed(M=tp.M, k=tp.k, m=tp.m)
             got = _trimmed_log_z_replicas(prefix, kernel, plan, tp.N)
-            ref = np.array([_trimmed_core(kernel, plan, tp.N, row) for row in prefix])
+            ref = np.array([log_Z_restricted(row, kernel, plan, tp.N) for row in prefix])
             assert np.all(np.isfinite(ref))
             _assert_trimmed_values_match(got, ref)
 
