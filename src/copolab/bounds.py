@@ -49,13 +49,12 @@ def log_upper_general(
 
 @dataclass(frozen=True)
 class SharperBounds:
-    """Family-sharp bracket in log form; lower may be omitted (with reason)."""
+    """Family-sharp bracket in log form."""
 
-    log_lower: float | None
+    log_lower: float
     log_upper: float
-    c_minus: float | None
+    c_minus: float
     c_plus: float
-    lower_omitted_reason: str | None = None
 
 
 def sharper_bounds(
@@ -94,19 +93,9 @@ def sharper_bounds(
 
     if family.kind is FamilyKind.SUB_LOGARITHMIC:
         c_minus, c_plus = u + 1.1, u - 0.1
-        log_upper = -c_plus * q1v * loglog / h
-        q2v = q2(law, beta)
-        if math.isinf(q2v):
-            return SharperBounds(
-                log_lower=None,
-                log_upper=log_upper,
-                c_minus=None,
-                c_plus=c_plus,
-                lower_omitted_reason="q2 is infinite: 2*beta reaches the cumulant domain boundary",
-            )
         return SharperBounds(
-            log_lower=-c_minus * q2v * loglog / h,
-            log_upper=log_upper,
+            log_lower=-c_minus * q2(law, beta) * loglog / h,
+            log_upper=-c_plus * q1v * loglog / h,
             c_minus=c_minus,
             c_plus=c_plus,
         )
@@ -250,9 +239,7 @@ def bound_table(
             flags.append("upper_general_exceeds_one")
         sb = sharper_bounds(family, law, beta, h)
         lrss = log_rss_bound(family, law, beta, h)
-        log_lower_sublog = None
-        if family.kind is FamilyKind.SUB_LOGARITHMIC and sb.log_lower is not None:
-            log_lower_sublog = sb.log_lower
+        log_lower_sublog = sb.log_lower if family.kind is FamilyKind.SUB_LOGARITHMIC else None
         if lrss > lug:
             flags.append("rss_above_upper_general")
         rows.append(

@@ -35,10 +35,11 @@ check holds).  Scan-kind checks record measured thresholds and never fail
 a run.  Suite payloads carry stable field names: "oracle" reports
 worst_relative_error (row-loop and batched DP against enumeration),
 worst_block_edge_relative_error (batched DP against the row loop at
-block_edge_sizes, the edges of its 16-row sub-blocks and 64-site blocks)
-and worst_trimmed_relative_error (batched trimmed engine against its row
-loop on trimmed_trials small plans); "moments" embeds the
-trimmed-ensemble report (exact_log_mean_restricted, product_lower_bound_log,
+block_edge_sizes, the edges of its 16-row sub-blocks and 64-site blocks),
+worst_trimmed_relative_error (batched trimmed engine against its row
+loop on trimmed_trials small plans) and worst_annealed_relative_error
+(annealed values at annealed_fields against the row loop); "moments"
+embeds the trimmed-ensemble report (exact_log_mean_restricted, product_lower_bound_log,
 identity_{lhs,rhs}_{mean,sigma}, identity_abs_diff, identity_three_sigma,
 induction_bound_log, plan); "penalization" lists per-h points (k, defect_expression, linf_holds,
 log_bound_closed_form, log_bound_rate_form); "coarse" reports n_window,
@@ -351,8 +352,8 @@ def _suite_oracle(args, kernel) -> dict:
     # the row-loop log_Z and the batched replica DP against enumeration at
     # N <= 12, the batched DP against the row loop across sub-block and
     # block edges and over two passes of groups, the batched trimmed engine
-    # against its row loop on small plans, and the blocked renewal mass
-    # against the row loop at beta = h = 0, where Z_N = u(N)
+    # against its row loop on small plans, and the blocked renewal mass and
+    # the annealed value against the row loop at beta = 0 (Z_N = u(N) at h = 0)
     rng = np.random.default_rng(args.seed)
 
     def draw(law_i, n, replicas):
@@ -407,6 +408,12 @@ def _suite_oracle(args, kernel) -> dict:
         mass = float(renewal_mass(kernel.masses, n)[n])
         exact = math.exp(log_Z(charge_prefix(args.disorder_law, 0.0, 0.0, np.zeros(n)), kernel))
         worst_mass = max(worst_mass, abs(mass - exact) / exact)
+    annealed_fields = (-5.0, -0.3, 0.3, 5.0)
+    worst_annealed = _worst_relative_error(
+        (value, log_Z(charge_prefix(args.disorder_law, 0.0, h, np.zeros(n)), kernel))
+        for n in mass_sizes
+        for h, value in zip(annealed_fields, log_annealed_Z(kernel, n, annealed_fields).tolist())
+    )
     return {
         "trials": trials,
         "worst_relative_error": worst,
@@ -418,6 +425,8 @@ def _suite_oracle(args, kernel) -> dict:
         "worst_two_pass_relative_error": worst_two_pass,
         "renewal_mass_sizes": list(mass_sizes),
         "worst_renewal_mass_relative_error": worst_mass,
+        "annealed_fields": list(annealed_fields),
+        "worst_annealed_relative_error": worst_annealed,
         "checks": [
             {"name": "dp_matches_enumeration", "kind": "assert", "ok": worst <= 1e-10},
             {"name": "batched_dp_matches_row_loop", "kind": "assert",
@@ -425,6 +434,7 @@ def _suite_oracle(args, kernel) -> dict:
             {"name": "trimmed_engine_matches_row_loop", "kind": "assert",
              "ok": worst_trimmed <= 1e-10},
             {"name": "renewal_mass_matches_row_loop", "kind": "assert", "ok": worst_mass <= 1e-10},
+            {"name": "annealed_matches_row_loop", "kind": "assert", "ok": worst_annealed <= 1e-10},
         ],
     }
 

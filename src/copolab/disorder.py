@@ -38,23 +38,18 @@ class LawKind(str, Enum):
 
 @dataclass(frozen=True)
 class DisorderLaw:
-    """A centered, unit-variance charge distribution.
+    """A centered, unit-variance charge distribution, named by its kind.
 
-    ``beta_bar`` is the supremum of the finite-cumulant domain.  Both
-    built-in laws are entire (``beta_bar = inf``); a finite value can be
-    injected to exercise the branches that guard against heavy tilts.
+    Both built-in laws are entire: every cumulant lambda(beta) is finite.
     """
 
     kind: LawKind
-    beta_bar: float = math.inf
 
     @property
     def mean_limit(self) -> float:
         """Supremum of attainable tilted means, lim of the cumulant slope."""
         if self.kind is LawKind.STANDARD_GAUSSIAN:
-            return self.beta_bar
-        if math.isfinite(self.beta_bar):
-            return math.tanh(self.beta_bar)
+            return math.inf
         return 1.0
 
 
@@ -71,18 +66,16 @@ class RateFunctionEval:
     argmax_y: float
 
 
-def _check_beta(law: DisorderLaw, beta: float) -> None:
+def _check_beta(beta: float) -> None:
     if beta < 0:
         raise ValueError(f"beta must be nonnegative, got {beta}")
-    if beta >= law.beta_bar:
-        raise ValueError(
-            f"beta={beta} is outside the finite-cumulant domain [0, {law.beta_bar})"
-        )
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
 
 
 def log_mgf(law: DisorderLaw, beta: float) -> float:
     """Cumulant generating function log E exp(beta * omega)."""
-    _check_beta(law, beta)
+    _check_beta(beta)
     if law.kind is LawKind.STANDARD_GAUSSIAN:
         return 0.5 * beta * beta
     # log cosh, stable for large arguments
@@ -92,7 +85,7 @@ def log_mgf(law: DisorderLaw, beta: float) -> float:
 
 def log_mgf_prime(law: DisorderLaw, beta: float) -> float:
     """Derivative of the cumulant function, i.e. the tilted mean."""
-    _check_beta(law, beta)
+    _check_beta(beta)
     if law.kind is LawKind.STANDARD_GAUSSIAN:
         return beta
     return math.tanh(beta)
@@ -113,11 +106,9 @@ def q1(law: DisorderLaw, beta: float) -> float:
 
 
 def q2(law: DisorderLaw, beta: float) -> float:
-    """lambda(2 beta) - 2 lambda(beta); +inf once 2 beta leaves the domain."""
+    """lambda(2 beta) - 2 lambda(beta)."""
     if beta == 0.0:
         return 0.0
-    if 2.0 * beta >= law.beta_bar:
-        return math.inf
     return log_mgf(law, 2.0 * beta) - 2.0 * log_mgf(law, beta)
 
 
@@ -141,11 +132,10 @@ def rate_function(law: DisorderLaw, x: float) -> RateFunctionEval:
 
     # bracket the root of lambda'(y) = x
     hi = 1.0
-    while log_mgf_prime(law, min(hi, law.beta_bar * (1 - 1e-12))) < x:
+    while log_mgf_prime(law, hi) < x:
         hi *= 2.0
         if hi > 1e12:
             raise ValueError(f"failed to bracket the conjugate optimizer for x={x}")
-    hi = min(hi, law.beta_bar * (1 - 1e-12))
     lo = 0.0
 
     y = min(x, hi)  # exact for the Gaussian, a sane start otherwise

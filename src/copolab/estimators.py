@@ -71,6 +71,7 @@ _PATH_PAIRS = 32  # replica pairs per vectorized draw of the overlap sampler
 _COARSE_ETA = 0.1  # crossover parameter of the tilt in coarse_graining_check
 _COARSE_N_BUDGET = 20_000  # largest window e^(c3/h) that check evaluates
 _COARSE_M_CAP = 50_000  # cap on its far end M_h
+_PLAN_SITE_BUDGET = 100_000  # largest N a trimmed plan may ask for
 
 
 @dataclass(frozen=True)
@@ -183,7 +184,7 @@ class TrimmedPlan:
 
     k, M, N, m follow the coupled schedule k = floor(c1 loglog(1/h)/h),
     M = floor(e^{c2 k}), N = floor(M^2 (log M)^3), m = floor(N/(M^2 log M)),
-    subject to c1 > upsilon + 1 and c2 > q2(beta).
+    subject to c1 > upsilon + 1, c2 > q2(beta) and N <= _PLAN_SITE_BUDGET.
     """
 
     k: int
@@ -215,10 +216,12 @@ def trimmed_plan(
     k = int(c1 * math.log(log_inv_h) / h)
     if k < 1:
         raise ValueError(f"schedule gives k={k} < 1 at h={h}; increase c1 or decrease h")
-    if c2 * k > 300.0:
+    # N <= e^{2 c2 k} (c2 k)^3, checked in log space before any exp
+    log_sites = 2.0 * c2 * k + 3.0 * math.log(c2 * k)
+    if log_sites > math.log(_PLAN_SITE_BUDGET):
         raise ValueError(
-            f"schedule explodes at h={h}: the window size would be exp({c2 * k:.0f}); "
-            "use a larger (scaled) h"
+            f"plan at h={h} needs up to e^{log_sites:.1f} sites, over the budget of "
+            f"{_PLAN_SITE_BUDGET}; use a larger h or smaller c1, c2"
         )
     big_m = int(math.exp(c2 * k))
     if big_m <= 2 * k:
@@ -345,8 +348,6 @@ def trimmed_moment_check(
     if not 100 <= replicas < 1_000_000:
         raise ValueError("replicas must lie in [100, 1e6)")  # keeps seed streams disjoint
     q2v = q2(law, beta)
-    if math.isinf(q2v):
-        raise ValueError("q2 is infinite: the second-moment identity degenerates")
 
     constraint = Trimmed(M=plan.M, k=plan.k, m=plan.m)
     span = min(plan.m * (plan.M * plan.M + plan.k), plan.N - 1)

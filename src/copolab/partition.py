@@ -17,8 +17,8 @@ and one Toeplitz(K) GEMM per group on block values scaled by their own
 maximum to push a finished block to every later target.  It agrees with
 the row loop to rounding (1e-10 relative is the tested gate).  A
 brute-force enumeration oracle over all renewal subsets backs both for
-small N.  The annealed value ``log_annealed_Z`` is the same engine on the
-zero-disorder charge rows, h per site.
+small N.  ``log_annealed_Z`` is the renewal mass of the tilted law
+K(l)(1 + e^{hl})/2: an excursion's charge factor averages to e^{hl}.
 
 The trimmed (alternating long/short) ensemble follows the same pattern:
 ``log_Z_restricted`` is the one-row stage loop and the oracle, and
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import GAUSSIAN, DisorderLaw, log_mgf
-from .kernel import RenewalKernel, _toeplitz_view
+from .disorder import DisorderLaw, log_mgf
+from .kernel import RenewalKernel, _toeplitz_view, renewal_mass
 
 __all__ = [
     "Trimmed",
@@ -519,16 +519,24 @@ def log_annealed_Z(kernel: RenewalKernel, n: int, h):
     """Exact log of the disorder-averaged partition function at every field of ``h``.
 
     ``h`` is one field or a grid of fields, and the result has shape
-    np.shape(h).  Each excursion of length l carries (1 + e^{h l})/2, the
-    quenched weight of the zero-disorder charges h per site, so the value is
-    ``_log_z_replicas`` on the zero-disorder charge row of each field; a
-    field whose charges leave the float range gives NaN.
+    np.shape(h).  An excursion of length l carries (1 + e^{hl})/2 on
+    average, so Z is the renewal mass u(n) of the tilted law
+    K(l)(1 + e^{hl})/2, one ``renewal_mass`` solve per field; for h > 0
+    the factor e^{hn} comes out first, leaving K(l)(e^{-hl} + 1)/2 <= K(l),
+    so the solve never overflows.  A non-finite field or value gives NaN.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > kernel.support_cap:
         raise ValueError(f"kernel support {kernel.support_cap} < n = {n}")
     fields = np.asarray(h, dtype=float)
-    with np.errstate(over="ignore"):
-        prefix = charge_prefix(GAUSSIAN, 0.0, fields.reshape(-1, 1), np.zeros(n))
-    return _log_z_replicas(prefix, kernel).reshape(fields.shape)[()]
+    lengths = np.arange(n + 1.0)
+    out = np.full(fields.size, np.nan)
+    for i, field in enumerate(fields.ravel().tolist()):
+        if math.isfinite(field):
+            # e^{-1000 l} is already 0 for l >= 1: the cap only keeps |h| l finite
+            decay = np.exp(-min(abs(field), 1000.0) * lengths)
+            mass = renewal_mass(kernel.masses[: n + 1] * (1.0 + decay) * 0.5, n)[n]
+            out[i] = max(field, 0.0) * n + math.log(mass)
+    out[np.isinf(out)] = np.nan  # e^{hn} left the float range
+    return out.reshape(fields.shape)[()]

@@ -11,7 +11,7 @@ from copolab.bounds import (
     rss_threshold,
     sharper_bounds,
 )
-from copolab.disorder import BINARY, GAUSSIAN, DisorderLaw, LawKind, q1
+from copolab.disorder import BINARY, GAUSSIAN, q1
 
 
 def test_upper_general_plugin_value(families):
@@ -50,7 +50,7 @@ def test_sharper_bounds_ordering(families):
         recorded = None
         for h in [0.2 * 2.0**-j for j in range(8)]:
             sb = sharper_bounds(fam, GAUSSIAN, 1.0, h)
-            if sb.log_lower is not None and sb.log_lower <= sb.log_upper:
+            if sb.log_lower <= sb.log_upper:
                 recorded = h if recorded is None else recorded
         assert recorded is not None and recorded >= 0.2 * 2.0**-7
 
@@ -61,13 +61,6 @@ def test_sharper_super_log_exponent_arithmetic(families):
     sb = sharper_bounds(fam, GAUSSIAN, 1.0, 0.05, delta=0.05)
     assert sb.log_lower == pytest.approx(-105.0, rel=1e-12)
     assert sb.log_upper == pytest.approx(-95.0, rel=1e-12)
-
-
-def test_sharper_sublog_lower_omitted_when_q2_infinite(families):
-    capped = DisorderLaw(LawKind.SYMMETRIC_BINARY, beta_bar=1.0)
-    sb = sharper_bounds(families["sub"], capped, 0.9, 0.02)
-    assert sb.log_lower is None
-    assert "q2" in sb.lower_omitted_reason
 
 
 def test_rss_threshold_rules(families):

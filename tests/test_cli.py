@@ -73,7 +73,10 @@ def test_overflowing_finite_input_exits_2_without_artifact(tmp_path, capsys, arg
 def test_cli_import_skips_scipy_stats_and_integrate():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    heavy = ("scipy.special", "scipy.stats", "scipy.integrate", "scipy.signal", "scipy.linalg")
+    heavy = (
+        "scipy.special", "scipy.stats", "scipy.integrate", "scipy.signal", "scipy.linalg",
+        "scipy.optimize",
+    )
     probe = (
         "import sys, copolab.cli; "
         f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
@@ -228,9 +231,10 @@ def test_verify_oracle_suite_passes_fast(tmp_path):
     assert oracle["worst_block_edge_relative_error"] <= 1e-10
     assert oracle["worst_two_pass_relative_error"] <= 1e-10
     assert oracle["worst_renewal_mass_relative_error"] <= 1e-10
+    assert oracle["worst_annealed_relative_error"] <= 1e-10
     assert {c["name"] for c in oracle["checks"]} == {
         "dp_matches_enumeration", "batched_dp_matches_row_loop", "trimmed_engine_matches_row_loop",
-        "renewal_mass_matches_row_loop",
+        "renewal_mass_matches_row_loop", "annealed_matches_row_loop",
     }
 
 
@@ -345,13 +349,18 @@ def test_verify_refuses_a_flag_its_suite_does_not_read(tmp_path, capsys, args):
         ["annealed", "--h-grid", " , "],
         ["verify", "moments", "--replicas", "0"],
         ["verify", "coarse", "--replicas", "-5"],
+        ["verify", "moments", "--h", "0.27"],
+        ["verify", "moments", "--h", "0.25"],
+        ["verify", "moments", "--h", "0.2"],
     ],
     ids=["h-with-h-grid", "h-grid-comma", "h-grid-blank", "moments-replicas-0",
-         "coarse-replicas-negative"],
+         "coarse-replicas-negative", "moments-h-0.27", "moments-h-0.25", "moments-h-0.2"],
 )
 def test_ambiguous_or_empty_h_input_exits_2_without_artifact(tmp_path, capsys, args):
-    # --h next to --h-grid would be dropped, an empty grid gives no rows, and
-    # a verify suite would clamp --replicas below 2 yet echo it
+    # --h next to --h-grid would be dropped, an empty grid gives no rows, a
+    # verify suite would clamp --replicas below 2 yet echo it, and a moments
+    # --h whose trimmed plan needs more sites than its budget would exhaust
+    # memory
     out = tmp_path / "out.csv"
     assert run_cli([*args, "--n", "50", "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err

@@ -6,8 +6,6 @@ import pytest
 from copolab.disorder import (
     BINARY,
     GAUSSIAN,
-    DisorderLaw,
-    LawKind,
     log_mgf,
     log_mgf_prime,
     q1,
@@ -34,9 +32,6 @@ def test_log_mgf_binary_log_cosh():
 
 
 def test_log_mgf_domain_error():
-    capped = DisorderLaw(LawKind.SYMMETRIC_BINARY, beta_bar=1.0)
-    with pytest.raises(ValueError):
-        log_mgf(capped, 1.0)
     with pytest.raises(ValueError):
         log_mgf(GAUSSIAN, -0.1)
 
@@ -62,12 +57,6 @@ def test_q1_binary_closed_form_and_numeric_derivative():
     step = 1e-5
     numeric = (log_mgf(BINARY, 1.0 + step) - log_mgf(BINARY, 1.0 - step)) / (2 * step)
     assert numeric == pytest.approx(log_mgf_prime(BINARY, 1.0), abs=1e-6)
-
-
-def test_q2_infinite_branch_with_injected_cap():
-    capped = DisorderLaw(LawKind.SYMMETRIC_BINARY, beta_bar=1.0)
-    assert math.isinf(q2(capped, 0.6))
-    assert math.isfinite(q2(capped, 0.4))
 
 
 def test_positivity_of_q1_q2():

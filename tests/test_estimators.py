@@ -181,7 +181,7 @@ def test_replica_log_z_charge_rows_equal_single_rows(log_kernel_small, law):
 
 @pytest.mark.parametrize("h", [0.4, -0.4])
 def test_log_annealed_z_matches_row_loop_at_4000(log_kernel_4000, h):
-    # the engine on the zero-disorder charge row against the row-loop log_Z
+    # the tilted renewal mass against the row-loop log_Z on zero-disorder charges
     n = 4000
     exact = log_Z(charge_prefix(GAUSSIAN, 0.0, h, np.zeros(n)), log_kernel_4000)
     got = log_annealed_Z(log_kernel_4000, n, h)
@@ -291,6 +291,11 @@ def test_trimmed_plan_schedule_and_constraints():
         est.trimmed_plan(2.0, GAUSSIAN, beta=0.5, h=0.3, c1=2.9, c2=1.5)
     with pytest.raises(ValueError, match="c2"):
         est.trimmed_plan(2.0, GAUSSIAN, beta=2.0, h=0.3, c1=3.3, c2=1.0)
+    # N grows like e^{2 c2 k}: h = 0.27 asks for 7.4e5 sites, h = 1e-3 for
+    # more than e^{300}; both are refused before any exp
+    for h in (0.27, 1e-3):
+        with pytest.raises(ValueError, match="budget"):
+            est.trimmed_plan(2.0, GAUSSIAN, beta=0.5, h=h, c1=3.3, c2=1.5)
 
 
 def _enumerate_trimmed_paths(kernel, plan, h):

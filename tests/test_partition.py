@@ -164,6 +164,30 @@ def test_annealed_delocalized_window(log_kernel_4000):
     assert 2 * floor / 4000 <= value / 4000 <= 0.0
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 127, 128, 129])
+def test_annealed_matches_row_loop_at_mass_block_edges(log_kernel_small, n):
+    # the tilted renewal mass against the row loop on zero-disorder charges,
+    # at the edges of the 64-site blocks of the mass solve, for both signs of h
+    for h in (-40.0, -5.0, -0.3, 0.3, 5.0, 40.0):
+        exact = log_Z(charge_prefix(GAUSSIAN, 0.0, h, np.zeros(n)), log_kernel_small)
+        got = log_annealed_Z(log_kernel_small, n, h)
+        assert abs(got - exact) <= 1e-10 * max(1.0, abs(exact))
+
+
+def test_annealed_at_huge_negative_h_is_the_halved_law(log_kernel_small):
+    # e^{hl} underflows to 0 for every l >= 1, leaving the law K/2
+    expected = math.log(renewal_mass(log_kernel_small.masses / 2, 100)[100])
+    assert log_annealed_Z(log_kernel_small, 100, -1e308) == expected
+
+
+def test_annealed_grid_equals_one_field_calls(log_kernel_small):
+    grid = np.array([[0.7, -0.2], [0.0, 5.0], [-40.0, 1e308]])
+    got = log_annealed_Z(log_kernel_small, 150, grid)
+    assert got.shape == grid.shape
+    want = [log_annealed_Z(log_kernel_small, 150, h) for h in grid.ravel().tolist()]
+    np.testing.assert_array_equal(got.ravel(), want)
+
+
 def test_restricted_below_unrestricted(log_kernel_small):
     rng = np.random.default_rng(10)
     for _ in range(10):
