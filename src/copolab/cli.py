@@ -37,8 +37,10 @@ worst_relative_error (row-loop and batched DP against enumeration),
 worst_block_edge_relative_error (batched DP against the row loop at
 block_edge_sizes, the edges of its 16-row sub-blocks and 64-site blocks),
 worst_trimmed_relative_error (batched trimmed engine against its row
-loop on trimmed_trials small plans) and worst_annealed_relative_error
-(annealed values at annealed_fields against the row loop); "moments"
+loop on trimmed_trials small plans), worst_annealed_relative_error
+(annealed values at annealed_fields against the row loop) and
+streams_checked (replica streams of stream_seeds compared with numpy's
+SeedSequence(seed, spawn_key=(i,)) streams); "moments"
 embeds the trimmed-ensemble report (exact_log_mean_restricted, product_lower_bound_log,
 identity_{lhs,rhs}_{mean,sigma}, identity_abs_diff, identity_three_sigma,
 induction_bound_log, plan); "penalization" lists per-h points (k, defect_expression, linf_holds,
@@ -55,6 +57,7 @@ both formats.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -62,7 +65,7 @@ import sys
 import numpy as np
 
 from . import __version__, bounds as bounds_mod, estimators
-from .disorder import BINARY, GAUSSIAN, _draw, q1, spawn_rng
+from .disorder import BINARY, GAUSSIAN, _draw, q1, replica_rngs
 from .kernel import (
     _MASS_BLOCK,
     FamilyKind,
@@ -118,6 +121,7 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="copolab",
@@ -352,8 +356,10 @@ def _suite_oracle(args, kernel) -> dict:
     # the row-loop log_Z and the batched replica DP against enumeration at
     # N <= 12, the batched DP against the row loop across sub-block and
     # block edges and over two passes of groups, the batched trimmed engine
-    # against its row loop on small plans, and the blocked renewal mass and
-    # the annealed value against the row loop at beta = 0 (Z_N = u(N) at h = 0)
+    # against its row loop on small plans, the blocked renewal mass and the
+    # annealed value against the row loop at beta = 0 (Z_N = u(N) at h = 0),
+    # and the replica streams against numpy's SeedSequence; the trials come
+    # from numpy's root stream of the seed, which has no spawn key
     rng = np.random.default_rng(args.seed)
 
     def draw(law_i, n, replicas):
@@ -361,8 +367,8 @@ def _suite_oracle(args, kernel) -> dict:
         beta, h = float(rng.uniform(0.0, 2.0)), float(rng.uniform(-1.0, 1.0))
         seed = int(rng.integers(0, 2**32))
         rows = [
-            charge_prefix(law_i, beta, h, _draw(law_i, n, spawn_rng(seed, r)))
-            for r in range(replicas)
+            charge_prefix(law_i, beta, h, _draw(law_i, n, stream))
+            for stream in replica_rngs(seed, range(replicas))
         ]
         return beta, h, seed, rows
 
@@ -414,6 +420,16 @@ def _suite_oracle(args, kernel) -> dict:
         for n in mass_sizes
         for h, value in zip(annealed_fields, log_annealed_Z(kernel, n, annealed_fields).tolist())
     )
+    # the bulk replica streams against numpy's SeedSequence, at seeds of 1, 2 and 4
+    # words when --seed is below 2**32
+    stream_seeds = [args.seed, 2**32 + args.seed, 10**30 + args.seed]
+    stream_indices = [*range(64), 999_999, 1_000_000]
+    streams_match = all(
+        stream.bit_generator.state
+        == np.random.default_rng(np.random.SeedSequence(s, spawn_key=(i,))).bit_generator.state
+        for s in stream_seeds
+        for i, stream in zip(stream_indices, replica_rngs(s, stream_indices))
+    )
     return {
         "trials": trials,
         "worst_relative_error": worst,
@@ -427,6 +443,8 @@ def _suite_oracle(args, kernel) -> dict:
         "worst_renewal_mass_relative_error": worst_mass,
         "annealed_fields": list(annealed_fields),
         "worst_annealed_relative_error": worst_annealed,
+        "stream_seeds": stream_seeds,
+        "streams_checked": len(stream_seeds) * len(stream_indices),
         "checks": [
             {"name": "dp_matches_enumeration", "kind": "assert", "ok": worst <= 1e-10},
             {"name": "batched_dp_matches_row_loop", "kind": "assert",
@@ -435,6 +453,7 @@ def _suite_oracle(args, kernel) -> dict:
              "ok": worst_trimmed <= 1e-10},
             {"name": "renewal_mass_matches_row_loop", "kind": "assert", "ok": worst_mass <= 1e-10},
             {"name": "annealed_matches_row_loop", "kind": "assert", "ok": worst_annealed <= 1e-10},
+            {"name": "replica_streams_match_seed_sequence", "kind": "assert", "ok": streams_match},
         ],
     }
 

@@ -1,14 +1,16 @@
 """Free-energy estimation and numerical verification engines.
 
 Every loop over quenched disorder replicas goes through ``replica_log_z``:
-replica i draws its charges from ``spawn_rng(seed, i)``, once for a whole
-grid of fields, and all rows are evaluated together by the batched,
-blocked quenched DP of ``partition``, so the seed, the replica index and
-the field alone fix each value, bit for bit, whatever the replica count,
-the grid or the evaluation order.  The trimmed second-moment check does
-the same for the restricted ensemble: replica i draws from
-``spawn_rng(seed, i)`` and the batched trimmed engine of ``partition``
-evaluates the replicas one fixed-width group at a time.
+replica i draws its charges from stream i of ``replica_rngs(seed, ...)``
+(the PCG64 stream of ``SeedSequence(seed, spawn_key=(i,))``; the streams of
+a call are derived in one bulk pass), once for a whole grid of fields, and
+all rows are evaluated together by the batched, blocked quenched DP of
+``partition``, so the seed, the replica index and the field alone fix each
+value, bit for bit, whatever the replica count, the grid or the evaluation
+order.  The trimmed second-moment check does the same for the restricted
+ensemble: replica i draws from the same stream i, each built when the
+engine reaches its replica, and the batched trimmed engine of
+``partition`` evaluates the replicas one fixed-width group at a time.
 The verification engines evaluate the change-of-measure, trimmed
 second-moment and coarse-graining constructions at desk scale and return
 plain-dict reports: every value is recorded, and quantities that the
@@ -32,6 +34,7 @@ from .disorder import (
     q1,
     q2,
     rate_function,
+    replica_rngs,
     spawn_rng,
 )
 from .kernel import (
@@ -104,16 +107,16 @@ def replica_log_z(
 
     ``h`` is one field or a 1-D grid of fields; the result has shape
     np.shape(h) + (replicas,).  Replica i draws its disorder once, from
-    ``spawn_rng(seed, i)``, and takes it to every field; the charge rows of
-    all replicas and fields come from one ``charge_prefix`` call, and all
-    rows go through one batched, blocked DP that agrees with the row-loop
-    ``log_Z`` to rounding.  A value depends on (seed, i, h) only, never on the
-    replica count or the grid.
+    stream i of ``replica_rngs(seed, range(replicas))``, and takes it to
+    every field; the charge rows of all replicas and fields come from one
+    ``charge_prefix`` call, and all rows go through one batched, blocked DP
+    that agrees with the row-loop ``log_Z`` to rounding.  A value depends on
+    (seed, i, h) only, never on the replica count or the grid.
     """
     fields = np.asarray(h, dtype=float)
     omegas = np.empty((replicas, n))
-    for i in range(replicas):
-        omegas[i] = _draw(law, n, spawn_rng(seed, i))
+    for i, rng in enumerate(replica_rngs(seed, range(replicas))):
+        omegas[i] = _draw(law, n, rng)
     # charges past the float range turn non-finite, and their rows NaN
     with np.errstate(over="ignore"):
         prefix = charge_prefix(law, beta, fields.reshape(-1, 1, 1), omegas)
@@ -339,7 +342,7 @@ def trimmed_moment_check(
     exact mean in (a) is the batched trimmed engine on the zero-disorder
     charges (h per site); the replicas of (b) go through the same engine,
     drawn one group at a time, and the overlap paths are drawn in groups
-    of _PATH_PAIRS replica pairs from one stream.
+    of _PATH_PAIRS replica pairs from one stream, spawn_rng(seed, 1_000_000).
     """
     if plan.N > kernel.support_cap:
         raise ValueError(
@@ -357,9 +360,10 @@ def trimmed_moment_check(
     product_log = _first_moment_product_log(kernel, plan)
 
     # (b) left side: disorder replicas of (Z restricted / exact mean)^2;
-    # replica i draws from spawn_rng(seed, i), one engine group at a time
+    # replica i draws from stream i of seed, one engine group at a time
     prefixes = (
-        charge_prefix(law, beta, h, _draw(law, span, spawn_rng(seed, i))) for i in range(replicas)
+        charge_prefix(law, beta, h, _draw(law, span, rng))
+        for rng in replica_rngs(seed, range(replicas))
     )
     log_zt = _trimmed_log_z_replicas(prefixes, kernel, constraint, plan.N)
     lhs_vals = np.exp(2.0 * (log_zt - exact_log_mean))
@@ -524,10 +528,15 @@ def coarse_graining_check(
     is eta = _COARSE_ETA and M_h is capped at _COARSE_M_CAP.  A window beyond
     _COARSE_N_BUDGET, or a crossover tilt whose renewal mass leaves the float
     range (supercritical at this h and eta), gives {"feasible": False, ...}
-    with a note.
+    with a note.  Fewer than 2 replicas (the spot standard errors need two)
+    or a negative seed raise ValueError.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
+    if replicas < 2:
+        raise ValueError(f"need at least 2 replicas, got {replicas}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     q1v = q1(law, beta)
     if not c3 < q1v:
         raise ValueError(f"c3={c3} must be below q1(beta)={q1v}")

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from copolab.cli import main
+from copolab.cli import _build_parser, main
 from copolab.kernel import FamilyKind, SlowlyVaryingFamily, build_kernel
 from copolab.kernel import renewal_mass
 
@@ -235,7 +235,10 @@ def test_verify_oracle_suite_passes_fast(tmp_path):
     assert {c["name"] for c in oracle["checks"]} == {
         "dp_matches_enumeration", "batched_dp_matches_row_loop", "trimmed_engine_matches_row_loop",
         "renewal_mass_matches_row_loop", "annealed_matches_row_loop",
+        "replica_streams_match_seed_sequence",
     }
+    assert oracle["stream_seeds"] == [2, 2**32 + 2, 10**30 + 2]
+    assert oracle["streams_checked"] == 3 * 66
 
 
 def test_verify_oracle_checks_trimmed_engine(tmp_path):
@@ -365,6 +368,54 @@ def test_ambiguous_or_empty_h_input_exits_2_without_artifact(tmp_path, capsys, a
     assert run_cli([*args, "--n", "50", "--out", str(out)]) == 2
     assert "config error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate", "--beta", "1.0", "--h", "0.3"],
+        ["sweep", "--beta", "1.0", "--h-grid", "0.3,0.1"],
+        ["verify", "moments"],
+        ["verify", "coarse"],
+        ["verify", "oracle"],
+    ],
+    ids=["estimate", "sweep", "moments", "coarse", "oracle"],
+)
+def test_negative_seed_exits_2_without_artifact(tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert run_cli([*args, "--seed", "-1", "--n", "50", "--out", str(out)]) == 2
+    assert "non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _run_captured(args, capsys):
+    try:
+        code = run_cli(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_cli_runs_in_one_process_match_runs_alone(capsys):
+    # the parser is built once per process; a refused run must not change
+    # what later runs of other commands write
+    runs = [
+        ["estimate", "--h", "0.5"],
+        ["estimate", "--beta", "0.7", "--h", "0.2", "--n", "80", "--replicas", "3", "--seed", "5"],
+        ["verify", "nosuchsuite"],
+        ["kernel-info", "--h", "0.04", "--format", "csv"],
+        ["annealed", "--h-grid", "0.3,0.1", "--n", "60", "--replicas", "4"],
+        ["sweep", "--beta", "0.5", "--h-grid", "0.4,0.2", "--n", "70", "--replicas", "3"],
+        ["bounds", "--beta", "1.0", "--h", "0.1", "--format", "json"],
+    ]
+    together = [_run_captured(args, capsys) for args in runs]
+    alone = []
+    for args in runs:
+        _build_parser.cache_clear()
+        alone.append(_run_captured(args, capsys))
+    assert together == alone
+    assert [code for code, _, _ in together] == [2, 0, 2, 0, 2, 0, 0]
 
 
 def test_unwritable_out_exits_2(tmp_path, capsys):

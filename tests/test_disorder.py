@@ -12,6 +12,8 @@ from copolab.disorder import (
     q2,
     _draw,
     rate_function,
+    replica_rngs,
+    spawn_rng,
 )
 from copolab.estimators import tilted_block_success
 
@@ -150,3 +152,59 @@ def test_tilted_block_means_exceed_shifted_threshold():
     beta, b_frac, k = 1.0, 0.9, 400
     for law in (GAUSSIAN, BINARY):
         assert tilted_block_success(law, beta, b_frac * log_mgf_prime(law, beta), k) > 0.5
+
+
+# seeds of 1 to 5 uint32 words, and indices past the first 64
+_STREAM_SEEDS = (0, 2**32 - 1, 2**32, 2**64 + 5, 10**30, 10**45)
+_STREAM_INDICES = (*range(64), 999_999, 1_000_000)
+
+
+def _numpy_stream(seed, index):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def test_replica_rngs_match_seed_sequence_streams():
+    for seed in _STREAM_SEEDS:
+        streams = list(replica_rngs(seed, _STREAM_INDICES))
+        assert len(streams) == len(_STREAM_INDICES)
+        for i, rng in zip(_STREAM_INDICES, streams):
+            assert rng.bit_generator.state == _numpy_stream(seed, i).bit_generator.state
+        assert spawn_rng(seed, 999_999).bit_generator.state == streams[-2].bit_generator.state
+
+
+def test_replica_rngs_draw_the_seed_sequence_charges_bit_for_bit():
+    for law in (GAUSSIAN, BINARY):
+        for seed in _STREAM_SEEDS:
+            for i, rng in zip(_STREAM_INDICES, replica_rngs(seed, _STREAM_INDICES)):
+                ours, ref = _draw(law, 37, rng), _draw(law, 37, _numpy_stream(seed, i))
+                assert ours.tobytes() == ref.tobytes()
+
+
+def test_replica_rngs_leave_their_index_array_unchanged():
+    # a mix written in place into the index array gives wrong streams silently
+    for dtype in (np.uint32, np.int64):
+        index = np.array(_STREAM_INDICES, dtype=dtype)
+        before = index.copy()
+        streams = list(replica_rngs(2**32, index))
+        np.testing.assert_array_equal(index, before)
+        for i, rng in zip(_STREAM_INDICES, streams):
+            assert rng.bit_generator.state == _numpy_stream(2**32, i).bit_generator.state
+
+
+def test_replica_rngs_refuse_a_negative_seed_or_an_index_out_of_range():
+    for seed, indices in ((-1, [0]), (-(2**40), range(3)), (3, [-1]), (3, [0, 2**32])):
+        with pytest.raises(ValueError):
+            replica_rngs(seed, indices)
+    with pytest.raises(ValueError, match="non-negative"):
+        spawn_rng(-1, 0)
+
+
+def test_replica_stream_seed_words_serve_only_pcg64():
+    rng = next(replica_rngs(7, [3]))
+    words = rng.bit_generator.seed_seq
+    assert words.generate_state(4, np.uint64).tolist() == (
+        np.random.SeedSequence(7, spawn_key=(3,)).generate_state(4, np.uint64).tolist()
+    )
+    for n_words, dtype in ((4, np.uint32), (8, np.uint64), (2, np.uint64)):
+        with pytest.raises(ValueError):
+            words.generate_state(n_words, dtype)

@@ -544,6 +544,25 @@ def test_coarse_graining_rejects_c3_above_rate(big_kernels):
         est.coarse_graining_check(big_kernels["log"], GAUSSIAN, 1.0, h=0.05, c3=0.6)
 
 
+@pytest.mark.parametrize("replicas", [1, 0, -3])
+def test_coarse_graining_refuses_fewer_than_two_replicas(big_kernels, replicas):
+    # one replica has no spot standard error (a NaN stderr with ddof=1)
+    c3 = 0.45
+    with pytest.raises(ValueError, match="at least 2 replicas"):
+        est.coarse_graining_check(
+            big_kernels["log"], GAUSSIAN, 1.0, c3 / math.log(120.0), c3, replicas=replicas
+        )
+
+
+def test_coarse_graining_refuses_a_negative_seed(big_kernels):
+    # spot j draws from seed + j, which a negative seed would make non-negative
+    c3 = 0.45
+    with pytest.raises(ValueError, match="non-negative"):
+        est.coarse_graining_check(
+            big_kernels["log"], GAUSSIAN, 1.0, c3 / math.log(120.0), c3, replicas=4, seed=-1
+        )
+
+
 def test_verifier_reports_are_deterministic(moment_kernel):
     import json
 
