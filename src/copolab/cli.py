@@ -78,8 +78,8 @@ from .partition import (
     _BLOCK,
     _FILL_ROWS,
     _GEMM_REPLICAS,
-    _PASS_GROUPS,
     Trimmed,
+    _pass_lanes,
     _trimmed_log_z_replicas,
     brute_force_log_Z,
     charge_prefix,
@@ -402,12 +402,17 @@ def _suite_oracle(args, kernel) -> dict:
         values = _trimmed_log_z_replicas(rows, kernel, plan, n).tolist()
         trimmed += [(v, log_Z_restricted(row, kernel, plan, n)) for v, row in zip(values, rows)]
     worst_trimmed = _worst_relative_error(trimmed)
-    two_pass = {"replicas": (_PASS_GROUPS + 1) * _GEMM_REPLICAS, "n": 3 * _BLOCK + 5}
-    worst_two_pass = _worst_relative_error(
-        (value, log_Z(row, kernel))
+    # one group more than a pass holds; the rows either side of the pass
+    # boundary, the first pass's last group and the second pass, go to the row loop
+    two_pass_n = 3 * _BLOCK + 5
+    two_pass = {"replicas": _pass_lanes(two_pass_n) + _GEMM_REPLICAS, "n": two_pass_n,
+                "rows_checked": 2 * _GEMM_REPLICAS}
+    boundary = [
+        pair
         for law_i in (GAUSSIAN, BINARY)
-        for value, row in batch(law_i, two_pass["n"], two_pass["replicas"])
-    )
+        for pair in list(batch(law_i, two_pass_n, two_pass["replicas"]))[-2 * _GEMM_REPLICAS :]
+    ]
+    worst_two_pass = _worst_relative_error((value, log_Z(row, kernel)) for value, row in boundary)
     mass_sizes = tuple(e + d for e in (_MASS_BLOCK, 2 * _MASS_BLOCK) for d in (-1, 0, 1))
     worst_mass = 0.0
     for n in mass_sizes:

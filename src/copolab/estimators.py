@@ -528,7 +528,8 @@ def coarse_graining_check(
     is eta = _COARSE_ETA and M_h is capped at _COARSE_M_CAP.  A window beyond
     _COARSE_N_BUDGET, or a crossover tilt whose renewal mass leaves the float
     range (supercritical at this h and eta), gives {"feasible": False, ...}
-    with a note.  Fewer than 2 replicas (the spot standard errors need two)
+    with a note.  Fewer than 2 replicas (the spot standard errors need two),
+    a green_n_max below 2 (the half range of the Green constant needs a site)
     or a negative seed raise ValueError.
     """
     if h <= 0:
@@ -537,6 +538,8 @@ def coarse_graining_check(
         raise ValueError(f"need at least 2 replicas, got {replicas}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if green_n_max < 2:
+        raise ValueError(f"green_n_max must be at least 2, got {green_n_max}")
     q1v = q1(law, beta)
     if not c3 < q1v:
         raise ValueError(f"c3={c3} must be below q1(beta)={q1v}")

@@ -9,12 +9,14 @@ times exp of the accumulated charge on excursions below the interface.
 by row with a running-maximum log-sum-exp per target index, so charges of
 order N*h never overflow; it is the reference oracle.  Replica batches go
 through ``_log_z_replicas``, the same recursion for groups of
-_GEMM_REPLICAS replicas, run _PASS_GROUPS groups per pass, in source
-blocks: inside a block a linear-domain solve (nilpotent doubling on 16-row
-diagonal sub-blocks, Toeplitz GEMMs for the earlier ones), or the
-row-by-row log-space fill for a replica whose charges vary too much there,
-and one Toeplitz(K) GEMM per group on block values scaled by their own
-maximum to push a finished block to every later target.  It agrees with
+_GEMM_REPLICAS replicas, run as many groups per pass as a working-set
+budget of _PASS_BYTES allows, in source blocks: inside a block a
+linear-domain solve (nilpotent doubling on 8-row diagonal sub-blocks,
+Toeplitz GEMMs for the earlier ones), or the row-by-row log-space fill for
+a replica whose charges vary too much there, and one Toeplitz(K) GEMM per
+group on block values scaled by their own maximum to push a finished block
+to every later target.  The per-row work runs on a pass's live rows only;
+the zero padding of its last group enters the GEMMs alone.  It agrees with
 the row loop to rounding (1e-10 relative is the tested gate).  A
 brute-force enumeration oracle over all renewal subsets backs both for
 small N.  ``log_annealed_Z`` is the renewal mass of the tilted law
@@ -50,8 +52,8 @@ _LOG2 = math.log(2.0)
 _BLOCK = 64  # source block width of the replica-batched quenched DP
 _CHUNK = 256  # targets per push of one block; bounds the Toeplitz copy
 _GEMM_REPLICAS = 8  # replicas per GEMM in the push
-_PASS_GROUPS = 4  # groups of _GEMM_REPLICAS replicas per pass of the quenched engine
-_FILL_ROWS = 16  # rows per diagonal sub-block of the linear-domain block fill
+_PASS_BYTES = 24 << 20  # working-set budget of one pass of the quenched engine
+_FILL_ROWS = 8  # rows per diagonal sub-block of the linear-domain block fill; a power of two
 _FILL_VARIATION = 256.0  # largest in-block charge variation filled in the linear domain
 _TRIMMED_CHUNK = 64  # targets per long-stage GEMM of the trimmed engine
 
@@ -117,16 +119,35 @@ def log_Z(prefix: np.ndarray, kernel: RenewalKernel) -> float:
     return float(lz[n])
 
 
+def _lane_bytes(n: int) -> int:
+    """Working set of one row of the quenched engine over n sites.
+
+    Its charge prefix and both accumulators, 3 (N + 1) doubles, and in the
+    fill its matrices A, (I - A)^{-1} and one product, 3 _BLOCK _FILL_ROWS
+    doubles, with six block-wide vectors.
+    """
+    return 8 * (3 * (n + 1) + 3 * _BLOCK * _FILL_ROWS + 6 * _BLOCK)
+
+
+def _pass_lanes(n: int) -> int:
+    """Rows per pass of the quenched engine over n sites: the whole groups of
+    _GEMM_REPLICAS rows whose working set fits _PASS_BYTES, at least one."""
+    return _GEMM_REPLICAS * max(1, _PASS_BYTES // (_GEMM_REPLICAS * _lane_bytes(n)))
+
+
 def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     """Quenched log Z_N of every row of an (R, N+1) charge-prefix array.
 
     Same recursion as ``log_Z``, split into two causal convolutions of
     a(j) = Z(j) and b(j) = Z(j) e^{-S_j}:
     Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Rows go through in passes of
-    up to _PASS_GROUPS groups of _GEMM_REPLICAS rows, the last group
-    zero-padded, in buffers allocated once per call; every GEMM is one
-    group's own product, stacked over the pass's groups in one
-    ``np.matmul`` call.  Sources are cut into blocks of _BLOCK sites.
+    ``_pass_lanes(N)`` rows, whole groups of _GEMM_REPLICAS rows whose
+    working set fits _PASS_BYTES, in buffers allocated once per call.  The
+    last group of a pass is zero-padded; its padded rows take part in the
+    GEMMs, which always see whole groups, and in nothing else: the per-row
+    work, every log and every division, runs on the pass's live rows only.
+    Every GEMM is one group's own product, stacked over the pass's groups in
+    one ``np.matmul`` call.  Sources are cut into blocks of _BLOCK sites.
     Inside a block Z solves (I - L) z = p, with p the part pushed from
     earlier blocks and L[u, v] = K(u - v)/2 (1 + e^{S_u - S_v}) >= 0 for
     v < u; ``_fill_linear`` solves it in the linear domain and
@@ -136,7 +157,7 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     with Toeplitz(K) GEMMs of _CHUNK targets each and added to per-target
     linear accumulators that share one log scale per replica and channel.
     A row holding a non-finite charge gives NaN.  A replica's value depends
-    neither on the other rows nor on R.
+    neither on the other rows, nor on R, nor on the pass width.
     """
     replicas, n = prefix.shape[0], prefix.shape[1] - 1
     if n < 1:
@@ -163,8 +184,7 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     gaps = np.append(kernel.log_masses[_BLOCK:0:-1] - _LOG2, 0.0)
     # windows[t, u] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t
     windows = _toeplitz_view(kernel.masses[1:], _BLOCK)
-    # rows per pass: whole groups, at most _PASS_GROUPS of them
-    lanes = _GEMM_REPLICAS * min(_PASS_GROUPS, -(-len(rows) // _GEMM_REPLICAS))
+    lanes = min(_pass_lanes(n), _GEMM_REPLICAS * -(-len(rows) // _GEMM_REPLICAS))
     s_all = np.empty((lanes, n + 1))
     # acc[:, 0, m] e^{ref[:, 0]}, acc[:, 1, m] e^{ref[:, 1]}: sum_j K(m - j) a(j),
     # b(j) over pushed blocks.  ref is the largest block offset pushed so
@@ -176,41 +196,43 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     # takes one zero-padded group of _GEMM_REPLICAS replicas and never sees R
     for p0 in range(0, len(rows), lanes):
         batch = rows[p0 : p0 + lanes]
-        width = _GEMM_REPLICAS * -(-len(batch) // _GEMM_REPLICAS)
-        s, acc = s_all[:width], acc_all[:width]
-        s[: len(batch)] = prefix[batch]
-        s[len(batch) :] = 0.0  # padding rows carry zero charges
-        acc.fill(0.0)
-        ref = np.full((width, 2), -np.inf)
+        live = len(batch)
+        width = _GEMM_REPLICAS * -(-live // _GEMM_REPLICAS)
+        s, acc = s_all[:live], acc_all[:width]
+        s[:] = prefix[batch]
+        acc.fill(0.0)  # padded rows only ever gain zeros here
+        ref = np.full((live, 2), -np.inf)
         for j0 in range(0, n + 1, _BLOCK):
             j1 = min(j0 + _BLOCK, n + 1)
             charges = s[:, j0:j1]
             if j0 == 0:
-                pushed = np.full((width, j1), -np.inf)
+                pushed = np.full((live, j1), -np.inf)
                 pushed[:, 0] = 0.0
             else:
-                logs = np.log(acc[:, :, j0:j1]) + ref[:, :, None]
+                logs = np.log(acc[:live, :, j0:j1]) + ref[:, :, None]
                 pushed = np.logaddexp(logs[:, 0], charges + logs[:, 1]) - _LOG2
             steep = np.abs(np.diff(charges, axis=1)).sum(axis=1) > _FILL_VARIATION
             # a = scaled[:, 0] e^{offset[:, 0]}, b = scaled[:, 1] e^{offset[:, 1]}
-            scaled, offset = _fill_linear(pushed, charges, steep, diagonal, earlier)
+            # on the live rows; the padded rows of scaled stay 0
+            scaled, offset = _fill_linear(pushed, charges, steep, width, diagonal, earlier)
+            filled = scaled[:live]
             if steep.any():
                 block = _fill_log(pushed[steep], charges[steep] - charges[steep, :1], gaps)
                 top = block.max(axis=2)
-                scaled[steep, :, : j1 - j0] = np.exp(block - top[:, :, None])
+                filled[steep, :, : j1 - j0] = np.exp(block - top[:, :, None])
                 top[:, 1] -= charges[steep, 0]
                 offset[steep] = top
             if j1 > n:
-                values = np.log(scaled[:, 0, n - j0]) + offset[:, 0]
+                values = np.log(filled[:, 0, n - j0]) + offset[:, 0]
                 if steep.any():
                     values[steep] = block[:, 0, n - j0]
-                out[batch] = values[: len(batch)]
+                out[batch] = values
                 break
             if (offset > ref).any():
                 raised = np.maximum(ref, offset)
-                acc[:, :, j1:] *= np.exp(ref - raised)[:, :, None]
+                acc[:live, :, j1:] *= np.exp(ref - raised)[:, :, None]
                 ref = raised
-            scaled *= np.exp(offset - ref)[:, :, None]
+            filled *= np.exp(offset - ref)[:, :, None]
             stacked = scaled.reshape(-1, 2 * _GEMM_REPLICAS, _BLOCK)
             for t0 in range(0, n + 1 - j1, _CHUNK):
                 t1 = min(t0 + _CHUNK, n + 1 - j1)
@@ -220,20 +242,24 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     return out
 
 
-def _fill_linear(pushed, charges, steep, diagonal, earlier):
-    """Solve one block's (I - L) z = p in the linear domain, all rows at once.
+def _fill_linear(pushed, charges, steep, width, diagonal, earlier):
+    """Solve one block's (I - L) z = p in the linear domain, all live rows at once.
 
-    ``pushed`` holds log p and ``charges`` the block's S, one row per
-    replica.  Returns ``scaled`` (rows, 2, _BLOCK) and ``offset`` (rows, 2)
-    with a = scaled[:, 0] e^{offset[:, 0]} and b = scaled[:, 1] e^{offset[:, 1]}.
+    ``pushed`` holds log p and ``charges`` the block's S, one row per live
+    replica; ``width`` is the live count rounded up to whole groups of
+    _GEMM_REPLICAS.  Returns ``scaled`` (width, 2, _BLOCK), zero past the
+    live rows, and ``offset`` (live, 2), with a = scaled[:, 0] e^{offset[:, 0]}
+    and b = scaled[:, 1] e^{offset[:, 1]} on the live rows.
     p is scaled by its row maximum and the charges are centred at the
     mid-range `mid` of the row, so that x = z e^{-max log p} and
     y = x e^{mid - S} are what the block holds.  Rows are solved in
     sub-blocks of _FILL_ROWS: the block's earlier rows enter through
-    Toeplitz(K/2) GEMMs on the pair (x, y), as in the push,
+    Toeplitz(K/2) GEMMs on the pair (x, y), as in the push, over whole
+    groups (the padded rows hold zeros),
     L[u, v] x_v = K(u-v)/2 x_v + e^{S_u - mid} K(u-v)/2 y_v, and the
     diagonal sub-block A of L, nilpotent, by
-    (I - A)^{-1} = (I + A)(I + A^2)(I + A^4)(I + A^8).
+    (I - A)^{-1} = (I + A)(I + A^2)(I + A^4), one doubling step less than
+    log2 _FILL_ROWS; the per-row matrices are built only for the live rows.
 
     Why this is accurate to rounding: an entry (I - L)^{-1}[u, v] sums, over
     in-block renewal paths v = w_0 < ... < w_k = u, products of
@@ -248,44 +274,45 @@ def _fill_linear(pushed, charges, steep, diagonal, earlier):
     Numerical Algorithms, ch. 8).  Rows flagged ``steep`` are given flat
     charges here, which keeps them finite, and are refilled by the caller.
     """
-    rows, width = pushed.shape  # rows: whole groups of _GEMM_REPLICAS
+    live, span = pushed.shape
     top = pushed.max(axis=1)
     mid = 0.5 * (charges.max(axis=1) + charges.min(axis=1))
-    # past the block's width (its last block only) p = 0 and flat charges
-    # keep the padded rows finite; nothing reads them
-    p = np.zeros((rows, _BLOCK))
-    np.exp(pushed - top[:, None], out=p[:, :width])
-    rel = np.zeros((rows, _BLOCK))
-    rel[:, :width] = charges - mid[:, None]
+    # past the block's span (its last block only) p = 0 and flat charges
+    # keep the trailing rows finite; nothing reads them
+    p = np.zeros((live, _BLOCK))
+    np.exp(pushed - top[:, None], out=p[:, :span])
+    rel = np.zeros((live, _BLOCK))
+    rel[:, :span] = charges - mid[:, None]
     rel[steep] = 0.0
     up, down = np.exp(rel), np.exp(-rel)  # e^{S_u - mid}, e^{mid - S_v}
     # the diagonal sub-blocks A of every sub-block at once, and their
-    # inverses sum_{k<16} A^k = (I + A^8)(I + A^4)(I + A^2)(I + A)
-    subs = (rows, -(-width // _FILL_ROWS), _FILL_ROWS)
-    span = subs[1] * _FILL_ROWS
-    a = up[:, :span].reshape(subs)[..., :, None] * down[:, :span].reshape(subs)[..., None, :]
+    # inverses sum_{k<_FILL_ROWS} A^k = (I + A)(I + A^2)...(I + A^{_FILL_ROWS/2})
+    subs = (live, -(-span // _FILL_ROWS), _FILL_ROWS)
+    cut = subs[1] * _FILL_ROWS
+    a = up[:, :cut].reshape(subs)[..., :, None] * down[:, :cut].reshape(subs)[..., None, :]
     a += 1.0
     a *= diagonal
     inverse = a + np.eye(_FILL_ROWS)
-    for _ in range(3):
+    for _ in range(_FILL_ROWS.bit_length() - 2):
         a = np.matmul(a, a)
         inverse += np.matmul(a, inverse)
-    scaled = np.zeros((rows, 2, _BLOCK))
-    flat = scaled.reshape(2 * rows, _BLOCK)
-    for q, r0 in enumerate(range(0, width, _FILL_ROWS)):
+    scaled = np.zeros((width, 2, _BLOCK))
+    flat = scaled.reshape(2 * width, _BLOCK)
+    for q, r0 in enumerate(range(0, span, _FILL_ROWS)):
         r1 = r0 + _FILL_ROWS
         c = p[:, r0:r1]
         if q:
             grouped = flat[:, :r0].reshape(-1, 2 * _GEMM_REPLICAS, r0)
-            pair = np.matmul(grouped, earlier[q - 1]).reshape(rows, 2, _FILL_ROWS)
-            c += pair[:, 0]
-            c += up[:, r0:r1] * pair[:, 1]
+            pair = np.matmul(grouped, earlier[q - 1]).reshape(width, 2, _FILL_ROWS)
+            c += pair[:live, 0]
+            c += up[:, r0:r1] * pair[:live, 1]
         z = np.matmul(inverse[:, q], c[:, :, None])[:, :, 0]
-        scaled[:, 0, r0:r1] = z
-        np.multiply(z, down[:, r0:r1], out=scaled[:, 1, r0:r1])
-    # a unit maximum per row and channel, as the caller's push assumes
-    peak = scaled[:, :, :width].max(axis=2)
-    scaled /= peak[:, :, None]
+        scaled[:live, 0, r0:r1] = z
+        np.multiply(z, down[:, r0:r1], out=scaled[:live, 1, r0:r1])
+    # a unit maximum per live row and channel, as the caller's push assumes
+    filled = scaled[:live]
+    peak = filled[:, :, :span].max(axis=2)
+    filled /= peak[:, :, None]
     offset = np.log(peak)
     offset[:, 0] += top
     offset[:, 1] += top - mid

@@ -9,13 +9,15 @@ from copolab import estimators as est
 from copolab.bounds import log_upper_general
 from copolab.disorder import BINARY, GAUSSIAN, _draw, log_mgf, q1, q2, rate_function, spawn_rng
 from copolab.kernel import build_kernel
+from copolab import partition
 from copolab.partition import (
     _BLOCK,
     _FILL_ROWS,
     _FILL_VARIATION,
     _GEMM_REPLICAS,
-    _PASS_GROUPS,
+    _lane_bytes,
     _log_z_replicas,
+    _pass_lanes,
     brute_force_log_Z,
     charge_prefix,
     log_Z,
@@ -103,11 +105,14 @@ def test_replica_log_z_matches_row_loop_over_wide_log_range(log_kernel_small, la
     assert max(np.abs(prefix).max(), np.abs(ref).max()) > 500.0
 
 
-@pytest.mark.parametrize("n", [15, 16, 17, 47, 48, 49])
+@pytest.mark.parametrize(
+    "n",
+    sorted({e + d for e in (_FILL_ROWS, 3 * _FILL_ROWS) for d in (-1, 0, 1)} | {15, 16, 17, 47, 48, 49}),
+)
 @pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
 def test_replica_log_z_matches_row_loop_at_sub_block_edges(log_kernel_small, law, n):
-    # N + 1 rows end just before, on and just after a diagonal sub-block edge
-    assert _FILL_ROWS == 16
+    # N + 1 rows end just before, on and just after a diagonal sub-block
+    # edge, at the first and third edge and at 16 and 48
     _assert_matches_row_loop(log_kernel_small, law, 1.2, 0.3, n, 4, 3)
 
 
@@ -137,12 +142,12 @@ def test_engine_mixes_steep_and_linear_replicas(log_kernel_small):
         assert abs(batch[i] - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
-def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kernel_small):
-    # 100 rows run as passes of _PASS_GROUPS groups: steep rows sit in the
-    # first, sixth and last group, and a non-finite row in the third pass
-    # shifts every later row to another group; each row still equals its
-    # own single-row value bit for bit
-    assert _GEMM_REPLICAS * _PASS_GROUPS == 32
+def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kernel_small, monkeypatch):
+    # budgets of one and of four groups per pass run 100 rows as 13 and as 4
+    # passes: steep rows sit in the first, sixth and last group, each in a
+    # pass of its own, and a non-finite row in a middle pass shifts every
+    # later row to another group; each row still equals its own single-row
+    # value bit for bit
     n = 2 * _BLOCK + 30
     prefix = np.array([
         charge_prefix(
@@ -153,11 +158,34 @@ def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kerne
     steep = np.abs(np.diff(prefix[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
     assert np.flatnonzero(steep).tolist() == [3, 41, 99]
     prefix[70, 5] = np.inf
-    batch = _log_z_replicas(prefix, log_kernel_small)
-    assert np.isnan(batch[70]) and np.isfinite(np.delete(batch, 70)).all()
-    for i, row in enumerate(prefix):
-        single = _log_z_replicas(row[None], log_kernel_small)[0]
-        assert single == batch[i] or (np.isnan(single) and np.isnan(batch[i]))
+    singles = [_log_z_replicas(row[None], log_kernel_small)[0] for row in prefix]
+    for groups, passes in [(1, 13), (4, 4)]:
+        monkeypatch.setattr(partition, "_PASS_BYTES", groups * _GEMM_REPLICAS * _lane_bytes(n))
+        assert -(-99 // _pass_lanes(n)) == passes
+        batch = _log_z_replicas(prefix, log_kernel_small)
+        assert np.isnan(batch[70]) and np.isfinite(np.delete(batch, 70)).all()
+        for single, value in zip(singles, batch):
+            assert single == value or (np.isnan(single) and np.isnan(value))
+
+
+def test_engine_part_filled_groups_equal_full_groups(log_kernel_small):
+    # only a pass's live rows are filled, logged and divided: R = 1..9 and
+    # R = 100 leave the last group part-filled, with a steep row (2 or 98)
+    # inside it, and every row equals its value in a batch of full groups
+    # bit for bit, with no numpy warning from the padded rows
+    n = 2 * _BLOCK + 21
+    prefix = np.array([
+        charge_prefix(GAUSSIAN, 1.0, 8.0 if i in (2, 98) else 0.3, _draw(GAUSSIAN, n, spawn_rng(13, i)))
+        for i in range(13 * _GEMM_REPLICAS)
+    ])
+    steep = np.abs(np.diff(prefix[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
+    assert np.flatnonzero(steep).tolist() == [2, 98]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        full = _log_z_replicas(prefix, log_kernel_small)
+        assert np.isfinite(full).all()
+        for count in [*range(1, 10), 100]:
+            np.testing.assert_array_equal(_log_z_replicas(prefix[:count], log_kernel_small), full[:count])
 
 
 @pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
@@ -551,6 +579,17 @@ def test_coarse_graining_refuses_fewer_than_two_replicas(big_kernels, replicas):
     with pytest.raises(ValueError, match="at least 2 replicas"):
         est.coarse_graining_check(
             big_kernels["log"], GAUSSIAN, 1.0, c3 / math.log(120.0), c3, replicas=replicas
+        )
+
+
+@pytest.mark.parametrize("green_n_max", [1, 0, -5])
+def test_coarse_graining_refuses_a_green_range_below_two(big_kernels, green_n_max):
+    # the Green constant's half range green_n_max // 2 must hold a site
+    c3 = 0.45
+    with pytest.raises(ValueError, match="green_n_max must be at least 2"):
+        est.coarse_graining_check(
+            big_kernels["log"], GAUSSIAN, 1.0, c3 / math.log(120.0), c3, replicas=4,
+            green_n_max=green_n_max,
         )
 
 
