@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copolab import estimators as est
+from copolab import estimators as est, partition
 from copolab.bounds import log_upper_general
 from copolab.disorder import BINARY, GAUSSIAN, _draw, log_mgf, q1, q2, rate_function, spawn_rng
 from copolab.kernel import build_kernel
-from copolab import partition
 from copolab.partition import (
     _BLOCK,
     _FILL_ROWS,
