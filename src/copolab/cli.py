@@ -35,7 +35,7 @@ check holds).  Scan-kind checks record measured thresholds and never fail
 a run.  Suite payloads carry stable field names: "oracle" reports
 worst_relative_error (row-loop and batched DP against enumeration),
 worst_block_edge_relative_error (batched DP against the row loop at
-block_edge_sizes, the edges of its 16-row sub-blocks and 64-site blocks),
+block_edge_sizes, the edges of its 8-row sub-blocks and 64-site blocks),
 worst_trimmed_relative_error (batched trimmed engine against its row
 loop on trimmed_trials small plans), worst_annealed_relative_error
 (annealed values at annealed_fields against the row loop) and
@@ -425,9 +425,10 @@ def _suite_oracle(args, kernel) -> dict:
         for n in mass_sizes
         for h, value in zip(annealed_fields, log_annealed_Z(kernel, n, annealed_fields).tolist())
     )
-    # the bulk replica streams against numpy's SeedSequence, at seeds of 1, 2 and 4
-    # words when --seed is below 2**32
-    stream_seeds = [args.seed, 2**32 + args.seed, 10**30 + args.seed]
+    # the bulk replica streams against numpy's SeedSequence, at seeds of 1, 2, 4
+    # and 5 words when --seed is below 2**32; past 4 words the spawn key's
+    # hash steps move with the seed's length
+    stream_seeds = [args.seed, 2**32 + args.seed, 10**30 + args.seed, 10**45 + args.seed]
     stream_indices = [*range(64), 999_999, 1_000_000]
     streams_match = all(
         stream.bit_generator.state
@@ -571,17 +572,9 @@ def _cmd_verify(args) -> int:
     payload = {
         "artifact_version": __version__, "config": args.config, "suites": suites, "pass": ok
     }
-    text = json.dumps(payload, sort_keys=True, indent=1, default=_json_default) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     _write(args, text)
     return 0 if ok else 1
-
-
-def _json_default(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
 
 
 def main(argv=None) -> int:

@@ -10,10 +10,11 @@ closed forms.
 Replica streams are counter-split from a master seed: replica i of seed s
 draws from the PCG64 Generator that ``SeedSequence(s, spawn_key=(i,))``
 seeds, bit for bit.  ``replica_rngs`` derives the streams of many indices
-in bulk: SeedSequence's entropy mixing runs once per seed in Python ints,
-the index word is mixed in and the state words generated for all indices
-at once in numpy uint32 arithmetic, and numpy's PCG64 seeds itself from
-each replica's four state words.  ``spawn_rng`` is its one-index call.
+in bulk: numpy mixes the seed's entropy pool once, ``SeedSequence(s).pool``;
+the index word is mixed into it and the state words generated for all
+indices at once in numpy uint32 arithmetic, with the hash steps in closed
+form, and numpy's PCG64 seeds itself from each replica's four state words.
+``spawn_rng`` is its one-index call.
 """
 
 from __future__ import annotations
@@ -178,76 +179,39 @@ def rate_function(law: DisorderLaw, x: float) -> RateFunctionEval:
     return RateFunctionEval(x=x, sigma=max(sigma, 0.0), argmax_y=y)
 
 
-# SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-# mix_entropy's cross-mix: every pool word into every other, in numpy's order
-_CROSS_MIX = [(src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE) if dst != src]
 
 
 @functools.cache
-def _hash_steps(const: int, mult: int, count: int) -> tuple[tuple[int, int], ...]:
-    """(xor, multiplier) of ``count`` successive hash steps whose constant starts at ``const``."""
-    steps = []
-    for _ in range(count):
-        steps.append((const, (const * mult) & _MASK32))
-        const = steps[-1][1]
-    return tuple(steps)
+def _hash_steps(init: int, mult: int, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xors, multipliers) of hash steps ``first`` to ``first + count - 1``, read-only.
 
-
-# generate_state(4, uint64) hashes eight uint32 words, the k-th from pool word k % 4
-_STATE_XORS, _STATE_MULTS = (
-    np.array(c, dtype=np.uint32).reshape(2, _POOL_SIZE)
-    for c in zip(*_hash_steps(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
-)
-
-
-def _seed_pool(seed: int) -> tuple[list[int], tuple[tuple[int, int], ...]]:
-    """SeedSequence's entropy pool of ``seed`` before the spawn key, in Python ints.
-
-    Each pool word is then mixed with the spawn-key word hashed by one of
-    four further hash steps, which are returned too; neither depends on the
-    key.  hashmix(v) = ((v ^ xor) * mult) ^ shift and mix(x, y) =
-    (L x - R y) ^ shift, mod 2**32, with shift(v) = v >> 16.
+    A hash chain's constant after j steps is c_j = init * mult**j mod 2**32;
+    step j XORs with c_j and multiplies by c_{j+1}.
     """
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    head, extra = words[:_POOL_SIZE], words[_POOL_SIZE:]
-    head += [0] * (_POOL_SIZE - len(head))
-    steps = _hash_steps(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + len(extra) + 1))
-    pool = []
-    for word, (xor, mult) in zip(head, steps):
-        v = ((word ^ xor) * mult) & _MASK32
-        pool.append(v ^ (v >> 16))
-    # the cross-mix, then each word past the pool size into every pool word
-    k = _POOL_SIZE
-    for src, dst in _CROSS_MIX:
-        xor, mult = steps[k]
-        k += 1
-        v = ((pool[src] ^ xor) * mult) & _MASK32
-        v = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ (v >> 16))) & _MASK32
-        pool[dst] = v ^ (v >> 16)
-    for word in extra:
-        for dst in range(_POOL_SIZE):
-            xor, mult = steps[k]
-            k += 1
-            v = ((word ^ xor) * mult) & _MASK32
-            v = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ (v >> 16))) & _MASK32
-            pool[dst] = v ^ (v >> 16)
-    return pool, steps[k:]
+    consts = np.array(
+        [init * pow(mult, j, 2**32) % 2**32 for j in range(first, first + count + 1)],
+        dtype=np.uint32,
+    )
+    xors, mults = consts[:-1], consts[1:]
+    xors.flags.writeable = mults.flags.writeable = False
+    return xors, mults
 
 
 def _stream_words(seed: int, indices: Iterable[int]) -> np.ndarray:
     """generate_state(4, uint64) of SeedSequence(seed, spawn_key=(i,)) for each index i.
 
-    Returns a (len(indices), 4) uint64 array.  The seed's pool is mixed
-    once; the spawn-key words are mixed in and the state words generated
-    for all indices at once, in uint32 arithmetic on fresh arrays, so the
-    index array itself is never written.
+    Returns a (len(indices), 4) uint64 array.  numpy mixes the seed's
+    entropy pool, ``SeedSequence(seed).pool``, once.  The spawn-key word
+    then enters every pool word through the hash chain's steps 4 max(4, w)
+    onward, w the seed's 32-bit word count, and the eight state words are
+    hashed out of the pool; both run for all indices at once, in uint32
+    arithmetic on fresh arrays, so the index array itself is never written.
+    hashmix(v) = ((v ^ xor) * mult) ^ shift and mix(x, y) = (L x - R y) ^
+    shift, mod 2**32, with shift(v) = v >> 16.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -256,28 +220,30 @@ def _stream_words(seed: int, indices: Iterable[int]) -> np.ndarray:
         index = np.fromiter(map(operator.index, indices), dtype=np.uint32)
     except OverflowError:
         raise ValueError("replica indices must lie in [0, 2**32)") from None
-    pool, steps = _seed_pool(seed)
-    xors, mults = np.array(steps, dtype=np.uint32).T
+    seed_sequence = _stream_types()[0]
+    pool = seed_sequence(seed).pool
+    seed_words = max(1, -(-seed.bit_length() // 32))
+    xors, mults = _hash_steps(_INIT_A, _MULT_A, 4 * max(len(pool), seed_words), len(pool))
     key = (index[:, None] ^ xors) * mults
     key ^= key >> 16
-    left = np.array([(_MIX_MULT_L * p) & _MASK32 for p in pool], dtype=np.uint32)
-    mixed = left - np.uint32(_MIX_MULT_R) * key
+    mixed = pool * np.uint32(_MIX_MULT_L) - np.uint32(_MIX_MULT_R) * key
     mixed ^= mixed >> 16
-    state = (mixed[:, None, :] ^ _STATE_XORS) * _STATE_MULTS
+    # generate_state(4, uint64) hashes eight words, the k-th from pool word k % 4
+    xors, mults = _hash_steps(_INIT_B, _MULT_B, 0, 2 * len(pool))
+    state = (np.tile(mixed, 2) ^ xors) * mults
     state ^= state >> 16
     # word pairs read little-endian, as SeedSequence reads them on every host
-    return state.reshape(-1, 2 * _POOL_SIZE).astype("<u4", copy=False).view("<u8").astype(
-        np.uint64, copy=False
-    )
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 @functools.cache
 def _stream_types():
-    """The seed sequence that hands PCG64 a stream's state words, PCG64 and Generator.
+    """numpy's SeedSequence, StateWords, PCG64 and Generator.
 
-    numpy.random loads with the first stream, not with copolab.
+    StateWords is the seed sequence that hands PCG64 a stream's state
+    words.  numpy.random loads with the first stream, not with copolab.
     """
-    from numpy.random import PCG64, Generator
+    from numpy.random import PCG64, Generator, SeedSequence
     from numpy.random.bit_generator import ISeedSequence
 
     class StateWords(ISeedSequence):
@@ -293,7 +259,7 @@ def _stream_types():
                 raise ValueError(f"holds 4 uint64 state words, not {n_words} {np.dtype(dtype)}")
             return self.words
 
-    return StateWords, PCG64, Generator
+    return SeedSequence, StateWords, PCG64, Generator
 
 
 def replica_rngs(seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
@@ -307,7 +273,7 @@ def replica_rngs(seed: int, indices: Iterable[int]) -> Iterator[np.random.Genera
     call.
     """
     words = _stream_words(seed, indices)
-    state_words, pcg64, generator = _stream_types()
+    _, state_words, pcg64, generator = _stream_types()
     return (generator(pcg64(state_words(row))) for row in words)
 
 

@@ -44,7 +44,13 @@ from .kernel import (
     independent_jumps_law,
     renewal_mass,
 )
-from .partition import Trimmed, _log_z_replicas, _trimmed_log_z_replicas, charge_prefix
+from .partition import (
+    _closing_weights,
+    _log_z_replicas,
+    _trimmed_log_z_replicas,
+    _trimmed_size,
+    charge_prefix,
+)
 
 __all__ = [
     "FreeEnergyEstimate",
@@ -113,6 +119,8 @@ def replica_log_z(
     that agrees with the row-loop ``log_Z`` to rounding.  A value depends on
     (seed, i, h) only, never on the replica count or the grid.
     """
+    if n < 1:
+        raise ValueError("need at least one site")
     fields = np.asarray(h, dtype=float)
     omegas = np.empty((replicas, n))
     for i, rng in enumerate(replica_rngs(seed, range(replicas))):
@@ -253,23 +261,20 @@ def _independent_jump_backward(kernel, plan):
     proper conditional; per-stage normalization drops out of conditionals).
     Stage g in 1..2m consumes gap g; B[g][x] is the weight of completing the
     path from position x after g gaps, including the closing jump to N.
-    Each stage is rescaled to a unit maximum.
+    Each stage is rescaled to a unit maximum.  Returns (B, long_w, short_w).
     """
-    big_m, k, m, n_sites, h = plan.M, plan.k, plan.m, plan.N, plan.h
-    long_w, short_w = independent_jumps_law(kernel, h, big_m, k)
-    reach = m * (big_m * big_m + k)
-    size = reach + 1
+    size = _trimmed_size(kernel, plan, plan.N)
+    if size == 0:
+        raise ValueError("trimmed ensemble is empty for this plan")
+    big_m, m = plan.M, plan.m
+    long_w, short_w = independent_jumps_law(kernel, plan.h, big_m, plan.k)
 
     pad = big_m * big_m + 1
     final = np.zeros(size + pad)
-    x = np.arange(size)
-    gaps = n_sites - x
-    valid = (gaps >= 1) & (gaps <= kernel.support_cap)
-    final[:size][valid] = kernel.masses[gaps[valid]]
+    final[:size] = 2.0 * _closing_weights(kernel, plan.N, size)
 
     stages = [None] * (2 * m + 1)
     stages[2 * m] = final
-    log_offset = 0.0
     for g in range(2 * m, 0, -1):
         w = long_w if g % 2 == 1 else short_w
         start = big_m if g % 2 == 1 else 1
@@ -280,9 +285,8 @@ def _independent_jump_backward(kernel, plan):
         if top <= 0.0:
             raise ValueError("trimmed ensemble is empty for this plan")
         nxt /= top
-        log_offset += math.log(top)
         stages[g - 1] = nxt
-    return stages, long_w, short_w, log_offset, size
+    return stages, long_w, short_w
 
 
 def _sample_short_intervals(stages, long_w, short_w, plan, draws):
@@ -344,19 +348,16 @@ def trimmed_moment_check(
     drawn one group at a time, and the overlap paths are drawn in groups
     of _PATH_PAIRS replica pairs from one stream, spawn_rng(seed, 1_000_000).
     """
-    if plan.N > kernel.support_cap:
-        raise ValueError(
-            f"plan needs support {plan.N}, kernel has {kernel.support_cap}"
-        )
     if not 100 <= replicas < 1_000_000:
         raise ValueError("replicas must lie in [100, 1e6)")  # keeps seed streams disjoint
     q2v = q2(law, beta)
 
-    constraint = Trimmed(M=plan.M, k=plan.k, m=plan.m)
-    span = min(plan.m * (plan.M * plan.M + plan.k), plan.N - 1)
+    span = _trimmed_size(kernel, plan, plan.N) - 1
+    if span < 0:
+        raise ValueError("trimmed ensemble is empty for this plan")
     # the disorder mean is the engine on the single zero-disorder charge row
     mean_prefix = charge_prefix(law, 0.0, h, np.zeros(span))
-    exact_log_mean = float(_trimmed_log_z_replicas([mean_prefix], kernel, constraint, plan.N)[0])
+    exact_log_mean = float(_trimmed_log_z_replicas([mean_prefix], kernel, plan, plan.N)[0])
     product_log = _first_moment_product_log(kernel, plan)
 
     # (b) left side: disorder replicas of (Z restricted / exact mean)^2;
@@ -365,14 +366,14 @@ def trimmed_moment_check(
         charge_prefix(law, beta, h, _draw(law, span, rng))
         for rng in replica_rngs(seed, range(replicas))
     )
-    log_zt = _trimmed_log_z_replicas(prefixes, kernel, constraint, plan.N)
+    log_zt = _trimmed_log_z_replicas(prefixes, kernel, plan, plan.N)
     lhs_vals = np.exp(2.0 * (log_zt - exact_log_mean))
     lhs_mean = float(lhs_vals.mean())
     lhs_sigma = float(lhs_vals.std(ddof=1) / math.sqrt(replicas))
 
     # (b) right side: overlap expectation under the tilted path law; pair i
     # takes the next 2 x 2m uniforms of one stream, first path then second
-    stages, long_w, short_w, _, _ = _independent_jump_backward(kernel, plan)
+    stages, long_w, short_w = _independent_jump_backward(kernel, plan)
     rng = spawn_rng(seed, 1_000_000)
     rhs_vals = np.empty(replicas)
     for i0 in range(0, replicas, _PATH_PAIRS):

@@ -18,6 +18,15 @@ def run_cli(args):
     return main(list(args))
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def read_strict_json(path):
+    # NaN and Infinity are not JSON; a numpy scalar would not serialize at all
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 def test_estimate_missing_beta_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         run_cli(["estimate", "--h", "0.5"])
@@ -70,9 +79,14 @@ def test_overflowing_finite_input_exits_2_without_artifact(tmp_path, capsys, arg
     assert not out.exists()
 
 
-def test_cli_import_skips_scipy_stats_and_integrate():
+def _subprocess_env(**extra):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
+def test_cli_import_skips_scipy_stats_and_integrate():
+    env = _subprocess_env()
     heavy = (
         "scipy.special", "scipy.stats", "scipy.integrate", "scipy.signal", "scipy.linalg",
         "scipy.optimize",
@@ -85,6 +99,27 @@ def test_cli_import_skips_scipy_stats_and_integrate():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--beta", "1.0", "--h-grid", "0.4,-0.1", "--n", "2000", "--replicas", "16",
+         "--seed", "5"],
+        ["verify", "coarse", "--seed", "3"],
+    ],
+    ids=["sweep", "verify-coarse"],
+)
+def test_artifact_bytes_do_not_depend_on_blas_threads(args):
+    # a fixed seed gives the same bytes whatever the BLAS thread count
+    outputs = []
+    for threads in ("1", "2"):
+        env = _subprocess_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        result = subprocess.run(
+            [sys.executable, "-m", "copolab.cli", *args], env=env, capture_output=True, check=True
+        )
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_estimate_deterministic_output(tmp_path):
@@ -224,7 +259,7 @@ def test_verify_oracle_suite_passes_fast(tmp_path):
     elapsed = time.time() - start
     assert code == 0
     assert elapsed < 60.0
-    payload = json.loads(out.read_text())
+    payload = read_strict_json(out)
     assert payload["pass"] is True
     oracle = payload["suites"]["oracle"]
     assert oracle["worst_relative_error"] <= 1e-10
@@ -237,8 +272,8 @@ def test_verify_oracle_suite_passes_fast(tmp_path):
         "renewal_mass_matches_row_loop", "annealed_matches_row_loop",
         "replica_streams_match_seed_sequence",
     }
-    assert oracle["stream_seeds"] == [2, 2**32 + 2, 10**30 + 2]
-    assert oracle["streams_checked"] == 3 * 66
+    assert oracle["stream_seeds"] == [2, 2**32 + 2, 10**30 + 2, 10**45 + 2]
+    assert oracle["streams_checked"] == 4 * 66
 
 
 def test_verify_oracle_checks_trimmed_engine(tmp_path):
@@ -257,7 +292,7 @@ def test_verify_moments_suite_passes(tmp_path):
         ["verify", "moments", "--seed", "2", "--replicas", "2000", "--out", str(out)]
     )
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = read_strict_json(out)
     assert payload["suites"]["moments"]["identity_ok"] is True
 
 
@@ -278,7 +313,7 @@ def test_verify_penalization_suite_passes(tmp_path):
     out = tmp_path / "pen.json"
     code = run_cli(["verify", "penalization", "--seed", "2", "--out", str(out)])
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = read_strict_json(out)
     checks = {c["name"]: c for c in payload["suites"]["penalization"]["checks"]}
     assert checks["closed_form_two_paths_identical"]["ok"]
     assert checks["defect_sign_where_sufficient_condition_holds"]["ok"]
@@ -290,7 +325,7 @@ def test_verify_coarse_suite_records_scans(tmp_path):
         ["verify", "coarse", "--seed", "2", "--replicas", "100", "--out", str(out)]
     )
     assert code == 0  # scan-type findings never fail the run
-    payload = json.loads(out.read_text())
+    payload = read_strict_json(out)
     kinds = {c["name"]: c["kind"] for c in payload["suites"]["coarse"]["checks"]}
     assert kinds["green_constant_stability"] == "scan"
 
@@ -355,18 +390,25 @@ def test_verify_refuses_a_flag_its_suite_does_not_read(tmp_path, capsys, args):
         ["verify", "moments", "--h", "0.27"],
         ["verify", "moments", "--h", "0.25"],
         ["verify", "moments", "--h", "0.2"],
+        ["estimate", "--beta", "1.0", "--h", "0.3", "--n", "-3"],
+        ["sweep", "--beta", "1.0", "--h-grid", "0.3,0.1", "--n", "-3"],
     ],
     ids=["h-with-h-grid", "h-grid-comma", "h-grid-blank", "moments-replicas-0",
-         "coarse-replicas-negative", "moments-h-0.27", "moments-h-0.25", "moments-h-0.2"],
+         "coarse-replicas-negative", "moments-h-0.27", "moments-h-0.25", "moments-h-0.2",
+         "estimate-n-negative", "sweep-n-negative"],
 )
 def test_ambiguous_or_empty_h_input_exits_2_without_artifact(tmp_path, capsys, args):
     # --h next to --h-grid would be dropped, an empty grid gives no rows, a
-    # verify suite would clamp --replicas below 2 yet echo it, and a moments
+    # verify suite would clamp --replicas below 2 yet echo it, a moments
     # --h whose trimmed plan needs more sites than its budget would exhaust
-    # memory
+    # memory, and a negative --n would reach numpy's allocator; a case's own
+    # --n comes last and so beats the default 50
     out = tmp_path / "out.csv"
-    assert run_cli([*args, "--n", "50", "--out", str(out)]) == 2
-    assert "config error:" in capsys.readouterr().err
+    assert run_cli([args[0], "--n", "50", *args[1:], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err
+    if "--n" in args:
+        assert "need at least one site" in err
     assert not out.exists()
 
 

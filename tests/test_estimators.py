@@ -325,6 +325,20 @@ def test_trimmed_plan_schedule_and_constraints():
             est.trimmed_plan(2.0, GAUSSIAN, beta=0.5, h=h, c1=3.3, c2=1.5)
 
 
+def test_trimmed_moment_check_refuses_an_empty_plan_before_drawing(log_kernel_small, monkeypatch):
+    # m = 3 long/short pairs need at least m (M + 1) + 1 = 13 sites, more than N = 10
+    plan = est.TrimmedPlan(k=1, M=3, N=10, m=3, c1=3.3, c2=1.5, beta=0.5, h=0.3)
+
+    def no_draws(*args):
+        raise AssertionError("replicas drawn for an empty plan")
+
+    monkeypatch.setattr(est, "replica_rngs", no_draws)
+    with pytest.raises(ValueError, match="empty for this plan"):
+        est.trimmed_moment_check(log_kernel_small, GAUSSIAN, 0.5, 0.3, plan, replicas=100)
+    with pytest.raises(ValueError, match="empty for this plan"):
+        est._independent_jump_backward(log_kernel_small, plan)
+
+
 def _enumerate_trimmed_paths(kernel, plan, h):
     """All (weight, short-interval list) pairs of the alternating ensemble."""
     from itertools import product as iproduct
@@ -447,7 +461,7 @@ def test_trimmed_rhs_matches_scalar_sampler_bit_for_bit(big_kernels, law, beta, 
     # sampling one path at a time, so the RHS mean and sigma are unchanged
     kernel, seed = big_kernels["log"], 17
     plan = est.trimmed_plan(2.0, law, beta, 0.3, c1, c2)
-    stages, long_w, short_w, _, _ = est._independent_jump_backward(kernel, plan)
+    stages, long_w, short_w = est._independent_jump_backward(kernel, plan)
     rng = spawn_rng(seed, 1_000_000)
     q2v = q2(law, beta)
     vals = np.empty(replicas)
