@@ -173,24 +173,17 @@ def m_h(family: SlowlyVaryingFamily, h: float, eps: float) -> MhValue:
 
     Sub-logarithmic: exp((1-eps) * upsilon * log log(1/h) / h); logarithmic:
     exp((1-eps) * (upsilon-1) * log(1/h) / h); super-logarithmic:
-    exp((1-eps) * h^(-upsilon/(upsilon-1))).  Returned in log form with the
-    integer count attached whenever it fits in the float range.
+    exp((1-eps) * h^(-upsilon/(upsilon-1))); that is, log M_h = psi(1/h)/h.
+    Returned in log form with the integer count attached whenever it fits in
+    the float range.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-    ups = family.upsilon
-    if family.kind is FamilyKind.SUPER_LOGARITHMIC:
-        log_m = (1.0 - eps) * h ** (-ups / (ups - 1.0))
-    else:
-        log_inv_h = math.log(1.0 / h)
-        if log_inv_h <= 1.0:
-            raise ValueError(f"h={h} too large: log(1/h) must exceed 1 for this family")
-        if family.kind is FamilyKind.SUB_LOGARITHMIC:
-            log_m = (1.0 - eps) * ups * math.log(log_inv_h) / h
-        else:
-            log_m = (1.0 - eps) * (ups - 1.0) * log_inv_h / h
+    if family.kind is not FamilyKind.SUPER_LOGARITHMIC and math.log(1.0 / h) <= 1.0:
+        raise ValueError(f"h={h} too large: log(1/h) must exceed 1 for this family")
+    log_m = psi(family, 1.0 / h, eps) / h
     if log_m > _LOG_COUNT_GUARD:
         return MhValue(log_value=log_m, count=None)
     return MhValue(log_value=log_m, count=int(math.floor(math.exp(log_m))))

@@ -20,12 +20,12 @@ kernel-info --h and --format; of the verify suites, moments and coarse read
 values) and oracle none (it draws its own), and "verify all" reads what
 any of its suites reads.  A run flag given, on the command line or in the
 --config file, to a command that does not read it exits 2 without writing
-anything, and so do --h together with --h-grid and an --h-grid holding no
-value.  --replicas defaults to 32 where it is read, and a value below 2
-exits 2.  The header records the model flags and the run flags the command
-read, so it replays as flags.  A --config file's flags sit right after the
-command, so a flag on the command line beats the file; its suite line is
-ignored.
+anything, and so do --h together with --h-grid, an --h-grid holding no
+value, and neither of them where they are read.  --replicas defaults to 32
+where it is read, and a value below 2 exits 2.  The header records the
+model flags and the run flags the command read, so it replays as flags.  A
+--config file's flags sit right after the command, so a flag on the
+command line beats the file; its suite line is ignored.
 
 Verification report schema: a JSON object with keys "config" (the resolved
 run configuration), "artifact_version", "suites" (one entry per suite run,
@@ -40,11 +40,12 @@ worst_trimmed_relative_error (batched trimmed engine against its row
 loop on trimmed_trials small plans), worst_annealed_relative_error
 (annealed values at annealed_fields against the row loop) and
 streams_checked (replica streams of stream_seeds compared with numpy's
-SeedSequence(seed, spawn_key=(i,)) streams); "moments"
-embeds the trimmed-ensemble report (exact_log_mean_restricted, product_lower_bound_log,
+SeedSequence(seed, spawn_key=(i,)) streams); "moments" embeds the
+trimmed-ensemble report (exact_log_mean_restricted, product_lower_bound_log,
 identity_{lhs,rhs}_{mean,sigma}, identity_abs_diff, identity_three_sigma,
-induction_bound_log, plan); "penalization" lists per-h points (k, defect_expression, linf_holds,
-log_bound_closed_form, log_bound_rate_form); "coarse" reports n_window,
+induction_bound_log, plan {M, k, m, N}, and the beta, h, c1 and c2 of its
+schedule); "penalization" lists per-h points (k, defect_expression,
+linf_holds, log_bound_closed_form, log_bound_rate_form); "coarse" reports n_window,
 theta, a_term, b_term, a_term_analytic_integral, rho_proxy, the
 fractional_moment_spot grid and the green_constant pair, or feasible false
 with a note when the window exceeds its budget or the crossover tilt is
@@ -130,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="optional key=value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_beta=False, need_h=False):
+    def add_common(p, need_beta=False):
         # SUPPRESS keeps a pre-subcommand --config from being clobbered
         p.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         families = sorted(kind.value for kind in FamilyKind)
@@ -141,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--law", choices=sorted(_LAWS), default="gaussian")
         p.add_argument("--beta", type=float, required=need_beta, default=None)
-        p.add_argument("--h", type=float, required=need_h, default=None)
+        p.add_argument("--h", type=float, default=None)
         p.add_argument("--h-grid", default=None, help="comma-separated descending h values")
         p.add_argument("--n", type=int, default=1000)
         p.add_argument("--replicas", type=int, default=None, help="default 32 where read")
@@ -150,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"], default=None)
 
     p_est = sub.add_parser("estimate", help="Monte Carlo free-energy estimate")
-    add_common(p_est, need_beta=True, need_h=True)
+    add_common(p_est, need_beta=True)
 
     p_sweep = sub.add_parser("sweep", help="free-energy estimates over an h grid")
     add_common(p_sweep, need_beta=True)
@@ -396,11 +397,11 @@ def _suite_oracle(args, kernel) -> dict:
     trimmed_trials = 12
     for i in range(trimmed_trials):
         # small feasible plans, N from the shortest path to past the reach clip
-        plan = Trimmed(M=int(rng.integers(2, 7)), k=int(rng.integers(1, 4)), m=int(rng.integers(1, 5)))
-        n = int(rng.integers(plan.m * (plan.M + 1) + 1, plan.m * (plan.M**2 + plan.k) + 3))
-        *_, rows = draw(GAUSSIAN if i % 2 == 0 else BINARY, n, 3)
-        values = _trimmed_log_z_replicas(rows, kernel, plan, n).tolist()
-        trimmed += [(v, log_Z_restricted(row, kernel, plan, n)) for v, row in zip(values, rows)]
+        big_m, k, m = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        plan = Trimmed(big_m, k, m, int(rng.integers(m * (big_m + 1) + 1, m * (big_m**2 + k) + 3)))
+        *_, rows = draw(GAUSSIAN if i % 2 == 0 else BINARY, plan.N, 3)
+        values = _trimmed_log_z_replicas(rows, kernel, plan).tolist()
+        trimmed += [(v, log_Z_restricted(row, kernel, plan)) for v, row in zip(values, rows)]
     worst_trimmed = _worst_relative_error(trimmed)
     # one group more than a pass holds; the rows either side of the pass
     # boundary, the first pass's last group and the second pass, go to the row loop
@@ -468,7 +469,8 @@ def _suite_moments(args, kernel) -> dict:
     family, law = args.kernel_family, args.disorder_law
     beta = args.beta if args.beta is not None else 0.5
     h = args.h if args.h is not None else 0.3
-    plan = estimators.trimmed_plan(family.upsilon, law, beta=beta, h=h, c1=3.3, c2=1.5)
+    c1, c2 = 3.3, 1.5
+    plan = estimators.trimmed_plan(family.upsilon, law, beta=beta, h=h, c1=c1, c2=c2)
     moment_kernel = kernel
     if kernel.support_cap < plan.N:
         moment_kernel = build_kernel(family, plan.N)
@@ -481,6 +483,7 @@ def _suite_moments(args, kernel) -> dict:
         {"name": "first_moment_product_bound", "kind": "assert", "ok": report["first_moment_ok"]},
         {"name": "induction_envelope", "kind": "scan", "ok": report["induction_envelope_holds"]},
     ]
+    report.update(c1=c1, c2=c2)
     return report
 
 

@@ -45,6 +45,7 @@ from .kernel import (
     renewal_mass,
 )
 from .partition import (
+    Trimmed,
     _closing_weights,
     _log_z_replicas,
     _trimmed_log_z_replicas,
@@ -54,7 +55,6 @@ from .partition import (
 
 __all__ = [
     "FreeEnergyEstimate",
-    "TrimmedPlan",
     "PenalizationPlan",
     "DEFAULT_C4",
     "DEFAULT_C5",
@@ -189,31 +189,15 @@ def tilted_block_success(law: DisorderLaw, beta: float, threshold_rate: float, e
     return float(betainc(threshold, ell - threshold + 1, p_plus))
 
 
-@dataclass(frozen=True)
-class TrimmedPlan:
+def trimmed_plan(
+    upsilon: float, law: DisorderLaw, beta: float, h: float, c1: float, c2: float
+) -> Trimmed:
     """Parameter schedule of the alternating long/short ensemble.
 
     k, M, N, m follow the coupled schedule k = floor(c1 loglog(1/h)/h),
     M = floor(e^{c2 k}), N = floor(M^2 (log M)^3), m = floor(N/(M^2 log M)),
     subject to c1 > upsilon + 1, c2 > q2(beta) and N <= _PLAN_SITE_BUDGET.
     """
-
-    k: int
-    M: int
-    N: int
-    m: int
-    c1: float
-    c2: float
-    beta: float
-    h: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def trimmed_plan(
-    upsilon: float, law: DisorderLaw, beta: float, h: float, c1: float, c2: float
-) -> TrimmedPlan:
     if not c1 > upsilon + 1.0:
         raise ValueError(f"c1={c1} violates c1 > upsilon + 1 = {upsilon + 1.0}")
     q2v = q2(law, beta)
@@ -238,40 +222,40 @@ def trimmed_plan(
     if big_m <= 2 * k:
         raise ValueError(f"schedule gives M={big_m} <= 2k={2 * k}; increase c2")
     log_m = math.log(big_m)
-    n_sites = int(big_m * big_m * log_m**3)
-    m_reps = int(n_sites / (big_m * big_m * log_m))
-    return TrimmedPlan(k=k, M=big_m, N=n_sites, m=m_reps, c1=c1, c2=c2, beta=beta, h=h)
+    n = int(big_m * big_m * log_m**3)
+    return Trimmed(M=big_m, k=k, m=int(n / (big_m * big_m * log_m)), N=n)
 
 
-def _first_moment_product_log(kernel, plan) -> float:
+def _first_moment_product_log(kernel, plan, h) -> float:
     # product bound: (1/2 sum_long K)^m (1/2 sum_short e^{hn} K)^m K(N)/3
     long_sum = float(kernel.masses[plan.M : plan.M * plan.M + 1].sum())
     short_n = np.arange(1, plan.k + 1, dtype=float)
-    short_sum = float((kernel.masses[1 : plan.k + 1] * np.exp(plan.h * short_n)).sum())
+    short_sum = float((kernel.masses[1 : plan.k + 1] * np.exp(h * short_n)).sum())
     return (
         plan.m * (math.log(0.5 * long_sum) + math.log(0.5 * short_sum))
         + math.log(kernel.masses[plan.N] / 3.0)
     )
 
 
-def _independent_jump_backward(kernel, plan):
+def _independent_jump_backward(kernel, plan, h):
     """Backward weight arrays of the pinned alternating ensemble.
 
-    Jump weights come from the independent-jumps law (each coordinate a
-    proper conditional; per-stage normalization drops out of conditionals).
+    Jump weights come from the independent-jumps law at field h (each
+    coordinate a proper conditional; per-stage normalization drops out of
+    conditionals).
     Stage g in 1..2m consumes gap g; B[g][x] is the weight of completing the
     path from position x after g gaps, including the closing jump to N.
     Each stage is rescaled to a unit maximum.  Returns (B, long_w, short_w).
     """
-    size = _trimmed_size(kernel, plan, plan.N)
+    size = _trimmed_size(kernel, plan)
     if size == 0:
         raise ValueError("trimmed ensemble is empty for this plan")
     big_m, m = plan.M, plan.m
-    long_w, short_w = independent_jumps_law(kernel, plan.h, big_m, plan.k)
+    long_w, short_w = independent_jumps_law(kernel, h, big_m, plan.k)
 
     pad = big_m * big_m + 1
     final = np.zeros(size + pad)
-    final[:size] = 2.0 * _closing_weights(kernel, plan.N, size)
+    final[:size] = 2.0 * _closing_weights(kernel, plan, size)
 
     stages = [None] * (2 * m + 1)
     stages[2 * m] = final
@@ -332,7 +316,7 @@ def trimmed_moment_check(
     law: DisorderLaw,
     beta: float,
     h: float,
-    plan: TrimmedPlan,
+    plan: Trimmed,
     replicas: int,
     seed: int = 0,
 ) -> dict:
@@ -347,18 +331,20 @@ def trimmed_moment_check(
     charges (h per site); the replicas of (b) go through the same engine,
     drawn one group at a time, and the overlap paths are drawn in groups
     of _PATH_PAIRS replica pairs from one stream, spawn_rng(seed, 1_000_000).
+    The plan fixes only the ensemble; every part takes beta and h from the
+    arguments, and the report records them next to the plan.
     """
     if not 100 <= replicas < 1_000_000:
         raise ValueError("replicas must lie in [100, 1e6)")  # keeps seed streams disjoint
     q2v = q2(law, beta)
 
-    span = _trimmed_size(kernel, plan, plan.N) - 1
+    span = _trimmed_size(kernel, plan) - 1
     if span < 0:
         raise ValueError("trimmed ensemble is empty for this plan")
     # the disorder mean is the engine on the single zero-disorder charge row
     mean_prefix = charge_prefix(law, 0.0, h, np.zeros(span))
-    exact_log_mean = float(_trimmed_log_z_replicas([mean_prefix], kernel, plan, plan.N)[0])
-    product_log = _first_moment_product_log(kernel, plan)
+    exact_log_mean = float(_trimmed_log_z_replicas([mean_prefix], kernel, plan)[0])
+    product_log = _first_moment_product_log(kernel, plan, h)
 
     # (b) left side: disorder replicas of (Z restricted / exact mean)^2;
     # replica i draws from stream i of seed, one engine group at a time
@@ -366,14 +352,14 @@ def trimmed_moment_check(
         charge_prefix(law, beta, h, _draw(law, span, rng))
         for rng in replica_rngs(seed, range(replicas))
     )
-    log_zt = _trimmed_log_z_replicas(prefixes, kernel, plan, plan.N)
+    log_zt = _trimmed_log_z_replicas(prefixes, kernel, plan)
     lhs_vals = np.exp(2.0 * (log_zt - exact_log_mean))
     lhs_mean = float(lhs_vals.mean())
     lhs_sigma = float(lhs_vals.std(ddof=1) / math.sqrt(replicas))
 
     # (b) right side: overlap expectation under the tilted path law; pair i
     # takes the next 2 x 2m uniforms of one stream, first path then second
-    stages, long_w, short_w = _independent_jump_backward(kernel, plan)
+    stages, long_w, short_w = _independent_jump_backward(kernel, plan, h)
     rng = spawn_rng(seed, 1_000_000)
     rhs_vals = np.empty(replicas)
     for i0 in range(0, replicas, _PATH_PAIRS):
@@ -402,7 +388,9 @@ def trimmed_moment_check(
     log_induction = plan.m * math.log1p(growth)
 
     return {
-        "plan": plan.to_dict(),
+        "plan": asdict(plan),
+        "beta": beta,
+        "h": h,
         "replicas": replicas,
         "seed": seed,
         "exact_log_mean_restricted": exact_log_mean,
@@ -429,8 +417,6 @@ class PenalizationPlan:
     k: int
     phi: float
     event_threshold: float
-    beta: float
-    h: float
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -455,9 +441,7 @@ def penalization_plan(
     k = int(phi / h)
     if k < 1:
         raise ValueError(f"window k = {k} < 1 at h={h}")
-    return PenalizationPlan(
-        b=b, k=k, phi=phi, event_threshold=b * log_mgf_prime(law, beta), beta=beta, h=h
-    )
+    return PenalizationPlan(b=b, k=k, phi=phi, event_threshold=b * log_mgf_prime(law, beta))
 
 
 def penalization_check(

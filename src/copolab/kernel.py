@@ -310,9 +310,9 @@ def defect_check_eta(kernel: RenewalKernel, h: float, eta: float = 0.1) -> float
     The crossover 1/(eta^2 h) must lie inside the kernel support so the
     reward branch is summed in full.
     """
+    _check_eta(h, eta)
     if h == 0.0:
         return 0.0
-    _check_eta(h, eta)
     crossover = int(1.0 / (eta * eta * h))
     cap = kernel.support_cap
     if crossover > cap:

@@ -79,12 +79,13 @@ class Trimmed:
 
     m repetitions of a long above-interface excursion with length in
     [M, M^2] followed by a short below-interface excursion with length in
-    [1, k], then one final above excursion to N.
+    [1, k], then one final above excursion to the last site N.
     """
 
     M: int
     k: int
     m: int
+    N: int
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -374,32 +375,32 @@ def brute_force_log_Z(prefix: np.ndarray, kernel: RenewalKernel) -> float:
     return math.log(math.fsum(weights))
 
 
-def _trimmed_size(kernel, plan, n_sites) -> int:
+def _trimmed_size(kernel, plan) -> int:
     """Positions 0..size-1 reachable before the closing excursion to N.
 
     size - 1 is the farthest end of the 2m excursions, m(M^2 + k), clipped
     to N - 1; size is 0 when even the shortest path overshoots N.
     """
-    big_m, k, m = plan.M, plan.k, plan.m
+    big_m, k, m, n = plan.M, plan.k, plan.m, plan.N
     if big_m < 2 or k < 1 or m < 1:
         raise ValueError("need M >= 2, k >= 1, m >= 1")
-    if big_m * big_m > kernel.support_cap or n_sites > kernel.support_cap:
+    if big_m * big_m > kernel.support_cap or n > kernel.support_cap:
         raise ValueError("plan exceeds the kernel support")
-    if m * (big_m + 1) + 1 > n_sites:
+    if m * (big_m + 1) + 1 > n:
         return 0
-    return min(m * (big_m * big_m + k), n_sites - 1) + 1
+    return min(m * (big_m * big_m + k), n - 1) + 1
 
 
-def _closing_weights(kernel, n_sites, size) -> np.ndarray:
+def _closing_weights(kernel, plan, size) -> np.ndarray:
     """K(N - x)/2 of the final above excursion from x to N, 0 where out of range."""
-    gaps = n_sites - np.arange(size)
+    gaps = plan.N - np.arange(size)
     valid = (gaps >= 1) & (gaps <= kernel.support_cap)
     closing = np.zeros(size)
     closing[valid] = 0.5 * kernel.masses[gaps[valid]]
     return closing
 
 
-def log_Z_restricted(prefix, kernel: RenewalKernel, plan: Trimmed, n_sites: int) -> float:
+def log_Z_restricted(prefix, kernel: RenewalKernel, plan: Trimmed) -> float:
     """Log Z_N restricted to the trimmed family; -inf if it is empty.
 
     ``prefix`` is one charge-prefix row, of which the first positions the
@@ -409,7 +410,7 @@ def log_Z_restricted(prefix, kernel: RenewalKernel, plan: Trimmed, n_sites: int)
     dynamic range stays small.  It is the oracle of the batched
     ``_trimmed_log_z_replicas``.
     """
-    size = _trimmed_size(kernel, plan, n_sites)
+    size = _trimmed_size(kernel, plan)
     if size == 0:
         return -math.inf
     if len(prefix) < size:
@@ -447,13 +448,13 @@ def log_Z_restricted(prefix, kernel: RenewalKernel, plan: Trimmed, n_sites: int)
         offset += math.log(top)
 
     # final above excursion to N over reachable x >= 1
-    total = float(np.dot(f, _closing_weights(kernel, n_sites, size)))
+    total = float(np.dot(f, _closing_weights(kernel, plan, size)))
     if total <= 0.0:
         return -math.inf
     return math.log(total) + offset
 
 
-def _trimmed_log_z_replicas(prefix, kernel, plan, n_sites) -> np.ndarray:
+def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     """Trimmed log Z_N of every charge-prefix row of ``prefix``.
 
     ``prefix`` is an (R, n+1) array or any iterable of rows (a generator
@@ -469,7 +470,7 @@ def _trimmed_log_z_replicas(prefix, kernel, plan, n_sites) -> np.ndarray:
     -inf.  A row's value depends neither on R nor on the other rows.
     """
     rows = iter(prefix)
-    size = _trimmed_size(kernel, plan, n_sites)
+    size = _trimmed_size(kernel, plan)
     if size == 0:
         return np.full(sum(1 for _ in rows), -math.inf)
     big_m, k, m = plan.M, plan.k, plan.m
@@ -480,7 +481,7 @@ def _trimmed_log_z_replicas(prefix, kernel, plan, n_sites) -> np.ndarray:
     taps[chunk - 1 : chunk + lead - big_m] = 0.5 * kernel.masses[big_m : lead + 1]
     # toeplitz[c, r] = K(r + M^2 - c)/2: from source t0 - M^2 + c to target t0 + r
     toeplitz = np.ascontiguousarray(_toeplitz_view(taps, width).T)
-    closing = _closing_weights(kernel, n_sites, size)
+    closing = _closing_weights(kernel, plan, size)
     short_w = 0.5 * kernel.masses[1 : k + 1]
 
     # charge[l - 1, :, x] = e^{S[x] - S[x-l]} K(l)/2 for x >= l

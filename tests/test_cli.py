@@ -197,6 +197,10 @@ def test_sweep_rows_equal_estimate_rows_bytewise(tmp_path):
         single = tmp_path / f"estimate{h}.csv"
         assert run_cli(["estimate", "--h", h, *common, "--out", str(single)]) == 0
         assert single.read_text().splitlines()[2:] == [row]
+    # estimate takes the grid as sweep does
+    gridded = tmp_path / "estimate-grid.csv"
+    assert run_cli(["estimate", "--h-grid", ",".join(grid), *common, "--out", str(gridded)]) == 0
+    assert gridded.read_text().splitlines()[2:] == sweep_rows
 
 
 def test_kernel_info_normalization_positive(tmp_path):
@@ -305,8 +309,8 @@ def test_verify_moments_honours_beta(tmp_path):
     assert code == 0
     payload = json.loads(out.read_text())
     assert payload["config"]["beta"] == 0.3
-    assert payload["suites"]["moments"]["plan"]["beta"] == 0.3
-    assert payload["suites"]["moments"]["plan"]["h"] == 0.3
+    assert payload["suites"]["moments"]["beta"] == 0.3
+    assert payload["suites"]["moments"]["h"] == 0.3
 
 
 def test_verify_penalization_suite_passes(tmp_path):
@@ -392,10 +396,11 @@ def test_verify_refuses_a_flag_its_suite_does_not_read(tmp_path, capsys, args):
         ["verify", "moments", "--h", "0.2"],
         ["estimate", "--beta", "1.0", "--h", "0.3", "--n", "-3"],
         ["sweep", "--beta", "1.0", "--h-grid", "0.3,0.1", "--n", "-3"],
+        ["estimate", "--beta", "1.0"],
     ],
     ids=["h-with-h-grid", "h-grid-comma", "h-grid-blank", "moments-replicas-0",
          "coarse-replicas-negative", "moments-h-0.27", "moments-h-0.25", "moments-h-0.2",
-         "estimate-n-negative", "sweep-n-negative"],
+         "estimate-n-negative", "sweep-n-negative", "estimate-no-h"],
 )
 def test_ambiguous_or_empty_h_input_exits_2_without_artifact(tmp_path, capsys, args):
     # --h next to --h-grid would be dropped, an empty grid gives no rows, a

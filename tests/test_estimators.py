@@ -327,7 +327,7 @@ def test_trimmed_plan_schedule_and_constraints():
 
 def test_trimmed_moment_check_refuses_an_empty_plan_before_drawing(log_kernel_small, monkeypatch):
     # m = 3 long/short pairs need at least m (M + 1) + 1 = 13 sites, more than N = 10
-    plan = est.TrimmedPlan(k=1, M=3, N=10, m=3, c1=3.3, c2=1.5, beta=0.5, h=0.3)
+    plan = partition.Trimmed(M=3, k=1, m=3, N=10)
 
     def no_draws(*args):
         raise AssertionError("replicas drawn for an empty plan")
@@ -336,7 +336,7 @@ def test_trimmed_moment_check_refuses_an_empty_plan_before_drawing(log_kernel_sm
     with pytest.raises(ValueError, match="empty for this plan"):
         est.trimmed_moment_check(log_kernel_small, GAUSSIAN, 0.5, 0.3, plan, replicas=100)
     with pytest.raises(ValueError, match="empty for this plan"):
-        est._independent_jump_backward(log_kernel_small, plan)
+        est._independent_jump_backward(log_kernel_small, plan, 0.3)
 
 
 def _enumerate_trimmed_paths(kernel, plan, h):
@@ -368,18 +368,14 @@ def _enumerate_trimmed_paths(kernel, plan, h):
 def test_trimmed_identity_against_exhaustive_enumeration(log_kernel_small, law):
     # tiny plan: enumerate every path pair, integrate the disorder per site
     # (factor e^{q2} on doubly-covered sites), and pin both estimators
-    from copolab.partition import Trimmed, _trimmed_log_z_replicas
-
-    plan = est.TrimmedPlan(k=2, M=3, N=40, m=2, c1=3.3, c2=1.5, beta=0.7, h=0.25)
-    h, q2v = plan.h, q2(law, plan.beta)
+    plan, beta, h = partition.Trimmed(M=3, k=2, m=2, N=40), 0.7, 0.25
+    q2v = q2(law, beta)
     paths = _enumerate_trimmed_paths(log_kernel_small, plan, h)
     total = math.fsum(w for w, _ in paths)
 
     # restricted mean: enumeration vs the convolution DP (sign factors 2^-5)
     mean_prefix = charge_prefix(law, 0.0, h, np.zeros(plan.N))
-    exact_mean = _trimmed_log_z_replicas(
-        [mean_prefix], log_kernel_small, Trimmed(M=3, k=2, m=2), plan.N
-    )[0]
+    exact_mean = partition._trimmed_log_z_replicas([mean_prefix], log_kernel_small, plan)[0]
     assert exact_mean == pytest.approx(math.log(total) + 5 * math.log(0.5), rel=1e-12)
 
     ratio_exact = (
@@ -391,7 +387,7 @@ def test_trimmed_identity_against_exhaustive_enumeration(log_kernel_small, law):
         / total**2
     )
     report = est.trimmed_moment_check(
-        log_kernel_small, law, plan.beta, h, plan, replicas=4000, seed=31
+        log_kernel_small, law, beta, h, plan, replicas=4000, seed=31
     )
     assert report["identity_lhs_mean"] == pytest.approx(
         ratio_exact, abs=4 * report["identity_lhs_sigma"]
@@ -461,7 +457,7 @@ def test_trimmed_rhs_matches_scalar_sampler_bit_for_bit(big_kernels, law, beta, 
     # sampling one path at a time, so the RHS mean and sigma are unchanged
     kernel, seed = big_kernels["log"], 17
     plan = est.trimmed_plan(2.0, law, beta, 0.3, c1, c2)
-    stages, long_w, short_w = est._independent_jump_backward(kernel, plan)
+    stages, long_w, short_w = est._independent_jump_backward(kernel, plan, 0.3)
     rng = spawn_rng(seed, 1_000_000)
     q2v = q2(law, beta)
     vals = np.empty(replicas)

@@ -230,6 +230,7 @@ def test_removed_tilt_and_wrapper_api_stays_gone():
     removed = (
         "TiltedKernel", "TiltTransform", "penalized_kernel", "estimate_free_energy",
         "QuenchedInstance", "make_instance", "sample", "_trimmed_core", "_annealed_log_z",
+        "TrimmedPlan",
     )
     modules = (
         copolab, copolab.kernel, copolab.estimators, copolab.partition, copolab.disorder,
@@ -275,6 +276,16 @@ def test_defect_kk_scheduled_window_scan(big_kernels):
 
 def test_defect_check_eta_zero_field(big_kernels):
     assert defect_check_eta(big_kernels["log"], 0.0, 0.1) == 0.0
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, 5.0])
+def test_defect_check_eta_refuses_bad_eta_at_zero_field(big_kernels, eta):
+    # the defect and the tilted masses take the same arguments at every h
+    kernel = big_kernels["log"]
+    with pytest.raises(ValueError, match="eta in"):
+        check_eta_kernel(kernel, 0.0, eta)
+    with pytest.raises(ValueError, match="eta in"):
+        defect_check_eta(kernel, 0.0, eta)
 
 
 def test_defect_check_eta_matches_stored_masses(big_kernels):

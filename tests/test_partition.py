@@ -18,10 +18,10 @@ from copolab.partition import (
 )
 
 
-def _trimmed_log_mean(kernel, plan, n, h):
+def _trimmed_log_mean(kernel, plan, h):
     # the disorder mean: the engine on the zero-disorder charges h per site
-    prefix = charge_prefix(GAUSSIAN, 0.0, h, np.zeros(n))
-    return float(_trimmed_log_z_replicas([prefix], kernel, plan, n)[0])
+    prefix = charge_prefix(GAUSSIAN, 0.0, h, np.zeros(plan.N))
+    return float(_trimmed_log_z_replicas([prefix], kernel, plan)[0])
 
 
 def test_log_z_single_site(log_kernel_small):
@@ -194,7 +194,7 @@ def test_restricted_below_unrestricted(log_kernel_small):
         omega = _draw(GAUSSIAN, 60, np.random.default_rng(int(rng.integers(0, 2**32))))
         prefix = charge_prefix(GAUSSIAN, 1.0, 0.4, omega)
         free = log_Z(prefix, log_kernel_small)
-        trim = log_Z_restricted(prefix, log_kernel_small, Trimmed(M=3, k=2, m=2), 60)
+        trim = log_Z_restricted(prefix, log_kernel_small, Trimmed(M=3, k=2, m=2, N=60))
         assert trim <= free + 1e-12
 
 
@@ -208,13 +208,13 @@ def test_trimmed_hand_checkable_small_plan(log_kernel_small):
         w *= log_kernel_small.mass(1) * 0.5 * math.exp(s[tau1 + 1] - s[tau1])
         w *= log_kernel_small.mass(n - tau1 - 1) * 0.5
         total += w
-    got = log_Z_restricted(s, log_kernel_small, Trimmed(M=big_m, k=1, m=1), n)
+    got = log_Z_restricted(s, log_kernel_small, Trimmed(M=big_m, k=1, m=1, N=n))
     assert got == pytest.approx(math.log(total), rel=1e-10)
 
 
 def test_trimmed_infeasible_returns_neg_inf(log_kernel_small):
     prefix = charge_prefix(GAUSSIAN, 1.0, 0.0, _draw(GAUSSIAN, 10, np.random.default_rng(2)))
-    got = log_Z_restricted(prefix, log_kernel_small, Trimmed(M=6, k=1, m=2), 10)
+    got = log_Z_restricted(prefix, log_kernel_small, Trimmed(M=6, k=1, m=2, N=10))
     assert got == -math.inf
 
 
@@ -230,20 +230,20 @@ def test_trimmed_log_mean_matches_brute(log_kernel_small):
             w *= log_kernel_small.mass(gap) * 0.5 * math.exp(h * gap)
             w *= log_kernel_small.mass(n - tau1 - gap) * 0.5
             total += w
-    got = _trimmed_log_mean(log_kernel_small, Trimmed(M=big_m, k=k, m=1), n, h)
+    got = _trimmed_log_mean(log_kernel_small, Trimmed(M=big_m, k=k, m=1, N=n), h)
     assert got == pytest.approx(math.log(total), rel=1e-10)
 
 
 def test_trimmed_mean_is_disorder_average(log_kernel_small):
     # MC average of the quenched restricted value converges to the exact mean
-    plan, n, beta, h = Trimmed(M=4, k=2, m=2), 80, 0.6, 0.2
-    exact = _trimmed_log_mean(log_kernel_small, plan, n, h)
+    plan, beta, h = Trimmed(M=4, k=2, m=2, N=80), 0.6, 0.2
+    exact = _trimmed_log_mean(log_kernel_small, plan, h)
     vals = []
     for i in range(4000):
         rng = spawn_rng(99, i)
-        omega = rng.standard_normal(n)
+        omega = rng.standard_normal(plan.N)
         prefix = charge_prefix(GAUSSIAN, beta, h, omega)
-        vals.append(math.exp(log_Z_restricted(prefix, log_kernel_small, plan, n)))
+        vals.append(math.exp(log_Z_restricted(prefix, log_kernel_small, plan)))
     mean = float(np.mean(vals))
     sem = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     assert abs(mean - math.exp(exact)) <= 4 * sem
@@ -338,10 +338,10 @@ def test_trimmed_engine_matches_row_loop(
         "free": (farthest + 1, farthest + 40),
     }[where]
     n = low + int(fraction * (high - low))
-    plan = Trimmed(M=big_m, k=k, m=m)
+    plan = Trimmed(M=big_m, k=k, m=m, N=n)
     prefix = _trimmed_prefixes(law, beta, h, n, seed, rows)
-    got = _trimmed_log_z_replicas(prefix, log_kernel_small, plan, n)
-    ref = np.array([log_Z_restricted(row, log_kernel_small, plan, n) for row in prefix])
+    got = _trimmed_log_z_replicas(prefix, log_kernel_small, plan)
+    ref = np.array([log_Z_restricted(row, log_kernel_small, plan) for row in prefix])
     _assert_trimmed_values_match(got, ref)
     if where == "infeasible":
         assert np.all(np.isneginf(ref))
@@ -354,12 +354,11 @@ def test_trimmed_engine_matches_row_loop_on_benchmark_plans(big_kernels, law):
     kernel = big_kernels["log"]
     for c1, c2 in ((3.3, 1.0), (3.3, 1.2), (3.3, 1.4), (3.3, 1.6), (5.0, 1.0)):
         for beta in (0.3, 0.5, 0.8):
-            tp = trimmed_plan(2.0, law, beta, 0.3, c1, c2)
-            span = min(tp.m * (tp.M * tp.M + tp.k), tp.N - 1)
+            plan = trimmed_plan(2.0, law, beta, 0.3, c1, c2)
+            span = min(plan.m * (plan.M * plan.M + plan.k), plan.N - 1)
             prefix = _trimmed_prefixes(law, beta, 0.3, span, 11, 8)
-            plan = Trimmed(M=tp.M, k=tp.k, m=tp.m)
-            got = _trimmed_log_z_replicas(prefix, kernel, plan, tp.N)
-            ref = np.array([log_Z_restricted(row, kernel, plan, tp.N) for row in prefix])
+            got = _trimmed_log_z_replicas(prefix, kernel, plan)
+            ref = np.array([log_Z_restricted(row, kernel, plan) for row in prefix])
             assert np.all(np.isfinite(ref))
             _assert_trimmed_values_match(got, ref)
 
@@ -367,9 +366,9 @@ def test_trimmed_engine_matches_row_loop_on_benchmark_plans(big_kernels, law):
 def test_trimmed_engine_values_do_not_depend_on_replica_count(log_kernel_small):
     # bit-equal whatever the number of rows and their neighbours: every
     # GEMM takes a zero-padded group of the same width
-    plan, n = Trimmed(M=7, k=2, m=3), 180
-    prefix = _trimmed_prefixes(BINARY, 0.8, 0.3, n, 5, 100)
-    many = _trimmed_log_z_replicas(prefix, log_kernel_small, plan, n)
+    plan = Trimmed(M=7, k=2, m=3, N=180)
+    prefix = _trimmed_prefixes(BINARY, 0.8, 0.3, plan.N, 5, 100)
+    many = _trimmed_log_z_replicas(prefix, log_kernel_small, plan)
     for count in (1, 2, 7, 8, 9, 17):
-        few = _trimmed_log_z_replicas(prefix[:count], log_kernel_small, plan, n)
+        few = _trimmed_log_z_replicas(prefix[:count], log_kernel_small, plan)
         np.testing.assert_array_equal(many[:count], few)
