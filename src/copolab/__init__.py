@@ -17,7 +17,6 @@ from .disorder import (
     BINARY,
     GAUSSIAN,
     DisorderLaw,
-    LawKind,
     RateFunctionEval,
     log_mgf,
     log_mgf_prime,

@@ -1,7 +1,7 @@
 """Command-line front end: sweeps, estimation runs, verification suites.
 
-Every subcommand echoes its fully resolved scientific configuration in the
-output header, and all randomness flows through the --seed flag with
+Every subcommand echoes in the output header the model flags and the run
+flags it read, and all randomness flows through the --seed flag with
 counter-split replica seeds, so a run can be reproduced byte for byte from
 its own output.  The output path does not enter the header.  Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error, an
@@ -66,7 +66,7 @@ import sys
 import numpy as np
 
 from . import __version__, bounds as bounds_mod, estimators
-from .disorder import BINARY, GAUSSIAN, _draw, q1, replica_rngs
+from .disorder import BINARY, GAUSSIAN, DisorderLaw, _draw, q1, replica_rngs
 from .kernel import (
     _MASS_BLOCK,
     FamilyKind,
@@ -89,7 +89,6 @@ from .partition import (
     log_annealed_Z,
 )
 
-_LAWS = {"gaussian": GAUSSIAN, "binary": BINARY}
 # the run flags each command and verify suite reads
 _READS = {
     "estimate": {"beta", "h", "h_grid", "replicas", "format"},
@@ -140,7 +139,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--cl", dest="c_L", type=float, default=1.0, help="shape constant of the numerator"
         )
-        p.add_argument("--law", choices=sorted(_LAWS), default="gaussian")
+        laws = sorted(law.value for law in DisorderLaw)
+        p.add_argument("--law", choices=laws, default="gaussian")
         p.add_argument("--beta", type=float, required=need_beta, default=None)
         p.add_argument("--h", type=float, default=None)
         p.add_argument("--h-grid", default=None, help="comma-separated descending h values")
@@ -232,7 +232,7 @@ def _parse(argv) -> argparse.Namespace:
             raise SystemExit2("one of --h or --h-grid is required")
         args.h_values = grid or [args.h]
     args.kernel_family = SlowlyVaryingFamily(FamilyKind(args.family), args.upsilon, args.c_L)
-    args.disorder_law = _LAWS[args.law]
+    args.disorder_law = DisorderLaw(args.law)
     header = {key: getattr(args, key, None) for key in _HEADER_KEYS}
     args.config = {key: value for key, value in header.items() if value is not None}
     return args

@@ -3,9 +3,8 @@
 Two built-in laws, both centered with unit variance: the standard Gaussian
 and the symmetric +/-1 law.  Both have closed-form cumulant functions, which
 makes every downstream quantity (tilted means, Legendre transforms, block
-tail probabilities) exactly checkable.  The Legendre transform is still
-solved numerically so that the solver itself can be validated against the
-closed forms.
+tail probabilities) exactly checkable.  The Legendre transform is closed
+form too; the tests check it against a grid maximum of x*y - lambda(y).
 
 Replica streams are counter-split from a master seed: replica i of seed s
 draws from the PCG64 Generator that ``SeedSequence(s, spawn_key=(i,))``
@@ -29,7 +28,6 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
-    "LawKind",
     "DisorderLaw",
     "RateFunctionEval",
     "GAUSSIAN",
@@ -44,30 +42,18 @@ __all__ = [
 ]
 
 
-class LawKind(str, Enum):
-    STANDARD_GAUSSIAN = "gaussian"
-    SYMMETRIC_BINARY = "binary"
-
-
-@dataclass(frozen=True)
-class DisorderLaw:
-    """A centered, unit-variance charge distribution, named by its kind.
+class DisorderLaw(str, Enum):
+    """A centered, unit-variance charge distribution.
 
     Both built-in laws are entire: every cumulant lambda(beta) is finite.
     """
 
-    kind: LawKind
-
-    @property
-    def mean_limit(self) -> float:
-        """Supremum of attainable tilted means, lim of the cumulant slope."""
-        if self.kind is LawKind.STANDARD_GAUSSIAN:
-            return math.inf
-        return 1.0
+    GAUSSIAN = "gaussian"
+    BINARY = "binary"
 
 
-GAUSSIAN = DisorderLaw(LawKind.STANDARD_GAUSSIAN)
-BINARY = DisorderLaw(LawKind.SYMMETRIC_BINARY)
+GAUSSIAN = DisorderLaw.GAUSSIAN
+BINARY = DisorderLaw.BINARY
 
 
 @dataclass(frozen=True)
@@ -89,7 +75,7 @@ def _check_beta(beta: float) -> None:
 def log_mgf(law: DisorderLaw, beta: float) -> float:
     """Cumulant generating function log E exp(beta * omega)."""
     _check_beta(beta)
-    if law.kind is LawKind.STANDARD_GAUSSIAN:
+    if law is GAUSSIAN:
         return 0.5 * beta * beta
     # log cosh, stable for large arguments
     a = abs(beta)
@@ -99,16 +85,9 @@ def log_mgf(law: DisorderLaw, beta: float) -> float:
 def log_mgf_prime(law: DisorderLaw, beta: float) -> float:
     """Derivative of the cumulant function, i.e. the tilted mean."""
     _check_beta(beta)
-    if law.kind is LawKind.STANDARD_GAUSSIAN:
+    if law is GAUSSIAN:
         return beta
     return math.tanh(beta)
-
-
-def _log_mgf_second(law: DisorderLaw, beta: float) -> float:
-    if law.kind is LawKind.STANDARD_GAUSSIAN:
-        return 1.0
-    t = math.tanh(beta)
-    return 1.0 - t * t
 
 
 def q1(law: DisorderLaw, beta: float) -> float:
@@ -128,53 +107,15 @@ def q2(law: DisorderLaw, beta: float) -> float:
 def rate_function(law: DisorderLaw, x: float) -> RateFunctionEval:
     """Legendre transform sup_y [x*y - lambda(y)] of the cumulant function.
 
-    The optimizer solves lambda'(y) = x, which has a unique root because
-    lambda' is strictly increasing.  Solved by safeguarded Newton on the
-    stationarity condition (tolerance 1e-12 on y): a step that would leave
-    the current bracket bisects it instead, and a solve that has not
-    converged after 200 steps raises RuntimeError.  The domain is [0, C)
-    with C the supremum of tilted means.
+    The optimizer solves lambda'(y) = x in closed form: y = x for the
+    Gaussian and y = atanh(x) for the +/-1 law.  The domain is x >= 0, and
+    x < 1 for the +/-1 law, whose tilted means stay below 1.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"rate function evaluated on x >= 0 only, got {x}")
-    c_sup = law.mean_limit
-    if x >= c_sup:
-        raise ValueError(f"x={x} is at or beyond the attainable mean range [0, {c_sup})")
-    if x == 0.0:
-        return RateFunctionEval(x=0.0, sigma=0.0, argmax_y=0.0)
-
-    # bracket the root of lambda'(y) = x
-    hi = 1.0
-    while log_mgf_prime(law, hi) < x:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError(f"failed to bracket the conjugate optimizer for x={x}")
-    lo = 0.0
-
-    y = min(x, hi)  # exact for the Gaussian, a sane start otherwise
-    converged = False
-    for _ in range(200):
-        g = log_mgf_prime(law, y) - x
-        if g == 0.0:
-            converged = True
-            break
-        if g > 0:
-            hi = y
-        else:
-            lo = y
-        gp = _log_mgf_second(law, y)
-        step = g / gp if gp > 0 else math.inf
-        y_new = y - step
-        if not (lo < y_new < hi):
-            y_new = 0.5 * (lo + hi)
-        if abs(y_new - y) <= 1e-12 * max(1.0, abs(y_new)):
-            y = y_new
-            converged = True
-            break
-        y = y_new
-    if not converged:
-        raise RuntimeError(f"conjugate optimizer for x={x} did not converge in 200 steps")
-
+    if law is BINARY and not x < 1.0:
+        raise ValueError(f"x={x} is at or beyond the attainable mean range [0, 1)")
+    y = x if law is GAUSSIAN else math.atanh(x)
     sigma = x * y - log_mgf(law, y)
     return RateFunctionEval(x=x, sigma=max(sigma, 0.0), argmax_y=y)
 
@@ -283,6 +224,6 @@ def spawn_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _draw(law: DisorderLaw, n: int, rng: np.random.Generator) -> np.ndarray:
-    if law.kind is LawKind.STANDARD_GAUSSIAN:
+    if law is GAUSSIAN:
         return rng.standard_normal(n)
     return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0

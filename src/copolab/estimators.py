@@ -27,8 +27,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .disorder import (
+    GAUSSIAN,
     DisorderLaw,
-    LawKind,
     _draw,
     log_mgf_prime,
     q1,
@@ -38,6 +38,7 @@ from .disorder import (
     spawn_rng,
 )
 from .kernel import (
+    FamilyKind,
     RenewalKernel,
     check_eta_kernel,
     defect_Kk,
@@ -179,7 +180,7 @@ def tilted_block_success(law: DisorderLaw, beta: float, threshold_rate: float, e
     """Probability, under the beta-tilt, that a block mean reaches threshold_rate."""
     from scipy.special import betainc, ndtr  # kept off the import path of the CLI
 
-    if law.kind is LawKind.STANDARD_GAUSSIAN:
+    if law is GAUSSIAN:
         return float(ndtr((beta - threshold_rate) * math.sqrt(ell)))
     p_plus = 1.0 / (1.0 + math.exp(-2.0 * beta))
     threshold = math.ceil(ell * (1.0 + threshold_rate) / 2.0)
@@ -514,8 +515,10 @@ def coarse_graining_check(
     _COARSE_N_BUDGET, or a crossover tilt whose renewal mass leaves the float
     range (supercritical at this h and eta), gives {"feasible": False, ...}
     with a note.  Fewer than 2 replicas (the spot standard errors need two),
-    a green_n_max below 2 (the half range of the Green constant needs a site)
-    or a negative seed raise ValueError.
+    a green_n_max below 2 (the half range of the Green constant needs a site),
+    a negative seed, c3 >= q1(beta), h >= c3, or outside the
+    super-logarithmic family log(c3/h) <= 1 (the window size M_h of h/c3
+    needs it) raise ValueError.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -528,6 +531,13 @@ def coarse_graining_check(
     q1v = q1(law, beta)
     if not c3 < q1v:
         raise ValueError(f"c3={c3} must be below q1(beta)={q1v}")
+    # bounds.m_h(h/c3) below needs h/c3 < 1 and, outside the
+    # super-logarithmic family, its own log(1/(h/c3)) > 1
+    kind = kernel.family.kind
+    log_family = kind is not FamilyKind.SUPER_LOGARITHMIC
+    if not h < c3 or (log_family and math.log(1.0 / (h / c3)) <= 1.0):
+        need = "log(c3/h) > 1" if log_family else "h < c3"
+        raise ValueError(f"h={h} too large for the {kind.value} family with c3={c3}: need {need}")
     log_n = c3 / h
     if log_n > math.log(_COARSE_N_BUDGET):
         return {

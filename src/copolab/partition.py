@@ -143,10 +143,11 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     a(j) = Z(j) and b(j) = Z(j) e^{-S_j}:
     Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Rows go through in passes of
     ``_pass_lanes(N)`` rows, whole groups of _GEMM_REPLICAS rows whose
-    working set fits _PASS_BYTES, in buffers allocated once per call.  The
-    last group of a pass is zero-padded; its padded rows take part in the
-    GEMMs, which always see whole groups, and in nothing else: the per-row
-    work, every log and every division, runs on the pass's live rows only.
+    working set fits _PASS_BYTES; the accumulator buffer is allocated once
+    per call.  The last group of a pass is zero-padded; its padded rows take
+    part in the GEMMs, which always see whole groups, and in nothing else:
+    the per-row work, every log and every division, runs on the pass's live
+    rows only.
     Every GEMM is one group's own product, stacked over the pass's groups in
     one ``np.matmul`` call.  Sources are cut into blocks of _BLOCK sites.
     Inside a block Z solves (I - L) z = p, with p the part pushed from
@@ -186,7 +187,6 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     # windows[t, u] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t
     windows = _toeplitz_view(kernel.masses[1:], _BLOCK)
     lanes = min(_pass_lanes(n), _GEMM_REPLICAS * -(-len(rows) // _GEMM_REPLICAS))
-    s_all = np.empty((lanes, n + 1))
     # acc[:, 0, m] e^{ref[:, 0]}, acc[:, 1, m] e^{ref[:, 1]}: sum_j K(m - j) a(j),
     # b(j) over pushed blocks.  ref is the largest block offset pushed so
     # far, so every target holds at least K(m - j0) times the value 1 of
@@ -199,8 +199,7 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
         batch = rows[p0 : p0 + lanes]
         live = len(batch)
         width = _GEMM_REPLICAS * -(-live // _GEMM_REPLICAS)
-        s, acc = s_all[:live], acc_all[:width]
-        s[:] = prefix[batch]
+        s, acc = prefix[batch], acc_all[:width]
         acc.fill(0.0)  # padded rows only ever gain zeros here
         ref = np.full((live, 2), -np.inf)
         for j0 in range(0, n + 1, _BLOCK):

@@ -348,6 +348,21 @@ def test_verify_coarse_records_supercritical_tilt_as_scan(tmp_path):
     assert checks["report_values_finite"]["ok"] is True
 
 
+@pytest.mark.parametrize(
+    "family,h", [("super-logarithmic", "0.5"), ("logarithmic", "0.3")], ids=["super-log", "log"]
+)
+def test_verify_coarse_refuses_h_beyond_c3_naming_h(tmp_path, capsys, family, h):
+    # c3 = 0.9 q1(1) = 0.45: the super-logarithmic window needs h < c3, the
+    # logarithmic one log(c3/h) > 1
+    out = tmp_path / "coarse.json"
+    code = run_cli(
+        ["verify", "coarse", "--family", family, "--h", h, "--seed", "2", "--out", str(out)]
+    )
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert f"h={h}" in err and "c3" in err and family in err
+
+
 @pytest.mark.parametrize("suite", ["moments", "coarse"])
 @pytest.mark.parametrize("h", ["0", "-0.0", "-0.1"])
 def test_verify_nonpositive_h_exits_2_without_artifact(tmp_path, capsys, suite, h):

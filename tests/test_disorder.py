@@ -83,12 +83,18 @@ def test_rate_function_zero_case():
 def test_rate_function_binary_entropy_and_grid_oracle():
     x = 0.5
     closed = (1.5 / 2) * math.log(1.5) + (0.5 / 2) * math.log(0.5)
-    # independent oracle: grid search of x*y - log cosh(y)
+    # independent oracle: grid search of x*y - lambda(y)
     ys = np.linspace(0.0, 5.0, 2_000_001)
     grid_max = float(np.max(x * ys - np.log(np.cosh(ys))))
     assert grid_max == pytest.approx(closed, abs=1e-10)
     ev = rate_function(BINARY, x)
     assert ev.sigma == pytest.approx(closed, abs=1e-10)
+    cumulants = {GAUSSIAN: 0.5 * ys * ys, BINARY: np.log(np.cosh(ys))}
+    for law, lam in cumulants.items():
+        for x in [0.1, 0.5, 0.9, 0.9 * math.tanh(2.0)]:
+            ev = rate_function(law, x)
+            assert ev.sigma == pytest.approx(float(np.max(x * ys - lam)), abs=1e-10)
+            assert log_mgf_prime(law, ev.argmax_y) == pytest.approx(x, rel=1e-14)
 
 
 def test_rate_function_domain_errors():
@@ -96,6 +102,9 @@ def test_rate_function_domain_errors():
         rate_function(BINARY, 1.0)
     with pytest.raises(ValueError):
         rate_function(GAUSSIAN, -0.5)
+    for law in (GAUSSIAN, BINARY):
+        with pytest.raises(ValueError):
+            rate_function(law, math.nan)
 
 
 def test_rate_function_stationarity_identity():

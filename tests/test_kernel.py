@@ -230,7 +230,7 @@ def test_removed_tilt_and_wrapper_api_stays_gone():
     removed = (
         "TiltedKernel", "TiltTransform", "penalized_kernel", "estimate_free_energy",
         "QuenchedInstance", "make_instance", "sample", "_trimmed_core", "_annealed_log_z",
-        "TrimmedPlan",
+        "TrimmedPlan", "LawKind",
     )
     modules = (
         copolab, copolab.kernel, copolab.estimators, copolab.partition, copolab.disorder,
