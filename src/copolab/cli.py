@@ -37,7 +37,10 @@ worst_relative_error (row-loop and batched DP against enumeration),
 worst_block_edge_relative_error (batched DP against the row loop at
 block_edge_sizes, the edges of its 8-row sub-blocks and 64-site blocks),
 worst_trimmed_relative_error (batched trimmed engine against its row
-loop on trimmed_trials small plans), worst_annealed_relative_error
+loop on trimmed_trials small plans), worst_two_pass_relative_error and
+worst_trimmed_two_pass_relative_error (the rows either side of a pass
+boundary of each engine, two_pass_batch and trimmed_two_pass, against the
+row loops), worst_annealed_relative_error
 (annealed values at annealed_fields against the row loop) and
 streams_checked (replica streams of stream_seeds compared with numpy's
 SeedSequence(seed, spawn_key=(i,)) streams); "moments" embeds the
@@ -62,11 +65,12 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, bounds as bounds_mod, estimators
-from .disorder import BINARY, GAUSSIAN, DisorderLaw, _draw, q1, replica_rngs
+from .disorder import BINARY, GAUSSIAN, DisorderLaw, _draw, q1, replica_rngs, spawn_rng
 from .kernel import (
     _MASS_BLOCK,
     FamilyKind,
@@ -82,6 +86,8 @@ from .partition import (
     Trimmed,
     _pass_lanes,
     _trimmed_log_z_replicas,
+    _trimmed_pass_rows,
+    _trimmed_size,
     brute_force_log_Z,
     charge_prefix,
     log_Z,
@@ -356,21 +362,22 @@ def _worst_relative_error(pairs) -> float:
 def _suite_oracle(args, kernel) -> dict:
     # the row-loop log_Z and the batched replica DP against enumeration at
     # N <= 12, the batched DP against the row loop across sub-block and
-    # block edges and over two passes of groups, the batched trimmed engine
-    # against its row loop on small plans, the blocked renewal mass and the
-    # annealed value against the row loop at beta = 0 (Z_N = u(N) at h = 0),
+    # block edges, the batched trimmed engine against its row loop on small
+    # plans, both engines against their row loops over two passes of
+    # groups, the blocked renewal mass and the annealed value against the
+    # row loop at beta = 0 (Z_N = u(N) at h = 0),
     # and the replica streams against numpy's SeedSequence; the trials come
     # from numpy's root stream of the seed, which has no spawn key
     rng = np.random.default_rng(args.seed)
 
-    def draw(law_i, n, replicas):
+    def draw(law_i, n, replicas, source=rng):
         # a random (beta, h) and replica seed, with the charge rows of its replicas
-        beta, h = float(rng.uniform(0.0, 2.0)), float(rng.uniform(-1.0, 1.0))
-        seed = int(rng.integers(0, 2**32))
-        rows = [
+        beta, h = float(source.uniform(0.0, 2.0)), float(source.uniform(-1.0, 1.0))
+        seed = int(source.integers(0, 2**32))
+        rows = np.array([
             charge_prefix(law_i, beta, h, _draw(law_i, n, stream))
             for stream in replica_rngs(seed, range(replicas))
-        ]
+        ])
         return beta, h, seed, rows
 
     def batch(law_i, n, replicas):
@@ -414,6 +421,24 @@ def _suite_oracle(args, kernel) -> dict:
         for pair in list(batch(law_i, two_pass_n, two_pass["replicas"]))[-2 * _GEMM_REPLICAS :]
     ]
     worst_two_pass = _worst_relative_error((value, log_Z(row, kernel)) for value, row in boundary)
+    # the same for the trimmed engine, on rows drawn from a stream of their
+    # own, spawn key 0 of the seed, so that every trial above keeps its draws
+    pass_plan = Trimmed(M=12, k=2, m=3, N=430)
+    trimmed_two_pass = {
+        "plan": asdict(pass_plan),
+        "replicas": _trimmed_pass_rows(pass_plan, _trimmed_size(kernel, pass_plan)) + _GEMM_REPLICAS,
+        "rows_checked": 2 * _GEMM_REPLICAS,
+    }
+    pass_rng = spawn_rng(args.seed, 0)
+    trimmed_boundary = []
+    for law_i in (GAUSSIAN, BINARY):
+        *_, rows = draw(law_i, pass_plan.N, trimmed_two_pass["replicas"], source=pass_rng)
+        values = _trimmed_log_z_replicas(rows, kernel, pass_plan)[-2 * _GEMM_REPLICAS :]
+        rows = rows[-2 * _GEMM_REPLICAS :]
+        trimmed_boundary += [
+            (value, log_Z_restricted(row, kernel, pass_plan)) for value, row in zip(values.tolist(), rows)
+        ]
+    worst_trimmed_two_pass = _worst_relative_error(trimmed_boundary)
     mass_sizes = tuple(e + d for e in (_MASS_BLOCK, 2 * _MASS_BLOCK) for d in (-1, 0, 1))
     worst_mass = 0.0
     for n in mass_sizes:
@@ -446,6 +471,8 @@ def _suite_oracle(args, kernel) -> dict:
         "worst_trimmed_relative_error": worst_trimmed,
         "two_pass_batch": two_pass,
         "worst_two_pass_relative_error": worst_two_pass,
+        "trimmed_two_pass": trimmed_two_pass,
+        "worst_trimmed_two_pass_relative_error": worst_trimmed_two_pass,
         "renewal_mass_sizes": list(mass_sizes),
         "worst_renewal_mass_relative_error": worst_mass,
         "annealed_fields": list(annealed_fields),
@@ -457,7 +484,7 @@ def _suite_oracle(args, kernel) -> dict:
             {"name": "batched_dp_matches_row_loop", "kind": "assert",
              "ok": max(worst_blocked, worst_two_pass) <= 1e-10},
             {"name": "trimmed_engine_matches_row_loop", "kind": "assert",
-             "ok": worst_trimmed <= 1e-10},
+             "ok": max(worst_trimmed, worst_trimmed_two_pass) <= 1e-10},
             {"name": "renewal_mass_matches_row_loop", "kind": "assert", "ok": worst_mass <= 1e-10},
             {"name": "annealed_matches_row_loop", "kind": "assert", "ok": worst_annealed <= 1e-10},
             {"name": "replica_streams_match_seed_sequence", "kind": "assert", "ok": streams_match},

@@ -77,8 +77,12 @@ def log_mgf(law: DisorderLaw, beta: float) -> float:
     _check_beta(beta)
     if law is GAUSSIAN:
         return 0.5 * beta * beta
-    # log cosh, stable for large arguments
+    # log cosh: cosh a = 1 + 2 sinh(a/2)^2 keeps small arguments free of the
+    # cancellation in a + log1p(e^{-2a}) - log 2, which stays for a >= 0.25,
+    # where it is accurate and cannot overflow
     a = abs(beta)
+    if a < 0.25:
+        return math.log1p(2.0 * math.sinh(0.5 * a) ** 2)
     return a + math.log1p(math.exp(-2.0 * a)) - math.log(2.0)
 
 
@@ -224,6 +228,21 @@ def spawn_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _draw(law: DisorderLaw, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n charges of ``law`` from ``rng``.
+
+    Gaussian charges are ``rng.standard_normal(n)``.  A +/-1 charge is +1
+    where one bit of the raw 64-bit words of ``rng.bit_generator`` is set:
+    bit 31, then bit 63, of each word in turn, the top bits of its low and
+    high 32-bit halves.  On a fresh PCG64 stream, one that has not yet
+    handed out a 32-bit half, these are the bits of
+    ``rng.integers(0, 2, size=n)``, which the charges equal bit for bit.
+    Shifts move each bit, inverted, into the sign of an int64, so the
+    result does not depend on the host's byte order.
+    """
     if law is GAUSSIAN:
         return rng.standard_normal(n)
-    return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+    words = rng.bit_generator.random_raw(-(-n // 2))
+    signs = np.empty((len(words), 2), dtype=np.int64)
+    np.left_shift(~words, 32, out=signs[:, 0], casting="unsafe")
+    np.invert(words, out=signs[:, 1], casting="unsafe")
+    return np.copysign(1.0, signs.reshape(-1)[:n])

@@ -8,9 +8,9 @@ all rows are evaluated together by the batched, blocked quenched DP of
 ``partition``, so the seed, the replica index and the field alone fix each
 value, bit for bit, whatever the replica count, the grid or the evaluation
 order.  The trimmed second-moment check does the same for the restricted
-ensemble: replica i draws from the same stream i, each built when the
-engine reaches its replica, and the batched trimmed engine of
-``partition`` evaluates the replicas one fixed-width group at a time.
+ensemble: replica i draws from the same stream i, the replicas of one
+engine pass at a time, and the batched trimmed engine of ``partition``
+evaluates each pass in fixed-width groups.
 The verification engines evaluate the change-of-measure, trimmed
 second-moment and coarse-graining constructions at desk scale and return
 plain-dict reports: every value is recorded, and quantities that the
@@ -30,6 +30,7 @@ from .disorder import (
     GAUSSIAN,
     DisorderLaw,
     _draw,
+    log_mgf,
     log_mgf_prime,
     q1,
     q2,
@@ -46,10 +47,12 @@ from .kernel import (
     renewal_mass,
 )
 from .partition import (
+    _TRIMMED_PASS_BYTES,
     Trimmed,
     _closing_weights,
     _log_z_replicas,
     _trimmed_log_z_replicas,
+    _trimmed_pass_rows,
     _trimmed_size,
     charge_prefix,
 )
@@ -77,7 +80,6 @@ DEFAULT_C4 = 2.0
 DEFAULT_C5 = 4.0
 _Z_SCORE = 1.96  # standard errors below the mean in the lower bracket
 
-_PATH_PAIRS = 32  # replica pairs per vectorized draw of the overlap sampler
 _COARSE_ETA = 0.1  # crossover parameter of the tilt in coarse_graining_check
 _COARSE_N_BUDGET = 20_000  # largest window e^(c3/h) that check evaluates
 _COARSE_M_CAP = 50_000  # cap on its far end M_h
@@ -274,24 +276,21 @@ def _independent_jump_backward(kernel, plan, h):
     return stages, long_w, short_w
 
 
-def _sample_short_intervals(stages, long_w, short_w, plan, draws):
+def _sample_short_intervals(steps, draws):
     """Short intervals of paths drawn under the tilted ensemble law.
 
-    draws[p, g - 1] is the uniform variate of path p at stage g; returns the
-    (paths, m, 2) array of [start, end) of each path's short excursions.
-    Every path takes the same per-row sum, cumsum and count as a 1-D
-    searchsorted, so it draws what one path at a time would.
+    ``steps[g - 1]`` is (windows, w, start) of stage g: the sliding windows
+    of the backward weights B[g] over the stage's jump weights w, whose
+    first gap is ``start``.  draws[p, g - 1] is the uniform variate of path
+    p at stage g; returns the (paths, m, 2) array of [start, end) of each
+    path's short excursions.  Every path takes the same per-row sum, cumsum
+    and count as a 1-D searchsorted, so it draws what one path at a time
+    would.
     """
-    big_m, m = plan.M, plan.m
     paths = draws.shape[0]
     x = np.zeros(paths, dtype=np.int64)
-    shorts = np.empty((paths, m, 2), dtype=np.int64)
-    for g in range(1, 2 * m + 1):
-        if g % 2 == 1:
-            w, start = long_w, big_m
-        else:
-            w, start = short_w, 1
-        windows = np.lib.stride_tricks.sliding_window_view(stages[g], len(w))
+    shorts = np.empty((paths, len(steps) // 2, 2), dtype=np.int64)
+    for g, (windows, w, start) in enumerate(steps, start=1):
         probs = windows[x + start] * w
         cdf = np.cumsum(probs, axis=1)
         draw = draws[:, g - 1] * probs.sum(axis=1)
@@ -302,6 +301,31 @@ def _sample_short_intervals(stages, long_w, short_w, plan, draws):
             shorts[:, g // 2 - 1, 1] = x + ell
         x += ell
     return shorts
+
+
+def _replica_prefix_blocks(law, beta, h, span, seed, replicas, rows):
+    """Charge-prefix rows of replicas 0..replicas-1 over ``span`` sites, ``rows`` at a time.
+
+    Replica i draws from stream i of ``replica_rngs(seed, ...)``.  Each
+    block is written into one buffer, which the next block reuses: the
+    draws go straight into its rows, and the prefix is built in place with
+    ``charge_prefix``'s operations in its order, so every row equals
+    charge_prefix(law, beta, h, omega) bit for bit.
+    """
+    buffer = np.empty((min(rows, replicas), span + 1))
+    buffer[:, 0] = 0.0
+    lam = log_mgf(law, beta)
+    streams = replica_rngs(seed, range(replicas))
+    for i0 in range(0, replicas, rows):
+        block = buffer[: min(rows, replicas - i0)]
+        for row, rng in zip(block, streams):
+            row[1:] = _draw(law, span, rng)
+        terms = block[:, 1:]
+        terms *= beta
+        terms -= lam
+        terms += h
+        np.cumsum(terms, axis=1, out=terms)
+        yield block
 
 
 def _interval_overlap(first, second):
@@ -330,8 +354,10 @@ def trimmed_moment_check(
     the identity says must agree; (c) the induction bound envelope.  The
     exact mean in (a) is the batched trimmed engine on the zero-disorder
     charges (h per site); the replicas of (b) go through the same engine,
-    drawn one group at a time, and the overlap paths are drawn in groups
-    of _PATH_PAIRS replica pairs from one stream, spawn_rng(seed, 1_000_000).
+    drawn one engine pass at a time into one reused buffer, and the overlap
+    paths are drawn from one stream, spawn_rng(seed, 1_000_000), for as
+    many replica pairs at a time as _TRIMMED_PASS_BYTES holds of their
+    sampler rows.  Neither the pass nor the pair chunk moves a value.
     The plan fixes only the ensemble; every part takes beta and h from the
     arguments, and the report records them next to the plan.
     """
@@ -344,29 +370,35 @@ def trimmed_moment_check(
         raise ValueError("trimmed ensemble is empty for this plan")
     # the disorder mean is the engine on the single zero-disorder charge row
     mean_prefix = charge_prefix(law, 0.0, h, np.zeros(span))
-    exact_log_mean = float(_trimmed_log_z_replicas([mean_prefix], kernel, plan)[0])
+    exact_log_mean = float(_trimmed_log_z_replicas(mean_prefix[None], kernel, plan)[0])
     product_log = _first_moment_product_log(kernel, plan, h)
 
-    # (b) left side: disorder replicas of (Z restricted / exact mean)^2;
-    # replica i draws from stream i of seed, one engine group at a time
-    prefixes = (
-        charge_prefix(law, beta, h, _draw(law, span, rng))
-        for rng in replica_rngs(seed, range(replicas))
+    # (b) left side: disorder replicas of (Z restricted / exact mean)^2
+    log_zt = _trimmed_log_z_replicas(
+        _replica_prefix_blocks(law, beta, h, span, seed, replicas, _trimmed_pass_rows(plan, span + 1)),
+        kernel,
+        plan,
     )
-    log_zt = _trimmed_log_z_replicas(prefixes, kernel, plan)
     lhs_vals = np.exp(2.0 * (log_zt - exact_log_mean))
     lhs_mean = float(lhs_vals.mean())
     lhs_sigma = float(lhs_vals.std(ddof=1) / math.sqrt(replicas))
 
     # (b) right side: overlap expectation under the tilted path law; pair i
-    # takes the next 2 x 2m uniforms of one stream, first path then second
+    # takes the next 2 x 2m uniforms of one stream, first path then second,
+    # drawn for as many pairs at a time as their sampler rows fit
+    # _TRIMMED_PASS_BYTES: a path holds at most 4 rows of len(long_w) doubles
     stages, long_w, short_w = _independent_jump_backward(kernel, plan, h)
+    steps = []
+    for g in range(1, 2 * plan.m + 1):
+        w, start = (long_w, plan.M) if g % 2 else (short_w, 1)
+        steps.append((np.lib.stride_tricks.sliding_window_view(stages[g], len(w)), w, start))
+    chunk = max(1, _TRIMMED_PASS_BYTES // (2 * 4 * 8 * len(long_w)))
     rng = spawn_rng(seed, 1_000_000)
     rhs_vals = np.empty(replicas)
-    for i0 in range(0, replicas, _PATH_PAIRS):
-        pairs = min(_PATH_PAIRS, replicas - i0)
+    for i0 in range(0, replicas, chunk):
+        pairs = min(chunk, replicas - i0)
         draws = rng.random((pairs, 2, 2 * plan.m)).reshape(2 * pairs, 2 * plan.m)
-        shorts = _sample_short_intervals(stages, long_w, short_w, plan, draws)
+        shorts = _sample_short_intervals(steps, draws)
         overlap = _interval_overlap(shorts[0::2], shorts[1::2])
         # math.exp, as one pair at a time took it, keeps the values bit-identical
         rhs_vals[i0 : i0 + pairs] = [math.exp(q2v * v) for v in overlap.tolist()]

@@ -25,8 +25,10 @@ K(l)(1 + e^{hl})/2: an excursion's charge factor averages to e^{hl}.
 The trimmed (alternating long/short) ensemble follows the same pattern:
 ``log_Z_restricted`` is the one-row stage loop and the oracle, and
 ``_trimmed_log_z_replicas`` runs the stages for groups of _GEMM_REPLICAS
-replicas, each long stage a banded Toeplitz GEMM.  Both engines build
-their push matrices from ``kernel._toeplitz_view``.
+replicas, as many groups per pass as a working-set budget of
+_TRIMMED_PASS_BYTES allows, each long stage banded Toeplitz GEMMs on the
+support the previous stage left, stacked over the pass's groups.  Both
+engines build their push matrices from ``kernel._toeplitz_view``.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ _PASS_BYTES = 24 << 20  # working-set budget of one pass of the quenched engine
 _FILL_ROWS = 8  # rows per diagonal sub-block of the linear-domain block fill; a power of two
 _FILL_VARIATION = 256.0  # largest in-block charge variation filled in the linear domain
 _TRIMMED_CHUNK = 64  # targets per long-stage GEMM of the trimmed engine
+_TRIMMED_PASS_BYTES = 2 << 20  # working-set budget of one trimmed pass and one sampler chunk
 
 
 def charge_prefix(law: DisorderLaw, beta: float, h, omega: np.ndarray) -> np.ndarray:
@@ -453,25 +456,61 @@ def log_Z_restricted(prefix, kernel: RenewalKernel, plan: Trimmed) -> float:
     return math.log(total) + offset
 
 
+def _trimmed_row_bytes(plan, size) -> int:
+    """Working set of one row of the trimmed engine over positions 0..size-1.
+
+    Its charge prefix and k charge rows, (k + 1) size doubles, and the
+    stage buffers f and g, 2 (M^2 + size + _TRIMMED_CHUNK) doubles.
+    """
+    return 8 * ((plan.k + 1) * size + 2 * (plan.M * plan.M + size + _TRIMMED_CHUNK))
+
+
+def _trimmed_pass_rows(plan, size) -> int:
+    """Rows per pass of the trimmed engine: the whole groups of _GEMM_REPLICAS
+    rows whose working set fits _TRIMMED_PASS_BYTES, at least one."""
+    group = _GEMM_REPLICAS * _trimmed_row_bytes(plan, size)
+    return _GEMM_REPLICAS * max(1, _TRIMMED_PASS_BYTES // group)
+
+
 def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     """Trimmed log Z_N of every charge-prefix row of ``prefix``.
 
-    ``prefix`` is an (R, n+1) array or any iterable of rows (a generator
-    drawing them on demand keeps the working set independent of R).  Same
-    stages as ``log_Z_restricted``, for _GEMM_REPLICAS rows at a time, zero-
-    padded, in buffers allocated once per call.  The long stage is one
-    banded Toeplitz matrix T[c, r] = K(r + M^2 - c)/2 over gaps in [M, M^2],
-    applied as an (8, W) @ (W, _TRIMMED_CHUNK) GEMM per chunk of targets;
-    only chunks inside the support the plan gives are visited.  The short
-    stage uses the k charge rows e^{S[x] - S[x-l]} K(l)/2, computed once per
-    group.  Every stage is rescaled to a unit maximum per row with per-row
-    log offsets; a row whose maximum is 0, or whose closing sum is 0, gives
-    -inf.  A row's value depends neither on R nor on the other rows.
+    ``prefix`` is an (R, n+1) array or an iterable of 2-D blocks of such
+    rows; a generator that draws each block when the engine asks for it,
+    and may reuse its buffer for the next, keeps the working set independent
+    of R.  Same stages as ``log_Z_restricted``.  Rows go through in passes
+    of ``_trimmed_pass_rows`` rows, whole groups of _GEMM_REPLICAS rows whose
+    working set fits _TRIMMED_PASS_BYTES, in stage buffers allocated once
+    per call (grown only if a later pass is wider than the first); the last
+    group of a pass is zero-padded.  The long stage is one banded Toeplitz
+    matrix T[c, r] = K(r + M^2 - c)/2 over gaps in [M, M^2], applied to
+    each group as (8, W) @ (W, _TRIMMED_CHUNK) GEMMs, one per chunk of the
+    targets that the support [s_lo, s_hi] left by the previous stage
+    reaches: the chunks whose whole source window lies inside the support
+    go in one ``np.matmul`` over strided windows of the pass, stacked over
+    its groups and chunks, and each edge chunk in one stacked call on the
+    Toeplitz rows that meet the support.  The short stage uses the k charge
+    rows e^{S[x] - S[x-l]} K(l)/2.  Every stage is rescaled to a unit
+    maximum per row with per-row log offsets; a row whose maximum is 0, or
+    whose closing sum is 0, gives -inf.  Every product keeps one group's
+    shape, so a row's value depends neither on R, nor on the pass width,
+    nor on the other rows.
     """
-    rows = iter(prefix)
+    blocks = (prefix,) if isinstance(prefix, np.ndarray) else prefix
     size = _trimmed_size(kernel, plan)
+    lanes = _trimmed_pass_rows(plan, size)
+
+    def passes():
+        for block in blocks:
+            if np.ndim(block) != 2:
+                raise ValueError("charge prefixes come as 2-D blocks of rows")
+            if block.shape[1] < size:
+                raise ValueError("charge prefix too short for the plan")
+            for p0 in range(0, len(block), lanes):
+                yield block[p0 : p0 + lanes]
+
     if size == 0:
-        return np.full(sum(1 for _ in rows), -math.inf)
+        return np.full(sum(len(rows) for rows in passes()), -math.inf)
     big_m, k, m = plan.M, plan.k, plan.m
     lead = big_m * big_m  # zero sites left of position 0, read by the long stage
     chunk = _TRIMMED_CHUNK
@@ -483,15 +522,6 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     closing = _closing_weights(kernel, plan, size)
     short_w = 0.5 * kernel.masses[1 : k + 1]
 
-    # charge[l - 1, :, x] = e^{S[x] - S[x-l]} K(l)/2 for x >= l
-    charge = np.zeros((k, _GEMM_REPLICAS, size))
-    # position x sits at column lead + x; the last chunk of a stage may write
-    # up to chunk - 1 columns past size, which nothing reads
-    f = np.empty((_GEMM_REPLICAS, lead + size + chunk))
-    g = np.empty_like(f)
-    log_scale = np.empty(_GEMM_REPLICAS)
-    dead = np.empty(_GEMM_REPLICAS, dtype=bool)
-
     def rescale(values):
         top = values.max(axis=1)
         empty = top <= 0.0
@@ -500,46 +530,89 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
         values /= top[:, None]
         log_scale[:] += np.log(top)
 
+    def windows(a, first, count, span):
+        # a's (groups, count, _GEMM_REPLICAS, span) windows at columns
+        # first + j chunk, one per group and chunk j
+        row_step, col_step = a.strides
+        return np.lib.stride_tricks.as_strided(
+            a[:, first:],
+            shape=(len(a) // _GEMM_REPLICAS, count, _GEMM_REPLICAS, span),
+            strides=(_GEMM_REPLICAS * row_step, chunk * col_step, row_step, col_step),
+        )
+
+    # position x sits at column lead + x; only columns lead..lead+size-1 of
+    # f are ever written, and the last chunk of a stage may write up to
+    # chunk - 1 columns of g past size, which nothing reads
+    f_all = g_all = np.zeros((0, lead + size + chunk))
+    # charge[l - 1, :, x] = e^{S[x] - S[x-l]} K(l)/2 for x >= l
+    charge_all = np.zeros((k, 0, size))
     out = [np.empty(0)]
-    while True:
-        # rows are taken one at a time, so a generator never holds a group
-        count = 0
-        for r, row in zip(range(_GEMM_REPLICAS), rows):
-            if len(row) < size:
-                raise ValueError("charge prefix too short for the plan")
-            for ell in range(1, k + 1):
-                np.subtract(row[ell:size], row[: size - ell], out=charge[ell - 1, r, ell:])
-            count += 1
-        if count == 0:
-            return np.concatenate(out)
-        charge[:, count:] = 0.0  # padding rows carry zero charges
+    for rows in passes():
+        live = len(rows)
+        padded = _GEMM_REPLICAS * -(-live // _GEMM_REPLICAS)
+        if padded > len(f_all):
+            f_all, g_all = np.zeros((2, padded, f_all.shape[1]))
+            charge_all = np.zeros((k, padded, size))
+        f, g, charge = f_all[:padded], g_all[:padded], charge_all[:, :padded]
+        f3, g3 = f.reshape(-1, _GEMM_REPLICAS, f.shape[1]), g.reshape(-1, _GEMM_REPLICAS, g.shape[1])
+        for ell in range(1, k + 1):
+            np.subtract(rows[:, ell:size], rows[:, : size - ell], out=charge[ell - 1, :live, ell:])
+        charge[:, live:] = 0.0  # padding rows carry zero charges
         for ell in range(1, k + 1):
             rows_l = charge[ell - 1, :, ell:]
             np.exp(rows_l, out=rows_l)
             rows_l *= short_w[ell - 1]
-        f.fill(0.0)
+        f[:, lead : lead + size] = 0.0
         f[:, lead] = 1.0
-        log_scale.fill(0.0)
-        dead.fill(False)
-        for stage in range(m):
-            # g holds the long stage on its support [lo, hi] and is read
-            # nowhere else; f is zero outside the support it is given
-            lo = stage * (big_m + 1) + big_m
-            hi = min(stage * (lead + k) + lead, size - 1)
+        log_scale = np.zeros(padded)
+        dead = np.zeros(padded, dtype=bool)
+        s_lo = s_hi = 0  # f is zero outside positions s_lo..s_hi
+        for _ in range(m):
+            # g holds the long stage on its targets [lo, hi] and is read
+            # nowhere else; chunk t0 reads sources t0 - M^2 .. t0 + chunk - 1 - M,
+            # the f columns t0 .. t0 + width - 1
+            lo, hi = s_lo + big_m, min(s_hi + lead, size - 1)
+            inner = []
             for t0 in range(lo, hi + 1, chunk):
-                np.matmul(f[:, t0 : t0 + width], toeplitz, out=g[:, lead + t0 : lead + t0 + chunk])
+                c_lo, c_hi = max(0, s_lo + lead - t0), min(width, s_hi + lead + 1 - t0)
+                if c_lo == 0 and c_hi == width:
+                    inner.append(t0)
+                else:
+                    np.matmul(
+                        f3[:, :, t0 + c_lo : t0 + c_hi],
+                        toeplitz[c_lo:c_hi],
+                        out=g3[:, :, lead + t0 : lead + t0 + chunk],
+                    )
+            if inner:
+                np.matmul(
+                    windows(f, inner[0], len(inner), width),
+                    toeplitz,
+                    out=windows(g, lead + inner[0], len(inner), chunk),
+                )
             rescale(g[:, lead + lo : lead + hi + 1])
-            f.fill(0.0)
+            # the short stage leaves f on [lo + 1, top]: l = 1 writes it up
+            # to hi + 1, and zeros cover the rest of that range and the part
+            # of the old support left of it
+            top = min(hi + k, size - 1)
+            f[:, lead + s_lo : lead + lo + 1] = 0.0
+            f[:, lead + min(hi + 1, size - 1) + 1 : lead + top + 1] = 0.0
             for ell in range(1, k + 1):
                 a, b = lead + lo + ell, lead + min(hi + ell, size - 1) + 1
-                f[:, a:b] += g[:, a - ell : b - ell] * charge[ell - 1, :, a - lead : b - lead]
-            rescale(f[:, lead + lo + 1 : lead + min(hi + k, size - 1) + 1])
-        total = f[:, lead : lead + size] @ closing
+                terms = g[:, a - ell : b - ell], charge[ell - 1, :, a - lead : b - lead]
+                if ell == 1:
+                    np.multiply(*terms, out=f[:, a:b])
+                else:
+                    f[:, a:b] += np.multiply(*terms)
+            rescale(f[:, lead + lo + 1 : lead + top + 1])
+            s_lo, s_hi = lo + 1, top
+        # one (8, size) product per group, as for a group alone
+        total = np.matmul(f3[:, :, lead : lead + size], closing).reshape(padded)
         dead |= total <= 0.0
         total[dead] = 1.0
         values = np.log(total) + log_scale
         values[dead] = -math.inf
-        out.append(values[:count])
+        out.append(values[:live])
+    return np.concatenate(out)
 
 
 def log_annealed_Z(kernel: RenewalKernel, n: int, h):

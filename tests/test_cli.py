@@ -107,8 +107,9 @@ def test_cli_import_skips_scipy_stats_and_integrate():
         ["sweep", "--beta", "1.0", "--h-grid", "0.4,-0.1", "--n", "2000", "--replicas", "16",
          "--seed", "5"],
         ["verify", "coarse", "--seed", "3"],
+        ["verify", "moments", "--seed", "2"],
     ],
-    ids=["sweep", "verify-coarse"],
+    ids=["sweep", "verify-coarse", "verify-moments"],
 )
 def test_artifact_bytes_do_not_depend_on_blas_threads(args):
     # a fixed seed gives the same bytes whatever the BLAS thread count
@@ -269,6 +270,8 @@ def test_verify_oracle_suite_passes_fast(tmp_path):
     assert oracle["worst_relative_error"] <= 1e-10
     assert oracle["worst_block_edge_relative_error"] <= 1e-10
     assert oracle["worst_two_pass_relative_error"] <= 1e-10
+    assert oracle["worst_trimmed_two_pass_relative_error"] <= 1e-10
+    assert oracle["trimmed_two_pass"]["rows_checked"] == 16
     assert oracle["worst_renewal_mass_relative_error"] <= 1e-10
     assert oracle["worst_annealed_relative_error"] <= 1e-10
     assert {c["name"] for c in oracle["checks"]} == {

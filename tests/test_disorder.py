@@ -33,6 +33,29 @@ def test_log_mgf_binary_log_cosh():
     assert log_mgf(BINARY, 1.0) == pytest.approx(expected, abs=1e-14)
 
 
+def _log_cosh_reference(beta):
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(beta)
+        return float(((d.exp() + (-d).exp()) / 2).ln())
+
+
+def test_log_mgf_binary_small_beta_keeps_full_precision():
+    # below 0.25 log1p(2 sinh(b/2)^2) avoids the cancellation of
+    # b + log1p(e^{-2b}) - log 2, which was 120 % off at b = 1e-8
+    for beta in (1e-8, 1e-6, 1e-4, 0.01, 0.1, 0.2499999):
+        exact = _log_cosh_reference(beta)
+        assert abs(log_mgf(BINARY, beta) - exact) <= 1e-15 * exact
+    # from 0.25 on the large-argument form stays, with its few-ulp error
+    for beta in (0.25, 0.2500001, 0.3, 2.0):
+        exact = _log_cosh_reference(beta)
+        assert abs(log_mgf(BINARY, beta) - exact) <= 5e-15 * exact
+    assert q2(BINARY, 1e-8) > 0.0
+    assert q2(BINARY, 1e-8) == pytest.approx(1e-16, rel=1e-12)
+
+
 def test_log_mgf_domain_error():
     with pytest.raises(ValueError):
         log_mgf(GAUSSIAN, -0.1)
@@ -147,6 +170,19 @@ def test_sample_determinism():
         a = _draw(law, 50, np.random.default_rng(123))
         b = _draw(law, 50, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
+
+
+def test_binary_draws_equal_generator_integers_on_fresh_streams():
+    # the +/-1 charges are the bits that Generator.integers(0, 2) takes from
+    # the raw words, low 32-bit half first, for even and odd n
+    for n in (1, 2, 3, 63, 64, 65, 240, 5781):
+        for seed in range(40):
+            ref = np.random.default_rng(seed).integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+            got = _draw(BINARY, n, np.random.default_rng(seed))
+            assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
+    for i, rng in enumerate(replica_rngs(11, range(40))):
+        ref = _numpy_stream(11, i).integers(0, 2, size=65).astype(float) * 2.0 - 1.0
+        assert _draw(BINARY, 65, rng).tobytes() == ref.tobytes()
 
 
 def test_sample_normalization_moments():

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -375,7 +376,7 @@ def test_trimmed_identity_against_exhaustive_enumeration(log_kernel_small, law):
 
     # restricted mean: enumeration vs the convolution DP (sign factors 2^-5)
     mean_prefix = charge_prefix(law, 0.0, h, np.zeros(plan.N))
-    exact_mean = partition._trimmed_log_z_replicas([mean_prefix], log_kernel_small, plan)[0]
+    exact_mean = partition._trimmed_log_z_replicas(mean_prefix[None], log_kernel_small, plan)[0]
     assert exact_mean == pytest.approx(math.log(total) + 5 * math.log(0.5), rel=1e-12)
 
     ratio_exact = (
@@ -468,6 +469,21 @@ def test_trimmed_rhs_matches_scalar_sampler_bit_for_bit(big_kernels, law, beta, 
     report = est.trimmed_moment_check(kernel, law, beta, 0.3, plan, replicas=replicas, seed=seed)
     assert report["identity_rhs_mean"] == float(vals.mean())
     assert report["identity_rhs_sigma"] == float(vals.std(ddof=1) / math.sqrt(replicas))
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_trimmed_moment_check_report_does_not_depend_on_the_pass_budget(log_kernel_small, law, monkeypatch):
+    # the default budget runs 130 replicas in one engine pass and one
+    # sampler chunk; a budget of one byte, one group per pass and one pair
+    # per chunk, gives the same report
+    plan = est.trimmed_plan(2.0, law, 0.5, 0.3, 3.3, 1.0)
+    reports = []
+    for budget in (partition._TRIMMED_PASS_BYTES, 1):
+        monkeypatch.setattr(partition, "_TRIMMED_PASS_BYTES", budget)
+        monkeypatch.setattr(est, "_TRIMMED_PASS_BYTES", budget)
+        report = est.trimmed_moment_check(log_kernel_small, law, 0.5, 0.3, plan, 130, seed=4)
+        reports.append(json.dumps(report))
+    assert reports[0] == reports[1]
 
 
 def test_trimmed_moment_check_working_set_does_not_grow_with_replicas(big_kernels):

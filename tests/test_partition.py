@@ -7,9 +7,14 @@ from hypothesis import given, settings, strategies as st
 from copolab.disorder import BINARY, GAUSSIAN, _draw, log_mgf, spawn_rng
 from copolab.estimators import replica_log_z, trimmed_plan
 from copolab.kernel import renewal_mass
+from copolab import partition
 from copolab.partition import (
+    _GEMM_REPLICAS,
     Trimmed,
     _trimmed_log_z_replicas,
+    _trimmed_pass_rows,
+    _trimmed_row_bytes,
+    _trimmed_size,
     brute_force_log_Z,
     charge_prefix,
     log_Z,
@@ -21,7 +26,7 @@ from copolab.partition import (
 def _trimmed_log_mean(kernel, plan, h):
     # the disorder mean: the engine on the zero-disorder charges h per site
     prefix = charge_prefix(GAUSSIAN, 0.0, h, np.zeros(plan.N))
-    return float(_trimmed_log_z_replicas([prefix], kernel, plan)[0])
+    return float(_trimmed_log_z_replicas(prefix[None], kernel, plan)[0])
 
 
 def test_log_z_single_site(log_kernel_small):
@@ -365,10 +370,56 @@ def test_trimmed_engine_matches_row_loop_on_benchmark_plans(big_kernels, law):
 
 def test_trimmed_engine_values_do_not_depend_on_replica_count(log_kernel_small):
     # bit-equal whatever the number of rows and their neighbours: every
-    # GEMM takes a zero-padded group of the same width
+    # GEMM takes a zero-padded group of the same width, and R = 1..9, 17
+    # and 100 leave the last group of the one pass part-filled
     plan = Trimmed(M=7, k=2, m=3, N=180)
-    prefix = _trimmed_prefixes(BINARY, 0.8, 0.3, plan.N, 5, 100)
-    many = _trimmed_log_z_replicas(prefix, log_kernel_small, plan)
-    for count in (1, 2, 7, 8, 9, 17):
+    prefix = _trimmed_prefixes(BINARY, 0.8, 0.3, plan.N, 5, 13 * _GEMM_REPLICAS)
+    full = _trimmed_log_z_replicas(prefix, log_kernel_small, plan)
+    assert _trimmed_pass_rows(plan, _trimmed_size(log_kernel_small, plan)) >= len(prefix)
+    for count in (*range(1, 10), 17, 100):
         few = _trimmed_log_z_replicas(prefix[:count], log_kernel_small, plan)
-        np.testing.assert_array_equal(many[:count], few)
+        np.testing.assert_array_equal(full[:count], few)
+
+
+def test_trimmed_engine_values_do_not_depend_on_the_pass_width(log_kernel_small, monkeypatch):
+    # budgets of one group and of every group run 100 rows as 13 passes and
+    # as one, given as one array or as blocks of 3, 8 and 89 rows (a later
+    # block wider than the first grows the buffers); every run is bit-equal
+    plan = Trimmed(M=9, k=3, m=4, N=300)
+    size = _trimmed_size(log_kernel_small, plan)
+    prefix = _trimmed_prefixes(GAUSSIAN, 1.1, 0.2, plan.N, 9, 100)
+    runs = []
+    for budget, lanes in ((_GEMM_REPLICAS * _trimmed_row_bytes(plan, size), 8), (1 << 40, None)):
+        monkeypatch.setattr(partition, "_TRIMMED_PASS_BYTES", budget)
+        if lanes:
+            assert _trimmed_pass_rows(plan, size) == lanes
+        runs.append(_trimmed_log_z_replicas(prefix, log_kernel_small, plan))
+        blocks = iter([prefix[:3], prefix[3:11], prefix[11:]])
+        runs.append(_trimmed_log_z_replicas(blocks, log_kernel_small, plan))
+    assert np.isfinite(runs[0]).all()
+    for run in runs[1:]:
+        np.testing.assert_array_equal(run, runs[0])
+    # rows come in 2-D blocks only, also for a plan with no path
+    for rows, any_plan in (([prefix[0]], plan), (prefix[0], Trimmed(M=3, k=1, m=3, N=10))):
+        with pytest.raises(ValueError, match="2-D"):
+            _trimmed_log_z_replicas(rows, log_kernel_small, any_plan)
+
+
+@pytest.mark.parametrize("family", ["sub", "log", "super"])
+def test_trimmed_engine_matches_row_loop_at_chunk_edges_of_the_support(big_kernels, family):
+    # a long-stage chunk at t0 reads the sources t0 - M^2 .. t0 + 63 - M and
+    # takes the stacked GEMM only when they all lie in the support [s_lo,
+    # s_hi] of the previous stage.  At the last stage of (9, 3, 4, N) the
+    # chunk at 167 ends one site past s_hi = N - 1 (N = 221), on it (222) and
+    # one site inside it (223); at N = 4300 a window starts on s_lo
+    # (M = 64, M(M - 1) a multiple of 64) or two sites before it (M = 63)
+    kernel = big_kernels[family]
+    plans = [Trimmed(9, 3, 4, n) for n in (221, 222, 223)]
+    plans += [Trimmed(64, 1, 3, 4300), Trimmed(63, 1, 3, 4300)]
+    for law in (GAUSSIAN, BINARY):
+        for plan in plans:
+            prefix = _trimmed_prefixes(law, 0.9, 0.2, plan.N, 4, 2)
+            got = _trimmed_log_z_replicas(prefix, kernel, plan)
+            ref = np.array([log_Z_restricted(row, kernel, plan) for row in prefix])
+            assert np.isfinite(ref).all()
+            _assert_trimmed_values_match(got, ref)
