@@ -12,20 +12,18 @@ DP (a non-finite value in any row of estimate, sweep or annealed) exit 2
 without writing the artifact.
 
 Every command takes the model flags --family, --upsilon, --cl, --law, --n
-and --seed.  Of the run flags --beta, --h, --h-grid, --replicas and
---format, each command reads the ones _READS lists: estimate and sweep all
-five, annealed --h, --h-grid and --format, bounds all but --replicas,
-kernel-info --h and --format; of the verify suites, moments and coarse read
---beta, --h and --replicas, penalization --beta (it scans its own h
-values) and oracle none (it draws its own), and "verify all" reads what
-any of its suites reads.  A run flag given, on the command line or in the
---config file, to a command that does not read it exits 2 without writing
-anything, and so do --h together with --h-grid, an --h-grid holding no
-value, and neither of them where they are read.  --replicas defaults to 32
-where it is read, and a value below 2 exits 2.  The header records the
-model flags and the run flags the command read, so it replays as flags.  A
---config file's flags sit right after the command, so a flag on the
-command line beats the file; its suite line is ignored.
+and --seed, and of the run flags --beta, --h, --h-grid, --replicas and
+--format the ones _READS lists; "verify all" reads what any of its suites
+reads.  A run flag given, on the command line or in the --config file, to
+a command that does not read it exits 2 without writing anything, and so
+do --h together with --h-grid, an --h-grid holding no value, and neither
+of them where they are read.  --replicas defaults to 32 in estimate and
+sweep; without it moments runs 2000 replicas and coarse 100, and a count
+below 2, or outside [100, 20000] for moments or [2, 1000] for coarse,
+exits 2.  The header records the model flags and the run flags the command
+read, so it replays as flags.  A --config file's flags sit right after the
+command, so a flag on the command line beats the file; its suite line is
+ignored.
 
 Verification report schema: a JSON object with keys "config" (the resolved
 run configuration), "artifact_version", "suites" (one entry per suite run,
@@ -52,10 +50,10 @@ linf_holds, log_bound_closed_form, log_bound_rate_form); "coarse" reports n_wind
 theta, a_term, b_term, a_term_analytic_integral, rho_proxy, the
 fractional_moment_spot grid and the green_constant pair, or feasible false
 with a note when the window exceeds its budget or the crossover tilt is
-supercritical (a scan finding, window_feasible).  Tabular
-subcommands write CSV whose first line is a "# ..." comment holding the
-same config object; floats serialize as shortest round-trip decimals in
-both formats.
+supercritical (a scan finding, window_feasible), and the beta, h and
+replicas it ran with.  Tabular subcommands write CSV whose first line is a
+"# ..." comment holding the same config object; floats serialize as
+shortest round-trip decimals in both formats.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, bounds as bounds_mod, estimators
-from .disorder import BINARY, GAUSSIAN, DisorderLaw, _draw, q1, replica_rngs, spawn_rng
+from .disorder import BINARY, GAUSSIAN, DisorderLaw, q1, replica_rngs, spawn_rng
 from .kernel import (
     _MASS_BLOCK,
     FamilyKind,
@@ -151,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--h", type=float, default=None)
         p.add_argument("--h-grid", default=None, help="comma-separated descending h values")
         p.add_argument("--n", type=int, default=1000)
-        p.add_argument("--replicas", type=int, default=None, help="default 32 where read")
+        p.add_argument("--replicas", type=int, default=None, help="default 32 in estimate, sweep")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default=None)
@@ -216,10 +214,13 @@ def _parse(argv) -> argparse.Namespace:
     for flag in ("beta", "h", "h_grid", "replicas", "format"):
         if getattr(args, flag) is not None and flag not in reads:
             raise SystemExit2(f"{label} does not read --{flag.replace('_', '-')}")
-    if "replicas" in reads and args.replicas is None:
+    if args.command in ("estimate", "sweep") and args.replicas is None:
         args.replicas = 32
-    if args.replicas is not None and args.replicas < 2:
-        raise SystemExit2(f"--replicas must be at least 2, got {args.replicas}")
+    # 2 replicas at least; a verify suite's engine floor up to a desk-scale ceiling
+    ranges = [{"moments": (100, 20_000), "coarse": (2, 1000)}.get(n, (2, math.inf)) for n in names]
+    low, high = max(low for low, _ in ranges), min(high for _, high in ranges)
+    if args.replicas is not None and not low <= args.replicas <= high:
+        raise SystemExit2(f"{label} takes --replicas in [{low}, {high}], got {args.replicas}")
     grid = []
     if args.h_grid is not None:
         if args.h is not None:
@@ -374,10 +375,7 @@ def _suite_oracle(args, kernel) -> dict:
         # a random (beta, h) and replica seed, with the charge rows of its replicas
         beta, h = float(source.uniform(0.0, 2.0)), float(source.uniform(-1.0, 1.0))
         seed = int(source.integers(0, 2**32))
-        rows = np.array([
-            charge_prefix(law_i, beta, h, _draw(law_i, n, stream))
-            for stream in replica_rngs(seed, range(replicas))
-        ])
+        (rows,) = estimators._replica_prefixes(law_i, beta, h, n, seed, replicas)
         return beta, h, seed, rows
 
     def batch(law_i, n, replicas):
@@ -501,9 +499,8 @@ def _suite_moments(args, kernel) -> dict:
     moment_kernel = kernel
     if kernel.support_cap < plan.N:
         moment_kernel = build_kernel(family, plan.N)
-    replicas = max(2000, min(args.replicas, 20000))
     report = estimators.trimmed_moment_check(
-        moment_kernel, law, beta, h, plan, replicas=replicas, seed=args.seed
+        moment_kernel, law, beta, h, plan, replicas=args.replicas or 2000, seed=args.seed
     )
     report["checks"] = [
         {"name": "second_moment_identity", "kind": "assert", "ok": report["identity_ok"]},
@@ -558,9 +555,11 @@ def _suite_coarse(args, kernel) -> dict:
     beta = args.beta if args.beta is not None else 1.0
     c3 = 0.9 * q1(law, beta)
     h = args.h if args.h is not None else c3 / math.log(1000.0)
+    replicas = args.replicas or 100
     report = estimators.coarse_graining_check(
-        kernel, law, beta, h, c3, replicas=max(100, min(args.replicas, 1000)), seed=args.seed
+        kernel, law, beta, h, c3, replicas=replicas, seed=args.seed
     )
+    report.update(beta=beta, h=h, replicas=replicas)
     # an infeasible window (budget exceeded or supercritical tilt) is a
     # finding about (h, eta), not a fault; it carries no values to check
     feasible = bool(report["feasible"])

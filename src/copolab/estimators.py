@@ -1,16 +1,11 @@
 """Free-energy estimation and numerical verification engines.
 
-Every loop over quenched disorder replicas goes through ``replica_log_z``:
-replica i draws its charges from stream i of ``replica_rngs(seed, ...)``
-(the PCG64 stream of ``SeedSequence(seed, spawn_key=(i,))``; the streams of
-a call are derived in one bulk pass), once for a whole grid of fields, and
-all rows are evaluated together by the batched, blocked quenched DP of
-``partition``, so the seed, the replica index and the field alone fix each
-value, bit for bit, whatever the replica count, the grid or the evaluation
-order.  The trimmed second-moment check does the same for the restricted
-ensemble: replica i draws from the same stream i, the replicas of one
-engine pass at a time, and the batched trimmed engine of ``partition``
-evaluates each pass in fixed-width groups.
+Every quenched disorder replica comes from one source, ``_replica_prefixes``:
+replica i draws its charges once, from stream i of ``replica_rngs(seed,
+...)`` (the PCG64 stream of ``SeedSequence(seed, spawn_key=(i,))``), for
+every field.  ``replica_log_z`` evaluates all rows in one batched DP call,
+where a value's last bits follow its row's slot in its 8-row group, and the
+trimmed second-moment check one trimmed-engine pass of rows at a time.
 The verification engines evaluate the change-of-measure, trimmed
 second-moment and coarse-graining constructions at desk scale and return
 plain-dict reports: every value is recorded, and quantities that the
@@ -30,7 +25,6 @@ from .disorder import (
     GAUSSIAN,
     DisorderLaw,
     _draw,
-    log_mgf,
     log_mgf_prime,
     q1,
     q2,
@@ -49,6 +43,7 @@ from .kernel import (
 from .partition import (
     _TRIMMED_PASS_BYTES,
     Trimmed,
+    _charge_rows,
     _closing_weights,
     _log_z_replicas,
     _trimmed_log_z_replicas,
@@ -103,6 +98,28 @@ class FreeEnergyEstimate:
         return asdict(self)
 
 
+def _replica_prefixes(law, beta, h, n, seed, replicas, rows=None):
+    """Charge-prefix rows of replicas 0..replicas-1 over n sites, ``rows`` at a time.
+
+    The one seeded source of replica rows: replica i draws once, from stream
+    i of ``replica_rngs(seed, ...)``, and the draw is copied to every field
+    of ``h`` (one field or a 1-D grid).  A block has shape np.shape(h) +
+    (rows, n + 1), fewer rows in the last; ``rows=None`` gives one block, an
+    empty one for no replicas.  All blocks are one buffer, each overwritten
+    by the next.  A row equals charge_prefix(law, beta, h, _draw(law, n,
+    spawn_rng(seed, i))) bit for bit.
+    """
+    fields = np.asarray(h, dtype=float)[..., None, None]
+    rows = rows or max(replicas, 1)
+    buffer = np.empty(np.shape(h) + (min(rows, replicas), n + 1))
+    streams = replica_rngs(seed, range(replicas))
+    for i0 in range(0, max(replicas, 1), rows):
+        block = buffer[..., : min(rows, replicas - i0), :]
+        for r, rng in zip(range(block.shape[-2]), streams):
+            block[..., r, 1:] = _draw(law, n, rng)
+        yield _charge_rows(law, beta, fields, block)
+
+
 def replica_log_z(
     kernel: RenewalKernel,
     law: DisorderLaw,
@@ -114,25 +131,23 @@ def replica_log_z(
 ) -> np.ndarray:
     """Quenched log Z over n sites for replicas 0..replicas-1.
 
-    ``h`` is one field or a 1-D grid of fields; the result has shape
-    np.shape(h) + (replicas,).  Replica i draws its disorder once, from
-    stream i of ``replica_rngs(seed, range(replicas))``, and takes it to
-    every field; the charge rows of all replicas and fields come from one
-    ``charge_prefix`` call, and all rows go through one batched, blocked DP
-    that agrees with the row-loop ``log_Z`` to rounding.  A value depends on
-    (seed, i, h) only, never on the replica count or the grid.
+    ``h`` is one field or a 1-D grid; the result has shape np.shape(h) +
+    (replicas,).  The rows of ``_replica_prefixes`` go through one batched,
+    blocked DP that agrees with the row-loop ``log_Z`` to rounding.  Field
+    f of replica i sits at slot (f*replicas + i) mod 8 of its GEMM group,
+    where OpenBLAS may round differently: a one-field value depends on
+    (seed, i, h) only, but a later field of a grid may differ from it in the
+    last bits.  On build_kernel(SlowlyVaryingFamily(LOGARITHMIC, 2.0), 4000),
+    replica_log_z(kernel, GAUSSIAN, 1.5, [0.1, 0.4], 2000, 5, 23)[1][22] is
+    -8.834666454568444, and at h = 0.4 alone -8.834666454568442.
     """
     if n < 1:
         raise ValueError("need at least one site")
-    fields = np.asarray(h, dtype=float)
-    omegas = np.empty((replicas, n))
-    for i, rng in enumerate(replica_rngs(seed, range(replicas))):
-        omegas[i] = _draw(law, n, rng)
     # charges past the float range turn non-finite, and their rows NaN
     with np.errstate(over="ignore"):
-        prefix = charge_prefix(law, beta, fields.reshape(-1, 1, 1), omegas)
+        (prefix,) = _replica_prefixes(law, beta, h, n, seed, replicas)
     values = _log_z_replicas(prefix.reshape(-1, n + 1), kernel)
-    return values.reshape(fields.shape + (replicas,))
+    return values.reshape(np.shape(h) + (replicas,))
 
 
 def sweep_free_energy(
@@ -147,10 +162,11 @@ def sweep_free_energy(
     """Replica average of log Z / n with brackets, at every h of ``h_values``.
 
     One ``replica_log_z`` call over the grid: replica i has the same
-    disorder at every h, and an estimate equals the one-field estimate at
-    its h bit for bit.  The upper bracket is the sub-additive envelope
-    (mean*n + c4*log n + c5)/n evaluated at the simulated size, with
-    c4 = DEFAULT_C4 and c5 = DEFAULT_C5; the lower bracket subtracts
+    disorder at every h.  The first estimate equals the one-field estimate
+    at its h bit for bit; a later one may differ in the last bits (the slot
+    rule of ``replica_log_z``).  The upper bracket is the sub-additive
+    envelope (mean*n + c4*log n + c5)/n evaluated at the simulated size,
+    with c4 = DEFAULT_C4 and c5 = DEFAULT_C5; the lower bracket subtracts
     _Z_SCORE standard errors from the mean.
     """
     if replicas < 2:
@@ -303,31 +319,6 @@ def _sample_short_intervals(steps, draws):
     return shorts
 
 
-def _replica_prefix_blocks(law, beta, h, span, seed, replicas, rows):
-    """Charge-prefix rows of replicas 0..replicas-1 over ``span`` sites, ``rows`` at a time.
-
-    Replica i draws from stream i of ``replica_rngs(seed, ...)``.  Each
-    block is written into one buffer, which the next block reuses: the
-    draws go straight into its rows, and the prefix is built in place with
-    ``charge_prefix``'s operations in its order, so every row equals
-    charge_prefix(law, beta, h, omega) bit for bit.
-    """
-    buffer = np.empty((min(rows, replicas), span + 1))
-    buffer[:, 0] = 0.0
-    lam = log_mgf(law, beta)
-    streams = replica_rngs(seed, range(replicas))
-    for i0 in range(0, replicas, rows):
-        block = buffer[: min(rows, replicas - i0)]
-        for row, rng in zip(block, streams):
-            row[1:] = _draw(law, span, rng)
-        terms = block[:, 1:]
-        terms *= beta
-        terms -= lam
-        terms += h
-        np.cumsum(terms, axis=1, out=terms)
-        yield block
-
-
 def _interval_overlap(first, second):
     """Sites covered by both lists of [start, end) intervals, (..., m, 2) each."""
     first, second = np.asarray(first), np.asarray(second)
@@ -354,7 +345,7 @@ def trimmed_moment_check(
     the identity says must agree; (c) the induction bound envelope.  The
     exact mean in (a) is the batched trimmed engine on the zero-disorder
     charges (h per site); the replicas of (b) go through the same engine,
-    drawn one engine pass at a time into one reused buffer, and the overlap
+    one engine pass of ``_replica_prefixes`` rows at a time, and the overlap
     paths are drawn from one stream, spawn_rng(seed, 1_000_000), for as
     many replica pairs at a time as _TRIMMED_PASS_BYTES holds of their
     sampler rows.  Neither the pass nor the pair chunk moves a value.
@@ -374,11 +365,9 @@ def trimmed_moment_check(
     product_log = _first_moment_product_log(kernel, plan, h)
 
     # (b) left side: disorder replicas of (Z restricted / exact mean)^2
-    log_zt = _trimmed_log_z_replicas(
-        _replica_prefix_blocks(law, beta, h, span, seed, replicas, _trimmed_pass_rows(plan, span + 1)),
-        kernel,
-        plan,
-    )
+    pass_rows = _trimmed_pass_rows(plan, span + 1)
+    blocks = _replica_prefixes(law, beta, h, span, seed, replicas, pass_rows)
+    log_zt = _trimmed_log_z_replicas(blocks, kernel, plan)
     lhs_vals = np.exp(2.0 * (log_zt - exact_log_mean))
     lhs_mean = float(lhs_vals.mean())
     lhs_sigma = float(lhs_vals.std(ddof=1) / math.sqrt(replicas))

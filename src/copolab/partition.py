@@ -1,7 +1,8 @@
 """Exact partition functions by log-domain dynamic programming.
 
-A disorder realisation enters only through its charge-prefix row S, which
-``charge_prefix`` builds; every function here takes rows.  The quenched
+A disorder realisation enters only through its charge-prefix row S, built
+in place by ``_charge_rows`` for ``charge_prefix`` and for the replica
+source of ``estimators``; every function here takes rows.  The quenched
 partition function sums, over renewal configurations ending at N and over
 the two signs of every excursion, the weight K(gap) * 1/2 per excursion
 times exp of the accumulated charge on excursions below the interface.
@@ -9,26 +10,18 @@ times exp of the accumulated charge on excursions below the interface.
 by row with a running-maximum log-sum-exp per target index, so charges of
 order N*h never overflow; it is the reference oracle.  Replica batches go
 through ``_log_z_replicas``, the same recursion for groups of
-_GEMM_REPLICAS replicas, run as many groups per pass as a working-set
-budget of _PASS_BYTES allows, in source blocks: inside a block a
-linear-domain solve (nilpotent doubling on 8-row diagonal sub-blocks,
-Toeplitz GEMMs for the earlier ones), or the row-by-row log-space fill for
-a replica whose charges vary too much there, and one Toeplitz(K) GEMM per
-group on block values scaled by their own maximum to push a finished block
-to every later target.  The per-row work runs on a pass's live rows only;
-the zero padding of its last group enters the GEMMs alone.  It agrees with
-the row loop to rounding (1e-10 relative is the tested gate).  A
-brute-force enumeration oracle over all renewal subsets backs both for
-small N.  ``log_annealed_Z`` is the renewal mass of the tilted law
-K(l)(1 + e^{hl})/2: an excursion's charge factor averages to e^{hl}.
+_GEMM_REPLICAS rows, in passes and source blocks laid out in its
+docstring; it agrees with the row loop to rounding (1e-10 relative is the
+tested gate).  A brute-force enumeration oracle over all renewal subsets
+backs both for small N.  ``log_annealed_Z`` is the renewal mass of the
+tilted law K(l)(1 + e^{hl})/2: an excursion's charge factor averages to
+e^{hl}.
 
 The trimmed (alternating long/short) ensemble follows the same pattern:
 ``log_Z_restricted`` is the one-row stage loop and the oracle, and
 ``_trimmed_log_z_replicas`` runs the stages for groups of _GEMM_REPLICAS
-replicas, as many groups per pass as a working-set budget of
-_TRIMMED_PASS_BYTES allows, each long stage banded Toeplitz GEMMs on the
-support the previous stage left, stacked over the pass's groups.  Both
-engines build their push matrices from ``kernel._toeplitz_view``.
+replicas in passes.  Both engines build their push matrices from
+``kernel._toeplitz_view``.
 """
 
 from __future__ import annotations
@@ -67,13 +60,29 @@ def charge_prefix(law: DisorderLaw, beta: float, h, omega: np.ndarray) -> np.nda
     S[..., m] = sum_{i<=m} (beta*omega_i - lambda(beta) + h), S[..., 0] = 0;
     ``h`` is a field or an array of fields that broadcasts against
     ``omega``.  The difference of two prefix values is the charge collected
-    by an excursion below the interface.  One cumulative sum adds the sites
-    in order, so a row of a batch equals the same row alone, bit for bit.
+    by an excursion below the interface.  ``_charge_rows`` charges a copy of
+    ``omega``, so a row of a batch equals the same row alone, bit for bit.
     """
-    terms = beta * omega - log_mgf(law, beta) + h
-    prefix = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
-    np.cumsum(terms, axis=-1, out=prefix[..., 1:])
-    return prefix
+    shape = np.broadcast_shapes(np.shape(h), np.shape(omega))
+    prefix = np.empty(shape[:-1] + (shape[-1] + 1,))
+    prefix[..., 1:] = omega
+    return _charge_rows(law, beta, h, prefix)
+
+
+def _charge_rows(law: DisorderLaw, beta: float, h, rows: np.ndarray) -> np.ndarray:
+    """Turn rows holding omega in columns 1..n into charge prefixes S, in place.
+
+    Each site becomes beta*omega - lambda(beta) + h, in that order, and one
+    cumulative sum adds the sites of a row in order; column 0 becomes 0.
+    ``h`` broadcasts against the columns 1..n.  Returns ``rows``.
+    """
+    rows[..., 0] = 0.0
+    terms = rows[..., 1:]
+    terms *= beta
+    terms -= log_mgf(law, beta)
+    terms += h
+    np.cumsum(terms, axis=-1, out=terms)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -147,10 +156,9 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Rows go through in passes of
     ``_pass_lanes(N)`` rows, whole groups of _GEMM_REPLICAS rows whose
     working set fits _PASS_BYTES; the accumulator buffer is allocated once
-    per call.  The last group of a pass is zero-padded; its padded rows take
-    part in the GEMMs, which always see whole groups, and in nothing else:
-    the per-row work, every log and every division, runs on the pass's live
-    rows only.
+    per call.  The last group of a pass is zero-padded; its padded rows
+    enter the GEMMs, which always see whole groups, and nothing else: the
+    per-row work, every log and every division, runs on live rows only.
     Every GEMM is one group's own product, stacked over the pass's groups in
     one ``np.matmul`` call.  Sources are cut into blocks of _BLOCK sites.
     Inside a block Z solves (I - L) z = p, with p the part pushed from
@@ -161,8 +169,11 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     A finished block, scaled per replica, is pushed to all later targets
     with Toeplitz(K) GEMMs of _CHUNK targets each and added to per-target
     linear accumulators that share one log scale per replica and channel.
-    A row holding a non-finite charge gives NaN.  A replica's value depends
-    neither on the other rows, nor on R, nor on the pass width.
+    A row holding a non-finite charge gives NaN.  A row's value depends
+    neither on the other rows' values nor on the pass width, but OpenBLAS
+    may round it differently at another slot of its group (row index mod
+    _GEMM_REPLICAS) when the last push chunk has 193 to 255 targets, not a
+    multiple of 8.
     """
     replicas, n = prefix.shape[0], prefix.shape[1] - 1
     if n < 1:

@@ -186,8 +186,9 @@ def test_sweep_runs_over_grid(tmp_path):
 
 
 def test_sweep_rows_equal_estimate_rows_bytewise(tmp_path):
-    # one engine call over the grid: every sweep row is the estimate row at
-    # its h, whatever the neighbours of its replicas in the batch
+    # one engine call over the grid; at N = 150 no push chunk has the 193 to
+    # 255 targets at which OpenBLAS rounds a row by its slot in its group of
+    # 8 (see replica_log_z), so every sweep row is the estimate row at its h
     common = ["--beta", "0.9", "--n", "150", "--replicas", "5", "--seed", "11"]
     grid = ["0.4", "-0.25", "0.05"]
     sweep = tmp_path / "sweep.csv"
@@ -337,6 +338,65 @@ def test_verify_coarse_suite_records_scans(tmp_path):
     assert kinds["green_constant_stability"] == "scan"
 
 
+def test_verify_moments_default_replicas_stay_out_of_the_header(tmp_path):
+    # the header holds what was given; the suite records the 2000 it ran
+    out = tmp_path / "moments.json"
+    assert run_cli(["verify", "moments", "--seed", "2", "--out", str(out)]) == 0
+    payload = read_strict_json(out)
+    assert "replicas" not in payload["config"]
+    assert payload["suites"]["moments"]["replicas"] == 2000
+
+
+def test_verify_coarse_runs_and_records_the_replicas_given(tmp_path):
+    out = tmp_path / "coarse.json"
+    assert run_cli(["verify", "coarse", "--seed", "2", "--replicas", "150", "--out", str(out)]) == 0
+    payload = read_strict_json(out)
+    suite = payload["suites"]["coarse"]
+    assert payload["config"]["replicas"] == suite["replicas"] == 150
+    assert suite["beta"] == 1.0 and suite["h"] > 0.0
+    assert all(spot["stderr"] > 0.0 for spot in suite["fractional_moment_spot"])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "coarse", "--replicas", "5000"], ["verify", "coarse", "--replicas", "1001"],
+     ["verify", "moments", "--replicas", "50"], ["verify", "moments", "--replicas", "20001"],
+     ["verify", "all", "--replicas", "2000"]],
+    ids=["coarse-5000", "coarse-1001", "moments-50", "moments-20001", "all-2000"],
+)
+def test_verify_replicas_outside_the_suite_range_exit_2(tmp_path, capsys, args):
+    # a suite runs the count it is given or none: no silent clamp
+    out = tmp_path / "report.json"
+    assert run_cli([*args, "--out", str(out)]) == 2
+    assert "takes --replicas in [" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_enumerates_the_rows_of_the_replica_source(monkeypatch):
+    # the rows the oracle checks against enumeration are the seeded source's
+    # rows for the replica_log_z call they sit next to
+    from copolab import cli, estimators
+
+    calls, enumerated = [], []
+    replica_log_z, brute = estimators.replica_log_z, cli.brute_force_log_Z
+
+    def record_call(*args):
+        calls.append(args[1:])
+        return replica_log_z(*args)
+
+    def record_row(row, kernel):
+        enumerated.append(row.copy())
+        return brute(row, kernel)
+
+    monkeypatch.setattr(estimators, "replica_log_z", record_call)
+    monkeypatch.setattr(cli, "brute_force_log_Z", record_row)
+    assert run_cli(["verify", "oracle", "--seed", "4", "--out", os.devnull]) == 0
+    trials = calls[: len(enumerated) // 2]
+    assert len(trials) == 60
+    want = [row for call in trials for row in next(estimators._replica_prefixes(*call))]
+    assert np.concatenate(enumerated).tobytes() == np.concatenate(want).tobytes()
+
+
 def test_verify_coarse_records_supercritical_tilt_as_scan(tmp_path):
     # at eta = 0.1 the crossover tilt of the Gaussian law at h = 0.08 is
     # supercritical: its renewal mass leaves the float range
@@ -422,7 +482,7 @@ def test_verify_refuses_a_flag_its_suite_does_not_read(tmp_path, capsys, args):
 )
 def test_ambiguous_or_empty_h_input_exits_2_without_artifact(tmp_path, capsys, args):
     # --h next to --h-grid would be dropped, an empty grid gives no rows, a
-    # verify suite would clamp --replicas below 2 yet echo it, a moments
+    # verify suite runs no --replicas below its floor, a moments
     # --h whose trimmed plan needs more sites than its budget would exhaust
     # memory, and a negative --n would reach numpy's allocator; a case's own
     # --n comes last and so beats the default 50

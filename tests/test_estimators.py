@@ -70,6 +70,41 @@ def test_replica_values_do_not_depend_on_replica_count(log_kernel_small):
         np.testing.assert_array_equal(many[:count], few)
 
 
+@pytest.mark.parametrize("rows", [1, 3, 8, 11, None])
+@pytest.mark.parametrize("h", [0.3, [0.4, -0.2, 1e-3]], ids=["one-field", "grid"])
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_replica_prefixes_rows_equal_charge_prefix_rows(law, h, rows):
+    # the one seeded source: at every field, replica i's row is charge_prefix
+    # of the draw of stream i, bit for bit, whatever the block size
+    n, beta, seed, replicas = 37, 0.7, 9, 11
+    blocks = [block.copy() for block in est._replica_prefixes(law, beta, h, n, seed, replicas, rows)]
+    step = replicas if rows is None else rows
+    assert [block.shape for block in blocks] == [
+        np.shape(h) + (min(step, replicas - i0), n + 1) for i0 in range(0, replicas, step)
+    ]
+    fields = np.reshape(h, np.shape(h) + (1,))
+    want = np.stack(
+        [charge_prefix(law, beta, fields, _draw(law, n, spawn_rng(seed, i))) for i in range(replicas)],
+        axis=-2,
+    )
+    assert np.concatenate(blocks, axis=-2).tobytes() == want.tobytes()
+
+
+def test_replica_prefixes_blocks_share_one_buffer():
+    blocks = est._replica_prefixes(BINARY, 0.5, [0.1, 0.2], 20, 4, 10, 4)
+    first = next(blocks)
+    rest = list(blocks)
+    assert [block.shape for block in rest] == [(2, 4, 21), (2, 2, 21)]
+    assert all(np.shares_memory(first, block) for block in rest)
+
+
+@pytest.mark.parametrize("replicas", [0, 5])
+@pytest.mark.parametrize("h", [0.2, [0.2], [0.4, 0.1, -0.3]], ids=["scalar", "one", "three"])
+def test_replica_log_z_shape_is_fields_by_replicas(log_kernel_small, h, replicas):
+    got = est.replica_log_z(log_kernel_small, BINARY, 0.8, h, 30, 2, replicas)
+    assert got.shape == np.shape(h) + (replicas,)
+
+
 def _assert_matches_row_loop(kernel, law, beta, h, n, seed, replicas):
     got = est.replica_log_z(kernel, law, beta, h, n, seed, replicas)
     ref = np.array([
