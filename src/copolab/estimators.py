@@ -4,8 +4,8 @@ Every quenched disorder replica comes from one source, ``_replica_prefixes``:
 replica i draws its charges once, from stream i of ``replica_rngs(seed,
 ...)`` (the PCG64 stream of ``SeedSequence(seed, spawn_key=(i,))``), for
 every field.  ``replica_log_z`` evaluates all rows in one batched DP call,
-where a value's last bits follow its row's slot in its 8-row group, and the
-trimmed second-moment check one trimmed-engine pass of rows at a time.
+and the trimmed second-moment check one trimmed-engine pass of rows at a
+time.
 The verification engines evaluate the change-of-measure, trimmed
 second-moment and coarse-graining constructions at desk scale and return
 plain-dict reports: every value is recorded, and quantities that the
@@ -133,13 +133,9 @@ def replica_log_z(
 
     ``h`` is one field or a 1-D grid; the result has shape np.shape(h) +
     (replicas,).  The rows of ``_replica_prefixes`` go through one batched,
-    blocked DP that agrees with the row-loop ``log_Z`` to rounding.  Field
-    f of replica i sits at slot (f*replicas + i) mod 8 of its GEMM group,
-    where OpenBLAS may round differently: a one-field value depends on
-    (seed, i, h) only, but a later field of a grid may differ from it in the
-    last bits.  On build_kernel(SlowlyVaryingFamily(LOGARITHMIC, 2.0), 4000),
-    replica_log_z(kernel, GAUSSIAN, 1.5, [0.1, 0.4], 2000, 5, 23)[1][22] is
-    -8.834666454568444, and at h = 0.4 alone -8.834666454568442.
+    blocked DP that agrees with the row-loop ``log_Z`` to rounding.  A
+    value depends on (seed, i, h) only: a field of a grid equals its
+    one-field value bit for bit, whatever the replica count.
     """
     if n < 1:
         raise ValueError("need at least one site")
@@ -162,9 +158,8 @@ def sweep_free_energy(
     """Replica average of log Z / n with brackets, at every h of ``h_values``.
 
     One ``replica_log_z`` call over the grid: replica i has the same
-    disorder at every h.  The first estimate equals the one-field estimate
-    at its h bit for bit; a later one may differ in the last bits (the slot
-    rule of ``replica_log_z``).  The upper bracket is the sub-additive
+    disorder at every h, and each estimate equals the one-field estimate at
+    its h bit for bit.  The upper bracket is the sub-additive
     envelope (mean*n + c4*log n + c5)/n evaluated at the simulated size,
     with c4 = DEFAULT_C4 and c5 = DEFAULT_C5; the lower bracket subtracts
     _Z_SCORE standard errors from the mean.

@@ -45,7 +45,7 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _BLOCK = 64  # source block width of the replica-batched quenched DP
-_CHUNK = 256  # targets per push of one block; bounds the Toeplitz copy
+_CHUNK = 4096  # targets per push GEMM of one block; bounds its product
 _GEMM_REPLICAS = 8  # replicas per GEMM in the push
 _PASS_BYTES = 24 << 20  # working-set budget of one pass of the quenched engine
 _FILL_ROWS = 8  # rows per diagonal sub-block of the linear-domain block fill; a power of two
@@ -135,17 +135,26 @@ def log_Z(prefix: np.ndarray, kernel: RenewalKernel) -> float:
 def _lane_bytes(n: int) -> int:
     """Working set of one row of the quenched engine over n sites.
 
-    Its charge prefix and both accumulators, 3 (N + 1) doubles, and in the
-    fill its matrices A, (I - A)^{-1} and one product, 3 _BLOCK _FILL_ROWS
+    Its charge prefix and both accumulators, 3 (N + 1) doubles, its two rows
+    of one push product, at most 2 min(_CHUNK, N) doubles, and in the fill
+    its matrices A, (I - A)^{-1} and one product, 3 _BLOCK _FILL_ROWS
     doubles, with six block-wide vectors.
     """
-    return 8 * (3 * (n + 1) + 3 * _BLOCK * _FILL_ROWS + 6 * _BLOCK)
+    return 8 * (3 * (n + 1) + 2 * min(_CHUNK, n) + 3 * _BLOCK * _FILL_ROWS + 6 * _BLOCK)
+
+
+def _push_bytes(n: int) -> int:
+    """The one push operand of a quenched engine call over n sites: _BLOCK
+    rows of N + 1 - _BLOCK doubles, shared by every row and pass."""
+    return 8 * _BLOCK * max(0, n + 1 - _BLOCK)
 
 
 def _pass_lanes(n: int) -> int:
     """Rows per pass of the quenched engine over n sites: the whole groups of
-    _GEMM_REPLICAS rows whose working set fits _PASS_BYTES, at least one."""
-    return _GEMM_REPLICAS * max(1, _PASS_BYTES // (_GEMM_REPLICAS * _lane_bytes(n)))
+    _GEMM_REPLICAS rows whose working set fits _PASS_BYTES beside the push
+    operand, at least one."""
+    room = _PASS_BYTES - _push_bytes(n)
+    return _GEMM_REPLICAS * max(1, room // (_GEMM_REPLICAS * _lane_bytes(n)))
 
 
 def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
@@ -155,10 +164,11 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     a(j) = Z(j) and b(j) = Z(j) e^{-S_j}:
     Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Rows go through in passes of
     ``_pass_lanes(N)`` rows, whole groups of _GEMM_REPLICAS rows whose
-    working set fits _PASS_BYTES; the accumulator buffer is allocated once
-    per call.  The last group of a pass is zero-padded; its padded rows
-    enter the GEMMs, which always see whole groups, and nothing else: the
-    per-row work, every log and every division, runs on live rows only.
+    working set fits _PASS_BYTES beside the push operand; the accumulator
+    buffer and the push operand are allocated once per call.  The last
+    group of a pass is zero-padded; its padded rows enter the GEMMs, which
+    always see whole groups, and nothing else: the per-row work, every log
+    and every division, runs on live rows only.
     Every GEMM is one group's own product, stacked over the pass's groups in
     one ``np.matmul`` call.  Sources are cut into blocks of _BLOCK sites.
     Inside a block Z solves (I - L) z = p, with p the part pushed from
@@ -167,13 +177,12 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     ``_fill_log``, row by row in log space, takes the replicas whose charges
     vary too much inside the block.
     A finished block, scaled per replica, is pushed to all later targets
-    with Toeplitz(K) GEMMs of _CHUNK targets each and added to per-target
+    with Toeplitz(K) GEMMs of _CHUNK targets each, column slices of one
+    contiguous push operand built once per call, and added to per-target
     linear accumulators that share one log scale per replica and channel.
     A row holding a non-finite charge gives NaN.  A row's value depends
-    neither on the other rows' values nor on the pass width, but OpenBLAS
-    may round it differently at another slot of its group (row index mod
-    _GEMM_REPLICAS) when the last push chunk has 193 to 255 targets, not a
-    multiple of 8.
+    neither on the other rows' values, nor on the pass width, nor on its
+    slot in its group.
     """
     replicas, n = prefix.shape[0], prefix.shape[1] - 1
     if n < 1:
@@ -198,8 +207,12 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     # gaps[_BLOCK - u:] = log K(u)/2, ..., log K(1)/2, 0: the weights of row u
     # of a block over its sources 0..u-1 and over its own pushed part
     gaps = np.append(kernel.log_masses[_BLOCK:0:-1] - _LOG2, 0.0)
-    # windows[t, u] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t
-    windows = _toeplitz_view(kernel.masses[1:], _BLOCK)
+    # push[u, t] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t.
+    # OpenBLAS rounds a row of a product with a transposed operand by the
+    # row's slot in its group at some widths; on column slices of this
+    # contiguous array it does not
+    targets = max(0, n + 1 - _BLOCK)
+    push = np.ascontiguousarray(_toeplitz_view(kernel.masses[1:], _BLOCK)[:targets].T)
     lanes = min(_pass_lanes(n), _GEMM_REPLICAS * -(-len(rows) // _GEMM_REPLICAS))
     # acc[:, 0, m] e^{ref[:, 0]}, acc[:, 1, m] e^{ref[:, 1]}: sum_j K(m - j) a(j),
     # b(j) over pushed blocks.  ref is the largest block offset pushed so
@@ -250,9 +263,8 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
             stacked = scaled.reshape(-1, 2 * _GEMM_REPLICAS, _BLOCK)
             for t0 in range(0, n + 1 - j1, _CHUNK):
                 t1 = min(t0 + _CHUNK, n + 1 - j1)
-                toeplitz = np.ascontiguousarray(windows[t0:t1])
                 target = acc[:, :, j1 + t0 : j1 + t1]
-                target += np.matmul(stacked, toeplitz.T).reshape(width, 2, t1 - t0)
+                target += np.matmul(stacked, push[:, t0:t1]).reshape(width, 2, t1 - t0)
     return out
 
 

@@ -186,9 +186,7 @@ def test_sweep_runs_over_grid(tmp_path):
 
 
 def test_sweep_rows_equal_estimate_rows_bytewise(tmp_path):
-    # one engine call over the grid; at N = 150 no push chunk has the 193 to
-    # 255 targets at which OpenBLAS rounds a row by its slot in its group of
-    # 8 (see replica_log_z), so every sweep row is the estimate row at its h
+    # one engine call over the grid; every sweep row is the estimate row at its h
     common = ["--beta", "0.9", "--n", "150", "--replicas", "5", "--seed", "11"]
     grid = ["0.4", "-0.25", "0.05"]
     sweep = tmp_path / "sweep.csv"

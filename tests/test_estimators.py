@@ -12,12 +12,14 @@ from copolab.disorder import BINARY, GAUSSIAN, _draw, log_mgf, q1, q2, rate_func
 from copolab.kernel import build_kernel
 from copolab.partition import (
     _BLOCK,
+    _CHUNK,
     _FILL_ROWS,
     _FILL_VARIATION,
     _GEMM_REPLICAS,
     _lane_bytes,
     _log_z_replicas,
     _pass_lanes,
+    _push_bytes,
     brute_force_log_Z,
     charge_prefix,
     log_Z,
@@ -195,7 +197,8 @@ def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kerne
     prefix[70, 5] = np.inf
     singles = [_log_z_replicas(row[None], log_kernel_small)[0] for row in prefix]
     for groups, passes in [(1, 13), (4, 4)]:
-        monkeypatch.setattr(partition, "_PASS_BYTES", groups * _GEMM_REPLICAS * _lane_bytes(n))
+        budget = _push_bytes(n) + groups * _GEMM_REPLICAS * _lane_bytes(n)
+        monkeypatch.setattr(partition, "_PASS_BYTES", budget)
         assert -(-99 // _pass_lanes(n)) == passes
         batch = _log_z_replicas(prefix, log_kernel_small)
         assert np.isnan(batch[70]) and np.isfinite(np.delete(batch, 70)).all()
@@ -240,6 +243,61 @@ def test_replica_log_z_charge_rows_equal_single_rows(log_kernel_small, law):
             rows.append(row)
     want = _log_z_replicas(np.array(rows), log_kernel_small).reshape(len(grid), replicas)
     np.testing.assert_array_equal(got, want)
+
+
+def test_replica_log_z_grid_field_equals_its_one_field_value(log_kernel_4000):
+    # field 0.4 of the grid puts replica 22 at slot 45 mod 8 = 5 of its
+    # group, alone at slot 22 mod 8 = 6; its value is the same bit for bit
+    grid = est.replica_log_z(log_kernel_4000, GAUSSIAN, 1.5, [0.1, 0.4], 2000, 5, 23)
+    alone = est.replica_log_z(log_kernel_4000, GAUSSIAN, 1.5, 0.4, 2000, 5, 23)
+    np.testing.assert_array_equal(grid[1], alone)
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_replica_log_z_grid_fields_equal_one_field_values_at_slot_sensitive_widths(log_kernel_small, law):
+    # OpenBLAS rounds a row of a product with a transposed (64, t) operand by
+    # the row's slot in its group at widths t >= 193 that are not multiples
+    # of 8; the push widths N + 1 - j1 of these N are such widths, and so are
+    # their remainders past whole 256-target chunks.  Field 0.4 puts replica
+    # i at slot i + 5 mod 8, and every grid value is its one-field value bit
+    # for bit
+    grid = [0.1, 0.4]
+    for n in range(256, 575):
+        if 193 <= (n - 63) % 256 and (n - 63) % 8:
+            got = est.replica_log_z(log_kernel_small, law, 1.5, grid, n, 5, 5)
+            alone = [est.replica_log_z(log_kernel_small, law, 1.5, h, n, 5, 5) for h in grid]
+            np.testing.assert_array_equal(got, alone, err_msg=f"N = {n}")
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+@pytest.mark.parametrize("n", [_BLOCK + _CHUNK, _BLOCK + _CHUNK + 150])
+def test_replica_log_z_matches_row_loop_past_one_push_chunk(big_kernels, law, n):
+    # the first block pushes to N + 1 - _BLOCK targets: one target past a
+    # whole chunk, and 151 past it
+    _assert_matches_row_loop(big_kernels["log"], law, 1.0, 0.2, n, 6, 2)
+
+
+def test_replica_log_z_working_set_is_bounded_by_the_pass_budget(big_kernels):
+    # at N = 8000 one pass holds every row of R = 8 and of R = 64; the
+    # traced peak, less the charge rows of the source, stays within the
+    # working set _pass_lanes counts (the push operand once per call, each
+    # row's lane), and it grows by one charge row and one lane per row
+    import tracemalloc
+
+    n = 8000
+    assert _pass_lanes(n) >= 64
+    assert _push_bytes(n) + _pass_lanes(n) * _lane_bytes(n) <= partition._PASS_BYTES
+    peaks = []
+    for replicas in (8, 64):
+        tracemalloc.start()
+        try:
+            est.replica_log_z(big_kernels["log"], GAUSSIAN, 1.0, 0.4, n, 2, replicas)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows = 8 * replicas * (n + 1)
+        assert peaks[-1] - rows <= _push_bytes(n) + replicas * _lane_bytes(n) + (1 << 20)
+    assert peaks[1] - peaks[0] <= 56 * (8 * (n + 1) + _lane_bytes(n)) + 256 * 1024
 
 
 @pytest.mark.parametrize("h", [0.4, -0.4])

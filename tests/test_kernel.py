@@ -306,7 +306,7 @@ def test_defect_check_eta_recorded_comparison_at_millis(big_kernels):
     # where the reward branch (up to exp(1/eta^2)) makes the tilt
     # supercritical, so the defect is negative and below the target. This
     # direction follows the tilt as transcribed in check_eta_kernel; it is to
-    # be revisited with the open audit of that transcription (ROADMAP item 4)
+    # be revisited with the open audit of that transcription (ROADMAP item 7)
     kernel = big_kernels["log"]
     h, eta = 1e-3, 0.1
     defect = defect_check_eta(kernel, h, eta)

@@ -423,3 +423,77 @@ def test_trimmed_engine_matches_row_loop_at_chunk_edges_of_the_support(big_kerne
             ref = np.array([log_Z_restricted(row, kernel, plan) for row in prefix])
             assert np.isfinite(ref).all()
             _assert_trimmed_values_match(got, ref)
+
+
+def _gemm_forms(rng):
+    """Every GEMM form of the two engines, with their operand layouts.
+
+    Yields (name, operands, bases, axes, out_axis): operands(*bases) are the
+    views the engines pass to np.matmul, taken of contiguous base arrays;
+    axes[i] is the axis of bases[i] that holds the rows of a group (the 16
+    rows of 8 replicas and 2 channels in the quenched push and fill, the 8
+    replicas in the trimmed engine) or the live rows of a batched solve,
+    and out_axis the axis of the product that holds them.
+    """
+    block, fill, groups = partition._BLOCK, partition._FILL_ROWS, 2
+    group = 2 * _GEMM_REPLICAS
+    # the quenched push: column slices of one contiguous (64, N + 1 - 64) array
+    push = rng.random((block, 2 * partition._CHUNK))
+    stacked = rng.random((groups, group, block))
+    for t0 in (0, partition._CHUNK):
+        for t in (*range(1, 320), *range(320, partition._CHUNK, 97), partition._CHUNK):
+            yield f"push t0={t0} t={t}", lambda a, b=push[:, t0 : t0 + t]: (a, b), (stacked,), (1,), 1
+    # the fill: column slices of a block's rows against (r0, 8) operands
+    for r0 in range(fill, block, fill):
+        earlier = np.ascontiguousarray(rng.random((fill, r0)).T)
+        scaled = rng.random((groups, group, block))
+        yield f"fill r0={r0}", lambda a, r0=r0, b=earlier: (a[:, :, :r0], b), (scaled,), (1,), 1
+    # the fill's batched (live, 8, 8) doubling and (live, 8, 8) @ (live, 8, 1) solve
+    for live in (1, 5, 8, 13, 100):
+        a, p = rng.random((live, block // fill, fill, fill)) * 0.1, rng.random((live, block))
+        yield f"doubling live={live}", lambda a: (a, a), (a,), (0,), 0
+        for q in (0, 3, 7):
+            def solve(a, p, q=q):
+                return a[:, q], p[:, q * fill : (q + 1) * fill, None]
+
+            yield f"solve live={live} q={q}", solve, (a, p), (0, 0), 0
+    # the trimmed long stage: (8, W) @ (W, 64) on column slices of a group's
+    # stage rows and row slices of the Toeplitz matrix, and the stacked
+    # windows of interior chunks
+    f3 = rng.random((groups, _GEMM_REPLICAS, 800))
+    toeplitz = rng.random((700, 64))
+    for w in (*range(1, 260), *range(260, 701, 19)):
+        yield f"trimmed W={w}", lambda a, w=w: (a[:, :, 30 : 30 + w], toeplitz[700 - w :]), (f3,), (1,), 1
+    for big_m in range(2, 25):
+        w = 64 + big_m * (big_m - 1)
+
+        def windows(a, w=w):
+            row, col = a.strides[1:]
+            shape, strides = (groups, 2, _GEMM_REPLICAS, w), (a.strides[0], 64 * col, row, col)
+            return np.lib.stride_tricks.as_strided(a, shape=shape, strides=strides), toeplitz[:w]
+
+        yield f"trimmed windows W={w}", windows, (f3,), (1,), 2
+    # the trimmed closing (8, size) @ (size,)
+    rows = rng.random((groups, _GEMM_REPLICAS, 20000))
+    for size in (*range(1, 300), *range(300, 20000, 997)):
+        closing = rng.random(size)
+        yield f"closing size={size}", lambda a, b=closing: (a[:, :, 7 : 7 + b.size], b), (rows,), (1,), 1
+
+
+def test_every_gemm_form_rounds_a_row_the_same_at_every_slot():
+    # a row's value must not depend on its slot in its group: for every
+    # product the engines issue, permuting the rows permutes the output bit
+    # for bit.  OpenBLAS breaks this for a push through a transposed (64, t)
+    # operand at widths t >= 193 that are not multiples of 8; the forms named
+    # here fail if a BLAS build brings such a rule back
+    rng = np.random.default_rng(20)
+    failed = []
+    for name, operands, bases, axes, out_axis in _gemm_forms(rng):
+        want = np.matmul(*operands(*bases))
+        count = bases[0].shape[axes[0]]
+        for perm in (np.roll(np.arange(count), 3), rng.permutation(count)):
+            moved = [np.take(base, perm, axis=axis) for base, axis in zip(bases, axes)]
+            if not np.array_equal(np.matmul(*operands(*moved)), np.take(want, perm, axis=out_axis)):
+                failed.append(name)
+                break
+    assert not failed, f"slot-dependent rounding in {failed}"
