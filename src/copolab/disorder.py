@@ -227,22 +227,33 @@ def spawn_rng(seed: int, index: int) -> np.random.Generator:
     return next(replica_rngs(seed, (index,)))
 
 
-def _draw(law: DisorderLaw, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n charges of ``law`` from ``rng``.
+def _draw(
+    law: DisorderLaw, n: int, rngs: Iterable[np.random.Generator], out: np.ndarray | None = None
+) -> np.ndarray:
+    """n charges of ``law`` from each Generator of ``rngs``, one row each.
 
-    Gaussian charges are ``rng.standard_normal(n)``.  A +/-1 charge is +1
-    where one bit of the raw 64-bit words of ``rng.bit_generator`` is set:
-    bit 31, then bit 63, of each word in turn, the top bits of its low and
-    high 32-bit halves.  On a fresh PCG64 stream, one that has not yet
-    handed out a 32-bit half, these are the bits of
+    Returns a (rows, n) array, written into ``out`` when one is given (its
+    rows contiguous).  Gaussian row r is ``rngs[r].standard_normal(n)``.  A
+    +/-1 charge is +1 where one bit of the raw 64-bit words of the row's
+    ``bit_generator`` is set: bit 31, then bit 63, of each word in turn, the
+    top bits of its low and high 32-bit halves.  On a fresh PCG64 stream,
+    one that has not yet handed out a 32-bit half, these are the bits of
     ``rng.integers(0, 2, size=n)``, which the charges equal bit for bit.
-    Shifts move each bit, inverted, into the sign of an int64, so the
-    result does not depend on the host's byte order.
+    The words of all rows are gathered into one buffer, and the bits are
+    taken from it in one pass for the whole block.
     """
+    rngs = list(rngs)
+    if out is None:
+        out = np.empty((len(rngs), n))
     if law is GAUSSIAN:
-        return rng.standard_normal(n)
-    words = rng.bit_generator.random_raw(-(-n // 2))
-    signs = np.empty((len(words), 2), dtype=np.int64)
-    np.left_shift(~words, 32, out=signs[:, 0], casting="unsafe")
-    np.invert(words, out=signs[:, 1], casting="unsafe")
-    return np.copysign(1.0, signs.reshape(-1)[:n])
+        for row, rng in zip(out, rngs):
+            rng.standard_normal(out=row)
+        return out
+    # little-endian words read as int32 pairs: the low half, then the high
+    # half, each with its top bit as the sign, on hosts of either byte order
+    words = np.empty((len(rngs), -(-n // 2)), dtype="<u8")
+    for row, rng in zip(words, rngs):
+        row[:] = rng.bit_generator.random_raw(len(row))
+    halves = words.view("<i4")[:, :n]
+    np.invert(halves, out=halves)
+    return np.copysign(1.0, halves, out=out)

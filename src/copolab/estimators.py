@@ -15,6 +15,8 @@ with measured thresholds, never assumed.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -78,6 +80,8 @@ _Z_SCORE = 1.96  # standard errors below the mean in the lower bracket
 _COARSE_ETA = 0.1  # crossover parameter of the tilt in coarse_graining_check
 _COARSE_N_BUDGET = 20_000  # largest window e^(c3/h) that check evaluates
 _COARSE_M_CAP = 50_000  # cap on its far end M_h
+_QUAD_NODES = 64  # Gauss-Legendre nodes per panel of its near-term integral
+_QUAD_PANELS = 4  # equal panels between consecutive break points of that integral
 _PLAN_SITE_BUDGET = 100_000  # largest N a trimmed plan may ask for
 
 
@@ -106,17 +110,24 @@ def _replica_prefixes(law, beta, h, n, seed, replicas, rows=None):
     of ``h`` (one field or a 1-D grid).  A block has shape np.shape(h) +
     (rows, n + 1), fewer rows in the last; ``rows=None`` gives one block, an
     empty one for no replicas.  All blocks are one buffer, each overwritten
-    by the next.  A row equals charge_prefix(law, beta, h, _draw(law, n,
-    spawn_rng(seed, i))) bit for bit.
+    by the next, and each block's charges are one ``_draw`` call.  A row
+    equals charge_prefix(law, beta, h, _draw(law, n, [spawn_rng(seed,
+    i)])[0]) bit for bit.
     """
     fields = np.asarray(h, dtype=float)[..., None, None]
     rows = rows or max(replicas, 1)
     buffer = np.empty(np.shape(h) + (min(rows, replicas), n + 1))
     streams = replica_rngs(seed, range(replicas))
+    grid = np.ndim(h) == 1
     for i0 in range(0, max(replicas, 1), rows):
         block = buffer[..., : min(rows, replicas - i0), :]
-        for r, rng in zip(range(block.shape[-2]), streams):
-            block[..., r, 1:] = _draw(law, n, rng)
+        # one draw per replica into the first field's rows, copied to the other
+        # fields; an empty grid draws nothing
+        if block.size:
+            first = block[0] if grid else block
+            _draw(law, n, itertools.islice(streams, len(first)), out=first[:, 1:])
+            if grid:
+                block[1:] = first
         yield _charge_rows(law, beta, fields, block)
 
 
@@ -190,17 +201,29 @@ def sweep_free_energy(
 
 
 def tilted_block_success(law: DisorderLaw, beta: float, threshold_rate: float, ell: int) -> float:
-    """Probability, under the beta-tilt, that a block mean reaches threshold_rate."""
-    from scipy.special import betainc, ndtr  # kept off the import path of the CLI
+    """Probability, under the beta-tilt, that a block mean reaches threshold_rate.
 
+    Gaussian: the normal tail erfc(-z / sqrt 2) / 2 at z = (beta - rate)
+    sqrt(ell).  +/-1 law: the binomial upper tail P(Bin(ell, p) >= t), p =
+    1 / (1 + e^(-2 beta)), as the sum of its terms over the sum of all
+    ell + 1 terms, each term taken as its ratio to the largest one (from its
+    neighbour by the factor (ell - k) p / ((k + 1) (1 - p))), so no
+    binomial coefficient or power of p is formed and nothing overflows.
+    """
     if law is GAUSSIAN:
-        return float(ndtr((beta - threshold_rate) * math.sqrt(ell)))
+        return 0.5 * math.erfc(-(beta - threshold_rate) * math.sqrt(0.5 * ell))
     p_plus = 1.0 / (1.0 + math.exp(-2.0 * beta))
     threshold = math.ceil(ell * (1.0 + threshold_rate) / 2.0)
     if threshold > ell:
         return 0.0
-    # P(Bin(ell, p) >= t) = I_p(t, ell - t + 1)
-    return float(betainc(threshold, ell - threshold + 1, p_plus))
+    q_minus = 1.0 - p_plus
+    mode = min(int((ell + 1) * p_plus), ell)
+    terms = np.ones(ell + 1)
+    k = np.arange(mode, ell, dtype=float)
+    terms[mode + 1 :] = np.cumprod((ell - k) * p_plus / ((k + 1.0) * q_minus))
+    k = np.arange(mode, 0, -1, dtype=float)
+    terms[:mode] = np.cumprod(k * q_minus / ((ell - k + 1.0) * p_plus))[::-1]
+    return math.fsum(terms[max(threshold, 0) :].tolist()) / math.fsum(terms.tolist())
 
 
 def trimmed_plan(
@@ -509,6 +532,42 @@ def penalization_check(
     }
 
 
+@functools.cache
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the _QUAD_NODES-point Gauss-Legendre rule on [-1, 1], read-only."""
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(_QUAD_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _near_term_integral(family, log_n: float, theta: float, psi_val: float) -> float:
+    """Integral of L(e^(log_n y))^theta e^y over y in [1, psi_val], by a fixed rule.
+
+    L is frozen below log x_min, so the integrand has a kink at y =
+    log(x_min) / log_n; the range is split there when the kink lies inside,
+    and each piece is cut into _QUAD_PANELS equal panels of _QUAD_NODES
+    Gauss-Legendre nodes.  An integral past the float range raises
+    OverflowError.
+    """
+    kink = math.log(family.x_min) / log_n
+    edges = [1.0, kink, psi_val] if 1.0 < kink < psi_val else [1.0, psi_val]
+    nodes, weights = _legendre_rule()
+    cuts = np.concatenate(
+        [np.linspace(lo, hi, _QUAD_PANELS + 1)[:-1] for lo, hi in zip(edges, edges[1:])]
+        + [edges[-1:]]
+    )
+    half = 0.5 * np.diff(cuts)[:, None]
+    y = cuts[:-1, None] + half * (1.0 + nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = family.evaluate_log(log_n * y) ** theta * np.exp(y) * (half * weights)
+    integral = math.fsum(terms.ravel().tolist())
+    if not math.isfinite(integral):
+        raise OverflowError(f"the near-term integral up to psi={psi_val:.4g} passes the float range")
+    return integral
+
+
 def coarse_graining_check(
     kernel: RenewalKernel,
     law: DisorderLaw,
@@ -600,16 +659,10 @@ def coarse_graining_check(
     b_term = math.fsum(float(u[j]) * window_sum(j) for j in range(half, n_win))
 
     # substituted analytic integral for the near term
-    def integrand(y: float) -> float:
-        val = float(kernel.family.evaluate_log((c3 / h) * y))
-        return val ** (1.0 - h / c3) * math.exp(y)
-
     psi_val = bounds_mod.psi(kernel.family, c3 / h, eps=0.05)
     tail_at_inv_h = kernel.family.tail(1.0 / h)
     if psi_val > 1.0:
-        from scipy.integrate import quad  # only this check integrates
-
-        integral, _ = quad(integrand, 1.0, psi_val, limit=200)
+        integral = _near_term_integral(kernel.family, c3 / h, theta, psi_val)
         a_analytic = (21.0 / tail_at_inv_h) * 2.0 * (c3 / h) * integral
     else:
         a_analytic = 0.0

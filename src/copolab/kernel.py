@@ -11,10 +11,13 @@ logarithmic, super-logarithmic decay).  The asymptotic forms are undefined or
 negative near the origin, so L is frozen at its value at a family-specific
 point x_min; this touches only finitely many masses and leaves every tail
 ratio unchanged.  The running tail integral of L(y)/y has an exact
-antiderivative for the frozen-plus-asymptotic form in all three families
-(an upper incomplete gamma in the super-logarithmic case), which is what
-``SlowlyVaryingFamily.tail`` evaluates; quadrature is kept as an independent
-oracle in the test suite.
+antiderivative for the frozen-plus-asymptotic form in all three families,
+which is what ``SlowlyVaryingFamily.tail`` evaluates; quadrature is kept as
+an independent oracle in the test suite.  In the super-logarithmic case it
+is u Gamma(u, (log x)^(1/u)), an upper incomplete gamma evaluated in house
+(``_upper_gamma``: the power series below s = u + 1, a Lentz continued
+fraction above, with numpy and ``math`` only), and a family whose tail
+leaves the float range, upsilon past about 170, is refused.
 
 The constant c_L is treated as a shape parameter: a single multiplicative
 normalization is applied so the masses plus the analytic tail estimate sum
@@ -25,6 +28,7 @@ ratios, which the constant preserves.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -45,6 +49,10 @@ __all__ = [
 
 _EXP_GUARD = 700.0  # largest exponent allowed anywhere near an exp()
 _MASS_BLOCK = 64  # sites per block of the blocked renewal-mass solve
+_GAMMA_STEPS = 1000  # bound on the series terms and fraction steps of _upper_gamma
+_GAMMA_EPS = 2.0**-53  # unit roundoff: the stopping test of both
+_GAMMA_TINY = 1e-300  # Lentz's stand-in for a zero denominator
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class FamilyKind(str, Enum):
@@ -97,13 +105,23 @@ class SlowlyVaryingFamily:
         return out if out.ndim else float(out)
 
     def tail(self, x: float) -> float:
-        """Integral of L(y)/y from x to infinity, exact for the frozen form."""
+        """Integral of L(y)/y from x to infinity, exact for the frozen form.
+
+        A family whose tail integral leaves the float range (the
+        super-logarithmic one at upsilon past about 170) is refused with
+        ValueError.
+        """
         if x <= 0:
             raise ValueError(f"tail integral needs x > 0, got {x}")
+        value = self._tail_asymptotic(math.log(max(x, self.x_min)))
         if x < self.x_min:
-            head = float(self.evaluate(self.x_min)) * math.log(self.x_min / x)
-            return head + self._tail_asymptotic(math.log(self.x_min))
-        return self._tail_asymptotic(math.log(x))
+            value += float(self.evaluate(self.x_min)) * math.log(self.x_min / x)
+        if not 0.0 < value < math.inf:
+            raise ValueError(
+                f"the {self.kind.value} tail integral at upsilon={self.upsilon} is {value}, "
+                "outside the float range"
+            )
+        return value
 
     def _tail_asymptotic(self, lx: float) -> float:
         u = self.upsilon
@@ -111,10 +129,64 @@ class SlowlyVaryingFamily:
             return self.c_L / ((u - 1.0) * math.log(lx) ** (u - 1.0))
         if self.kind is FamilyKind.LOGARITHMIC:
             return self.c_L / ((u - 1.0) * lx ** (u - 1.0))
-        from scipy.special import gamma, gammaincc  # only this family needs them
+        # y = e^{t^u} turns the integral into u * Gamma(u, lx^(1/u))
+        return self.c_L * u * _upper_gamma(u, lx ** (1.0 / u))
 
-        s = lx ** (1.0 / u)
-        return self.c_L * u * gamma(u) * float(gammaincc(u, s))
+
+def _upper_gamma(a: float, x: float) -> float:
+    """Upper incomplete gamma Gamma(a, x) for a > 0, x > 0; inf past the float range.
+
+    Below x = a + 1 it is Gamma(a) minus the lower integral x^a e^(-x) S,
+    S = sum_n x^n / (a (a + 1) ... (a + n)) (DLMF 8.7.1); from there on it
+    is x^a e^(-x) times the continued fraction of DLMF 8.9.2, run by the
+    modified Lentz method.  Both stop once a step changes the value by less
+    than a unit roundoff, within _GAMMA_STEPS steps.  The power x^a e^(-x)
+    and Gamma(a) are handled in log space, so no intermediate overflows:
+    Gamma(a) is ``math.gamma`` where that is a float and ``lgamma`` past it,
+    and the power is a product of two floats where both are, accurate to
+    ulps rather than to |log| ulps.
+    """
+    log_power = a * math.log(x) - x
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        for n in range(1, _GAMMA_STEPS):
+            term *= x / (a + n)
+            total += term
+            if term < total * _GAMMA_EPS:
+                break
+        else:
+            raise ValueError(f"incomplete gamma series at a={a}, x={x} did not converge")
+        log_lower = log_power + math.log(total)
+        try:
+            return math.gamma(a) - math.exp(log_lower)
+        except OverflowError:  # Gamma(a) is past the float range; Gamma(a, x) may not be
+            log_gamma = math.lgamma(a)
+            return _exp_or_inf(log_gamma + math.log1p(-math.exp(log_lower - log_gamma)))
+    # modified Lentz on 1/(x+1-a-) 1(1-a)/(x+3-a-) 2(2-a)/(x+5-a-) ...
+    b = x + 1.0 - a
+    c, d = 1.0 / _GAMMA_TINY, 1.0 / b
+    fraction = d
+    for n in range(1, _GAMMA_STEPS):
+        an = -n * (n - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > _GAMMA_TINY else _GAMMA_TINY)
+        c = b + an / c
+        c = c if abs(c) > _GAMMA_TINY else _GAMMA_TINY
+        step = c * d
+        fraction *= step
+        if abs(step - 1.0) < _GAMMA_EPS:
+            break
+    else:
+        raise ValueError(f"incomplete gamma fraction at a={a}, x={x} did not converge")
+    if max(x, a * math.log(x)) < _EXP_GUARD:
+        return x**a * math.exp(-x) * fraction
+    return _exp_or_inf(log_power + math.log(fraction))
+
+
+def _exp_or_inf(t: float) -> float:
+    """e^t, or inf where that passes the float range."""
+    return math.exp(t) if t <= _LOG_FLOAT_MAX else math.inf
 
 
 @dataclass(frozen=True)
@@ -150,7 +222,8 @@ def build_kernel(family: SlowlyVaryingFamily, n_max: int) -> RenewalKernel:
 
     The mass beyond the support is estimated by the exact tail integral with
     an Euler-Maclaurin half-term correction, and a single constant rescales
-    everything so the total is one.
+    everything so the total is one.  A family whose tail integral or
+    normalization leaves the float range is refused with ValueError.
     """
     if n_max < 1000:
         raise ValueError(f"n_max must be >= 1000, got {n_max}")
@@ -160,9 +233,14 @@ def build_kernel(family: SlowlyVaryingFamily, n_max: int) -> RenewalKernel:
     if not np.all(np.isfinite(raw[1:])) or np.any(raw[1:] <= 0.0):
         raise ValueError("family evaluation is non-positive or non-finite on the support")
     # sum_{n > N} L(n)/n ~ tail(N) - L(N)/(2N)
-    tail_raw = family.tail(float(n_max)) - 0.5 * raw[n_max]
+    tail_raw = family.tail(float(n_max)) - 0.5 * float(raw[n_max])
     total = math.fsum(raw[1:].tolist()) + tail_raw
     norm = 1.0 / total
+    if not 0.0 < norm < math.inf:
+        raise ValueError(
+            f"the {family.kind.value} kernel normalization at upsilon={family.upsilon} is "
+            f"{norm}, outside the float range"
+        )
     return RenewalKernel(
         family=family,
         support_cap=n_max,

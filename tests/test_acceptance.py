@@ -123,7 +123,7 @@ def test_criterion_1_oracle_equivalence(log_kernel_small):
         beta = float(rng.uniform(0.0, 2.0))
         h = float(rng.uniform(-1.0, 1.0))
         n = int(rng.integers(1, 15))
-        omega = _draw(law, n, np.random.default_rng(int(rng.integers(0, 2**63))))
+        omega = _draw(law, n, [np.random.default_rng(int(rng.integers(0, 2**63)))])[0]
         prefix = charge_prefix(law, beta, h, omega)
         exact = log_Z(prefix, log_kernel_small)
         brute = brute_force_log_Z(prefix, log_kernel_small)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +100,62 @@ def test_cli_import_skips_scipy_stats_and_integrate():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_every_command_runs_without_scipy():
+    # each command and verify suite, for each family, in one fresh interpreter:
+    # none of them may load any scipy module
+    runs = [
+        ["estimate", "--beta", "1", "--h", "0.3", "--n", "200", "--replicas", "4"],
+        ["sweep", "--beta", "1", "--h-grid", "0.3,0.1", "--n", "200", "--replicas", "4"],
+        ["annealed", "--h", "0.3", "--n", "200"],
+        ["bounds", "--beta", "1", "--h-grid", "0.2,0.1"],
+        ["kernel-info"],
+        ["verify", "all", "--replicas", "100"],
+        ["verify", "penalization", "--law", "binary"],
+    ]
+    probe = (
+        "import os, sys\n"
+        "from copolab.cli import main\n"
+        f"runs = {runs!r}\n"
+        "codes = [main([*args, '--family', family, '--out', os.devnull])\n"
+        "         for family in ('sub-logarithmic', 'logarithmic', 'super-logarithmic')\n"
+        "         for args in runs]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == f"{[0] * 3 * len(runs)} []"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["kernel-info", "--family", "super-logarithmic", "--upsilon", "172"],
+        ["bounds", "--family", "super-logarithmic", "--upsilon", "200", "--beta", "1",
+         "--h-grid", "0.2,0.1", "--format", "json"],
+        ["annealed", "--family", "super-logarithmic", "--upsilon", "200", "--h", "0.1"],
+        ["verify", "oracle", "--family", "super-logarithmic", "--upsilon", "200"],
+        ["estimate", "--family", "super-logarithmic", "--upsilon", "200", "--beta", "1",
+         "--h", "0.1", "--replicas", "2"],
+        ["sweep", "--family", "super-logarithmic", "--upsilon", "200", "--beta", "1",
+         "--h-grid", "0.2,0.1", "--replicas", "2"],
+        ["verify", "all", "--family", "super-logarithmic", "--upsilon", "200", "--replicas", "100"],
+        ["kernel-info", "--family", "logarithmic", "--upsilon", "1.5", "--cl", "1e308"],
+    ],
+    ids=["kernel-info", "bounds", "annealed", "verify-oracle", "estimate", "sweep", "verify-all",
+         "kernel-info-normalization"],
+)
+def test_family_past_the_float_range_exits_2_without_artifact_or_warning(tmp_path, capsys, args):
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli([*args, "--n", "1000", "--out", str(out)]) == 2
+    upsilon = float(args[args.index("--upsilon") + 1])
+    assert f"upsilon={upsilon}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -167,27 +167,36 @@ def test_numeric_derivative_matches_analytic():
 
 def test_sample_determinism():
     for law in (GAUSSIAN, BINARY):
-        a = _draw(law, 50, np.random.default_rng(123))
-        b = _draw(law, 50, np.random.default_rng(123))
+        a = _draw(law, 50, [np.random.default_rng(123)])[0]
+        b = _draw(law, 50, [np.random.default_rng(123)])[0]
         np.testing.assert_array_equal(a, b)
 
 
 def test_binary_draws_equal_generator_integers_on_fresh_streams():
     # the +/-1 charges are the bits that Generator.integers(0, 2) takes from
-    # the raw words, low 32-bit half first, for even and odd n
+    # the raw words, low 32-bit half first, for even and odd n; a block of
+    # streams draws row by row what each stream draws alone, also into a
+    # strided output
     for n in (1, 2, 3, 63, 64, 65, 240, 5781):
+        ref = np.stack(
+            [np.random.default_rng(seed).integers(0, 2, size=n) for seed in range(40)]
+        ).astype(float) * 2.0 - 1.0
         for seed in range(40):
-            ref = np.random.default_rng(seed).integers(0, 2, size=n).astype(float) * 2.0 - 1.0
-            got = _draw(BINARY, n, np.random.default_rng(seed))
-            assert got.dtype == np.float64 and got.tobytes() == ref.tobytes()
+            got = _draw(BINARY, n, [np.random.default_rng(seed)])[0]
+            assert got.dtype == np.float64 and got.tobytes() == ref[seed].tobytes()
+        block = _draw(BINARY, n, [np.random.default_rng(seed) for seed in range(40)])
+        assert block.shape == (40, n) and block.tobytes() == ref.tobytes()
+        out = np.zeros((40, n + 1))
+        _draw(BINARY, n, [np.random.default_rng(seed) for seed in range(40)], out=out[:, 1:])
+        assert out[:, 1:].tobytes() == ref.tobytes() and not out[:, 0].any()
     for i, rng in enumerate(replica_rngs(11, range(40))):
         ref = _numpy_stream(11, i).integers(0, 2, size=65).astype(float) * 2.0 - 1.0
-        assert _draw(BINARY, 65, rng).tobytes() == ref.tobytes()
+        assert _draw(BINARY, 65, [rng])[0].tobytes() == ref.tobytes()
 
 
 def test_sample_normalization_moments():
     for law in (GAUSSIAN, BINARY):
-        draws = _draw(law, 200_000, np.random.default_rng(7))
+        draws = _draw(law, 200_000, [np.random.default_rng(7)])[0]
         assert abs(draws.mean()) < 0.01
         assert abs(draws.var() - 1.0) < 0.02
 
@@ -221,7 +230,7 @@ def test_replica_rngs_draw_the_seed_sequence_charges_bit_for_bit():
     for law in (GAUSSIAN, BINARY):
         for seed in _STREAM_SEEDS:
             for i, rng in zip(_STREAM_INDICES, replica_rngs(seed, _STREAM_INDICES)):
-                ours, ref = _draw(law, 37, rng), _draw(law, 37, _numpy_stream(seed, i))
+                ours, ref = _draw(law, 37, [rng])[0], _draw(law, 37, [_numpy_stream(seed, i)])[0]
                 assert ours.tobytes() == ref.tobytes()
 
 

@@ -86,7 +86,7 @@ def test_replica_prefixes_rows_equal_charge_prefix_rows(law, h, rows):
     ]
     fields = np.reshape(h, np.shape(h) + (1,))
     want = np.stack(
-        [charge_prefix(law, beta, fields, _draw(law, n, spawn_rng(seed, i))) for i in range(replicas)],
+        [charge_prefix(law, beta, fields, _draw(law, n, [spawn_rng(seed, i)])[0]) for i in range(replicas)],
         axis=-2,
     )
     assert np.concatenate(blocks, axis=-2).tobytes() == want.tobytes()
@@ -110,7 +110,7 @@ def test_replica_log_z_shape_is_fields_by_replicas(log_kernel_small, h, replicas
 def _assert_matches_row_loop(kernel, law, beta, h, n, seed, replicas):
     got = est.replica_log_z(kernel, law, beta, h, n, seed, replicas)
     ref = np.array([
-        log_Z(charge_prefix(law, beta, h, _draw(law, n, spawn_rng(seed, i))), kernel)
+        log_Z(charge_prefix(law, beta, h, _draw(law, n, [spawn_rng(seed, i)])[0]), kernel)
         for i in range(replicas)
     ])
     np.testing.assert_array_less(np.abs(got - ref), 1e-10 * np.maximum(1.0, np.abs(ref)))
@@ -138,7 +138,7 @@ def test_replica_log_z_matches_row_loop_over_wide_log_range(log_kernel_small, la
     # delocalized: log Z ~ -11 while b(j) = Z(j) e^{-S_j} spans e^{1e4}
     n = 2000
     ref = _assert_matches_row_loop(log_kernel_small, law, beta, h, n, 3, 3)
-    prefix = charge_prefix(law, beta, h, _draw(law, n, spawn_rng(3, 0)))
+    prefix = charge_prefix(law, beta, h, _draw(law, n, [spawn_rng(3, 0)])[0])
     assert max(np.abs(prefix).max(), np.abs(ref).max()) > 500.0
 
 
@@ -161,8 +161,8 @@ def test_engine_mixes_steep_and_linear_replicas(log_kernel_small):
     n = 3 * _BLOCK + 20
     rows = []
     for i, (beta, h) in enumerate([(1.0, 0.3), (2.0, 8.0), (0.5, -0.2), (1.0, -9.0), (1.5, 1.0)]):
-        rows.append(charge_prefix(GAUSSIAN, beta, h, _draw(GAUSSIAN, n, spawn_rng(6, i))))
-    jump = charge_prefix(BINARY, 0.8, 0.1, _draw(BINARY, n, spawn_rng(6, 9)))
+        rows.append(charge_prefix(GAUSSIAN, beta, h, _draw(GAUSSIAN, n, [spawn_rng(6, i)])[0]))
+    jump = charge_prefix(BINARY, 0.8, 0.1, _draw(BINARY, n, [spawn_rng(6, 9)])[0])
     jump[_BLOCK + 10 :] += 300.0  # one step of 300 inside the second block only
     rows.append(jump)
     prefix = np.array(rows)
@@ -188,7 +188,7 @@ def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kerne
     n = 2 * _BLOCK + 30
     prefix = np.array([
         charge_prefix(
-            GAUSSIAN, 1.0, 8.0 if i in (3, 41, 99) else 0.2, _draw(GAUSSIAN, n, spawn_rng(8, i))
+            GAUSSIAN, 1.0, 8.0 if i in (3, 41, 99) else 0.2, _draw(GAUSSIAN, n, [spawn_rng(8, i)])[0]
         )
         for i in range(100)
     ])
@@ -213,7 +213,7 @@ def test_engine_part_filled_groups_equal_full_groups(log_kernel_small):
     # bit for bit, with no numpy warning from the padded rows
     n = 2 * _BLOCK + 21
     prefix = np.array([
-        charge_prefix(GAUSSIAN, 1.0, 8.0 if i in (2, 98) else 0.3, _draw(GAUSSIAN, n, spawn_rng(13, i)))
+        charge_prefix(GAUSSIAN, 1.0, 8.0 if i in (2, 98) else 0.3, _draw(GAUSSIAN, n, [spawn_rng(13, i)])[0])
         for i in range(13 * _GEMM_REPLICAS)
     ])
     steep = np.abs(np.diff(prefix[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
@@ -236,13 +236,21 @@ def test_replica_log_z_charge_rows_equal_single_rows(log_kernel_small, law):
     rows = []
     for h in grid:
         for i in range(replicas):
-            omega = _draw(law, n, spawn_rng(seed, i))
+            omega = _draw(law, n, [spawn_rng(seed, i)])[0]
             row = np.zeros(n + 1)
             row[1:] = np.cumsum(beta * omega - log_mgf(law, beta) + h)
             np.testing.assert_array_equal(charge_prefix(law, beta, h, omega), row)
             rows.append(row)
     want = _log_z_replicas(np.array(rows), log_kernel_small).reshape(len(grid), replicas)
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_replica_log_z_on_an_empty_grid_or_no_replicas_is_empty(log_kernel_small, law):
+    # the source draws nothing for an empty grid or no replicas
+    assert est.replica_log_z(log_kernel_small, law, 1.0, [], 50, 1, 4).shape == (0, 4)
+    assert est.replica_log_z(log_kernel_small, law, 1.0, 0.3, 50, 1, 0).shape == (0,)
+    assert est.sweep_free_energy(log_kernel_small, law, 1.0, [], 50, 4, 1) == []
 
 
 def test_replica_log_z_grid_field_equals_its_one_field_value(log_kernel_4000):
@@ -370,7 +378,7 @@ def test_engine_edge_cases_emit_no_warnings(log_kernel_small):
 def test_replica_log_z_matches_enumeration(log_kernel_small, n, beta, h, law, seed, replicas):
     got = est.replica_log_z(log_kernel_small, law, beta, h, n, seed, replicas)
     for i, value in enumerate(got):
-        omega = _draw(law, n, spawn_rng(seed, i))
+        omega = _draw(law, n, [spawn_rng(seed, i)])[0]
         exact = brute_force_log_Z(charge_prefix(law, beta, h, omega), log_kernel_small)
         assert abs(value - exact) <= 1e-10 * max(1.0, abs(exact))
 
@@ -401,6 +409,77 @@ def test_tilted_block_success_binary_enumeration_oracle():
             total += p_plus**ups * (1 - p_plus) ** (ell - ups)
     got = est.tilted_block_success(BINARY, beta, rate, ell)
     assert got == pytest.approx(total, rel=1e-12)
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_tilted_block_success_matches_scipy(law):
+    # the normal tail against ndtr and the binomial tail against betainc, at
+    # the penalization event thresholds b lambda'(beta) and past the mean
+    from scipy.special import betainc, ndtr
+
+    worst = 0.0
+    for beta in np.linspace(0.05, 5.0, 12):
+        lam_prime = math.tanh(beta) if law is BINARY else beta
+        for rate in (0.5 * lam_prime, 0.9 * lam_prime, 0.99 * lam_prime, min(1.05 * lam_prime, 0.999)):
+            for ell in (1, 2, 7, 8, 51, 400, 1045, 3000, 20000):
+                got = est.tilted_block_success(law, float(beta), rate, ell)
+                if law is GAUSSIAN:
+                    ref = float(ndtr((beta - rate) * math.sqrt(ell)))
+                else:
+                    p_plus = 1.0 / (1.0 + math.exp(-2.0 * beta))
+                    t = math.ceil(ell * (1.0 + rate) / 2.0)
+                    ref = float(betainc(t, ell - t + 1, p_plus)) if t <= ell else 0.0
+                if ref > 1e-100:
+                    worst = max(worst, abs(got - ref) / ref)
+                else:
+                    assert abs(got - ref) <= 1e-100
+    assert worst <= 1e-13
+
+
+def test_tilted_block_success_binary_at_saturated_and_flat_laws():
+    # p = 1 (every charge +1) reaches any threshold; p = 1/2 at beta = 0 is a fair coin
+    assert est.tilted_block_success(BINARY, 40.0, 0.9, 500) == 1.0
+    assert est.tilted_block_success(BINARY, 0.0, 0.0, 4) == pytest.approx(11 / 16, rel=1e-15)
+    assert est.tilted_block_success(BINARY, 0.3, 1.0, 9) == pytest.approx(
+        (1.0 / (1.0 + math.exp(-0.6))) ** 9, rel=1e-14
+    )
+
+
+def test_near_term_integral_matches_quad_on_the_coarse_grid():
+    # the fixed Gauss-Legendre rule of coarse_graining_check against adaptive
+    # quadrature (break point at the freeze kink), over the (family, law,
+    # beta, n_win) grid the coarse checks run on, windows as small as 5 included
+    from scipy.integrate import quad
+
+    from copolab.bounds import psi
+    from copolab.kernel import FamilyKind, SlowlyVaryingFamily
+
+    worst, cases = 0.0, 0
+    for kind in FamilyKind:
+        for upsilon in (1.5, 2.0, 3.0):
+            family = SlowlyVaryingFamily(kind, upsilon)
+            for law in (GAUSSIAN, BINARY):
+                for beta in (0.5, 1.0, 1.5):
+                    c3 = 0.9 * q1(law, beta)
+                    for n_win in (5, 100, 120, 150, 200, 240, 1000, 20000):
+                        log_n = math.log(n_win)
+                        if kind is not FamilyKind.SUPER_LOGARITHMIC and math.log(log_n) <= 1.0:
+                            continue
+                        psi_val = psi(family, log_n, eps=0.05)
+                        if psi_val <= 1.0:
+                            continue
+                        theta = 1.0 - 1.0 / log_n
+                        kink = math.log(family.x_min) / log_n
+                        ref, _ = quad(
+                            lambda y: float(family.evaluate_log(log_n * y)) ** theta * math.exp(y),
+                            1.0, psi_val, limit=200, epsabs=0.0, epsrel=1e-13,
+                            points=[kink] if 1.0 < kink < psi_val else None,
+                        )
+                        got = est._near_term_integral(family, log_n, theta, psi_val)
+                        worst = max(worst, abs(got - ref) / ref)
+                        cases += 1
+    assert cases > 200
+    assert worst <= 1e-13
 
 
 def test_trimmed_plan_schedule_and_constraints():

@@ -6,6 +6,9 @@ from scipy.integrate import quad
 
 import copolab
 from copolab.kernel import (
+    FamilyKind,
+    SlowlyVaryingFamily,
+    _upper_gamma,
     build_kernel,
     check_eta_kernel,
     defect_Kk,
@@ -66,6 +69,67 @@ def test_tail_super_logarithmic_asymptotic_leading_order(families):
         leading = fam.c_L * u * lx ** (1.0 - 1.0 / u) * math.exp(-(lx ** (1.0 / u)))
         ratio = fam.tail(x) / leading
         assert 0.7 <= ratio <= 1.3
+
+
+def test_upper_gamma_matches_scipy_on_the_super_logarithmic_tails():
+    # u Gamma(u, (log x)^(1/u)) is the super-logarithmic tail; log x runs from
+    # the freeze point 2 to 40 (supports and 1/h up to 2e17), u over (1, 170]
+    from scipy.special import gamma, gammaincc
+
+    ups = np.concatenate([np.linspace(1.001, 8.0, 36), np.linspace(8.0, 170.0, 28)])
+    lx = np.linspace(2.0, 40.0, 39)
+    s = lx[None, :] ** (1.0 / ups[:, None])
+    ref = gamma(ups[:, None]) * gammaincc(ups[:, None], s)
+    got = np.array([[_upper_gamma(u, x) for x in row] for u, row in zip(ups, s)])
+    assert np.abs(got / ref - 1.0).max() <= 2e-14
+
+
+@pytest.mark.parametrize(
+    "a, x, exact",
+    [
+        (1.0, 0.7, math.exp(-0.7)),  # series
+        (1.0, 30.0, math.exp(-30.0)),  # continued fraction, power as a product
+        (1.0, 705.0, math.exp(-705.0)),  # continued fraction, power in log space
+        (2.0, 1.5, 2.5 * math.exp(-1.5)),
+        (2.0, 60.0, 61.0 * math.exp(-60.0)),
+        (0.5, 0.3, math.sqrt(math.pi) * math.erfc(math.sqrt(0.3))),
+        (0.5, 9.0, math.sqrt(math.pi) * math.erfc(3.0)),
+    ],
+)
+def test_upper_gamma_closed_forms(a, x, exact):
+    # Gamma(1, x) = e^-x, Gamma(2, x) = (x + 1) e^-x, Gamma(1/2, x) = sqrt(pi) erfc(sqrt x)
+    assert _upper_gamma(a, x) == pytest.approx(exact, rel=1e-15)
+
+
+def test_upper_gamma_past_the_range_of_gamma_of_a():
+    # Gamma(171.65) overflows a float while Gamma(171.65, 171) does not; the
+    # recurrence Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x ties it to a = 170.65
+    a, x = 170.65, 171.0
+    value = _upper_gamma(a + 1.0, x)
+    assert math.isfinite(value)
+    expected = a * _upper_gamma(a, x) + math.exp(a * math.log(x) - x)
+    assert value == pytest.approx(expected, rel=1e-12)
+    assert _upper_gamma(172.0, 1.03) == math.inf
+    assert _upper_gamma(1e4, 1.001) == math.inf
+
+
+@pytest.mark.parametrize(
+    "family, match",
+    [
+        (SlowlyVaryingFamily(FamilyKind.SUPER_LOGARITHMIC, 172.0), "tail integral"),
+        (SlowlyVaryingFamily(FamilyKind.SUPER_LOGARITHMIC, 1e4), "tail integral"),
+        (SlowlyVaryingFamily(FamilyKind.LOGARITHMIC, 1.5, c_L=1e308), "kernel normalization"),
+    ],
+    ids=["super-172", "super-1e4", "log-cl-1e308"],
+)
+def test_family_past_the_float_range_is_refused_by_name(family, match):
+    # refused with a message naming the family and upsilon, and no numpy warning
+    message = f"the {family.kind.value} {match} at upsilon={family.upsilon} is "
+    if match == "tail integral":
+        with pytest.raises(ValueError, match=message):
+            family.tail(1000.0)
+    with pytest.raises(ValueError, match=message):
+        build_kernel(family, 1000)
 
 
 def test_tail_monotone_decreasing(families):

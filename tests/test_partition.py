@@ -30,7 +30,7 @@ def _trimmed_log_mean(kernel, plan, h):
 
 
 def test_log_z_single_site(log_kernel_small):
-    prefix = charge_prefix(GAUSSIAN, 1.0, 0.2, _draw(GAUSSIAN, 1, np.random.default_rng(4)))
+    prefix = charge_prefix(GAUSSIAN, 1.0, 0.2, _draw(GAUSSIAN, 1, [np.random.default_rng(4)])[0])
     expected = math.log(log_kernel_small.mass(1)) + math.log(
         0.5 * (1.0 + math.exp(prefix[1]))
     )
@@ -41,14 +41,14 @@ def test_log_z_free_disorder_reduces_to_renewal_mass(log_kernel_small):
     # beta = 0, h = 0 wipes every weight, leaving the renewal probability
     u = renewal_mass(log_kernel_small.masses, 40)
     for seed in (1, 2):
-        prefix = charge_prefix(GAUSSIAN, 0.0, 0.0, _draw(GAUSSIAN, 40, np.random.default_rng(seed)))
+        prefix = charge_prefix(GAUSSIAN, 0.0, 0.0, _draw(GAUSSIAN, 40, [np.random.default_rng(seed)])[0])
         assert log_Z(prefix, log_kernel_small) == pytest.approx(
             math.log(u[40]), rel=1e-12
         )
 
 
 def test_brute_force_two_site_expansion(log_kernel_small):
-    s = charge_prefix(BINARY, 0.7, -0.1, _draw(BINARY, 2, np.random.default_rng(9)))
+    s = charge_prefix(BINARY, 0.7, -0.1, _draw(BINARY, 2, [np.random.default_rng(9)])[0])
     k1, k2 = log_kernel_small.mass(1), log_kernel_small.mass(2)
     direct = k2 * 0.5 * (1 + math.exp(s[2])) + k1**2 * 0.25 * (1 + math.exp(s[1])) * (
         1 + math.exp(s[2] - s[1])
@@ -59,13 +59,13 @@ def test_brute_force_two_site_expansion(log_kernel_small):
 
 
 def test_brute_force_refuses_large_n(log_kernel_small):
-    prefix = charge_prefix(GAUSSIAN, 1.0, 0.0, _draw(GAUSSIAN, 21, np.random.default_rng(0)))
+    prefix = charge_prefix(GAUSSIAN, 1.0, 0.0, _draw(GAUSSIAN, 21, [np.random.default_rng(0)])[0])
     with pytest.raises(ValueError):
         brute_force_log_Z(prefix, log_kernel_small)
 
 
 def test_dp_matches_brute_force_pinned_instance(log_kernel_small):
-    prefix = charge_prefix(GAUSSIAN, 1.0, 0.3, _draw(GAUSSIAN, 12, np.random.default_rng(7)))
+    prefix = charge_prefix(GAUSSIAN, 1.0, 0.3, _draw(GAUSSIAN, 12, [np.random.default_rng(7)])[0])
     exact = log_Z(prefix, log_kernel_small)
     brute = brute_force_log_Z(prefix, log_kernel_small)
     assert abs(exact - brute) <= 1e-10 * max(1.0, abs(exact))
@@ -73,7 +73,7 @@ def test_dp_matches_brute_force_pinned_instance(log_kernel_small):
 
 def test_brute_force_free_disorder_is_renewal_mass(log_kernel_small):
     u = renewal_mass(log_kernel_small.masses, 3)
-    prefix = charge_prefix(BINARY, 0.0, 0.0, _draw(BINARY, 3, np.random.default_rng(1)))
+    prefix = charge_prefix(BINARY, 0.0, 0.0, _draw(BINARY, 3, [np.random.default_rng(1)])[0])
     assert brute_force_log_Z(prefix, log_kernel_small) == pytest.approx(
         math.log(u[3]), rel=1e-14
     )
@@ -86,7 +86,7 @@ def test_dp_matches_brute_force_random_instances(log_kernel_small):
         beta = float(rng.uniform(0.0, 2.0))
         h = float(rng.uniform(-1.0, 1.0))
         n = int(rng.integers(1, 15))
-        omega = _draw(law, n, np.random.default_rng(int(rng.integers(0, 2**63))))
+        omega = _draw(law, n, [np.random.default_rng(int(rng.integers(0, 2**63)))])[0]
         prefix = charge_prefix(law, beta, h, omega)
         exact = log_Z(prefix, log_kernel_small)
         brute = brute_force_log_Z(prefix, log_kernel_small)
@@ -97,13 +97,13 @@ def test_floor_bound_single_excursion(log_kernel_small):
     rng = np.random.default_rng(3)
     for _ in range(20):
         n = int(rng.integers(2, 60))
-        omega = _draw(GAUSSIAN, n, np.random.default_rng(int(rng.integers(0, 2**32))))
+        omega = _draw(GAUSSIAN, n, [np.random.default_rng(int(rng.integers(0, 2**32)))])[0]
         floor = math.log(log_kernel_small.mass(n)) - math.log(2.0)
         assert log_Z(charge_prefix(GAUSSIAN, 1.5, -0.6, omega), log_kernel_small) >= floor
 
 
 def test_charge_prefix_increments():
-    omega = _draw(GAUSSIAN, 200, np.random.default_rng(8))
+    omega = _draw(GAUSSIAN, 200, [np.random.default_rng(8)])[0]
     prefix = charge_prefix(GAUSSIAN, 1.2, 0.3, omega)
     inc = np.diff(prefix)
     expected = 1.2 * omega - log_mgf(GAUSSIAN, 1.2) + 0.3
@@ -130,7 +130,7 @@ def test_beta_zero_reduces_to_annealed(log_kernel_small):
     for h in (-0.4, 0.0, 0.7):
         exact = log_annealed_Z(log_kernel_small, 35, h)
         for seed in (5, 6):
-            prefix = charge_prefix(BINARY, 0.0, h, _draw(BINARY, 35, np.random.default_rng(seed)))
+            prefix = charge_prefix(BINARY, 0.0, h, _draw(BINARY, 35, [np.random.default_rng(seed)])[0])
             assert log_Z(prefix, log_kernel_small) == pytest.approx(exact, rel=1e-12)
 
 
@@ -196,7 +196,7 @@ def test_annealed_grid_equals_one_field_calls(log_kernel_small):
 def test_restricted_below_unrestricted(log_kernel_small):
     rng = np.random.default_rng(10)
     for _ in range(10):
-        omega = _draw(GAUSSIAN, 60, np.random.default_rng(int(rng.integers(0, 2**32))))
+        omega = _draw(GAUSSIAN, 60, [np.random.default_rng(int(rng.integers(0, 2**32)))])[0]
         prefix = charge_prefix(GAUSSIAN, 1.0, 0.4, omega)
         free = log_Z(prefix, log_kernel_small)
         trim = log_Z_restricted(prefix, log_kernel_small, Trimmed(M=3, k=2, m=2, N=60))
@@ -206,7 +206,7 @@ def test_restricted_below_unrestricted(log_kernel_small):
 def test_trimmed_hand_checkable_small_plan(log_kernel_small):
     # m=1, k=1: direct sum over tau_1 in [M, M^2], tau_2 = tau_1 + 1
     big_m, n = 3, 60
-    s = charge_prefix(GAUSSIAN, 0.9, 0.25, _draw(GAUSSIAN, n, np.random.default_rng(21)))
+    s = charge_prefix(GAUSSIAN, 0.9, 0.25, _draw(GAUSSIAN, n, [np.random.default_rng(21)])[0])
     total = 0.0
     for tau1 in range(big_m, big_m * big_m + 1):
         w = log_kernel_small.mass(tau1) * 0.5
@@ -218,7 +218,7 @@ def test_trimmed_hand_checkable_small_plan(log_kernel_small):
 
 
 def test_trimmed_infeasible_returns_neg_inf(log_kernel_small):
-    prefix = charge_prefix(GAUSSIAN, 1.0, 0.0, _draw(GAUSSIAN, 10, np.random.default_rng(2)))
+    prefix = charge_prefix(GAUSSIAN, 1.0, 0.0, _draw(GAUSSIAN, 10, [np.random.default_rng(2)])[0])
     got = log_Z_restricted(prefix, log_kernel_small, Trimmed(M=6, k=1, m=2, N=10))
     assert got == -math.inf
 
@@ -308,7 +308,7 @@ def test_superadditivity_of_mean_log_z(log_kernel_small):
 
 def _trimmed_prefixes(law, beta, h, n, seed, rows):
     return np.array([
-        charge_prefix(law, beta, h, _draw(law, n, spawn_rng(seed, i))) for i in range(rows)
+        charge_prefix(law, beta, h, _draw(law, n, [spawn_rng(seed, i)])[0]) for i in range(rows)
     ])
 
 
