@@ -17,7 +17,10 @@ an independent oracle in the test suite.  In the super-logarithmic case it
 is u Gamma(u, (log x)^(1/u)), an upper incomplete gamma evaluated in house
 (``_upper_gamma``: the power series below s = u + 1, a Lentz continued
 fraction above, with numpy and ``math`` only), and a family whose tail
-leaves the float range, upsilon past about 170, is refused.
+leaves the float range, upsilon past about 170, is refused.  The
+logarithmic and sub-logarithmic families are refused where the power of
+log x in L or in its tail overflows (upsilon past about 370 and 1080 on a
+support of 1000 sites), before numpy warns.
 
 The constant c_L is treated as a shape parameter: a single multiplicative
 normalization is applied so the masses plus the analytic tail estimate sum
@@ -93,15 +96,28 @@ class SlowlyVaryingFamily:
         return self.evaluate_log(np.log(np.maximum(x, self.x_min)))
 
     def evaluate_log(self, log_x):
-        """L at the point whose natural log is log_x (x_min already applied)."""
+        """L at the point whose natural log is log_x (x_min already applied).
+
+        A family whose denominator leaves the float range there (the
+        logarithmic one at upsilon past about 370 on a support of 10^3 sites,
+        the sub-logarithmic one past about 1080) is refused with ValueError
+        before numpy warns.
+        """
         lx = np.maximum(np.asarray(log_x, dtype=float), math.log(self.x_min))
         u = self.upsilon
-        if self.kind is FamilyKind.SUB_LOGARITHMIC:
-            out = self.c_L / (lx * np.log(lx) ** u)
-        elif self.kind is FamilyKind.LOGARITHMIC:
-            out = self.c_L / lx**u
-        else:
-            out = self.c_L * np.exp(-(lx ** (1.0 / u)))
+        try:
+            with np.errstate(over="raise"):
+                if self.kind is FamilyKind.SUB_LOGARITHMIC:
+                    out = self.c_L / (lx * np.log(lx) ** u)
+                elif self.kind is FamilyKind.LOGARITHMIC:
+                    out = self.c_L / lx**u
+                else:
+                    out = self.c_L * np.exp(-(lx ** (1.0 / u)))
+        except FloatingPointError:
+            raise ValueError(
+                f"the {self.kind.value} family at upsilon={u} leaves the float range "
+                f"at log x = {float(lx.max()):.6g}"
+            ) from None
         return out if out.ndim else float(out)
 
     def tail(self, x: float) -> float:
@@ -109,11 +125,16 @@ class SlowlyVaryingFamily:
 
         A family whose tail integral leaves the float range (the
         super-logarithmic one at upsilon past about 170) is refused with
-        ValueError.
+        ValueError, and so is a logarithmic or sub-logarithmic one whose tail
+        underflows (its power of log x overflows, upsilon past about 370 at
+        x = 10^3).
         """
         if x <= 0:
             raise ValueError(f"tail integral needs x > 0, got {x}")
-        value = self._tail_asymptotic(math.log(max(x, self.x_min)))
+        try:
+            value = self._tail_asymptotic(math.log(max(x, self.x_min)))
+        except OverflowError:  # the power in the denominator: the tail is below the float range
+            value = 0.0
         if x < self.x_min:
             value += float(self.evaluate(self.x_min)) * math.log(self.x_min / x)
         if not 0.0 < value < math.inf:

@@ -27,6 +27,7 @@ replicas in passes.  Both engines build their push matrices from
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ _GEMM_REPLICAS = 8  # replicas per GEMM in the push
 _PASS_BYTES = 24 << 20  # working-set budget of one pass of the quenched engine
 _FILL_ROWS = 8  # rows per diagonal sub-block of the linear-domain block fill; a power of two
 _FILL_VARIATION = 256.0  # largest in-block charge variation filled in the linear domain
+_LINE_DOUBLES = 8  # doubles per 64-byte cache line; every quenched workspace array starts on one
 _TRIMMED_CHUNK = 64  # targets per long-stage GEMM of the trimmed engine
 _TRIMMED_PASS_BYTES = 2 << 20  # working-set budget of one trimmed pass and one sampler chunk
 
@@ -132,15 +134,43 @@ def log_Z(prefix: np.ndarray, kernel: RenewalKernel) -> float:
     return float(lz[n])
 
 
+def _lane_shapes(n: int) -> dict[str, tuple[int, ...]]:
+    """The shape of one row of each array that ``_lane_bytes`` lists, by name."""
+    subs = (_BLOCK // _FILL_ROWS, _FILL_ROWS, _FILL_ROWS)
+    return {
+        "acc": (2, n + 1),
+        "charges": (_BLOCK,),
+        "logs": (2, _BLOCK),
+        "pushed": (_BLOCK,),
+        "diffs": (_BLOCK - 1,),
+        "p": (_BLOCK,),
+        "rel": (_BLOCK,),
+        "up": (_BLOCK,),
+        "down": (_BLOCK,),
+        "a": subs,
+        "power": subs,
+        "inverse": subs,
+        "scaled": (2, _BLOCK),
+        "pair": (2, _FILL_ROWS),
+        "product": (2 * min(_CHUNK, max(0, n + 1 - _BLOCK)),),
+    }
+
+
 def _lane_bytes(n: int) -> int:
     """Working set of one row of the quenched engine over n sites.
 
-    Its charge prefix and both accumulators, 3 (N + 1) doubles, its two rows
-    of one push product, at most 2 min(_CHUNK, N) doubles, and in the fill
-    its matrices A, (I - A)^{-1} and one product, 3 _BLOCK _FILL_ROWS
-    doubles, with six block-wide vectors.
+    Every per-row array the engine keeps in its workspace, in doubles:
+    both accumulators, 2 (N + 1); over one source block, the row's charges,
+    _BLOCK, the logs of its accumulators, 2 _BLOCK, its log p, _BLOCK, and
+    its charge steps, _BLOCK - 1; in the fill, the scaled p, the centred
+    charges and their two exponentials, _BLOCK each, the diagonal
+    sub-blocks A, the doubling powers and products of A and
+    (I - A)^{-1}, _BLOCK _FILL_ROWS each, the filled block, 2 _BLOCK, and
+    the earlier sub-blocks' push into one sub-block, 2 _FILL_ROWS; and its
+    two rows of one push product, 2 min(_CHUNK, N + 1 - _BLOCK).  Per-row
+    scalars (maxima, offsets, scales) are not counted.
     """
-    return 8 * (3 * (n + 1) + 2 * min(_CHUNK, n) + 3 * _BLOCK * _FILL_ROWS + 6 * _BLOCK)
+    return 8 * sum(math.prod(shape) for shape in _lane_shapes(n).values())
 
 
 def _push_bytes(n: int) -> int:
@@ -157,6 +187,50 @@ def _pass_lanes(n: int) -> int:
     return _GEMM_REPLICAS * max(1, room // (_GEMM_REPLICAS * _lane_bytes(n)))
 
 
+# this thread's workspace of the quenched engine: see _workspace
+_WORKSPACES = threading.local()
+
+
+def _workspace(n: int, lanes: int) -> dict[str, np.ndarray]:
+    """This thread's quenched-engine workspace for passes of ``lanes`` rows over n sites.
+
+    Returns one array per name: the push operand, (_BLOCK, N + 1 - _BLOCK),
+    and each array ``_lane_bytes`` lists, ``lanes`` rows of it, all carved
+    from one float64 buffer of _push_bytes(n) + lanes _lane_bytes(n) bytes,
+    plus at most one 64-byte cache line per array: each starts on a line.
+    The buffer belongs to the calling thread and outlives the call, so the
+    engine's block arrays stay mapped from one call to the next instead of
+    being mapped, trimmed and mapped again block after block.  It only
+    grows: a call that needs more than it holds replaces it, and it is
+    freed with its thread.  Its size is the largest working set a call in
+    that thread has had, which _PASS_BYTES bounds as long as one group of
+    rows and the push operand fit in it (N below 38 330).
+
+    Module state is acceptable here because the workspace carries no value
+    between calls: every element a call reads, it has written earlier in
+    the same call.  A thread never runs two engine calls at once, and no
+    thread sees another's buffer; nothing the engine returns is a view of it.
+    """
+    shapes = {"push": (_BLOCK, max(0, n + 1 - _BLOCK))}
+    shapes.update((name, (lanes, *shape)) for name, shape in _lane_shapes(n).items())
+    lines = {name: -(-math.prod(shape) // _LINE_DOUBLES) * _LINE_DOUBLES for name, shape in shapes.items()}
+    total = sum(lines.values()) + _LINE_DOUBLES
+    flat = getattr(_WORKSPACES, "flat", None)
+    if flat is None or flat.size < total:
+        _WORKSPACES.flat = flat = None  # unmap the old buffer before mapping a larger one
+        flat = _WORKSPACES.flat = np.empty(total)
+    arrays, used = {}, -flat.ctypes.data % 64 // 8
+    for name, shape in shapes.items():
+        arrays[name] = flat[used : used + math.prod(shape)].reshape(shape)
+        used += lines[name]
+    return arrays
+
+
+def _shaped(array: np.ndarray, *shape: int) -> np.ndarray:
+    """A C-contiguous array of ``shape`` at the start of a workspace array."""
+    return array.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
 def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     """Quenched log Z_N of every row of an (R, N+1) charge-prefix array.
 
@@ -164,11 +238,10 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     a(j) = Z(j) and b(j) = Z(j) e^{-S_j}:
     Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Rows go through in passes of
     ``_pass_lanes(N)`` rows, whole groups of _GEMM_REPLICAS rows whose
-    working set fits _PASS_BYTES beside the push operand; the accumulator
-    buffer and the push operand are allocated once per call.  The last
-    group of a pass is zero-padded; its padded rows enter the GEMMs, which
-    always see whole groups, and nothing else: the per-row work, every log
-    and every division, runs on live rows only.
+    working set fits _PASS_BYTES beside the push operand.  The last group
+    of a pass is zero-padded; its padded rows enter the GEMMs, which always
+    see whole groups, and nothing else: the per-row work, every log and
+    every division, runs on live rows only.
     Every GEMM is one group's own product, stacked over the pass's groups in
     one ``np.matmul`` call.  Sources are cut into blocks of _BLOCK sites.
     Inside a block Z solves (I - L) z = p, with p the part pushed from
@@ -180,6 +253,12 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     with Toeplitz(K) GEMMs of _CHUNK targets each, column slices of one
     contiguous push operand built once per call, and added to per-target
     linear accumulators that share one log scale per replica and channel.
+    The push operand, the accumulators and every per-block array, the
+    fill's included, live in this thread's ``_workspace``, written with
+    ``out=``: the block loop allocates only per-row scalars (and the log
+    fill of steep rows), and the workspace's pages stay mapped between
+    calls.  It is grow-only, as large as the largest pass the thread has
+    run: at most _PASS_BYTES, or one group of rows beside the push operand.
     A row holding a non-finite charge gives NaN.  A row's value depends
     neither on the other rows' values, nor on the pass width, nor on its
     slot in its group.
@@ -207,46 +286,54 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     # gaps[_BLOCK - u:] = log K(u)/2, ..., log K(1)/2, 0: the weights of row u
     # of a block over its sources 0..u-1 and over its own pushed part
     gaps = np.append(kernel.log_masses[_BLOCK:0:-1] - _LOG2, 0.0)
+    lanes = min(_pass_lanes(n), _GEMM_REPLICAS * -(-len(rows) // _GEMM_REPLICAS))
+    ws = _workspace(n, lanes)
     # push[u, t] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t.
     # OpenBLAS rounds a row of a product with a transposed operand by the
     # row's slot in its group at some widths; on column slices of this
     # contiguous array it does not
-    targets = max(0, n + 1 - _BLOCK)
-    push = np.ascontiguousarray(_toeplitz_view(kernel.masses[1:], _BLOCK)[:targets].T)
-    lanes = min(_pass_lanes(n), _GEMM_REPLICAS * -(-len(rows) // _GEMM_REPLICAS))
+    push = ws["push"]
+    np.copyto(push, _toeplitz_view(kernel.masses[1:], _BLOCK)[: push.shape[1]].T)
     # acc[:, 0, m] e^{ref[:, 0]}, acc[:, 1, m] e^{ref[:, 1]}: sum_j K(m - j) a(j),
     # b(j) over pushed blocks.  ref is the largest block offset pushed so
     # far, so every target holds at least K(m - j0) times the value 1 of
     # that block's largest source: nothing in acc that carries weight
     # underflows, and what a rescale drops was negligible
-    acc_all = np.empty((lanes, 2, n + 1))
     # BLAS may sum in an order that follows the matrix shape, so every GEMM
     # takes one zero-padded group of _GEMM_REPLICAS replicas and never sees R
     for p0 in range(0, len(rows), lanes):
         batch = rows[p0 : p0 + lanes]
         live = len(batch)
         width = _GEMM_REPLICAS * -(-live // _GEMM_REPLICAS)
-        s, acc = prefix[batch], acc_all[:width]
+        acc = ws["acc"][:width]
         acc.fill(0.0)  # padded rows only ever gain zeros here
         ref = np.full((live, 2), -np.inf)
         for j0 in range(0, n + 1, _BLOCK):
             j1 = min(j0 + _BLOCK, n + 1)
-            charges = s[:, j0:j1]
+            span = j1 - j0
+            # batch holds valid rows; "clip" only keeps take from buffering out
+            charges = np.take(prefix[:, j0:j1], batch, axis=0, mode="clip",
+                              out=_shaped(ws["charges"], live, span))
+            pushed = ws["pushed"][:live, :span]
             if j0 == 0:
-                pushed = np.full((live, j1), -np.inf)
+                pushed.fill(-np.inf)
                 pushed[:, 0] = 0.0
             else:
-                logs = np.log(acc[:live, :, j0:j1]) + ref[:, :, None]
-                pushed = np.logaddexp(logs[:, 0], charges + logs[:, 1]) - _LOG2
-            steep = np.abs(np.diff(charges, axis=1)).sum(axis=1) > _FILL_VARIATION
+                logs = np.log(acc[:live, :, j0:j1], out=ws["logs"][:live, :, :span])
+                logs += ref[:, :, None]
+                logs[:, 1] += charges
+                np.logaddexp(logs[:, 0], logs[:, 1], out=pushed)
+                pushed -= _LOG2
+            diffs = np.subtract(charges[:, 1:], charges[:, :-1], out=ws["diffs"][:live, : span - 1])
+            steep = np.abs(diffs, out=diffs).sum(axis=1) > _FILL_VARIATION
             # a = scaled[:, 0] e^{offset[:, 0]}, b = scaled[:, 1] e^{offset[:, 1]}
             # on the live rows; the padded rows of scaled stay 0
-            scaled, offset = _fill_linear(pushed, charges, steep, width, diagonal, earlier)
+            scaled, offset = _fill_linear(pushed, charges, steep, width, diagonal, earlier, ws)
             filled = scaled[:live]
             if steep.any():
                 block = _fill_log(pushed[steep], charges[steep] - charges[steep, :1], gaps)
                 top = block.max(axis=2)
-                filled[steep, :, : j1 - j0] = np.exp(block - top[:, :, None])
+                filled[steep, :, :span] = np.exp(block - top[:, :, None])
                 top[:, 1] -= charges[steep, 0]
                 offset[steep] = top
             if j1 > n:
@@ -263,19 +350,23 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
             stacked = scaled.reshape(-1, 2 * _GEMM_REPLICAS, _BLOCK)
             for t0 in range(0, n + 1 - j1, _CHUNK):
                 t1 = min(t0 + _CHUNK, n + 1 - j1)
-                target = acc[:, :, j1 + t0 : j1 + t1]
-                target += np.matmul(stacked, push[:, t0:t1]).reshape(width, 2, t1 - t0)
+                product = _shaped(ws["product"], len(stacked), 2 * _GEMM_REPLICAS, t1 - t0)
+                np.matmul(stacked, push[:, t0:t1], out=product)
+                acc[:, :, j1 + t0 : j1 + t1] += product.reshape(width, 2, t1 - t0)
     return out
 
 
-def _fill_linear(pushed, charges, steep, width, diagonal, earlier):
+def _fill_linear(pushed, charges, steep, width, diagonal, earlier, ws):
     """Solve one block's (I - L) z = p in the linear domain, all live rows at once.
 
     ``pushed`` holds log p and ``charges`` the block's S, one row per live
     replica; ``width`` is the live count rounded up to whole groups of
-    _GEMM_REPLICAS.  Returns ``scaled`` (width, 2, _BLOCK), zero past the
-    live rows, and ``offset`` (live, 2), with a = scaled[:, 0] e^{offset[:, 0]}
-    and b = scaled[:, 1] e^{offset[:, 1]} on the live rows.
+    _GEMM_REPLICAS; ``diagonal`` and ``earlier`` are the diagonal sub-block
+    and the earlier blocks of Toeplitz(K/2), and ``ws`` is the caller's
+    ``_workspace``, which holds every array of the fill.  Returns ``scaled``
+    (width, 2, _BLOCK), a view of the workspace, zero past the live rows,
+    and ``offset`` (live, 2), with a = scaled[:, 0] e^{offset[:, 0]} and
+    b = scaled[:, 1] e^{offset[:, 1]} on the live rows.
     p is scaled by its row maximum and the charges are centred at the
     mid-range `mid` of the row, so that x = z e^{-max log p} and
     y = x e^{mid - S} are what the block holds.  Rows are solved in
@@ -305,36 +396,51 @@ def _fill_linear(pushed, charges, steep, width, diagonal, earlier):
     mid = 0.5 * (charges.max(axis=1) + charges.min(axis=1))
     # past the block's span (its last block only) p = 0 and flat charges
     # keep the trailing rows finite; nothing reads them
-    p = np.zeros((live, _BLOCK))
-    np.exp(pushed - top[:, None], out=p[:, :span])
-    rel = np.zeros((live, _BLOCK))
-    rel[:, :span] = charges - mid[:, None]
+    p, rel = ws["p"][:live], ws["rel"][:live]
+    if span < _BLOCK:
+        p[:, span:] = 0.0
+        rel[:, span:] = 0.0
+    np.subtract(pushed, top[:, None], out=p[:, :span])
+    np.exp(p[:, :span], out=p[:, :span])
+    np.subtract(charges, mid[:, None], out=rel[:, :span])
     rel[steep] = 0.0
-    up, down = np.exp(rel), np.exp(-rel)  # e^{S_u - mid}, e^{mid - S_v}
+    up = np.exp(rel, out=ws["up"][:live])  # e^{S_u - mid}
+    down = np.negative(rel, out=ws["down"][:live])
+    np.exp(down, out=down)  # e^{mid - S_v}
     # the diagonal sub-blocks A of every sub-block at once, and their
     # inverses sum_{k<_FILL_ROWS} A^k = (I + A)(I + A^2)...(I + A^{_FILL_ROWS/2})
     subs = (live, -(-span // _FILL_ROWS), _FILL_ROWS)
     cut = subs[1] * _FILL_ROWS
-    a = up[:, :cut].reshape(subs)[..., :, None] * down[:, :cut].reshape(subs)[..., None, :]
+    a, power, inverse = (ws[name][:live, : subs[1]] for name in ("a", "power", "inverse"))
+    np.multiply(up[:, :cut].reshape(subs)[..., :, None], down[:, :cut].reshape(subs)[..., None, :], out=a)
     a += 1.0
     a *= diagonal
-    inverse = a + np.eye(_FILL_ROWS)
+    np.add(a, np.eye(_FILL_ROWS), out=inverse)
     for _ in range(_FILL_ROWS.bit_length() - 2):
-        a = np.matmul(a, a)
-        inverse += np.matmul(a, inverse)
-    scaled = np.zeros((width, 2, _BLOCK))
+        # power = A^{2^k}; the old A's buffer takes the product with the inverse
+        np.matmul(a, a, out=power)
+        np.matmul(power, inverse, out=a)
+        inverse += a
+        a, power = power, a
+    scaled = ws["scaled"][:width]
+    scaled.fill(0.0)
     flat = scaled.reshape(2 * width, _BLOCK)
+    x, y = scaled[:live, 0, :, None], scaled[:live, 1]
+    pair = ws["pair"][:width]
+    products = pair.reshape(-1, 2 * _GEMM_REPLICAS, _FILL_ROWS)
+    direct, coupled = pair[:live, 0], pair[:live, 1]
     for q, r0 in enumerate(range(0, span, _FILL_ROWS)):
         r1 = r0 + _FILL_ROWS
         c = p[:, r0:r1]
         if q:
             grouped = flat[:, :r0].reshape(-1, 2 * _GEMM_REPLICAS, r0)
-            pair = np.matmul(grouped, earlier[q - 1]).reshape(width, 2, _FILL_ROWS)
-            c += pair[:live, 0]
-            c += up[:, r0:r1] * pair[:live, 1]
-        z = np.matmul(inverse[:, q], c[:, :, None])[:, :, 0]
-        scaled[:live, 0, r0:r1] = z
-        np.multiply(z, down[:, r0:r1], out=scaled[:live, 1, r0:r1])
+            np.matmul(grouped, earlier[q - 1], out=products)
+            c += direct
+            coupled *= up[:, r0:r1]
+            c += coupled
+        # z goes straight into its rows of the x channel
+        np.matmul(inverse[:, q], c[:, :, None], out=x[:, r0:r1])
+        np.multiply(x[:, r0:r1, 0], down[:, r0:r1], out=y[:, r0:r1])
     # a unit maximum per live row and channel, as the caller's push assumes
     filled = scaled[:live]
     peak = filled[:, :, :span].max(axis=2)

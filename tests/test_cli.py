@@ -161,6 +161,26 @@ def test_family_past_the_float_range_exits_2_without_artifact_or_warning(tmp_pat
 @pytest.mark.parametrize(
     "args",
     [
+        ["kernel-info", "--family", "logarithmic", "--upsilon", "400"],
+        ["kernel-info", "--family", "sub-logarithmic", "--upsilon", "1100"],
+        ["bounds", "--family", "logarithmic", "--upsilon", "1100", "--beta", "1", "--h-grid", "0.2,0.1"],
+    ],
+    ids=["kernel-info-log-400", "kernel-info-sub-1100", "bounds-log-1100"],
+)
+def test_large_upsilon_exits_2_naming_family_and_upsilon_without_warning(capsys, args):
+    # L's or the tail's power of log x leaves the float range: refused by a
+    # message that names the family and upsilon, and numpy never warns
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(args) == 2
+    assert caught == []
+    family, upsilon = args[args.index("--family") + 1], float(args[args.index("--upsilon") + 1])
+    assert f"the {family} family at upsilon={upsilon} leaves the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
         ["sweep", "--beta", "1.0", "--h-grid", "0.4,-0.1", "--n", "2000", "--replicas", "16",
          "--seed", "5"],
         ["verify", "coarse", "--seed", "3"],

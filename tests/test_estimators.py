@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -226,6 +228,88 @@ def test_engine_part_filled_groups_equal_full_groups(log_kernel_small):
             np.testing.assert_array_equal(_log_z_replicas(prefix[:count], log_kernel_small), full[:count])
 
 
+def _in_fresh_thread(call, *args):
+    # the call's result, computed in a thread of its own, so on a workspace
+    # that no earlier call has touched
+    result = []
+    worker = threading.Thread(target=lambda: result.append(call(*args)))
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    return result[0]
+
+
+def _engine_rows(n, replicas, seed, steep=(), nan=()):
+    # Gaussian charge rows at beta = 1, h = 0.3, or h = 8 on the steep rows,
+    # with a NaN charge in the rows of ``nan``
+    prefix = np.array([
+        charge_prefix(GAUSSIAN, 1.0, 8.0 if i in steep else 0.3, _draw(GAUSSIAN, n, [spawn_rng(seed, i)])[0])
+        for i in range(replicas)
+    ])
+    prefix[list(nan), 5] = np.nan
+    return prefix
+
+
+def test_engine_workspace_reuse_keeps_every_call_bit_equal_to_a_fresh_thread(log_kernel_small, monkeypatch):
+    # one thread runs calls that shrink and then grow its workspace: a wide
+    # pass, a small call with a steep and a NaN row, a call of 3 passes
+    # under a one-group budget, and the wide pass again; each value equals
+    # the same call's in a fresh thread bit for bit
+    wide = _engine_rows(200, 100, 31)
+    small = _engine_rows(70, 3, 32, steep=(0,), nan=(2,))
+    steep = np.abs(np.diff(small[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
+    assert steep.tolist() == [True, False, False]
+    passes_n = 2 * _BLOCK + 5
+    passes = _engine_rows(passes_n, 20, 33)
+    budget = _push_bytes(passes_n) + _GEMM_REPLICAS * _lane_bytes(passes_n)
+    for prefix in (wide, small, passes, wide):
+        with monkeypatch.context() as patch:
+            if prefix is passes:
+                patch.setattr(partition, "_PASS_BYTES", budget)
+                assert _pass_lanes(passes_n) == _GEMM_REPLICAS
+            got = _log_z_replicas(prefix, log_kernel_small)
+            fresh = _in_fresh_thread(_log_z_replicas, prefix, log_kernel_small)
+        assert np.isnan(got).sum() == (prefix is small)
+        np.testing.assert_array_equal(got, fresh)
+
+
+def test_engine_threads_give_their_serial_values(log_kernel_small):
+    # four threads, more than the two cores, each with a workspace of its
+    # own, run different shapes in turn with a short switch interval; every
+    # value equals its serial value bit for bit
+    shapes = [
+        _engine_rows(200, 100, 41),
+        _engine_rows(70, 3, 42, steep=(0,), nan=(2,)),
+        _engine_rows(2 * _BLOCK + 5, 20, 43),
+        _engine_rows(1000, 9, 44, steep=(4,)),
+    ]
+    serial = [_log_z_replicas(prefix, log_kernel_small) for prefix in shapes]
+    start = threading.Barrier(len(shapes))
+    results = [[] for _ in shapes]
+
+    def work(t):
+        start.wait(timeout=60)
+        for k in range(2 * len(shapes)):
+            i = (t + k) % len(shapes)
+            results[t].append((i, _log_z_replicas(shapes[i], log_kernel_small)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(t,)) for t in range(len(shapes))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for runs in results:
+        assert len(runs) == 2 * len(shapes)
+        for i, values in runs:
+            np.testing.assert_array_equal(values, serial[i])
+
+
 @pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
 def test_replica_log_z_charge_rows_equal_single_rows(log_kernel_small, law):
     # the bulk charge rows of a 3-field grid give the values of rows built
@@ -289,7 +373,8 @@ def test_replica_log_z_working_set_is_bounded_by_the_pass_budget(big_kernels):
     # at N = 8000 one pass holds every row of R = 8 and of R = 64; the
     # traced peak, less the charge rows of the source, stays within the
     # working set _pass_lanes counts (the push operand once per call, each
-    # row's lane), and it grows by one charge row and one lane per row
+    # row's lane), and it grows by one charge row and one lane per row.  Each
+    # call runs in a fresh thread, so the peak includes its whole workspace
     import tracemalloc
 
     n = 8000
@@ -299,7 +384,7 @@ def test_replica_log_z_working_set_is_bounded_by_the_pass_budget(big_kernels):
     for replicas in (8, 64):
         tracemalloc.start()
         try:
-            est.replica_log_z(big_kernels["log"], GAUSSIAN, 1.0, 0.4, n, 2, replicas)
+            _in_fresh_thread(est.replica_log_z, big_kernels["log"], GAUSSIAN, 1.0, 0.4, n, 2, replicas)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,30 @@ def test_family_past_the_float_range_is_refused_by_name(family, match):
             family.tail(1000.0)
     with pytest.raises(ValueError, match=message):
         build_kernel(family, 1000)
+
+
+@pytest.mark.parametrize(
+    "kind, upsilon, call",
+    [
+        (FamilyKind.LOGARITHMIC, 400.0, "kernel"),
+        (FamilyKind.SUB_LOGARITHMIC, 1100.0, "kernel"),
+        (FamilyKind.LOGARITHMIC, 1100.0, "tail"),
+        (FamilyKind.SUB_LOGARITHMIC, 1100.0, "tail"),
+    ],
+    ids=["log-400-kernel", "sub-1100-kernel", "log-1100-tail", "sub-1100-tail"],
+)
+def test_large_upsilon_leaving_the_float_range_is_refused_by_name(kind, upsilon, call):
+    # the power of log x in L's denominator overflows on a support of 10^3
+    # sites, and in the tail's denominator at x = 10^3 or 10^300: a
+    # ValueError naming the family and upsilon, raised before numpy warns
+    family = SlowlyVaryingFamily(kind, upsilon)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"the {kind.value} .* at upsilon={upsilon} "):
+            if call == "kernel":
+                build_kernel(family, 1000)
+            else:
+                family.tail(1e300 if kind is FamilyKind.SUB_LOGARITHMIC else 1000.0)
 
 
 def test_tail_monotone_decreasing(families):
