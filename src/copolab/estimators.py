@@ -51,7 +51,6 @@ from .partition import (
     _trimmed_log_z_replicas,
     _trimmed_pass_rows,
     _trimmed_size,
-    charge_prefix,
 )
 
 __all__ = [
@@ -263,26 +262,37 @@ def trimmed_plan(
     return Trimmed(M=big_m, k=k, m=int(n / (big_m * big_m * log_m)), N=n)
 
 
-def _first_moment_product_log(kernel, plan, h) -> float:
-    # product bound: (1/2 sum_long K)^m (1/2 sum_short e^{hn} K)^m K(N)/3
+def _pair_log_weight(kernel, plan, h) -> float:
+    """log (1/2 sum K over [M, M^2]) + log (1/2 sum K(l) e^{hl} over [1, k]).
+
+    The total weight of one long and one short stage of the disorder mean:
+    the sums that normalize the two jump laws of ``independent_jumps_law``.
+    The product bound and the backward-recursion mean both take it from here.
+    """
     long_sum = float(kernel.masses[plan.M : plan.M * plan.M + 1].sum())
     short_n = np.arange(1, plan.k + 1, dtype=float)
     short_sum = float((kernel.masses[1 : plan.k + 1] * np.exp(h * short_n)).sum())
-    return (
-        plan.m * (math.log(0.5 * long_sum) + math.log(0.5 * short_sum))
-        + math.log(kernel.masses[plan.N] / 3.0)
-    )
+    return math.log(0.5 * long_sum) + math.log(0.5 * short_sum)
+
+
+def _first_moment_product_log(kernel, plan, h) -> float:
+    # product bound: (1/2 sum_long K)^m (1/2 sum_short e^{hn} K)^m K(N)/3
+    return plan.m * _pair_log_weight(kernel, plan, h) + math.log(kernel.masses[plan.N] / 3.0)
 
 
 def _independent_jump_backward(kernel, plan, h):
-    """Backward weight arrays of the pinned alternating ensemble.
+    """Backward weight arrays of the pinned alternating ensemble, and its mean.
 
     Jump weights come from the independent-jumps law at field h (each
     coordinate a proper conditional; per-stage normalization drops out of
     conditionals).
     Stage g in 1..2m consumes gap g; B[g][x] is the weight of completing the
     path from position x after g gaps, including the closing jump to N.
-    Each stage is rescaled to a unit maximum.  Returns (B, long_w, short_w).
+    Each stage is rescaled to a unit maximum, and the log scales add up, so
+    the same recursion gives the exact disorder mean of the trimmed Z_N:
+    log E Z = log B[0][0] + sum of log scales + m ``_pair_log_weight`` -
+    log 2, the last term the 1/2 of the closing excursion.  Returns
+    (B, long_w, short_w, log E Z).
     """
     size = _trimmed_size(kernel, plan)
     if size == 0:
@@ -296,6 +306,7 @@ def _independent_jump_backward(kernel, plan, h):
 
     stages = [None] * (2 * m + 1)
     stages[2 * m] = final
+    log_scale = 0.0
     for g in range(2 * m, 0, -1):
         w = long_w if g % 2 == 1 else short_w
         start = big_m if g % 2 == 1 else 1
@@ -306,8 +317,10 @@ def _independent_jump_backward(kernel, plan, h):
         if top <= 0.0:
             raise ValueError("trimmed ensemble is empty for this plan")
         nxt /= top
+        log_scale += math.log(top)
         stages[g - 1] = nxt
-    return stages, long_w, short_w
+    log_mean = math.log(stages[0][0]) + log_scale + m * _pair_log_weight(kernel, plan, h) - math.log(2.0)
+    return stages, long_w, short_w, log_mean
 
 
 def _sample_short_intervals(steps, draws):
@@ -361,9 +374,11 @@ def trimmed_moment_check(
     normalized second moment -- replica averages of (Z/EZ)^2 versus the
     overlap expectation under the tilted independent-jump path law -- which
     the identity says must agree; (c) the induction bound envelope.  The
-    exact mean in (a) is the batched trimmed engine on the zero-disorder
-    charges (h per site); the replicas of (b) go through the same engine,
-    one engine pass of ``_replica_prefixes`` rows at a time, and the overlap
+    exact mean in (a) comes from the backward recursion of the path sampler,
+    ``_independent_jump_backward``, run after the replicas: its stage log
+    scales plus the pair weights of ``_pair_log_weight``.  The replicas of
+    (b) go through the batched trimmed engine in one call, one engine pass
+    of ``_replica_prefixes`` rows at a time, and the overlap
     paths are drawn from one stream, spawn_rng(seed, 1_000_000), for as
     many replica pairs at a time as _TRIMMED_PASS_BYTES holds of their
     sampler rows.  Neither the pass nor the pair chunk moves a value.
@@ -377,15 +392,15 @@ def trimmed_moment_check(
     span = _trimmed_size(kernel, plan) - 1
     if span < 0:
         raise ValueError("trimmed ensemble is empty for this plan")
-    # the disorder mean is the engine on the single zero-disorder charge row
-    mean_prefix = charge_prefix(law, 0.0, h, np.zeros(span))
-    exact_log_mean = float(_trimmed_log_z_replicas(mean_prefix[None], kernel, plan)[0])
-    product_log = _first_moment_product_log(kernel, plan, h)
 
-    # (b) left side: disorder replicas of (Z restricted / exact mean)^2
+    # (b) left side: disorder replicas of (Z restricted / exact mean)^2; the
+    # backward recursion, which also gives the mean, runs after the passes,
+    # so its stage arrays never sit beside the pass buffers
     pass_rows = _trimmed_pass_rows(plan, span + 1)
     blocks = _replica_prefixes(law, beta, h, span, seed, replicas, pass_rows)
     log_zt = _trimmed_log_z_replicas(blocks, kernel, plan)
+    stages, long_w, short_w, exact_log_mean = _independent_jump_backward(kernel, plan, h)
+    product_log = _first_moment_product_log(kernel, plan, h)
     lhs_vals = np.exp(2.0 * (log_zt - exact_log_mean))
     lhs_mean = float(lhs_vals.mean())
     lhs_sigma = float(lhs_vals.std(ddof=1) / math.sqrt(replicas))
@@ -394,7 +409,6 @@ def trimmed_moment_check(
     # takes the next 2 x 2m uniforms of one stream, first path then second,
     # drawn for as many pairs at a time as their sampler rows fit
     # _TRIMMED_PASS_BYTES: a path holds at most 4 rows of len(long_w) doubles
-    stages, long_w, short_w = _independent_jump_backward(kernel, plan, h)
     steps = []
     for g in range(1, 2 * plan.m + 1):
         w, start = (long_w, plan.M) if g % 2 else (short_w, 1)

@@ -225,12 +225,6 @@ class RenewalKernel:
     tail_mass: float
     normalization: float
 
-    def mass(self, n: int) -> float:
-        """K(n) for n in the support 1..support_cap."""
-        if not 1 <= n <= self.support_cap:
-            raise ValueError(f"n={n} outside kernel support 1..{self.support_cap}")
-        return float(self.masses[n])
-
     @cached_property
     def log_masses(self) -> np.ndarray:
         out = np.full(self.support_cap + 1, -np.inf)

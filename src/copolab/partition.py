@@ -615,15 +615,22 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     matrix T[c, r] = K(r + M^2 - c)/2 over gaps in [M, M^2], applied to
     each group as (8, W) @ (W, _TRIMMED_CHUNK) GEMMs, one per chunk of the
     targets that the support [s_lo, s_hi] left by the previous stage
-    reaches: the chunks whose whole source window lies inside the support
-    go in one ``np.matmul`` over strided windows of the pass, stacked over
-    its groups and chunks, and each edge chunk in one stacked call on the
-    Toeplitz rows that meet the support.  The short stage uses the k charge
-    rows e^{S[x] - S[x-l]} K(l)/2.  Every stage is rescaled to a unit
-    maximum per row with per-row log offsets; a row whose maximum is 0, or
-    whose closing sum is 0, gives -inf.  Every product keeps one group's
-    shape, so a row's value depends neither on R, nor on the pass width,
-    nor on the other rows.
+    reaches and that can still reach the closing: with s pairs done, a long
+    target leaves room for this pair's short excursion and (m - 1 - s)(M + 1)
+    sites, a short target for the (m - 1 - s)(M + 1) sites alone, below
+    size; the targets cut are exactly those whose paths would be clipped at
+    size - 1 later.  The chunks whose whole source window lies inside the
+    support, a range found by arithmetic, go in one ``np.matmul`` over
+    strided windows of the pass, stacked over its groups and chunks, and
+    each edge chunk in one stacked call on the Toeplitz rows that meet the
+    support.  The short stage uses the k charge rows e^{S[x] - S[x-l]}
+    K(l)/2, built with one ``exp`` per pass: row l is row l - 1 shifted by
+    one site times the l = 1 row.  The long stage's output is at most sum
+    K/2 <= 1/2 of the unit maximum it starts from, so each pair is rescaled
+    once, after its short stage, to a unit maximum per row with per-row log
+    offsets; a row whose maximum is 0, or whose closing sum is 0, gives
+    -inf.  Every product keeps one group's shape, so a row's value depends
+    neither on R, nor on the pass width, nor on the other rows.
     """
     blocks = (prefix,) if isinstance(prefix, np.ndarray) else prefix
     size = _trimmed_size(kernel, plan)
@@ -684,49 +691,59 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
             charge_all = np.zeros((k, padded, size))
         f, g, charge = f_all[:padded], g_all[:padded], charge_all[:, :padded]
         f3, g3 = f.reshape(-1, _GEMM_REPLICAS, f.shape[1]), g.reshape(-1, _GEMM_REPLICAS, g.shape[1])
+        # one exp per pass: e^{S[x] - S[x-l]} is row l - 1 at x - 1 times the
+        # l = 1 row at x, so every row is a product of shifted l = 1 rows
+        step = charge[0, :, 1:]
+        np.subtract(rows[:, 1:size], rows[:, : size - 1], out=step[:live])
+        step[live:] = 0.0  # padding rows carry zero charges
+        np.exp(step, out=step)
+        for ell in range(2, k + 1):
+            np.multiply(charge[ell - 2, :, ell - 1 : -1], step[:, ell - 1 :], out=charge[ell - 1, :, ell:])
         for ell in range(1, k + 1):
-            np.subtract(rows[:, ell:size], rows[:, : size - ell], out=charge[ell - 1, :live, ell:])
-        charge[:, live:] = 0.0  # padding rows carry zero charges
-        for ell in range(1, k + 1):
-            rows_l = charge[ell - 1, :, ell:]
-            np.exp(rows_l, out=rows_l)
-            rows_l *= short_w[ell - 1]
+            charge[ell - 1, :, ell:] *= short_w[ell - 1]
         f[:, lead : lead + size] = 0.0
         f[:, lead] = 1.0
         log_scale = np.zeros(padded)
         dead = np.zeros(padded, dtype=bool)
         s_lo = s_hi = 0  # f is zero outside positions s_lo..s_hi
-        for _ in range(m):
+        for pair in range(m):
+            # a long target must leave room for this pair's short excursion
+            # and the m - 1 - pair pairs after it, M + 1 sites each: a path
+            # past reach - 1 only reaches positions past size - 1, where the
+            # engine drops it anyway
+            reach = size - 1 - (m - 1 - pair) * (big_m + 1)
             # g holds the long stage on its targets [lo, hi] and is read
-            # nowhere else; chunk t0 reads sources t0 - M^2 .. t0 + chunk - 1 - M,
-            # the f columns t0 .. t0 + width - 1
-            lo, hi = s_lo + big_m, min(s_hi + lead, size - 1)
-            inner = []
-            for t0 in range(lo, hi + 1, chunk):
+            # nowhere else; chunk t0 = lo + j chunk reads sources
+            # t0 - M^2 .. t0 + chunk - 1 - M, the f columns t0 .. t0 + width - 1,
+            # which all lie in the support for inner_lo <= j < inner_hi
+            lo, hi = s_lo + big_m, min(s_hi + lead, reach - 1)
+            chunks = -(-(hi + 1 - lo) // chunk)
+            inner_lo = -(-(lead - big_m) // chunk)
+            inner_hi = min(chunks, (s_hi + 1 - s_lo) // chunk)
+            for j in [*range(min(inner_lo, chunks)), *range(max(inner_lo, inner_hi), chunks)]:
+                t0 = lo + j * chunk
                 c_lo, c_hi = max(0, s_lo + lead - t0), min(width, s_hi + lead + 1 - t0)
-                if c_lo == 0 and c_hi == width:
-                    inner.append(t0)
-                else:
-                    np.matmul(
-                        f3[:, :, t0 + c_lo : t0 + c_hi],
-                        toeplitz[c_lo:c_hi],
-                        out=g3[:, :, lead + t0 : lead + t0 + chunk],
-                    )
-            if inner:
                 np.matmul(
-                    windows(f, inner[0], len(inner), width),
-                    toeplitz,
-                    out=windows(g, lead + inner[0], len(inner), chunk),
+                    f3[:, :, t0 + c_lo : t0 + c_hi],
+                    toeplitz[c_lo:c_hi],
+                    out=g3[:, :, lead + t0 : lead + t0 + chunk],
                 )
-            rescale(g[:, lead + lo : lead + hi + 1])
+            if inner_hi > inner_lo:
+                first = lo + inner_lo * chunk
+                np.matmul(
+                    windows(f, first, inner_hi - inner_lo, width),
+                    toeplitz,
+                    out=windows(g, lead + first, inner_hi - inner_lo, chunk),
+                )
             # the short stage leaves f on [lo + 1, top]: l = 1 writes it up
             # to hi + 1, and zeros cover the rest of that range and the part
-            # of the old support left of it
-            top = min(hi + k, size - 1)
+            # of the old support left of it.  g is at most max(f) sum K/2 over
+            # [M, M^2] <= 1/2, so one rescale per pair, after the short stage
+            top = min(hi + k, reach)
             f[:, lead + s_lo : lead + lo + 1] = 0.0
-            f[:, lead + min(hi + 1, size - 1) + 1 : lead + top + 1] = 0.0
+            f[:, lead + hi + 2 : lead + top + 1] = 0.0
             for ell in range(1, k + 1):
-                a, b = lead + lo + ell, lead + min(hi + ell, size - 1) + 1
+                a, b = lead + lo + ell, lead + min(hi + ell, top) + 1
                 terms = g[:, a - ell : b - ell], charge[ell - 1, :, a - lead : b - lead]
                 if ell == 1:
                     np.multiply(*terms, out=f[:, a:b])

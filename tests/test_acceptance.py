@@ -142,7 +142,7 @@ def test_criterion_2_annealed_limits(log_kernel_4000):
     lo, hi = 0.5 - 20 * math.log(n) / n, 0.5
     ok_loc = lo <= localized <= hi
     delocalized = log_annealed_Z(log_kernel_4000, n, -0.2)
-    floor = 2 * math.log(log_kernel_4000.mass(n) / 2) / n
+    floor = 2 * math.log(log_kernel_4000.masses[n] / 2) / n
     ok_del = floor <= delocalized / n <= 0.0
     elapsed = time.time() - start
     ok = ok_loc and ok_del and elapsed < 30.0

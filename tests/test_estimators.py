@@ -50,7 +50,7 @@ def test_estimate_delocalized_window(log_kernel_small):
     got = est.sweep_free_energy(
         log_kernel_small, GAUSSIAN, beta=1.0, h_values=[-0.5], n=n, replicas=32, seed=7
     )[0]
-    floor = 2.0 * math.log(log_kernel_small.mass(n) / 2.0) / n
+    floor = 2.0 * math.log(log_kernel_small.masses[n] / 2.0) / n
     assert floor <= got.mean_log_z_per_site <= 0.0
 
 
@@ -374,12 +374,15 @@ def test_replica_log_z_working_set_is_bounded_by_the_pass_budget(big_kernels):
     # traced peak, less the charge rows of the source, stays within the
     # working set _pass_lanes counts (the push operand once per call, each
     # row's lane), and it grows by one charge row and one lane per row.  Each
-    # call runs in a fresh thread, so the peak includes its whole workspace
+    # call runs in a fresh thread, so the peak includes its whole workspace.
+    # A first call at a tiny size runs the source's and the engine's lazy
+    # imports before tracing starts, so the slack measures the engine only
     import tracemalloc
 
     n = 8000
     assert _pass_lanes(n) >= 64
     assert _push_bytes(n) + _pass_lanes(n) * _lane_bytes(n) <= partition._PASS_BYTES
+    _in_fresh_thread(est.replica_log_z, big_kernels["log"], GAUSSIAN, 1.0, 0.4, 100, 2, 8)
     peaks = []
     for replicas in (8, 64):
         tracemalloc.start()
@@ -597,6 +600,39 @@ def test_trimmed_moment_check_refuses_an_empty_plan_before_drawing(log_kernel_sm
         est._independent_jump_backward(log_kernel_small, plan, 0.3)
 
 
+@pytest.mark.parametrize("family", ["sub", "log", "super"])
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_backward_mean_equals_the_engine_on_the_zero_disorder_row(big_kernels, family, law):
+    # the five moments_check plans and criterion 4's (M = 20, k = 2, m = 8):
+    # the backward recursion's mean against the trimmed engine on the
+    # zero-disorder charges, h per site
+    kernel, h = big_kernels[family], 0.3
+    schedules = ((3.3, 1.0), (3.3, 1.2), (3.3, 1.4), (3.3, 1.6), (5.0, 1.0), (3.3, 1.5))
+    plans = [est.trimmed_plan(2.0, law, 0.5, h, c1, c2) for c1, c2 in schedules]
+    assert (plans[-1].M, plans[-1].k, plans[-1].m) == (20, 2, 8)
+    for plan in plans:
+        span = partition._trimmed_size(kernel, plan) - 1
+        row = charge_prefix(law, 0.0, h, np.zeros(span))
+        engine = float(partition._trimmed_log_z_replicas(row[None], kernel, plan)[0])
+        mean = est._independent_jump_backward(kernel, plan, h)[3]
+        assert abs(mean - engine) <= 1e-13 * max(1.0, abs(engine)), plan
+
+
+def test_trimmed_moment_check_runs_the_trimmed_engine_once(log_kernel_small, monkeypatch):
+    # the replicas go through the engine in one call; the mean takes none
+    calls = []
+    engine = partition._trimmed_log_z_replicas
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(est, "_trimmed_log_z_replicas", counted)
+    plan = est.trimmed_plan(2.0, GAUSSIAN, 0.5, 0.3, 3.3, 1.0)
+    est.trimmed_moment_check(log_kernel_small, GAUSSIAN, 0.5, 0.3, plan, replicas=100, seed=3)
+    assert len(calls) == 1
+
+
 def _enumerate_trimmed_paths(kernel, plan, h):
     """All (weight, short-interval list) pairs of the alternating ensemble."""
     from itertools import product as iproduct
@@ -609,7 +645,7 @@ def _enumerate_trimmed_paths(kernel, plan, h):
     for gaps in iproduct(*lengths):
         pos, weight, shorts = 0, 1.0, []
         for g, ell in enumerate(gaps, start=1):
-            weight *= kernel.mass(ell)
+            weight *= kernel.masses[ell]
             if g % 2 == 0:
                 weight *= math.exp(h * ell)
                 shorts.append((pos, pos + ell))
@@ -617,7 +653,7 @@ def _enumerate_trimmed_paths(kernel, plan, h):
         final = plan.N - pos
         if final < 1:
             continue
-        weight *= kernel.mass(final)
+        weight *= kernel.masses[final]
         paths.append((weight, shorts))
     return paths
 
@@ -715,7 +751,7 @@ def test_trimmed_rhs_matches_scalar_sampler_bit_for_bit(big_kernels, law, beta, 
     # sampling one path at a time, so the RHS mean and sigma are unchanged
     kernel, seed = big_kernels["log"], 17
     plan = est.trimmed_plan(2.0, law, beta, 0.3, c1, c2)
-    stages, long_w, short_w = est._independent_jump_backward(kernel, plan, 0.3)
+    stages, long_w, short_w, _ = est._independent_jump_backward(kernel, plan, 0.3)
     rng = spawn_rng(seed, 1_000_000)
     q2v = q2(law, beta)
     vals = np.empty(replicas)

@@ -207,8 +207,8 @@ def test_build_kernel_regular_variation_ratio(big_kernels):
     # representable support, so assert the bracket and the monotone approach
     for kernel in big_kernels.values():
         n = kernel.support_cap // 4
-        ratio = kernel.mass(n) / kernel.mass(2 * n)
-        earlier = kernel.mass(n // 4) / kernel.mass(n // 2)
+        ratio = kernel.masses[n] / kernel.masses[2 * n]
+        earlier = kernel.masses[n // 4] / kernel.masses[n // 2]
         assert 2.0 < ratio < 2.4
         assert abs(ratio - 2.0) < abs(earlier - 2.0)
 
@@ -217,7 +217,7 @@ def test_build_kernel_doubling_support_stability(families):
     fam = families["log"]
     small = build_kernel(fam, 5000)
     large = build_kernel(fam, 10_000)
-    assert abs(small.mass(1) - large.mass(1)) <= small.tail_mass
+    assert abs(small.masses[1] - large.masses[1]) <= small.tail_mass
 
 
 def test_build_kernel_rejects_small_support(families):
@@ -225,18 +225,12 @@ def test_build_kernel_rejects_small_support(families):
         build_kernel(families["log"], 999)
 
 
-def test_kernel_zero_convention(log_kernel_small):
-    # the law lives on 1..support_cap: K(0) is refused, not taken as 1
-    with pytest.raises(ValueError):
-        log_kernel_small.mass(0)
-
-
 def test_renewal_mass_small_cases(log_kernel_small):
     u = renewal_mass(log_kernel_small.masses, 2)
     assert u[0] == 1.0
-    assert u[1] == pytest.approx(log_kernel_small.mass(1), rel=1e-15)
+    assert u[1] == pytest.approx(log_kernel_small.masses[1], rel=1e-15)
     assert u[2] == pytest.approx(
-        log_kernel_small.mass(2) + log_kernel_small.mass(1) ** 2, rel=1e-15
+        log_kernel_small.masses[2] + log_kernel_small.masses[1] ** 2, rel=1e-15
     )
 
 
@@ -303,7 +297,7 @@ def test_check_eta_kernel_exact_formula(log_kernel_small):
     crossover = 1.0 / (eta * eta * h)
     for n in [1, 100, 1999, 2000]:
         sign = 1.0 if n <= crossover else -eta
-        expected = log_kernel_small.mass(n) * (0.5 + 0.5 * math.exp(h * n * sign))
+        expected = log_kernel_small.masses[n] * (0.5 + 0.5 * math.exp(h * n * sign))
         assert tilted[n] == pytest.approx(expected, rel=1e-15)
 
 

@@ -31,7 +31,7 @@ def _trimmed_log_mean(kernel, plan, h):
 
 def test_log_z_single_site(log_kernel_small):
     prefix = charge_prefix(GAUSSIAN, 1.0, 0.2, _draw(GAUSSIAN, 1, [np.random.default_rng(4)])[0])
-    expected = math.log(log_kernel_small.mass(1)) + math.log(
+    expected = math.log(log_kernel_small.masses[1]) + math.log(
         0.5 * (1.0 + math.exp(prefix[1]))
     )
     assert log_Z(prefix, log_kernel_small) == pytest.approx(expected, rel=1e-14)
@@ -49,7 +49,7 @@ def test_log_z_free_disorder_reduces_to_renewal_mass(log_kernel_small):
 
 def test_brute_force_two_site_expansion(log_kernel_small):
     s = charge_prefix(BINARY, 0.7, -0.1, _draw(BINARY, 2, [np.random.default_rng(9)])[0])
-    k1, k2 = log_kernel_small.mass(1), log_kernel_small.mass(2)
+    k1, k2 = log_kernel_small.masses[1], log_kernel_small.masses[2]
     direct = k2 * 0.5 * (1 + math.exp(s[2])) + k1**2 * 0.25 * (1 + math.exp(s[1])) * (
         1 + math.exp(s[2] - s[1])
     )
@@ -98,7 +98,7 @@ def test_floor_bound_single_excursion(log_kernel_small):
     for _ in range(20):
         n = int(rng.integers(2, 60))
         omega = _draw(GAUSSIAN, n, [np.random.default_rng(int(rng.integers(0, 2**32)))])[0]
-        floor = math.log(log_kernel_small.mass(n)) - math.log(2.0)
+        floor = math.log(log_kernel_small.masses[n]) - math.log(2.0)
         assert log_Z(charge_prefix(GAUSSIAN, 1.5, -0.6, omega), log_kernel_small) >= floor
 
 
@@ -149,7 +149,7 @@ def test_annealed_brute_force_oracle(log_kernel_small):
         pts = [i + 1 for i in range(n - 1) if mask >> i & 1] + [n]
         w, prev = 1.0, 0
         for p in pts:
-            w *= log_kernel_small.mass(p - prev) * 0.5 * (1 + math.exp(h * (p - prev)))
+            w *= log_kernel_small.masses[p - prev] * 0.5 * (1 + math.exp(h * (p - prev)))
             prev = p
         total += w
     assert log_annealed_Z(log_kernel_small, n, h) == pytest.approx(
@@ -164,7 +164,7 @@ def test_annealed_localized_window(log_kernel_4000):
 
 def test_annealed_delocalized_window(log_kernel_4000):
     value = log_annealed_Z(log_kernel_4000, 4000, -0.2)
-    floor = math.log(log_kernel_4000.mass(4000) / 2)
+    floor = math.log(log_kernel_4000.masses[4000] / 2)
     assert floor <= value <= 0.0
     assert 2 * floor / 4000 <= value / 4000 <= 0.0
 
@@ -209,9 +209,9 @@ def test_trimmed_hand_checkable_small_plan(log_kernel_small):
     s = charge_prefix(GAUSSIAN, 0.9, 0.25, _draw(GAUSSIAN, n, [np.random.default_rng(21)])[0])
     total = 0.0
     for tau1 in range(big_m, big_m * big_m + 1):
-        w = log_kernel_small.mass(tau1) * 0.5
-        w *= log_kernel_small.mass(1) * 0.5 * math.exp(s[tau1 + 1] - s[tau1])
-        w *= log_kernel_small.mass(n - tau1 - 1) * 0.5
+        w = log_kernel_small.masses[tau1] * 0.5
+        w *= log_kernel_small.masses[1] * 0.5 * math.exp(s[tau1 + 1] - s[tau1])
+        w *= log_kernel_small.masses[n - tau1 - 1] * 0.5
         total += w
     got = log_Z_restricted(s, log_kernel_small, Trimmed(M=big_m, k=1, m=1, N=n))
     assert got == pytest.approx(math.log(total), rel=1e-10)
@@ -231,9 +231,9 @@ def test_trimmed_log_mean_matches_brute(log_kernel_small):
         for gap in range(1, k + 1):
             if tau1 + gap >= n:
                 continue
-            w = log_kernel_small.mass(tau1) * 0.5
-            w *= log_kernel_small.mass(gap) * 0.5 * math.exp(h * gap)
-            w *= log_kernel_small.mass(n - tau1 - gap) * 0.5
+            w = log_kernel_small.masses[tau1] * 0.5
+            w *= log_kernel_small.masses[gap] * 0.5 * math.exp(h * gap)
+            w *= log_kernel_small.masses[n - tau1 - gap] * 0.5
             total += w
     got = _trimmed_log_mean(log_kernel_small, Trimmed(M=big_m, k=k, m=1, N=n), h)
     assert got == pytest.approx(math.log(total), rel=1e-10)
@@ -403,6 +403,23 @@ def test_trimmed_engine_values_do_not_depend_on_the_pass_width(log_kernel_small,
     for rows, any_plan in (([prefix[0]], plan), (prefix[0], Trimmed(M=3, k=1, m=3, N=10))):
         with pytest.raises(ValueError, match="2-D"):
             _trimmed_log_z_replicas(rows, log_kernel_small, any_plan)
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_trimmed_engine_matches_row_loop_where_reach_cuts_the_first_stage(log_kernel_small, law):
+    # N just above the shortest path m (M + 1) + 1: a first-stage long target
+    # past size - 2 - (m - 1)(M + 1) cannot reach the closing, so the engine
+    # drops targets that the support alone would keep
+    for big_m, k, m in ((5, 2, 3), (7, 3, 2), (4, 1, 4)):
+        for extra in (1, 2, 5):
+            plan = Trimmed(M=big_m, k=k, m=m, N=m * (big_m + 1) + 1 + extra)
+            size = _trimmed_size(log_kernel_small, plan)
+            assert size - 2 - (m - 1) * (big_m + 1) < min(big_m * big_m, size - 1)
+            prefix = _trimmed_prefixes(law, 0.9, 0.2, plan.N, 6, 10)
+            got = _trimmed_log_z_replicas(prefix, log_kernel_small, plan)
+            ref = np.array([log_Z_restricted(row, log_kernel_small, plan) for row in prefix])
+            assert np.isfinite(ref).all()
+            _assert_trimmed_values_match(got, ref)
 
 
 @pytest.mark.parametrize("family", ["sub", "log", "super"])
