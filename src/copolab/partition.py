@@ -615,12 +615,8 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     matrix T[c, r] = K(r + M^2 - c)/2 over gaps in [M, M^2], applied to
     each group as (8, W) @ (W, _TRIMMED_CHUNK) GEMMs, one per chunk of the
     targets that the support [s_lo, s_hi] left by the previous stage
-    reaches and that can still reach the closing: with s pairs done, a long
-    target leaves room for this pair's short excursion and (m - 1 - s)(M + 1)
-    sites, a short target for the (m - 1 - s)(M + 1) sites alone, below
-    size; the targets cut are exactly those whose paths would be clipped at
-    size - 1 later.  The chunks whose whole source window lies inside the
-    support, a range found by arithmetic, go in one ``np.matmul`` over
+    reaches: the chunks whose whole source window lies inside the support,
+    a range found by arithmetic, go in one ``np.matmul`` over
     strided windows of the pass, stacked over its groups and chunks, and
     each edge chunk in one stacked call on the Toeplitz rows that meet the
     support.  The short stage uses the k charge rows e^{S[x] - S[x-l]}
@@ -706,17 +702,12 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
         log_scale = np.zeros(padded)
         dead = np.zeros(padded, dtype=bool)
         s_lo = s_hi = 0  # f is zero outside positions s_lo..s_hi
-        for pair in range(m):
-            # a long target must leave room for this pair's short excursion
-            # and the m - 1 - pair pairs after it, M + 1 sites each: a path
-            # past reach - 1 only reaches positions past size - 1, where the
-            # engine drops it anyway
-            reach = size - 1 - (m - 1 - pair) * (big_m + 1)
+        for _ in range(m):
             # g holds the long stage on its targets [lo, hi] and is read
             # nowhere else; chunk t0 = lo + j chunk reads sources
             # t0 - M^2 .. t0 + chunk - 1 - M, the f columns t0 .. t0 + width - 1,
             # which all lie in the support for inner_lo <= j < inner_hi
-            lo, hi = s_lo + big_m, min(s_hi + lead, reach - 1)
+            lo, hi = s_lo + big_m, min(s_hi + lead, size - 1)
             chunks = -(-(hi + 1 - lo) // chunk)
             inner_lo = -(-(lead - big_m) // chunk)
             inner_hi = min(chunks, (s_hi + 1 - s_lo) // chunk)
@@ -739,7 +730,7 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
             # to hi + 1, and zeros cover the rest of that range and the part
             # of the old support left of it.  g is at most max(f) sum K/2 over
             # [M, M^2] <= 1/2, so one rescale per pair, after the short stage
-            top = min(hi + k, reach)
+            top = min(hi + k, size - 1)
             f[:, lead + s_lo : lead + lo + 1] = 0.0
             f[:, lead + hi + 2 : lead + top + 1] = 0.0
             for ell in range(1, k + 1):

@@ -689,6 +689,10 @@ def test_trimmed_identity_against_exhaustive_enumeration(log_kernel_small, law):
     assert report["identity_rhs_mean"] == pytest.approx(
         ratio_exact, abs=4 * report["identity_rhs_sigma"]
     )
+    # the report's mean comes from the sampler's backward recursion
+    assert report["exact_log_mean_restricted"] == pytest.approx(
+        math.log(total) + 5 * math.log(0.5), rel=1e-12
+    )
 
 
 def test_trimmed_moment_identity_small_replicas(moment_kernel):

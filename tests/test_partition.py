@@ -405,23 +405,6 @@ def test_trimmed_engine_values_do_not_depend_on_the_pass_width(log_kernel_small,
             _trimmed_log_z_replicas(rows, log_kernel_small, any_plan)
 
 
-@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
-def test_trimmed_engine_matches_row_loop_where_reach_cuts_the_first_stage(log_kernel_small, law):
-    # N just above the shortest path m (M + 1) + 1: a first-stage long target
-    # past size - 2 - (m - 1)(M + 1) cannot reach the closing, so the engine
-    # drops targets that the support alone would keep
-    for big_m, k, m in ((5, 2, 3), (7, 3, 2), (4, 1, 4)):
-        for extra in (1, 2, 5):
-            plan = Trimmed(M=big_m, k=k, m=m, N=m * (big_m + 1) + 1 + extra)
-            size = _trimmed_size(log_kernel_small, plan)
-            assert size - 2 - (m - 1) * (big_m + 1) < min(big_m * big_m, size - 1)
-            prefix = _trimmed_prefixes(law, 0.9, 0.2, plan.N, 6, 10)
-            got = _trimmed_log_z_replicas(prefix, log_kernel_small, plan)
-            ref = np.array([log_Z_restricted(row, log_kernel_small, plan) for row in prefix])
-            assert np.isfinite(ref).all()
-            _assert_trimmed_values_match(got, ref)
-
-
 @pytest.mark.parametrize("family", ["sub", "log", "super"])
 def test_trimmed_engine_matches_row_loop_at_chunk_edges_of_the_support(big_kernels, family):
     # a long-stage chunk at t0 reads the sources t0 - M^2 .. t0 + 63 - M and
