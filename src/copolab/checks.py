@@ -1,0 +1,278 @@
+"""The verification suites of ``copolab verify``.
+
+A suite takes (kernel, law, beta, h, replicas, seed), a value it does not
+read being None and one it reads falling back to its default when None.
+Each returns a dict of recorded values plus "checks", a list of {name,
+kind, ok} where kind is "assert" or "scan"; scan-kind checks record
+measured thresholds and never fail a run.  Payload field names are stable:
+"oracle" reports worst_relative_error (row-loop and batched DP against
+enumeration), worst_block_edge_relative_error (batched DP against the row
+loop at block_edge_sizes, the edges of its 8-row sub-blocks and 64-site
+blocks), worst_trimmed_relative_error (batched trimmed engine against its
+row loop on trimmed_trials small plans), worst_two_pass_relative_error and
+worst_trimmed_two_pass_relative_error (the rows either side of a pass
+boundary of each engine, two_pass_batch and trimmed_two_pass, against the
+row loops), worst_annealed_relative_error (annealed values at
+annealed_fields against the row loop) and streams_checked (replica streams
+of stream_seeds compared with numpy's SeedSequence(seed, spawn_key=(i,))
+streams); "moments" embeds the trimmed-ensemble report
+(exact_log_mean_restricted, product_lower_bound_log,
+identity_{lhs,rhs}_{mean,sigma}, identity_abs_diff, identity_three_sigma,
+induction_bound_log, plan {M, k, m, N}, and the beta, h, c1 and c2 of its
+schedule); "penalization" lists per-h points (k, defect_expression,
+linf_holds, log_bound_closed_form, log_bound_rate_form); "coarse" reports
+n_window, theta, a_term, b_term, a_term_analytic_integral, rho_proxy, the
+fractional_moment_spot grid and the green_constant pair, or feasible false
+with a note when the window exceeds its budget or the crossover tilt is
+supercritical (a scan finding, window_feasible), and the beta, h and
+replicas it ran with.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import asdict
+
+import numpy as np
+
+from . import bounds, estimators
+from .disorder import BINARY, GAUSSIAN, q1, replica_rngs, spawn_rng
+from .estimators import _replica_prefixes
+from .kernel import _MASS_BLOCK, build_kernel, renewal_mass
+from .partition import (
+    _BLOCK,
+    _FILL_ROWS,
+    _GEMM_REPLICAS,
+    Trimmed,
+    _log_z_replicas,
+    _pass_lanes,
+    _trimmed_log_z_replicas,
+    _trimmed_pass_rows,
+    _trimmed_size,
+    brute_force_log_Z,
+    charge_prefix,
+    log_Z,
+    log_Z_restricted,
+    log_annealed_Z,
+)
+
+
+def _worst_relative_error(pairs) -> float:
+    """Largest |value - exact| / max(1, |exact|) over (value, exact) pairs, 0 for none."""
+    worst = 0.0
+    for value, exact in pairs:
+        worst = max(worst, abs(value - exact) / max(1.0, abs(exact)))
+    return worst
+
+
+def oracle(kernel, law, beta, h, replicas, seed) -> dict:
+    # the row-loop log_Z and the batched replica DP against enumeration at
+    # N <= 12, the batched DP against the row loop across sub-block and
+    # block edges, the batched trimmed engine against its row loop on small
+    # plans, both engines against their row loops over two passes of
+    # groups, the blocked renewal mass and the annealed value against the
+    # row loop at beta = 0 (Z_N = u(N) at h = 0),
+    # and the replica streams against numpy's SeedSequence; the trials come
+    # from numpy's root stream of the seed, which has no spawn key
+    rng = np.random.default_rng(seed)
+
+    def draw(law_i, n, count, source=rng):
+        # the charge rows of count replicas at a random (beta, h) and replica seed
+        beta_i, h_i = float(source.uniform(0.0, 2.0)), float(source.uniform(-1.0, 1.0))
+        (rows,) = _replica_prefixes(law_i, beta_i, h_i, n, int(source.integers(0, 2**32)), count)
+        return rows
+
+    def batch(law_i, n, count):
+        # the batched DP's value of each drawn row, with the row
+        rows = draw(law_i, n, count)
+        return zip(_log_z_replicas(rows, kernel).tolist(), rows)
+
+    enumerated = []
+    trials = 60
+    for i in range(trials):
+        n = int(rng.integers(2, 13))
+        for value, row in batch(GAUSSIAN if i % 2 == 0 else BINARY, n, 2):
+            brute = brute_force_log_Z(row, kernel)
+            enumerated += [(log_Z(row, kernel), brute), (value, brute)]
+    worst = _worst_relative_error(enumerated)
+    edges = (_FILL_ROWS, 3 * _FILL_ROWS, _BLOCK)  # sub-block and block edges
+    sizes = tuple(e + d for e in edges for d in (-1, 0, 1)) + (3 * _BLOCK + 5,)
+    worst_blocked = _worst_relative_error(
+        (value, log_Z(row, kernel))
+        for n in sizes for law_i in (GAUSSIAN, BINARY) for value, row in batch(law_i, n, 3)
+    )
+    trimmed = []
+    trimmed_trials = 12
+    for i in range(trimmed_trials):
+        # small feasible plans, N from the shortest path to past the reach clip
+        big_m, k, m = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        plan = Trimmed(big_m, k, m, int(rng.integers(m * (big_m + 1) + 1, m * (big_m**2 + k) + 3)))
+        rows = draw(GAUSSIAN if i % 2 == 0 else BINARY, plan.N, 3)
+        values = _trimmed_log_z_replicas(rows, kernel, plan).tolist()
+        trimmed += [(v, log_Z_restricted(row, kernel, plan)) for v, row in zip(values, rows)]
+    worst_trimmed = _worst_relative_error(trimmed)
+    # one group more than a pass holds; the rows either side of the pass
+    # boundary, the first pass's last group and the second pass, go to the row loop
+    two_pass_n = 3 * _BLOCK + 5
+    two_pass = {"replicas": _pass_lanes(two_pass_n) + _GEMM_REPLICAS, "n": two_pass_n,
+                "rows_checked": 2 * _GEMM_REPLICAS}
+    boundary = [
+        pair
+        for law_i in (GAUSSIAN, BINARY)
+        for pair in list(batch(law_i, two_pass_n, two_pass["replicas"]))[-2 * _GEMM_REPLICAS :]
+    ]
+    worst_two_pass = _worst_relative_error((value, log_Z(row, kernel)) for value, row in boundary)
+    # the same for the trimmed engine, on rows drawn from a stream of their
+    # own, spawn key 0 of the seed, so that every trial above keeps its draws
+    pass_plan = Trimmed(M=12, k=2, m=3, N=430)
+    trimmed_two_pass = {
+        "plan": asdict(pass_plan),
+        "replicas": _trimmed_pass_rows(pass_plan, _trimmed_size(kernel, pass_plan)) + _GEMM_REPLICAS,
+        "rows_checked": 2 * _GEMM_REPLICAS,
+    }
+    pass_rng = spawn_rng(seed, 0)
+    trimmed_boundary = []
+    for law_i in (GAUSSIAN, BINARY):
+        rows = draw(law_i, pass_plan.N, trimmed_two_pass["replicas"], source=pass_rng)
+        values = _trimmed_log_z_replicas(rows, kernel, pass_plan)[-2 * _GEMM_REPLICAS :]
+        rows = rows[-2 * _GEMM_REPLICAS :]
+        trimmed_boundary += [
+            (value, log_Z_restricted(row, kernel, pass_plan)) for value, row in zip(values.tolist(), rows)
+        ]
+    worst_trimmed_two_pass = _worst_relative_error(trimmed_boundary)
+    mass_sizes = tuple(e + d for e in (_MASS_BLOCK, 2 * _MASS_BLOCK) for d in (-1, 0, 1))
+    worst_mass = 0.0
+    for n in mass_sizes:
+        mass = float(renewal_mass(kernel.masses, n)[n])
+        exact = math.exp(log_Z(charge_prefix(law, 0.0, 0.0, np.zeros(n)), kernel))
+        worst_mass = max(worst_mass, abs(mass - exact) / exact)
+    annealed_fields = (-5.0, -0.3, 0.3, 5.0)
+    worst_annealed = _worst_relative_error(
+        (value, log_Z(charge_prefix(law, 0.0, field, np.zeros(n)), kernel))
+        for n in mass_sizes
+        for field, value in zip(annealed_fields, log_annealed_Z(kernel, n, annealed_fields).tolist())
+    )
+    # the bulk replica streams against numpy's SeedSequence, at seeds of 1, 2, 4
+    # and 5 words when the seed is below 2**32; past 4 words the spawn key's
+    # hash steps move with the seed's length
+    stream_seeds = [seed, 2**32 + seed, 10**30 + seed, 10**45 + seed]
+    stream_indices = [*range(64), 999_999, 1_000_000]
+    streams_match = all(
+        stream.bit_generator.state
+        == np.random.default_rng(np.random.SeedSequence(s, spawn_key=(i,))).bit_generator.state
+        for s in stream_seeds
+        for i, stream in zip(stream_indices, replica_rngs(s, stream_indices))
+    )
+    return {
+        "trials": trials,
+        "worst_relative_error": worst,
+        "block_edge_sizes": list(sizes),
+        "worst_block_edge_relative_error": worst_blocked,
+        "trimmed_trials": trimmed_trials,
+        "worst_trimmed_relative_error": worst_trimmed,
+        "two_pass_batch": two_pass,
+        "worst_two_pass_relative_error": worst_two_pass,
+        "trimmed_two_pass": trimmed_two_pass,
+        "worst_trimmed_two_pass_relative_error": worst_trimmed_two_pass,
+        "renewal_mass_sizes": list(mass_sizes),
+        "worst_renewal_mass_relative_error": worst_mass,
+        "annealed_fields": list(annealed_fields),
+        "worst_annealed_relative_error": worst_annealed,
+        "stream_seeds": stream_seeds,
+        "streams_checked": len(stream_seeds) * len(stream_indices),
+        "checks": [
+            {"name": "dp_matches_enumeration", "kind": "assert", "ok": worst <= 1e-10},
+            {"name": "batched_dp_matches_row_loop", "kind": "assert",
+             "ok": max(worst_blocked, worst_two_pass) <= 1e-10},
+            {"name": "trimmed_engine_matches_row_loop", "kind": "assert",
+             "ok": max(worst_trimmed, worst_trimmed_two_pass) <= 1e-10},
+            {"name": "renewal_mass_matches_row_loop", "kind": "assert", "ok": worst_mass <= 1e-10},
+            {"name": "annealed_matches_row_loop", "kind": "assert", "ok": worst_annealed <= 1e-10},
+            {"name": "replica_streams_match_seed_sequence", "kind": "assert", "ok": streams_match},
+        ],
+    }
+
+
+def moments(kernel, law, beta, h, replicas, seed) -> dict:
+    beta = beta if beta is not None else 0.5
+    h = h if h is not None else 0.3
+    c1, c2 = 3.3, 1.5
+    plan = estimators.trimmed_plan(kernel.family.upsilon, law, beta=beta, h=h, c1=c1, c2=c2)
+    if kernel.support_cap < plan.N:
+        kernel = build_kernel(kernel.family, plan.N)
+    report = estimators.trimmed_moment_check(
+        kernel, law, beta, h, plan, replicas=replicas or 2000, seed=seed
+    )
+    report["checks"] = [
+        {"name": "second_moment_identity", "kind": "assert", "ok": report["identity_ok"]},
+        {"name": "first_moment_product_bound", "kind": "assert", "ok": report["first_moment_ok"]},
+        {"name": "induction_envelope", "kind": "scan", "ok": report["induction_envelope_holds"]},
+    ]
+    report.update(c1=c1, c2=c2)
+    return report
+
+
+def penalization(kernel, law, beta, h, replicas, seed) -> dict:
+    beta = beta if beta is not None else 1.0
+    points = []
+    consistent = True
+    two_path = True
+    for j in range(7):
+        field = 0.1 * 2.0**-j
+        try:
+            plan = estimators.penalization_plan(kernel, law, beta, field)
+        except ValueError as exc:
+            points.append({"h": field, "skipped": str(exc)})
+            continue
+        rep = estimators.penalization_check(kernel, law, beta, field, plan)
+        expected = bounds.log_upper_general(kernel.family, law, beta, field, plan.b)
+        two_path = two_path and rep["log_bound_closed_form"] == expected
+        if rep["linf_holds"] and not rep["defect_nonpositive"]:
+            consistent = False
+        points.append(
+            {
+                "h": field,
+                "k": plan.k,
+                "defect_expression": rep["defect_expression"],
+                "linf_holds": rep["linf_holds"],
+                "log_bound_closed_form": rep["log_bound_closed_form"],
+                "log_bound_rate_form": rep["log_bound_rate_form"],
+            }
+        )
+    return {
+        "beta": beta,
+        "points": points,
+        "checks": [
+            {"name": "closed_form_two_paths_identical", "kind": "assert", "ok": two_path},
+            {"name": "defect_sign_where_sufficient_condition_holds", "kind": "assert", "ok": consistent},
+        ],
+    }
+
+
+def coarse(kernel, law, beta, h, replicas, seed) -> dict:
+    beta = beta if beta is not None else 1.0
+    c3 = 0.9 * q1(law, beta)
+    h = h if h is not None else c3 / math.log(1000.0)
+    replicas = replicas or 100
+    report = estimators.coarse_graining_check(
+        kernel, law, beta, h, c3, replicas=replicas, seed=seed
+    )
+    report.update(beta=beta, h=h, replicas=replicas)
+    # an infeasible window (budget exceeded or supercritical tilt) is a
+    # finding about (h, eta), not a fault; it carries no values to check
+    feasible = bool(report["feasible"])
+    finite = not feasible or all(
+        math.isfinite(report[key]) for key in ("a_term", "b_term", "green_constant_full_range")
+    )
+    report["checks"] = [
+        {"name": "window_feasible", "kind": "scan", "ok": feasible},
+        {"name": "report_values_finite", "kind": "assert", "ok": bool(finite)},
+        {"name": "green_constant_stability", "kind": "scan",
+         "ok": bool(report.get("green_relative_change", math.inf) < 0.10)},
+        {"name": "rho_within_one_where_split_small", "kind": "scan",
+         "ok": bool(report.get("rho_within_one", False) or not report.get("split_small", False))},
+    ]
+    return report
+
+
+SUITES = {"oracle": oracle, "moments": moments, "penalization": penalization, "coarse": coarse}

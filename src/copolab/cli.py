@@ -6,10 +6,10 @@ counter-split replica seeds, so a run can be reproduced byte for byte from
 its own output.  The output path does not enter the header.  Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error, an
 unwritable --out included; NaN or infinite values of --beta, --h,
---upsilon, --cl or any --h-grid entry are configuration errors, rejected
-before anything is computed or written, and finite values that overflow a
-DP (a non-finite value in any row of estimate, sweep or annealed) exit 2
-without writing the artifact.
+--upsilon, --cl or any --h-grid entry, a negative --beta and an --n below 1
+are configuration errors, rejected before anything is computed or written,
+and finite values that overflow a DP (a non-finite value in any row of
+estimate, sweep or annealed) exit 2 without writing the artifact.
 
 Every command takes the model flags --family, --upsilon, --cl, --law, --n
 and --seed, and of the run flags --beta, --h, --h-grid, --replicas and
@@ -25,35 +25,12 @@ read, so it replays as flags.  A --config file's flags sit right after the
 command, so a flag on the command line beats the file; its suite line is
 ignored.
 
-Verification report schema: a JSON object with keys "config" (the resolved
-run configuration), "artifact_version", "suites" (one entry per suite run,
-each a dict of recorded values plus "checks", a list of {name, kind, ok}
-where kind is "assert" or "scan"), and "pass" (true when every assert-kind
-check holds).  Scan-kind checks record measured thresholds and never fail
-a run.  Suite payloads carry stable field names: "oracle" reports
-worst_relative_error (row-loop and batched DP against enumeration),
-worst_block_edge_relative_error (batched DP against the row loop at
-block_edge_sizes, the edges of its 8-row sub-blocks and 64-site blocks),
-worst_trimmed_relative_error (batched trimmed engine against its row
-loop on trimmed_trials small plans), worst_two_pass_relative_error and
-worst_trimmed_two_pass_relative_error (the rows either side of a pass
-boundary of each engine, two_pass_batch and trimmed_two_pass, against the
-row loops), worst_annealed_relative_error
-(annealed values at annealed_fields against the row loop) and
-streams_checked (replica streams of stream_seeds compared with numpy's
-SeedSequence(seed, spawn_key=(i,)) streams); "moments" embeds the
-trimmed-ensemble report (exact_log_mean_restricted, product_lower_bound_log,
-identity_{lhs,rhs}_{mean,sigma}, identity_abs_diff, identity_three_sigma,
-induction_bound_log, plan {M, k, m, N}, and the beta, h, c1 and c2 of its
-schedule); "penalization" lists per-h points (k, defect_expression,
-linf_holds, log_bound_closed_form, log_bound_rate_form); "coarse" reports n_window,
-theta, a_term, b_term, a_term_analytic_integral, rho_proxy, the
-fractional_moment_spot grid and the green_constant pair, or feasible false
-with a note when the window exceeds its budget or the crossover tilt is
-supercritical (a scan finding, window_feasible), and the beta, h and
-replicas it ran with.  Tabular subcommands write CSV whose first line is a
-"# ..." comment holding the same config object; floats serialize as
-shortest round-trip decimals in both formats.
+A verify report is a JSON object with keys "config" (the resolved run
+configuration), "artifact_version", "suites" (one report of
+``copolab.checks`` per suite run) and "pass" (true when every assert-kind
+check of every suite holds).  Tabular subcommands write CSV whose first
+line is a "# ..." comment holding the same config object; floats serialize
+as shortest round-trip decimals in both formats.
 """
 
 from __future__ import annotations
@@ -63,35 +40,13 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__, bounds as bounds_mod, estimators
-from .disorder import BINARY, GAUSSIAN, DisorderLaw, q1, replica_rngs, spawn_rng
-from .kernel import (
-    _MASS_BLOCK,
-    FamilyKind,
-    SlowlyVaryingFamily,
-    build_kernel,
-    defect_Kk,
-    renewal_mass,
-)
-from .partition import (
-    _BLOCK,
-    _FILL_ROWS,
-    _GEMM_REPLICAS,
-    Trimmed,
-    _pass_lanes,
-    _trimmed_log_z_replicas,
-    _trimmed_pass_rows,
-    _trimmed_size,
-    brute_force_log_Z,
-    charge_prefix,
-    log_Z,
-    log_Z_restricted,
-    log_annealed_Z,
-)
+from . import __version__, bounds as bounds_mod, checks, estimators
+from .disorder import DisorderLaw
+from .kernel import FamilyKind, SlowlyVaryingFamily, build_kernel, defect_Kk
+from .partition import log_annealed_Z
 
 # the run flags each command and verify suite reads
 _READS = {
@@ -171,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify", help="run a verification suite")
     add_common(p_v)
-    p_v.add_argument("suite", choices=[*_SUITES, "all"])
+    p_v.add_argument("suite", choices=[*checks.SUITES, "all"])
     return parser
 
 
@@ -209,7 +164,7 @@ def _parse(argv) -> argparse.Namespace:
     label, names = args.command, [args.command]
     if args.command == "verify":
         label = f"verify {args.suite}"
-        names = args.suites = list(_SUITES) if args.suite == "all" else [args.suite]
+        names = args.suites = list(checks.SUITES) if args.suite == "all" else [args.suite]
     reads = set().union(*(_READS[name] for name in names))
     for flag in ("beta", "h", "h_grid", "replicas", "format"):
         if getattr(args, flag) is not None and flag not in reads:
@@ -234,6 +189,10 @@ def _parse(argv) -> argparse.Namespace:
     for flag, value in named + [("--h-grid", h) for h in grid]:
         if value is not None and not math.isfinite(value):
             raise SystemExit2(f"{flag} must be finite, got {value}")
+    if args.beta is not None and args.beta < 0:
+        raise SystemExit2(f"--beta must be nonnegative, got {args.beta}")
+    if args.n < 1:
+        raise SystemExit2(f"--n {args.n}: need at least one site")
     if "h_grid" in reads:
         if not grid and args.h is None:
             raise SystemExit2("one of --h or --h-grid is required")
@@ -352,248 +311,10 @@ def _cmd_kernel_info(args) -> int:
     return 0
 
 
-def _worst_relative_error(pairs) -> float:
-    """Largest |value - exact| / max(1, |exact|) over (value, exact) pairs, 0 for none."""
-    worst = 0.0
-    for value, exact in pairs:
-        worst = max(worst, abs(value - exact) / max(1.0, abs(exact)))
-    return worst
-
-
-def _suite_oracle(args, kernel) -> dict:
-    # the row-loop log_Z and the batched replica DP against enumeration at
-    # N <= 12, the batched DP against the row loop across sub-block and
-    # block edges, the batched trimmed engine against its row loop on small
-    # plans, both engines against their row loops over two passes of
-    # groups, the blocked renewal mass and the annealed value against the
-    # row loop at beta = 0 (Z_N = u(N) at h = 0),
-    # and the replica streams against numpy's SeedSequence; the trials come
-    # from numpy's root stream of the seed, which has no spawn key
-    rng = np.random.default_rng(args.seed)
-
-    def draw(law_i, n, replicas, source=rng):
-        # a random (beta, h) and replica seed, with the charge rows of its replicas
-        beta, h = float(source.uniform(0.0, 2.0)), float(source.uniform(-1.0, 1.0))
-        seed = int(source.integers(0, 2**32))
-        (rows,) = estimators._replica_prefixes(law_i, beta, h, n, seed, replicas)
-        return beta, h, seed, rows
-
-    def batch(law_i, n, replicas):
-        # replica_log_z values, each with the charge row it was computed on
-        beta, h, seed, rows = draw(law_i, n, replicas)
-        values = estimators.replica_log_z(kernel, law_i, beta, h, n, seed, replicas)
-        return zip(values.tolist(), rows)
-
-    enumerated = []
-    trials = 60
-    for i in range(trials):
-        n = int(rng.integers(2, 13))
-        for value, row in batch(GAUSSIAN if i % 2 == 0 else BINARY, n, 2):
-            brute = brute_force_log_Z(row, kernel)
-            enumerated += [(log_Z(row, kernel), brute), (value, brute)]
-    worst = _worst_relative_error(enumerated)
-    edges = (_FILL_ROWS, 3 * _FILL_ROWS, _BLOCK)  # sub-block and block edges
-    sizes = tuple(e + d for e in edges for d in (-1, 0, 1)) + (3 * _BLOCK + 5,)
-    worst_blocked = _worst_relative_error(
-        (value, log_Z(row, kernel))
-        for n in sizes for law_i in (GAUSSIAN, BINARY) for value, row in batch(law_i, n, 3)
-    )
-    trimmed = []
-    trimmed_trials = 12
-    for i in range(trimmed_trials):
-        # small feasible plans, N from the shortest path to past the reach clip
-        big_m, k, m = int(rng.integers(2, 7)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
-        plan = Trimmed(big_m, k, m, int(rng.integers(m * (big_m + 1) + 1, m * (big_m**2 + k) + 3)))
-        *_, rows = draw(GAUSSIAN if i % 2 == 0 else BINARY, plan.N, 3)
-        values = _trimmed_log_z_replicas(rows, kernel, plan).tolist()
-        trimmed += [(v, log_Z_restricted(row, kernel, plan)) for v, row in zip(values, rows)]
-    worst_trimmed = _worst_relative_error(trimmed)
-    # one group more than a pass holds; the rows either side of the pass
-    # boundary, the first pass's last group and the second pass, go to the row loop
-    two_pass_n = 3 * _BLOCK + 5
-    two_pass = {"replicas": _pass_lanes(two_pass_n) + _GEMM_REPLICAS, "n": two_pass_n,
-                "rows_checked": 2 * _GEMM_REPLICAS}
-    boundary = [
-        pair
-        for law_i in (GAUSSIAN, BINARY)
-        for pair in list(batch(law_i, two_pass_n, two_pass["replicas"]))[-2 * _GEMM_REPLICAS :]
-    ]
-    worst_two_pass = _worst_relative_error((value, log_Z(row, kernel)) for value, row in boundary)
-    # the same for the trimmed engine, on rows drawn from a stream of their
-    # own, spawn key 0 of the seed, so that every trial above keeps its draws
-    pass_plan = Trimmed(M=12, k=2, m=3, N=430)
-    trimmed_two_pass = {
-        "plan": asdict(pass_plan),
-        "replicas": _trimmed_pass_rows(pass_plan, _trimmed_size(kernel, pass_plan)) + _GEMM_REPLICAS,
-        "rows_checked": 2 * _GEMM_REPLICAS,
-    }
-    pass_rng = spawn_rng(args.seed, 0)
-    trimmed_boundary = []
-    for law_i in (GAUSSIAN, BINARY):
-        *_, rows = draw(law_i, pass_plan.N, trimmed_two_pass["replicas"], source=pass_rng)
-        values = _trimmed_log_z_replicas(rows, kernel, pass_plan)[-2 * _GEMM_REPLICAS :]
-        rows = rows[-2 * _GEMM_REPLICAS :]
-        trimmed_boundary += [
-            (value, log_Z_restricted(row, kernel, pass_plan)) for value, row in zip(values.tolist(), rows)
-        ]
-    worst_trimmed_two_pass = _worst_relative_error(trimmed_boundary)
-    mass_sizes = tuple(e + d for e in (_MASS_BLOCK, 2 * _MASS_BLOCK) for d in (-1, 0, 1))
-    worst_mass = 0.0
-    for n in mass_sizes:
-        mass = float(renewal_mass(kernel.masses, n)[n])
-        exact = math.exp(log_Z(charge_prefix(args.disorder_law, 0.0, 0.0, np.zeros(n)), kernel))
-        worst_mass = max(worst_mass, abs(mass - exact) / exact)
-    annealed_fields = (-5.0, -0.3, 0.3, 5.0)
-    worst_annealed = _worst_relative_error(
-        (value, log_Z(charge_prefix(args.disorder_law, 0.0, h, np.zeros(n)), kernel))
-        for n in mass_sizes
-        for h, value in zip(annealed_fields, log_annealed_Z(kernel, n, annealed_fields).tolist())
-    )
-    # the bulk replica streams against numpy's SeedSequence, at seeds of 1, 2, 4
-    # and 5 words when --seed is below 2**32; past 4 words the spawn key's
-    # hash steps move with the seed's length
-    stream_seeds = [args.seed, 2**32 + args.seed, 10**30 + args.seed, 10**45 + args.seed]
-    stream_indices = [*range(64), 999_999, 1_000_000]
-    streams_match = all(
-        stream.bit_generator.state
-        == np.random.default_rng(np.random.SeedSequence(s, spawn_key=(i,))).bit_generator.state
-        for s in stream_seeds
-        for i, stream in zip(stream_indices, replica_rngs(s, stream_indices))
-    )
-    return {
-        "trials": trials,
-        "worst_relative_error": worst,
-        "block_edge_sizes": list(sizes),
-        "worst_block_edge_relative_error": worst_blocked,
-        "trimmed_trials": trimmed_trials,
-        "worst_trimmed_relative_error": worst_trimmed,
-        "two_pass_batch": two_pass,
-        "worst_two_pass_relative_error": worst_two_pass,
-        "trimmed_two_pass": trimmed_two_pass,
-        "worst_trimmed_two_pass_relative_error": worst_trimmed_two_pass,
-        "renewal_mass_sizes": list(mass_sizes),
-        "worst_renewal_mass_relative_error": worst_mass,
-        "annealed_fields": list(annealed_fields),
-        "worst_annealed_relative_error": worst_annealed,
-        "stream_seeds": stream_seeds,
-        "streams_checked": len(stream_seeds) * len(stream_indices),
-        "checks": [
-            {"name": "dp_matches_enumeration", "kind": "assert", "ok": worst <= 1e-10},
-            {"name": "batched_dp_matches_row_loop", "kind": "assert",
-             "ok": max(worst_blocked, worst_two_pass) <= 1e-10},
-            {"name": "trimmed_engine_matches_row_loop", "kind": "assert",
-             "ok": max(worst_trimmed, worst_trimmed_two_pass) <= 1e-10},
-            {"name": "renewal_mass_matches_row_loop", "kind": "assert", "ok": worst_mass <= 1e-10},
-            {"name": "annealed_matches_row_loop", "kind": "assert", "ok": worst_annealed <= 1e-10},
-            {"name": "replica_streams_match_seed_sequence", "kind": "assert", "ok": streams_match},
-        ],
-    }
-
-
-def _suite_moments(args, kernel) -> dict:
-    family, law = args.kernel_family, args.disorder_law
-    beta = args.beta if args.beta is not None else 0.5
-    h = args.h if args.h is not None else 0.3
-    c1, c2 = 3.3, 1.5
-    plan = estimators.trimmed_plan(family.upsilon, law, beta=beta, h=h, c1=c1, c2=c2)
-    moment_kernel = kernel
-    if kernel.support_cap < plan.N:
-        moment_kernel = build_kernel(family, plan.N)
-    report = estimators.trimmed_moment_check(
-        moment_kernel, law, beta, h, plan, replicas=args.replicas or 2000, seed=args.seed
-    )
-    report["checks"] = [
-        {"name": "second_moment_identity", "kind": "assert", "ok": report["identity_ok"]},
-        {"name": "first_moment_product_bound", "kind": "assert", "ok": report["first_moment_ok"]},
-        {"name": "induction_envelope", "kind": "scan", "ok": report["induction_envelope_holds"]},
-    ]
-    report.update(c1=c1, c2=c2)
-    return report
-
-
-def _suite_penalization(args, kernel) -> dict:
-    family, law = args.kernel_family, args.disorder_law
-    beta = args.beta if args.beta is not None else 1.0
-    points = []
-    consistent = True
-    two_path = True
-    for j in range(7):
-        h = 0.1 * 2.0**-j
-        try:
-            plan = estimators.penalization_plan(kernel, law, beta, h)
-        except ValueError as exc:
-            points.append({"h": h, "skipped": str(exc)})
-            continue
-        rep = estimators.penalization_check(kernel, law, beta, h, plan)
-        expected = bounds_mod.log_upper_general(family, law, beta, h, plan.b)
-        same = rep["log_bound_closed_form"] == expected
-        two_path = two_path and same
-        if rep["linf_holds"] and not rep["defect_nonpositive"]:
-            consistent = False
-        points.append(
-            {
-                "h": h,
-                "k": plan.k,
-                "defect_expression": rep["defect_expression"],
-                "linf_holds": rep["linf_holds"],
-                "log_bound_closed_form": rep["log_bound_closed_form"],
-                "log_bound_rate_form": rep["log_bound_rate_form"],
-            }
-        )
-    return {
-        "beta": beta,
-        "points": points,
-        "checks": [
-            {"name": "closed_form_two_paths_identical", "kind": "assert", "ok": two_path},
-            {"name": "defect_sign_where_sufficient_condition_holds", "kind": "assert", "ok": consistent},
-        ],
-    }
-
-
-def _suite_coarse(args, kernel) -> dict:
-    law = args.disorder_law
-    beta = args.beta if args.beta is not None else 1.0
-    c3 = 0.9 * q1(law, beta)
-    h = args.h if args.h is not None else c3 / math.log(1000.0)
-    replicas = args.replicas or 100
-    report = estimators.coarse_graining_check(
-        kernel, law, beta, h, c3, replicas=replicas, seed=args.seed
-    )
-    report.update(beta=beta, h=h, replicas=replicas)
-    # an infeasible window (budget exceeded or supercritical tilt) is a
-    # finding about (h, eta), not a fault; it carries no values to check
-    feasible = bool(report["feasible"])
-    finite = not feasible or all(
-        math.isfinite(report[key]) for key in ("a_term", "b_term", "green_constant_full_range")
-    )
-    report["checks"] = [
-        {"name": "window_feasible", "kind": "scan", "ok": feasible},
-        {"name": "report_values_finite", "kind": "assert", "ok": bool(finite)},
-        {
-            "name": "green_constant_stability",
-            "kind": "scan",
-            "ok": bool(report.get("green_relative_change", math.inf) < 0.10),
-        },
-        {
-            "name": "rho_within_one_where_split_small",
-            "kind": "scan",
-            "ok": bool(report.get("rho_within_one", False) or not report.get("split_small", False)),
-        },
-    ]
-    return report
-
-
-_SUITES = {
-    "oracle": _suite_oracle,
-    "moments": _suite_moments,
-    "penalization": _suite_penalization,
-    "coarse": _suite_coarse,
-}
-
-
 def _cmd_verify(args) -> int:
     kernel = build_kernel(args.kernel_family, max(args.n, 20_000))
-    suites = {name: _SUITES[name](args, kernel) for name in args.suites}
+    run = (kernel, args.disorder_law, args.beta, args.h, args.replicas, args.seed)
+    suites = {name: checks.SUITES[name](*run) for name in args.suites}
     ok = all(
         check["ok"] for suite in suites.values() for check in suite["checks"]
         if check["kind"] == "assert"

@@ -428,7 +428,8 @@ def trimmed_moment_check(
 
     three_sigma = 3.0 * (lhs_sigma + rhs_sigma)
 
-    # (c) induction envelope (1 + e^{k q2} C k log k log M / M)^m
+    # (c) induction envelope (1 + e^{k q2} C k log k log M / M)^m, C = 4 c_sup /
+    # (c_L log 2) with c_sup = c L(x_min), the largest c L(n) = n K(n)
     c_sup = kernel.normalization * float(kernel.family.evaluate(kernel.family.x_min))
     c_const = 4.0 * c_sup / (kernel.family.c_L * math.log(2.0))
     growth = (
@@ -517,13 +518,8 @@ def penalization_check(
     family = kernel.family
 
     defect_expression = defect_Kk(kernel, h, plan.k)
-    linf_lhs = (
-        math.exp(plan.phi)
-        * plan.phi
-        * 4.0
-        * float(family.evaluate(plan.k))
-        / family.tail(plan.k)
-    )
+    # the sufficient condition e^phi phi 4 L(k) / tail(k) <= 1
+    linf_lhs = math.exp(plan.phi) * plan.phi * 4.0 * float(family.evaluate(plan.k)) / family.tail(plan.k)
 
     log_closed = bounds_mod.log_upper_general(family, law, beta, h, plan.b)
     log_rate_form = -rate * plan.phi / h
@@ -702,7 +698,8 @@ def coarse_graining_check(
             }
         )
 
-    # empirical Green constant and its stability under doubling the range
+    # empirical Green constant, the largest u(n) tail(1/h)^2 / K(n) over
+    # 1 <= n <= green_n_max // 2 and over 1 <= n <= green_n_max
     ratios = u[1 : green_n_max + 1] * tail_at_inv_h**2 / kernel.masses[1 : green_n_max + 1]
     c_half = float(ratios[: green_n_max // 2].max())
     c_full = float(ratios.max())

@@ -449,27 +449,33 @@ def test_verify_replicas_outside_the_suite_range_exit_2(tmp_path, capsys, args):
 
 def test_oracle_enumerates_the_rows_of_the_replica_source(monkeypatch):
     # the rows the oracle checks against enumeration are the seeded source's
-    # rows for the replica_log_z call they sit next to
-    from copolab import cli, estimators
+    # rows, the very rows whose batched DP values they sit next to
+    from copolab import checks
 
-    calls, enumerated = [], []
-    replica_log_z, brute = estimators.replica_log_z, cli.brute_force_log_Z
+    sources, evaluated, enumerated = [], [], []
+    source, engine, brute = checks._replica_prefixes, checks._log_z_replicas, checks.brute_force_log_Z
 
-    def record_call(*args):
-        calls.append(args[1:])
-        return replica_log_z(*args)
+    def record_source(*args):
+        sources.append(args)
+        return source(*args)
+
+    def record_engine(rows, kernel):
+        evaluated.append(rows.copy())
+        return engine(rows, kernel)
 
     def record_row(row, kernel):
         enumerated.append(row.copy())
         return brute(row, kernel)
 
-    monkeypatch.setattr(estimators, "replica_log_z", record_call)
-    monkeypatch.setattr(cli, "brute_force_log_Z", record_row)
+    monkeypatch.setattr(checks, "_replica_prefixes", record_source)
+    monkeypatch.setattr(checks, "_log_z_replicas", record_engine)
+    monkeypatch.setattr(checks, "brute_force_log_Z", record_row)
     assert run_cli(["verify", "oracle", "--seed", "4", "--out", os.devnull]) == 0
-    trials = calls[: len(enumerated) // 2]
-    assert len(trials) == 60
-    want = [row for call in trials for row in next(estimators._replica_prefixes(*call))]
-    assert np.concatenate(enumerated).tobytes() == np.concatenate(want).tobytes()
+    trials = len(enumerated) // 2
+    assert trials == 60
+    want = np.concatenate([row for args in sources[:trials] for row in next(source(*args))]).tobytes()
+    assert np.concatenate(enumerated).tobytes() == want
+    assert np.concatenate([rows.ravel() for rows in evaluated[:trials]]).tobytes() == want
 
 
 def test_verify_coarse_records_supercritical_tilt_as_scan(tmp_path):
@@ -585,6 +591,36 @@ def test_negative_seed_exits_2_without_artifact(tmp_path, capsys, args):
     out = tmp_path / "out"
     assert run_cli([*args, "--seed", "-1", "--n", "50", "--out", str(out)]) == 2
     assert "non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_BETA_READERS = [
+    ["estimate", "--h", "0.3"], ["sweep", "--h-grid", "0.3,0.1"], ["bounds", "--h", "0.1"],
+    ["verify", "moments"], ["verify", "penalization"], ["verify", "coarse"], ["verify", "all"],
+]
+_N_READERS = [
+    ["estimate", "--beta", "1.0", "--h", "0.3"], ["sweep", "--beta", "1.0", "--h-grid", "0.3,0.1"],
+    ["annealed", "--h", "0.1"], ["bounds", "--beta", "1.0", "--h", "0.1"], ["kernel-info"],
+    *(["verify", suite] for suite in ("oracle", "moments", "penalization", "coarse", "all")),
+]
+
+
+def _label(args):
+    return "-".join(args[:2] if args[0] == "verify" else args[:1])
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [([*a, "--beta", "-1"], "--beta must be nonnegative") for a in _BETA_READERS]
+    + [([*a, "--n", n], "need at least one site") for a in _N_READERS for n in ("0", "-3")],
+    ids=[f"{_label(a)}-beta-negative" for a in _BETA_READERS]
+    + [f"{_label(a)}-n{n}" for a in _N_READERS for n in ("0", "-3")],
+)
+def test_negative_beta_or_no_site_exits_2_at_parse_without_artifact(tmp_path, capsys, args, message):
+    # refused before any suite or engine runs, with the flag's own value
+    out = tmp_path / "out"
+    assert run_cli([*args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

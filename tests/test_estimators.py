@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from copolab import estimators as est, partition
 from copolab.bounds import log_upper_general
 from copolab.disorder import BINARY, GAUSSIAN, _draw, log_mgf, q1, q2, rate_function, spawn_rng
-from copolab.kernel import build_kernel
+from copolab.kernel import build_kernel, check_eta_kernel, renewal_mass
 from copolab.partition import (
     _BLOCK,
     _CHUNK,
@@ -873,6 +873,54 @@ def test_coarse_graining_report_fields(big_kernels):
     assert math.isfinite(report["a_term_analytic_integral"])
     assert report["green_constant_full_range"] >= report["green_constant_half_range"]
     assert len(report["fractional_moment_spot"]) >= 3
+
+
+def test_coarse_window_terms_and_green_constants_from_their_sums(log_kernel_small):
+    # a_term and b_term split sum_{n=N}^{M} sum_j K(n - j)^theta u(j) at j = N // 2, summed
+    # here over (n, j) directly; M >= N, so every n - j >= 1.  The Green constants are the
+    # largest u(n) tail(1/h)^2 / K(n) over n <= green_n_max // 2 and n <= green_n_max
+    kernel, c3, green = log_kernel_small, 0.45, 400
+    h = c3 / math.log(120.0)
+    rep = est.coarse_graining_check(kernel, GAUSSIAN, 1.0, h, c3, replicas=2, seed=1, green_n_max=green)
+    n_win, m_eff, theta = rep["n_window"], rep["m_effective"], rep["theta"]
+    assert n_win <= m_eff <= kernel.support_cap
+    u = renewal_mass(check_eta_kernel(kernel, h, rep["eta"]), green).tolist()
+    masses = kernel.masses.tolist()
+
+    def split(js):
+        return math.fsum(u[j] * masses[n - j] ** theta for j in js for n in range(n_win, m_eff + 1))
+
+    assert rep["a_term"] == pytest.approx(split(range(0, n_win // 2)), rel=1e-12)
+    assert rep["b_term"] == pytest.approx(split(range(n_win // 2, n_win)), rel=1e-12)
+    tail2 = kernel.family.tail(1.0 / h) ** 2
+    half = max(u[n] * tail2 / masses[n] for n in range(1, green // 2 + 1))
+    full = max(u[n] * tail2 / masses[n] for n in range(1, green + 1))
+    assert rep["green_constant_half_range"] == pytest.approx(half, rel=1e-15)
+    assert rep["green_constant_full_range"] == pytest.approx(full, rel=1e-15)
+
+
+@pytest.mark.parametrize("name", ["sub", "log", "super"])
+def test_induction_envelope_from_its_formula(families, name):
+    # (1 + e^{k q2} C k log k log M / M)^m with C = 4 c_sup / (c_L log 2), c_sup the
+    # largest c L(n) = n K(n) on the support (L is frozen below x_min, nonincreasing above)
+    kernel, plan, beta = build_kernel(families[name], 2000), partition.Trimmed(M=6, k=2, m=2, N=60), 0.5
+    rep = est.trimmed_moment_check(kernel, GAUSSIAN, beta, 0.3, plan, replicas=100, seed=2)
+    c_sup = max(n * mass for n, mass in enumerate(kernel.masses.tolist()))
+    c_const = 4.0 * c_sup / (kernel.family.c_L * math.log(2.0))
+    growth = math.exp(plan.k * q2(GAUSSIAN, beta)) * c_const * plan.k * math.log(plan.k)
+    want = plan.m * math.log(1.0 + growth * math.log(plan.M) / plan.M)
+    assert rep["induction_bound_log"] == pytest.approx(want, rel=1e-12)
+
+
+def test_linf_condition_from_its_formula(big_kernels):
+    # e^phi phi 4 L(k) / tail(k), with L(k) = k K(k) / c read off the masses
+    for kernel in big_kernels.values():
+        for h in (0.1, 0.0125, 0.0015625):
+            plan = est.penalization_plan(kernel, GAUSSIAN, 1.0, h)
+            rep = est.penalization_check(kernel, GAUSSIAN, 1.0, h, plan)
+            numerator = plan.k * float(kernel.masses[plan.k]) / kernel.normalization
+            want = math.exp(plan.phi) * plan.phi * 4.0 * numerator / kernel.family.tail(plan.k)
+            assert rep["linf_lhs"] == pytest.approx(want, rel=1e-12)
 
 
 def test_coarse_graining_infeasible_report(big_kernels):

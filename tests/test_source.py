@@ -1,5 +1,6 @@
 """Guards over the package source, read as syntax trees: no unused imports,
-and replica disorder drawn in one place."""
+replica disorder drawn in one place, and a front end that reaches the
+engines through their public names only."""
 
 import ast
 import importlib
@@ -54,4 +55,28 @@ def test_replicas_are_drawn_only_by_the_seeded_source():
     # alone; the oracle's stream gate compares the streams themselves
     source = ("estimators", "_replica_prefixes")
     outside = {name: {s for s in _call_sites(name) if s[0] != "disorder"} for name in ("_draw", "replica_rngs")}
-    assert outside == {"_draw": {source}, "replica_rngs": {source, ("cli", "_suite_oracle")}}
+    assert outside == {"_draw": {source}, "replica_rngs": {source, ("checks", "oracle")}}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_cli_imports_no_private_name_of_another_module():
+    # neither `from .partition import _x` nor `from . import estimators`
+    # followed by `estimators._x`: engine internals belong to checks
+    tree = _tree(next(path for path in MODULES if path.stem == "cli"))
+    internal = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("copolab"))
+    ]
+    modules = {
+        alias.asname or alias.name
+        for node in internal if node.module in (None, "copolab") for alias in node.names
+    }
+    imported = [alias.name for node in internal for alias in node.names]
+    reached = [
+        f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules
+    ]
+    assert [name for name in imported + reached if _private(name.rsplit(".", 1)[-1])] == []
