@@ -9,10 +9,11 @@ measured thresholds and never fail a run.  Payload field names are stable:
 enumeration), worst_block_edge_relative_error (batched DP against the row
 loop at block_edge_sizes, the edges of its 8-row sub-blocks and 64-site
 blocks), worst_trimmed_relative_error (batched trimmed engine against its
-row loop on trimmed_trials small plans), worst_two_pass_relative_error and
-worst_trimmed_two_pass_relative_error (the rows either side of a pass
-boundary of each engine, two_pass_batch and trimmed_two_pass, against the
-row loops), worst_annealed_relative_error (annealed values at
+row loop on trimmed_trials small plans), worst_two_pass_relative_error
+(every row of two_pass_batch, three groups of rows run in passes of two
+groups, against the row loop), worst_trimmed_two_pass_relative_error (the
+rows either side of the trimmed engine's pass boundary, trimmed_two_pass,
+against its row loop), worst_annealed_relative_error (annealed values at
 annealed_fields against the row loop) and streams_checked (replica streams
 of stream_seeds compared with numpy's SeedSequence(seed, spawn_key=(i,))
 streams); "moments" embeds the trimmed-ensemble report
@@ -43,9 +44,9 @@ from .partition import (
     _BLOCK,
     _FILL_ROWS,
     _GEMM_REPLICAS,
+    _TRIMMED_GROUP,
     Trimmed,
     _log_z_replicas,
-    _pass_lanes,
     _trimmed_log_z_replicas,
     _trimmed_pass_rows,
     _trimmed_size,
@@ -82,10 +83,10 @@ def oracle(kernel, law, beta, h, replicas, seed) -> dict:
         (rows,) = _replica_prefixes(law_i, beta_i, h_i, n, int(source.integers(0, 2**32)), count)
         return rows
 
-    def batch(law_i, n, count):
-        # the batched DP's value of each drawn row, with the row
+    def batch(law_i, n, count, lanes=None):
+        # the batched DP's value of each drawn row, with the row, in passes of lanes rows
         rows = draw(law_i, n, count)
-        return zip(_log_z_replicas(rows, kernel).tolist(), rows)
+        return zip(_log_z_replicas(rows, kernel, lanes).tolist(), rows)
 
     enumerated = []
     trials = 60
@@ -111,15 +112,15 @@ def oracle(kernel, law, beta, h, replicas, seed) -> dict:
         values = _trimmed_log_z_replicas(rows, kernel, plan).tolist()
         trimmed += [(v, log_Z_restricted(row, kernel, plan)) for v, row in zip(values, rows)]
     worst_trimmed = _worst_relative_error(trimmed)
-    # one group more than a pass holds; the rows either side of the pass
-    # boundary, the first pass's last group and the second pass, go to the row loop
+    # three groups of rows in passes of two groups; every row, both sides of
+    # the pass boundary, goes to the row loop
     two_pass_n = 3 * _BLOCK + 5
-    two_pass = {"replicas": _pass_lanes(two_pass_n) + _GEMM_REPLICAS, "n": two_pass_n,
-                "rows_checked": 2 * _GEMM_REPLICAS}
+    two_pass = {"replicas": 3 * _GEMM_REPLICAS, "n": two_pass_n, "rows_per_pass": 2 * _GEMM_REPLICAS,
+                "rows_checked": 3 * _GEMM_REPLICAS}
     boundary = [
         pair
         for law_i in (GAUSSIAN, BINARY)
-        for pair in list(batch(law_i, two_pass_n, two_pass["replicas"]))[-2 * _GEMM_REPLICAS :]
+        for pair in batch(law_i, two_pass_n, two_pass["replicas"], two_pass["rows_per_pass"])
     ]
     worst_two_pass = _worst_relative_error((value, log_Z(row, kernel)) for value, row in boundary)
     # the same for the trimmed engine, on rows drawn from a stream of their
@@ -127,15 +128,15 @@ def oracle(kernel, law, beta, h, replicas, seed) -> dict:
     pass_plan = Trimmed(M=12, k=2, m=3, N=430)
     trimmed_two_pass = {
         "plan": asdict(pass_plan),
-        "replicas": _trimmed_pass_rows(pass_plan, _trimmed_size(kernel, pass_plan)) + _GEMM_REPLICAS,
-        "rows_checked": 2 * _GEMM_REPLICAS,
+        "replicas": _trimmed_pass_rows(pass_plan, _trimmed_size(kernel, pass_plan)) + _TRIMMED_GROUP,
+        "rows_checked": 2 * _TRIMMED_GROUP,
     }
     pass_rng = spawn_rng(seed, 0)
     trimmed_boundary = []
     for law_i in (GAUSSIAN, BINARY):
         rows = draw(law_i, pass_plan.N, trimmed_two_pass["replicas"], source=pass_rng)
-        values = _trimmed_log_z_replicas(rows, kernel, pass_plan)[-2 * _GEMM_REPLICAS :]
-        rows = rows[-2 * _GEMM_REPLICAS :]
+        values = _trimmed_log_z_replicas(rows, kernel, pass_plan)[-2 * _TRIMMED_GROUP :]
+        rows = rows[-2 * _TRIMMED_GROUP :]
         trimmed_boundary += [
             (value, log_Z_restricted(row, kernel, pass_plan)) for value, row in zip(values.tolist(), rows)
         ]

@@ -6,8 +6,9 @@ counter-split replica seeds, so a run can be reproduced byte for byte from
 its own output.  The output path does not enter the header.  Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error, an
 unwritable --out included; NaN or infinite values of --beta, --h,
---upsilon, --cl or any --h-grid entry, a negative --beta and an --n below 1
-are configuration errors, rejected before anything is computed or written,
+--upsilon, --cl or any --h-grid entry, a negative --beta, an --n below 1
+and --beta 0 for the coarse suite are configuration errors, rejected
+before anything is computed or written,
 and finite values that overflow a DP (a non-finite value in any row of
 estimate, sweep or annealed) exit 2 without writing the artifact.
 
@@ -130,17 +131,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache  # as _build_parser: parsing leaves both probes unchanged
+def _config_probes() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    # one finds --config anywhere in the line, the other where the command starts
+    path, rest = argparse.ArgumentParser(add_help=False), argparse.ArgumentParser(add_help=False)
+    for probe in (path, rest):
+        probe.add_argument("--config")
+    rest.add_argument("rest", nargs=argparse.REMAINDER)  # the command and what follows it
+    return path, rest
+
+
 def _apply_config_file(argv):
     # the file's flags go right after the command, ahead of the user's own
     # flags, so argparse's last-wins rule lets a flag in any spelling it
     # accepts (--seed 12, --seed=12, --see 12) beat the file
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config")
-    path = probe.parse_known_args(argv)[0].config
+    path_probe, rest_probe = _config_probes()
+    path = path_probe.parse_known_args(argv)[0].config
     if not path:
         return argv
-    probe.add_argument("rest", nargs=argparse.REMAINDER)  # the command and what follows it
-    at = len(argv) - len(probe.parse_known_args(argv)[0].rest) + 1
+    at = len(argv) - len(rest_probe.parse_known_args(argv)[0].rest) + 1
     flags = [
         f"--{key.replace('_', '-')}={value}"
         for key, value in _read_config_file(path).items()
@@ -193,6 +202,8 @@ def _parse(argv) -> argparse.Namespace:
         raise SystemExit2(f"--beta must be nonnegative, got {args.beta}")
     if args.n < 1:
         raise SystemExit2(f"--n {args.n}: need at least one site")
+    if "coarse" in names and args.beta == 0:
+        raise SystemExit2(f"{label} needs --beta above 0: q1(0) = 0 leaves no crossover window")
     if "h_grid" in reads:
         if not grid and args.h is None:
             raise SystemExit2("one of --h or --h-grid is required")

@@ -19,7 +19,7 @@ e^{hl}.
 
 The trimmed (alternating long/short) ensemble follows the same pattern:
 ``log_Z_restricted`` is the one-row stage loop and the oracle, and
-``_trimmed_log_z_replicas`` runs the stages for groups of _GEMM_REPLICAS
+``_trimmed_log_z_replicas`` runs the stages for groups of _TRIMMED_GROUP
 replicas in passes.  Both engines build their push matrices from
 ``kernel._toeplitz_view``.
 """
@@ -47,13 +47,16 @@ __all__ = [
 _LOG2 = math.log(2.0)
 _BLOCK = 64  # source block width of the replica-batched quenched DP
 _CHUNK = 4096  # targets per push GEMM of one block; bounds its product
-_GEMM_REPLICAS = 8  # replicas per GEMM in the push
+_GEMM_REPLICAS = 4  # replicas per GEMM group of the quenched engine
+_TRIMMED_GROUP = 8  # replicas per GEMM group of the trimmed engine
 _PASS_BYTES = 24 << 20  # working-set budget of one pass of the quenched engine
 _FILL_ROWS = 8  # rows per diagonal sub-block of the linear-domain block fill; a power of two
 _FILL_VARIATION = 256.0  # largest in-block charge variation filled in the linear domain
+_PLAN_BLOCKS = 8  # blocks whose charge steps a pass's plan measures at a time
 _LINE_DOUBLES = 8  # doubles per 64-byte cache line; every quenched workspace array starts on one
 _TRIMMED_CHUNK = 64  # targets per long-stage GEMM of the trimmed engine
 _TRIMMED_PASS_BYTES = 2 << 20  # working-set budget of one trimmed pass and one sampler chunk
+_EYE = np.eye(_FILL_ROWS)  # I, the first term of the fill's (I - A)^{-1}
 
 
 def charge_prefix(law: DisorderLaw, beta: float, h, omega: np.ndarray) -> np.ndarray:
@@ -136,13 +139,15 @@ def log_Z(prefix: np.ndarray, kernel: RenewalKernel) -> float:
 
 def _lane_shapes(n: int) -> dict[str, tuple[int, ...]]:
     """The shape of one row of each array that ``_lane_bytes`` lists, by name."""
+    blocks = -(-(n + 1) // _BLOCK)
     subs = (_BLOCK // _FILL_ROWS, _FILL_ROWS, _FILL_ROWS)
     return {
         "acc": (2, n + 1),
-        "charges": (_BLOCK,),
-        "logs": (2, _BLOCK),
-        "pushed": (_BLOCK,),
-        "diffs": (_BLOCK - 1,),
+        "charges": (n + 1,),
+        "mid": (blocks,),
+        "low": (blocks,),
+        "variation": (blocks,),
+        "steps": (min(blocks, _PLAN_BLOCKS) * (_BLOCK - 1),),
         "p": (_BLOCK,),
         "rel": (_BLOCK,),
         "up": (_BLOCK,),
@@ -160,15 +165,17 @@ def _lane_bytes(n: int) -> int:
     """Working set of one row of the quenched engine over n sites.
 
     Every per-row array the engine keeps in its workspace, in doubles:
-    both accumulators, 2 (N + 1); over one source block, the row's charges,
-    _BLOCK, the logs of its accumulators, 2 _BLOCK, its log p, _BLOCK, and
-    its charge steps, _BLOCK - 1; in the fill, the scaled p, the centred
-    charges and their two exponentials, _BLOCK each, the diagonal
-    sub-blocks A, the doubling powers and products of A and
+    both accumulators, 2 (N + 1); the pass's plan, that is the row's
+    charges, N + 1, the maximum, the minimum and the variation of its
+    charges in each block, 3 ceil((N + 1)/_BLOCK), and the charge steps of
+    up to _PLAN_BLOCKS blocks at a time, _BLOCK - 1 each; in the fill of one
+    block, p, the centred charges and their two exponentials, _BLOCK each,
+    the diagonal sub-blocks A, the doubling powers and products of A and
     (I - A)^{-1}, _BLOCK _FILL_ROWS each, the filled block, 2 _BLOCK, and
     the earlier sub-blocks' push into one sub-block, 2 _FILL_ROWS; and its
     two rows of one push product, 2 min(_CHUNK, N + 1 - _BLOCK).  Per-row
-    scalars (maxima, offsets, scales) are not counted.
+    scalars (maxima, offsets, scales, the steep flags) and the log fill of
+    steep rows are not counted.
     """
     return 8 * sum(math.prod(shape) for shape in _lane_shapes(n).values())
 
@@ -204,7 +211,7 @@ def _workspace(n: int, lanes: int) -> dict[str, np.ndarray]:
     grows: a call that needs more than it holds replaces it, and it is
     freed with its thread.  Its size is the largest working set a call in
     that thread has had, which _PASS_BYTES bounds as long as one group of
-    rows and the push operand fit in it (N below 38 330).
+    rows and the push operand fit in it (N below 40 784).
 
     Module state is acceptable here because the workspace carries no value
     between calls: every element a call reads, it has written earlier in
@@ -231,43 +238,51 @@ def _shaped(array: np.ndarray, *shape: int) -> np.ndarray:
     return array.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
+def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel, lanes: int | None = None) -> np.ndarray:
     """Quenched log Z_N of every row of an (R, N+1) charge-prefix array.
 
     Same recursion as ``log_Z``, split into two causal convolutions of
     a(j) = Z(j) and b(j) = Z(j) e^{-S_j}:
     Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Rows go through in passes of
-    ``_pass_lanes(N)`` rows, whole groups of _GEMM_REPLICAS rows whose
-    working set fits _PASS_BYTES beside the push operand.  The last group
-    of a pass is zero-padded; its padded rows enter the GEMMs, which always
-    see whole groups, and nothing else: the per-row work, every log and
-    every division, runs on live rows only.
+    ``lanes`` rows, whole groups of _GEMM_REPLICAS rows; by default
+    ``_pass_lanes(N)``, the groups whose working set fits _PASS_BYTES beside
+    the push operand.  The last group of a pass is zero-padded; its padded
+    rows enter the GEMMs, which always see whole groups, and nothing else:
+    the per-row work, every log and every division, runs on live rows only.
     Every GEMM is one group's own product, stacked over the pass's groups in
     one ``np.matmul`` call.  Sources are cut into blocks of _BLOCK sites.
     Inside a block Z solves (I - L) z = p, with p the part pushed from
     earlier blocks and L[u, v] = K(u - v)/2 (1 + e^{S_u - S_v}) >= 0 for
-    v < u; ``_fill_linear`` solves it in the linear domain and
-    ``_fill_log``, row by row in log space, takes the replicas whose charges
-    vary too much inside the block.
+    v < u; ``_fill_linear`` reads p from the accumulators and solves it in
+    the linear domain, and ``_fill_log``, row by row in log space, takes
+    the replicas whose charges vary too much inside the block (steep rows),
+    with p read in the log domain.
+    Everything a block needs that does not depend on the pushed values is
+    planned once per pass: the pass's charge rows, each block's charge
+    mid-range and steep flags (``_block_plan``), and the views the fill's
+    sub-block loop takes (``_fill_views``); the padded rows of the filled
+    block are zeroed once per pass.
     A finished block, scaled per replica, is pushed to all later targets
     with Toeplitz(K) GEMMs of _CHUNK targets each, column slices of one
     contiguous push operand built once per call, and added to per-target
     linear accumulators that share one log scale per replica and channel.
-    The push operand, the accumulators and every per-block array, the
-    fill's included, live in this thread's ``_workspace``, written with
-    ``out=``: the block loop allocates only per-row scalars (and the log
-    fill of steep rows), and the workspace's pages stay mapped between
-    calls.  It is grow-only, as large as the largest pass the thread has
-    run: at most _PASS_BYTES, or one group of rows beside the push operand.
-    A row holding a non-finite charge gives NaN.  A row's value depends
-    neither on the other rows' values, nor on the pass width, nor on its
-    slot in its group.
+    The push operand, the accumulators, the pass's plan and every per-block
+    array, the fill's included, live in this thread's ``_workspace``,
+    written with ``out=``: the block loop allocates only per-row scalars
+    (and the log fill of steep rows), and the workspace's pages stay mapped
+    between calls.  It is grow-only, as large as the largest pass the
+    thread has run: at most _PASS_BYTES, or one group of rows beside the
+    push operand.  A row holding a non-finite charge gives NaN.  A row's
+    value depends neither on the other rows' values, nor on the pass width,
+    nor on its slot in its group.
     """
     replicas, n = prefix.shape[0], prefix.shape[1] - 1
     if n < 1:
         raise ValueError("need at least one site")
     if n > kernel.support_cap:
         raise ValueError(f"kernel support {kernel.support_cap} < N = {n}")
+    if lanes is not None and (lanes < 1 or lanes % _GEMM_REPLICAS):
+        raise ValueError(f"rows per pass must be whole groups of {_GEMM_REPLICAS}, got {lanes}")
     out = np.full(replicas, np.nan)
     rows = np.flatnonzero(np.isfinite(prefix).all(axis=1))
     if len(rows) == 0:
@@ -286,7 +301,7 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     # gaps[_BLOCK - u:] = log K(u)/2, ..., log K(1)/2, 0: the weights of row u
     # of a block over its sources 0..u-1 and over its own pushed part
     gaps = np.append(kernel.log_masses[_BLOCK:0:-1] - _LOG2, 0.0)
-    lanes = min(_pass_lanes(n), _GEMM_REPLICAS * -(-len(rows) // _GEMM_REPLICAS))
+    lanes = min(lanes or _pass_lanes(n), _GEMM_REPLICAS * -(-len(rows) // _GEMM_REPLICAS))
     ws = _workspace(n, lanes)
     # push[u, t] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t.
     # OpenBLAS rounds a row of a product with a transposed operand by the
@@ -298,7 +313,7 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     # b(j) over pushed blocks.  ref is the largest block offset pushed so
     # far, so every target holds at least K(m - j0) times the value 1 of
     # that block's largest source: nothing in acc that carries weight
-    # underflows, and what a rescale drops was negligible
+    # underflows, what a rescale drops was negligible, and acc <= sum K <= 1
     # BLAS may sum in an order that follows the matrix shape, so every GEMM
     # takes one zero-padded group of _GEMM_REPLICAS replicas and never sees R
     for p0 in range(0, len(rows), lanes):
@@ -307,39 +322,45 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
         width = _GEMM_REPLICAS * -(-live // _GEMM_REPLICAS)
         acc = ws["acc"][:width]
         acc.fill(0.0)  # padded rows only ever gain zeros here
+        # batch holds valid rows; "clip" only keeps take from buffering out
+        charges = np.take(prefix, batch, axis=0, mode="clip", out=ws["charges"][:live])
+        mid, steep = _block_plan(charges, ws)
+        hot = steep.any(axis=0).tolist()  # the blocks that hold a steep row
+        views = _fill_views(ws, live, width, earlier)
+        scaled = ws["scaled"][:width]
+        scaled[live:] = 0.0  # the padded rows stay 0 through the pass
+        filled = scaled[:live]
+        stacked = scaled.reshape(-1, 2 * _GEMM_REPLICAS, _BLOCK)
         ref = np.full((live, 2), -np.inf)
-        for j0 in range(0, n + 1, _BLOCK):
+        for b, j0 in enumerate(range(0, n + 1, _BLOCK)):
             j1 = min(j0 + _BLOCK, n + 1)
             span = j1 - j0
-            # batch holds valid rows; "clip" only keeps take from buffering out
-            charges = np.take(prefix[:, j0:j1], batch, axis=0, mode="clip",
-                              out=_shaped(ws["charges"], live, span))
-            pushed = ws["pushed"][:live, :span]
-            if j0 == 0:
-                pushed.fill(-np.inf)
-                pushed[:, 0] = 0.0
-            else:
-                logs = np.log(acc[:live, :, j0:j1], out=ws["logs"][:live, :, :span])
-                logs += ref[:, :, None]
-                logs[:, 1] += charges
-                np.logaddexp(logs[:, 0], logs[:, 1], out=pushed)
-                pushed -= _LOG2
-            diffs = np.subtract(charges[:, 1:], charges[:, :-1], out=ws["diffs"][:live, : span - 1])
-            steep = np.abs(diffs, out=diffs).sum(axis=1) > _FILL_VARIATION
-            # a = scaled[:, 0] e^{offset[:, 0]}, b = scaled[:, 1] e^{offset[:, 1]}
-            # on the live rows; the padded rows of scaled stay 0
-            scaled, offset = _fill_linear(pushed, charges, steep, width, diagonal, earlier, ws)
-            filled = scaled[:live]
-            if steep.any():
-                block = _fill_log(pushed[steep], charges[steep] - charges[steep, :1], gaps)
-                top = block.max(axis=2)
-                filled[steep, :, :span] = np.exp(block - top[:, :, None])
-                top[:, 1] -= charges[steep, 0]
-                offset[steep] = top
+            sites = charges[:, j0:j1]
+            steep_rows = steep[:, b] if hot[b] else None
+            # a = filled[:, 0] e^{offset[:, 0]}, b = filled[:, 1] e^{offset[:, 1]}
+            pushed = acc[:live, :, j0:j1] if j0 else None
+            offset = _fill_linear(pushed, ref, sites, mid[:, b], steep_rows, diagonal, views, ws)
+            if hot[b]:
+                # log p of the steep rows: (a e^{ref_0} + b e^{ref_1 + S})/2
+                if j0 == 0:
+                    logp = np.full((np.count_nonzero(steep_rows), span), -np.inf)
+                    logp[:, 0] = 0.0
+                else:
+                    logs = np.log(pushed[steep_rows])
+                    logs += ref[steep_rows][:, :, None]
+                    logs[:, 1] += sites[steep_rows]
+                    logp = np.logaddexp(logs[:, 0], logs[:, 1])
+                    logp -= _LOG2
+                start = sites[steep_rows, :1]
+                logged = _fill_log(logp, sites[steep_rows] - start, gaps)
+                top = logged.max(axis=2)
+                filled[steep_rows, :, :span] = np.exp(logged - top[:, :, None])
+                top[:, 1] -= start[:, 0]
+                offset[steep_rows] = top
             if j1 > n:
                 values = np.log(filled[:, 0, n - j0]) + offset[:, 0]
-                if steep.any():
-                    values[steep] = block[:, 0, n - j0]
+                if hot[b]:
+                    values[steep_rows] = logged[:, 0, n - j0]
                 out[batch] = values
                 break
             if (offset > ref).any():
@@ -347,7 +368,6 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
                 acc[:live, :, j1:] *= np.exp(ref - raised)[:, :, None]
                 ref = raised
             filled *= np.exp(offset - ref)[:, :, None]
-            stacked = scaled.reshape(-1, 2 * _GEMM_REPLICAS, _BLOCK)
             for t0 in range(0, n + 1 - j1, _CHUNK):
                 t1 = min(t0 + _CHUNK, n + 1 - j1)
                 product = _shaped(ws["product"], len(stacked), 2 * _GEMM_REPLICAS, t1 - t0)
@@ -356,23 +376,95 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel) -> np.ndarray:
     return out
 
 
-def _fill_linear(pushed, charges, steep, width, diagonal, earlier, ws):
+def _block_plan(charges, ws):
+    """The charge mid-range and the steep flag of every block of a pass.
+
+    ``charges`` holds the pass's (live, N + 1) charge rows, cut into blocks
+    of _BLOCK sites, the last one possibly shorter.  Returns ``mid`` (live,
+    blocks), the mid-range of each block's charges, a view of ``ws``, and
+    ``steep`` (live, blocks), whether their variation sum |S_{i+1} - S_i|
+    over the block exceeds _FILL_VARIATION.  Whole blocks are measured
+    _PLAN_BLOCKS at a time, as views of one reshape, their steps written
+    into the workspace's ``steps``.
+    """
+    live, size = charges.shape
+    full = size // _BLOCK
+    mid, low, variation = (ws[name][:live] for name in ("mid", "low", "variation"))
+    cuts = [(b0, min(b0 + _PLAN_BLOCKS, full), _BLOCK) for b0 in range(0, full, _PLAN_BLOCKS)]
+    if size % _BLOCK:
+        cuts.append((full, full + 1, size % _BLOCK))
+    for b0, b1, span in cuts:
+        sites = charges[:, b0 * _BLOCK : b0 * _BLOCK + (b1 - b0) * span].reshape(live, b1 - b0, span)
+        np.max(sites, axis=2, out=mid[:, b0:b1])
+        np.min(sites, axis=2, out=low[:, b0:b1])
+        steps = _shaped(ws["steps"], live, b1 - b0, span - 1)
+        np.subtract(sites[:, :, 1:], sites[:, :, :-1], out=steps)
+        np.abs(steps, out=steps)
+        np.sum(steps, axis=2, out=variation[:, b0:b1])
+    mid += low
+    mid *= 0.5
+    return mid, variation > _FILL_VARIATION
+
+
+def _fill_views(ws, live, width, earlier):
+    """The workspace views that ``_fill_linear`` takes, built once per pass.
+
+    For a pass of ``live`` rows in ``width`` rows, whole groups: up and
+    down cut into the diagonal sub-blocks as the outer product that builds
+    A takes them, the earlier sub-blocks' push product and its two
+    channels, and per sub-block q a tuple of the slices of p (also as a
+    column), up, down, x (as a column and as rows) and y, the inverse of
+    its diagonal sub-block, the filled block's rows before it, grouped as
+    the GEMM takes them, and its Toeplitz(K/2) operand ``earlier[q - 1]``.
+    """
+    p, up, down, inverse = (ws[name][:live] for name in ("p", "up", "down", "inverse"))
+    scaled = ws["scaled"][:width]
+    flat = scaled.reshape(2 * width, _BLOCK)
+    x, y = scaled[:live, 0, :, None], scaled[:live, 1]
+    pair = ws["pair"][:width]
+    subs = (live, _BLOCK // _FILL_ROWS, _FILL_ROWS)
+    views = {
+        "up": up.reshape(subs)[..., :, None],
+        "down": down.reshape(subs)[..., None, :],
+        "products": pair.reshape(-1, 2 * _GEMM_REPLICAS, _FILL_ROWS),
+        "direct": pair[:live, 0],
+        "coupled": pair[:live, 1],
+        "subs": [],
+    }
+    for q, r0 in enumerate(range(0, _BLOCK, _FILL_ROWS)):
+        cols = slice(r0, r0 + _FILL_ROWS)
+        grouped = flat[:, :r0].reshape(-1, 2 * _GEMM_REPLICAS, r0) if q else None
+        views["subs"].append((
+            p[:, cols], p[:, cols, None], up[:, cols], down[:, cols], x[:, cols], x[:, cols, 0],
+            y[:, cols], inverse[:, q], grouped, earlier[q - 1] if q else None,
+        ))
+    return views
+
+
+def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
     """Solve one block's (I - L) z = p in the linear domain, all live rows at once.
 
-    ``pushed`` holds log p and ``charges`` the block's S, one row per live
-    replica; ``width`` is the live count rounded up to whole groups of
-    _GEMM_REPLICAS; ``diagonal`` and ``earlier`` are the diagonal sub-block
-    and the earlier blocks of Toeplitz(K/2), and ``ws`` is the caller's
-    ``_workspace``, which holds every array of the fill.  Returns ``scaled``
-    (width, 2, _BLOCK), a view of the workspace, zero past the live rows,
-    and ``offset`` (live, 2), with a = scaled[:, 0] e^{offset[:, 0]} and
-    b = scaled[:, 1] e^{offset[:, 1]} on the live rows.
-    p is scaled by its row maximum and the charges are centred at the
-    mid-range `mid` of the row, so that x = z e^{-max log p} and
-    y = x e^{mid - S} are what the block holds.  Rows are solved in
-    sub-blocks of _FILL_ROWS: the block's earlier rows enter through
-    Toeplitz(K/2) GEMMs on the pair (x, y), as in the push, over whole
-    groups (the padded rows hold zeros),
+    ``pushed`` holds the block's two accumulators (live, 2, span) and
+    ``ref`` their log scales (live, 2), as the caller keeps them; in the
+    first block ``pushed`` is None and p = e_0.  ``charges`` holds the
+    block's S and ``mid`` its mid-range, one row per live replica, and
+    ``steep`` flags the rows whose charges vary by more than
+    _FILL_VARIATION, or is None where no row does.  ``diagonal`` is the
+    diagonal sub-block of Toeplitz(K/2), ``views`` the pass's
+    ``_fill_views``, and ``ws`` the caller's ``_workspace``, which holds
+    every array of the fill.  Writes the block into the workspace's
+    ``scaled`` (width, 2, _BLOCK), whose padded rows the caller keeps at 0,
+    and returns ``offset`` (live, 2), with a = scaled[:, 0] e^{offset[:, 0]}
+    and b = scaled[:, 1] e^{offset[:, 1]} on the live rows; past the span
+    of a short last block the filled rows are 0.
+    The charges are centred at ``mid``, up = e^{S - mid}, and p is read
+    from the accumulators in the linear domain: with bu = acc_1 up, the
+    row's top = max(ref_0 + log max acc_0, ref_1 + mid + log max bu) and
+    p = acc_0 e^{ref_0 - top}/2 + bu e^{ref_1 + mid - top}/2, so that the
+    largest p lies in [1/2, 1], x = z e^{-top} and y = x e^{mid - S} are
+    what the block holds.  Rows are solved in sub-blocks of _FILL_ROWS:
+    the block's earlier rows enter through Toeplitz(K/2) GEMMs on the pair
+    (x, y), as in the push, over whole groups (the padded rows hold zeros),
     L[u, v] x_v = K(u-v)/2 x_v + e^{S_u - mid} K(u-v)/2 y_v, and the
     diagonal sub-block A of L, nilpotent, by
     (I - A)^{-1} = (I + A)(I + A^2)(I + A^4), one doubling step less than
@@ -383,72 +475,87 @@ def _fill_linear(pushed, charges, steep, width, diagonal, earlier, ws):
     K(gap)/2 (1 + e^{dS}) <= K(gap) e^{max(dS, 0)}, so it is at most
     e^{TV} times the renewal mass u(u - v) <= 1, TV being the charge
     variation sum |S_{i+1} - S_i| over the block; the same factor bounds
-    how far p, and so x, fall below their maximum.  With TV <=
-    _FILL_VARIATION = 256, x and y stay within e^{+-(3 TV/2 + 30)} of 1,
-    far inside the double range e^{+-708}: nothing overflows and no term
-    that carries weight is subnormal.  Every term is nonnegative, so the
-    error is componentwise relative (Higham, Accuracy and Stability of
-    Numerical Algorithms, ch. 8).  Rows flagged ``steep`` are given flat
-    charges here, which keeps them finite, and are refilled by the caller.
+    how far p, and so x, fall below their maximum: p_u >= e^{-(TV + 30)}
+    max p >= e^{-(TV + 30)}/2.  With TV <= _FILL_VARIATION = 256, x and y
+    stay within e^{+-(3 TV/2 + 30)} of 1, far inside the double range
+    e^{+-708}: nothing overflows and no term that carries weight is
+    subnormal.  The read keeps this.  acc <= 1 (see the caller) and
+    up <= e^{TV/2}, so neither term of p overflows, and a channel's factor
+    e^{ref - top}/2 is at most 1/(2 max acc) or 1/(2 max bu), finite since
+    both maxima are at least min K e^{-TV/2}.  Each term is a product of
+    two or three normal numbers, so relatively exact to a few units of
+    rounding, unless it falls below the smallest normal double, 2^{-1022}
+    ~ e^{-708}: a factor that underflows or a product that turns
+    subnormal.  Such a term differs from its exact value by at most
+    2^{-1022}, which is below e^{-708 + TV + 31} <= e^{-421} of p_u, far
+    below one unit of rounding: it is negligible.  Both terms are
+    nonnegative, so their sum is componentwise accurate as well.  As in a
+    log-domain read, ref - top carries an absolute rounding of a few units
+    of |ref|, the same for every site of the row.  Every term of the solve
+    is nonnegative, so the error is componentwise relative (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 8).  Rows flagged
+    ``steep`` are given flat charges here, which keeps them finite, and
+    are refilled by the caller.
     """
-    live, span = pushed.shape
-    top = pushed.max(axis=1)
-    mid = 0.5 * (charges.max(axis=1) + charges.min(axis=1))
-    # past the block's span (its last block only) p = 0 and flat charges
-    # keep the trailing rows finite; nothing reads them
-    p, rel = ws["p"][:live], ws["rel"][:live]
-    if span < _BLOCK:
-        p[:, span:] = 0.0
-        rel[:, span:] = 0.0
-    np.subtract(pushed, top[:, None], out=p[:, :span])
-    np.exp(p[:, :span], out=p[:, :span])
+    live, span = charges.shape
+    p, rel, up, down = (ws[name][:live] for name in ("p", "rel", "up", "down"))
     np.subtract(charges, mid[:, None], out=rel[:, :span])
-    rel[steep] = 0.0
-    up = np.exp(rel, out=ws["up"][:live])  # e^{S_u - mid}
-    down = np.negative(rel, out=ws["down"][:live])
+    if span < _BLOCK:
+        # past the last block's span p = 0 and flat charges keep the
+        # trailing rows finite; their values are zeroed below
+        rel[:, span:] = 0.0
+        p[:, span:] = 0.0
+    if steep is not None:
+        rel[steep] = 0.0
+    np.exp(rel, out=up)  # e^{S_u - mid}
+    np.negative(rel, out=down)
     np.exp(down, out=down)  # e^{mid - S_v}
+    if pushed is None:
+        p.fill(0.0)
+        p[:, 0] = 1.0
+        top = np.zeros(live)
+    else:
+        lead, lag = pushed[:, 0], pushed[:, 1]
+        bu = np.multiply(lag, up[:, :span], out=p[:, :span])
+        shift = ref[:, 1] + mid
+        top = np.maximum(np.log(lead.max(axis=1)) + ref[:, 0], np.log(bu.max(axis=1)) + shift)
+        bu *= (0.5 * np.exp(shift - top))[:, None]
+        bu += np.multiply(lead, (0.5 * np.exp(ref[:, 0] - top))[:, None], out=rel[:, :span])
     # the diagonal sub-blocks A of every sub-block at once, and their
     # inverses sum_{k<_FILL_ROWS} A^k = (I + A)(I + A^2)...(I + A^{_FILL_ROWS/2})
-    subs = (live, -(-span // _FILL_ROWS), _FILL_ROWS)
-    cut = subs[1] * _FILL_ROWS
-    a, power, inverse = (ws[name][:live, : subs[1]] for name in ("a", "power", "inverse"))
-    np.multiply(up[:, :cut].reshape(subs)[..., :, None], down[:, :cut].reshape(subs)[..., None, :], out=a)
+    a, power, inverse = (ws[name][:live] for name in ("a", "power", "inverse"))
+    np.multiply(views["up"], views["down"], out=a)
     a += 1.0
     a *= diagonal
-    np.add(a, np.eye(_FILL_ROWS), out=inverse)
+    np.add(a, _EYE, out=inverse)
     for _ in range(_FILL_ROWS.bit_length() - 2):
         # power = A^{2^k}; the old A's buffer takes the product with the inverse
         np.matmul(a, a, out=power)
         np.matmul(power, inverse, out=a)
         inverse += a
         a, power = power, a
-    scaled = ws["scaled"][:width]
-    scaled.fill(0.0)
-    flat = scaled.reshape(2 * width, _BLOCK)
-    x, y = scaled[:live, 0, :, None], scaled[:live, 1]
-    pair = ws["pair"][:width]
-    products = pair.reshape(-1, 2 * _GEMM_REPLICAS, _FILL_ROWS)
-    direct, coupled = pair[:live, 0], pair[:live, 1]
-    for q, r0 in enumerate(range(0, span, _FILL_ROWS)):
-        r1 = r0 + _FILL_ROWS
-        c = p[:, r0:r1]
+    products, direct, coupled = views["products"], views["direct"], views["coupled"]
+    for q, (c, column, up_q, down_q, x, x_rows, y, inverse_q, grouped, earlier) in enumerate(
+        views["subs"][: -(-span // _FILL_ROWS)]
+    ):
         if q:
-            grouped = flat[:, :r0].reshape(-1, 2 * _GEMM_REPLICAS, r0)
-            np.matmul(grouped, earlier[q - 1], out=products)
+            np.matmul(grouped, earlier, out=products)
             c += direct
-            coupled *= up[:, r0:r1]
+            coupled *= up_q
             c += coupled
         # z goes straight into its rows of the x channel
-        np.matmul(inverse[:, q], c[:, :, None], out=x[:, r0:r1])
-        np.multiply(x[:, r0:r1, 0], down[:, r0:r1], out=y[:, r0:r1])
+        np.matmul(inverse_q, column, out=x)
+        np.multiply(x_rows, down_q, out=y)
     # a unit maximum per live row and channel, as the caller's push assumes
-    filled = scaled[:live]
-    peak = filled[:, :, :span].max(axis=2)
+    filled = ws["scaled"][:live]
+    if span < _BLOCK:
+        filled[:, :, span:] = 0.0
+    peak = filled.max(axis=2)
     filled /= peak[:, :, None]
     offset = np.log(peak)
     offset[:, 0] += top
     offset[:, 1] += top - mid
-    return scaled, offset
+    return offset
 
 
 def _fill_log(pushed, rel, gaps) -> np.ndarray:
@@ -595,10 +702,10 @@ def _trimmed_row_bytes(plan, size) -> int:
 
 
 def _trimmed_pass_rows(plan, size) -> int:
-    """Rows per pass of the trimmed engine: the whole groups of _GEMM_REPLICAS
+    """Rows per pass of the trimmed engine: the whole groups of _TRIMMED_GROUP
     rows whose working set fits _TRIMMED_PASS_BYTES, at least one."""
-    group = _GEMM_REPLICAS * _trimmed_row_bytes(plan, size)
-    return _GEMM_REPLICAS * max(1, _TRIMMED_PASS_BYTES // group)
+    group = _TRIMMED_GROUP * _trimmed_row_bytes(plan, size)
+    return _TRIMMED_GROUP * max(1, _TRIMMED_PASS_BYTES // group)
 
 
 def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
@@ -608,7 +715,7 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     rows; a generator that draws each block when the engine asks for it,
     and may reuse its buffer for the next, keeps the working set independent
     of R.  Same stages as ``log_Z_restricted``.  Rows go through in passes
-    of ``_trimmed_pass_rows`` rows, whole groups of _GEMM_REPLICAS rows whose
+    of ``_trimmed_pass_rows`` rows, whole groups of _TRIMMED_GROUP rows whose
     working set fits _TRIMMED_PASS_BYTES, in stage buffers allocated once
     per call (grown only if a later pass is wider than the first); the last
     group of a pass is zero-padded.  The long stage is one banded Toeplitz
@@ -663,13 +770,13 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
         log_scale[:] += np.log(top)
 
     def windows(a, first, count, span):
-        # a's (groups, count, _GEMM_REPLICAS, span) windows at columns
+        # a's (groups, count, _TRIMMED_GROUP, span) windows at columns
         # first + j chunk, one per group and chunk j
         row_step, col_step = a.strides
         return np.lib.stride_tricks.as_strided(
             a[:, first:],
-            shape=(len(a) // _GEMM_REPLICAS, count, _GEMM_REPLICAS, span),
-            strides=(_GEMM_REPLICAS * row_step, chunk * col_step, row_step, col_step),
+            shape=(len(a) // _TRIMMED_GROUP, count, _TRIMMED_GROUP, span),
+            strides=(_TRIMMED_GROUP * row_step, chunk * col_step, row_step, col_step),
         )
 
     # position x sits at column lead + x; only columns lead..lead+size-1 of
@@ -681,12 +788,12 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     out = [np.empty(0)]
     for rows in passes():
         live = len(rows)
-        padded = _GEMM_REPLICAS * -(-live // _GEMM_REPLICAS)
+        padded = _TRIMMED_GROUP * -(-live // _TRIMMED_GROUP)
         if padded > len(f_all):
             f_all, g_all = np.zeros((2, padded, f_all.shape[1]))
             charge_all = np.zeros((k, padded, size))
         f, g, charge = f_all[:padded], g_all[:padded], charge_all[:, :padded]
-        f3, g3 = f.reshape(-1, _GEMM_REPLICAS, f.shape[1]), g.reshape(-1, _GEMM_REPLICAS, g.shape[1])
+        f3, g3 = f.reshape(-1, _TRIMMED_GROUP, f.shape[1]), g.reshape(-1, _TRIMMED_GROUP, g.shape[1])
         # one exp per pass: e^{S[x] - S[x-l]} is row l - 1 at x - 1 times the
         # l = 1 row at x, so every row is a product of shifted l = 1 rows
         step = charge[0, :, 1:]

@@ -347,6 +347,8 @@ def test_verify_oracle_suite_passes_fast(tmp_path):
     assert oracle["worst_block_edge_relative_error"] <= 1e-10
     assert oracle["worst_two_pass_relative_error"] <= 1e-10
     assert oracle["worst_trimmed_two_pass_relative_error"] <= 1e-10
+    # three groups of 4 rows in passes of two groups, whatever the pass budget
+    assert oracle["two_pass_batch"] == {"replicas": 12, "n": 197, "rows_per_pass": 8, "rows_checked": 12}
     assert oracle["trimmed_two_pass"]["rows_checked"] == 16
     assert oracle["worst_renewal_mass_relative_error"] <= 1e-10
     assert oracle["worst_annealed_relative_error"] <= 1e-10
@@ -459,9 +461,9 @@ def test_oracle_enumerates_the_rows_of_the_replica_source(monkeypatch):
         sources.append(args)
         return source(*args)
 
-    def record_engine(rows, kernel):
+    def record_engine(rows, kernel, *lanes):
         evaluated.append(rows.copy())
-        return engine(rows, kernel)
+        return engine(rows, kernel, *lanes)
 
     def record_row(row, kernel):
         enumerated.append(row.copy())
@@ -621,6 +623,31 @@ def test_negative_beta_or_no_site_exits_2_at_parse_without_artifact(tmp_path, ca
     out = tmp_path / "out"
     assert run_cli([*args, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_moments_at_beta_zero_passes(tmp_path):
+    # at beta = 0 both sides of the identity are exact, with sigma 0, and
+    # differ by rounding only, which the identity's rounding floor admits
+    out = tmp_path / "moments.json"
+    assert run_cli(["verify", "moments", "--beta", "0", "--out", str(out)]) == 0
+    payload = read_strict_json(out)
+    moments = payload["suites"]["moments"]
+    assert moments["identity_three_sigma"] == 0.0
+    assert moments["identity_abs_diff"] <= 1e-12
+    assert moments["identity_ok"] and payload["pass"] is True
+
+
+@pytest.mark.parametrize("suite", ["coarse", "all"])
+def test_coarse_at_beta_zero_exits_2_naming_beta(tmp_path, capsys, suite):
+    # q1(0) = 0 leaves no crossover window; the refusal names --beta, the
+    # flag given, not the h = 0 the suite would derive from it, and comes
+    # before any suite runs
+    out = tmp_path / "out"
+    assert run_cli(["verify", suite, "--beta", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"verify {suite} needs --beta above 0: q1(0) = 0 leaves no crossover window" in err
+    assert "h must be positive" not in err
     assert not out.exists()
 
 

@@ -181,12 +181,52 @@ def test_engine_mixes_steep_and_linear_replicas(log_kernel_small):
         assert abs(batch[i] - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 71, 72, 73, 127, 128, 129, 191, 192, 193])
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_engine_linear_read_matches_row_loop_across_channel_scales(log_kernel_small, monkeypatch, law, n):
+    # the fill reads p from the two accumulators in the linear domain.
+    # Charge jumps of +900 and -900 between blocks, flat inside them, put the
+    # channels' scales ref_1 + mid - ref_0 beyond +700 and -700, where one
+    # channel's factor underflows; a steep row (h = 8) and a row with a
+    # step of 300 inside its second block share their blocks with rows
+    # filled in the linear domain.  N + 1 ends on both sides of sub-block
+    # and block edges, and every row matches the row loop within 1e-10
+    sites = np.arange(n + 1)
+    rows = [charge_prefix(law, 1.2, 0.3, _draw(law, n, [spawn_rng(14, 0)])[0])]
+    for i, jump in enumerate((900.0, -900.0), start=1):
+        rows.append(charge_prefix(law, 0.8, 0.1, _draw(law, n, [spawn_rng(14, i)])[0]) + jump * (sites // _BLOCK))
+    rows.append(charge_prefix(law, 2.0, 8.0, _draw(law, n, [spawn_rng(14, 3)])[0]))
+    step = charge_prefix(law, 1.0, -0.2, _draw(law, n, [spawn_rng(14, 4)])[0])
+    step[_BLOCK + 10 :] += 300.0
+    rows.append(step)
+    prefix = np.array(rows)
+    gaps = []
+    fill = partition._fill_linear
+
+    def record(pushed, ref, charges, mid, steep, *rest):
+        if pushed is not None:
+            gap = ref[:, 1] + mid - ref[:, 0]
+            gaps.extend(gap if steep is None else gap[~steep])
+        return fill(pushed, ref, charges, mid, steep, *rest)
+
+    monkeypatch.setattr(partition, "_fill_linear", record)
+    got = _log_z_replicas(prefix, log_kernel_small)
+    for value, row in zip(got, prefix):
+        exact = log_Z(row, log_kernel_small)
+        assert abs(value - exact) <= 1e-10 * max(1.0, abs(exact))
+    if n >= _BLOCK:
+        assert max(gaps) > 700.0 and min(gaps) < -700.0
+        variation = np.abs(np.diff(prefix[:, :_BLOCK], axis=1)).sum(axis=1)
+        assert variation[3] > _FILL_VARIATION and (variation[:3] <= _FILL_VARIATION).all()
+
+
 def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kernel_small, monkeypatch):
-    # budgets of one and of four groups per pass run 100 rows as 13 and as 4
-    # passes: steep rows sit in the first, sixth and last group, each in a
-    # pass of its own, and a non-finite row in a middle pass shifts every
-    # later row to another group; each row still equals its own single-row
-    # value bit for bit
+    # budgets of one and of four groups per pass run 100 rows as 25 and as 7
+    # passes, and so do passes of one and of four groups asked for by the
+    # caller; passes of three groups run them as 9: steep rows sit in the
+    # first, eleventh and last group, each in a pass of its own, and a
+    # non-finite row in a middle pass shifts every later row to another
+    # group; each row still equals its own single-row value bit for bit
     n = 2 * _BLOCK + 30
     prefix = np.array([
         charge_prefix(
@@ -198,25 +238,35 @@ def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kerne
     assert np.flatnonzero(steep).tolist() == [3, 41, 99]
     prefix[70, 5] = np.inf
     singles = [_log_z_replicas(row[None], log_kernel_small)[0] for row in prefix]
-    for groups, passes in [(1, 13), (4, 4)]:
+    runs = []
+    for groups, passes in [(1, 25), (4, 7)]:
         budget = _push_bytes(n) + groups * _GEMM_REPLICAS * _lane_bytes(n)
-        monkeypatch.setattr(partition, "_PASS_BYTES", budget)
-        assert -(-99 // _pass_lanes(n)) == passes
-        batch = _log_z_replicas(prefix, log_kernel_small)
+        with monkeypatch.context() as patch:
+            patch.setattr(partition, "_PASS_BYTES", budget)
+            assert -(-99 // _pass_lanes(n)) == passes
+            runs.append(_log_z_replicas(prefix, log_kernel_small))
+    for groups in (1, 3, 4):
+        runs.append(_log_z_replicas(prefix, log_kernel_small, groups * _GEMM_REPLICAS))
+    for batch in runs:
         assert np.isnan(batch[70]) and np.isfinite(np.delete(batch, 70)).all()
         for single, value in zip(singles, batch):
             assert single == value or (np.isnan(single) and np.isnan(value))
+    # the caller's rows per pass come in whole groups
+    for lanes in (0, _GEMM_REPLICAS + 1):
+        with pytest.raises(ValueError, match="whole groups"):
+            _log_z_replicas(prefix, log_kernel_small, lanes)
 
 
 def test_engine_part_filled_groups_equal_full_groups(log_kernel_small):
-    # only a pass's live rows are filled, logged and divided: R = 1..9 and
-    # R = 100 leave the last group part-filled, with a steep row (2 or 98)
-    # inside it, and every row equals its value in a batch of full groups
-    # bit for bit, with no numpy warning from the padded rows
+    # only a pass's live rows are filled, logged and divided: R = 1..9, 12
+    # and 100 leave the last group part-filled or fill it whole, with the
+    # steep rows 2 and 98 among them from R = 3 and R = 99 on, and every
+    # row equals its value in a batch of full groups bit for bit, with no
+    # numpy warning from the padded rows
     n = 2 * _BLOCK + 21
     prefix = np.array([
         charge_prefix(GAUSSIAN, 1.0, 8.0 if i in (2, 98) else 0.3, _draw(GAUSSIAN, n, [spawn_rng(13, i)])[0])
-        for i in range(13 * _GEMM_REPLICAS)
+        for i in range(104)
     ])
     steep = np.abs(np.diff(prefix[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
     assert np.flatnonzero(steep).tolist() == [2, 98]
@@ -224,7 +274,7 @@ def test_engine_part_filled_groups_equal_full_groups(log_kernel_small):
         warnings.simplefilter("error")
         full = _log_z_replicas(prefix, log_kernel_small)
         assert np.isfinite(full).all()
-        for count in [*range(1, 10), 100]:
+        for count in [*range(1, 10), 12, 100]:
             np.testing.assert_array_equal(_log_z_replicas(prefix[:count], log_kernel_small), full[:count])
 
 
@@ -252,7 +302,7 @@ def _engine_rows(n, replicas, seed, steep=(), nan=()):
 
 def test_engine_workspace_reuse_keeps_every_call_bit_equal_to_a_fresh_thread(log_kernel_small, monkeypatch):
     # one thread runs calls that shrink and then grow its workspace: a wide
-    # pass, a small call with a steep and a NaN row, a call of 3 passes
+    # pass, a small call with a steep and a NaN row, a call of 5 passes
     # under a one-group budget, and the wide pass again; each value equals
     # the same call's in a fresh thread bit for bit
     wide = _engine_rows(200, 100, 31)
@@ -338,8 +388,8 @@ def test_replica_log_z_on_an_empty_grid_or_no_replicas_is_empty(log_kernel_small
 
 
 def test_replica_log_z_grid_field_equals_its_one_field_value(log_kernel_4000):
-    # field 0.4 of the grid puts replica 22 at slot 45 mod 8 = 5 of its
-    # group, alone at slot 22 mod 8 = 6; its value is the same bit for bit
+    # field 0.4 of the grid puts replica 22 at slot 45 mod 4 = 1 of its
+    # group, alone at slot 22 mod 4 = 2; its value is the same bit for bit
     grid = est.replica_log_z(log_kernel_4000, GAUSSIAN, 1.5, [0.1, 0.4], 2000, 5, 23)
     alone = est.replica_log_z(log_kernel_4000, GAUSSIAN, 1.5, 0.4, 2000, 5, 23)
     np.testing.assert_array_equal(grid[1], alone)
@@ -351,8 +401,8 @@ def test_replica_log_z_grid_fields_equal_one_field_values_at_slot_sensitive_widt
     # the row's slot in its group at widths t >= 193 that are not multiples
     # of 8; the push widths N + 1 - j1 of these N are such widths, and so are
     # their remainders past whole 256-target chunks.  Field 0.4 puts replica
-    # i at slot i + 5 mod 8, and every grid value is its one-field value bit
-    # for bit
+    # i at slot i + 5 mod 4, one slot past its slot alone, and every grid
+    # value is its one-field value bit for bit
     grid = [0.1, 0.4]
     for n in range(256, 575):
         if 193 <= (n - 63) % 256 and (n - 63) % 8:

@@ -10,6 +10,7 @@ from copolab.kernel import renewal_mass
 from copolab import partition
 from copolab.partition import (
     _GEMM_REPLICAS,
+    _TRIMMED_GROUP,
     Trimmed,
     _trimmed_log_z_replicas,
     _trimmed_pass_rows,
@@ -373,7 +374,7 @@ def test_trimmed_engine_values_do_not_depend_on_replica_count(log_kernel_small):
     # GEMM takes a zero-padded group of the same width, and R = 1..9, 17
     # and 100 leave the last group of the one pass part-filled
     plan = Trimmed(M=7, k=2, m=3, N=180)
-    prefix = _trimmed_prefixes(BINARY, 0.8, 0.3, plan.N, 5, 13 * _GEMM_REPLICAS)
+    prefix = _trimmed_prefixes(BINARY, 0.8, 0.3, plan.N, 5, 13 * _TRIMMED_GROUP)
     full = _trimmed_log_z_replicas(prefix, log_kernel_small, plan)
     assert _trimmed_pass_rows(plan, _trimmed_size(log_kernel_small, plan)) >= len(prefix)
     for count in (*range(1, 10), 17, 100):
@@ -389,7 +390,7 @@ def test_trimmed_engine_values_do_not_depend_on_the_pass_width(log_kernel_small,
     size = _trimmed_size(log_kernel_small, plan)
     prefix = _trimmed_prefixes(GAUSSIAN, 1.1, 0.2, plan.N, 9, 100)
     runs = []
-    for budget, lanes in ((_GEMM_REPLICAS * _trimmed_row_bytes(plan, size), 8), (1 << 40, None)):
+    for budget, lanes in ((_TRIMMED_GROUP * _trimmed_row_bytes(plan, size), 8), (1 << 40, None)):
         monkeypatch.setattr(partition, "_TRIMMED_PASS_BYTES", budget)
         if lanes:
             assert _trimmed_pass_rows(plan, size) == lanes
@@ -430,8 +431,8 @@ def _gemm_forms(rng):
 
     Yields (name, operands, bases, axes, out_axis): operands(*bases) are the
     views the engines pass to np.matmul, taken of contiguous base arrays;
-    axes[i] is the axis of bases[i] that holds the rows of a group (the 16
-    rows of 8 replicas and 2 channels in the quenched push and fill, the 8
+    axes[i] is the axis of bases[i] that holds the rows of a group (the 8
+    rows of 4 replicas and 2 channels in the quenched push and fill, the 8
     replicas in the trimmed engine) or the live rows of a batched solve,
     and out_axis the axis of the product that holds them.
     """
@@ -460,7 +461,7 @@ def _gemm_forms(rng):
     # the trimmed long stage: (8, W) @ (W, 64) on column slices of a group's
     # stage rows and row slices of the Toeplitz matrix, and the stacked
     # windows of interior chunks
-    f3 = rng.random((groups, _GEMM_REPLICAS, 800))
+    f3 = rng.random((groups, _TRIMMED_GROUP, 800))
     toeplitz = rng.random((700, 64))
     for w in (*range(1, 260), *range(260, 701, 19)):
         yield f"trimmed W={w}", lambda a, w=w: (a[:, :, 30 : 30 + w], toeplitz[700 - w :]), (f3,), (1,), 1
@@ -469,12 +470,12 @@ def _gemm_forms(rng):
 
         def windows(a, w=w):
             row, col = a.strides[1:]
-            shape, strides = (groups, 2, _GEMM_REPLICAS, w), (a.strides[0], 64 * col, row, col)
+            shape, strides = (groups, 2, _TRIMMED_GROUP, w), (a.strides[0], 64 * col, row, col)
             return np.lib.stride_tricks.as_strided(a, shape=shape, strides=strides), toeplitz[:w]
 
         yield f"trimmed windows W={w}", windows, (f3,), (1,), 2
     # the trimmed closing (8, size) @ (size,)
-    rows = rng.random((groups, _GEMM_REPLICAS, 20000))
+    rows = rng.random((groups, _TRIMMED_GROUP, 20000))
     for size in (*range(1, 300), *range(300, 20000, 997)):
         closing = rng.random(size)
         yield f"closing size={size}", lambda a, b=closing: (a[:, :, 7 : 7 + b.size], b), (rows,), (1,), 1
