@@ -32,7 +32,6 @@ from .kernel import (
     check_eta_kernel,
     defect_Kk,
     defect_check_eta,
-    independent_jumps_law,
     renewal_mass,
 )
 from .partition import (

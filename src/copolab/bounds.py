@@ -8,7 +8,7 @@ admissibility thresholds with a 0.1 margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .disorder import DisorderLaw, q1, q2
 from .kernel import FamilyKind, SlowlyVaryingFamily
@@ -53,8 +53,6 @@ class SharperBounds:
 
     log_lower: float
     log_upper: float
-    c_minus: float
-    c_plus: float
 
 
 def sharper_bounds(
@@ -83,8 +81,6 @@ def sharper_bounds(
         return SharperBounds(
             log_lower=-(1.0 + delta) * expo,
             log_upper=-(1.0 - delta) * expo,
-            c_minus=1.0 + delta,
-            c_plus=1.0 - delta,
         )
 
     if log_inv_h <= 1.0:
@@ -96,8 +92,6 @@ def sharper_bounds(
         return SharperBounds(
             log_lower=-c_minus * q2(law, beta) * loglog / h,
             log_upper=-c_plus * q1v * loglog / h,
-            c_minus=c_minus,
-            c_plus=c_plus,
         )
 
     c_minus, c_plus = 2.5 + u + 0.1, u - 1.0 - 0.1
@@ -106,8 +100,6 @@ def sharper_bounds(
     return SharperBounds(
         log_lower=-c_minus * q1v * log_inv_h / h,
         log_upper=-c_plus * q1v * log_inv_h / h,
-        c_minus=c_minus,
-        c_plus=c_plus,
     )
 
 
@@ -203,9 +195,6 @@ class BoundReport:
     log_lower_rss: float
     log_lower_sublog: float | None
     flags: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def bound_table(

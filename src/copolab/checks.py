@@ -11,10 +11,11 @@ loop at block_edge_sizes, the edges of its 8-row sub-blocks and 64-site
 blocks), worst_trimmed_relative_error (batched trimmed engine against its
 row loop on trimmed_trials small plans), worst_two_pass_relative_error
 (every row of two_pass_batch, three groups of rows run in passes of two
-groups, against the row loop), worst_trimmed_two_pass_relative_error (the
-rows either side of the trimmed engine's pass boundary, trimmed_two_pass,
-against its row loop), worst_annealed_relative_error (annealed values at
-annealed_fields against the row loop) and streams_checked (replica streams
+groups, against the row loop), worst_trimmed_two_pass_relative_error
+(every row of trimmed_two_pass, two groups of rows and then one given to
+the trimmed engine as two blocks, so in two passes, against its row loop),
+worst_annealed_relative_error (annealed values at annealed_fields against
+the row loop) and streams_checked (replica streams
 of stream_seeds compared with numpy's SeedSequence(seed, spawn_key=(i,))
 streams); "moments" embeds the trimmed-ensemble report
 (exact_log_mean_restricted, product_lower_bound_log,
@@ -48,8 +49,6 @@ from .partition import (
     Trimmed,
     _log_z_replicas,
     _trimmed_log_z_replicas,
-    _trimmed_pass_rows,
-    _trimmed_size,
     brute_force_log_Z,
     charge_prefix,
     log_Z,
@@ -123,20 +122,19 @@ def oracle(kernel, law, beta, h, replicas, seed) -> dict:
         for pair in batch(law_i, two_pass_n, two_pass["replicas"], two_pass["rows_per_pass"])
     ]
     worst_two_pass = _worst_relative_error((value, log_Z(row, kernel)) for value, row in boundary)
-    # the same for the trimmed engine, on rows drawn from a stream of their
-    # own, spawn key 0 of the seed, so that every trial above keeps its draws
+    # the same for the trimmed engine: a block boundary is always a pass
+    # boundary, so two blocks, of two groups and of one, are two passes; the
+    # rows come from a stream of their own, spawn key 0 of the seed, so that
+    # every trial above keeps its draws
     pass_plan = Trimmed(M=12, k=2, m=3, N=430)
-    trimmed_two_pass = {
-        "plan": asdict(pass_plan),
-        "replicas": _trimmed_pass_rows(pass_plan, _trimmed_size(kernel, pass_plan)) + _TRIMMED_GROUP,
-        "rows_checked": 2 * _TRIMMED_GROUP,
-    }
+    trimmed_two_pass = {"plan": asdict(pass_plan), "replicas": 3 * _TRIMMED_GROUP,
+                        "rows_per_pass": 2 * _TRIMMED_GROUP, "rows_checked": 3 * _TRIMMED_GROUP}
     pass_rng = spawn_rng(seed, 0)
     trimmed_boundary = []
     for law_i in (GAUSSIAN, BINARY):
         rows = draw(law_i, pass_plan.N, trimmed_two_pass["replicas"], source=pass_rng)
-        values = _trimmed_log_z_replicas(rows, kernel, pass_plan)[-2 * _TRIMMED_GROUP :]
-        rows = rows[-2 * _TRIMMED_GROUP :]
+        cut = trimmed_two_pass["rows_per_pass"]
+        values = _trimmed_log_z_replicas((rows[:cut], rows[cut:]), kernel, pass_plan)
         trimmed_boundary += [
             (value, log_Z_restricted(row, kernel, pass_plan)) for value, row in zip(values.tolist(), rows)
         ]

@@ -26,6 +26,10 @@ read, so it replays as flags.  A --config file's flags sit right after the
 command, so a flag on the command line beats the file; its suite line is
 ignored.
 
+estimate and sweep are two names for one handler, each reading one field
+(--h) or a grid (--h-grid); both names stay, because artifacts name their
+command in the header and both names are in use.
+
 A verify report is a JSON object with keys "config" (the resolved run
 configuration), "artifact_version", "suites" (one report of
 ``copolab.checks`` per suite run) and "pass" (true when every assert-kind
@@ -41,6 +45,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -103,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--law", choices=laws, default="gaussian")
         p.add_argument("--beta", type=float, required=need_beta, default=None)
         p.add_argument("--h", type=float, default=None)
-        p.add_argument("--h-grid", default=None, help="comma-separated descending h values")
+        p.add_argument("--h-grid", default=None, help="comma-separated h values, descending for bounds")
         p.add_argument("--n", type=int, default=1000)
         p.add_argument("--replicas", type=int, default=None, help="default 32 in estimate, sweep")
         p.add_argument("--seed", type=int, default=0)
@@ -263,7 +268,7 @@ def _cmd_estimate(args) -> int:
     rows = []
     for h, est in zip(args.h_values, estimates):
         row = {"beta": args.beta, "h": h}
-        row.update(est.to_dict())
+        row.update(asdict(est))
         rows.append(row)
     _check_rows_finite(rows)
     columns = [
@@ -292,7 +297,7 @@ def _cmd_bounds(args) -> int:
         "family", "upsilon", "c_L", "beta", "h", "log_upper_general",
         "log_upper_sharper", "log_lower_rss", "log_lower_sublog", "flags",
     ]
-    _emit(args, [rep.to_dict() for rep in reports], columns)
+    _emit(args, [asdict(rep) for rep in reports], columns)
     return 0
 
 

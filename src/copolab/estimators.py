@@ -39,7 +39,6 @@ from .kernel import (
     RenewalKernel,
     check_eta_kernel,
     defect_Kk,
-    independent_jumps_law,
     renewal_mass,
 )
 from .partition import (
@@ -96,9 +95,6 @@ class FreeEnergyEstimate:
     lower_bracket: float
     c4: float
     c5: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _replica_prefixes(law, beta, h, n, seed, replicas, rows=None):
@@ -262,47 +258,30 @@ def trimmed_plan(
     return Trimmed(M=big_m, k=k, m=int(n / (big_m * big_m * log_m)), N=n)
 
 
-def _pair_log_weight(kernel, plan, h) -> float:
-    """log (1/2 sum K over [M, M^2]) + log (1/2 sum K(l) e^{hl} over [1, k]).
-
-    The total weight of one long and one short stage of the disorder mean:
-    the sums that normalize the two jump laws of ``independent_jumps_law``.
-    The product bound and the backward-recursion mean both take it from here.
-    """
-    long_sum = float(kernel.masses[plan.M : plan.M * plan.M + 1].sum())
-    short_n = np.arange(1, plan.k + 1, dtype=float)
-    short_sum = float((kernel.masses[1 : plan.k + 1] * np.exp(h * short_n)).sum())
-    return math.log(0.5 * long_sum) + math.log(0.5 * short_sum)
-
-
-def _first_moment_product_log(kernel, plan, h) -> float:
-    # product bound: (1/2 sum_long K)^m (1/2 sum_short e^{hn} K)^m K(N)/3
-    return plan.m * _pair_log_weight(kernel, plan, h) + math.log(kernel.masses[plan.N] / 3.0)
-
-
 def _independent_jump_backward(kernel, plan, h):
     """Backward weight arrays of the pinned alternating ensemble, and its mean.
 
-    Jump weights come from the independent-jumps law at field h (each
-    coordinate a proper conditional; per-stage normalization drops out of
-    conditionals).
-    Stage g in 1..2m consumes gap g; B[g][x] is the weight of completing the
-    path from position x after g gaps, including the closing jump to N.
-    Each stage is rescaled to a unit maximum, and the log scales add up, so
-    the same recursion gives the exact disorder mean of the trimmed Z_N:
-    log E Z = log B[0][0] + sum of log scales + m ``_pair_log_weight`` -
-    log 2, the last term the 1/2 of the closing excursion.  Returns
-    (B, long_w, short_w, log E Z).
+    The jump weights are the disorder-averaged stage weights of the trimmed
+    Z_N at field h: K(l)/2 for a long excursion, l in [M, M^2], and
+    K(l) e^{hl}/2 for a short one, l in [1, k], whose charge factor averages
+    to e^{hl}; the closing excursion from x weighs K(N - x)/2.  Stage g in
+    1..2m consumes gap g; B[g][x] is the weight of completing the path from
+    position x after g gaps, including the closing jump to N.  Each stage
+    is rescaled to a unit maximum, and the log scales add up, so log E Z =
+    log B[0][0] + sum of log scales.  The path sampler normalizes each jump
+    over its own row, so it reads the same arrays.  Returns (B, long_w,
+    short_w, log E Z).
     """
     size = _trimmed_size(kernel, plan)
     if size == 0:
         raise ValueError("trimmed ensemble is empty for this plan")
     big_m, m = plan.M, plan.m
-    long_w, short_w = independent_jumps_law(kernel, h, big_m, plan.k)
+    long_w = 0.5 * kernel.masses[big_m : big_m * big_m + 1]
+    short_w = 0.5 * kernel.masses[1 : plan.k + 1] * np.exp(h * np.arange(1, plan.k + 1))
 
     pad = big_m * big_m + 1
     final = np.zeros(size + pad)
-    final[:size] = 2.0 * _closing_weights(kernel, plan, size)
+    final[:size] = _closing_weights(kernel, plan, size)
 
     stages = [None] * (2 * m + 1)
     stages[2 * m] = final
@@ -319,8 +298,7 @@ def _independent_jump_backward(kernel, plan, h):
         nxt /= top
         log_scale += math.log(top)
         stages[g - 1] = nxt
-    log_mean = math.log(stages[0][0]) + log_scale + m * _pair_log_weight(kernel, plan, h) - math.log(2.0)
-    return stages, long_w, short_w, log_mean
+    return stages, long_w, short_w, math.log(stages[0][0]) + log_scale
 
 
 def _sample_short_intervals(steps, draws):
@@ -375,9 +353,9 @@ def trimmed_moment_check(
     overlap expectation under the tilted independent-jump path law -- which
     the identity says must agree; (c) the induction bound envelope.  The
     exact mean in (a) comes from the backward recursion of the path sampler,
-    ``_independent_jump_backward``, run after the replicas: its stage log
-    scales plus the pair weights of ``_pair_log_weight``.  The replicas of
-    (b) go through the batched trimmed engine in one call, one engine pass
+    ``_independent_jump_backward``, run after the replicas, and the product
+    bound from the sums of its long and short stage weights.  The replicas
+    of (b) go through the batched trimmed engine in one call, one engine pass
     of ``_replica_prefixes`` rows at a time, and the overlap
     paths are drawn from one stream, spawn_rng(seed, 1_000_000), for as
     many replica pairs at a time as _TRIMMED_PASS_BYTES holds of their
@@ -392,6 +370,9 @@ def trimmed_moment_check(
     span = _trimmed_size(kernel, plan) - 1
     if span < 0:
         raise ValueError("trimmed ensemble is empty for this plan")
+    # the short stages weigh up to e^{hk}: refuse before any replica is drawn
+    if h * plan.k > 700.0:
+        raise OverflowError(f"h*k = {h * plan.k:.1f} exceeds the exponent guard")
 
     # (b) left side: disorder replicas of (Z restricted / exact mean)^2; the
     # backward recursion, which also gives the mean, runs after the passes,
@@ -400,7 +381,9 @@ def trimmed_moment_check(
     blocks = _replica_prefixes(law, beta, h, span, seed, replicas, pass_rows)
     log_zt = _trimmed_log_z_replicas(blocks, kernel, plan)
     stages, long_w, short_w, exact_log_mean = _independent_jump_backward(kernel, plan, h)
-    product_log = _first_moment_product_log(kernel, plan, h)
+    # product bound: (sum of long weights * sum of short weights)^m K(N)/3
+    pair_log = math.log(long_w.sum()) + math.log(short_w.sum())
+    product_log = plan.m * pair_log + math.log(kernel.masses[plan.N] / 3.0)
     lhs_vals = np.exp(2.0 * (log_zt - exact_log_mean))
     lhs_mean = float(lhs_vals.mean())
     lhs_sigma = float(lhs_vals.std(ddof=1) / math.sqrt(replicas))
@@ -478,9 +461,6 @@ class PenalizationPlan:
     phi: float
     event_threshold: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def penalization_plan(
     kernel: RenewalKernel, law: DisorderLaw, beta: float, h: float, b: float = 0.9
@@ -530,7 +510,7 @@ def penalization_check(
     log_rate_form = -rate * plan.phi / h
 
     return {
-        "plan": plan.to_dict(),
+        "plan": asdict(plan),
         "chernoff_rate": rate,
         "penalty_budget_per_site_log": -rate * plan.k,
         "tilted_success_probability": tilted_block_success(
@@ -596,11 +576,13 @@ def coarse_graining_check(
     """Coarse-graining diagnostics built on the crossover-tilted renewal.
 
     Evaluates the near/far split of the window sum with exact tilted renewal
-    masses, the corresponding analytic integral in substituted form, the
-    fractional-moment spot check against e^3 times the tilted renewal mass,
-    and the empirical constant of the Green-function bound together with its
-    stability under doubling the range.  Everything is recorded; nothing is
-    assumed to be in the asymptotic regime.  The tilt's crossover parameter
+    masses, the corresponding analytic integral in substituted form,
+    (21 / tail(1/h)) 2 (c3/h) times the integral of L(e^{(c3/h) y})^theta e^y
+    over y in [1, psi(c3/h)] (0 where psi <= 1), the fractional-moment spot
+    check against e^3 times the tilted renewal mass, and the empirical
+    constant of the Green-function bound together with its stability under
+    doubling the range.  Everything is recorded; nothing is assumed to be in
+    the asymptotic regime.  The tilt's crossover parameter
     is eta = _COARSE_ETA and M_h is capped at _COARSE_M_CAP.  A window beyond
     _COARSE_N_BUDGET, or a crossover tilt whose renewal mass leaves the float
     range (supercritical at this h and eta), gives {"feasible": False, ...}

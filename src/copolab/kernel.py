@@ -2,9 +2,7 @@
 
 A law is a plain mass array.  ``RenewalKernel.masses`` and the crossover
 tilt that ``check_eta_kernel`` returns (possibly defective) are indexed by
-length with index 0 unused, and ``renewal_mass`` takes either;
-``independent_jumps_law`` returns its two proper jump laws as a pair of
-arrays.
+length with index 0 unused, and ``renewal_mass`` takes either.
 
 Three families of slowly varying numerators are built in (sub-logarithmic,
 logarithmic, super-logarithmic decay).  The asymptotic forms are undefined or
@@ -45,7 +43,6 @@ __all__ = [
     "build_kernel",
     "renewal_mass",
     "check_eta_kernel",
-    "independent_jumps_law",
     "defect_Kk",
     "defect_check_eta",
 ]
@@ -282,28 +279,6 @@ def check_eta_kernel(kernel: RenewalKernel, h: float, eta: float = 0.1) -> np.nd
         sign = np.where(n <= crossover, 1.0, -eta)
         factor = 0.5 + 0.5 * np.exp(h * n * sign)
     return kernel.masses * factor
-
-
-def independent_jumps_law(
-    kernel: RenewalKernel, h: float, big_m: int, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two proper conditional jump laws: long in [M, M^2], short in [1, k].
-
-    Returns (long_masses, short_masses): long jumps are distributed as K
-    restricted to [M, M^2], short jumps as e^{h n} K(n) restricted to
-    [1, k], and each array is normalized to one.  Entry j is the mass of
-    length M + j, respectively 1 + j.
-    """
-    if big_m < 2 or k < 1:
-        raise ValueError("need M >= 2 and k >= 1")
-    if big_m * big_m > kernel.support_cap:
-        raise ValueError("M^2 exceeds the kernel support")
-    if h * k > _EXP_GUARD:
-        raise OverflowError(f"h*k = {h * k:.1f} exceeds the exponent guard")
-    long_raw = kernel.masses[big_m : big_m * big_m + 1].copy()
-    short_n = np.arange(1, k + 1, dtype=float)
-    short_raw = kernel.masses[1 : k + 1] * np.exp(h * short_n)
-    return long_raw / long_raw.sum(), short_raw / short_raw.sum()
 
 
 def renewal_mass(masses: np.ndarray, n_max: int) -> np.ndarray:

@@ -349,7 +349,10 @@ def test_verify_oracle_suite_passes_fast(tmp_path):
     assert oracle["worst_trimmed_two_pass_relative_error"] <= 1e-10
     # three groups of 4 rows in passes of two groups, whatever the pass budget
     assert oracle["two_pass_batch"] == {"replicas": 12, "n": 197, "rows_per_pass": 8, "rows_checked": 12}
-    assert oracle["trimmed_two_pass"]["rows_checked"] == 16
+    # two blocks of rows, two groups of 8 and one, are two passes of the trimmed engine
+    assert oracle["trimmed_two_pass"] == {
+        "plan": {"M": 12, "k": 2, "m": 3, "N": 430}, "replicas": 24, "rows_per_pass": 16, "rows_checked": 24
+    }
     assert oracle["worst_renewal_mass_relative_error"] <= 1e-10
     assert oracle["worst_annealed_relative_error"] <= 1e-10
     assert {c["name"] for c in oracle["checks"]} == {

@@ -650,6 +650,18 @@ def test_trimmed_moment_check_refuses_an_empty_plan_before_drawing(log_kernel_sm
         est._independent_jump_backward(log_kernel_small, plan, 0.3)
 
 
+def test_trimmed_moment_check_refuses_an_overflowing_field_before_drawing(log_kernel_small, monkeypatch):
+    # a short stage weighs up to e^{hk}: h k = 800 is refused before the engine overflows
+    plan = partition.Trimmed(M=3, k=2, m=2, N=40)
+
+    def no_draws(*args):
+        raise AssertionError("replicas drawn for an overflowing field")
+
+    monkeypatch.setattr(est, "replica_rngs", no_draws)
+    with pytest.raises(OverflowError, match="exponent guard"):
+        est.trimmed_moment_check(log_kernel_small, GAUSSIAN, 0.5, 400.0, plan, replicas=100)
+
+
 @pytest.mark.parametrize("family", ["sub", "log", "super"])
 @pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
 def test_backward_mean_equals_the_engine_on_the_zero_disorder_row(big_kernels, family, law):
@@ -947,6 +959,54 @@ def test_coarse_window_terms_and_green_constants_from_their_sums(log_kernel_smal
     full = max(u[n] * tail2 / masses[n] for n in range(1, green + 1))
     assert rep["green_constant_half_range"] == pytest.approx(half, rel=1e-15)
     assert rep["green_constant_full_range"] == pytest.approx(full, rel=1e-15)
+
+
+def test_coarse_analytic_integral_and_spot_benchmarks_from_their_formulas(log_kernel_small):
+    # the formulas of the coarse_graining_check docstring: the near term's analytic
+    # integral (21 / tail(1/h)) 2 (c3/h) int_1^psi L(e^{(c3/h) y})^theta e^y dy, and each
+    # spot benchmark e^3 u(j), as is rho_proxy e^3 (a_term + b_term).  The constants 21
+    # and e^3 come from the source's coarse-graining proof, whose text is not in the
+    # repository (ROADMAP item 13), so these pin the documented formulas only
+    from scipy.integrate import quad
+
+    from copolab.bounds import psi
+
+    kernel, c3 = log_kernel_small, 0.45
+    h = c3 / math.log(120.0)
+    rep = est.coarse_graining_check(kernel, GAUSSIAN, 1.0, h, c3, replicas=2, seed=1, green_n_max=400)
+    family, log_n, theta = kernel.family, c3 / h, rep["theta"]
+    psi_val = psi(family, log_n, eps=0.05)
+    assert psi_val > 1.0
+    integral, _ = quad(
+        lambda y: float(family.evaluate_log(log_n * y)) ** theta * math.exp(y),
+        1.0, psi_val, epsabs=0.0, epsrel=1e-13,
+    )
+    want = 21.0 / family.tail(1.0 / h) * 2.0 * log_n * integral
+    assert rep["a_term_analytic_integral"] == pytest.approx(want, rel=1e-12)
+    # u by the per-site recursion u(n) = sum_l mass(l) u(n - l) of the crossover tilt
+    tilted = check_eta_kernel(kernel, h, rep["eta"]).tolist()
+    u = [1.0]
+    for n in range(1, rep["n_window"] + 1):
+        u.append(math.fsum(tilted[l] * u[n - l] for l in range(1, n + 1)))
+    spots = rep["fractional_moment_spot"]
+    assert len(spots) == 4
+    for spot in spots:
+        assert spot["benchmark"] == pytest.approx(math.exp(3.0) * u[spot["j"]], rel=1e-12)
+    assert rep["rho_proxy"] == pytest.approx(math.exp(3.0) * (rep["a_term"] + rep["b_term"]), rel=1e-15)
+
+
+@pytest.mark.parametrize("family", ["sub", "log", "super"])
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_product_lower_bound_from_its_formula(big_kernels, family, law):
+    # m log((1/2 sum K over [M, M^2]) (1/2 sum K(l) e^{hl} over [1, k])) + log(K(N)/3)
+    kernel, h = big_kernels[family], 0.3
+    plan = est.trimmed_plan(2.0, law, 0.5, h, 3.3, 1.2)
+    rep = est.trimmed_moment_check(kernel, law, 0.5, h, plan, replicas=100, seed=5)
+    masses = kernel.masses.tolist()
+    long_sum = math.fsum(masses[l] / 2.0 for l in range(plan.M, plan.M**2 + 1))
+    short_sum = math.fsum(masses[l] * math.exp(h * l) / 2.0 for l in range(1, plan.k + 1))
+    want = plan.m * math.log(long_sum * short_sum) + math.log(masses[plan.N] / 3.0)
+    assert abs(rep["product_lower_bound_log"] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 @pytest.mark.parametrize("name", ["sub", "log", "super"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -14,7 +15,6 @@ from copolab.kernel import (
     check_eta_kernel,
     defect_Kk,
     defect_check_eta,
-    independent_jumps_law,
     renewal_mass,
 )
 
@@ -301,19 +301,16 @@ def test_check_eta_kernel_exact_formula(log_kernel_small):
         assert tilted[n] == pytest.approx(expected, rel=1e-15)
 
 
-def test_independent_jumps_proper_conditionals(log_kernel_small):
-    long_masses, short_masses = independent_jumps_law(log_kernel_small, h=0.3, big_m=20, k=2)
-    assert long_masses.sum() == pytest.approx(1.0, abs=1e-12)
-    assert short_masses.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_removed_tilt_and_wrapper_api_stays_gone():
-    # a tilted law is its mass array, sweep_free_energy serves one field, and
-    # a disorder realisation is its charge-prefix row; every export resolves
+    # a tilted law is its mass array, sweep_free_energy serves one field, a
+    # disorder realisation is its charge-prefix row, the trimmed mean's jump
+    # weights are its stage weights, and a report record is serialized by
+    # dataclasses.asdict; every export resolves
     removed = (
         "TiltedKernel", "TiltTransform", "penalized_kernel", "estimate_free_energy",
         "QuenchedInstance", "make_instance", "sample", "_trimmed_core", "_annealed_log_z",
-        "TrimmedPlan", "LawKind",
+        "TrimmedPlan", "LawKind", "independent_jumps_law", "_pair_log_weight",
+        "_first_moment_product_log",
     )
     modules = (
         copolab, copolab.kernel, copolab.estimators, copolab.partition, copolab.disorder,
@@ -325,6 +322,11 @@ def test_removed_tilt_and_wrapper_api_stays_gone():
             assert name not in getattr(module, "__all__", ())
         for name in module.__all__:
             assert hasattr(module, name), f"stale export {module.__name__}.{name}"
+    records = (
+        copolab.estimators.FreeEnergyEstimate, copolab.estimators.PenalizationPlan, copolab.bounds.BoundReport
+    )
+    assert [cls.__name__ for cls in records if hasattr(cls, "to_dict")] == []
+    assert [f.name for f in dataclasses.fields(copolab.bounds.SharperBounds)] == ["log_lower", "log_upper"]
 
 
 def test_defect_kk_zero_field(big_kernels):
