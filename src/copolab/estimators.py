@@ -50,6 +50,7 @@ from .partition import (
     _trimmed_log_z_replicas,
     _trimmed_pass_rows,
     _trimmed_size,
+    _workspace,
 )
 
 __all__ = [
@@ -310,14 +311,16 @@ def _sample_short_intervals(steps, draws):
     p at stage g; returns the (paths, m, 2) array of [start, end) of each
     path's short excursions.  Every path takes the same per-row sum, cumsum
     and count as a 1-D searchsorted, so it draws what one path at a time
-    would.
+    would.  Its weight and cumsum rows are the thread's ``_workspace``.
     """
-    paths = draws.shape[0]
+    paths, widest = draws.shape[0], max(len(w) for _, w, _ in steps)
+    ws = _workspace({"probs": (paths * widest,), "cdf": (paths * widest,)})
     x = np.zeros(paths, dtype=np.int64)
     shorts = np.empty((paths, len(steps) // 2, 2), dtype=np.int64)
     for g, (windows, w, start) in enumerate(steps, start=1):
-        probs = windows[x + start] * w
-        cdf = np.cumsum(probs, axis=1)
+        probs, cdf = (ws[name][: paths * len(w)].reshape(paths, len(w)) for name in ("probs", "cdf"))
+        np.multiply(windows[x + start], w, out=probs)
+        np.cumsum(probs, axis=1, out=cdf)
         draw = draws[:, g - 1] * probs.sum(axis=1)
         j = np.minimum(np.count_nonzero(cdf <= draw[:, None], axis=1), len(w) - 1)
         ell = start + j
@@ -356,10 +359,10 @@ def trimmed_moment_check(
     ``_independent_jump_backward``, run after the replicas, and the product
     bound from the sums of its long and short stage weights.  The replicas
     of (b) go through the batched trimmed engine in one call, one engine pass
-    of ``_replica_prefixes`` rows at a time, and the overlap
-    paths are drawn from one stream, spawn_rng(seed, 1_000_000), for as
-    many replica pairs at a time as _TRIMMED_PASS_BYTES holds of their
-    sampler rows.  Neither the pass nor the pair chunk moves a value.
+    of ``_replica_prefixes`` rows at a time, and the overlap paths are drawn
+    from one stream, spawn_rng(seed, 1_000_000), for as many replica pairs at
+    a time as _TRIMMED_PASS_BYTES holds of their sampler rows, which reuse
+    the engine's workspace.  Neither the pass nor the pair chunk moves a value.
     The plan fixes only the ensemble; every part takes beta and h from the
     arguments, and the report records them next to the plan.
     """
@@ -376,7 +379,7 @@ def trimmed_moment_check(
 
     # (b) left side: disorder replicas of (Z restricted / exact mean)^2; the
     # backward recursion, which also gives the mean, runs after the passes,
-    # so its stage arrays never sit beside the pass buffers
+    # so its stage arrays sit beside the thread's workspace only
     pass_rows = _trimmed_pass_rows(plan, span + 1)
     blocks = _replica_prefixes(law, beta, h, span, seed, replicas, pass_rows)
     log_zt = _trimmed_log_z_replicas(blocks, kernel, plan)
@@ -390,13 +393,13 @@ def trimmed_moment_check(
 
     # (b) right side: overlap expectation under the tilted path law; pair i
     # takes the next 2 x 2m uniforms of one stream, first path then second,
-    # drawn for as many pairs at a time as their sampler rows fit
-    # _TRIMMED_PASS_BYTES: a path holds at most 4 rows of len(long_w) doubles
-    steps = []
-    for g in range(1, 2 * plan.m + 1):
-        w, start = (long_w, plan.M) if g % 2 else (short_w, 1)
-        steps.append((np.lib.stride_tricks.sliding_window_view(stages[g], len(w)), w, start))
-    chunk = max(1, _TRIMMED_PASS_BYTES // (2 * 4 * 8 * len(long_w)))
+    # drawn for as many pairs at a time as their sampler rows, 2 workspace rows
+    # of len(long_w) doubles a path (beside one gathered row a step), fit
+    # _TRIMMED_PASS_BYTES beside B
+    steps = [(np.lib.stride_tricks.sliding_window_view(stages[g], len(w)), w, start)
+             for g, (w, start) in enumerate([(long_w, plan.M), (short_w, 1)] * plan.m, start=1)]
+    room = _TRIMMED_PASS_BYTES - sum(stage.nbytes for stage in stages)
+    chunk = max(1, room // (2 * 2 * 8 * len(long_w)))
     rng = spawn_rng(seed, 1_000_000)
     rhs_vals = np.empty(replicas)
     for i0 in range(0, replicas, chunk):

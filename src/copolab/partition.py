@@ -21,7 +21,7 @@ The trimmed (alternating long/short) ensemble follows the same pattern:
 ``log_Z_restricted`` is the one-row stage loop and the oracle, and
 ``_trimmed_log_z_replicas`` runs the stages for groups of _TRIMMED_GROUP
 replicas in passes.  Both engines build their push matrices from
-``kernel._toeplitz_view``.
+``kernel._toeplitz_view`` and keep them, with their buffers, in ``_workspace``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ _PASS_BYTES = 24 << 20  # working-set budget of one pass of the quenched engine
 _FILL_ROWS = 8  # rows per diagonal sub-block of the linear-domain block fill; a power of two
 _FILL_VARIATION = 256.0  # largest in-block charge variation filled in the linear domain
 _PLAN_BLOCKS = 8  # blocks whose charge steps a pass's plan measures at a time
-_LINE_DOUBLES = 8  # doubles per 64-byte cache line; every quenched workspace array starts on one
+_LINE_DOUBLES = 8  # doubles per 64-byte cache line; every workspace array of both engines starts on one
 _TRIMMED_CHUNK = 64  # targets per long-stage GEMM of the trimmed engine
 _TRIMMED_PASS_BYTES = 2 << 20  # working-set budget of one trimmed pass and one sampler chunk
 _EYE = np.eye(_FILL_ROWS)  # I, the first term of the fill's (I - A)^{-1}
@@ -194,32 +194,30 @@ def _pass_lanes(n: int) -> int:
     return _GEMM_REPLICAS * max(1, room // (_GEMM_REPLICAS * _lane_bytes(n)))
 
 
-# this thread's workspace of the quenched engine: see _workspace
+# this thread's workspace of both replica engines and the trimmed sampler: see _workspace
 _WORKSPACES = threading.local()
 
 
-def _workspace(n: int, lanes: int) -> dict[str, np.ndarray]:
-    """This thread's quenched-engine workspace for passes of ``lanes`` rows over n sites.
+def _workspace(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """This thread's workspace of the engines and the trimmed sampler: one array per name of ``shapes``.
 
-    Returns one array per name: the push operand, (_BLOCK, N + 1 - _BLOCK),
-    and each array ``_lane_bytes`` lists, ``lanes`` rows of it, all carved
-    from one float64 buffer of _push_bytes(n) + lanes _lane_bytes(n) bytes,
-    plus at most one 64-byte cache line per array: each starts on a line.
-    The buffer belongs to the calling thread and outlives the call, so the
-    engine's block arrays stay mapped from one call to the next instead of
-    being mapped, trimmed and mapped again block after block.  It only
-    grows: a call that needs more than it holds replaces it, and it is
-    freed with its thread.  Its size is the largest working set a call in
-    that thread has had, which _PASS_BYTES bounds as long as one group of
-    rows and the push operand fit in it (N below 40 784).
+    The arrays, float64 of the given shapes, are carved in order from one
+    buffer of their total size plus at most one 64-byte cache line per
+    array: each starts on a line, so where an operand lies never depends on
+    where the allocator put it.  The buffer belongs to the calling thread
+    and outlives the call, so an engine's arrays stay mapped from one call
+    to the next instead of being mapped, trimmed and mapped again.  It only
+    grows: a request for more than it holds replaces it, and it is freed
+    with its thread.  Its size is the largest request a call in that thread
+    has made: _PASS_BYTES for the quenched engine while one group of rows
+    and the push operand fit in it (N below 40 784), _TRIMMED_PASS_BYTES on
+    the same terms for the trimmed engine and the sampler after it.
 
     Module state is acceptable here because the workspace carries no value
     between calls: every element a call reads, it has written earlier in
-    the same call.  A thread never runs two engine calls at once, and no
-    thread sees another's buffer; nothing the engine returns is a view of it.
+    the same call.  A thread never runs two such calls at once, and no
+    thread sees another's buffer; nothing a call returns is a view of it.
     """
-    shapes = {"push": (_BLOCK, max(0, n + 1 - _BLOCK))}
-    shapes.update((name, (lanes, *shape)) for name, shape in _lane_shapes(n).items())
     lines = {name: -(-math.prod(shape) // _LINE_DOUBLES) * _LINE_DOUBLES for name, shape in shapes.items()}
     total = sum(lines.values()) + _LINE_DOUBLES
     flat = getattr(_WORKSPACES, "flat", None)
@@ -292,17 +290,15 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel, lanes: int | None
     taps[_BLOCK:] = 0.5 * kernel.masses[1:_BLOCK]
     lower = _toeplitz_view(taps, _BLOCK)
     diagonal = np.ascontiguousarray(lower[:_FILL_ROWS, :_FILL_ROWS])
-    # earlier[q - 1][v, t] = K(r0 + t - v)/2, r0 = q _FILL_ROWS: from the block's
-    # rows v < r0 to the rows r0 + t of sub-block q
-    earlier = [
-        np.ascontiguousarray(lower[r0 : r0 + _FILL_ROWS, :r0].T)
-        for r0 in range(_FILL_ROWS, _BLOCK, _FILL_ROWS)
-    ]
+    # earlier[w, t] = K(_BLOCK - _FILL_ROWS + t - w)/2: its last r0 = q _FILL_ROWS rows,
+    # K(r0 + t - v)/2, take the block's rows v < r0 to the rows r0 + t of sub-block q
+    earlier = np.ascontiguousarray(lower[_BLOCK - _FILL_ROWS :, : _BLOCK - _FILL_ROWS].T)
     # gaps[_BLOCK - u:] = log K(u)/2, ..., log K(1)/2, 0: the weights of row u
     # of a block over its sources 0..u-1 and over its own pushed part
     gaps = np.append(kernel.log_masses[_BLOCK:0:-1] - _LOG2, 0.0)
     lanes = min(lanes or _pass_lanes(n), _GEMM_REPLICAS * -(-len(rows) // _GEMM_REPLICAS))
-    ws = _workspace(n, lanes)
+    shapes = {name: (lanes, *shape) for name, shape in _lane_shapes(n).items()}
+    ws = _workspace({"push": (_BLOCK, max(0, n + 1 - _BLOCK)), **shapes})
     # push[u, t] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t.
     # OpenBLAS rounds a row of a product with a transposed operand by the
     # row's slot in its group at some widths; on column slices of this
@@ -415,7 +411,7 @@ def _fill_views(ws, live, width, earlier):
     channels, and per sub-block q a tuple of the slices of p (also as a
     column), up, down, x (as a column and as rows) and y, the inverse of
     its diagonal sub-block, the filled block's rows before it, grouped as
-    the GEMM takes them, and its Toeplitz(K/2) operand ``earlier[q - 1]``.
+    the GEMM takes them, and its Toeplitz(K/2) operand ``earlier[-r0:]``.
     """
     p, up, down, inverse = (ws[name][:live] for name in ("p", "up", "down", "inverse"))
     scaled = ws["scaled"][:width]
@@ -436,7 +432,7 @@ def _fill_views(ws, live, width, earlier):
         grouped = flat[:, :r0].reshape(-1, 2 * _GEMM_REPLICAS, r0) if q else None
         views["subs"].append((
             p[:, cols], p[:, cols, None], up[:, cols], down[:, cols], x[:, cols], x[:, cols, 0],
-            y[:, cols], inverse[:, q], grouped, earlier[q - 1] if q else None,
+            y[:, cols], inverse[:, q], grouped, earlier[-r0:] if q else None,
         ))
     return views
 
@@ -696,16 +692,18 @@ def _trimmed_row_bytes(plan, size) -> int:
     """Working set of one row of the trimmed engine over positions 0..size-1.
 
     Its charge prefix and k charge rows, (k + 1) size doubles, and the
-    stage buffers f and g, 2 (M^2 + size + _TRIMMED_CHUNK) doubles.
+    stage buffers f and g, 2 (M^2 + size + _TRIMMED_CHUNK) doubles; the
+    Toeplitz operand, shared by every row, is counted once per call.
     """
     return 8 * ((plan.k + 1) * size + 2 * (plan.M * plan.M + size + _TRIMMED_CHUNK))
 
 
 def _trimmed_pass_rows(plan, size) -> int:
     """Rows per pass of the trimmed engine: the whole groups of _TRIMMED_GROUP
-    rows whose working set fits _TRIMMED_PASS_BYTES, at least one."""
-    group = _TRIMMED_GROUP * _trimmed_row_bytes(plan, size)
-    return _TRIMMED_GROUP * max(1, _TRIMMED_PASS_BYTES // group)
+    rows whose working set fits _TRIMMED_PASS_BYTES beside the Toeplitz
+    operand, (_TRIMMED_CHUNK + M^2 - M) _TRIMMED_CHUNK doubles, at least one."""
+    room = _TRIMMED_PASS_BYTES - 8 * (_TRIMMED_CHUNK + plan.M * (plan.M - 1)) * _TRIMMED_CHUNK
+    return _TRIMMED_GROUP * max(1, room // (_TRIMMED_GROUP * _trimmed_row_bytes(plan, size)))
 
 
 def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
@@ -716,14 +714,15 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     and may reuse its buffer for the next, keeps the working set independent
     of R.  Same stages as ``log_Z_restricted``.  Rows go through in passes
     of ``_trimmed_pass_rows`` rows, whole groups of _TRIMMED_GROUP rows whose
-    working set fits _TRIMMED_PASS_BYTES, in stage buffers allocated once
-    per call (grown only if a later pass is wider than the first); the last
-    group of a pass is zero-padded.  The long stage is one banded Toeplitz
-    matrix T[c, r] = K(r + M^2 - c)/2 over gaps in [M, M^2], applied to
-    each group as (8, W) @ (W, _TRIMMED_CHUNK) GEMMs, one per chunk of the
-    targets that the support [s_lo, s_hi] left by the previous stage
-    reaches: the chunks whose whole source window lies inside the support,
-    a range found by arithmetic, go in one ``np.matmul`` over
+    working set fits _TRIMMED_PASS_BYTES beside the Toeplitz operand; the
+    last group of a pass is zero-padded.  Each pass writes the operand into
+    this thread's ``_workspace``, shared with the quenched engine, and takes
+    its stage buffers there, sized by its whole groups.  The long stage is
+    one banded Toeplitz matrix T[c, r] = K(r + M^2 - c)/2 over gaps in
+    [M, M^2], applied to each group as (8, W) @ (W, _TRIMMED_CHUNK) GEMMs,
+    one per chunk of the targets that the support [s_lo, s_hi] left by the
+    previous stage reaches: the chunks whose whole source window lies inside
+    the support, a range found by arithmetic, go in one ``np.matmul`` over
     strided windows of the pass, stacked over its groups and chunks, and
     each edge chunk in one stacked call on the Toeplitz rows that meet the
     support.  The short stage uses the k charge rows e^{S[x] - S[x-l]}
@@ -757,7 +756,7 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     taps = np.zeros(2 * chunk + lead - big_m - 1)
     taps[chunk - 1 : chunk + lead - big_m] = 0.5 * kernel.masses[big_m : lead + 1]
     # toeplitz[c, r] = K(r + M^2 - c)/2: from source t0 - M^2 + c to target t0 + r
-    toeplitz = np.ascontiguousarray(_toeplitz_view(taps, width).T)
+    operand = _toeplitz_view(taps, width).T
     closing = _closing_weights(kernel, plan, size)
     short_w = 0.5 * kernel.masses[1 : k + 1]
 
@@ -779,20 +778,17 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
             strides=(_TRIMMED_GROUP * row_step, chunk * col_step, row_step, col_step),
         )
 
-    # position x sits at column lead + x; only columns lead..lead+size-1 of
-    # f are ever written, and the last chunk of a stage may write up to
-    # chunk - 1 columns of g past size, which nothing reads
-    f_all = g_all = np.zeros((0, lead + size + chunk))
-    # charge[l - 1, :, x] = e^{S[x] - S[x-l]} K(l)/2 for x >= l
-    charge_all = np.zeros((k, 0, size))
     out = [np.empty(0)]
     for rows in passes():
         live = len(rows)
         padded = _TRIMMED_GROUP * -(-live // _TRIMMED_GROUP)
-        if padded > len(f_all):
-            f_all, g_all = np.zeros((2, padded, f_all.shape[1]))
-            charge_all = np.zeros((k, padded, size))
-        f, g, charge = f_all[:padded], g_all[:padded], charge_all[:, :padded]
+        # position x sits at column lead + x; the last chunk of a stage may
+        # write up to chunk - 1 columns of g past size, which nothing reads;
+        # charge[l - 1, :, x] = e^{S[x] - S[x-l]} K(l)/2 for x >= l
+        stage = (padded, lead + size + chunk)
+        ws = _workspace({"toeplitz": (width, chunk), "f": stage, "g": stage, "charge": (k, padded, size)})
+        toeplitz, f, g, charge = (ws[name] for name in ("toeplitz", "f", "g", "charge"))
+        np.copyto(toeplitz, operand)
         f3, g3 = f.reshape(-1, _TRIMMED_GROUP, f.shape[1]), g.reshape(-1, _TRIMMED_GROUP, g.shape[1])
         # one exp per pass: e^{S[x] - S[x-l]} is row l - 1 at x - 1 times the
         # l = 1 row at x, so every row is a product of shifted l = 1 rows
@@ -804,7 +800,7 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
             np.multiply(charge[ell - 2, :, ell - 1 : -1], step[:, ell - 1 :], out=charge[ell - 1, :, ell:])
         for ell in range(1, k + 1):
             charge[ell - 1, :, ell:] *= short_w[ell - 1]
-        f[:, lead : lead + size] = 0.0
+        f[:, : lead + size] = 0.0  # the long stage reads the lead columns as zeros
         f[:, lead] = 1.0
         log_scale = np.zeros(padded)
         dead = np.zeros(padded, dtype=bool)

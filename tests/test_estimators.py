@@ -18,10 +18,15 @@ from copolab.partition import (
     _FILL_ROWS,
     _FILL_VARIATION,
     _GEMM_REPLICAS,
+    _TRIMMED_GROUP,
+    Trimmed,
     _lane_bytes,
     _log_z_replicas,
     _pass_lanes,
     _push_bytes,
+    _trimmed_log_z_replicas,
+    _trimmed_pass_rows,
+    _trimmed_size,
     brute_force_log_Z,
     charge_prefix,
     log_Z,
@@ -301,10 +306,13 @@ def _engine_rows(n, replicas, seed, steep=(), nan=()):
 
 
 def test_engine_workspace_reuse_keeps_every_call_bit_equal_to_a_fresh_thread(log_kernel_small, monkeypatch):
-    # one thread runs calls that shrink and then grow its workspace: a wide
-    # pass, a small call with a steep and a NaN row, a call of 5 passes
-    # under a one-group budget, and the wide pass again; each value equals
-    # the same call's in a fresh thread bit for bit
+    # one thread, starting with no workspace, runs quenched and trimmed calls
+    # that share it, growing it and then reusing it for smaller calls: a small
+    # quenched call with a steep and a NaN row, trimmed calls at M = 12 and
+    # M = 16 under the default budget and under a one-group budget, a wide
+    # quenched pass, a call of 5 passes under a one-group budget, and the
+    # wide pass again; each value equals the same call's in a fresh thread
+    # bit for bit
     wide = _engine_rows(200, 100, 31)
     small = _engine_rows(70, 3, 32, steep=(0,), nan=(2,))
     steep = np.abs(np.diff(small[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
@@ -312,15 +320,34 @@ def test_engine_workspace_reuse_keeps_every_call_bit_equal_to_a_fresh_thread(log
     passes_n = 2 * _BLOCK + 5
     passes = _engine_rows(passes_n, 20, 33)
     budget = _push_bytes(passes_n) + _GEMM_REPLICAS * _lane_bytes(passes_n)
-    for prefix in (wide, small, passes, wide):
+    m12, m16 = Trimmed(M=12, k=2, m=3, N=430), Trimmed(M=16, k=2, m=3, N=1500)
+    trimmed = {plan: _engine_rows(plan.N, 20, plan.M) for plan in (m12, m16)}
+    kernel, one_group = log_kernel_small, {"_TRIMMED_PASS_BYTES": 1}
+    steps = [
+        (_log_z_replicas, (small, kernel), {}),
+        (_trimmed_log_z_replicas, (trimmed[m12], kernel, m12), {}),
+        (_trimmed_log_z_replicas, (trimmed[m16], kernel, m16), one_group),
+        (_log_z_replicas, (wide, kernel), {}),
+        (_trimmed_log_z_replicas, (trimmed[m16], kernel, m16), {}),
+        (_log_z_replicas, (passes, kernel), {"_PASS_BYTES": budget}),
+        (_trimmed_log_z_replicas, (trimmed[m12], kernel, m12), one_group),
+        (_log_z_replicas, (wide, kernel), {}),
+    ]
+
+    def run(engine, args, budgets):
         with monkeypatch.context() as patch:
-            if prefix is passes:
-                patch.setattr(partition, "_PASS_BYTES", budget)
+            for name, value in budgets.items():
+                patch.setattr(partition, name, value)
+            if args[0] is passes:
                 assert _pass_lanes(passes_n) == _GEMM_REPLICAS
-            got = _log_z_replicas(prefix, log_kernel_small)
-            fresh = _in_fresh_thread(_log_z_replicas, prefix, log_kernel_small)
-        assert np.isnan(got).sum() == (prefix is small)
-        np.testing.assert_array_equal(got, fresh)
+            if budgets is one_group:
+                assert _trimmed_pass_rows(args[2], _trimmed_size(kernel, args[2])) == _TRIMMED_GROUP
+            return engine(*args)
+
+    in_turn = _in_fresh_thread(lambda: [run(*step) for step in steps])
+    for step, got in zip(steps, in_turn):
+        assert np.isnan(got).sum() == (step[1][0] is small)
+        np.testing.assert_array_equal(got, _in_fresh_thread(run, *step))
 
 
 def test_engine_threads_give_their_serial_values(log_kernel_small):
@@ -847,16 +874,20 @@ def test_trimmed_moment_check_report_does_not_depend_on_the_pass_budget(log_kern
 
 def test_trimmed_moment_check_working_set_does_not_grow_with_replicas(big_kernels):
     # replicas are drawn and evaluated one engine group at a time, so the
-    # traced peak at the largest benchmark plan (M = 24) is flat in R
+    # traced peak at the largest benchmark plan (M = 24) is flat in R; each
+    # traced call runs in a fresh thread, so its peak counts the workspace
+    # it grows, after a warm-up call has done the lazy imports
     import tracemalloc
 
     plan = est.trimmed_plan(2.0, GAUSSIAN, 0.5, 0.3, 3.3, 1.6)
     assert plan.M == 24
+    args = (big_kernels["log"], GAUSSIAN, 0.5, 0.3, plan)
+    est.trimmed_moment_check(*args, 100, seed=1)
     peaks = []
     for replicas in (100, 400):
         tracemalloc.start()
         try:
-            est.trimmed_moment_check(big_kernels["log"], GAUSSIAN, 0.5, 0.3, plan, replicas, seed=1)
+            _in_fresh_thread(est.trimmed_moment_check, *args, replicas, 1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -12,6 +12,7 @@ from copolab.partition import (
     _GEMM_REPLICAS,
     _TRIMMED_GROUP,
     Trimmed,
+    _log_z_replicas,
     _trimmed_log_z_replicas,
     _trimmed_pass_rows,
     _trimmed_row_bytes,
@@ -367,6 +368,30 @@ def test_trimmed_engine_matches_row_loop_on_benchmark_plans(big_kernels, law):
             ref = np.array([log_Z_restricted(row, kernel, plan) for row in prefix])
             assert np.all(np.isfinite(ref))
             _assert_trimmed_values_match(got, ref)
+
+
+def test_engine_gemm_operands_start_on_a_cache_line(log_kernel_small, big_kernels, monkeypatch):
+    # every 2-D right-hand GEMM operand of 4 096 elements or more, the
+    # quenched push columns and the trimmed Toeplitz rows at the M = 16 and
+    # M = 24 benchmark plans, starts on a 64-byte line: off a line the long
+    # stage runs slower, so its speed would follow the allocator
+    matmul, offsets = np.matmul, []
+
+    def spy(a, b, **kwargs):
+        if np.ndim(b) == 2 and np.size(b) >= 4096:
+            offsets[-1].append(b.ctypes.data % 64)
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(partition.np, "matmul", spy)
+    for n in (200, 2000):
+        offsets.append([])
+        _log_z_replicas(_trimmed_prefixes(GAUSSIAN, 1.0, 0.3, n, 7, 8), log_kernel_small)
+    for c2, big_m in ((1.4, 16), (1.6, 24)):
+        plan = trimmed_plan(2.0, GAUSSIAN, 0.5, 0.3, 3.3, c2)
+        assert plan.M == big_m
+        offsets.append([])
+        _trimmed_log_z_replicas(_trimmed_prefixes(GAUSSIAN, 0.5, 0.3, plan.N, 8, 8), big_kernels["log"], plan)
+    assert all(offsets) and {offset for call in offsets for offset in call} == {0}
 
 
 def test_trimmed_engine_values_do_not_depend_on_replica_count(log_kernel_small):

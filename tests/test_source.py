@@ -80,7 +80,7 @@ PRIVATE_IMPORTS = {
     "estimators": {
         "disorder._draw", "partition._TRIMMED_PASS_BYTES", "partition._charge_rows",
         "partition._closing_weights", "partition._log_z_replicas", "partition._trimmed_log_z_replicas",
-        "partition._trimmed_pass_rows", "partition._trimmed_size",
+        "partition._trimmed_pass_rows", "partition._trimmed_size", "partition._workspace",
     },
     "kernel": set(),
     "partition": {"kernel._toeplitz_view"},
