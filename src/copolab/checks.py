@@ -10,10 +10,10 @@ enumeration), worst_block_edge_relative_error (batched DP against the row
 loop at block_edge_sizes, the edges of its 8-row sub-blocks and 64-site
 blocks), worst_trimmed_relative_error (batched trimmed engine against its
 row loop on trimmed_trials small plans), worst_two_pass_relative_error
-(every row of two_pass_batch, three groups of rows run in passes of two
-groups, against the row loop), worst_trimmed_two_pass_relative_error
-(every row of trimmed_two_pass, two groups of rows and then one given to
-the trimmed engine as two blocks, so in two passes, against its row loop),
+(every row of two_pass_batch, two groups of rows and then one given to the
+batched DP as two blocks, so in two passes, against the row loop),
+worst_trimmed_two_pass_relative_error (the same for the trimmed engine on
+trimmed_two_pass against its row loop),
 worst_annealed_relative_error (annealed values at annealed_fields against
 the row loop) and streams_checked (replica streams
 of stream_seeds compared with numpy's SeedSequence(seed, spawn_key=(i,))
@@ -37,7 +37,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import bounds, estimators
+from . import estimators
 from .disorder import BINARY, GAUSSIAN, q1, replica_rngs, spawn_rng
 from .estimators import _replica_prefixes
 from .kernel import _MASS_BLOCK, build_kernel, renewal_mass
@@ -82,10 +82,21 @@ def oracle(kernel, law, beta, h, replicas, seed) -> dict:
         (rows,) = _replica_prefixes(law_i, beta_i, h_i, n, int(source.integers(0, 2**32)), count)
         return rows
 
-    def batch(law_i, n, count, lanes=None):
-        # the batched DP's value of each drawn row, with the row, in passes of lanes rows
+    def batch(law_i, n, count):
+        # the batched DP's value of each drawn row, with the row
         rows = draw(law_i, n, count)
-        return zip(_log_z_replicas(rows, kernel, lanes).tolist(), rows)
+        return zip(_log_z_replicas(rows, kernel).tolist(), rows)
+
+    def two_passes(engine, exact, n, group, source):
+        # three groups of rows of each law, given to an engine as two blocks,
+        # of two groups and of one, so in two passes, as a block boundary is
+        # always a pass boundary; every row, both sides of it, against exact
+        pairs = []
+        for law_i in (GAUSSIAN, BINARY):
+            rows = draw(law_i, n, 3 * group, source)
+            pairs += zip(engine((rows[: 2 * group], rows[2 * group :])).tolist(), map(exact, rows))
+        counts = {"replicas": 3 * group, "rows_per_pass": 2 * group, "rows_checked": 3 * group}
+        return counts, _worst_relative_error(pairs)
 
     enumerated = []
     trials = 60
@@ -111,34 +122,19 @@ def oracle(kernel, law, beta, h, replicas, seed) -> dict:
         values = _trimmed_log_z_replicas(rows, kernel, plan).tolist()
         trimmed += [(v, log_Z_restricted(row, kernel, plan)) for v, row in zip(values, rows)]
     worst_trimmed = _worst_relative_error(trimmed)
-    # three groups of rows in passes of two groups; every row, both sides of
-    # the pass boundary, goes to the row loop
-    two_pass_n = 3 * _BLOCK + 5
-    two_pass = {"replicas": 3 * _GEMM_REPLICAS, "n": two_pass_n, "rows_per_pass": 2 * _GEMM_REPLICAS,
-                "rows_checked": 3 * _GEMM_REPLICAS}
-    boundary = [
-        pair
-        for law_i in (GAUSSIAN, BINARY)
-        for pair in batch(law_i, two_pass_n, two_pass["replicas"], two_pass["rows_per_pass"])
-    ]
-    worst_two_pass = _worst_relative_error((value, log_Z(row, kernel)) for value, row in boundary)
-    # the same for the trimmed engine: a block boundary is always a pass
-    # boundary, so two blocks, of two groups and of one, are two passes; the
-    # rows come from a stream of their own, spawn key 0 of the seed, so that
-    # every trial above keeps its draws
+    two_pass, worst_two_pass = two_passes(
+        lambda blocks: _log_z_replicas(blocks, kernel), lambda row: log_Z(row, kernel),
+        3 * _BLOCK + 5, _GEMM_REPLICAS, rng,
+    )
+    two_pass["n"] = 3 * _BLOCK + 5
+    # the trimmed rows come from a stream of their own, spawn key 0 of the
+    # seed, so that every trial above keeps its draws
     pass_plan = Trimmed(M=12, k=2, m=3, N=430)
-    trimmed_two_pass = {"plan": asdict(pass_plan), "replicas": 3 * _TRIMMED_GROUP,
-                        "rows_per_pass": 2 * _TRIMMED_GROUP, "rows_checked": 3 * _TRIMMED_GROUP}
-    pass_rng = spawn_rng(seed, 0)
-    trimmed_boundary = []
-    for law_i in (GAUSSIAN, BINARY):
-        rows = draw(law_i, pass_plan.N, trimmed_two_pass["replicas"], source=pass_rng)
-        cut = trimmed_two_pass["rows_per_pass"]
-        values = _trimmed_log_z_replicas((rows[:cut], rows[cut:]), kernel, pass_plan)
-        trimmed_boundary += [
-            (value, log_Z_restricted(row, kernel, pass_plan)) for value, row in zip(values.tolist(), rows)
-        ]
-    worst_trimmed_two_pass = _worst_relative_error(trimmed_boundary)
+    trimmed_two_pass, worst_trimmed_two_pass = two_passes(
+        lambda blocks: _trimmed_log_z_replicas(blocks, kernel, pass_plan),
+        lambda row: log_Z_restricted(row, kernel, pass_plan), pass_plan.N, _TRIMMED_GROUP, spawn_rng(seed, 0),
+    )
+    trimmed_two_pass["plan"] = asdict(pass_plan)
     mass_sizes = tuple(e + d for e in (_MASS_BLOCK, 2 * _MASS_BLOCK) for d in (-1, 0, 1))
     worst_mass = 0.0
     for n in mass_sizes:
@@ -224,8 +220,9 @@ def penalization(kernel, law, beta, h, replicas, seed) -> dict:
             points.append({"h": field, "skipped": str(exc)})
             continue
         rep = estimators.penalization_check(kernel, law, beta, field, plan)
-        expected = bounds.log_upper_general(kernel.family, law, beta, field, plan.b)
-        two_path = two_path and rep["log_bound_closed_form"] == expected
+        # the closed form against -q1 phi / h, with phi from the plan's own tail ratio
+        expected = -q1(law, beta) * plan.phi / field
+        two_path = two_path and abs(rep["log_bound_closed_form"] - expected) <= 1e-12 * abs(expected)
         if rep["linf_holds"] and not rep["defect_nonpositive"]:
             consistent = False
         points.append(

@@ -3,8 +3,8 @@
 Every quenched disorder replica comes from one source, ``_replica_prefixes``:
 replica i draws its charges once, from stream i of ``replica_rngs(seed,
 ...)`` (the PCG64 stream of ``SeedSequence(seed, spawn_key=(i,))``), for
-every field.  ``replica_log_z`` evaluates all rows in one batched DP call,
-and the trimmed second-moment check one trimmed-engine pass of rows at a
+every field.  ``replica_log_z`` and the trimmed second-moment check hand
+its blocks to one call of their engine, one engine pass of rows at a
 time.
 The verification engines evaluate the change-of-measure, trimmed
 second-moment and coarse-graining constructions at desk scale and return
@@ -47,8 +47,10 @@ from .partition import (
     _charge_rows,
     _closing_weights,
     _log_z_replicas,
+    _pass_rows,
+    _quenched_pass,
     _trimmed_log_z_replicas,
-    _trimmed_pass_rows,
+    _trimmed_pass,
     _trimmed_size,
     _workspace,
 )
@@ -139,18 +141,28 @@ def replica_log_z(
     """Quenched log Z over n sites for replicas 0..replicas-1.
 
     ``h`` is one field or a 1-D grid; the result has shape np.shape(h) +
-    (replicas,).  The rows of ``_replica_prefixes`` go through one batched,
-    blocked DP that agrees with the row-loop ``log_Z`` to rounding.  A
-    value depends on (seed, i, h) only: a field of a grid equals its
-    one-field value bit for bit, whatever the replica count.
+    (replicas,).  The rows of ``_replica_prefixes`` go through one call of
+    the batched, blocked DP, which agrees with the row-loop ``log_Z`` to
+    rounding, in blocks of at most one engine pass: every field of as many
+    replicas as fill ``_quenched_pass(n)`` rows, at least one, so only one
+    pass of charge rows is held at a time.  A value depends on (seed, i, h)
+    only: a field of a grid equals its one-field value bit for bit,
+    whatever the replica count.
     """
     if n < 1:
         raise ValueError("need at least one site")
+    fields = math.prod(np.shape(h))
+    rows = max(1, _quenched_pass(n)[2] // max(fields, 1))
+    out = np.empty((fields, replicas))
     # charges past the float range turn non-finite, and their rows NaN
     with np.errstate(over="ignore"):
-        (prefix,) = _replica_prefixes(law, beta, h, n, seed, replicas)
-    values = _log_z_replicas(prefix.reshape(-1, n + 1), kernel)
-    return values.reshape(np.shape(h) + (replicas,))
+        blocks = _replica_prefixes(law, beta, h, n, seed, replicas, rows)
+        values = _log_z_replicas((block.reshape(-1, n + 1) for block in blocks), kernel)
+    # the values come block after block, each block field after field
+    for i0 in range(0, replicas, rows):
+        count = min(rows, replicas - i0)
+        out[:, i0 : i0 + count] = values[fields * i0 : fields * (i0 + count)].reshape(fields, count)
+    return out.reshape(np.shape(h) + (replicas,))
 
 
 def sweep_free_energy(
@@ -302,7 +314,7 @@ def _independent_jump_backward(kernel, plan, h):
     return stages, long_w, short_w, math.log(stages[0][0]) + log_scale
 
 
-def _sample_short_intervals(steps, draws):
+def _sample_short_intervals(steps, draws, row):
     """Short intervals of paths drawn under the tilted ensemble law.
 
     ``steps[g - 1]`` is (windows, w, start) of stage g: the sliding windows
@@ -311,14 +323,15 @@ def _sample_short_intervals(steps, draws):
     p at stage g; returns the (paths, m, 2) array of [start, end) of each
     path's short excursions.  Every path takes the same per-row sum, cumsum
     and count as a 1-D searchsorted, so it draws what one path at a time
-    would.  Its weight and cumsum rows are the thread's ``_workspace``.
+    would.  Its weight and cumsum rows, ``row`` per path, are the thread's
+    ``_workspace``.
     """
-    paths, widest = draws.shape[0], max(len(w) for _, w, _ in steps)
-    ws = _workspace({"probs": (paths * widest,), "cdf": (paths * widest,)})
+    paths = draws.shape[0]
+    ws = _workspace(paths, {}, row)
     x = np.zeros(paths, dtype=np.int64)
     shorts = np.empty((paths, len(steps) // 2, 2), dtype=np.int64)
     for g, (windows, w, start) in enumerate(steps, start=1):
-        probs, cdf = (ws[name][: paths * len(w)].reshape(paths, len(w)) for name in ("probs", "cdf"))
+        probs, cdf = (ws[name][:, : len(w)] for name in ("probs", "cdf"))
         np.multiply(windows[x + start], w, out=probs)
         np.cumsum(probs, axis=1, out=cdf)
         draw = draws[:, g - 1] * probs.sum(axis=1)
@@ -361,8 +374,8 @@ def trimmed_moment_check(
     of (b) go through the batched trimmed engine in one call, one engine pass
     of ``_replica_prefixes`` rows at a time, and the overlap paths are drawn
     from one stream, spawn_rng(seed, 1_000_000), for as many replica pairs at
-    a time as _TRIMMED_PASS_BYTES holds of their sampler rows, which reuse
-    the engine's workspace.  Neither the pass nor the pair chunk moves a value.
+    a time as ``_pass_rows`` fits of their sampler rows in the engine's
+    workspace.  Neither the pass nor the pair chunk moves a value.
     The plan fixes only the ensemble; every part takes beta and h from the
     arguments, and the report records them next to the plan.
     """
@@ -380,8 +393,7 @@ def trimmed_moment_check(
     # (b) left side: disorder replicas of (Z restricted / exact mean)^2; the
     # backward recursion, which also gives the mean, runs after the passes,
     # so its stage arrays sit beside the thread's workspace only
-    pass_rows = _trimmed_pass_rows(plan, span + 1)
-    blocks = _replica_prefixes(law, beta, h, span, seed, replicas, pass_rows)
+    blocks = _replica_prefixes(law, beta, h, span, seed, replicas, _trimmed_pass(plan, span + 1)[2])
     log_zt = _trimmed_log_z_replicas(blocks, kernel, plan)
     stages, long_w, short_w, exact_log_mean = _independent_jump_backward(kernel, plan, h)
     # product bound: (sum of long weights * sum of short weights)^m K(N)/3
@@ -393,19 +405,18 @@ def trimmed_moment_check(
 
     # (b) right side: overlap expectation under the tilted path law; pair i
     # takes the next 2 x 2m uniforms of one stream, first path then second,
-    # drawn for as many pairs at a time as their sampler rows, 2 workspace rows
-    # of len(long_w) doubles a path (beside one gathered row a step), fit
-    # _TRIMMED_PASS_BYTES beside B
+    # drawn for as many pairs at a time as _pass_rows gives in groups of a
+    # pair's two paths, each with its weight and cumsum rows, beside B
     steps = [(np.lib.stride_tricks.sliding_window_view(stages[g], len(w)), w, start)
              for g, (w, start) in enumerate([(long_w, plan.M), (short_w, 1)] * plan.m, start=1)]
-    room = _TRIMMED_PASS_BYTES - sum(stage.nbytes for stage in stages)
-    chunk = max(1, room // (2 * 2 * 8 * len(long_w)))
+    row = {"probs": (len(long_w),), "cdf": (len(long_w),)}
+    chunk = _pass_rows({"backward": (len(stages), len(stages[0]))}, row, 2, _TRIMMED_PASS_BYTES) // 2
     rng = spawn_rng(seed, 1_000_000)
     rhs_vals = np.empty(replicas)
     for i0 in range(0, replicas, chunk):
         pairs = min(chunk, replicas - i0)
         draws = rng.random((pairs, 2, 2 * plan.m)).reshape(2 * pairs, 2 * plan.m)
-        shorts = _sample_short_intervals(steps, draws)
+        shorts = _sample_short_intervals(steps, draws, row)
         overlap = _interval_overlap(shorts[0::2], shorts[1::2])
         # math.exp, as one pair at a time took it, keeps the values bit-identical
         rhs_vals[i0 : i0 + pairs] = [math.exp(q2v * v) for v in overlap.tolist()]
@@ -532,10 +543,26 @@ def penalization_check(
 
 @functools.cache
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the _QUAD_NODES-point Gauss-Legendre rule on [-1, 1], read-only."""
-    from numpy.polynomial.legendre import leggauss
+    """Nodes and weights of the _QUAD_NODES-point Gauss-Legendre rule on [-1, 1], read-only.
 
-    nodes, weights = leggauss(_QUAD_NODES)
+    Golub-Welsch nodes, each refined by one Newton step on P_n through the
+    three-term recurrence, and weights 2/((1 - x^2) P_n'(x)^2) there; the
+    eigenvectors' own weights hold only about 1e-12 relative.
+    """
+    n = _QUAD_NODES
+    k = np.arange(1.0, n)
+    nodes = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+
+    def legendre(x):
+        # P_n(x) and P_n'(x): (j + 1) P_{j+1} = (2j + 1) x P_j - j P_{j-1}
+        low, high = np.ones_like(x), x
+        for j in range(1, n):
+            low, high = high, ((2 * j + 1) * x * high - j * low) / (j + 1)
+        return high, n * (x * high - low) / (x * x - 1.0)
+
+    value, slope = legendre(nodes)
+    nodes = nodes - value / slope
+    weights = 2.0 / ((1.0 - nodes**2) * legendre(nodes)[1] ** 2)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

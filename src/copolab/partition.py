@@ -137,35 +137,12 @@ def log_Z(prefix: np.ndarray, kernel: RenewalKernel) -> float:
     return float(lz[n])
 
 
-def _lane_shapes(n: int) -> dict[str, tuple[int, ...]]:
-    """The shape of one row of each array that ``_lane_bytes`` lists, by name."""
-    blocks = -(-(n + 1) // _BLOCK)
-    subs = (_BLOCK // _FILL_ROWS, _FILL_ROWS, _FILL_ROWS)
-    return {
-        "acc": (2, n + 1),
-        "charges": (n + 1,),
-        "mid": (blocks,),
-        "low": (blocks,),
-        "variation": (blocks,),
-        "steps": (min(blocks, _PLAN_BLOCKS) * (_BLOCK - 1),),
-        "p": (_BLOCK,),
-        "rel": (_BLOCK,),
-        "up": (_BLOCK,),
-        "down": (_BLOCK,),
-        "a": subs,
-        "power": subs,
-        "inverse": subs,
-        "scaled": (2, _BLOCK),
-        "pair": (2, _FILL_ROWS),
-        "product": (2 * min(_CHUNK, max(0, n + 1 - _BLOCK)),),
-    }
+def _quenched_pass(n: int):
+    """The shape dicts a quenched pass over n sites hands ``_workspace``,
+    and its rows per pass by ``_pass_rows``.
 
-
-def _lane_bytes(n: int) -> int:
-    """Working set of one row of the quenched engine over n sites.
-
-    Every per-row array the engine keeps in its workspace, in doubles:
-    both accumulators, 2 (N + 1); the pass's plan, that is the row's
+    Shared: the push operand, _BLOCK rows of N + 1 - _BLOCK doubles.  Per
+    row: both accumulators, 2 (N + 1); the pass's plan, that is the row's
     charges, N + 1, the maximum, the minimum and the variation of its
     charges in each block, 3 ceil((N + 1)/_BLOCK), and the charge steps of
     up to _PLAN_BLOCKS blocks at a time, _BLOCK - 1 each; in the fill of one
@@ -175,49 +152,80 @@ def _lane_bytes(n: int) -> int:
     the earlier sub-blocks' push into one sub-block, 2 _FILL_ROWS; and its
     two rows of one push product, 2 min(_CHUNK, N + 1 - _BLOCK).  Per-row
     scalars (maxima, offsets, scales, the steep flags) and the log fill of
-    steep rows are not counted.
+    steep rows are not in the workspace.
     """
-    return 8 * sum(math.prod(shape) for shape in _lane_shapes(n).values())
+    blocks = -(-(n + 1) // _BLOCK)
+    subs = (_BLOCK // _FILL_ROWS, _FILL_ROWS, _FILL_ROWS)
+    shared = {"push": (_BLOCK, max(0, n + 1 - _BLOCK))}
+    row = {
+        "acc": (2, n + 1),
+        "charges": (n + 1,), "mid": (blocks,), "low": (blocks,), "variation": (blocks,),
+        "steps": (min(blocks, _PLAN_BLOCKS) * (_BLOCK - 1),),
+        "p": (_BLOCK,), "rel": (_BLOCK,), "up": (_BLOCK,), "down": (_BLOCK,),
+        "a": subs, "power": subs, "inverse": subs, "scaled": (2, _BLOCK), "pair": (2, _FILL_ROWS),
+        "product": (2 * min(_CHUNK, max(0, n + 1 - _BLOCK)),),
+    }
+    return shared, row, _pass_rows(shared, row, _GEMM_REPLICAS, _PASS_BYTES)
 
 
-def _push_bytes(n: int) -> int:
-    """The one push operand of a quenched engine call over n sites: _BLOCK
-    rows of N + 1 - _BLOCK doubles, shared by every row and pass."""
-    return 8 * _BLOCK * max(0, n + 1 - _BLOCK)
+def _pass_rows(shared, row, group: int, budget: int) -> int:
+    """Rows per pass: the one rule of both engines and the trimmed sampler.
+
+    ``shared`` and ``row`` are the shape dicts a pass hands ``_workspace``:
+    the shared arrays, counted once, and one row of each per-row array,
+    counted once per row.  Returns the whole groups of ``group`` rows whose
+    arrays fit ``budget`` bytes beside the shared ones, at least one group;
+    nothing outside the workspace is counted.  The one-group floor can pass
+    the budget: the quenched engine runs one group per pass from N = 34 679
+    on, from N = 40 784 that group and the push operand exceed _PASS_BYTES,
+    and from N = 49 216 the operand alone does.
+    """
+    shared_bytes, row_bytes = (8 * sum(math.prod(shape) for shape in part.values()) for part in (shared, row))
+    return group * max(1, (budget - shared_bytes) // (group * row_bytes))
 
 
-def _pass_lanes(n: int) -> int:
-    """Rows per pass of the quenched engine over n sites: the whole groups of
-    _GEMM_REPLICAS rows whose working set fits _PASS_BYTES beside the push
-    operand, at least one."""
-    room = _PASS_BYTES - _push_bytes(n)
-    return _GEMM_REPLICAS * max(1, room // (_GEMM_REPLICAS * _lane_bytes(n)))
+def _passes(prefix, cut):
+    """The passes of an engine's charge-prefix rows: the block protocol of both engines.
+
+    ``prefix`` is an (R, n+1) array or an iterable of 2-D blocks of such
+    rows; a generator that draws each block when the engine asks for it,
+    and may reuse its buffer for the next, keeps the working set independent
+    of R.  ``cut(block)`` checks a block and returns the engine's (shared,
+    row, rows per pass); each pass comes with the shape dicts it hands
+    ``_workspace``, and no pass crosses a block.
+    """
+    for block in (prefix,) if isinstance(prefix, np.ndarray) else prefix:
+        if np.ndim(block) != 2:
+            raise ValueError("charge prefixes come as 2-D blocks of rows")
+        shared, row, rows = cut(block)
+        for p0 in range(0, len(block), rows):
+            yield block[p0 : p0 + rows], shared, row
 
 
 # this thread's workspace of both replica engines and the trimmed sampler: see _workspace
 _WORKSPACES = threading.local()
 
 
-def _workspace(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """This thread's workspace of the engines and the trimmed sampler: one array per name of ``shapes``.
+def _workspace(width: int, shared, row) -> dict[str, np.ndarray]:
+    """This thread's workspace of one pass of ``width`` rows: an array per name.
 
-    The arrays, float64 of the given shapes, are carved in order from one
-    buffer of their total size plus at most one 64-byte cache line per
-    array: each starts on a line, so where an operand lies never depends on
-    where the allocator put it.  The buffer belongs to the calling thread
-    and outlives the call, so an engine's arrays stay mapped from one call
-    to the next instead of being mapped, trimmed and mapped again.  It only
-    grows: a request for more than it holds replaces it, and it is freed
-    with its thread.  Its size is the largest request a call in that thread
-    has made: _PASS_BYTES for the quenched engine while one group of rows
-    and the push operand fit in it (N below 40 784), _TRIMMED_PASS_BYTES on
-    the same terms for the trimmed engine and the sampler after it.
+    The shared arrays of ``shared`` come once, each per-row array of
+    ``row`` with ``width`` rows: (width, *shape).  The arrays, float64, are
+    carved in order from one buffer of their total size plus at most one
+    64-byte cache line per array: each starts on a line, so where an
+    operand lies never depends on where the allocator put it.  The buffer
+    belongs to the calling thread and outlives the call, so an engine's
+    arrays stay mapped from one call to the next instead of being mapped,
+    trimmed and mapped again.  It only grows: a request for more than it
+    holds replaces it, and it is freed with its thread.  Its size is that of
+    the largest pass the thread has run, as ``_pass_rows`` bounds it.
 
     Module state is acceptable here because the workspace carries no value
-    between calls: every element a call reads, it has written earlier in
-    the same call.  A thread never runs two such calls at once, and no
+    between passes: every element a pass reads, it has written earlier in
+    the same pass.  A thread never runs two such calls at once, and no
     thread sees another's buffer; nothing a call returns is a view of it.
     """
+    shapes = {**shared, **{name: (width, *shape) for name, shape in row.items()}}
     lines = {name: -(-math.prod(shape) // _LINE_DOUBLES) * _LINE_DOUBLES for name, shape in shapes.items()}
     total = sum(lines.values()) + _LINE_DOUBLES
     flat = getattr(_WORKSPACES, "flat", None)
@@ -236,17 +244,18 @@ def _shaped(array: np.ndarray, *shape: int) -> np.ndarray:
     return array.reshape(-1)[: math.prod(shape)].reshape(shape)
 
 
-def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel, lanes: int | None = None) -> np.ndarray:
-    """Quenched log Z_N of every row of an (R, N+1) charge-prefix array.
+def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
+    """Quenched log Z_N of every charge-prefix row of ``prefix``.
 
-    Same recursion as ``log_Z``, split into two causal convolutions of
-    a(j) = Z(j) and b(j) = Z(j) e^{-S_j}:
-    Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Rows go through in passes of
-    ``lanes`` rows, whole groups of _GEMM_REPLICAS rows; by default
-    ``_pass_lanes(N)``, the groups whose working set fits _PASS_BYTES beside
-    the push operand.  The last group of a pass is zero-padded; its padded
-    rows enter the GEMMs, which always see whole groups, and nothing else:
-    the per-row work, every log and every division, runs on live rows only.
+    ``prefix`` is an (R, N+1) array or an iterable of 2-D blocks of such
+    rows, as ``_passes`` takes them.  Same recursion as ``log_Z``, split
+    into two causal convolutions of a(j) = Z(j) and b(j) = Z(j) e^{-S_j}:
+    Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Each block goes through in
+    passes of ``_quenched_pass(N)`` rows, whole groups of _GEMM_REPLICAS
+    rows.  The finite rows of a pass fill its groups, the last one
+    zero-padded; its padded rows enter the GEMMs, which always see whole
+    groups, and nothing else: the per-row work, every log and every
+    division, runs on live rows only.
     Every GEMM is one group's own product, stacked over the pass's groups in
     one ``np.matmul`` call.  Sources are cut into blocks of _BLOCK sites.
     Inside a block Z solves (I - L) z = p, with p the part pushed from
@@ -262,29 +271,23 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel, lanes: int | None
     block are zeroed once per pass.
     A finished block, scaled per replica, is pushed to all later targets
     with Toeplitz(K) GEMMs of _CHUNK targets each, column slices of one
-    contiguous push operand built once per call, and added to per-target
+    contiguous push operand written once per pass, and added to per-target
     linear accumulators that share one log scale per replica and channel.
     The push operand, the accumulators, the pass's plan and every per-block
     array, the fill's included, live in this thread's ``_workspace``,
     written with ``out=``: the block loop allocates only per-row scalars
-    (and the log fill of steep rows), and the workspace's pages stay mapped
-    between calls.  It is grow-only, as large as the largest pass the
-    thread has run: at most _PASS_BYTES, or one group of rows beside the
-    push operand.  A row holding a non-finite charge gives NaN.  A row's
-    value depends neither on the other rows' values, nor on the pass width,
-    nor on its slot in its group.
+    (and the log fill of steep rows).  A row holding a non-finite charge
+    gives NaN.  A row's value depends neither on the other rows' values,
+    nor on the blocks or the pass width, nor on its slot in its group.
     """
-    replicas, n = prefix.shape[0], prefix.shape[1] - 1
-    if n < 1:
-        raise ValueError("need at least one site")
-    if n > kernel.support_cap:
-        raise ValueError(f"kernel support {kernel.support_cap} < N = {n}")
-    if lanes is not None and (lanes < 1 or lanes % _GEMM_REPLICAS):
-        raise ValueError(f"rows per pass must be whole groups of {_GEMM_REPLICAS}, got {lanes}")
-    out = np.full(replicas, np.nan)
-    rows = np.flatnonzero(np.isfinite(prefix).all(axis=1))
-    if len(rows) == 0:
-        return out
+    def cut(block):
+        n = block.shape[1] - 1
+        if n < 1:
+            raise ValueError("need at least one site")
+        if n > kernel.support_cap:
+            raise ValueError(f"kernel support {kernel.support_cap} < N = {n}")
+        return _quenched_pass(n)
+
     # lower[u, v] = K(u - v)/2 for v < u inside a block, else 0
     taps = np.zeros(2 * _BLOCK - 1)
     taps[_BLOCK:] = 0.5 * kernel.masses[1:_BLOCK]
@@ -296,15 +299,6 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel, lanes: int | None
     # gaps[_BLOCK - u:] = log K(u)/2, ..., log K(1)/2, 0: the weights of row u
     # of a block over its sources 0..u-1 and over its own pushed part
     gaps = np.append(kernel.log_masses[_BLOCK:0:-1] - _LOG2, 0.0)
-    lanes = min(lanes or _pass_lanes(n), _GEMM_REPLICAS * -(-len(rows) // _GEMM_REPLICAS))
-    shapes = {name: (lanes, *shape) for name, shape in _lane_shapes(n).items()}
-    ws = _workspace({"push": (_BLOCK, max(0, n + 1 - _BLOCK)), **shapes})
-    # push[u, t] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t.
-    # OpenBLAS rounds a row of a product with a transposed operand by the
-    # row's slot in its group at some widths; on column slices of this
-    # contiguous array it does not
-    push = ws["push"]
-    np.copyto(push, _toeplitz_view(kernel.masses[1:], _BLOCK)[: push.shape[1]].T)
     # acc[:, 0, m] e^{ref[:, 0]}, acc[:, 1, m] e^{ref[:, 1]}: sum_j K(m - j) a(j),
     # b(j) over pushed blocks.  ref is the largest block offset pushed so
     # far, so every target holds at least K(m - j0) times the value 1 of
@@ -312,18 +306,30 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel, lanes: int | None
     # underflows, what a rescale drops was negligible, and acc <= sum K <= 1
     # BLAS may sum in an order that follows the matrix shape, so every GEMM
     # takes one zero-padded group of _GEMM_REPLICAS replicas and never sees R
-    for p0 in range(0, len(rows), lanes):
-        batch = rows[p0 : p0 + lanes]
-        live = len(batch)
+    out = [np.empty(0)]
+    for rows, shared, row in _passes(prefix, cut):
+        n = rows.shape[1] - 1
+        out.append(np.full(len(rows), np.nan))
+        finite = np.flatnonzero(np.isfinite(rows).all(axis=1))
+        live = len(finite)
+        if live == 0:
+            continue
         width = _GEMM_REPLICAS * -(-live // _GEMM_REPLICAS)
-        acc = ws["acc"][:width]
+        ws = _workspace(width, shared, row)
+        # push[u, t] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t.
+        # OpenBLAS rounds a row of a product with a transposed operand by the
+        # row's slot in its group at some widths; on column slices of this
+        # contiguous array it does not
+        push = ws["push"]
+        np.copyto(push, _toeplitz_view(kernel.masses[1:], _BLOCK)[: push.shape[1]].T)
+        acc = ws["acc"]
         acc.fill(0.0)  # padded rows only ever gain zeros here
-        # batch holds valid rows; "clip" only keeps take from buffering out
-        charges = np.take(prefix, batch, axis=0, mode="clip", out=ws["charges"][:live])
+        # finite holds valid rows; "clip" only keeps take from buffering out
+        charges = np.take(rows, finite, axis=0, mode="clip", out=ws["charges"][:live])
         mid, steep = _block_plan(charges, ws)
         hot = steep.any(axis=0).tolist()  # the blocks that hold a steep row
         views = _fill_views(ws, live, width, earlier)
-        scaled = ws["scaled"][:width]
+        scaled = ws["scaled"]
         scaled[live:] = 0.0  # the padded rows stay 0 through the pass
         filled = scaled[:live]
         stacked = scaled.reshape(-1, 2 * _GEMM_REPLICAS, _BLOCK)
@@ -357,7 +363,7 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel, lanes: int | None
                 values = np.log(filled[:, 0, n - j0]) + offset[:, 0]
                 if hot[b]:
                     values[steep_rows] = logged[:, 0, n - j0]
-                out[batch] = values
+                out[-1][finite] = values
                 break
             if (offset > ref).any():
                 raised = np.maximum(ref, offset)
@@ -369,7 +375,7 @@ def _log_z_replicas(prefix: np.ndarray, kernel: RenewalKernel, lanes: int | None
                 product = _shaped(ws["product"], len(stacked), 2 * _GEMM_REPLICAS, t1 - t0)
                 np.matmul(stacked, push[:, t0:t1], out=product)
                 acc[:, :, j1 + t0 : j1 + t1] += product.reshape(width, 2, t1 - t0)
-    return out
+    return np.concatenate(out)
 
 
 def _block_plan(charges, ws):
@@ -688,67 +694,53 @@ def log_Z_restricted(prefix, kernel: RenewalKernel, plan: Trimmed) -> float:
     return math.log(total) + offset
 
 
-def _trimmed_row_bytes(plan, size) -> int:
-    """Working set of one row of the trimmed engine over positions 0..size-1.
-
-    Its charge prefix and k charge rows, (k + 1) size doubles, and the
-    stage buffers f and g, 2 (M^2 + size + _TRIMMED_CHUNK) doubles; the
-    Toeplitz operand, shared by every row, is counted once per call.
-    """
-    return 8 * ((plan.k + 1) * size + 2 * (plan.M * plan.M + size + _TRIMMED_CHUNK))
-
-
-def _trimmed_pass_rows(plan, size) -> int:
-    """Rows per pass of the trimmed engine: the whole groups of _TRIMMED_GROUP
-    rows whose working set fits _TRIMMED_PASS_BYTES beside the Toeplitz
-    operand, (_TRIMMED_CHUNK + M^2 - M) _TRIMMED_CHUNK doubles, at least one."""
-    room = _TRIMMED_PASS_BYTES - 8 * (_TRIMMED_CHUNK + plan.M * (plan.M - 1)) * _TRIMMED_CHUNK
-    return _TRIMMED_GROUP * max(1, room // (_TRIMMED_GROUP * _trimmed_row_bytes(plan, size)))
+def _trimmed_pass(plan, size):
+    """The shape dicts a trimmed pass over positions 0..size-1 hands
+    ``_workspace``, and its rows per pass by ``_pass_rows``: shared, the
+    Toeplitz operand; per row, the stage buffers f and g and the k charge
+    rows.  The charge-prefix rows stay in their block."""
+    big_m, chunk = plan.M, _TRIMMED_CHUNK
+    stage = (big_m * big_m + size + chunk,)
+    shared = {"toeplitz": (chunk + big_m * (big_m - 1), chunk)}
+    row = {"f": stage, "g": stage, "charge": (plan.k, size)}
+    return shared, row, _pass_rows(shared, row, _TRIMMED_GROUP, _TRIMMED_PASS_BYTES)
 
 
 def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     """Trimmed log Z_N of every charge-prefix row of ``prefix``.
 
     ``prefix`` is an (R, n+1) array or an iterable of 2-D blocks of such
-    rows; a generator that draws each block when the engine asks for it,
-    and may reuse its buffer for the next, keeps the working set independent
-    of R.  Same stages as ``log_Z_restricted``.  Rows go through in passes
-    of ``_trimmed_pass_rows`` rows, whole groups of _TRIMMED_GROUP rows whose
-    working set fits _TRIMMED_PASS_BYTES beside the Toeplitz operand; the
-    last group of a pass is zero-padded.  Each pass writes the operand into
-    this thread's ``_workspace``, shared with the quenched engine, and takes
-    its stage buffers there, sized by its whole groups.  The long stage is
-    one banded Toeplitz matrix T[c, r] = K(r + M^2 - c)/2 over gaps in
-    [M, M^2], applied to each group as (8, W) @ (W, _TRIMMED_CHUNK) GEMMs,
-    one per chunk of the targets that the support [s_lo, s_hi] left by the
-    previous stage reaches: the chunks whose whole source window lies inside
-    the support, a range found by arithmetic, go in one ``np.matmul`` over
-    strided windows of the pass, stacked over its groups and chunks, and
-    each edge chunk in one stacked call on the Toeplitz rows that meet the
-    support.  The short stage uses the k charge rows e^{S[x] - S[x-l]}
+    rows, as ``_passes`` takes them.  Same stages as ``log_Z_restricted``.
+    Each block goes through in passes of ``_trimmed_pass`` rows, whole
+    groups of _TRIMMED_GROUP rows, the last one zero-padded; a pass writes
+    the Toeplitz operand into this thread's ``_workspace`` and takes its
+    stage buffers there.  The long stage is one banded Toeplitz matrix
+    T[c, r] = K(r + M^2 - c)/2 over gaps in [M, M^2], applied as
+    (8, W) @ (W, _TRIMMED_CHUNK) GEMMs, one per group and chunk of the
+    targets that the support left by the previous stage reaches, all in one
+    ``np.matmul`` over strided windows of the pass: f is zeroed across its
+    whole stage buffer once per pass and the short stage keeps it zero
+    outside the support, so a window that reaches past the support reads
+    zeros.  The short stage uses the k charge rows e^{S[x] - S[x-l]}
     K(l)/2, built with one ``exp`` per pass: row l is row l - 1 shifted by
     one site times the l = 1 row.  The long stage's output is at most sum
     K/2 <= 1/2 of the unit maximum it starts from, so each pair is rescaled
     once, after its short stage, to a unit maximum per row with per-row log
     offsets; a row whose maximum is 0, or whose closing sum is 0, gives
     -inf.  Every product keeps one group's shape, so a row's value depends
-    neither on R, nor on the pass width, nor on the other rows.
+    neither on R, nor on the blocks or the pass width, nor on the other
+    rows.
     """
-    blocks = (prefix,) if isinstance(prefix, np.ndarray) else prefix
     size = _trimmed_size(kernel, plan)
-    lanes = _trimmed_pass_rows(plan, size)
+    shapes = _trimmed_pass(plan, size)
 
-    def passes():
-        for block in blocks:
-            if np.ndim(block) != 2:
-                raise ValueError("charge prefixes come as 2-D blocks of rows")
-            if block.shape[1] < size:
-                raise ValueError("charge prefix too short for the plan")
-            for p0 in range(0, len(block), lanes):
-                yield block[p0 : p0 + lanes]
+    def cut(block):
+        if block.shape[1] < size:
+            raise ValueError("charge prefix too short for the plan")
+        return shapes
 
     if size == 0:
-        return np.full(sum(len(rows) for rows in passes()), -math.inf)
+        return np.full(sum(len(rows) for rows, _, _ in _passes(prefix, cut)), -math.inf)
     big_m, k, m = plan.M, plan.k, plan.m
     lead = big_m * big_m  # zero sites left of position 0, read by the long stage
     chunk = _TRIMMED_CHUNK
@@ -770,37 +762,36 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
 
     def windows(a, first, count, span):
         # a's (groups, count, _TRIMMED_GROUP, span) windows at columns
-        # first + j chunk, one per group and chunk j
+        # first + j chunk, one per group and chunk j; the ndarray constructor
+        # checks that they lie inside a, and costs an eighth of as_strided
         row_step, col_step = a.strides
-        return np.lib.stride_tricks.as_strided(
-            a[:, first:],
-            shape=(len(a) // _TRIMMED_GROUP, count, _TRIMMED_GROUP, span),
-            strides=(_TRIMMED_GROUP * row_step, chunk * col_step, row_step, col_step),
+        return np.ndarray(
+            (len(a) // _TRIMMED_GROUP, count, _TRIMMED_GROUP, span), a.dtype, a, first * col_step,
+            (_TRIMMED_GROUP * row_step, chunk * col_step, row_step, col_step),
         )
 
     out = [np.empty(0)]
-    for rows in passes():
+    for rows, shared, row in _passes(prefix, cut):
         live = len(rows)
         padded = _TRIMMED_GROUP * -(-live // _TRIMMED_GROUP)
         # position x sits at column lead + x; the last chunk of a stage may
-        # write up to chunk - 1 columns of g past size, which nothing reads;
-        # charge[l - 1, :, x] = e^{S[x] - S[x-l]} K(l)/2 for x >= l
-        stage = (padded, lead + size + chunk)
-        ws = _workspace({"toeplitz": (width, chunk), "f": stage, "g": stage, "charge": (k, padded, size)})
+        # read f and write g up to chunk - 1 positions past size - 1, which
+        # the stage buffers hold;
+        # charge[:, l - 1, x] = e^{S[x] - S[x-l]} K(l)/2 for x >= l
+        ws = _workspace(padded, shared, row)
         toeplitz, f, g, charge = (ws[name] for name in ("toeplitz", "f", "g", "charge"))
         np.copyto(toeplitz, operand)
-        f3, g3 = f.reshape(-1, _TRIMMED_GROUP, f.shape[1]), g.reshape(-1, _TRIMMED_GROUP, g.shape[1])
         # one exp per pass: e^{S[x] - S[x-l]} is row l - 1 at x - 1 times the
         # l = 1 row at x, so every row is a product of shifted l = 1 rows
-        step = charge[0, :, 1:]
+        step = charge[:, 0, 1:]
         np.subtract(rows[:, 1:size], rows[:, : size - 1], out=step[:live])
         step[live:] = 0.0  # padding rows carry zero charges
         np.exp(step, out=step)
         for ell in range(2, k + 1):
-            np.multiply(charge[ell - 2, :, ell - 1 : -1], step[:, ell - 1 :], out=charge[ell - 1, :, ell:])
+            np.multiply(charge[:, ell - 2, ell - 1 : -1], step[:, ell - 1 :], out=charge[:, ell - 1, ell:])
         for ell in range(1, k + 1):
-            charge[ell - 1, :, ell:] *= short_w[ell - 1]
-        f[:, : lead + size] = 0.0  # the long stage reads the lead columns as zeros
+            charge[:, ell - 1, ell:] *= short_w[ell - 1]
+        f.fill(0.0)  # the long stage reads zeros wherever the support does not reach
         f[:, lead] = 1.0
         log_scale = np.zeros(padded)
         dead = np.zeros(padded, dtype=bool)
@@ -808,27 +799,10 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
         for _ in range(m):
             # g holds the long stage on its targets [lo, hi] and is read
             # nowhere else; chunk t0 = lo + j chunk reads sources
-            # t0 - M^2 .. t0 + chunk - 1 - M, the f columns t0 .. t0 + width - 1,
-            # which all lie in the support for inner_lo <= j < inner_hi
+            # t0 - M^2 .. t0 + chunk - 1 - M, the f columns t0 .. t0 + width - 1
             lo, hi = s_lo + big_m, min(s_hi + lead, size - 1)
             chunks = -(-(hi + 1 - lo) // chunk)
-            inner_lo = -(-(lead - big_m) // chunk)
-            inner_hi = min(chunks, (s_hi + 1 - s_lo) // chunk)
-            for j in [*range(min(inner_lo, chunks)), *range(max(inner_lo, inner_hi), chunks)]:
-                t0 = lo + j * chunk
-                c_lo, c_hi = max(0, s_lo + lead - t0), min(width, s_hi + lead + 1 - t0)
-                np.matmul(
-                    f3[:, :, t0 + c_lo : t0 + c_hi],
-                    toeplitz[c_lo:c_hi],
-                    out=g3[:, :, lead + t0 : lead + t0 + chunk],
-                )
-            if inner_hi > inner_lo:
-                first = lo + inner_lo * chunk
-                np.matmul(
-                    windows(f, first, inner_hi - inner_lo, width),
-                    toeplitz,
-                    out=windows(g, lead + first, inner_hi - inner_lo, chunk),
-                )
+            np.matmul(windows(f, lo, chunks, width), toeplitz, out=windows(g, lead + lo, chunks, chunk))
             # the short stage leaves f on [lo + 1, top]: l = 1 writes it up
             # to hi + 1, and zeros cover the rest of that range and the part
             # of the old support left of it.  g is at most max(f) sum K/2 over
@@ -838,7 +812,7 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
             f[:, lead + hi + 2 : lead + top + 1] = 0.0
             for ell in range(1, k + 1):
                 a, b = lead + lo + ell, lead + min(hi + ell, top) + 1
-                terms = g[:, a - ell : b - ell], charge[ell - 1, :, a - lead : b - lead]
+                terms = g[:, a - ell : b - ell], charge[:, ell - 1, a - lead : b - lead]
                 if ell == 1:
                     np.multiply(*terms, out=f[:, a:b])
                 else:
@@ -846,7 +820,7 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
             rescale(f[:, lead + lo + 1 : lead + top + 1])
             s_lo, s_hi = lo + 1, top
         # one (8, size) product per group, as for a group alone
-        total = np.matmul(f3[:, :, lead : lead + size], closing).reshape(padded)
+        total = np.matmul(f[:, lead : lead + size].reshape(-1, _TRIMMED_GROUP, size), closing).reshape(padded)
         dead |= total <= 0.0
         total[dead] = 1.0
         values = np.log(total) + log_scale

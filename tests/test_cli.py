@@ -104,7 +104,7 @@ def test_cli_import_skips_scipy_stats_and_integrate():
 
 def test_every_command_runs_without_scipy():
     # each command and verify suite, for each family, in one fresh interpreter:
-    # none of them may load any scipy module
+    # none of them may load any scipy module, nor numpy.polynomial
     runs = [
         ["estimate", "--beta", "1", "--h", "0.3", "--n", "200", "--replicas", "4"],
         ["sweep", "--beta", "1", "--h-grid", "0.3,0.1", "--n", "200", "--replicas", "4"],
@@ -121,7 +121,8 @@ def test_every_command_runs_without_scipy():
         "codes = [main([*args, '--family', family, '--out', os.devnull])\n"
         "         for family in ('sub-logarithmic', 'logarithmic', 'super-logarithmic')\n"
         "         for args in runs]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                    or m.startswith('numpy.polynomial')))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=_subprocess_env(), capture_output=True, text=True,
@@ -407,6 +408,19 @@ def test_verify_penalization_suite_passes(tmp_path):
     assert checks["defect_sign_where_sufficient_condition_holds"]["ok"]
 
 
+def test_verify_penalization_closed_form_check_fails_on_a_dropped_b(tmp_path, monkeypatch):
+    # the closed form is checked against -q1 phi / h, phi from the plan's
+    # own tail ratio: a bounds.log_upper_general that drops b fails it
+    from copolab import bounds
+
+    general = bounds.log_upper_general
+    monkeypatch.setattr(bounds, "log_upper_general", lambda *args: general(*args) / args[-1])
+    out = tmp_path / "pen.json"
+    assert run_cli(["verify", "penalization", "--seed", "2", "--out", str(out)]) == 1
+    checks = {c["name"]: c["ok"] for c in read_strict_json(out)["suites"]["penalization"]["checks"]}
+    assert checks == {"closed_form_two_paths_identical": False, "defect_sign_where_sufficient_condition_holds": True}
+
+
 def test_verify_coarse_suite_records_scans(tmp_path):
     out = tmp_path / "coarse.json"
     code = run_cli(
@@ -464,9 +478,9 @@ def test_oracle_enumerates_the_rows_of_the_replica_source(monkeypatch):
         sources.append(args)
         return source(*args)
 
-    def record_engine(rows, kernel, *lanes):
-        evaluated.append(rows.copy())
-        return engine(rows, kernel, *lanes)
+    def record_engine(blocks, kernel):
+        evaluated.append(np.vstack(blocks))
+        return engine(blocks, kernel)
 
     def record_row(row, kernel):
         enumerated.append(row.copy())

@@ -20,12 +20,10 @@ from copolab.partition import (
     _GEMM_REPLICAS,
     _TRIMMED_GROUP,
     Trimmed,
-    _lane_bytes,
     _log_z_replicas,
-    _pass_lanes,
-    _push_bytes,
+    _quenched_pass,
     _trimmed_log_z_replicas,
-    _trimmed_pass_rows,
+    _trimmed_pass,
     _trimmed_size,
     brute_force_log_Z,
     charge_prefix,
@@ -225,41 +223,63 @@ def test_engine_linear_read_matches_row_loop_across_channel_scales(log_kernel_sm
         assert variation[3] > _FILL_VARIATION and (variation[:3] <= _FILL_VARIATION).all()
 
 
-def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kernel_small, monkeypatch):
-    # budgets of one and of four groups per pass run 100 rows as 25 and as 7
-    # passes, and so do passes of one and of four groups asked for by the
-    # caller; passes of three groups run them as 9: steep rows sit in the
-    # first, eleventh and last group, each in a pass of its own, and a
-    # non-finite row in a middle pass shifts every later row to another
-    # group; each row still equals its own single-row value bit for bit
-    n = 2 * _BLOCK + 30
-    prefix = np.array([
-        charge_prefix(
-            GAUSSIAN, 1.0, 8.0 if i in (3, 41, 99) else 0.2, _draw(GAUSSIAN, n, [spawn_rng(8, i)])[0]
-        )
-        for i in range(100)
-    ])
-    steep = np.abs(np.diff(prefix[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
-    assert np.flatnonzero(steep).tolist() == [3, 41, 99]
-    prefix[70, 5] = np.inf
-    singles = [_log_z_replicas(row[None], log_kernel_small)[0] for row in prefix]
-    runs = []
-    for groups, passes in [(1, 25), (4, 7)]:
-        budget = _push_bytes(n) + groups * _GEMM_REPLICAS * _lane_bytes(n)
-        with monkeypatch.context() as patch:
-            patch.setattr(partition, "_PASS_BYTES", budget)
-            assert -(-99 // _pass_lanes(n)) == passes
-            runs.append(_log_z_replicas(prefix, log_kernel_small))
-    for groups in (1, 3, 4):
-        runs.append(_log_z_replicas(prefix, log_kernel_small, groups * _GEMM_REPLICAS))
-    for batch in runs:
-        assert np.isnan(batch[70]) and np.isfinite(np.delete(batch, 70)).all()
-        for single, value in zip(singles, batch):
-            assert single == value or (np.isnan(single) and np.isnan(value))
-    # the caller's rows per pass come in whole groups
-    for lanes in (0, _GEMM_REPLICAS + 1):
-        with pytest.raises(ValueError, match="whole groups"):
-            _log_z_replicas(prefix, log_kernel_small, lanes)
+def _pass_case(engine, kernel):
+    # (run, rows, group, budget name, rule) of an engine: 101 charge rows,
+    # with a NaN charge in row 70, run(blocks) the engine's values of them
+    # and rule() its rows per pass
+    if engine == "quenched":
+        n = 2 * _BLOCK + 30
+        # steep rows sit in the first, eleventh and last group of 4
+        rows = _engine_rows(n, 101, 8, steep=(3, 41, 99), nan=(70,))
+        steep = np.abs(np.diff(rows[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
+        assert np.flatnonzero(steep).tolist() == [3, 41, 99]
+        return (lambda blocks: _log_z_replicas(blocks, kernel), rows, _GEMM_REPLICAS, "_PASS_BYTES",
+                lambda: _quenched_pass(n)[2])
+    plan = Trimmed(M=9, k=3, m=4, N=300)
+    rows = _engine_rows(plan.N, 101, 9)
+    rows[70, 150] = np.nan  # a site the short stages read
+    return (lambda blocks: _trimmed_log_z_replicas(blocks, kernel, plan), rows, _TRIMMED_GROUP,
+            "_TRIMMED_PASS_BYTES", lambda: _trimmed_pass(plan, _trimmed_size(kernel, plan))[2])
+
+
+@pytest.mark.parametrize("engine", ["quenched", "trimmed"])
+def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kernel_small, monkeypatch, engine):
+    # both engines take the same blockings of 101 rows: one array, blocks of
+    # one, two and three groups, each with a ragged last block, and blocks
+    # of 3, 8 and 90 rows, each wider than the one before, so that the
+    # workspace of a fresh thread grows within the call; under the default
+    # budget, one pass per block, and under a budget of one group per pass,
+    # which cuts every block of more than one group into passes.  The NaN
+    # row gives NaN, and every value equals its single-row call bit for bit
+    run, rows, group, budget, rule = _pass_case(engine, log_kernel_small)
+    singles = np.array([run(row[None])[0] for row in rows])
+    assert np.isnan(singles[70]) and np.isfinite(np.delete(singles, 70)).all()
+    sizes = (group, 2 * group, 3 * group)
+    blockings = [rows, (rows[:3], rows[3:11], rows[11:])]
+    blockings += [[rows[i : i + size] for i in range(0, len(rows), size)] for size in sizes]
+    assert rule() >= len(rows)
+    for bytes_ in (getattr(partition, budget), 1):
+        monkeypatch.setattr(partition, budget, bytes_)
+        for blocks in blockings:
+            np.testing.assert_array_equal(_in_fresh_thread(run, blocks), singles)
+    assert rule() == group
+    # rows come in 2-D blocks only, also for a trimmed plan with no path
+    for bad in ([rows[0]], rows[0]):
+        with pytest.raises(ValueError, match="2-D"):
+            run(bad)
+    with pytest.raises(ValueError, match="2-D"):
+        _trimmed_log_z_replicas(rows[0], log_kernel_small, Trimmed(M=3, k=1, m=3, N=10))
+
+
+def test_quenched_pass_rule_floor_is_one_group():
+    # the rule alone, no engine run: from N = 34 679 two groups no longer fit
+    # _PASS_BYTES beside the push operand, so N = 40 000 runs one group per
+    # pass; from N = 40 784 that one group and the operand pass the budget
+    assert _quenched_pass(34_678)[2] == 2 * _GEMM_REPLICAS
+    assert _quenched_pass(34_679)[2] == _quenched_pass(40_000)[2] == _GEMM_REPLICAS
+    for n, over in ((40_783, False), (40_784, True)):
+        shared, row = _pass_bytes(_quenched_pass(n))
+        assert (shared + _GEMM_REPLICAS * row > partition._PASS_BYTES) is over
 
 
 def test_engine_part_filled_groups_equal_full_groups(log_kernel_small):
@@ -294,6 +314,12 @@ def _in_fresh_thread(call, *args):
     return result[0]
 
 
+def _pass_bytes(shapes):
+    # the bytes of an engine pass's shared arrays and of one row of its
+    # per-row arrays, from the (shared, row, rows per pass) of its rule
+    return tuple(8 * sum(math.prod(shape) for shape in part.values()) for part in shapes[:2])
+
+
 def _engine_rows(n, replicas, seed, steep=(), nan=()):
     # Gaussian charge rows at beta = 1, h = 0.3, or h = 8 on the steep rows,
     # with a NaN charge in the rows of ``nan``
@@ -319,7 +345,8 @@ def test_engine_workspace_reuse_keeps_every_call_bit_equal_to_a_fresh_thread(log
     assert steep.tolist() == [True, False, False]
     passes_n = 2 * _BLOCK + 5
     passes = _engine_rows(passes_n, 20, 33)
-    budget = _push_bytes(passes_n) + _GEMM_REPLICAS * _lane_bytes(passes_n)
+    shared, row = _pass_bytes(_quenched_pass(passes_n))
+    budget = shared + _GEMM_REPLICAS * row
     m12, m16 = Trimmed(M=12, k=2, m=3, N=430), Trimmed(M=16, k=2, m=3, N=1500)
     trimmed = {plan: _engine_rows(plan.N, 20, plan.M) for plan in (m12, m16)}
     kernel, one_group = log_kernel_small, {"_TRIMMED_PASS_BYTES": 1}
@@ -339,9 +366,9 @@ def test_engine_workspace_reuse_keeps_every_call_bit_equal_to_a_fresh_thread(log
             for name, value in budgets.items():
                 patch.setattr(partition, name, value)
             if args[0] is passes:
-                assert _pass_lanes(passes_n) == _GEMM_REPLICAS
+                assert _quenched_pass(passes_n)[2] == _GEMM_REPLICAS
             if budgets is one_group:
-                assert _trimmed_pass_rows(args[2], _trimmed_size(kernel, args[2])) == _TRIMMED_GROUP
+                assert _trimmed_pass(args[2], _trimmed_size(kernel, args[2]))[2] == _TRIMMED_GROUP
             return engine(*args)
 
     in_turn = _in_fresh_thread(lambda: [run(*step) for step in steps])
@@ -449,16 +476,18 @@ def test_replica_log_z_matches_row_loop_past_one_push_chunk(big_kernels, law, n)
 def test_replica_log_z_working_set_is_bounded_by_the_pass_budget(big_kernels):
     # at N = 8000 one pass holds every row of R = 8 and of R = 64; the
     # traced peak, less the charge rows of the source, stays within the
-    # working set _pass_lanes counts (the push operand once per call, each
-    # row's lane), and it grows by one charge row and one lane per row.  Each
-    # call runs in a fresh thread, so the peak includes its whole workspace.
-    # A first call at a tiny size runs the source's and the engine's lazy
-    # imports before tracing starts, so the slack measures the engine only
+    # working set the pass rule counts (the push operand once per pass, each
+    # row's per-row arrays), and it grows by one charge row and one row of
+    # those arrays per row.  Each call runs in a fresh thread, so the peak
+    # includes its whole workspace.  A first call at a tiny size runs the
+    # source's and the engine's lazy imports before tracing starts, so the
+    # slack measures the engine only
     import tracemalloc
 
     n = 8000
-    assert _pass_lanes(n) >= 64
-    assert _push_bytes(n) + _pass_lanes(n) * _lane_bytes(n) <= partition._PASS_BYTES
+    shared, row = _pass_bytes(_quenched_pass(n))
+    assert _quenched_pass(n)[2] >= 64
+    assert shared + _quenched_pass(n)[2] * row <= partition._PASS_BYTES
     _in_fresh_thread(est.replica_log_z, big_kernels["log"], GAUSSIAN, 1.0, 0.4, 100, 2, 8)
     peaks = []
     for replicas in (8, 64):
@@ -469,8 +498,33 @@ def test_replica_log_z_working_set_is_bounded_by_the_pass_budget(big_kernels):
         finally:
             tracemalloc.stop()
         rows = 8 * replicas * (n + 1)
-        assert peaks[-1] - rows <= _push_bytes(n) + replicas * _lane_bytes(n) + (1 << 20)
-    assert peaks[1] - peaks[0] <= 56 * (8 * (n + 1) + _lane_bytes(n)) + 256 * 1024
+        assert peaks[-1] - rows <= shared + replicas * row + (1 << 20)
+    assert peaks[1] - peaks[0] <= 56 * (8 * (n + 1) + row) + 256 * 1024
+
+
+def test_replica_log_z_holds_one_pass_of_charge_rows(log_kernel_small, monkeypatch):
+    # under a budget of one group of 4 rows per pass, a 2-field grid is drawn
+    # and evaluated 2 replicas at a time, so the traced peak at N = 2000
+    # holds no charge row per replica: from R = 8 to R = 200 it grows by less
+    # than 512 bytes per replica (its values, its stream's state words),
+    # where a whole fields x R x (N + 1) prefix array would add 32 kB per
+    # replica.  Each traced call runs in a fresh thread, after a warm-up call
+    # has done the lazy imports
+    import tracemalloc
+
+    n, grid = 2000, [0.4, 0.2]
+    monkeypatch.setattr(partition, "_PASS_BYTES", 1)
+    assert _quenched_pass(n)[2] == _GEMM_REPLICAS
+    _in_fresh_thread(est.replica_log_z, log_kernel_small, GAUSSIAN, 1.0, grid, 100, 2, 8)
+    peaks = []
+    for replicas in (8, 200):
+        tracemalloc.start()
+        try:
+            _in_fresh_thread(est.replica_log_z, log_kernel_small, GAUSSIAN, 1.0, grid, n, 2, replicas)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 512 * (200 - 8)
 
 
 @pytest.mark.parametrize("h", [0.4, -0.4])
@@ -645,6 +699,17 @@ def test_near_term_integral_matches_quad_on_the_coarse_grid():
                         cases += 1
     assert cases > 200
     assert worst <= 1e-13
+
+
+def test_legendre_rule_matches_numpy_leggauss():
+    # the Golub-Welsch nodes refined by one Newton step, and the weights from
+    # P_n' there, against numpy's rule, which the package no longer imports
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = est._legendre_rule()
+    want_nodes, want_weights = leggauss(est._QUAD_NODES)
+    np.testing.assert_allclose(nodes, want_nodes, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(weights, want_weights, rtol=0.0, atol=1e-14)
 
 
 def test_trimmed_plan_schedule_and_constraints():

@@ -14,8 +14,7 @@ from copolab.partition import (
     Trimmed,
     _log_z_replicas,
     _trimmed_log_z_replicas,
-    _trimmed_pass_rows,
-    _trimmed_row_bytes,
+    _trimmed_pass,
     _trimmed_size,
     brute_force_log_Z,
     charge_prefix,
@@ -401,44 +400,20 @@ def test_trimmed_engine_values_do_not_depend_on_replica_count(log_kernel_small):
     plan = Trimmed(M=7, k=2, m=3, N=180)
     prefix = _trimmed_prefixes(BINARY, 0.8, 0.3, plan.N, 5, 13 * _TRIMMED_GROUP)
     full = _trimmed_log_z_replicas(prefix, log_kernel_small, plan)
-    assert _trimmed_pass_rows(plan, _trimmed_size(log_kernel_small, plan)) >= len(prefix)
+    assert _trimmed_pass(plan, _trimmed_size(log_kernel_small, plan))[2] >= len(prefix)
     for count in (*range(1, 10), 17, 100):
         few = _trimmed_log_z_replicas(prefix[:count], log_kernel_small, plan)
         np.testing.assert_array_equal(full[:count], few)
 
 
-def test_trimmed_engine_values_do_not_depend_on_the_pass_width(log_kernel_small, monkeypatch):
-    # budgets of one group and of every group run 100 rows as 13 passes and
-    # as one, given as one array or as blocks of 3, 8 and 89 rows (a later
-    # block wider than the first grows the buffers); every run is bit-equal
-    plan = Trimmed(M=9, k=3, m=4, N=300)
-    size = _trimmed_size(log_kernel_small, plan)
-    prefix = _trimmed_prefixes(GAUSSIAN, 1.1, 0.2, plan.N, 9, 100)
-    runs = []
-    for budget, lanes in ((_TRIMMED_GROUP * _trimmed_row_bytes(plan, size), 8), (1 << 40, None)):
-        monkeypatch.setattr(partition, "_TRIMMED_PASS_BYTES", budget)
-        if lanes:
-            assert _trimmed_pass_rows(plan, size) == lanes
-        runs.append(_trimmed_log_z_replicas(prefix, log_kernel_small, plan))
-        blocks = iter([prefix[:3], prefix[3:11], prefix[11:]])
-        runs.append(_trimmed_log_z_replicas(blocks, log_kernel_small, plan))
-    assert np.isfinite(runs[0]).all()
-    for run in runs[1:]:
-        np.testing.assert_array_equal(run, runs[0])
-    # rows come in 2-D blocks only, also for a plan with no path
-    for rows, any_plan in (([prefix[0]], plan), (prefix[0], Trimmed(M=3, k=1, m=3, N=10))):
-        with pytest.raises(ValueError, match="2-D"):
-            _trimmed_log_z_replicas(rows, log_kernel_small, any_plan)
-
-
 @pytest.mark.parametrize("family", ["sub", "log", "super"])
 def test_trimmed_engine_matches_row_loop_at_chunk_edges_of_the_support(big_kernels, family):
-    # a long-stage chunk at t0 reads the sources t0 - M^2 .. t0 + 63 - M and
-    # takes the stacked GEMM only when they all lie in the support [s_lo,
-    # s_hi] of the previous stage.  At the last stage of (9, 3, 4, N) the
-    # chunk at 167 ends one site past s_hi = N - 1 (N = 221), on it (222) and
-    # one site inside it (223); at N = 4300 a window starts on s_lo
-    # (M = 64, M(M - 1) a multiple of 64) or two sites before it (M = 63)
+    # a long-stage chunk at t0 reads the sources t0 - M^2 .. t0 + 63 - M,
+    # zeros wherever they leave the support [s_lo, s_hi] of the previous
+    # stage.  At the last stage of (9, 3, 4, N) the chunk at 167 ends one
+    # site past s_hi = N - 1 (N = 221), on it (222) and one site inside it
+    # (223); at N = 4300 a window starts on s_lo (M = 64, M(M - 1) a multiple
+    # of 64) or two sites before it (M = 63)
     kernel = big_kernels[family]
     plans = [Trimmed(9, 3, 4, n) for n in (221, 222, 223)]
     plans += [Trimmed(64, 1, 3, 4300), Trimmed(63, 1, 3, 4300)]
@@ -483,13 +458,10 @@ def _gemm_forms(rng):
                 return a[:, q], p[:, q * fill : (q + 1) * fill, None]
 
             yield f"solve live={live} q={q}", solve, (a, p), (0, 0), 0
-    # the trimmed long stage: (8, W) @ (W, 64) on column slices of a group's
-    # stage rows and row slices of the Toeplitz matrix, and the stacked
-    # windows of interior chunks
+    # the trimmed long stage: (8, W) @ (W, 64) on the stacked windows of a
+    # stage's chunks of targets
     f3 = rng.random((groups, _TRIMMED_GROUP, 800))
     toeplitz = rng.random((700, 64))
-    for w in (*range(1, 260), *range(260, 701, 19)):
-        yield f"trimmed W={w}", lambda a, w=w: (a[:, :, 30 : 30 + w], toeplitz[700 - w :]), (f3,), (1,), 1
     for big_m in range(2, 25):
         w = 64 + big_m * (big_m - 1)
 
