@@ -45,7 +45,6 @@ from .partition import (
     _BLOCK,
     _FILL_ROWS,
     _GEMM_REPLICAS,
-    _TRIMMED_GROUP,
     Trimmed,
     _log_z_replicas,
     _trimmed_log_z_replicas,
@@ -87,11 +86,11 @@ def oracle(kernel, law, beta, h, replicas, seed) -> dict:
         rows = draw(law_i, n, count)
         return zip(_log_z_replicas(rows, kernel).tolist(), rows)
 
-    def two_passes(engine, exact, n, group, source):
+    def two_passes(engine, exact, n, source):
         # three groups of rows of each law, given to an engine as two blocks,
         # of two groups and of one, so in two passes, as a block boundary is
         # always a pass boundary; every row, both sides of it, against exact
-        pairs = []
+        group, pairs = _GEMM_REPLICAS, []
         for law_i in (GAUSSIAN, BINARY):
             rows = draw(law_i, n, 3 * group, source)
             pairs += zip(engine((rows[: 2 * group], rows[2 * group :])).tolist(), map(exact, rows))
@@ -124,7 +123,7 @@ def oracle(kernel, law, beta, h, replicas, seed) -> dict:
     worst_trimmed = _worst_relative_error(trimmed)
     two_pass, worst_two_pass = two_passes(
         lambda blocks: _log_z_replicas(blocks, kernel), lambda row: log_Z(row, kernel),
-        3 * _BLOCK + 5, _GEMM_REPLICAS, rng,
+        3 * _BLOCK + 5, rng,
     )
     two_pass["n"] = 3 * _BLOCK + 5
     # the trimmed rows come from a stream of their own, spawn key 0 of the
@@ -132,7 +131,7 @@ def oracle(kernel, law, beta, h, replicas, seed) -> dict:
     pass_plan = Trimmed(M=12, k=2, m=3, N=430)
     trimmed_two_pass, worst_trimmed_two_pass = two_passes(
         lambda blocks: _trimmed_log_z_replicas(blocks, kernel, pass_plan),
-        lambda row: log_Z_restricted(row, kernel, pass_plan), pass_plan.N, _TRIMMED_GROUP, spawn_rng(seed, 0),
+        lambda row: log_Z_restricted(row, kernel, pass_plan), pass_plan.N, spawn_rng(seed, 0),
     )
     trimmed_two_pass["plan"] = asdict(pass_plan)
     mass_sizes = tuple(e + d for e in (_MASS_BLOCK, 2 * _MASS_BLOCK) for d in (-1, 0, 1))

@@ -228,15 +228,16 @@ def _check_rows_finite(rows) -> None:
                 raise SystemExit2(f"{key} = {value} at h = {row['h']}: the inputs overflow the DP")
 
 
-def _emit(args, rows, columns, default_format="csv"):
+def _emit(args, rows, default_format="csv"):
+    # the columns are the keys of the first row, in order; every row has them
     fmt = args.format or default_format
     header = json.dumps(
         {"artifact_version": __version__, "config": args.config}, sort_keys=True, allow_nan=False
     )
     if fmt == "csv":
-        lines = ["# " + header, ",".join(columns)]
+        lines = ["# " + header, ",".join(rows[0])]
         for row in rows:
-            lines.append(",".join(_cell(row.get(c)) for c in columns))
+            lines.append(",".join(_cell(value) for value in row.values()))
         text = "\n".join(lines) + "\n"
     else:
         payload = {"artifact_version": __version__, "config": args.config, "rows": rows}
@@ -271,11 +272,7 @@ def _cmd_estimate(args) -> int:
         row.update(asdict(est))
         rows.append(row)
     _check_rows_finite(rows)
-    columns = [
-        "beta", "h", "n", "replicas", "mean_log_z_per_site", "stderr",
-        "upper_bracket", "lower_bracket", "c4", "c5",
-    ]
-    _emit(args, rows, columns)
+    _emit(args, rows)
     return 0
 
 
@@ -285,7 +282,7 @@ def _cmd_annealed(args) -> int:
     for h, value in zip(args.h_values, log_annealed_Z(kernel, args.n, args.h_values).tolist()):
         rows.append({"h": h, "n": args.n, "log_annealed_z": value, "per_site": value / args.n})
     _check_rows_finite(rows)
-    _emit(args, rows, ["h", "n", "log_annealed_z", "per_site"])
+    _emit(args, rows)
     return 0
 
 
@@ -293,11 +290,7 @@ def _cmd_bounds(args) -> int:
     reports = bounds_mod.bound_table(
         args.kernel_family, args.disorder_law, args.beta, args.h_values
     )
-    columns = [
-        "family", "upsilon", "c_L", "beta", "h", "log_upper_general",
-        "log_upper_sharper", "log_lower_rss", "log_lower_sublog", "flags",
-    ]
-    _emit(args, [asdict(rep) for rep in reports], columns)
+    _emit(args, [asdict(rep) for rep in reports])
     return 0
 
 
@@ -323,7 +316,7 @@ def _cmd_kernel_info(args) -> int:
         "mass_sum_with_tail": float(np.sum(kernel.masses)) + kernel.tail_mass,
         "defect_diagnostics": diagnostics,
     }
-    _emit(args, [info], list(info), default_format="json")
+    _emit(args, [info], default_format="json")
     return 0
 
 

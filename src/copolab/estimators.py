@@ -4,8 +4,8 @@ Every quenched disorder replica comes from one source, ``_replica_prefixes``:
 replica i draws its charges once, from stream i of ``replica_rngs(seed,
 ...)`` (the PCG64 stream of ``SeedSequence(seed, spawn_key=(i,))``), for
 every field.  ``replica_log_z`` and the trimmed second-moment check hand
-its blocks to one call of their engine, one engine pass of rows at a
-time.
+its blocks, 2-D and replica-major, to one call of their engine, one
+engine pass of rows at a time.
 The verification engines evaluate the change-of-measure, trimmed
 second-moment and coarse-graining constructions at desk scale and return
 plain-dict reports: every value is recorded, and quantities that the
@@ -101,32 +101,29 @@ class FreeEnergyEstimate:
 
 
 def _replica_prefixes(law, beta, h, n, seed, replicas, rows=None):
-    """Charge-prefix rows of replicas 0..replicas-1 over n sites, ``rows`` at a time.
+    """Charge-prefix rows of replicas 0..replicas-1 over n sites, ``rows`` replicas at a time.
 
     The one seeded source of replica rows: replica i draws once, from stream
     i of ``replica_rngs(seed, ...)``, and the draw is copied to every field
-    of ``h`` (one field or a 1-D grid).  A block has shape np.shape(h) +
-    (rows, n + 1), fewer rows in the last; ``rows=None`` gives one block, an
-    empty one for no replicas.  All blocks are one buffer, each overwritten
-    by the next, and each block's charges are one ``_draw`` call.  A row
-    equals charge_prefix(law, beta, h, _draw(law, n, [spawn_rng(seed,
-    i)])[0]) bit for bit.
+    of ``h``, one field (a one-entry grid) or a 1-D grid of F fields.  A
+    block is replica-major, (rows F, n + 1), replica i's F rows consecutive,
+    fewer replicas in the last; ``rows=None`` gives one block, an empty one
+    for no replicas or no field.  All blocks are one buffer, each
+    overwritten by the next, and each block's charges are one ``_draw``
+    call.  A row equals charge_prefix(law, beta, field, _draw(law, n,
+    [spawn_rng(seed, i)])[0]) bit for bit.
     """
-    fields = np.asarray(h, dtype=float)[..., None, None]
+    fields = np.reshape(np.asarray(h, dtype=float), (-1, 1))
     rows = rows or max(replicas, 1)
-    buffer = np.empty(np.shape(h) + (min(rows, replicas), n + 1))
+    buffer = np.empty((min(rows, replicas), len(fields), n + 1))
     streams = replica_rngs(seed, range(replicas))
-    grid = np.ndim(h) == 1
     for i0 in range(0, max(replicas, 1), rows):
-        block = buffer[..., : min(rows, replicas - i0), :]
-        # one draw per replica into the first field's rows, copied to the other
-        # fields; an empty grid draws nothing
+        block = buffer[: min(rows, replicas - i0)]
+        # one draw per replica into its first field's row, copied to its other fields
         if block.size:
-            first = block[0] if grid else block
-            _draw(law, n, itertools.islice(streams, len(first)), out=first[:, 1:])
-            if grid:
-                block[1:] = first
-        yield _charge_rows(law, beta, fields, block)
+            _draw(law, n, itertools.islice(streams, len(block)), out=block[:, 0, 1:])
+            block[:, 1:] = block[:, :1]
+        yield _charge_rows(law, beta, fields, block).reshape(-1, n + 1)
 
 
 def replica_log_z(
@@ -153,16 +150,11 @@ def replica_log_z(
         raise ValueError("need at least one site")
     fields = math.prod(np.shape(h))
     rows = max(1, _quenched_pass(n)[2] // max(fields, 1))
-    out = np.empty((fields, replicas))
     # charges past the float range turn non-finite, and their rows NaN
     with np.errstate(over="ignore"):
-        blocks = _replica_prefixes(law, beta, h, n, seed, replicas, rows)
-        values = _log_z_replicas((block.reshape(-1, n + 1) for block in blocks), kernel)
-    # the values come block after block, each block field after field
-    for i0 in range(0, replicas, rows):
-        count = min(rows, replicas - i0)
-        out[:, i0 : i0 + count] = values[fields * i0 : fields * (i0 + count)].reshape(fields, count)
-    return out.reshape(np.shape(h) + (replicas,))
+        values = _log_z_replicas(_replica_prefixes(law, beta, h, n, seed, replicas, rows), kernel)
+    # the values come replica after replica, each replica field after field
+    return values.reshape(replicas, fields).T.reshape(np.shape(h) + (replicas,))
 
 
 def sweep_free_energy(
@@ -373,9 +365,10 @@ def trimmed_moment_check(
     bound from the sums of its long and short stage weights.  The replicas
     of (b) go through the batched trimmed engine in one call, one engine pass
     of ``_replica_prefixes`` rows at a time, and the overlap paths are drawn
-    from one stream, spawn_rng(seed, 1_000_000), for as many replica pairs at
-    a time as ``_pass_rows`` fits of their sampler rows in the engine's
-    workspace.  Neither the pass nor the pair chunk moves a value.
+    from one stream, spawn_rng(seed, 1_000_000), for half as many replica
+    pairs at a time as ``_pass_rows`` fits paths, with their sampler rows,
+    in the engine's workspace.  Neither the pass nor the pair chunk moves a
+    value.
     The plan fixes only the ensemble; every part takes beta and h from the
     arguments, and the report records them next to the plan.
     """
@@ -405,12 +398,12 @@ def trimmed_moment_check(
 
     # (b) right side: overlap expectation under the tilted path law; pair i
     # takes the next 2 x 2m uniforms of one stream, first path then second,
-    # drawn for as many pairs at a time as _pass_rows gives in groups of a
-    # pair's two paths, each with its weight and cumsum rows, beside B
+    # drawn for half as many pairs at a time as _pass_rows gives paths, each
+    # path with its weight and cumsum rows, beside B
     steps = [(np.lib.stride_tricks.sliding_window_view(stages[g], len(w)), w, start)
              for g, (w, start) in enumerate([(long_w, plan.M), (short_w, 1)] * plan.m, start=1)]
     row = {"probs": (len(long_w),), "cdf": (len(long_w),)}
-    chunk = _pass_rows({"backward": (len(stages), len(stages[0]))}, row, 2, _TRIMMED_PASS_BYTES) // 2
+    chunk = _pass_rows({"backward": (len(stages), len(stages[0]))}, row, _TRIMMED_PASS_BYTES) // 2
     rng = spawn_rng(seed, 1_000_000)
     rhs_vals = np.empty(replicas)
     for i0 in range(0, replicas, chunk):

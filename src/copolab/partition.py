@@ -19,8 +19,8 @@ e^{hl}.
 
 The trimmed (alternating long/short) ensemble follows the same pattern:
 ``log_Z_restricted`` is the one-row stage loop and the oracle, and
-``_trimmed_log_z_replicas`` runs the stages for groups of _TRIMMED_GROUP
-replicas in passes.  Both engines build their push matrices from
+``_trimmed_log_z_replicas`` runs the stages for groups of the same
+_GEMM_REPLICAS rows in passes.  Both engines build their push matrices from
 ``kernel._toeplitz_view`` and keep them, with their buffers, in ``_workspace``.
 """
 
@@ -47,8 +47,7 @@ __all__ = [
 _LOG2 = math.log(2.0)
 _BLOCK = 64  # source block width of the replica-batched quenched DP
 _CHUNK = 4096  # targets per push GEMM of one block; bounds its product
-_GEMM_REPLICAS = 4  # replicas per GEMM group of the quenched engine
-_TRIMMED_GROUP = 8  # replicas per GEMM group of the trimmed engine
+_GEMM_REPLICAS = 4  # replicas per GEMM group of both replica engines
 _PASS_BYTES = 24 << 20  # working-set budget of one pass of the quenched engine
 _FILL_ROWS = 8  # rows per diagonal sub-block of the linear-domain block fill; a power of two
 _FILL_VARIATION = 256.0  # largest in-block charge variation filled in the linear domain
@@ -165,23 +164,23 @@ def _quenched_pass(n: int):
         "a": subs, "power": subs, "inverse": subs, "scaled": (2, _BLOCK), "pair": (2, _FILL_ROWS),
         "product": (2 * min(_CHUNK, max(0, n + 1 - _BLOCK)),),
     }
-    return shared, row, _pass_rows(shared, row, _GEMM_REPLICAS, _PASS_BYTES)
+    return shared, row, _pass_rows(shared, row, _PASS_BYTES)
 
 
-def _pass_rows(shared, row, group: int, budget: int) -> int:
+def _pass_rows(shared, row, budget: int) -> int:
     """Rows per pass: the one rule of both engines and the trimmed sampler.
 
     ``shared`` and ``row`` are the shape dicts a pass hands ``_workspace``:
     the shared arrays, counted once, and one row of each per-row array,
-    counted once per row.  Returns the whole groups of ``group`` rows whose
-    arrays fit ``budget`` bytes beside the shared ones, at least one group;
+    counted once per row.  Returns the whole groups of _GEMM_REPLICAS rows
+    whose arrays fit ``budget`` bytes beside the shared ones, at least one group;
     nothing outside the workspace is counted.  The one-group floor can pass
     the budget: the quenched engine runs one group per pass from N = 34 679
     on, from N = 40 784 that group and the push operand exceed _PASS_BYTES,
     and from N = 49 216 the operand alone does.
     """
     shared_bytes, row_bytes = (8 * sum(math.prod(shape) for shape in part.values()) for part in (shared, row))
-    return group * max(1, (budget - shared_bytes) // (group * row_bytes))
+    return _GEMM_REPLICAS * max(1, (budget - shared_bytes) // (_GEMM_REPLICAS * row_bytes))
 
 
 def _passes(prefix, cut):
@@ -703,7 +702,7 @@ def _trimmed_pass(plan, size):
     stage = (big_m * big_m + size + chunk,)
     shared = {"toeplitz": (chunk + big_m * (big_m - 1), chunk)}
     row = {"f": stage, "g": stage, "charge": (plan.k, size)}
-    return shared, row, _pass_rows(shared, row, _TRIMMED_GROUP, _TRIMMED_PASS_BYTES)
+    return shared, row, _pass_rows(shared, row, _TRIMMED_PASS_BYTES)
 
 
 def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
@@ -712,24 +711,25 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     ``prefix`` is an (R, n+1) array or an iterable of 2-D blocks of such
     rows, as ``_passes`` takes them.  Same stages as ``log_Z_restricted``.
     Each block goes through in passes of ``_trimmed_pass`` rows, whole
-    groups of _TRIMMED_GROUP rows, the last one zero-padded; a pass writes
+    groups of _GEMM_REPLICAS rows, the last one zero-padded; a pass writes
     the Toeplitz operand into this thread's ``_workspace`` and takes its
     stage buffers there.  The long stage is one banded Toeplitz matrix
     T[c, r] = K(r + M^2 - c)/2 over gaps in [M, M^2], applied as
-    (8, W) @ (W, _TRIMMED_CHUNK) GEMMs, one per group and chunk of the
-    targets that the support left by the previous stage reaches, all in one
-    ``np.matmul`` over strided windows of the pass: f is zeroed across its
-    whole stage buffer once per pass and the short stage keeps it zero
-    outside the support, so a window that reaches past the support reads
-    zeros.  The short stage uses the k charge rows e^{S[x] - S[x-l]}
-    K(l)/2, built with one ``exp`` per pass: row l is row l - 1 shifted by
-    one site times the l = 1 row.  The long stage's output is at most sum
-    K/2 <= 1/2 of the unit maximum it starts from, so each pair is rescaled
-    once, after its short stage, to a unit maximum per row with per-row log
-    offsets; a row whose maximum is 0, or whose closing sum is 0, gives
-    -inf.  Every product keeps one group's shape, so a row's value depends
-    neither on R, nor on the blocks or the pass width, nor on the other
-    rows.
+    (_GEMM_REPLICAS, W) @ (W, _TRIMMED_CHUNK) GEMMs, one per group and
+    chunk of the targets that the support left by the previous stage
+    reaches, all in one ``np.matmul`` over strided windows of the pass: f
+    is zeroed across its whole stage buffer once per pass and the short
+    stage keeps it zero outside the support, so a window that reaches past
+    the support reads zeros.  The short stage uses the k charge rows
+    e^{S[x] - S[x-l]} K(l)/2, built with one ``exp`` per pass: row l is row
+    l - 1 shifted by one site times the l = 1 row.  The long stage's output
+    is at most sum K/2 <= 1/2 of the unit maximum it starts from, so each
+    pair is rescaled once, after its short stage, to a unit maximum per row
+    with per-row log offsets; a row whose maximum is 0, or whose closing
+    sum is 0, gives -inf, and, as in the quenched engine, a row holding a
+    non-finite charge that the plan reads gives NaN and is not evaluated.
+    Every product keeps one group's shape, so a row's value depends neither
+    on R, nor on the blocks or the pass width, nor on the other rows.
     """
     size = _trimmed_size(kernel, plan)
     shapes = _trimmed_pass(plan, size)
@@ -761,19 +761,24 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
         log_scale[:] += np.log(top)
 
     def windows(a, first, count, span):
-        # a's (groups, count, _TRIMMED_GROUP, span) windows at columns
+        # a's (groups, count, _GEMM_REPLICAS, span) windows at columns
         # first + j chunk, one per group and chunk j; the ndarray constructor
         # checks that they lie inside a, and costs an eighth of as_strided
         row_step, col_step = a.strides
         return np.ndarray(
-            (len(a) // _TRIMMED_GROUP, count, _TRIMMED_GROUP, span), a.dtype, a, first * col_step,
-            (_TRIMMED_GROUP * row_step, chunk * col_step, row_step, col_step),
+            (len(a) // _GEMM_REPLICAS, count, _GEMM_REPLICAS, span), a.dtype, a, first * col_step,
+            (_GEMM_REPLICAS * row_step, chunk * col_step, row_step, col_step),
         )
 
     out = [np.empty(0)]
     for rows, shared, row in _passes(prefix, cut):
+        out.append(np.full(len(rows), np.nan))
+        finite = np.isfinite(rows[:, :size]).all(axis=1)
+        rows = rows if finite.all() else rows[finite]  # copied only where a row is not finite
         live = len(rows)
-        padded = _TRIMMED_GROUP * -(-live // _TRIMMED_GROUP)
+        if live == 0:
+            continue
+        padded = _GEMM_REPLICAS * -(-live // _GEMM_REPLICAS)
         # position x sits at column lead + x; the last chunk of a stage may
         # read f and write g up to chunk - 1 positions past size - 1, which
         # the stage buffers hold;
@@ -819,13 +824,13 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
                     f[:, a:b] += np.multiply(*terms)
             rescale(f[:, lead + lo + 1 : lead + top + 1])
             s_lo, s_hi = lo + 1, top
-        # one (8, size) product per group, as for a group alone
-        total = np.matmul(f[:, lead : lead + size].reshape(-1, _TRIMMED_GROUP, size), closing).reshape(padded)
+        # one (_GEMM_REPLICAS, size) product per group, as for a group alone
+        total = np.matmul(f[:, lead : lead + size].reshape(-1, _GEMM_REPLICAS, size), closing).reshape(padded)
         dead |= total <= 0.0
         total[dead] = 1.0
         values = np.log(total) + log_scale
         values[dead] = -math.inf
-        out.append(values[:live])
+        out[-1][finite] = values[:live]
     return np.concatenate(out)
 
 

@@ -222,8 +222,11 @@ def test_estimate_beta_zero_matches_annealed_subcommand(tmp_path):
          "--replicas", "4", "--seed", "1", "--out", str(est_path)]
     )
     run_cli(["annealed", "--h", "0.3", "--n", "400", "--out", str(ann_path)])
-    est_row = est_path.read_text().splitlines()[2].split(",")
-    ann_row = ann_path.read_text().splitlines()[2].split(",")
+    # the column rows, the keys of the rows the commands emit, in order
+    est_lines, ann_lines = est_path.read_text().splitlines(), ann_path.read_text().splitlines()
+    assert est_lines[1] == "beta,h,n,replicas,mean_log_z_per_site,stderr,upper_bracket,lower_bracket,c4,c5"
+    assert ann_lines[1] == "h,n,log_annealed_z,per_site"
+    est_row, ann_row = est_lines[2].split(","), ann_lines[2].split(",")
     mean_per_site = float(est_row[4])
     annealed_per_site = float(ann_row[3])
     assert mean_per_site == pytest.approx(annealed_per_site, rel=1e-12)
@@ -350,9 +353,9 @@ def test_verify_oracle_suite_passes_fast(tmp_path):
     assert oracle["worst_trimmed_two_pass_relative_error"] <= 1e-10
     # three groups of 4 rows in passes of two groups, whatever the pass budget
     assert oracle["two_pass_batch"] == {"replicas": 12, "n": 197, "rows_per_pass": 8, "rows_checked": 12}
-    # two blocks of rows, two groups of 8 and one, are two passes of the trimmed engine
+    # and the same two blocks of rows, two groups of 4 and one, for the trimmed engine
     assert oracle["trimmed_two_pass"] == {
-        "plan": {"M": 12, "k": 2, "m": 3, "N": 430}, "replicas": 24, "rows_per_pass": 16, "rows_checked": 24
+        "plan": {"M": 12, "k": 2, "m": 3, "N": 430}, "replicas": 12, "rows_per_pass": 8, "rows_checked": 12
     }
     assert oracle["worst_renewal_mass_relative_error"] <= 1e-10
     assert oracle["worst_annealed_relative_error"] <= 1e-10

@@ -18,7 +18,6 @@ from copolab.partition import (
     _FILL_ROWS,
     _FILL_VARIATION,
     _GEMM_REPLICAS,
-    _TRIMMED_GROUP,
     Trimmed,
     _log_z_replicas,
     _quenched_pass,
@@ -78,30 +77,31 @@ def test_replica_values_do_not_depend_on_replica_count(log_kernel_small):
 
 
 @pytest.mark.parametrize("rows", [1, 3, 8, 11, None])
-@pytest.mark.parametrize("h", [0.3, [0.4, -0.2, 1e-3]], ids=["one-field", "grid"])
+@pytest.mark.parametrize("h", [0.3, [0.3], [0.4, -0.2, 1e-3], []], ids=["one-field", "one-entry", "grid", "empty"])
 @pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
 def test_replica_prefixes_rows_equal_charge_prefix_rows(law, h, rows):
-    # the one seeded source: at every field, replica i's row is charge_prefix
-    # of the draw of stream i, bit for bit, whatever the block size
+    # the one seeded source: blocks are 2-D and replica-major, replica i's
+    # rows at every field in turn, and each row is charge_prefix of the draw
+    # of stream i at its field, bit for bit, whatever the block size
     n, beta, seed, replicas = 37, 0.7, 9, 11
+    fields = np.reshape(h, -1)
     blocks = [block.copy() for block in est._replica_prefixes(law, beta, h, n, seed, replicas, rows)]
     step = replicas if rows is None else rows
     assert [block.shape for block in blocks] == [
-        np.shape(h) + (min(step, replicas - i0), n + 1) for i0 in range(0, replicas, step)
+        (min(step, replicas - i0) * len(fields), n + 1) for i0 in range(0, replicas, step)
     ]
-    fields = np.reshape(h, np.shape(h) + (1,))
-    want = np.stack(
-        [charge_prefix(law, beta, fields, _draw(law, n, [spawn_rng(seed, i)])[0]) for i in range(replicas)],
-        axis=-2,
-    )
-    assert np.concatenate(blocks, axis=-2).tobytes() == want.tobytes()
+    want = np.array([
+        charge_prefix(law, beta, field, _draw(law, n, [spawn_rng(seed, i)])[0])
+        for i in range(replicas) for field in fields
+    ])
+    assert np.concatenate(blocks).tobytes() == want.tobytes()
 
 
 def test_replica_prefixes_blocks_share_one_buffer():
     blocks = est._replica_prefixes(BINARY, 0.5, [0.1, 0.2], 20, 4, 10, 4)
     first = next(blocks)
     rest = list(blocks)
-    assert [block.shape for block in rest] == [(2, 4, 21), (2, 2, 21)]
+    assert [block.shape for block in rest] == [(8, 21), (4, 21)]
     assert all(np.shares_memory(first, block) for block in rest)
 
 
@@ -224,21 +224,25 @@ def test_engine_linear_read_matches_row_loop_across_channel_scales(log_kernel_sm
 
 
 def _pass_case(engine, kernel):
-    # (run, rows, group, budget name, rule) of an engine: 101 charge rows,
+    # (run, rows, NaN rows, budget name, rule) of an engine: 101 charge rows,
     # with a NaN charge in row 70, run(blocks) the engine's values of them
-    # and rule() its rows per pass
+    # and rule() its rows per pass; the trimmed rows also hold a +inf tail
+    # in row 20 and one -inf charge in row 45
     if engine == "quenched":
         n = 2 * _BLOCK + 30
         # steep rows sit in the first, eleventh and last group of 4
         rows = _engine_rows(n, 101, 8, steep=(3, 41, 99), nan=(70,))
         steep = np.abs(np.diff(rows[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
         assert np.flatnonzero(steep).tolist() == [3, 41, 99]
-        return (lambda blocks: _log_z_replicas(blocks, kernel), rows, _GEMM_REPLICAS, "_PASS_BYTES",
+        return (lambda blocks: _log_z_replicas(blocks, kernel), rows, [70], "_PASS_BYTES",
                 lambda: _quenched_pass(n)[2])
     plan = Trimmed(M=9, k=3, m=4, N=300)
     rows = _engine_rows(plan.N, 101, 9)
-    rows[70, 150] = np.nan  # a site the short stages read
-    return (lambda blocks: _trimmed_log_z_replicas(blocks, kernel, plan), rows, _TRIMMED_GROUP,
+    # sites the short stages read
+    rows[20, 120:] = np.inf
+    rows[45, 200] = -np.inf
+    rows[70, 150] = np.nan
+    return (lambda blocks: _trimmed_log_z_replicas(blocks, kernel, plan), rows, [20, 45, 70],
             "_TRIMMED_PASS_BYTES", lambda: _trimmed_pass(plan, _trimmed_size(kernel, plan))[2])
 
 
@@ -249,12 +253,13 @@ def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kerne
     # of 3, 8 and 90 rows, each wider than the one before, so that the
     # workspace of a fresh thread grows within the call; under the default
     # budget, one pass per block, and under a budget of one group per pass,
-    # which cuts every block of more than one group into passes.  The NaN
-    # row gives NaN, and every value equals its single-row call bit for bit
-    run, rows, group, budget, rule = _pass_case(engine, log_kernel_small)
+    # which cuts every block of more than one group into passes.  A row with
+    # a non-finite charge gives NaN, with no numpy warning, and every value
+    # equals its single-row call bit for bit
+    run, rows, nan_rows, budget, rule = _pass_case(engine, log_kernel_small)
     singles = np.array([run(row[None])[0] for row in rows])
-    assert np.isnan(singles[70]) and np.isfinite(np.delete(singles, 70)).all()
-    sizes = (group, 2 * group, 3 * group)
+    assert np.flatnonzero(~np.isfinite(singles)).tolist() == nan_rows and np.isnan(singles[nan_rows]).all()
+    sizes = (_GEMM_REPLICAS, 2 * _GEMM_REPLICAS, 3 * _GEMM_REPLICAS)
     blockings = [rows, (rows[:3], rows[3:11], rows[11:])]
     blockings += [[rows[i : i + size] for i in range(0, len(rows), size)] for size in sizes]
     assert rule() >= len(rows)
@@ -262,7 +267,7 @@ def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kerne
         monkeypatch.setattr(partition, budget, bytes_)
         for blocks in blockings:
             np.testing.assert_array_equal(_in_fresh_thread(run, blocks), singles)
-    assert rule() == group
+    assert rule() == _GEMM_REPLICAS
     # rows come in 2-D blocks only, also for a trimmed plan with no path
     for bad in ([rows[0]], rows[0]):
         with pytest.raises(ValueError, match="2-D"):
@@ -368,7 +373,7 @@ def test_engine_workspace_reuse_keeps_every_call_bit_equal_to_a_fresh_thread(log
             if args[0] is passes:
                 assert _quenched_pass(passes_n)[2] == _GEMM_REPLICAS
             if budgets is one_group:
-                assert _trimmed_pass(args[2], _trimmed_size(kernel, args[2]))[2] == _TRIMMED_GROUP
+                assert _trimmed_pass(args[2], _trimmed_size(kernel, args[2]))[2] == _GEMM_REPLICAS
             return engine(*args)
 
     in_turn = _in_fresh_thread(lambda: [run(*step) for step in steps])
@@ -504,15 +509,15 @@ def test_replica_log_z_working_set_is_bounded_by_the_pass_budget(big_kernels):
 
 def test_replica_log_z_holds_one_pass_of_charge_rows(log_kernel_small, monkeypatch):
     # under a budget of one group of 4 rows per pass, a 2-field grid is drawn
-    # and evaluated 2 replicas at a time, so the traced peak at N = 2000
+    # and evaluated 2 replicas at a time, so the traced peak at N = 500
     # holds no charge row per replica: from R = 8 to R = 200 it grows by less
     # than 512 bytes per replica (its values, its stream's state words),
-    # where a whole fields x R x (N + 1) prefix array would add 32 kB per
+    # where a whole fields x R x (N + 1) prefix array would add 8 kB per
     # replica.  Each traced call runs in a fresh thread, after a warm-up call
     # has done the lazy imports
     import tracemalloc
 
-    n, grid = 2000, [0.4, 0.2]
+    n, grid = 500, [0.4, 0.2]
     monkeypatch.setattr(partition, "_PASS_BYTES", 1)
     assert _quenched_pass(n)[2] == _GEMM_REPLICAS
     _in_fresh_thread(est.replica_log_z, log_kernel_small, GAUSSIAN, 1.0, grid, 100, 2, 8)
@@ -925,7 +930,7 @@ def test_trimmed_rhs_matches_scalar_sampler_bit_for_bit(big_kernels, law, beta, 
 @pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
 def test_trimmed_moment_check_report_does_not_depend_on_the_pass_budget(log_kernel_small, law, monkeypatch):
     # the default budget runs 130 replicas in one engine pass and one
-    # sampler chunk; a budget of one byte, one group per pass and one pair
+    # sampler chunk; a budget of one byte, one group per pass and two pairs
     # per chunk, gives the same report
     plan = est.trimmed_plan(2.0, law, 0.5, 0.3, 3.3, 1.0)
     reports = []

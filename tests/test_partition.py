@@ -9,8 +9,8 @@ from copolab.estimators import replica_log_z, trimmed_plan
 from copolab.kernel import renewal_mass
 from copolab import partition
 from copolab.partition import (
+    _BLOCK,
     _GEMM_REPLICAS,
-    _TRIMMED_GROUP,
     Trimmed,
     _log_z_replicas,
     _trimmed_log_z_replicas,
@@ -307,6 +307,37 @@ def test_superadditivity_of_mean_log_z(log_kernel_small):
     assert m_nm >= m_n + m_m - 3 * (s_nm + s_n + s_m)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 4 * _BLOCK),
+    cut=st.floats(0.0, 1.0),
+    beta=st.floats(0.0, 6.0),
+    h=st.floats(-2.0, 2.0),
+    law=st.sampled_from([GAUSSIAN, BINARY]),
+    seed=st.integers(0, 2**32 - 1),
+    replicas=st.integers(1, 3),
+)
+def test_engine_keeps_the_exact_identities(log_kernel_small, n, cut, beta, h, law, seed, replicas):
+    # identities exact for every charge row, N and kernel, each read off the
+    # engine alone; beta up to 6 makes steep rows, filled in the log domain.
+    # Sign flip: an excursion's factor (1 + e^{-dS})/2 is e^{-dS} (1 + e^{dS})/2,
+    # so log Z(S) - log Z(-S) = S_N.  Reversal: the excursions read backwards,
+    # S^rev_m = S_N - S_{N-m}, carry the same charges, so Z(S^rev) = Z(S).
+    # Superadditivity: the paths with a renewal at m weigh Z_m(S) Z_{N-m}(theta_m S),
+    # with (theta_m S)_j = S_{m+j} - S_m
+    prefix = _trimmed_prefixes(law, beta, h, n, seed, replicas)
+    last = prefix[:, -1]
+    rows = np.concatenate([prefix, -prefix, last[:, None] - prefix[:, ::-1]])
+    z, flipped, reversed_ = _log_z_replicas(rows, log_kernel_small).reshape(3, replicas)
+    scale = np.maximum(1.0, np.abs(z))
+    assert np.all(np.abs(z - flipped - last) <= 1e-12 * np.maximum(1.0, np.abs(last) + np.abs(z)))
+    assert np.all(np.abs(z - reversed_) <= 1e-12 * scale)
+    m = 1 + int(cut * (n - 2))
+    head = _log_z_replicas(prefix[:, : m + 1], log_kernel_small)
+    tail = _log_z_replicas(prefix[:, m:] - prefix[:, m : m + 1], log_kernel_small)
+    assert np.all(z >= head + tail - 1e-12 * scale)
+
+
 def _trimmed_prefixes(law, beta, h, n, seed, rows):
     return np.array([
         charge_prefix(law, beta, h, _draw(law, n, [spawn_rng(seed, i)])[0]) for i in range(rows)
@@ -396,9 +427,9 @@ def test_engine_gemm_operands_start_on_a_cache_line(log_kernel_small, big_kernel
 def test_trimmed_engine_values_do_not_depend_on_replica_count(log_kernel_small):
     # bit-equal whatever the number of rows and their neighbours: every
     # GEMM takes a zero-padded group of the same width, and R = 1..9, 17
-    # and 100 leave the last group of the one pass part-filled
+    # and 100 leave the last group of the one pass part-filled or fill it
     plan = Trimmed(M=7, k=2, m=3, N=180)
-    prefix = _trimmed_prefixes(BINARY, 0.8, 0.3, plan.N, 5, 13 * _TRIMMED_GROUP)
+    prefix = _trimmed_prefixes(BINARY, 0.8, 0.3, plan.N, 5, 26 * _GEMM_REPLICAS)
     full = _trimmed_log_z_replicas(prefix, log_kernel_small, plan)
     assert _trimmed_pass(plan, _trimmed_size(log_kernel_small, plan))[2] >= len(prefix)
     for count in (*range(1, 10), 17, 100):
@@ -432,7 +463,7 @@ def _gemm_forms(rng):
     Yields (name, operands, bases, axes, out_axis): operands(*bases) are the
     views the engines pass to np.matmul, taken of contiguous base arrays;
     axes[i] is the axis of bases[i] that holds the rows of a group (the 8
-    rows of 4 replicas and 2 channels in the quenched push and fill, the 8
+    rows of 4 replicas and 2 channels in the quenched push and fill, the 4
     replicas in the trimmed engine) or the live rows of a batched solve,
     and out_axis the axis of the product that holds them.
     """
@@ -458,21 +489,21 @@ def _gemm_forms(rng):
                 return a[:, q], p[:, q * fill : (q + 1) * fill, None]
 
             yield f"solve live={live} q={q}", solve, (a, p), (0, 0), 0
-    # the trimmed long stage: (8, W) @ (W, 64) on the stacked windows of a
+    # the trimmed long stage: (4, W) @ (W, 64) on the stacked windows of a
     # stage's chunks of targets
-    f3 = rng.random((groups, _TRIMMED_GROUP, 800))
+    f3 = rng.random((groups, _GEMM_REPLICAS, 800))
     toeplitz = rng.random((700, 64))
     for big_m in range(2, 25):
         w = 64 + big_m * (big_m - 1)
 
         def windows(a, w=w):
             row, col = a.strides[1:]
-            shape, strides = (groups, 2, _TRIMMED_GROUP, w), (a.strides[0], 64 * col, row, col)
+            shape, strides = (groups, 2, _GEMM_REPLICAS, w), (a.strides[0], 64 * col, row, col)
             return np.lib.stride_tricks.as_strided(a, shape=shape, strides=strides), toeplitz[:w]
 
         yield f"trimmed windows W={w}", windows, (f3,), (1,), 2
-    # the trimmed closing (8, size) @ (size,)
-    rows = rng.random((groups, _TRIMMED_GROUP, 20000))
+    # the trimmed closing (4, size) @ (size,)
+    rows = rng.random((groups, _GEMM_REPLICAS, 20000))
     for size in (*range(1, 300), *range(300, 20000, 997)):
         closing = rng.random(size)
         yield f"closing size={size}", lambda a, b=closing: (a[:, :, 7 : 7 + b.size], b), (rows,), (1,), 1

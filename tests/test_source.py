@@ -72,8 +72,7 @@ PRIVATE_IMPORTS = {
     "bounds": set(),
     "checks": {
         "estimators._replica_prefixes", "kernel._MASS_BLOCK", "partition._BLOCK", "partition._FILL_ROWS",
-        "partition._GEMM_REPLICAS", "partition._TRIMMED_GROUP", "partition._log_z_replicas",
-        "partition._trimmed_log_z_replicas",
+        "partition._GEMM_REPLICAS", "partition._log_z_replicas", "partition._trimmed_log_z_replicas",
     },
     "cli": set(),
     "disorder": set(),
