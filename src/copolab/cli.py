@@ -34,14 +34,17 @@ A verify report is a JSON object with keys "config" (the resolved run
 configuration), "artifact_version", "suites" (one report of
 ``copolab.checks`` per suite run) and "pass" (true when every assert-kind
 check of every suite holds).  Tabular subcommands write CSV whose first
-line is a "# ..." comment holding the same config object; floats serialize
-as shortest round-trip decimals in both formats.
+line is a "# ..." comment holding the same config object, then a row naming
+one column per key of the rows, a nested dict's keys spelled outer.inner;
+floats serialize as shortest round-trip decimals in both formats.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import sys
@@ -229,16 +232,20 @@ def _check_rows_finite(rows) -> None:
 
 
 def _emit(args, rows, default_format="csv"):
-    # the columns are the keys of the first row, in order; every row has them
+    # the CSV columns are the keys of the first row, in order, a nested
+    # dict's keys spelled outer.inner; every row has them
     fmt = args.format or default_format
     header = json.dumps(
         {"artifact_version": __version__, "config": args.config}, sort_keys=True, allow_nan=False
     )
     if fmt == "csv":
-        lines = ["# " + header, ",".join(rows[0])]
-        for row in rows:
-            lines.append(",".join(_cell(value) for value in row.values()))
-        text = "\n".join(lines) + "\n"
+        flat = [_flat(row) for row in rows]
+        out = io.StringIO()
+        out.write("# " + header + "\n")
+        writer = csv.writer(out, lineterminator="\n")  # quotes a cell holding a comma
+        writer.writerow(flat[0])
+        writer.writerows([_cell(value) for value in row.values()] for row in flat)
+        text = out.getvalue()
     else:
         payload = {"artifact_version": __version__, "config": args.config, "rows": rows}
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
@@ -251,6 +258,16 @@ def _write(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _flat(row: dict, prefix: str = "") -> dict:
+    flat = {}
+    for key, value in row.items():
+        if isinstance(value, dict):
+            flat.update(_flat(value, f"{prefix}{key}."))
+        else:
+            flat[prefix + key] = value
+    return flat
 
 
 def _cell(value) -> str:

@@ -53,7 +53,8 @@ _FILL_ROWS = 8  # rows per diagonal sub-block of the linear-domain block fill; a
 _FILL_VARIATION = 256.0  # largest in-block charge variation filled in the linear domain
 _PLAN_BLOCKS = 8  # blocks whose charge steps a pass's plan measures at a time
 _LINE_DOUBLES = 8  # doubles per 64-byte cache line; every workspace array of both engines starts on one
-_TRIMMED_CHUNK = 64  # targets per long-stage GEMM of the trimmed engine
+_TRIMMED_CHUNK = 32  # targets per long-stage GEMM of the trimmed engine
+_TRIMMED_LOW = 2.0**-64  # the trimmed engine rescales a row whose maximum leaves [2^-64, 2^64]
 _TRIMMED_PASS_BYTES = 2 << 20  # working-set budget of one trimmed pass and one sampler chunk
 _EYE = np.eye(_FILL_ROWS)  # I, the first term of the fill's (I - A)^{-1}
 
@@ -713,23 +714,40 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     Each block goes through in passes of ``_trimmed_pass`` rows, whole
     groups of _GEMM_REPLICAS rows, the last one zero-padded; a pass writes
     the Toeplitz operand into this thread's ``_workspace`` and takes its
-    stage buffers there.  The long stage is one banded Toeplitz matrix
-    T[c, r] = K(r + M^2 - c)/2 over gaps in [M, M^2], applied as
-    (_GEMM_REPLICAS, W) @ (W, _TRIMMED_CHUNK) GEMMs, one per group and
-    chunk of the targets that the support left by the previous stage
-    reaches, all in one ``np.matmul`` over strided windows of the pass: f
-    is zeroed across its whole stage buffer once per pass and the short
-    stage keeps it zero outside the support, so a window that reaches past
-    the support reads zeros.  The short stage uses the k charge rows
-    e^{S[x] - S[x-l]} K(l)/2, built with one ``exp`` per pass: row l is row
-    l - 1 shifted by one site times the l = 1 row.  The long stage's output
-    is at most sum K/2 <= 1/2 of the unit maximum it starts from, so each
-    pair is rescaled once, after its short stage, to a unit maximum per row
-    with per-row log offsets; a row whose maximum is 0, or whose closing
-    sum is 0, gives -inf, and, as in the quenched engine, a row holding a
-    non-finite charge that the plan reads gives NaN and is not evaluated.
-    Every product keeps one group's shape, so a row's value depends neither
-    on R, nor on the blocks or the pass width, nor on the other rows.
+    stage buffers there.
+
+    The first long stage starts from f = e_0, so its output on the targets
+    [M, min(M^2, size - 1)] is K/2 itself: the engine reads it from one
+    shared row instead of multiplying a window that is zero but for one
+    entry, and the values are those the product gives, bit for bit.  Every
+    later long stage is one banded Toeplitz matrix T[c, r] = K(r + M^2 - c)/2
+    over gaps in [M, M^2], applied as (_GEMM_REPLICAS, W) @ (W, _TRIMMED_CHUNK)
+    GEMMs, W = _TRIMMED_CHUNK + M(M - 1), one per group and chunk of the
+    targets that the support left by the previous stage reaches, all in one
+    ``np.matmul`` over strided windows of the pass: f is zeroed across its
+    whole stage buffer once per pass and the short stage keeps it zero
+    outside the support, so a window that reaches past the support reads
+    zeros.  The chunk width only decides which of those zero products
+    enter each sum (a window overhangs the band by _TRIMMED_CHUNK - 1
+    columns; 32 makes W/band 1.056 at M = 24 and 1.13 at M = 16), and a
+    test pins that 16, 32 and 64 give the same values.  The short stage uses
+    the k charge rows e^{S[x] - S[x-l]} K(l)/2, built with one ``exp`` per
+    pass: row l is row l - 1 shifted by one site times the l = 1 row.
+
+    Rescaling: after each pair's short stage a row is divided by its
+    maximum, and the log of that maximum added to its log offset, only when
+    the maximum leaves [2^-64, 2^64]; when no row of the pass does, the
+    divide is skipped, and otherwise the other rows are divided by 1.0,
+    which is exact, so a row's value still depends on its own charges only.
+    A row then enters every pair with its maximum inside that band, so
+    nothing under- or overflows as long as one pair's growth or decay stays
+    within 2^+-958 (2^+-1022 if every pair were rescaled to a unit maximum),
+    and an entry that turns subnormal is below 2^-958 of its row's maximum.
+    A row whose maximum is 0, or whose closing sum is 0, gives -inf, and, as
+    in the quenched engine, a row holding a non-finite charge that the plan
+    reads gives NaN and is not evaluated.  Every product keeps one group's
+    shape, so a row's value depends neither on R, nor on the blocks or the
+    pass width, nor on the other rows.
     """
     size = _trimmed_size(kernel, plan)
     shapes = _trimmed_pass(plan, size)
@@ -749,16 +767,21 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     taps[chunk - 1 : chunk + lead - big_m] = 0.5 * kernel.masses[big_m : lead + 1]
     # toeplitz[c, r] = K(r + M^2 - c)/2: from source t0 - M^2 + c to target t0 + r
     operand = _toeplitz_view(taps, width).T
+    # the first long stage in g's column layout: K(x)/2 at column lead + x
+    reach = min(lead, size - 1)
+    opening = np.zeros(lead + reach + 1)
+    opening[lead + big_m :] = 0.5 * kernel.masses[big_m : reach + 1]
     closing = _closing_weights(kernel, plan, size)
     short_w = 0.5 * kernel.masses[1 : k + 1]
 
     def rescale(values):
         top = values.max(axis=1)
-        empty = top <= 0.0
-        dead[:] |= empty
-        top[empty] = 1.0
-        values /= top[:, None]
-        log_scale[:] += np.log(top)
+        dead[:] |= top <= 0.0
+        out_of_band = (top > 0.0) & ((top < _TRIMMED_LOW) | (top > 1.0 / _TRIMMED_LOW))
+        if out_of_band.any():
+            top[~out_of_band] = 1.0
+            values /= top[:, None]
+            log_scale[:] += np.log(top)
 
     def windows(a, first, count, span):
         # a's (groups, count, _GEMM_REPLICAS, span) windows at columns
@@ -797,27 +820,29 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
         for ell in range(1, k + 1):
             charge[:, ell - 1, ell:] *= short_w[ell - 1]
         f.fill(0.0)  # the long stage reads zeros wherever the support does not reach
-        f[:, lead] = 1.0
         log_scale = np.zeros(padded)
         dead = np.zeros(padded, dtype=bool)
-        s_lo = s_hi = 0  # f is zero outside positions s_lo..s_hi
-        for _ in range(m):
-            # g holds the long stage on its targets [lo, hi] and is read
-            # nowhere else; chunk t0 = lo + j chunk reads sources
-            # t0 - M^2 .. t0 + chunk - 1 - M, the f columns t0 .. t0 + width - 1
+        s_lo = s_hi = 0  # f, e_0 before pair 0 and not stored, is zero outside s_lo..s_hi
+        for pair in range(m):
+            # the long stage on its targets [lo, hi], read nowhere else:
+            # opening's shared row for pair 0, else g, where chunk t0 = lo +
+            # j chunk reads sources t0 - M^2 .. t0 + chunk - 1 - M, the f
+            # columns t0 .. t0 + width - 1
             lo, hi = s_lo + big_m, min(s_hi + lead, size - 1)
-            chunks = -(-(hi + 1 - lo) // chunk)
-            np.matmul(windows(f, lo, chunks, width), toeplitz, out=windows(g, lead + lo, chunks, chunk))
+            long = opening
+            if pair:
+                chunks = -(-(hi + 1 - lo) // chunk)
+                np.matmul(windows(f, lo, chunks, width), toeplitz, out=windows(g, lead + lo, chunks, chunk))
+                long = g
             # the short stage leaves f on [lo + 1, top]: l = 1 writes it up
             # to hi + 1, and zeros cover the rest of that range and the part
-            # of the old support left of it.  g is at most max(f) sum K/2 over
-            # [M, M^2] <= 1/2, so one rescale per pair, after the short stage
+            # of the old support left of it
             top = min(hi + k, size - 1)
             f[:, lead + s_lo : lead + lo + 1] = 0.0
             f[:, lead + hi + 2 : lead + top + 1] = 0.0
             for ell in range(1, k + 1):
                 a, b = lead + lo + ell, lead + min(hi + ell, top) + 1
-                terms = g[:, a - ell : b - ell], charge[:, ell - 1, a - lead : b - lead]
+                terms = long[..., a - ell : b - ell], charge[:, ell - 1, a - lead : b - lead]
                 if ell == 1:
                     np.multiply(*terms, out=f[:, a:b])
                 else:

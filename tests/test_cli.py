@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -282,6 +283,34 @@ def test_sweep_rows_equal_estimate_rows_bytewise(tmp_path):
     gridded = tmp_path / "estimate-grid.csv"
     assert run_cli(["estimate", "--h-grid", ",".join(grid), *common, "--out", str(gridded)]) == 0
     assert gridded.read_text().splitlines()[2:] == sweep_rows
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["estimate", "--beta", "0.7", "--h", "0.2", "--n", "120", "--replicas", "4"],
+        ["sweep", "--beta", "0.5", "--h-grid", "0.4,-0.2", "--n", "100", "--replicas", "3"],
+        ["annealed", "--h-grid", "0.3,0.1", "--n", "300"],
+        ["bounds", "--beta", "1.0", "--h-grid", "0.2,0.1,0.05"],
+        ["kernel-info", "--format", "csv"],
+        ["kernel-info", "--h", "5", "--format", "csv"],
+    ],
+    ids=["estimate", "sweep", "annealed", "bounds", "kernel-info", "kernel-info-defect-note"],
+)
+@pytest.mark.parametrize("family", ["sub-logarithmic", "logarithmic", "super-logarithmic"])
+@pytest.mark.parametrize("law", ["gaussian", "binary"])
+def test_every_csv_artifact_has_rows_as_wide_as_its_header(tmp_path, args, family, law):
+    # a nested value (kernel-info's defect diagnostics) gets a column per
+    # key, and a cell holding a comma is quoted, so csv.reader splits every
+    # row of every command into as many fields as the column row names
+    out = tmp_path / "artifact.csv"
+    assert run_cli([*args, "--family", family, "--law", law, "--out", str(out)]) == 0
+    comment, *lines = out.read_text().splitlines()
+    assert comment.startswith("# {")
+    columns, *rows = csv.reader(lines)
+    assert rows and all(len(row) == len(columns) for row in rows)
+    if args[0] == "kernel-info":
+        assert [c for c in columns if c.startswith("defect_diagnostics.")]
 
 
 def test_kernel_info_normalization_positive(tmp_path):

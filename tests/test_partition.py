@@ -439,12 +439,13 @@ def test_trimmed_engine_values_do_not_depend_on_replica_count(log_kernel_small):
 
 @pytest.mark.parametrize("family", ["sub", "log", "super"])
 def test_trimmed_engine_matches_row_loop_at_chunk_edges_of_the_support(big_kernels, family):
-    # a long-stage chunk at t0 reads the sources t0 - M^2 .. t0 + 63 - M,
+    # a long-stage chunk at t0 reads the sources t0 - M^2 .. t0 + 31 - M,
     # zeros wherever they leave the support [s_lo, s_hi] of the previous
-    # stage.  At the last stage of (9, 3, 4, N) the chunk at 167 ends one
-    # site past s_hi = N - 1 (N = 221), on it (222) and one site inside it
-    # (223); at N = 4300 a window starts on s_lo (M = 64, M(M - 1) a multiple
-    # of 64) or two sites before it (M = 63)
+    # stage.  At the last stage of (9, 3, 4, N) the chunk at 199 (167 with
+    # 64-target chunks) ends one site past s_hi = N - 1 (N = 221), on it
+    # (222) and one site inside it (223); at N = 4300 a window starts on
+    # s_lo (M = 64, M(M - 1) a multiple of 32 and 64) or two sites before it
+    # (M = 63)
     kernel = big_kernels[family]
     plans = [Trimmed(9, 3, 4, n) for n in (221, 222, 223)]
     plans += [Trimmed(64, 1, 3, 4300), Trimmed(63, 1, 3, 4300)]
@@ -455,6 +456,50 @@ def test_trimmed_engine_matches_row_loop_at_chunk_edges_of_the_support(big_kerne
             ref = np.array([log_Z_restricted(row, kernel, plan) for row in prefix])
             assert np.isfinite(ref).all()
             _assert_trimmed_values_match(got, ref)
+
+
+def test_trimmed_engine_rescales_out_of_band_rows_on_their_own(log_kernel_small):
+    # both laws at beta 6 and 8 and h = +-3 in one batch: the Gaussian rows
+    # fall below 2^-64 within three pairs and, at m = 40, below 2^-1000, the
+    # +1/-1 rows at h = 3 climb past 2^64; the last row, whose every charge
+    # step is -1000, has no path.  Every row matches the row loop, the dead
+    # one gives -inf, and each equals its single-row call bit for bit: a row
+    # is divided by its own maximum only, and only once it leaves the band
+    rows = [
+        charge_prefix(law, beta, h, _draw(law, 900, [spawn_rng(seed, 0)])[0])
+        for law in (GAUSSIAN, BINARY) for beta in (6.0, 8.0) for h in (3.0, -3.0) for seed in (1, 2)
+    ]
+    rows = np.array([*rows, -1000.0 * np.arange(901)])
+    refs = []
+    for plan in (Trimmed(4, 6, 40, 900), Trimmed(5, 3, 8, 300), Trimmed(6, 3, 6, 300)):
+        got = _trimmed_log_z_replicas(rows, log_kernel_small, plan)
+        ref = np.array([log_Z_restricted(row, log_kernel_small, plan) for row in rows])
+        _assert_trimmed_values_match(got, ref)
+        assert np.isfinite(ref[:-1]).all() and np.isneginf(ref[-1])
+        singles = [_trimmed_log_z_replicas(row[None], log_kernel_small, plan)[0] for row in rows]
+        np.testing.assert_array_equal(got, singles)
+        refs.append(ref[:-1])
+    # the m = 40 plan took rows past 2^64 and below 2^-1000
+    assert refs[0].min() < -1000 * math.log(2) < 64 * math.log(2) < refs[0].max()
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_trimmed_chunk_width_moves_no_value(big_kernels, monkeypatch, law):
+    # the chunk width decides only which zero products enter each sum of
+    # the long stage: 16, 32 and 64 targets per GEMM give the same values
+    kernel = big_kernels["log"]
+    for c2, big_m in ((1.0, 7), (1.2, 11), (1.4, 16), (1.6, 24)):
+        plan = trimmed_plan(2.0, law, 0.5, 0.3, 3.3, c2)
+        assert plan.M == big_m
+        span = min(plan.m * (plan.M * plan.M + plan.k), plan.N - 1)
+        prefix = _trimmed_prefixes(law, 0.5, 0.3, span, 12, 23)
+        values = []
+        for chunk in (16, 32, 64):
+            monkeypatch.setattr(partition, "_TRIMMED_CHUNK", chunk)
+            values.append(_trimmed_log_z_replicas(prefix, kernel, plan))
+        assert np.isfinite(values[0]).all()
+        np.testing.assert_array_equal(values[0], values[1])
+        np.testing.assert_array_equal(values[0], values[2])
 
 
 def _gemm_forms(rng):
@@ -489,19 +534,22 @@ def _gemm_forms(rng):
                 return a[:, q], p[:, q * fill : (q + 1) * fill, None]
 
             yield f"solve live={live} q={q}", solve, (a, p), (0, 0), 0
-    # the trimmed long stage: (4, W) @ (W, 64) on the stacked windows of a
-    # stage's chunks of targets
+    # the trimmed long stage: (4, W) @ (W, chunk) on the stacked windows of
+    # a stage's chunks of targets, at the chunk widths 16, 32 and 64 that
+    # the chunk-width test runs
     f3 = rng.random((groups, _GEMM_REPLICAS, 800))
     toeplitz = rng.random((700, 64))
-    for big_m in range(2, 25):
-        w = 64 + big_m * (big_m - 1)
+    for chunk in (16, 32, 64):
+        operand = np.ascontiguousarray(toeplitz[:, :chunk])
+        for big_m in range(2, 25):
+            w = chunk + big_m * (big_m - 1)
 
-        def windows(a, w=w):
-            row, col = a.strides[1:]
-            shape, strides = (groups, 2, _GEMM_REPLICAS, w), (a.strides[0], 64 * col, row, col)
-            return np.lib.stride_tricks.as_strided(a, shape=shape, strides=strides), toeplitz[:w]
+            def windows(a, w=w, chunk=chunk, operand=operand):
+                row, col = a.strides[1:]
+                shape, strides = (groups, 2, _GEMM_REPLICAS, w), (a.strides[0], chunk * col, row, col)
+                return np.lib.stride_tricks.as_strided(a, shape=shape, strides=strides), operand[:w]
 
-        yield f"trimmed windows W={w}", windows, (f3,), (1,), 2
+            yield f"trimmed windows chunk={chunk} W={w}", windows, (f3,), (1,), 2
     # the trimmed closing (4, size) @ (size,)
     rows = rng.random((groups, _GEMM_REPLICAS, 20000))
     for size in (*range(1, 300), *range(300, 20000, 997)):
