@@ -142,9 +142,9 @@ def _quenched_pass(n: int):
     and its rows per pass by ``_pass_rows``.
 
     Shared: the push operand, _BLOCK rows of N + 1 - _BLOCK doubles.  Per
-    row: both accumulators, 2 (N + 1); the pass's plan, that is the row's
-    charges, N + 1, the maximum, the minimum and the variation of its
-    charges in each block, 3 ceil((N + 1)/_BLOCK), and the charge steps of
+    row: both accumulators, 2 (N + 1); the pass's plan, that is the
+    maximum, the minimum and the variation of the row's charges in each
+    block, 3 ceil((N + 1)/_BLOCK), and the charge steps of
     up to _PLAN_BLOCKS blocks at a time, _BLOCK - 1 each; in the fill of one
     block, p, the centred charges and their two exponentials, _BLOCK each,
     the diagonal sub-blocks A, the doubling powers and products of A and
@@ -152,14 +152,15 @@ def _quenched_pass(n: int):
     the earlier sub-blocks' push into one sub-block, 2 _FILL_ROWS; and its
     two rows of one push product, 2 min(_CHUNK, N + 1 - _BLOCK).  Per-row
     scalars (maxima, offsets, scales, the steep flags) and the log fill of
-    steep rows are not in the workspace.
+    steep rows are not in the workspace, nor are the charge rows, which
+    the engine reads where ``_passes`` hands them over.
     """
     blocks = -(-(n + 1) // _BLOCK)
     subs = (_BLOCK // _FILL_ROWS, _FILL_ROWS, _FILL_ROWS)
     shared = {"push": (_BLOCK, max(0, n + 1 - _BLOCK))}
     row = {
         "acc": (2, n + 1),
-        "charges": (n + 1,), "mid": (blocks,), "low": (blocks,), "variation": (blocks,),
+        "mid": (blocks,), "low": (blocks,), "variation": (blocks,),
         "steps": (min(blocks, _PLAN_BLOCKS) * (_BLOCK - 1),),
         "p": (_BLOCK,), "rel": (_BLOCK,), "up": (_BLOCK,), "down": (_BLOCK,),
         "a": subs, "power": subs, "inverse": subs, "scaled": (2, _BLOCK), "pair": (2, _FILL_ROWS),
@@ -176,30 +177,48 @@ def _pass_rows(shared, row, budget: int) -> int:
     counted once per row.  Returns the whole groups of _GEMM_REPLICAS rows
     whose arrays fit ``budget`` bytes beside the shared ones, at least one group;
     nothing outside the workspace is counted.  The one-group floor can pass
-    the budget: the quenched engine runs one group per pass from N = 34 679
-    on, from N = 40 784 that group and the push operand exceed _PASS_BYTES,
+    the budget: the quenched engine runs one group per pass from N = 38 130
+    on, from N = 43 044 that group and the push operand exceed _PASS_BYTES,
     and from N = 49 216 the operand alone does.
     """
     shared_bytes, row_bytes = (8 * sum(math.prod(shape) for shape in part.values()) for part in (shared, row))
     return _GEMM_REPLICAS * max(1, (budget - shared_bytes) // (_GEMM_REPLICAS * row_bytes))
 
 
-def _passes(prefix, cut):
-    """The passes of an engine's charge-prefix rows: the block protocol of both engines.
+def _passes(prefix, cut, evaluate) -> np.ndarray:
+    """The one pass loop of both engines: the value of every charge-prefix row of ``prefix``.
 
     ``prefix`` is an (R, n+1) array or an iterable of 2-D blocks of such
     rows; a generator that draws each block when the engine asks for it,
     and may reuse its buffer for the next, keeps the working set independent
     of R.  ``cut(block)`` checks a block and returns the engine's (shared,
-    row, rows per pass); each pass comes with the shape dicts it hands
-    ``_workspace``, and no pass crosses a block.
+    row, rows per pass, columns read); no pass crosses a block.  Each pass
+    goes to ``evaluate(rows, ws)`` as whole groups of _GEMM_REPLICAS rows,
+    the columns read of each, with ``ws`` the pass's ``_workspace``: the
+    block's own rows, read in place and never written, when the pass is
+    whole groups of rows whose columns read are all finite; else a copy
+    padded to whole groups, in which a row holding a non-finite charge and
+    every padding row hold zero charges.  ``evaluate`` returns a value per
+    row it was given; the values of the pass's own rows are kept, NaN for a
+    row holding a non-finite charge, and the padding rows' dropped.  So an
+    engine computes whole groups only, and keeps only its own arithmetic.
     """
+    out = [np.empty(0)]
     for block in (prefix,) if isinstance(prefix, np.ndarray) else prefix:
         if np.ndim(block) != 2:
             raise ValueError("charge prefixes come as 2-D blocks of rows")
-        shared, row, rows = cut(block)
+        shared, row, rows, columns = cut(block)
         for p0 in range(0, len(block), rows):
-            yield block[p0 : p0 + rows], shared, row
+            part = block[p0 : p0 + rows, :columns]
+            finite = np.isfinite(part).all(axis=1)
+            if len(part) % _GEMM_REPLICAS or not finite.all():
+                padded = np.zeros((_GEMM_REPLICAS * -(-len(part) // _GEMM_REPLICAS), columns))
+                padded[: len(part)][finite] = part[finite]
+                part = padded
+            values = evaluate(part, _workspace(len(part), shared, row))[: len(finite)]
+            values[~finite] = np.nan
+            out.append(values)
+    return np.concatenate(out)
 
 
 # this thread's workspace of both replica engines and the trimmed sampler: see _workspace
@@ -250,12 +269,9 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
     ``prefix`` is an (R, N+1) array or an iterable of 2-D blocks of such
     rows, as ``_passes`` takes them.  Same recursion as ``log_Z``, split
     into two causal convolutions of a(j) = Z(j) and b(j) = Z(j) e^{-S_j}:
-    Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Each block goes through in
-    passes of ``_quenched_pass(N)`` rows, whole groups of _GEMM_REPLICAS
-    rows.  The finite rows of a pass fill its groups, the last one
-    zero-padded; its padded rows enter the GEMMs, which always see whole
-    groups, and nothing else: the per-row work, every log and every
-    division, runs on live rows only.
+    Z(m) = 1/2 [(K*a)(m) + e^{S_m} (K*b)(m)].  Each block goes through
+    ``_passes`` in passes of ``_quenched_pass(N)`` rows, whole groups of
+    _GEMM_REPLICAS rows, every row of which is evaluated, read in place.
     Every GEMM is one group's own product, stacked over the pass's groups in
     one ``np.matmul`` call.  Sources are cut into blocks of _BLOCK sites.
     Inside a block Z solves (I - L) z = p, with p the part pushed from
@@ -265,10 +281,9 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
     the replicas whose charges vary too much inside the block (steep rows),
     with p read in the log domain.
     Everything a block needs that does not depend on the pushed values is
-    planned once per pass: the pass's charge rows, each block's charge
-    mid-range and steep flags (``_block_plan``), and the views the fill's
-    sub-block loop takes (``_fill_views``); the padded rows of the filled
-    block are zeroed once per pass.
+    planned once per pass: each block's charge mid-range and steep flags
+    (``_block_plan``), and the views the fill's sub-block loop takes
+    (``_fill_views``).
     A finished block, scaled per replica, is pushed to all later targets
     with Toeplitz(K) GEMMs of _CHUNK targets each, column slices of one
     contiguous push operand written once per pass, and added to per-target
@@ -277,8 +292,9 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
     array, the fill's included, live in this thread's ``_workspace``,
     written with ``out=``: the block loop allocates only per-row scalars
     (and the log fill of steep rows).  A row holding a non-finite charge
-    gives NaN.  A row's value depends neither on the other rows' values,
-    nor on the blocks or the pass width, nor on its slot in its group.
+    gives NaN (``_passes``).  A row's value depends neither on the other
+    rows' values, nor on the blocks or the pass width, nor on its slot in
+    its group.
     """
     def cut(block):
         n = block.shape[1] - 1
@@ -286,7 +302,7 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
             raise ValueError("need at least one site")
         if n > kernel.support_cap:
             raise ValueError(f"kernel support {kernel.support_cap} < N = {n}")
-        return _quenched_pass(n)
+        return (*_quenched_pass(n), n + 1)
 
     # lower[u, v] = K(u - v)/2 for v < u inside a block, else 0
     taps = np.zeros(2 * _BLOCK - 1)
@@ -299,23 +315,17 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
     # gaps[_BLOCK - u:] = log K(u)/2, ..., log K(1)/2, 0: the weights of row u
     # of a block over its sources 0..u-1 and over its own pushed part
     gaps = np.append(kernel.log_masses[_BLOCK:0:-1] - _LOG2, 0.0)
+
     # acc[:, 0, m] e^{ref[:, 0]}, acc[:, 1, m] e^{ref[:, 1]}: sum_j K(m - j) a(j),
     # b(j) over pushed blocks.  ref is the largest block offset pushed so
     # far, so every target holds at least K(m - j0) times the value 1 of
     # that block's largest source: nothing in acc that carries weight
     # underflows, what a rescale drops was negligible, and acc <= sum K <= 1
     # BLAS may sum in an order that follows the matrix shape, so every GEMM
-    # takes one zero-padded group of _GEMM_REPLICAS replicas and never sees R
-    out = [np.empty(0)]
-    for rows, shared, row in _passes(prefix, cut):
-        n = rows.shape[1] - 1
-        out.append(np.full(len(rows), np.nan))
-        finite = np.flatnonzero(np.isfinite(rows).all(axis=1))
-        live = len(finite)
-        if live == 0:
-            continue
-        width = _GEMM_REPLICAS * -(-live // _GEMM_REPLICAS)
-        ws = _workspace(width, shared, row)
+    # takes one group of _GEMM_REPLICAS replicas and never sees R
+    def evaluate(charges, ws):
+        width, size = charges.shape
+        n = size - 1
         # push[u, t] = K(t + _BLOCK - u), from source j0 + u to target j0 + _BLOCK + t.
         # OpenBLAS rounds a row of a product with a transposed operand by the
         # row's slot in its group at some widths; on column slices of this
@@ -323,24 +333,20 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
         push = ws["push"]
         np.copyto(push, _toeplitz_view(kernel.masses[1:], _BLOCK)[: push.shape[1]].T)
         acc = ws["acc"]
-        acc.fill(0.0)  # padded rows only ever gain zeros here
-        # finite holds valid rows; "clip" only keeps take from buffering out
-        charges = np.take(rows, finite, axis=0, mode="clip", out=ws["charges"][:live])
+        acc.fill(0.0)
         mid, steep = _block_plan(charges, ws)
         hot = steep.any(axis=0).tolist()  # the blocks that hold a steep row
-        views = _fill_views(ws, live, width, earlier)
-        scaled = ws["scaled"]
-        scaled[live:] = 0.0  # the padded rows stay 0 through the pass
-        filled = scaled[:live]
-        stacked = scaled.reshape(-1, 2 * _GEMM_REPLICAS, _BLOCK)
-        ref = np.full((live, 2), -np.inf)
-        for b, j0 in enumerate(range(0, n + 1, _BLOCK)):
-            j1 = min(j0 + _BLOCK, n + 1)
+        views = _fill_views(ws, earlier)
+        filled = ws["scaled"]
+        stacked = filled.reshape(-1, 2 * _GEMM_REPLICAS, _BLOCK)
+        ref = np.full((width, 2), -np.inf)
+        for b, j0 in enumerate(range(0, size, _BLOCK)):
+            j1 = min(j0 + _BLOCK, size)
             span = j1 - j0
             sites = charges[:, j0:j1]
             steep_rows = steep[:, b] if hot[b] else None
             # a = filled[:, 0] e^{offset[:, 0]}, b = filled[:, 1] e^{offset[:, 1]}
-            pushed = acc[:live, :, j0:j1] if j0 else None
+            pushed = acc[:, :, j0:j1] if j0 else None
             offset = _fill_linear(pushed, ref, sites, mid[:, b], steep_rows, diagonal, views, ws)
             if hot[b]:
                 # log p of the steep rows: (a e^{ref_0} + b e^{ref_1 + S})/2
@@ -363,43 +369,43 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
                 values = np.log(filled[:, 0, n - j0]) + offset[:, 0]
                 if hot[b]:
                     values[steep_rows] = logged[:, 0, n - j0]
-                out[-1][finite] = values
-                break
+                return values
             if (offset > ref).any():
                 raised = np.maximum(ref, offset)
-                acc[:live, :, j1:] *= np.exp(ref - raised)[:, :, None]
+                acc[:, :, j1:] *= np.exp(ref - raised)[:, :, None]
                 ref = raised
             filled *= np.exp(offset - ref)[:, :, None]
-            for t0 in range(0, n + 1 - j1, _CHUNK):
-                t1 = min(t0 + _CHUNK, n + 1 - j1)
+            for t0 in range(0, size - j1, _CHUNK):
+                t1 = min(t0 + _CHUNK, size - j1)
                 product = _shaped(ws["product"], len(stacked), 2 * _GEMM_REPLICAS, t1 - t0)
                 np.matmul(stacked, push[:, t0:t1], out=product)
                 acc[:, :, j1 + t0 : j1 + t1] += product.reshape(width, 2, t1 - t0)
-    return np.concatenate(out)
+
+    return _passes(prefix, cut, evaluate)
 
 
 def _block_plan(charges, ws):
     """The charge mid-range and the steep flag of every block of a pass.
 
-    ``charges`` holds the pass's (live, N + 1) charge rows, cut into blocks
-    of _BLOCK sites, the last one possibly shorter.  Returns ``mid`` (live,
+    ``charges`` holds the pass's (rows, N + 1) charge rows, cut into blocks
+    of _BLOCK sites, the last one possibly shorter.  Returns ``mid`` (rows,
     blocks), the mid-range of each block's charges, a view of ``ws``, and
-    ``steep`` (live, blocks), whether their variation sum |S_{i+1} - S_i|
+    ``steep`` (rows, blocks), whether their variation sum |S_{i+1} - S_i|
     over the block exceeds _FILL_VARIATION.  Whole blocks are measured
     _PLAN_BLOCKS at a time, as views of one reshape, their steps written
     into the workspace's ``steps``.
     """
-    live, size = charges.shape
+    rows, size = charges.shape
     full = size // _BLOCK
-    mid, low, variation = (ws[name][:live] for name in ("mid", "low", "variation"))
+    mid, low, variation = (ws[name] for name in ("mid", "low", "variation"))
     cuts = [(b0, min(b0 + _PLAN_BLOCKS, full), _BLOCK) for b0 in range(0, full, _PLAN_BLOCKS)]
     if size % _BLOCK:
         cuts.append((full, full + 1, size % _BLOCK))
     for b0, b1, span in cuts:
-        sites = charges[:, b0 * _BLOCK : b0 * _BLOCK + (b1 - b0) * span].reshape(live, b1 - b0, span)
+        sites = charges[:, b0 * _BLOCK : b0 * _BLOCK + (b1 - b0) * span].reshape(rows, b1 - b0, span)
         np.max(sites, axis=2, out=mid[:, b0:b1])
         np.min(sites, axis=2, out=low[:, b0:b1])
-        steps = _shaped(ws["steps"], live, b1 - b0, span - 1)
+        steps = _shaped(ws["steps"], rows, b1 - b0, span - 1)
         np.subtract(sites[:, :, 1:], sites[:, :, :-1], out=steps)
         np.abs(steps, out=steps)
         np.sum(steps, axis=2, out=variation[:, b0:b1])
@@ -408,10 +414,10 @@ def _block_plan(charges, ws):
     return mid, variation > _FILL_VARIATION
 
 
-def _fill_views(ws, live, width, earlier):
+def _fill_views(ws, earlier):
     """The workspace views that ``_fill_linear`` takes, built once per pass.
 
-    For a pass of ``live`` rows in ``width`` rows, whole groups: up and
+    For the pass whose workspace is ``ws``, whole groups: up and
     down cut into the diagonal sub-blocks as the outer product that builds
     A takes them, the earlier sub-blocks' push product and its two
     channels, and per sub-block q a tuple of the slices of p (also as a
@@ -419,18 +425,16 @@ def _fill_views(ws, live, width, earlier):
     its diagonal sub-block, the filled block's rows before it, grouped as
     the GEMM takes them, and its Toeplitz(K/2) operand ``earlier[-r0:]``.
     """
-    p, up, down, inverse = (ws[name][:live] for name in ("p", "up", "down", "inverse"))
-    scaled = ws["scaled"][:width]
-    flat = scaled.reshape(2 * width, _BLOCK)
-    x, y = scaled[:live, 0, :, None], scaled[:live, 1]
-    pair = ws["pair"][:width]
-    subs = (live, _BLOCK // _FILL_ROWS, _FILL_ROWS)
+    p, up, down, inverse, scaled, pair = (ws[name] for name in ("p", "up", "down", "inverse", "scaled", "pair"))
+    flat = scaled.reshape(-1, _BLOCK)
+    x, y = scaled[:, 0, :, None], scaled[:, 1]
+    subs = (len(p), _BLOCK // _FILL_ROWS, _FILL_ROWS)
     views = {
         "up": up.reshape(subs)[..., :, None],
         "down": down.reshape(subs)[..., None, :],
         "products": pair.reshape(-1, 2 * _GEMM_REPLICAS, _FILL_ROWS),
-        "direct": pair[:live, 0],
-        "coupled": pair[:live, 1],
+        "direct": pair[:, 0],
+        "coupled": pair[:, 1],
         "subs": [],
     }
     for q, r0 in enumerate(range(0, _BLOCK, _FILL_ROWS)):
@@ -444,21 +448,20 @@ def _fill_views(ws, live, width, earlier):
 
 
 def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
-    """Solve one block's (I - L) z = p in the linear domain, all live rows at once.
+    """Solve one block's (I - L) z = p in the linear domain, all rows of a pass at once.
 
-    ``pushed`` holds the block's two accumulators (live, 2, span) and
-    ``ref`` their log scales (live, 2), as the caller keeps them; in the
+    ``pushed`` holds the block's two accumulators (rows, 2, span) and
+    ``ref`` their log scales (rows, 2), as the caller keeps them; in the
     first block ``pushed`` is None and p = e_0.  ``charges`` holds the
-    block's S and ``mid`` its mid-range, one row per live replica, and
+    block's S and ``mid`` its mid-range, one row per replica, and
     ``steep`` flags the rows whose charges vary by more than
     _FILL_VARIATION, or is None where no row does.  ``diagonal`` is the
     diagonal sub-block of Toeplitz(K/2), ``views`` the pass's
     ``_fill_views``, and ``ws`` the caller's ``_workspace``, which holds
     every array of the fill.  Writes the block into the workspace's
-    ``scaled`` (width, 2, _BLOCK), whose padded rows the caller keeps at 0,
-    and returns ``offset`` (live, 2), with a = scaled[:, 0] e^{offset[:, 0]}
-    and b = scaled[:, 1] e^{offset[:, 1]} on the live rows; past the span
-    of a short last block the filled rows are 0.
+    ``scaled`` (rows, 2, _BLOCK) and returns ``offset`` (rows, 2), with
+    a = scaled[:, 0] e^{offset[:, 0]} and b = scaled[:, 1] e^{offset[:, 1]};
+    past the span of a short last block the filled rows are 0.
     The charges are centred at ``mid``, up = e^{S - mid}, and p is read
     from the accumulators in the linear domain: with bu = acc_1 up, the
     row's top = max(ref_0 + log max acc_0, ref_1 + mid + log max bu) and
@@ -466,11 +469,11 @@ def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
     largest p lies in [1/2, 1], x = z e^{-top} and y = x e^{mid - S} are
     what the block holds.  Rows are solved in sub-blocks of _FILL_ROWS:
     the block's earlier rows enter through Toeplitz(K/2) GEMMs on the pair
-    (x, y), as in the push, over whole groups (the padded rows hold zeros),
+    (x, y), as in the push, over whole groups,
     L[u, v] x_v = K(u-v)/2 x_v + e^{S_u - mid} K(u-v)/2 y_v, and the
     diagonal sub-block A of L, nilpotent, by
     (I - A)^{-1} = (I + A)(I + A^2)(I + A^4), one doubling step less than
-    log2 _FILL_ROWS; the per-row matrices are built only for the live rows.
+    log2 _FILL_ROWS.
 
     Why this is accurate to rounding: an entry (I - L)^{-1}[u, v] sums, over
     in-block renewal paths v = w_0 < ... < w_k = u, products of
@@ -499,8 +502,8 @@ def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
     ``steep`` are given flat charges here, which keeps them finite, and
     are refilled by the caller.
     """
-    live, span = charges.shape
-    p, rel, up, down = (ws[name][:live] for name in ("p", "rel", "up", "down"))
+    rows, span = charges.shape
+    p, rel, up, down = (ws[name] for name in ("p", "rel", "up", "down"))
     np.subtract(charges, mid[:, None], out=rel[:, :span])
     if span < _BLOCK:
         # past the last block's span p = 0 and flat charges keep the
@@ -515,7 +518,7 @@ def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
     if pushed is None:
         p.fill(0.0)
         p[:, 0] = 1.0
-        top = np.zeros(live)
+        top = np.zeros(rows)
     else:
         lead, lag = pushed[:, 0], pushed[:, 1]
         bu = np.multiply(lag, up[:, :span], out=p[:, :span])
@@ -525,7 +528,7 @@ def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
         bu += np.multiply(lead, (0.5 * np.exp(ref[:, 0] - top))[:, None], out=rel[:, :span])
     # the diagonal sub-blocks A of every sub-block at once, and their
     # inverses sum_{k<_FILL_ROWS} A^k = (I + A)(I + A^2)...(I + A^{_FILL_ROWS/2})
-    a, power, inverse = (ws[name][:live] for name in ("a", "power", "inverse"))
+    a, power, inverse = (ws[name] for name in ("a", "power", "inverse"))
     np.multiply(views["up"], views["down"], out=a)
     a += 1.0
     a *= diagonal
@@ -548,8 +551,8 @@ def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
         # z goes straight into its rows of the x channel
         np.matmul(inverse_q, column, out=x)
         np.multiply(x_rows, down_q, out=y)
-    # a unit maximum per live row and channel, as the caller's push assumes
-    filled = ws["scaled"][:live]
+    # a unit maximum per row and channel, as the caller's push assumes
+    filled = ws["scaled"]
     if span < _BLOCK:
         filled[:, :, span:] = 0.0
     peak = filled.max(axis=2)
@@ -711,8 +714,8 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
 
     ``prefix`` is an (R, n+1) array or an iterable of 2-D blocks of such
     rows, as ``_passes`` takes them.  Same stages as ``log_Z_restricted``.
-    Each block goes through in passes of ``_trimmed_pass`` rows, whole
-    groups of _GEMM_REPLICAS rows, the last one zero-padded; a pass writes
+    Each block goes through ``_passes`` in passes of ``_trimmed_pass``
+    rows, whole groups of _GEMM_REPLICAS rows, read in place; a pass writes
     the Toeplitz operand into this thread's ``_workspace`` and takes its
     stage buffers there.
 
@@ -743,11 +746,12 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     nothing under- or overflows as long as one pair's growth or decay stays
     within 2^+-958 (2^+-1022 if every pair were rescaled to a unit maximum),
     and an entry that turns subnormal is below 2^-958 of its row's maximum.
-    A row whose maximum is 0, or whose closing sum is 0, gives -inf, and, as
-    in the quenched engine, a row holding a non-finite charge that the plan
-    reads gives NaN and is not evaluated.  Every product keeps one group's
-    shape, so a row's value depends neither on R, nor on the blocks or the
-    pass width, nor on the other rows.
+    A row whose maximum is 0 keeps zero stages, so it closes on 0, and a
+    row whose closing sum is 0 gives -inf; as in the quenched engine, a row
+    holding a non-finite charge that the plan reads gives NaN
+    (``_passes``).  Every product keeps one group's shape, so a row's value
+    depends neither on R, nor on the blocks or the pass width, nor on the
+    other rows.
     """
     size = _trimmed_size(kernel, plan)
     shapes = _trimmed_pass(plan, size)
@@ -755,10 +759,10 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     def cut(block):
         if block.shape[1] < size:
             raise ValueError("charge prefix too short for the plan")
-        return shapes
+        return (*shapes, size)
 
     if size == 0:
-        return np.full(sum(len(rows) for rows, _, _ in _passes(prefix, cut)), -math.inf)
+        return _passes(prefix, cut, lambda rows, ws: np.full(len(rows), -math.inf))
     big_m, k, m = plan.M, plan.k, plan.m
     lead = big_m * big_m  # zero sites left of position 0, read by the long stage
     chunk = _TRIMMED_CHUNK
@@ -774,15 +778,6 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     closing = _closing_weights(kernel, plan, size)
     short_w = 0.5 * kernel.masses[1 : k + 1]
 
-    def rescale(values):
-        top = values.max(axis=1)
-        dead[:] |= top <= 0.0
-        out_of_band = (top > 0.0) & ((top < _TRIMMED_LOW) | (top > 1.0 / _TRIMMED_LOW))
-        if out_of_band.any():
-            top[~out_of_band] = 1.0
-            values /= top[:, None]
-            log_scale[:] += np.log(top)
-
     def windows(a, first, count, span):
         # a's (groups, count, _GEMM_REPLICAS, span) windows at columns
         # first + j chunk, one per group and chunk j; the ndarray constructor
@@ -793,35 +788,24 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
             (_GEMM_REPLICAS * row_step, chunk * col_step, row_step, col_step),
         )
 
-    out = [np.empty(0)]
-    for rows, shared, row in _passes(prefix, cut):
-        out.append(np.full(len(rows), np.nan))
-        finite = np.isfinite(rows[:, :size]).all(axis=1)
-        rows = rows if finite.all() else rows[finite]  # copied only where a row is not finite
-        live = len(rows)
-        if live == 0:
-            continue
-        padded = _GEMM_REPLICAS * -(-live // _GEMM_REPLICAS)
+    def evaluate(rows, ws):
         # position x sits at column lead + x; the last chunk of a stage may
         # read f and write g up to chunk - 1 positions past size - 1, which
         # the stage buffers hold;
         # charge[:, l - 1, x] = e^{S[x] - S[x-l]} K(l)/2 for x >= l
-        ws = _workspace(padded, shared, row)
         toeplitz, f, g, charge = (ws[name] for name in ("toeplitz", "f", "g", "charge"))
         np.copyto(toeplitz, operand)
         # one exp per pass: e^{S[x] - S[x-l]} is row l - 1 at x - 1 times the
         # l = 1 row at x, so every row is a product of shifted l = 1 rows
         step = charge[:, 0, 1:]
-        np.subtract(rows[:, 1:size], rows[:, : size - 1], out=step[:live])
-        step[live:] = 0.0  # padding rows carry zero charges
+        np.subtract(rows[:, 1:], rows[:, :-1], out=step)
         np.exp(step, out=step)
         for ell in range(2, k + 1):
             np.multiply(charge[:, ell - 2, ell - 1 : -1], step[:, ell - 1 :], out=charge[:, ell - 1, ell:])
         for ell in range(1, k + 1):
             charge[:, ell - 1, ell:] *= short_w[ell - 1]
         f.fill(0.0)  # the long stage reads zeros wherever the support does not reach
-        log_scale = np.zeros(padded)
-        dead = np.zeros(padded, dtype=bool)
+        log_scale = np.zeros(len(rows))
         s_lo = s_hi = 0  # f, e_0 before pair 0 and not stored, is zero outside s_lo..s_hi
         for pair in range(m):
             # the long stage on its targets [lo, hi], read nowhere else:
@@ -847,16 +831,23 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
                     np.multiply(*terms, out=f[:, a:b])
                 else:
                     f[:, a:b] += np.multiply(*terms)
-            rescale(f[:, lead + lo + 1 : lead + top + 1])
+            # rescale a row only when its maximum leaves the band; a zero
+            # maximum never does, and the row stays zero from here on
+            values = f[:, lead + lo + 1 : lead + top + 1]
+            peak = values.max(axis=1)
+            out_of_band = (peak > 0.0) & ((peak < _TRIMMED_LOW) | (peak > 1.0 / _TRIMMED_LOW))
+            if out_of_band.any():
+                peak[~out_of_band] = 1.0
+                values /= peak[:, None]
+                log_scale += np.log(peak)
             s_lo, s_hi = lo + 1, top
-        # one (_GEMM_REPLICAS, size) product per group, as for a group alone
-        total = np.matmul(f[:, lead : lead + size].reshape(-1, _GEMM_REPLICAS, size), closing).reshape(padded)
-        dead |= total <= 0.0
-        total[dead] = 1.0
-        values = np.log(total) + log_scale
-        values[dead] = -math.inf
-        out[-1][finite] = values[:live]
-    return np.concatenate(out)
+        # one (_GEMM_REPLICAS, size) product per group, as for a group alone;
+        # a row with no path closes on 0, whose log is -inf
+        total = np.matmul(f[:, lead : lead + size].reshape(-1, _GEMM_REPLICAS, size), closing).reshape(-1)
+        with np.errstate(divide="ignore"):
+            return np.log(total) + log_scale
+
+    return _passes(prefix, cut, evaluate)
 
 
 def log_annealed_Z(kernel: RenewalKernel, n: int, h):

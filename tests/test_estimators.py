@@ -277,22 +277,22 @@ def test_engine_passes_keep_every_row_bit_equal_to_its_single_row_call(log_kerne
 
 
 def test_quenched_pass_rule_floor_is_one_group():
-    # the rule alone, no engine run: from N = 34 679 two groups no longer fit
+    # the rule alone, no engine run: from N = 38 130 two groups no longer fit
     # _PASS_BYTES beside the push operand, so N = 40 000 runs one group per
-    # pass; from N = 40 784 that one group and the operand pass the budget
-    assert _quenched_pass(34_678)[2] == 2 * _GEMM_REPLICAS
-    assert _quenched_pass(34_679)[2] == _quenched_pass(40_000)[2] == _GEMM_REPLICAS
-    for n, over in ((40_783, False), (40_784, True)):
+    # pass; from N = 43 044 that one group and the operand pass the budget
+    assert _quenched_pass(38_129)[2] == 2 * _GEMM_REPLICAS
+    assert _quenched_pass(38_130)[2] == _quenched_pass(40_000)[2] == _GEMM_REPLICAS
+    for n, over in ((43_043, False), (43_044, True)):
         shared, row = _pass_bytes(_quenched_pass(n))
         assert (shared + _GEMM_REPLICAS * row > partition._PASS_BYTES) is over
 
 
 def test_engine_part_filled_groups_equal_full_groups(log_kernel_small):
-    # only a pass's live rows are filled, logged and divided: R = 1..9, 12
-    # and 100 leave the last group part-filled or fill it whole, with the
-    # steep rows 2 and 98 among them from R = 3 and R = 99 on, and every
-    # row equals its value in a batch of full groups bit for bit, with no
-    # numpy warning from the padded rows
+    # a part-filled last group is padded with zero-charge rows, which are
+    # evaluated and dropped: R = 1..9, 12 and 100 leave the last group
+    # part-filled or fill it whole, with the steep rows 2 and 98 among them
+    # from R = 3 and R = 99 on, and every row equals its value in a batch of
+    # full groups bit for bit, with no numpy warning from the padding rows
     n = 2 * _BLOCK + 21
     prefix = np.array([
         charge_prefix(GAUSSIAN, 1.0, 8.0 if i in (2, 98) else 0.3, _draw(GAUSSIAN, n, [spawn_rng(13, i)])[0])
@@ -306,6 +306,24 @@ def test_engine_part_filled_groups_equal_full_groups(log_kernel_small):
         assert np.isfinite(full).all()
         for count in [*range(1, 10), 12, 100]:
             np.testing.assert_array_equal(_log_z_replicas(prefix[:count], log_kernel_small), full[:count])
+
+
+@pytest.mark.parametrize("engine", ["quenched", "trimmed"])
+def test_engines_read_rows_in_place_and_never_write_them(log_kernel_small, engine):
+    # read-only charge rows: a pass of two whole groups, which the engine
+    # reads in place, a part-filled last group and a pass of two groups
+    # holding the NaN row 70, which go through a padded copy; each value
+    # equals the writable call's bit for bit, the NaN row gives NaN, and
+    # the caller's bytes are unchanged
+    run, rows, _, _, _ = _pass_case(engine, log_kernel_small)
+    for case, nan in ((rows[:8], []), (rows[:10], []), (rows[68:76], [2])):
+        want = run(case.copy())
+        frozen = case.copy()
+        frozen.setflags(write=False)
+        got = run(frozen)
+        assert got.tobytes() == want.tobytes()
+        assert np.flatnonzero(np.isnan(got)).tolist() == nan
+        assert frozen.tobytes() == case.tobytes()
 
 
 def _in_fresh_thread(call, *args):

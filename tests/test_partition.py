@@ -326,15 +326,32 @@ def test_engine_keeps_the_exact_identities(log_kernel_small, n, cut, beta, h, la
     # Superadditivity: the paths with a renewal at m weigh Z_m(S) Z_{N-m}(theta_m S),
     # with (theta_m S)_j = S_{m+j} - S_m
     prefix = _trimmed_prefixes(law, beta, h, n, seed, replicas)
+    _assert_engine_identities(prefix, log_kernel_small, 1 + int(cut * (n - 2)))
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_engine_keeps_the_exact_identities_at_20000(big_kernels, monkeypatch, law):
+    # the identities where the row loop costs seconds per replica: 4 rows at
+    # N = 20 000, their flips and reversals in one pass under the default
+    # budget and one group per pass under a one-group budget
+    n = 20_000
+    prefix = _trimmed_prefixes(law, 1.0, 0.1, n, 20, 4)
+    for budget in (partition._PASS_BYTES, 1):
+        monkeypatch.setattr(partition, "_PASS_BYTES", budget)
+        _assert_engine_identities(prefix, big_kernels["log"], 7_001)
+
+
+def _assert_engine_identities(prefix, kernel, m):
+    # sign flip, reversal and superadditivity at the renewal point m of the
+    # charge rows ``prefix``, each read off the engine alone
     last = prefix[:, -1]
     rows = np.concatenate([prefix, -prefix, last[:, None] - prefix[:, ::-1]])
-    z, flipped, reversed_ = _log_z_replicas(rows, log_kernel_small).reshape(3, replicas)
+    z, flipped, reversed_ = _log_z_replicas(rows, kernel).reshape(3, len(prefix))
     scale = np.maximum(1.0, np.abs(z))
     assert np.all(np.abs(z - flipped - last) <= 1e-12 * np.maximum(1.0, np.abs(last) + np.abs(z)))
     assert np.all(np.abs(z - reversed_) <= 1e-12 * scale)
-    m = 1 + int(cut * (n - 2))
-    head = _log_z_replicas(prefix[:, : m + 1], log_kernel_small)
-    tail = _log_z_replicas(prefix[:, m:] - prefix[:, m : m + 1], log_kernel_small)
+    head = _log_z_replicas(prefix[:, : m + 1], kernel)
+    tail = _log_z_replicas(prefix[:, m:] - prefix[:, m : m + 1], kernel)
     assert np.all(z >= head + tail - 1e-12 * scale)
 
 
@@ -509,8 +526,8 @@ def _gemm_forms(rng):
     views the engines pass to np.matmul, taken of contiguous base arrays;
     axes[i] is the axis of bases[i] that holds the rows of a group (the 8
     rows of 4 replicas and 2 channels in the quenched push and fill, the 4
-    replicas in the trimmed engine) or the live rows of a batched solve,
-    and out_axis the axis of the product that holds them.
+    replicas in the trimmed engine) or the rows of a batched solve, and
+    out_axis the axis of the product that holds them.
     """
     block, fill, groups = partition._BLOCK, partition._FILL_ROWS, 2
     group = 2 * _GEMM_REPLICAS
@@ -525,15 +542,15 @@ def _gemm_forms(rng):
         earlier = np.ascontiguousarray(rng.random((fill, r0)).T)
         scaled = rng.random((groups, group, block))
         yield f"fill r0={r0}", lambda a, r0=r0, b=earlier: (a[:, :, :r0], b), (scaled,), (1,), 1
-    # the fill's batched (live, 8, 8) doubling and (live, 8, 8) @ (live, 8, 1) solve
-    for live in (1, 5, 8, 13, 100):
-        a, p = rng.random((live, block // fill, fill, fill)) * 0.1, rng.random((live, block))
-        yield f"doubling live={live}", lambda a: (a, a), (a,), (0,), 0
+    # the fill's batched (rows, 8, 8) doubling and (rows, 8, 8) @ (rows, 8, 1) solve
+    for rows in (1, 5, 8, 13, 100):
+        a, p = rng.random((rows, block // fill, fill, fill)) * 0.1, rng.random((rows, block))
+        yield f"doubling rows={rows}", lambda a: (a, a), (a,), (0,), 0
         for q in (0, 3, 7):
             def solve(a, p, q=q):
                 return a[:, q], p[:, q * fill : (q + 1) * fill, None]
 
-            yield f"solve live={live} q={q}", solve, (a, p), (0, 0), 0
+            yield f"solve rows={rows} q={q}", solve, (a, p), (0, 0), 0
     # the trimmed long stage: (4, W) @ (W, chunk) on the stacked windows of
     # a stage's chunks of targets, at the chunk widths 16, 32 and 64 that
     # the chunk-width test runs

@@ -1,6 +1,7 @@
 """Guards over the package source, read as syntax trees: no unused imports,
-replica disorder drawn in one place, and private names crossing modules
-only where a table lists them (none into the front end)."""
+replica disorder drawn in one place, one pass loop for both replica engines,
+and private names crossing modules only where a table lists them (none into
+the front end)."""
 
 import ast
 import importlib
@@ -56,6 +57,12 @@ def test_replicas_are_drawn_only_by_the_seeded_source():
     source = ("estimators", "_replica_prefixes")
     outside = {name: {s for s in _call_sites(name) if s[0] != "disorder"} for name in ("_draw", "replica_rngs")}
     assert outside == {"_draw": {source}, "replica_rngs": {source, ("checks", "oracle")}}
+
+
+def test_passes_are_cut_only_by_the_one_pass_loop():
+    # both replica engines take their workspace from partition._passes, the
+    # trimmed sampler its own; no engine keeps a pass loop of its own
+    assert _call_sites("_workspace") == {("partition", "_passes"), ("estimators", "_sample_short_intervals")}
 
 
 def _private(name):
