@@ -1,7 +1,8 @@
 """The verification suites of ``copolab verify``.
 
-A suite takes (kernel, law, beta, h, replicas, seed), a value it does not
-read being None and one it reads falling back to its default when None.
+A suite's signature declares what it reads: kernel, law, and of seed,
+beta, h and replicas the ones it reads, each run flag with its default;
+``copolab verify`` passes it those alone, a run flag only when given.
 Each returns a dict of recorded values plus "checks", a list of {name,
 kind, ok} where kind is "assert" or "scan"; scan-kind checks record
 measured thresholds and never fail a run.  Payload field names are stable:
@@ -64,7 +65,7 @@ def _worst_relative_error(pairs) -> float:
     return worst
 
 
-def oracle(kernel, law, beta, h, replicas, seed) -> dict:
+def oracle(kernel, law, seed) -> dict:
     # the row-loop log_Z and the batched replica DP against enumeration at
     # N <= 12, the batched DP against the row loop across sub-block and
     # block edges, the batched trimmed engine against its row loop on small
@@ -187,15 +188,13 @@ def oracle(kernel, law, beta, h, replicas, seed) -> dict:
     }
 
 
-def moments(kernel, law, beta, h, replicas, seed) -> dict:
-    beta = beta if beta is not None else 0.5
-    h = h if h is not None else 0.3
+def moments(kernel, law, seed, beta=0.5, h=0.3, replicas=2000) -> dict:
     c1, c2 = 3.3, 1.5
     plan = estimators.trimmed_plan(kernel.family.upsilon, law, beta=beta, h=h, c1=c1, c2=c2)
     if kernel.support_cap < plan.N:
         kernel = build_kernel(kernel.family, plan.N)
     report = estimators.trimmed_moment_check(
-        kernel, law, beta, h, plan, replicas=replicas or 2000, seed=seed
+        kernel, law, beta, h, plan, replicas=replicas, seed=seed
     )
     report["checks"] = [
         {"name": "second_moment_identity", "kind": "assert", "ok": report["identity_ok"]},
@@ -206,15 +205,14 @@ def moments(kernel, law, beta, h, replicas, seed) -> dict:
     return report
 
 
-def penalization(kernel, law, beta, h, replicas, seed) -> dict:
-    beta = beta if beta is not None else 1.0
+def penalization(kernel, law, beta=1.0) -> dict:
     points = []
     consistent = True
     two_path = True
     for j in range(7):
         field = 0.1 * 2.0**-j
         try:
-            plan = estimators.penalization_plan(kernel, law, beta, field)
+            plan = estimators.penalization_plan(kernel, field)
         except ValueError as exc:
             points.append({"h": field, "skipped": str(exc)})
             continue
@@ -244,11 +242,10 @@ def penalization(kernel, law, beta, h, replicas, seed) -> dict:
     }
 
 
-def coarse(kernel, law, beta, h, replicas, seed) -> dict:
-    beta = beta if beta is not None else 1.0
+def coarse(kernel, law, seed, beta=1.0, h=None, replicas=100) -> dict:
     c3 = 0.9 * q1(law, beta)
-    h = h if h is not None else c3 / math.log(1000.0)
-    replicas = replicas or 100
+    if h is None:  # the default field depends on beta
+        h = c3 / math.log(1000.0)
     report = estimators.coarse_graining_check(
         kernel, law, beta, h, c3, replicas=replicas, seed=seed
     )

@@ -14,11 +14,12 @@ estimate, sweep or annealed) exit 2 without writing the artifact.
 
 Every command takes the model flags --family, --upsilon, --cl, --law, --n
 and --seed, and of the run flags --beta, --h, --h-grid, --replicas and
---format the ones _READS lists; "verify all" reads what any of its suites
-reads.  A run flag given, on the command line or in the --config file, to
-a command that does not read it exits 2 without writing anything, and so
-do --h together with --h-grid, an --h-grid holding no value, and neither
-of them where they are read.  --replicas defaults to 32 in estimate and
+--format the ones _READS lists, and a verify suite those of its
+parameters; "verify all" reads what any of its suites reads.
+A run flag given, on the command line or in the --config file, to a
+command that does not read it exits 2 without writing anything, and so do
+--h together with --h-grid, an --h-grid holding no value, and neither of
+them where they are read.  --replicas defaults to 32 in estimate and
 sweep; without it moments runs 2000 replicas and coarse 100, and a count
 below 2, or outside [100, 20000] for moments or [2, 1000] for coarse,
 exits 2.  The header records the model flags and the run flags the command
@@ -44,6 +45,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import inspect
 import io
 import json
 import math
@@ -57,17 +59,13 @@ from .disorder import DisorderLaw
 from .kernel import FamilyKind, SlowlyVaryingFamily, build_kernel, defect_Kk
 from .partition import log_annealed_Z
 
-# the run flags each command and verify suite reads
+# the run flags each command reads; a verify suite's are its parameters but kernel, law and seed
 _READS = {
     "estimate": {"beta", "h", "h_grid", "replicas", "format"},
     "sweep": {"beta", "h", "h_grid", "replicas", "format"},
     "annealed": {"h", "h_grid", "format"},
     "bounds": {"beta", "h", "h_grid", "format"},
     "kernel-info": {"h", "format"},
-    "oracle": set(),
-    "moments": {"beta", "h", "replicas"},
-    "penalization": {"beta"},
-    "coarse": {"beta", "h", "replicas"},
 }
 _HEADER_KEYS = (
     "command", "suite", "family", "upsilon", "c_L", "law", "beta", "h", "h_grid", "n",
@@ -166,10 +164,6 @@ def _apply_config_file(argv):
     return argv[:at] + flags + argv[at:]
 
 
-class SystemExit2(ValueError):
-    """Configuration error surfaced with exit code 2."""
-
-
 def _parse(argv) -> argparse.Namespace:
     """Parse and check a command line; the namespace is the run configuration.
 
@@ -182,39 +176,42 @@ def _parse(argv) -> argparse.Namespace:
     if args.command == "verify":
         label = f"verify {args.suite}"
         names = args.suites = list(checks.SUITES) if args.suite == "all" else [args.suite]
-    reads = set().union(*(_READS[name] for name in names))
+        params = (inspect.signature(checks.SUITES[name]).parameters for name in names)
+        reads = set().union(*params) - {"kernel", "law", "seed"}
+    else:
+        reads = _READS[args.command]
     for flag in ("beta", "h", "h_grid", "replicas", "format"):
         if getattr(args, flag) is not None and flag not in reads:
-            raise SystemExit2(f"{label} does not read --{flag.replace('_', '-')}")
+            raise ValueError(f"{label} does not read --{flag.replace('_', '-')}")
     if args.command in ("estimate", "sweep") and args.replicas is None:
         args.replicas = 32
     # 2 replicas at least; a verify suite's engine floor up to a desk-scale ceiling
     ranges = [{"moments": (100, 20_000), "coarse": (2, 1000)}.get(n, (2, math.inf)) for n in names]
     low, high = max(low for low, _ in ranges), min(high for _, high in ranges)
     if args.replicas is not None and not low <= args.replicas <= high:
-        raise SystemExit2(f"{label} takes --replicas in [{low}, {high}], got {args.replicas}")
+        raise ValueError(f"{label} takes --replicas in [{low}, {high}], got {args.replicas}")
     grid = []
     if args.h_grid is not None:
         if args.h is not None:
-            raise SystemExit2(f"{label} takes --h or --h-grid, not both")
+            raise ValueError(f"{label} takes --h or --h-grid, not both")
         grid = [float(tok) for tok in args.h_grid.split(",") if tok.strip()]
         if not grid:
-            raise SystemExit2(f"--h-grid {args.h_grid!r} holds no h value")
+            raise ValueError(f"--h-grid {args.h_grid!r} holds no h value")
     named = [
         ("--beta", args.beta), ("--h", args.h), ("--upsilon", args.upsilon), ("--cl", args.c_L)
     ]
     for flag, value in named + [("--h-grid", h) for h in grid]:
         if value is not None and not math.isfinite(value):
-            raise SystemExit2(f"{flag} must be finite, got {value}")
+            raise ValueError(f"{flag} must be finite, got {value}")
     if args.beta is not None and args.beta < 0:
-        raise SystemExit2(f"--beta must be nonnegative, got {args.beta}")
+        raise ValueError(f"--beta must be nonnegative, got {args.beta}")
     if args.n < 1:
-        raise SystemExit2(f"--n {args.n}: need at least one site")
+        raise ValueError(f"--n {args.n}: need at least one site")
     if "coarse" in names and args.beta == 0:
-        raise SystemExit2(f"{label} needs --beta above 0: q1(0) = 0 leaves no crossover window")
+        raise ValueError(f"{label} needs --beta above 0: q1(0) = 0 leaves no crossover window")
     if "h_grid" in reads:
         if not grid and args.h is None:
-            raise SystemExit2("one of --h or --h-grid is required")
+            raise ValueError("one of --h or --h-grid is required")
         args.h_values = grid or [args.h]
     args.kernel_family = SlowlyVaryingFamily(FamilyKind(args.family), args.upsilon, args.c_L)
     args.disorder_law = DisorderLaw(args.law)
@@ -228,7 +225,7 @@ def _check_rows_finite(rows) -> None:
     for row in rows:
         for key, value in row.items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise SystemExit2(f"{key} = {value} at h = {row['h']}: the inputs overflow the DP")
+                raise ValueError(f"{key} = {value} at h = {row['h']}: the inputs overflow the DP")
 
 
 def _emit(args, rows, default_format="csv"):
@@ -317,7 +314,7 @@ def _cmd_kernel_info(args) -> int:
     h = args.h if args.h is not None else 0.05
     diagnostics = {}
     try:
-        plan = estimators.penalization_plan(kernel, args.disorder_law, beta=1.0, h=h)
+        plan = estimators.penalization_plan(kernel, h)
         diagnostics["defect_expression_at_scheduled_window"] = defect_Kk(kernel, h, plan.k)
         diagnostics["scheduled_window"] = plan.k
         diagnostics["phi"] = plan.phi
@@ -339,8 +336,15 @@ def _cmd_kernel_info(args) -> int:
 
 def _cmd_verify(args) -> int:
     kernel = build_kernel(args.kernel_family, max(args.n, 20_000))
-    run = (kernel, args.disorder_law, args.beta, args.h, args.replicas, args.seed)
-    suites = {name: checks.SUITES[name](*run) for name in args.suites}
+    run = {
+        "kernel": kernel, "law": args.disorder_law, "seed": args.seed,
+        "beta": args.beta, "h": args.h, "replicas": args.replicas,
+    }
+    suites = {}
+    for name in args.suites:
+        suite = checks.SUITES[name]
+        params = inspect.signature(suite).parameters
+        suites[name] = suite(**{key: run[key] for key in params if run[key] is not None})
     ok = all(
         check["ok"] for suite in suites.values() for check in suite["checks"]
         if check["kind"] == "assert"

@@ -96,15 +96,11 @@ def log_mgf_prime(law: DisorderLaw, beta: float) -> float:
 
 def q1(law: DisorderLaw, beta: float) -> float:
     """beta * lambda'(beta) - lambda(beta); positive for beta > 0."""
-    if beta == 0.0:
-        return 0.0
     return beta * log_mgf_prime(law, beta) - log_mgf(law, beta)
 
 
 def q2(law: DisorderLaw, beta: float) -> float:
     """lambda(2 beta) - 2 lambda(beta)."""
-    if beta == 0.0:
-        return 0.0
     return log_mgf(law, 2.0 * beta) - 2.0 * log_mgf(law, beta)
 
 

@@ -461,17 +461,14 @@ def trimmed_moment_check(
 
 @dataclass(frozen=True)
 class PenalizationPlan:
-    """Global change-of-measure schedule at one (beta, h)."""
+    """Global change-of-measure schedule at one h; it depends on the kernel alone."""
 
     b: float
     k: int
     phi: float
-    event_threshold: float
 
 
-def penalization_plan(
-    kernel: RenewalKernel, law: DisorderLaw, beta: float, h: float, b: float = 0.9
-) -> PenalizationPlan:
+def penalization_plan(kernel: RenewalKernel, h: float, b: float = 0.9) -> PenalizationPlan:
     """Window k = phi(h)/h with phi = b * log of the tail-to-numerator ratio."""
     if not 0.0 < b < 1.0:
         raise ValueError(f"b must lie in (0, 1), got {b}")
@@ -488,7 +485,7 @@ def penalization_plan(
     k = int(phi / h)
     if k < 1:
         raise ValueError(f"window k = {k} < 1 at h={h}")
-    return PenalizationPlan(b=b, k=k, phi=phi, event_threshold=b * log_mgf_prime(law, beta))
+    return PenalizationPlan(b=b, k=k, phi=phi)
 
 
 def penalization_check(
@@ -496,8 +493,8 @@ def penalization_check(
 ) -> dict:
     """Consistency report for the global change of measure.
 
-    Records the Chernoff cost rate and per-site penalty budget, the exact
-    tilted success probability of the threshold event on a k-window, the
+    Records the event threshold b lambda'(beta), its Chernoff cost rate, the
+    exact tilted success probability of that event on a k-window, the
     signed mass excess of the reward/penalty tilt at the scheduled window,
     the sufficient-condition value whose validity implies that excess is
     nonpositive, and the final bound in two renderings: the rate form
@@ -505,8 +502,8 @@ def penalization_check(
     the closed form (shared code path with the bounds module, so the two
     serializations agree bit for bit).  The rate form is never sharper.
     """
-    lam_prime = log_mgf_prime(law, beta)
-    rate = rate_function(law, plan.b * lam_prime).sigma
+    threshold = plan.b * log_mgf_prime(law, beta)
+    rate = rate_function(law, threshold).sigma
     family = kernel.family
 
     defect_expression = defect_Kk(kernel, h, plan.k)
@@ -518,11 +515,9 @@ def penalization_check(
 
     return {
         "plan": asdict(plan),
+        "event_threshold": threshold,
         "chernoff_rate": rate,
-        "penalty_budget_per_site_log": -rate * plan.k,
-        "tilted_success_probability": tilted_block_success(
-            law, beta, plan.event_threshold, plan.k
-        ),
+        "tilted_success_probability": tilted_block_success(law, beta, threshold, plan.k),
         "defect_expression": defect_expression,
         "linf_lhs": linf_lhs,
         "linf_holds": bool(linf_lhs <= 1.0),
@@ -530,7 +525,6 @@ def penalization_check(
         "log_bound_rate_form": log_rate_form,
         "log_bound_closed_form": log_closed,
         "rate_form_dominates": bool(log_rate_form >= log_closed),
-        "rate_at_full_mean": q1(law, beta),
     }
 
 

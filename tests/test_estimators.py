@@ -986,10 +986,10 @@ def test_trimmed_moment_check_working_set_does_not_grow_with_replicas(big_kernel
 def test_penalization_plan_and_final_bound_paths(big_kernels):
     kernel = big_kernels["log"]
     law, beta, h = GAUSSIAN, 1.0, 0.0125
-    plan = est.penalization_plan(kernel, law, beta, h, b=0.9)
+    plan = est.penalization_plan(kernel, h, b=0.9)
     assert plan.k == int(plan.phi / h)
-    assert plan.event_threshold == pytest.approx(0.9 * 1.0)
     report = est.penalization_check(kernel, law, beta, h, plan)
+    assert report["event_threshold"] == pytest.approx(0.9 * 1.0)
     # closed form must be the bounds-module value, same code path
     assert report["log_bound_closed_form"] == log_upper_general(
         kernel.family, law, beta, h, 0.9
@@ -1005,7 +1005,7 @@ def test_penalization_defect_sign_consistency(big_kernels):
     for kernel in big_kernels.values():
         for j in range(7):
             h = 0.1 * 2.0**-j
-            plan = est.penalization_plan(kernel, GAUSSIAN, 1.0, h)
+            plan = est.penalization_plan(kernel, h)
             report = est.penalization_check(kernel, GAUSSIAN, 1.0, h, plan)
             if report["linf_holds"]:
                 assert report["defect_nonpositive"]
@@ -1017,7 +1017,7 @@ def test_penalization_rate_continuity_toward_full_tilt(big_kernels):
     law, beta, h = GAUSSIAN, 1.2, 0.0125
     rates = []
     for b in (0.9, 0.99, 0.999):
-        plan = est.penalization_plan(kernel, law, beta, h, b=b)
+        plan = est.penalization_plan(kernel, h, b=b)
         rates.append(est.penalization_check(kernel, law, beta, h, plan)["chernoff_rate"])
     target = q1(law, beta)
     gaps = [abs(r - target) for r in rates]
@@ -1030,7 +1030,7 @@ def test_penalization_tilted_success_grows_with_window(big_kernels):
     kernel = big_kernels["log"]
     probs = []
     for h in (0.1, 0.0125, 0.0015625):
-        plan = est.penalization_plan(kernel, GAUSSIAN, 1.0, h)
+        plan = est.penalization_plan(kernel, h)
         probs.append(
             est.penalization_check(kernel, GAUSSIAN, 1.0, h, plan)[
                 "tilted_success_probability"
@@ -1145,7 +1145,7 @@ def test_linf_condition_from_its_formula(big_kernels):
     # e^phi phi 4 L(k) / tail(k), with L(k) = k K(k) / c read off the masses
     for kernel in big_kernels.values():
         for h in (0.1, 0.0125, 0.0015625):
-            plan = est.penalization_plan(kernel, GAUSSIAN, 1.0, h)
+            plan = est.penalization_plan(kernel, h)
             rep = est.penalization_check(kernel, GAUSSIAN, 1.0, h, plan)
             numerator = plan.k * float(kernel.masses[plan.k]) / kernel.normalization
             want = math.exp(plan.phi) * plan.phi * 4.0 * numerator / kernel.family.tail(plan.k)

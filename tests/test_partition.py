@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from copolab.disorder import BINARY, GAUSSIAN, _draw, log_mgf, spawn_rng
+from copolab.disorder import BINARY, GAUSSIAN, _draw, log_mgf, replica_rngs, spawn_rng
 from copolab.estimators import replica_log_z, trimmed_plan
 from copolab.kernel import renewal_mass
 from copolab import partition
@@ -224,6 +224,17 @@ def test_trimmed_infeasible_returns_neg_inf(log_kernel_small):
     assert got == -math.inf
 
 
+def test_trimmed_engine_gives_neg_inf_on_an_empty_plan(log_kernel_small):
+    # N = 10 lies below the shortest path, m(M + 1) + 1 = 15 sites, so the
+    # plan reads no site: every row gives -inf, as in the row loop, and so
+    # does a row holding a non-finite charge
+    plan = Trimmed(M=6, k=1, m=2, N=10)
+    prefix = _trimmed_prefixes(GAUSSIAN, 1.0, 0.0, plan.N, 2, 6)
+    prefix[1, 4], prefix[2, 7:], prefix[4, -1] = np.nan, np.inf, -np.inf
+    assert np.all(np.isneginf(_trimmed_log_z_replicas(prefix, log_kernel_small, plan)))
+    assert all(log_Z_restricted(row, log_kernel_small, plan) == -math.inf for row in prefix)
+
+
 def test_trimmed_log_mean_matches_brute(log_kernel_small):
     # disorder-free restricted mean against direct enumeration (m=1, k=2)
     big_m, k, n, h = 3, 2, 50, 0.3
@@ -353,6 +364,32 @@ def _assert_engine_identities(prefix, kernel, m):
     head = _log_z_replicas(prefix[:, : m + 1], kernel)
     tail = _log_z_replicas(prefix[:, m:] - prefix[:, m : m + 1], kernel)
     assert np.all(z >= head + tail - 1e-12 * scale)
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("h", [0.1, 0.4, -0.3, "2lambda"])
+def test_mirror_field_negates_the_charge_rows(log_kernel_small, law, beta, h):
+    # for a symmetric law the sites of (-omega, 2 lambda - h) are those of
+    # (omega, h) negated, so the flip identity gives log Z(omega, h) -
+    # log Z(-omega, 2 lambda - h) = S_N: a check of the lambda convention of
+    # the whole charge pipeline, which the engine-level flip test takes as given
+    lam = log_mgf(law, beta)
+    h = 2.0 * lam if h == "2lambda" else h
+    mirror, eps = 2.0 * lam - h, np.finfo(float).eps
+    for n in (1, 63, 64, 65, 500, 2000):
+        omega = _draw(law, n, replica_rngs(37, range(4)))
+        s, s_mirror = charge_prefix(law, beta, h, omega), charge_prefix(law, beta, mirror, -omega)
+        # rounding: at most 8u (beta |omega| + lambda + |h| + |2 lambda - h|) in a
+        # site's two terms, three operations each plus the mirror field's own, and
+        # u |S_j| in each partial sum of either cumsum, doubled here (eps = 2u)
+        site = beta * np.abs(omega) + lam + abs(h) + abs(mirror)
+        partial = np.abs(s[:, 1:]) + np.abs(s_mirror[:, 1:])
+        bound = eps * np.cumsum(partial + 4.0 * site, axis=1)
+        assert np.all(np.abs(s_mirror[:, 1:] + s[:, 1:]) <= bound)
+        z, z_mirror = _log_z_replicas(np.concatenate([s, s_mirror]), log_kernel_small).reshape(2, 4)
+        last = s[:, -1]
+        assert np.all(np.abs(z - z_mirror - last) <= 1e-12 * np.maximum(1.0, np.abs(last) + np.abs(z)))
 
 
 def _trimmed_prefixes(law, beta, h, n, seed, rows):

@@ -1,7 +1,7 @@
 """Guards over the package source, read as syntax trees: no unused imports,
-replica disorder drawn in one place, one pass loop for both replica engines,
-and private names crossing modules only where a table lists them (none into
-the front end)."""
+no parameter a function never reads, replica disorder drawn in one place,
+one pass loop for both replica engines, and private names crossing modules
+only where a table lists them (none into the front end)."""
 
 import ast
 import importlib
@@ -29,6 +29,21 @@ def test_no_module_imports_a_name_it_never_uses(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     module = importlib.import_module("copolab" + ("" if path.stem == "__init__" else "." + path.stem))
     assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
+
+
+def test_no_function_takes_a_parameter_it_never_reads():
+    # a parameter read only by a nested function or lambda counts as read;
+    # lambdas themselves are exempt, as _passes calls every evaluate(rows, ws)
+    unread = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                names = [n for n in ast.walk(node) if isinstance(n, ast.Name)]
+                read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+                unread += [f"{path.stem}.{node.name}({p.arg})" for p in params if p and p.arg not in read]
+    assert unread == []
 
 
 def _call_sites(name):
