@@ -2,7 +2,10 @@
 
 Every bound is returned as a log-value, since the exponents routinely
 reach -100 and below.  Default constants follow the family-specific
-admissibility thresholds with a 0.1 margin.
+admissibility thresholds with a 0.1 margin.  With the site charge
+beta omega - lambda(beta) + h the critical point is h_c = 0; for a
+symmetric law the mirror critical point is 2 lambda(beta), past which
+F(h) = h - lambda(beta).  The closed forms describe h -> 0 from above.
 """
 
 from __future__ import annotations

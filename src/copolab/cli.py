@@ -49,6 +49,7 @@ import inspect
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -99,6 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, need_beta=False):
         # SUPPRESS keeps a pre-subcommand --config from being clobbered
         p.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        # -1e-3 or -0.1,0.2 after a flag is its value, not an unknown option, as from Python 3.13 on
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         families = sorted(kind.value for kind in FamilyKind)
         p.add_argument("--family", choices=families, default="logarithmic")
         p.add_argument("--upsilon", type=float, default=2.0)

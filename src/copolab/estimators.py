@@ -45,14 +45,15 @@ from .partition import (
     _TRIMMED_PASS_BYTES,
     Trimmed,
     _charge_rows,
-    _closing_weights,
     _log_z_replicas,
     _pass_rows,
     _quenched_pass,
     _trimmed_log_z_replicas,
     _trimmed_pass,
     _trimmed_size,
+    _trimmed_stages,
     _workspace,
+    charge_prefix,
 )
 
 __all__ = [
@@ -263,49 +264,6 @@ def trimmed_plan(
     return Trimmed(M=big_m, k=k, m=int(n / (big_m * big_m * log_m)), N=n)
 
 
-def _independent_jump_backward(kernel, plan, h):
-    """Backward weight arrays of the pinned alternating ensemble, and its mean.
-
-    The jump weights are the disorder-averaged stage weights of the trimmed
-    Z_N at field h: K(l)/2 for a long excursion, l in [M, M^2], and
-    K(l) e^{hl}/2 for a short one, l in [1, k], whose charge factor averages
-    to e^{hl}; the closing excursion from x weighs K(N - x)/2.  Stage g in
-    1..2m consumes gap g; B[g][x] is the weight of completing the path from
-    position x after g gaps, including the closing jump to N.  Each stage
-    is rescaled to a unit maximum, and the log scales add up, so log E Z =
-    log B[0][0] + sum of log scales.  The path sampler normalizes each jump
-    over its own row, so it reads the same arrays.  Returns (B, long_w,
-    short_w, log E Z).
-    """
-    size = _trimmed_size(kernel, plan)
-    if size == 0:
-        raise ValueError("trimmed ensemble is empty for this plan")
-    big_m, m = plan.M, plan.m
-    long_w = 0.5 * kernel.masses[big_m : big_m * big_m + 1]
-    short_w = 0.5 * kernel.masses[1 : plan.k + 1] * np.exp(h * np.arange(1, plan.k + 1))
-
-    pad = big_m * big_m + 1
-    final = np.zeros(size + pad)
-    final[:size] = _closing_weights(kernel, plan, size)
-
-    stages = [None] * (2 * m + 1)
-    stages[2 * m] = final
-    log_scale = 0.0
-    for g in range(2 * m, 0, -1):
-        w = long_w if g % 2 == 1 else short_w
-        start = big_m if g % 2 == 1 else 1
-        nxt = np.zeros(size + pad)
-        # nxt[x] = sum_j w[j] cur[x + start + j], one correlation per stage
-        nxt[:size] = np.correlate(stages[g][start : start + size + len(w) - 1], w, mode="valid")
-        top = nxt.max()
-        if top <= 0.0:
-            raise ValueError("trimmed ensemble is empty for this plan")
-        nxt /= top
-        log_scale += math.log(top)
-        stages[g - 1] = nxt
-    return stages, long_w, short_w, math.log(stages[0][0]) + log_scale
-
-
 def _sample_short_intervals(steps, draws, row):
     """Short intervals of paths drawn under the tilted ensemble law.
 
@@ -360,9 +318,10 @@ def trimmed_moment_check(
     normalized second moment -- replica averages of (Z/EZ)^2 versus the
     overlap expectation under the tilted independent-jump path law -- which
     the identity says must agree; (c) the induction bound envelope.  The
-    exact mean in (a) comes from the backward recursion of the path sampler,
-    ``_independent_jump_backward``, run after the replicas, and the product
-    bound from the sums of its long and short stage weights.  The replicas
+    exact mean in (a) is the row oracle's stage loop, ``_trimmed_stages``,
+    on the zero-disorder row S_m = h m, run after the replicas; its stage
+    arrays are the path sampler's backward weights, and the product bound
+    comes from the sums of the long and short jump weights.  The replicas
     of (b) go through the batched trimmed engine in one call, one engine pass
     of ``_replica_prefixes`` rows at a time, and the overlap paths are drawn
     from one stream, spawn_rng(seed, 1_000_000), for half as many replica
@@ -384,11 +343,17 @@ def trimmed_moment_check(
         raise OverflowError(f"h*k = {h * plan.k:.1f} exceeds the exponent guard")
 
     # (b) left side: disorder replicas of (Z restricted / exact mean)^2; the
-    # backward recursion, which also gives the mean, runs after the passes,
-    # so its stage arrays sit beside the thread's workspace only
+    # mean's stage loop runs after the passes, so its stage arrays sit
+    # beside the thread's workspace only
     blocks = _replica_prefixes(law, beta, h, span, seed, replicas, _trimmed_pass(plan, span + 1)[2])
     log_zt = _trimmed_log_z_replicas(blocks, kernel, plan)
-    stages, long_w, short_w, exact_log_mean = _independent_jump_backward(kernel, plan, h)
+    stages, exact_log_mean = _trimmed_stages(charge_prefix(law, 0.0, h, np.zeros(span)), kernel, plan)
+    if exact_log_mean == -math.inf:
+        raise ValueError("trimmed ensemble is empty for this plan")
+    # the jump weights: K(l)/2 for a long excursion, K(l) e^{hl}/2 for a short
+    # one, whose charge factor averages to e^{hl}
+    long_w = 0.5 * kernel.masses[plan.M : plan.M * plan.M + 1]
+    short_w = 0.5 * kernel.masses[1 : plan.k + 1] * np.exp(h * np.arange(1, plan.k + 1))
     # product bound: (sum of long weights * sum of short weights)^m K(N)/3
     pair_log = math.log(long_w.sum()) + math.log(short_w.sum())
     product_log = plan.m * pair_log + math.log(kernel.masses[plan.N] / 3.0)

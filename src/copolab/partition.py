@@ -17,11 +17,15 @@ backs both for small N.  ``log_annealed_Z`` is the renewal mass of the
 tilted law K(l)(1 + e^{hl})/2: an excursion's charge factor averages to
 e^{hl}.
 
-The trimmed (alternating long/short) ensemble follows the same pattern:
-``log_Z_restricted`` is the one-row stage loop and the oracle, and
-``_trimmed_log_z_replicas`` runs the stages for groups of the same
-_GEMM_REPLICAS rows in passes.  Both engines build their push matrices from
-``kernel._toeplitz_view`` and keep them, with their buffers, in ``_workspace``.
+The trimmed (alternating long/short) ensemble has one row oracle,
+``log_Z_restricted``, a backward stage loop (``_trimmed_stages``) whose stage
+arrays on the zero-disorder row S_m = h m also give
+``estimators.trimmed_moment_check`` its exact mean and its path sampler's
+weights, and one batched engine, ``_trimmed_log_z_replicas``, which runs the
+stages forward for groups of the same _GEMM_REPLICAS rows in passes; both
+keep the float-range rule stated with the loop.  Both replica engines build
+their push matrices from ``kernel._toeplitz_view`` and keep them, with their
+buffers, in ``_workspace``.
 """
 
 from __future__ import annotations
@@ -643,58 +647,69 @@ def _closing_weights(kernel, plan, size) -> np.ndarray:
     return closing
 
 
-def log_Z_restricted(prefix, kernel: RenewalKernel, plan: Trimmed) -> float:
-    """Log Z_N restricted to the trimmed family; -inf if it is empty.
+def _trimmed_stages(prefix, kernel, plan):
+    """Backward stages of the trimmed ensemble on one charge-prefix row, and its log Z_N.
 
-    ``prefix`` is one charge-prefix row, of which the first positions the
-    plan reaches are read.  A forward DP over the alternating long/short
-    structure in the linear domain, one stage at a time, with per-stage
-    rescaling; only short excursions collect charges, so each stage's
-    dynamic range stays small.  It is the oracle of the batched
-    ``_trimmed_log_z_replicas``.
+    Stage g in 1..2m consumes gap g, long for odd g, short for even g, and
+    B_g[x] weighs the completions of a path at x after g gaps, the closing
+    excursion to N included: B_2m[x] = K(N - x)/2, and B_{g-1}[x] is
+    sum_{d=M}^{M^2} K(d)/2 B_g[x + d] for a long gap g, or
+    sum_{l<=k} K(l)/2 e^{S[x+l] - S[x]} B_g[x + l] for a short one.  B_{g-1}
+    is kept on the positions a path reaches after g - 1 gaps only, so a
+    short stage reads the charges the batched engine reads.  Each stage is
+    divided by its maximum, and the logs of the maxima add up to log Z_N,
+    B_0 holding position 0 alone.  Returns [B_0, ..., B_2m], each padded
+    with M^2 + 1 zeros for the path sampler's windows, and log Z_N, -inf
+    for a plan with no path.
+
+    Float range: a row gives NaN when a charge it reads is not finite, or
+    when a charge factor e^{S[x+l] - S[x]} that a short stage reads
+    overflows (0 x inf, or inf/inf at the divide); otherwise a stage whose
+    maximum is 0 gives -inf.  No sum overflows: a short stage is at most
+    max e^{S[x+l] - S[x]}/2 of the unit maximum of the stage before.
     """
     size = _trimmed_size(kernel, plan)
     if size == 0:
-        return -math.inf
+        return [], -math.inf
     if len(prefix) < size:
         raise ValueError("charge prefix too short for the plan")
-    big_m, k, m = plan.M, plan.k, plan.m
-    long_w = kernel.masses[big_m : big_m * big_m + 1]
-    short_w = kernel.masses[1 : k + 1]
     s = prefix[:size]
-    f = np.zeros(size)
-    f[0] = 1.0
-    offset = 0.0
+    if not np.isfinite(s).all():
+        return [], math.nan
+    big_m, k, m = plan.M, plan.k, plan.m
+    lead = big_m * big_m
+    long_w = 0.5 * kernel.masses[big_m : lead + 1]
+    stage = np.zeros(size + lead + 1)
+    stage[:size] = _closing_weights(kernel, plan, size)
+    stages, log_scale = [stage], 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for g in range(2 * m, 0, -1):
+            # after g - 1 gaps, of which (g - 1) // 2 short, a path lies in [lo, hi]
+            shorts = (g - 1) // 2
+            lo, hi = (g - 1 - shorts) * big_m + shorts, min((g - 1 - shorts) * lead + shorts * k, size - 1)
+            nxt = np.zeros(size + lead + 1)
+            if g % 2:
+                nxt[lo : hi + 1] = np.correlate(stage[lo + big_m : hi + lead + 1], long_w, mode="valid")
+            else:
+                for ell in range(1, k + 1):
+                    b = min(hi, size - 1 - ell) + 1  # sources x <= hi with x + l <= size - 1
+                    charge = np.exp(s[lo + ell : b + ell] - s[lo:b]) * (0.5 * kernel.masses[ell])
+                    nxt[lo:b] += charge * stage[lo + ell : b + ell]
+            top = nxt.max()
+            if top > 0.0:
+                nxt /= top
+            log_scale += np.log(top)
+            stage = nxt
+            stages.append(stage)
+    return stages[::-1], float(log_scale)
 
-    for _ in range(m):
-        conv = np.convolve(f, long_w)  # conv[i] sits at position i + M
-        shifted = np.zeros(size)
-        upper = min(size, len(conv) + big_m)
-        if upper > big_m:
-            shifted[big_m:upper] = conv[: upper - big_m]
-        f = shifted * 0.5
-        top = f.max()
-        if top <= 0.0:
-            return -math.inf
-        f /= top
-        offset += math.log(top)
 
-        nxt = np.zeros(size)
-        for ell in range(1, k + 1):
-            charge = np.exp(s[ell:] - s[: size - ell])
-            nxt[ell:] += f[: size - ell] * short_w[ell - 1] * charge
-        f = nxt * 0.5
-        top = f.max()
-        if top <= 0.0:
-            return -math.inf
-        f /= top
-        offset += math.log(top)
+def log_Z_restricted(prefix, kernel: RenewalKernel, plan: Trimmed) -> float:
+    """Log Z_N restricted to the trimmed family of one charge-prefix row; -inf if it is empty.
 
-    # final above excursion to N over reachable x >= 1
-    total = float(np.dot(f, _closing_weights(kernel, plan, size)))
-    if total <= 0.0:
-        return -math.inf
-    return math.log(total) + offset
+    The oracle of ``_trimmed_log_z_replicas``: ``_trimmed_stages``'s value, under its float-range rule.
+    """
+    return _trimmed_stages(prefix, kernel, plan)[1]
 
 
 def _trimmed_pass(plan, size):
@@ -713,11 +728,12 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     """Trimmed log Z_N of every charge-prefix row of ``prefix``.
 
     ``prefix`` is an (R, n+1) array or an iterable of 2-D blocks of such
-    rows, as ``_passes`` takes them.  Same stages as ``log_Z_restricted``.
-    Each block goes through ``_passes`` in passes of ``_trimmed_pass``
-    rows, whole groups of _GEMM_REPLICAS rows, read in place; a pass writes
-    the Toeplitz operand into this thread's ``_workspace`` and takes its
-    stage buffers there.
+    rows, as ``_passes`` takes them.  It runs the stages of the ensemble
+    forward; the oracle, ``log_Z_restricted``, runs the same ensemble
+    backward.  Each block goes through ``_passes`` in passes of
+    ``_trimmed_pass`` rows, whole groups of _GEMM_REPLICAS rows, read in
+    place; a pass writes the Toeplitz operand into this thread's
+    ``_workspace`` and takes its stage buffers there.
 
     The first long stage starts from f = e_0, so its output on the targets
     [M, min(M^2, size - 1)] is K/2 itself: the engine reads it from one
@@ -746,12 +762,15 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     nothing under- or overflows as long as one pair's growth or decay stays
     within 2^+-958 (2^+-1022 if every pair were rescaled to a unit maximum),
     and an entry that turns subnormal is below 2^-958 of its row's maximum.
-    A row whose maximum is 0 keeps zero stages, so it closes on 0, and a
-    row whose closing sum is 0 gives -inf; as in the quenched engine, a row
-    holding a non-finite charge that the plan reads gives NaN
-    (``_passes``).  Every product keeps one group's shape, so a row's value
-    depends neither on R, nor on the blocks or the pass width, nor on the
-    other rows.
+    Float range, the rule of ``_trimmed_stages``: as in the quenched
+    engine, a row holding a non-finite charge that the plan reads gives NaN
+    (``_passes``), and so does a row whose charge factor e^{S[x+l] - S[x]}
+    of a short stage overflows: 0 x inf where the row's stages are 0, else
+    inf, which the rescale turns into NaN.  Otherwise a row whose maximum
+    is 0 keeps zero stages, so it closes on 0, and a row whose closing sum
+    is 0 gives -inf.  Every product keeps one group's shape, so a row's
+    value depends neither on R, nor on the blocks or the pass width, nor on
+    the other rows.
     """
     size = _trimmed_size(kernel, plan)
     shapes = _trimmed_pass(plan, size)

@@ -1,0 +1,71 @@
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "artifact_diff", Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
+)
+artifact_diff = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(artifact_diff)
+
+_REPORT = {
+    "config": {"command": "verify oracle", "seed": 3},
+    "pass": True,
+    "suites": {"oracle": {"checks": [{"name": "trimmed", "ok": True, "value": 1.5e-13}], "rows": 4}},
+}
+_TABLE = '# {"config": {"command": "sweep", "seed": 0}}\nbeta,h,mean,note\n0.5,0.4,-0.25,a\n0.5,0.2,1e-3,b\n'
+
+
+def _write(root, report, table):
+    root.mkdir()
+    (root / "verify.json").write_text(json.dumps(report))
+    (root / "sweep.csv").write_text(table)
+    return root
+
+
+def test_identical_artifacts_show_no_difference(tmp_path, capsys):
+    first = _write(tmp_path / "a", _REPORT, _TABLE)
+    second = _write(tmp_path / "b", _REPORT, _TABLE)
+    assert artifact_diff.main([str(first), str(second)]) == 0
+    assert capsys.readouterr().out == "0 exact differences, 0 floats moved, worst relative move 0.00e+00\n"
+
+
+def test_floats_report_their_relative_move_and_everything_else_must_match(tmp_path, capsys):
+    moved = json.loads(json.dumps(_REPORT))
+    moved["suites"]["oracle"]["checks"][0]["value"] = 2.0e-13
+    moved["suites"]["oracle"]["rows"] = 5
+    moved["pass"] = False
+    first = _write(tmp_path / "a", _REPORT, _TABLE)
+    second = _write(tmp_path / "b", moved, _TABLE.replace("-0.25", "-0.2500001").replace(",b", ",c"))
+    (second / "extra.json").write_text("{}")
+    assert artifact_diff.main([str(first), str(second)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"extra.json: only in {second}",
+        "sweep.csv:rows[1][2]: -0.25 -> -0.2500001 (relative 4.00e-07)",
+        "sweep.csv:rows[2][3]: 'b' != 'c'",
+        "verify.json:pass: True != False",
+        "verify.json:suites.oracle.checks[0].value: 1.5e-13 -> 2e-13 (relative 2.50e-01)",
+        "verify.json:suites.oracle.rows: 4 != 5",
+        "4 exact differences, 2 floats moved, worst relative move 2.50e-01",
+    ]
+
+
+def test_structure_and_types_must_match():
+    # a missing key, a shorter list, an int against a float and a flag
+    # against an int are differences of structure, not float moves
+    a = {"x": [1.0, 2.0], "y": 1, "z": True, "w": 0.0}
+    b = {"x": [1.0], "y": 1.0, "z": 1}
+    found = {(path, kind) for path, kind, *_ in artifact_diff.diff(a, b)}
+    assert found == {("x.length", "exact"), ("y", "exact"), ("z", "exact"), ("w", "exact")}
+
+
+@pytest.mark.parametrize(
+    "a,b,move",
+    [(1.0, 1.0, 0.0), (math.nan, math.nan, 0.0), (2.0, -2.0, 2.0), (0.0, 1e-300, 1.0),
+     (math.inf, 1.0, math.inf), (1.0, math.nan, math.inf), (math.nan, 1.0, math.inf)],
+)
+def test_relative_move(a, b, move):
+    assert artifact_diff.relative_move(a, b) == move

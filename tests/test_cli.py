@@ -337,6 +337,34 @@ def test_config_file_with_flag_override(tmp_path):
         assert header_b["config"]["seed"] == 12
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--beta", "1", "--replicas", "2", "--h-grid", "-0.1,0.2"],
+        ["annealed", "--h-grid", "-0.2,0.1"],
+        ["estimate", "--beta", "1", "--replicas", "2", "--h", "-1e-3"],
+        ["annealed", "--h", "-2E-2"],
+        ["sweep", "--beta", "1", "--replicas", "2", "--h-g", "-0.1,0.2"],
+    ],
+    ids=["sweep-grid", "annealed-grid", "estimate-h", "annealed-h", "sweep-abbreviated"],
+)
+def test_a_negative_value_after_its_flag_is_read_as_the_value(tmp_path, args):
+    # argparse took -1e-3 or -0.1,0.2 for an unknown option and exited 2;
+    # spaced, after a --config file's flags or glued with "=", the value
+    # gives one artifact, byte for byte
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 60\n")
+    flag, value = args[-2:]
+    runs = {
+        "spaced": [*args, "--n", "60"],
+        "config": ["--config", str(cfg), *args],
+        "glued": [*args[:-2], f"{flag}={value}", "--n", "60"],
+    }
+    for name, run in runs.items():
+        assert run_cli([*run, "--out", str(tmp_path / name)]) == 0
+    assert len({(tmp_path / name).read_bytes() for name in runs}) == 1
+
+
 @pytest.mark.parametrize("file_suite", ["oracle", "moments"])
 def test_config_file_suite_line_is_ignored(tmp_path, file_suite):
     # the suite is a positional: it comes from the command line

@@ -579,6 +579,25 @@ def test_replica_log_z_monotone_and_convex_in_h(log_kernel_small, n, beta, h0, s
     assert np.diff(values, 2, axis=0).min() >= -1e-8
 
 
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+def test_sweep_rows_are_nondecreasing_convex_and_at_most_n_steep_in_h(log_kernel_small, law, beta):
+    # d/dh log Z is the mean number of sites below the interface, in [0, N],
+    # and log Z is a log-sum-exp of paths' weights, each linear in h: over a
+    # 41-point sweep grid every replica's differences obey 0 <= dlog Z <=
+    # N dh and d^2 log Z >= 0.  Tolerance: each value is within 1e-10
+    # max(1, |log Z|) of exact, the engine's gate against the row loop, so a
+    # first difference may read two such errors off, a second four
+    n = 500
+    grid = np.linspace(-0.6, 0.6, 41)
+    values = est.replica_log_z(log_kernel_small, law, beta, grid, n, 9, 4)
+    err = 1e-10 * np.maximum(1.0, np.abs(values))
+    first, second = np.diff(values, axis=0), np.diff(values, 2, axis=0)
+    assert np.all(first >= -(err[1:] + err[:-1]))
+    assert np.all(first <= n * np.diff(grid)[:, None] + err[1:] + err[:-1])
+    assert np.all(second >= -(err[2:] + 2.0 * err[1:-1] + err[:-2]))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     n=st.integers(1, 4 * _BLOCK),
@@ -761,8 +780,6 @@ def test_trimmed_moment_check_refuses_an_empty_plan_before_drawing(log_kernel_sm
     monkeypatch.setattr(est, "replica_rngs", no_draws)
     with pytest.raises(ValueError, match="empty for this plan"):
         est.trimmed_moment_check(log_kernel_small, GAUSSIAN, 0.5, 0.3, plan, replicas=100)
-    with pytest.raises(ValueError, match="empty for this plan"):
-        est._independent_jump_backward(log_kernel_small, plan, 0.3)
 
 
 def test_trimmed_moment_check_refuses_an_overflowing_field_before_drawing(log_kernel_small, monkeypatch):
@@ -781,7 +798,7 @@ def test_trimmed_moment_check_refuses_an_overflowing_field_before_drawing(log_ke
 @pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
 def test_backward_mean_equals_the_engine_on_the_zero_disorder_row(big_kernels, family, law):
     # the five moments_check plans and criterion 4's (M = 20, k = 2, m = 8):
-    # the backward recursion's mean against the trimmed engine on the
+    # the backward stage loop's mean against the trimmed engine on the
     # zero-disorder charges, h per site
     kernel, h = big_kernels[family], 0.3
     schedules = ((3.3, 1.0), (3.3, 1.2), (3.3, 1.4), (3.3, 1.6), (5.0, 1.0), (3.3, 1.5))
@@ -791,7 +808,7 @@ def test_backward_mean_equals_the_engine_on_the_zero_disorder_row(big_kernels, f
         span = partition._trimmed_size(kernel, plan) - 1
         row = charge_prefix(law, 0.0, h, np.zeros(span))
         engine = float(partition._trimmed_log_z_replicas(row[None], kernel, plan)[0])
-        mean = est._independent_jump_backward(kernel, plan, h)[3]
+        mean = partition._trimmed_stages(row, kernel, plan)[1]
         assert abs(mean - engine) <= 1e-13 * max(1.0, abs(engine)), plan
 
 
@@ -932,7 +949,10 @@ def test_trimmed_rhs_matches_scalar_sampler_bit_for_bit(big_kernels, law, beta, 
     # sampling one path at a time, so the RHS mean and sigma are unchanged
     kernel, seed = big_kernels["log"], 17
     plan = est.trimmed_plan(2.0, law, beta, 0.3, c1, c2)
-    stages, long_w, short_w, _ = est._independent_jump_backward(kernel, plan, 0.3)
+    span = partition._trimmed_size(kernel, plan) - 1
+    stages = partition._trimmed_stages(charge_prefix(law, 0.0, 0.3, np.zeros(span)), kernel, plan)[0]
+    long_w = 0.5 * kernel.masses[plan.M : plan.M * plan.M + 1]
+    short_w = 0.5 * kernel.masses[1 : plan.k + 1] * np.exp(0.3 * np.arange(1, plan.k + 1))
     rng = spawn_rng(seed, 1_000_000)
     q2v = q2(law, beta)
     vals = np.empty(replicas)

@@ -538,6 +538,36 @@ def test_trimmed_engine_rescales_out_of_band_rows_on_their_own(log_kernel_small)
 
 
 @pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_trimmed_float_range_rule(log_kernel_small, law):
+    # the engine and the oracle under one rule.  Plan (4, 2, 3, 120): short
+    # stages leave from [4, 16], [9, 34] and [14, 52].  A charge step of +800
+    # at site 10 is read in the first pair, at site 45 only in the last, so at
+    # h = -800, whose short stages all die to 0, that row dies first and then
+    # meets e^800 = inf (0 x inf): NaN wherever the step is read.  At site 1 no
+    # short stage spans it, so the row keeps its value, -inf at h = -800
+    plan = Trimmed(M=4, k=2, m=3, N=120)
+    omega = _draw(law, plan.N, [spawn_rng(5, 0)])[0]
+    rows = []
+    for h in (0.3, -800.0):
+        for site in (None, 1, 10, 45):
+            row = charge_prefix(law, 1.0, h, omega)
+            if site is not None:
+                row[site:] += 800.0 - (row[site] - row[site - 1])
+            rows.append(row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _trimmed_log_z_replicas(np.array(rows), log_kernel_small, plan)
+    ref = np.array([log_Z_restricted(row, log_kernel_small, plan) for row in rows])
+    kinds = [np.isfinite(ref), np.isnan(ref), np.isneginf(ref)]
+    assert [kind.tolist() for kind in kinds] == [
+        [True, True, False, False] + [False] * 4,
+        [False, False, True, True] * 2,
+        [False] * 4 + [True, True, False, False],
+    ]
+    np.testing.assert_array_equal(np.isnan(got), kinds[1])
+    _assert_trimmed_values_match(got, ref)
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
 def test_trimmed_chunk_width_moves_no_value(big_kernels, monkeypatch, law):
     # the chunk width decides only which zero products enter each sum of
     # the long stage: 16, 32 and 64 targets per GEMM give the same values

@@ -100,9 +100,9 @@ PRIVATE_IMPORTS = {
     "disorder": set(),
     "estimators": {
         "disorder._draw", "partition._TRIMMED_PASS_BYTES", "partition._charge_rows",
-        "partition._closing_weights", "partition._log_z_replicas", "partition._pass_rows",
-        "partition._quenched_pass", "partition._trimmed_log_z_replicas", "partition._trimmed_pass",
-        "partition._trimmed_size", "partition._workspace",
+        "partition._log_z_replicas", "partition._pass_rows", "partition._quenched_pass",
+        "partition._trimmed_log_z_replicas", "partition._trimmed_pass", "partition._trimmed_size",
+        "partition._trimmed_stages", "partition._workspace",
     },
     "kernel": set(),
     "partition": {"kernel._toeplitz_view"},
