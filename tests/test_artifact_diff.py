@@ -5,11 +5,17 @@ from pathlib import Path
 
 import pytest
 
-_SPEC = importlib.util.spec_from_file_location(
-    "artifact_diff", Path(__file__).resolve().parents[1] / "tools" / "artifact_diff.py"
-)
-artifact_diff = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(artifact_diff)
+
+def _tool(name):
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+artifact_diff = _tool("artifact_diff")
+artifact_corpus = _tool("artifact_corpus")
 
 _REPORT = {
     "config": {"command": "verify oracle", "seed": 3},
@@ -69,3 +75,21 @@ def test_structure_and_types_must_match():
 )
 def test_relative_move(a, b, move):
     assert artifact_diff.relative_move(a, b) == move
+
+
+def test_corpus_holds_one_artifact_per_form_family_and_law():
+    names = sorted(path.name for path in artifact_corpus.CORPUS.iterdir())
+    assert names == sorted(name for name, _ in artifact_corpus.cases())
+    assert len(names) == 9 * 3 * 2
+
+
+@pytest.mark.parametrize("form", artifact_corpus.CHEAP)
+def test_cheap_forms_reproduce_the_corpus(tmp_path, form):
+    # the checked-in corpus is test data; refreshing it is a recorded change
+    # (tools/artifact_corpus.py --refresh).  Structure, flags, integers and
+    # strings match it exactly, every float within 1e-12 relative
+    assert artifact_corpus.write(tmp_path, [form]) == []
+    for name, _ in artifact_corpus.cases([form]):
+        kept, fresh = (artifact_diff.load(root / name) for root in (artifact_corpus.CORPUS, tmp_path))
+        moves = list(artifact_diff.diff(kept, fresh))
+        assert all(kind == "float" and move <= 1e-12 for _, kind, _, _, move in moves), (name, moves)
