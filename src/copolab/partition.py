@@ -11,7 +11,8 @@ by row with a running-maximum log-sum-exp per target index, so charges of
 order N*h never overflow; it is the reference oracle.  Replica batches go
 through ``_log_z_replicas``, the same recursion for groups of
 _GEMM_REPLICAS rows, in passes and source blocks laid out in its
-docstring; it agrees with the row loop to rounding (1e-10 relative is the
+docstring, each block read from accumulators that hold the source Z(0) = 1
+at site 0; it agrees with the row loop to rounding (1e-10 relative is the
 tested gate).  A brute-force enumeration oracle over all renewal subsets
 backs both for small N.  ``log_annealed_Z`` is the renewal mass of the
 tilted law K(l)(1 + e^{hl})/2: an excursion's charge factor averages to
@@ -180,10 +181,12 @@ def _pass_rows(shared, row, budget: int) -> int:
     the shared arrays, counted once, and one row of each per-row array,
     counted once per row.  Returns the whole groups of _GEMM_REPLICAS rows
     whose arrays fit ``budget`` bytes beside the shared ones, at least one group;
-    nothing outside the workspace is counted.  The one-group floor can pass
-    the budget: the quenched engine runs one group per pass from N = 38 130
-    on, from N = 43 044 that group and the push operand exceed _PASS_BYTES,
-    and from N = 49 216 the operand alone does.
+    only the two dicts count: an engine's workspace, or the trimmed sampler's
+    rows and, as ``shared``, its backward stage arrays, which no workspace
+    holds.  The one-group floor can pass the budget: the quenched engine
+    runs one group per pass from N = 38 130 on, from N = 43 044 that group
+    and the push operand exceed _PASS_BYTES, and from N = 49 216 the
+    operand alone does.
     """
     shared_bytes, row_bytes = (8 * sum(math.prod(shape) for shape in part.values()) for part in (shared, row))
     return _GEMM_REPLICAS * max(1, (budget - shared_bytes) // (_GEMM_REPLICAS * row_bytes))
@@ -280,10 +283,11 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
     one ``np.matmul`` call.  Sources are cut into blocks of _BLOCK sites.
     Inside a block Z solves (I - L) z = p, with p the part pushed from
     earlier blocks and L[u, v] = K(u - v)/2 (1 + e^{S_u - S_v}) >= 0 for
-    v < u; ``_fill_linear`` reads p from the accumulators and solves it in
-    the linear domain, and ``_fill_log``, row by row in log space, takes
-    the replicas whose charges vary too much inside the block (steep rows),
-    with p read in the log domain.
+    v < u.  Site 0 holds the source in the accumulators, a(0) = 1 and b(0)
+    = e^{-S_0} at log scales ref = (0, -S_0), so every block, the first
+    included, reads p from them: ``_fill_linear`` in the linear domain and
+    ``_fill_log``, in log space, the rows whose charges vary too much inside
+    the block (steep rows).  Every row leaves one (filled, offset) state.
     Everything a block needs that does not depend on the pushed values is
     planned once per pass: each block's charge mid-range and steep flags
     (``_block_plan``), and the views the fill's sub-block loop takes
@@ -321,10 +325,11 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
     gaps = np.append(kernel.log_masses[_BLOCK:0:-1] - _LOG2, 0.0)
 
     # acc[:, 0, m] e^{ref[:, 0]}, acc[:, 1, m] e^{ref[:, 1]}: sum_j K(m - j) a(j),
-    # b(j) over pushed blocks.  ref is the largest block offset pushed so
-    # far, so every target holds at least K(m - j0) times the value 1 of
-    # that block's largest source: nothing in acc that carries weight
-    # underflows, what a rescale drops was negligible, and acc <= sum K <= 1
+    # b(j) over pushed blocks, and at m = 0 the source, 1 in both at the
+    # scales ref starts from, 0 and -S_0.  ref is the largest block offset
+    # pushed so far, or that start, so every target holds at least K(m - j0)
+    # times the value 1 of that block's largest source: nothing in acc that
+    # carries weight underflows, what a rescale drops was negligible, and acc <= 1
     # BLAS may sum in an order that follows the matrix shape, so every GEMM
     # takes one group of _GEMM_REPLICAS replicas and never sees R
     def evaluate(charges, ws):
@@ -338,42 +343,24 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
         np.copyto(push, _toeplitz_view(kernel.masses[1:], _BLOCK)[: push.shape[1]].T)
         acc = ws["acc"]
         acc.fill(0.0)
+        acc[:, :, 0] = 1.0
+        ref = np.zeros((width, 2))
+        ref[:, 1] -= charges[:, 0]
         mid, steep = _block_plan(charges, ws)
         hot = steep.any(axis=0).tolist()  # the blocks that hold a steep row
         views = _fill_views(ws, earlier)
         filled = ws["scaled"]
         stacked = filled.reshape(-1, 2 * _GEMM_REPLICAS, _BLOCK)
-        ref = np.full((width, 2), -np.inf)
         for b, j0 in enumerate(range(0, size, _BLOCK)):
             j1 = min(j0 + _BLOCK, size)
-            span = j1 - j0
-            sites = charges[:, j0:j1]
+            sites, pushed = charges[:, j0:j1], acc[:, :, j0:j1]
             steep_rows = steep[:, b] if hot[b] else None
             # a = filled[:, 0] e^{offset[:, 0]}, b = filled[:, 1] e^{offset[:, 1]}
-            pushed = acc[:, :, j0:j1] if j0 else None
             offset = _fill_linear(pushed, ref, sites, mid[:, b], steep_rows, diagonal, views, ws)
             if hot[b]:
-                # log p of the steep rows: (a e^{ref_0} + b e^{ref_1 + S})/2
-                if j0 == 0:
-                    logp = np.full((np.count_nonzero(steep_rows), span), -np.inf)
-                    logp[:, 0] = 0.0
-                else:
-                    logs = np.log(pushed[steep_rows])
-                    logs += ref[steep_rows][:, :, None]
-                    logs[:, 1] += sites[steep_rows]
-                    logp = np.logaddexp(logs[:, 0], logs[:, 1])
-                    logp -= _LOG2
-                start = sites[steep_rows, :1]
-                logged = _fill_log(logp, sites[steep_rows] - start, gaps)
-                top = logged.max(axis=2)
-                filled[steep_rows, :, :span] = np.exp(logged - top[:, :, None])
-                top[:, 1] -= start[:, 0]
-                offset[steep_rows] = top
+                _fill_log(pushed, ref, sites, steep_rows, offset, gaps, ws)
             if j1 > n:
-                values = np.log(filled[:, 0, n - j0]) + offset[:, 0]
-                if hot[b]:
-                    values[steep_rows] = logged[:, 0, n - j0]
-                return values
+                return np.log(filled[:, 0, n - j0]) + offset[:, 0]
             if (offset > ref).any():
                 raised = np.maximum(ref, offset)
                 acc[:, :, j1:] *= np.exp(ref - raised)[:, :, None]
@@ -456,9 +443,10 @@ def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
 
     ``pushed`` holds the block's two accumulators (rows, 2, span) and
     ``ref`` their log scales (rows, 2), as the caller keeps them; in the
-    first block ``pushed`` is None and p = e_0.  ``charges`` holds the
-    block's S and ``mid`` its mid-range, one row per replica, and
-    ``steep`` flags the rows whose charges vary by more than
+    first block they hold the source, 1 at site 0 in both channels at
+    scales 0 and -S_0, and the read gives p = e_0 to rounding.
+    ``charges`` holds the block's S and ``mid`` its mid-range, one row per
+    replica, and ``steep`` flags the rows whose charges vary by more than
     _FILL_VARIATION, or is None where no row does.  ``diagonal`` is the
     diagonal sub-block of Toeplitz(K/2), ``views`` the pass's
     ``_fill_views``, and ``ws`` the caller's ``_workspace``, which holds
@@ -504,9 +492,9 @@ def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
     is nonnegative, so the error is componentwise relative (Higham,
     Accuracy and Stability of Numerical Algorithms, ch. 8).  Rows flagged
     ``steep`` are given flat charges here, which keeps them finite, and
-    are refilled by the caller.
+    are refilled by ``_fill_log``.
     """
-    rows, span = charges.shape
+    span = charges.shape[1]
     p, rel, up, down = (ws[name] for name in ("p", "rel", "up", "down"))
     np.subtract(charges, mid[:, None], out=rel[:, :span])
     if span < _BLOCK:
@@ -519,17 +507,12 @@ def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
     np.exp(rel, out=up)  # e^{S_u - mid}
     np.negative(rel, out=down)
     np.exp(down, out=down)  # e^{mid - S_v}
-    if pushed is None:
-        p.fill(0.0)
-        p[:, 0] = 1.0
-        top = np.zeros(rows)
-    else:
-        lead, lag = pushed[:, 0], pushed[:, 1]
-        bu = np.multiply(lag, up[:, :span], out=p[:, :span])
-        shift = ref[:, 1] + mid
-        top = np.maximum(np.log(lead.max(axis=1)) + ref[:, 0], np.log(bu.max(axis=1)) + shift)
-        bu *= (0.5 * np.exp(shift - top))[:, None]
-        bu += np.multiply(lead, (0.5 * np.exp(ref[:, 0] - top))[:, None], out=rel[:, :span])
+    lead, lag = pushed[:, 0], pushed[:, 1]
+    bu = np.multiply(lag, up[:, :span], out=p[:, :span])
+    shift = ref[:, 1] + mid
+    top = np.maximum(np.log(lead.max(axis=1)) + ref[:, 0], np.log(bu.max(axis=1)) + shift)
+    bu *= (0.5 * np.exp(shift - top))[:, None]
+    bu += np.multiply(lead, (0.5 * np.exp(ref[:, 0] - top))[:, None], out=rel[:, :span])
     # the diagonal sub-blocks A of every sub-block at once, and their
     # inverses sum_{k<_FILL_ROWS} A^k = (I + A)(I + A^2)...(I + A^{_FILL_ROWS/2})
     a, power, inverse = (ws[name] for name in ("a", "power", "inverse"))
@@ -567,18 +550,29 @@ def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
     return offset
 
 
-def _fill_log(pushed, rel, gaps) -> np.ndarray:
-    """One block filled row by row in log space: the fallback of steep rows.
+def _fill_log(pushed, ref, charges, steep, offset, gaps, ws) -> None:
+    """Refill one block's ``steep`` rows row by row in log space: the linear fill's fallback.
 
-    ``pushed`` holds log p and ``rel`` the charges relative to the block
-    start.  Returns block[:, 0, u] = log a(j0 + u) and
-    block[:, 1, u] = log b(j0 + u) + S_j0; charges relative to the block
-    start keep the rounding of log b small.
+    Takes ``_fill_linear``'s accumulators, log scales and charges and the
+    (rows,) mask ``steep``, reads log p = log (acc_0 e^{ref_0} + acc_1
+    e^{ref_1 + S})/2, -inf where no source reaches yet (in the first block
+    all but the source, site 0, where it is 0), and writes the steep rows
+    of the workspace's ``scaled`` and of ``offset`` as ``_fill_linear``
+    writes every row.  block[:, 0, u] = log a(j0 + u) and block[:, 1, u] =
+    log b(j0 + u) + S_j0: charges relative to the block start keep the
+    rounding of log b small.
     """
-    rows, width = pushed.shape
-    block = np.empty((rows, 2, width))
-    # row u holds the pushed part of Z(j0 + u) until it is filled
-    block[:, 0] = pushed
+    charges = charges[steep]
+    start = charges[:, :1]
+    rel = charges - start
+    rows, width = rel.shape
+    with np.errstate(divide="ignore"):
+        block = np.log(pushed[steep])
+    block += ref[steep][:, :, None]
+    block[:, 1] += charges
+    # row u holds log p, the pushed part of Z(j0 + u), until it is filled
+    np.logaddexp(block[:, 0], block[:, 1], out=block[:, 0])
+    block[:, 0] -= _LOG2
     block[:, 1] = -np.inf
     block[:, 1, 0] = block[:, 0, 0]
     for u in range(1, width):
@@ -589,7 +583,10 @@ def _fill_log(pushed, rel, gaps) -> np.ndarray:
         total = np.add.reduce(np.exp(terms, out=terms).reshape(rows, 2 * u + 2), axis=1)
         np.add(np.log(total, out=total), top, out=block[:, 0, u])
         np.subtract(block[:, 0, u], rel[:, u], out=block[:, 1, u])
-    return block
+    top = block.max(axis=2)
+    ws["scaled"][steep, :, :width] = np.exp(block - top[:, :, None])
+    top[:, 1] -= start[:, 0]
+    offset[steep] = top
 
 
 def brute_force_log_Z(prefix: np.ndarray, kernel: RenewalKernel) -> float:

@@ -365,6 +365,24 @@ def test_a_negative_value_after_its_flag_is_read_as_the_value(tmp_path, args):
     assert len({(tmp_path / name).read_bytes() for name in runs}) == 1
 
 
+def test_config_file_skips_comment_and_blank_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment-only line\n\nh = 0.3   # a trailing comment\n   \nn = 60\n")
+    out = tmp_path / "a.csv"
+    assert run_cli(["--config", str(cfg), "annealed", "--out", str(out)]) == 0
+    config = json.loads(out.read_text().splitlines()[0][2:])["config"]
+    assert (config["h"], config["n"]) == (0.3, 60)
+
+
+def test_config_file_line_without_equals_exits_2_without_artifact(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("h = 0.3\nn 60\n")
+    out = tmp_path / "a.csv"
+    assert run_cli(["--config", str(cfg), "annealed", "--out", str(out)]) == 2
+    assert "malformed config line: n 60" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("file_suite", ["oracle", "moments"])
 def test_config_file_suite_line_is_ignored(tmp_path, file_suite):
     # the suite is a positional: it comes from the command line
@@ -466,6 +484,34 @@ def test_verify_penalization_suite_passes(tmp_path):
     checks = {c["name"]: c for c in payload["suites"]["penalization"]["checks"]}
     assert checks["closed_form_two_paths_identical"]["ok"]
     assert checks["defect_sign_where_sufficient_condition_holds"]["ok"]
+
+
+def test_verify_penalization_records_a_refused_plan_as_skipped(tmp_path):
+    # at upsilon = 4 the tail ratio phi is still negative at h = 0.1 and
+    # 0.05 (-0.2381 and -0.001281): the plan refuses those fields
+    out = tmp_path / "pen.json"
+    assert run_cli(["verify", "penalization", "--upsilon", "4", "--out", str(out)]) == 0
+    payload = read_strict_json(out)
+    points = payload["suites"]["penalization"]["points"]
+    assert [set(point) for point in points[:2]] == [{"h", "skipped"}] * 2
+    assert [point["h"] for point in points[:2]] == [0.1, 0.05]
+    assert "phi(h) = -0.2381 is nonpositive" in points[0]["skipped"]
+    assert "phi(h) = -0.001281 is nonpositive" in points[1]["skipped"]
+    assert [point["k"] for point in points[2:]] == [7, 27, 75, 188, 441]
+    assert payload["pass"]
+
+
+def test_verify_moments_rebuilds_a_kernel_shorter_than_its_plan():
+    # the default plan at beta = 0.5, h = 0.3 runs to N = 10 753: a kernel of
+    # support 2000 is rebuilt to that support, so the report is the one a
+    # kernel of support N gives
+    from copolab import checks
+    from copolab.disorder import GAUSSIAN
+
+    family = SlowlyVaryingFamily(FamilyKind.LOGARITHMIC, 2.0, 1.0)
+    short = checks.moments(build_kernel(family, 2000), GAUSSIAN, 0, replicas=100)
+    assert short["plan"]["N"] == 10_753
+    assert short == checks.moments(build_kernel(family, 10_753), GAUSSIAN, 0, replicas=100)
 
 
 def test_verify_penalization_closed_form_check_fails_on_a_dropped_b(tmp_path, monkeypatch):

@@ -159,14 +159,16 @@ def test_replica_log_z_matches_row_loop_at_sub_block_edges(log_kernel_small, law
 
 
 def test_engine_mixes_steep_and_linear_replicas(log_kernel_small):
-    # steep blocks (charge variation above _FILL_VARIATION: rows 1 and 3 in
-    # their three full blocks, the last row in its second block only) fill
-    # in log space next to blocks filled in the linear domain; each row is
-    # its own single-row value bit for bit
+    # steep blocks (charge variation above _FILL_VARIATION: rows 1, 3 and 6
+    # in their three full blocks, the last row in its second block only)
+    # fill in log space next to blocks filled in the linear domain; each row
+    # is its own single-row value bit for bit
     n = 3 * _BLOCK + 20
     rows = []
     for i, (beta, h) in enumerate([(1.0, 0.3), (2.0, 8.0), (0.5, -0.2), (1.0, -9.0), (1.5, 1.0)]):
         rows.append(charge_prefix(GAUSSIAN, beta, h, _draw(GAUSSIAN, n, [spawn_rng(6, i)])[0]))
+    # log Z reads charge differences only: a row need not start at S_0 = 0
+    rows += [rows[0] + 500.0, rows[1] - 500.0]
     jump = charge_prefix(BINARY, 0.8, 0.1, _draw(BINARY, n, [spawn_rng(6, 9)])[0])
     jump[_BLOCK + 10 :] += 300.0  # one step of 300 inside the second block only
     rows.append(jump)
@@ -175,7 +177,7 @@ def test_engine_mixes_steep_and_linear_replicas(log_kernel_small):
         [np.abs(np.diff(row[j0 : j0 + _BLOCK])).sum() for j0 in range(0, n + 1, _BLOCK)] for row in prefix
     ])
     steep = variation > _FILL_VARIATION
-    assert steep[[1, 3], :3].all() and not steep[[0, 2, 4]].any()
+    assert steep[[1, 3, 6], :3].all() and not steep[[0, 2, 4, 5]].any()
     assert steep[-1].tolist() == [False, True, False, False]
     batch = _log_z_replicas(prefix, log_kernel_small)
     for i, row in enumerate(prefix):
@@ -207,9 +209,8 @@ def test_engine_linear_read_matches_row_loop_across_channel_scales(log_kernel_sm
     fill = partition._fill_linear
 
     def record(pushed, ref, charges, mid, steep, *rest):
-        if pushed is not None:
-            gap = ref[:, 1] + mid - ref[:, 0]
-            gaps.extend(gap if steep is None else gap[~steep])
+        gap = ref[:, 1] + mid - ref[:, 0]
+        gaps.extend(gap if steep is None else gap[~steep])
         return fill(pushed, ref, charges, mid, steep, *rest)
 
     monkeypatch.setattr(partition, "_fill_linear", record)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -565,6 +566,38 @@ def test_trimmed_float_range_rule(log_kernel_small, law):
     ]
     np.testing.assert_array_equal(np.isnan(got), kinds[1])
     _assert_trimmed_values_match(got, ref)
+
+
+@pytest.mark.parametrize("case", ["nan-read", "nan-past-size", "short-prefix", "no-site", "past-support"])
+def test_input_and_float_range_paths(log_kernel_small, case):
+    # a NaN charge that the plan (5, 2, 2, 200), positions 0..54, reads gives
+    # NaN; one at size + 3 leaves the clean row's value in the oracle and the
+    # engine.  Both refuse a prefix shorter than the plan, and the quenched
+    # engine refuses N = 0 and N past the support with log_Z's messages
+    kernel, plan = log_kernel_small, Trimmed(5, 2, 2, 200)
+    size = _trimmed_size(kernel, plan)
+    row = charge_prefix(GAUSSIAN, 1.0, 0.3, _draw(GAUSSIAN, plan.N, [spawn_rng(9, 0)])[0])
+    restricted = (log_Z_restricted, lambda prefix, *rest: _trimmed_log_z_replicas(prefix[None], *rest)[0])
+    if case.startswith("nan"):
+        dirty = row.copy()
+        dirty[size - 5 if case == "nan-read" else size + 3] = math.nan
+        got = [run(dirty, kernel, plan) for run in restricted]
+        if case == "nan-read":
+            assert all(math.isnan(value) for value in got)
+        else:
+            assert got == [run(row, kernel, plan) for run in restricted]
+            assert got[1] == pytest.approx(got[0], rel=1e-10)
+    elif case == "short-prefix":
+        for run in restricted:
+            with pytest.raises(ValueError, match="charge prefix too short for the plan"):
+                run(row[: size - 1], kernel, plan)
+    else:
+        n = 0 if case == "no-site" else kernel.support_cap + 1
+        bad = charge_prefix(GAUSSIAN, 1.0, 0.3, _draw(GAUSSIAN, n, [spawn_rng(9, 1)])[0])
+        with pytest.raises(ValueError) as refused:
+            log_Z(bad, kernel)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+            _log_z_replicas(bad[None], kernel)
 
 
 @pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])

@@ -7,9 +7,9 @@ FORMS, kernel family and disorder law, all at seed 0: FORMS are the flag
 sets of tests/test_cli.py::test_header_replays_as_flags plus "verify
 moments" and "verify coarse", and the family, law and seed flags come last,
 so they beat the form's own.  The script writes the corpus into a temporary
-directory and runs tools/artifact_diff.py of tests/artifacts/ against it,
-printing every field that moved; with --refresh it then replaces the
-checked-in files with the new ones.  Exits 1 when a run fails or when the
+directory and runs tools/artifact_diff.py on tests/artifacts/ and the new
+corpus, printing every field that moved; with --refresh it then replaces
+the checked-in files with the new ones.  Exits 1 when a run fails or when the
 diff finds anything but a float move, else 0.
 """
 
@@ -23,9 +23,6 @@ from pathlib import Path
 from copolab.cli import main as copolab
 from copolab.disorder import DisorderLaw
 from copolab.kernel import FamilyKind
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-import artifact_diff  # noqa: E402
 
 CORPUS = Path(__file__).resolve().parents[1] / "tests" / "artifacts"
 SEED = 0
@@ -65,6 +62,8 @@ def write(root: Path, forms=FORMS) -> list[str]:
 
 
 def main(argv=None) -> int:
+    import artifact_diff  # beside this script, which puts its directory on sys.path
+
     args = sys.argv[1:] if argv is None else argv
     if args not in ([], ["--refresh"]):
         print("usage: python tools/artifact_corpus.py [--refresh]", file=sys.stderr)
