@@ -16,7 +16,10 @@ batched DP as two blocks, so in two passes, against the row loop),
 worst_trimmed_two_pass_relative_error (the same for the trimmed engine on
 trimmed_two_pass against its row loop),
 worst_annealed_relative_error (annealed values at annealed_fields against
-the row loop) and streams_checked (replica streams
+the row loop), worst_flip_relative_error, worst_reversal_relative_error and
+least_superadditivity_margin (the batched DP's sign flip, reversal and
+superadditivity on the identity_rows, n, replicas per law, betas, h and the
+split point) and streams_checked (replica streams
 of stream_seeds compared with numpy's SeedSequence(seed, spawn_key=(i,))
 streams); "moments" embeds the trimmed-ensemble report
 (exact_log_mean_restricted, product_lower_bound_log,
@@ -147,6 +150,27 @@ def oracle(kernel, law, seed) -> dict:
         for n in mass_sizes
         for field, value in zip(annealed_fields, log_annealed_Z(kernel, n, annealed_fields).tolist())
     )
+    # sign flip, reversal and superadditivity, exact for every row, N and
+    # kernel and each read off the batched DP alone, at a size where the row
+    # loop costs seconds: 4 rows per law at beta = 1 and at beta = 6, whose
+    # Gaussian blocks pass the fill limit and whose ±1 blocks stay below it
+    identity = {"n": 4096, "replicas": 4, "betas": [1.0, 6.0], "h": 0.1, "split": 1365}
+    n, split = identity["n"], identity["split"]
+    wide = kernel if kernel.support_cap >= n else build_kernel(kernel.family, n)
+    flip, reversal, margin = [], [], []
+    for beta_i in identity["betas"]:
+        for law_i in (GAUSSIAN, BINARY):
+            (rows,) = _replica_prefixes(law_i, beta_i, identity["h"], n, seed, identity["replicas"])
+            last = rows[:, -1]
+            mirrored = np.concatenate([rows, -rows, last[:, None] - rows[:, ::-1]])
+            z, flipped, reversed_ = _log_z_replicas(mirrored, wide).reshape(3, len(rows))
+            head = _log_z_replicas(rows[:, : split + 1], wide)
+            tail = _log_z_replicas(rows[:, split:] - rows[:, split : split + 1], wide)
+            scale = np.maximum(1.0, np.abs(z))
+            flip += (np.abs(z - flipped - last) / np.maximum(1.0, np.abs(last) + np.abs(z))).tolist()
+            reversal += (np.abs(z - reversed_) / scale).tolist()
+            margin += ((z - head - tail) / scale).tolist()
+    worst_flip, worst_reversal, least_margin = max(flip), max(reversal), min(margin)
     # the bulk replica streams against numpy's SeedSequence, at seeds of 1, 2, 4
     # and 5 words when the seed is below 2**32; past 4 words the spawn key's
     # hash steps move with the seed's length
@@ -173,6 +197,10 @@ def oracle(kernel, law, seed) -> dict:
         "worst_renewal_mass_relative_error": worst_mass,
         "annealed_fields": list(annealed_fields),
         "worst_annealed_relative_error": worst_annealed,
+        "identity_rows": identity,
+        "worst_flip_relative_error": worst_flip,
+        "worst_reversal_relative_error": worst_reversal,
+        "least_superadditivity_margin": least_margin,
         "stream_seeds": stream_seeds,
         "streams_checked": len(stream_seeds) * len(stream_indices),
         "checks": [
@@ -184,6 +212,8 @@ def oracle(kernel, law, seed) -> dict:
             {"name": "renewal_mass_matches_row_loop", "kind": "assert", "ok": worst_mass <= 1e-10},
             {"name": "annealed_matches_row_loop", "kind": "assert", "ok": worst_annealed <= 1e-10},
             {"name": "replica_streams_match_seed_sequence", "kind": "assert", "ok": streams_match},
+            {"name": "identities_hold", "kind": "assert",
+             "ok": max(worst_flip, worst_reversal, -least_margin) <= 1e-12},
         ],
     }
 

@@ -32,6 +32,7 @@ buffers, in ``_workspace``.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -55,7 +56,9 @@ _CHUNK = 4096  # targets per push GEMM of one block; bounds its product
 _GEMM_REPLICAS = 4  # replicas per GEMM group of both replica engines
 _PASS_BYTES = 24 << 20  # working-set budget of one pass of the quenched engine
 _FILL_ROWS = 8  # rows per diagonal sub-block of the linear-domain block fill; a power of two
-_FILL_VARIATION = 256.0  # largest in-block charge variation filled in the linear domain
+# -log of the smallest normal double, 1022 log 2: the linear fill's budget for a
+# block's charge variation plus the kernel's floor (``_fill_limit``)
+_FILL_VARIATION = -math.log(sys.float_info.min)
 _PLAN_BLOCKS = 8  # blocks whose charge steps a pass's plan measures at a time
 _LINE_DOUBLES = 8  # doubles per 64-byte cache line; every workspace array of both engines starts on one
 _TRIMMED_CHUNK = 32  # targets per long-stage GEMM of the trimmed engine
@@ -346,7 +349,7 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
         acc[:, :, 0] = 1.0
         ref = np.zeros((width, 2))
         ref[:, 1] -= charges[:, 0]
-        mid, steep = _block_plan(charges, ws)
+        mid, steep = _block_plan(charges, ws, _fill_limit(kernel, n))
         hot = steep.any(axis=0).tolist()  # the blocks that hold a steep row
         views = _fill_views(ws, earlier)
         filled = ws["scaled"]
@@ -375,16 +378,36 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
     return _passes(prefix, cut, evaluate)
 
 
-def _block_plan(charges, ws):
+def _fill_limit(kernel: RenewalKernel, n: int) -> float:
+    """The largest in-block charge variation the linear fill takes at N = n:
+    _FILL_VARIATION less the kernel's floor, as ``_fill_linear`` derives it.
+
+    The floor is D + log(4/kappa): D the largest |log K(g) - log K(g')|
+    over gaps g, g' <= n less than _BLOCK apart, the range of log K over
+    each window of min(_BLOCK, n) consecutive gaps, whose maxima and minima
+    are built by doubling the window; kappa the smallest K(g), g <= _FILL_ROWS.
+    """
+    width = min(_BLOCK, n)
+    high = low = kernel.log_masses[1 : n + 1]
+    span = 1
+    while span < width:
+        step = min(span, width - span)
+        high, low = np.maximum(high[:-step], high[step:]), np.minimum(low[:-step], low[step:])
+        span += step
+    floor = float((high - low).max()) + math.log(4.0 / kernel.masses[1 : _FILL_ROWS + 1].min())
+    return _FILL_VARIATION - floor
+
+
+def _block_plan(charges, ws, limit):
     """The charge mid-range and the steep flag of every block of a pass.
 
     ``charges`` holds the pass's (rows, N + 1) charge rows, cut into blocks
     of _BLOCK sites, the last one possibly shorter.  Returns ``mid`` (rows,
     blocks), the mid-range of each block's charges, a view of ``ws``, and
     ``steep`` (rows, blocks), whether their variation sum |S_{i+1} - S_i|
-    over the block exceeds _FILL_VARIATION.  Whole blocks are measured
-    _PLAN_BLOCKS at a time, as views of one reshape, their steps written
-    into the workspace's ``steps``.
+    over the block exceeds ``limit``, the pass's ``_fill_limit``.  Whole
+    blocks are measured _PLAN_BLOCKS at a time, as views of one reshape,
+    their steps written into the workspace's ``steps``.
     """
     rows, size = charges.shape
     full = size // _BLOCK
@@ -402,7 +425,7 @@ def _block_plan(charges, ws):
         np.sum(steps, axis=2, out=variation[:, b0:b1])
     mid += low
     mid *= 0.5
-    return mid, variation > _FILL_VARIATION
+    return mid, variation > limit
 
 
 def _fill_views(ws, earlier):
@@ -447,10 +470,10 @@ def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
     scales 0 and -S_0, and the read gives p = e_0 to rounding.
     ``charges`` holds the block's S and ``mid`` its mid-range, one row per
     replica, and ``steep`` flags the rows whose charges vary by more than
-    _FILL_VARIATION, or is None where no row does.  ``diagonal`` is the
-    diagonal sub-block of Toeplitz(K/2), ``views`` the pass's
-    ``_fill_views``, and ``ws`` the caller's ``_workspace``, which holds
-    every array of the fill.  Writes the block into the workspace's
+    the pass's ``_fill_limit``, or is None where no row does.
+    ``diagonal`` is the diagonal sub-block of Toeplitz(K/2), ``views``
+    the pass's ``_fill_views``, and ``ws`` the caller's ``_workspace``,
+    which holds every array of the fill.  Writes the block into the workspace's
     ``scaled`` (rows, 2, _BLOCK) and returns ``offset`` (rows, 2), with
     a = scaled[:, 0] e^{offset[:, 0]} and b = scaled[:, 1] e^{offset[:, 1]};
     past the span of a short last block the filled rows are 0.
@@ -467,32 +490,58 @@ def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
     (I - A)^{-1} = (I + A)(I + A^2)(I + A^4), one doubling step less than
     log2 _FILL_ROWS.
 
-    Why this is accurate to rounding: an entry (I - L)^{-1}[u, v] sums, over
-    in-block renewal paths v = w_0 < ... < w_k = u, products of
-    K(gap)/2 (1 + e^{dS}) <= K(gap) e^{max(dS, 0)}, so it is at most
-    e^{TV} times the renewal mass u(u - v) <= 1, TV being the charge
-    variation sum |S_{i+1} - S_i| over the block; the same factor bounds
-    how far p, and so x, fall below their maximum: p_u >= e^{-(TV + 30)}
-    max p >= e^{-(TV + 30)}/2.  With TV <= _FILL_VARIATION = 256, x and y
-    stay within e^{+-(3 TV/2 + 30)} of 1, far inside the double range
-    e^{+-708}: nothing overflows and no term that carries weight is
-    subnormal.  The read keeps this.  acc <= 1 (see the caller) and
-    up <= e^{TV/2}, so neither term of p overflows, and a channel's factor
-    e^{ref - top}/2 is at most 1/(2 max acc) or 1/(2 max bu), finite since
-    both maxima are at least min K e^{-TV/2}.  Each term is a product of
-    two or three normal numbers, so relatively exact to a few units of
-    rounding, unless it falls below the smallest normal double, 2^{-1022}
-    ~ e^{-708}: a factor that underflows or a product that turns
-    subnormal.  Such a term differs from its exact value by at most
-    2^{-1022}, which is below e^{-708 + TV + 31} <= e^{-421} of p_u, far
-    below one unit of rounding: it is negligible.  Both terms are
-    nonnegative, so their sum is componentwise accurate as well.  As in a
+    Why this is accurate to rounding, and up to which charge variation.
+    Every term of the read and of the solve is nonnegative, so the error is
+    componentwise relative (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 8) while every quantity that carries weight is a normal
+    double, in [2^{-1022}, 2^{1024}): a term that turns subnormal inside a
+    normal sum is off by at most 2^{-1075}, within a unit of rounding of the
+    sum.  Take the block's charge variation TV = sum |S_{i+1} - S_i|, its
+    range R = max S - min S <= TV, so |S - mid| <= R/2, the kernel's drop D,
+    the largest |log K(g) - log K(g')| over gaps g, g' <= N less than _BLOCK
+    apart, and kappa, the smallest K(g) with g <= _FILL_ROWS.  Ceiling: an
+    entry (I - L)^{-1}[u, v] sums, over in-block renewal paths
+    v = w_0 < ... < w_k = u, products of K(gap)/2 (1 + e^{dS}) <= K(gap)
+    e^{max(dS, 0)}, so it is at most e^{TV} times the renewal mass u(u - v)
+    <= 1, and so are the doubling powers of A and the partial sums of its
+    inverse; with p <= 1, x <= _BLOCK e^{TV}.  Weighed by e^{S_v - S_u}, a
+    path's factors become (e^{-dS} + 1)/2 <= e^{max(-dS, 0)}, so y_u = sum_v
+    (I - L)^{-1}[u, v] e^{S_v - S_u} p_v e^{mid - S_v} is at most sum_v
+    e^{fall over [v, u]} e^{max S - S_v - R/2}; max S - S_v and that fall
+    are variations over disjoint steps or of opposite signs, so y <= _BLOCK
+    e^{TV - R/2}.  The earlier-sub-block products are at most half the
+    largest x or y, and coupled times up_q is a part of x.  Floor: p_u =
+    (alpha_u + e^{S_u} beta_u)/2, alpha_u and beta_u the two channels'
+    pushes to site u, whose terms, a source's value times K(gap)/2, are at
+    least e^{-D} times the same source's terms at any other site w of the
+    block; so x_u >= p_u >= e^{-(R + D)} p_w and y_u >= p_u e^{mid - S_u} >=
+    e^{-(R/2 + D)} p_w, with the largest p_w at least 1/2.  In the first
+    block p = e_0 and every later site has x_u >= K(u)/2 x_0 >=
+    e^{-D} kappa/2 instead.  An earlier-sub-block product holds the term of
+    the nearest earlier site, K(t + 1)/2 >= kappa/2 times its x or y (in the
+    first block the term of site 0, K(u)/2 x_0, bounds it as it bounds x_u),
+    and coupled times up_q that term times e^{S_u - mid} >= e^{-R/2}; so
+    every quantity of the solve is at least (kappa/4) e^{-(TV + D)}.  A, its
+    powers and the inverse's entries are at least the products of K(gap)/2
+    alone, with no charge in them, and set no bound on TV.  So everything is
+    normal while TV + D + log(4/kappa) <= 1022 log 2 = _FILL_VARIATION:
+    D + log(4/kappa), the floor, is what ``_fill_limit`` takes off,
+    10.3-10.7 for the three families at upsilon = 2 (limit 697.7-698.1) and
+    244 for the logarithmic family at upsilon = 300.  The ceiling is then
+    finite: kappa <= 1/_FILL_ROWS makes the floor at least log 32, and
+    _BLOCK e^{TV} < 2^{1024} needs only TV + log 16 < 1022 log 2.
+    The read keeps this.  acc <= 1 (see the caller) and up <= e^{R/2}, so
+    neither term of p overflows, and a channel's factor e^{ref - top}/2 is
+    at most 1/(2 max acc) or 1/(2 max bu), finite since both maxima are at
+    least min K e^{-R/2}.  Where a channel's factor falls below 2^{-1022},
+    its terms are off by at most 2^{-1075} times lead <= 1 or bu <= e^{R/2}:
+    against p_u >= e^{-(R + D)}/2 in the first case, and in the second,
+    where the b channel's share of the largest p is below 2^{-1022} e^{R/2},
+    against the a channel's e^{-D}/4, below a unit of rounding.  As in a
     log-domain read, ref - top carries an absolute rounding of a few units
-    of |ref|, the same for every site of the row.  Every term of the solve
-    is nonnegative, so the error is componentwise relative (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 8).  Rows flagged
-    ``steep`` are given flat charges here, which keeps them finite, and
-    are refilled by ``_fill_log``.
+    of |ref|, the same for every site of the row.
+    Rows flagged ``steep`` are given flat charges here, which keeps them
+    finite, and are refilled by ``_fill_log``.
     """
     span = charges.shape[1]
     p, rel, up, down = (ws[name] for name in ("p", "rel", "up", "down"))

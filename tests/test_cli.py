@@ -434,9 +434,13 @@ def test_verify_oracle_suite_passes_fast(tmp_path):
     }
     assert oracle["worst_renewal_mass_relative_error"] <= 1e-10
     assert oracle["worst_annealed_relative_error"] <= 1e-10
+    # the exact identities on 4 rows per law at N = 4096, beta = 1 and 6
+    assert oracle["identity_rows"] == {"n": 4096, "replicas": 4, "betas": [1.0, 6.0], "h": 0.1, "split": 1365}
+    assert max(oracle["worst_flip_relative_error"], oracle["worst_reversal_relative_error"]) <= 1e-12
+    assert oracle["least_superadditivity_margin"] >= -1e-12
     assert {c["name"] for c in oracle["checks"]} == {
         "dp_matches_enumeration", "batched_dp_matches_row_loop", "trimmed_engine_matches_row_loop",
-        "renewal_mass_matches_row_loop", "annealed_matches_row_loop",
+        "renewal_mass_matches_row_loop", "annealed_matches_row_loop", "identities_hold",
         "replica_streams_match_seed_sequence",
     }
     assert oracle["stream_seeds"] == [2, 2**32 + 2, 10**30 + 2, 10**45 + 2]

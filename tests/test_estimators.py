@@ -11,14 +11,14 @@ from hypothesis import given, settings, strategies as st
 from copolab import estimators as est, partition
 from copolab.bounds import log_upper_general
 from copolab.disorder import BINARY, GAUSSIAN, _draw, log_mgf, q1, q2, rate_function, spawn_rng
-from copolab.kernel import build_kernel, check_eta_kernel, renewal_mass
+from copolab.kernel import FamilyKind, SlowlyVaryingFamily, build_kernel, check_eta_kernel, renewal_mass
 from copolab.partition import (
     _BLOCK,
     _CHUNK,
     _FILL_ROWS,
-    _FILL_VARIATION,
     _GEMM_REPLICAS,
     Trimmed,
+    _fill_limit,
     _log_z_replicas,
     _quenched_pass,
     _trimmed_log_z_replicas,
@@ -147,36 +147,49 @@ def test_replica_log_z_matches_row_loop_over_wide_log_range(log_kernel_small, la
     assert max(np.abs(prefix).max(), np.abs(ref).max()) > 500.0
 
 
+_LAWS = [("gaussian", GAUSSIAN), ("binary", BINARY)]
+_SUB_BLOCK_EDGES = sorted({e + d for e in (_FILL_ROWS, 3 * _FILL_ROWS) for d in (-1, 0, 1)} | {15, 16, 17, 47, 48, 49})
+_BLOCK_EDGES = [e + d for e in (_BLOCK, 2 * _BLOCK, 3 * _BLOCK) for d in (-1, 0, 1)]
+
+
 @pytest.mark.parametrize(
-    "n",
-    sorted({e + d for e in (_FILL_ROWS, 3 * _FILL_ROWS) for d in (-1, 0, 1)} | {15, 16, 17, 47, 48, 49}),
+    "law,n,beta",
+    [pytest.param(law, n, 1.2, id=f"{name}-{n}") for name, law in _LAWS for n in _SUB_BLOCK_EDGES]
+    + [
+        pytest.param(law, n, beta, id=f"{name}-{n}-beta{beta}")
+        for beta in (3.0, 3.5, 4.0, 6.0, 8.0, 12.0)
+        for name, law in _LAWS
+        for n in _SUB_BLOCK_EDGES + _BLOCK_EDGES
+    ],
 )
-@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
-def test_replica_log_z_matches_row_loop_at_sub_block_edges(log_kernel_small, law, n):
+def test_replica_log_z_matches_row_loop_at_sub_block_edges(log_kernel_small, law, n, beta):
     # N + 1 rows end just before, on and just after a diagonal sub-block
-    # edge, at the first and third edge and at 16 and 48
-    _assert_matches_row_loop(log_kernel_small, law, 1.2, 0.3, n, 4, 3)
+    # edge, at the first and third edge and at 16 and 48, and at beta >= 3
+    # also on the first three block edges: strong disorder, whose largest
+    # block variations run from about 200 to 900 (±1) and from 300 to 4600
+    # (Gaussian), so that blocks fill either side of the fill limit
+    _assert_matches_row_loop(log_kernel_small, law, beta, 0.3, n, 4, 3)
 
 
 def test_engine_mixes_steep_and_linear_replicas(log_kernel_small):
-    # steep blocks (charge variation above _FILL_VARIATION: rows 1, 3 and 6
+    # steep blocks (charge variation above _fill_limit: rows 1, 3 and 6
     # in their three full blocks, the last row in its second block only)
     # fill in log space next to blocks filled in the linear domain; each row
     # is its own single-row value bit for bit
     n = 3 * _BLOCK + 20
     rows = []
-    for i, (beta, h) in enumerate([(1.0, 0.3), (2.0, 8.0), (0.5, -0.2), (1.0, -9.0), (1.5, 1.0)]):
+    for i, (beta, h) in enumerate([(1.0, 0.3), (2.0, 16.0), (0.5, -0.2), (1.0, -13.0), (1.5, 1.0)]):
         rows.append(charge_prefix(GAUSSIAN, beta, h, _draw(GAUSSIAN, n, [spawn_rng(6, i)])[0]))
     # log Z reads charge differences only: a row need not start at S_0 = 0
     rows += [rows[0] + 500.0, rows[1] - 500.0]
     jump = charge_prefix(BINARY, 0.8, 0.1, _draw(BINARY, n, [spawn_rng(6, 9)])[0])
-    jump[_BLOCK + 10 :] += 300.0  # one step of 300 inside the second block only
+    jump[_BLOCK + 10 :] += 800.0  # one step of 800 inside the second block only
     rows.append(jump)
     prefix = np.array(rows)
     variation = np.array([
         [np.abs(np.diff(row[j0 : j0 + _BLOCK])).sum() for j0 in range(0, n + 1, _BLOCK)] for row in prefix
     ])
-    steep = variation > _FILL_VARIATION
+    steep = variation > _fill_limit(log_kernel_small, n)
     assert steep[[1, 3, 6], :3].all() and not steep[[0, 2, 4, 5]].any()
     assert steep[-1].tolist() == [False, True, False, False]
     batch = _log_z_replicas(prefix, log_kernel_small)
@@ -192,17 +205,17 @@ def test_engine_linear_read_matches_row_loop_across_channel_scales(log_kernel_sm
     # the fill reads p from the two accumulators in the linear domain.
     # Charge jumps of +900 and -900 between blocks, flat inside them, put the
     # channels' scales ref_1 + mid - ref_0 beyond +700 and -700, where one
-    # channel's factor underflows; a steep row (h = 8) and a row with a
-    # step of 300 inside its second block share their blocks with rows
+    # channel's factor underflows; a steep row (h = 16) and a row with a
+    # step of 800 inside its second block share their blocks with rows
     # filled in the linear domain.  N + 1 ends on both sides of sub-block
     # and block edges, and every row matches the row loop within 1e-10
     sites = np.arange(n + 1)
     rows = [charge_prefix(law, 1.2, 0.3, _draw(law, n, [spawn_rng(14, 0)])[0])]
     for i, jump in enumerate((900.0, -900.0), start=1):
         rows.append(charge_prefix(law, 0.8, 0.1, _draw(law, n, [spawn_rng(14, i)])[0]) + jump * (sites // _BLOCK))
-    rows.append(charge_prefix(law, 2.0, 8.0, _draw(law, n, [spawn_rng(14, 3)])[0]))
+    rows.append(charge_prefix(law, 2.0, 16.0, _draw(law, n, [spawn_rng(14, 3)])[0]))
     step = charge_prefix(law, 1.0, -0.2, _draw(law, n, [spawn_rng(14, 4)])[0])
-    step[_BLOCK + 10 :] += 300.0
+    step[_BLOCK + 10 :] += 800.0
     rows.append(step)
     prefix = np.array(rows)
     gaps = []
@@ -221,7 +234,73 @@ def test_engine_linear_read_matches_row_loop_across_channel_scales(log_kernel_sm
     if n >= _BLOCK:
         assert max(gaps) > 700.0 and min(gaps) < -700.0
         variation = np.abs(np.diff(prefix[:, :_BLOCK], axis=1)).sum(axis=1)
-        assert variation[3] > _FILL_VARIATION and (variation[:3] <= _FILL_VARIATION).all()
+        limit = _fill_limit(log_kernel_small, n)
+        assert variation[3] > limit and (variation[:3] <= limit).all()
+
+
+@pytest.fixture(scope="module")
+def limit_kernels(families):
+    # the three families at upsilon = 2, and two whose masses fall steeply
+    # across _BLOCK consecutive gaps, which lowers their fill limit
+    kernels = {name: build_kernel(family, 1000) for name, family in families.items()}
+    kernels["sub-1000"] = build_kernel(SlowlyVaryingFamily(FamilyKind.SUB_LOGARITHMIC, 1000.0), 1000)
+    kernels["log-300"] = build_kernel(SlowlyVaryingFamily(FamilyKind.LOGARITHMIC, 300.0), 1000)
+    return kernels
+
+
+@pytest.mark.parametrize("name", ["sub", "log", "super", "sub-1000", "log-300"])
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_engine_fills_each_block_by_its_variation_at_the_limit(limit_kernels, monkeypatch, name, law):
+    # rows whose second block varies by just less and just more than
+    # _fill_limit: a beta = 0.5 row plus one step, a ramp or a sawtooth
+    # inside that block, rising or falling, scaled so that the block's
+    # variation sits 1e-3 below or above the limit.  The rows below it go
+    # through the linear fill only, the rows above it through the log fill
+    # in that block only, and every row matches the row loop within 1e-10
+    kernel, n = limit_kernels[name], 3 * _BLOCK + 20
+    limit = _fill_limit(kernel, n)
+    sites = np.arange(n + 1.0)
+    inside = (sites >= _BLOCK) & (sites < 2 * _BLOCK)
+    shapes = [sites >= _BLOCK + 29, np.clip(sites - _BLOCK, 0, _BLOCK - 1), inside * ((sites - _BLOCK) % 8)]
+
+    def variation(row):
+        return np.abs(np.diff(row[_BLOCK : 2 * _BLOCK])).sum()
+
+    rows, above = [], []
+    for i, shape in enumerate(shapes):
+        base = charge_prefix(law, 0.5, 0.1, _draw(law, n, [spawn_rng(15, i)])[0])
+        for sign in (1.0, -1.0):
+            for side in (-1e-3, 1e-3):
+                # the variation is convex in the scale and below the target at 0
+                low, high = 0.0, 1.0
+                while variation(base + high * sign * shape) < limit + side:
+                    high *= 2.0
+                for _ in range(100):
+                    scale = 0.5 * (low + high)
+                    low, high = (scale, high) if variation(base + scale * sign * shape) < limit + side else (low, scale)
+                rows.append(base + high * sign * shape)
+                above.append(side > 0)
+    prefix = np.array(rows)
+    blocks, logged = [], []  # each block's steep mask, and the blocks filled in log space
+    fill_linear, fill_log = partition._fill_linear, partition._fill_log
+
+    def linear_spy(pushed, ref, charges, mid, steep, *rest):
+        blocks.append([False] * len(charges) if steep is None else steep.tolist())
+        return fill_linear(pushed, ref, charges, mid, steep, *rest)
+
+    def log_spy(pushed, ref, charges, steep, *rest):
+        assert steep.tolist() == blocks[-1]
+        logged.append(len(blocks) - 1)
+        return fill_log(pushed, ref, charges, steep, *rest)
+
+    monkeypatch.setattr(partition, "_fill_linear", linear_spy)
+    monkeypatch.setattr(partition, "_fill_log", log_spy)
+    got = _log_z_replicas(prefix, kernel)
+    assert blocks[1] == above and logged == [1]
+    assert not any(any(block) for b, block in enumerate(blocks) if b != 1)
+    for value, row in zip(got, prefix):
+        exact = log_Z(row, kernel)
+        assert abs(value - exact) <= 1e-10 * max(1.0, abs(exact))
 
 
 def _pass_case(engine, kernel):
@@ -233,7 +312,7 @@ def _pass_case(engine, kernel):
         n = 2 * _BLOCK + 30
         # steep rows sit in the first, eleventh and last group of 4
         rows = _engine_rows(n, 101, 8, steep=(3, 41, 99), nan=(70,))
-        steep = np.abs(np.diff(rows[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
+        steep = np.abs(np.diff(rows[:, :_BLOCK], axis=1)).sum(axis=1) > _fill_limit(kernel, n)
         assert np.flatnonzero(steep).tolist() == [3, 41, 99]
         return (lambda blocks: _log_z_replicas(blocks, kernel), rows, [70], "_PASS_BYTES",
                 lambda: _quenched_pass(n)[2])
@@ -296,10 +375,10 @@ def test_engine_part_filled_groups_equal_full_groups(log_kernel_small):
     # full groups bit for bit, with no numpy warning from the padding rows
     n = 2 * _BLOCK + 21
     prefix = np.array([
-        charge_prefix(GAUSSIAN, 1.0, 8.0 if i in (2, 98) else 0.3, _draw(GAUSSIAN, n, [spawn_rng(13, i)])[0])
+        charge_prefix(GAUSSIAN, 1.0, 16.0 if i in (2, 98) else 0.3, _draw(GAUSSIAN, n, [spawn_rng(13, i)])[0])
         for i in range(104)
     ])
-    steep = np.abs(np.diff(prefix[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
+    steep = np.abs(np.diff(prefix[:, :_BLOCK], axis=1)).sum(axis=1) > _fill_limit(log_kernel_small, n)
     assert np.flatnonzero(steep).tolist() == [2, 98]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -345,10 +424,10 @@ def _pass_bytes(shapes):
 
 
 def _engine_rows(n, replicas, seed, steep=(), nan=()):
-    # Gaussian charge rows at beta = 1, h = 0.3, or h = 8 on the steep rows,
+    # Gaussian charge rows at beta = 1, h = 0.3, or h = 16 on the steep rows,
     # with a NaN charge in the rows of ``nan``
     prefix = np.array([
-        charge_prefix(GAUSSIAN, 1.0, 8.0 if i in steep else 0.3, _draw(GAUSSIAN, n, [spawn_rng(seed, i)])[0])
+        charge_prefix(GAUSSIAN, 1.0, 16.0 if i in steep else 0.3, _draw(GAUSSIAN, n, [spawn_rng(seed, i)])[0])
         for i in range(replicas)
     ])
     prefix[list(nan), 5] = np.nan
@@ -365,7 +444,7 @@ def test_engine_workspace_reuse_keeps_every_call_bit_equal_to_a_fresh_thread(log
     # bit for bit
     wide = _engine_rows(200, 100, 31)
     small = _engine_rows(70, 3, 32, steep=(0,), nan=(2,))
-    steep = np.abs(np.diff(small[:, :_BLOCK], axis=1)).sum(axis=1) > _FILL_VARIATION
+    steep = np.abs(np.diff(small[:, :_BLOCK], axis=1)).sum(axis=1) > _fill_limit(log_kernel_small, 70)
     assert steep.tolist() == [True, False, False]
     passes_n = 2 * _BLOCK + 5
     passes = _engine_rows(passes_n, 20, 33)
@@ -714,7 +793,6 @@ def test_near_term_integral_matches_quad_on_the_coarse_grid():
     from scipy.integrate import quad
 
     from copolab.bounds import psi
-    from copolab.kernel import FamilyKind, SlowlyVaryingFamily
 
     worst, cases = 0.0, 0
     for kind in FamilyKind:
