@@ -46,8 +46,10 @@ def log_upper_general(
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
     x = 1.0 / h
-    ratio = family.tail(x) / family.evaluate(x)
-    return -b * q1(law, beta) * x * math.log(ratio)
+    numerator = family.evaluate(x)
+    if numerator == 0.0:
+        raise ValueError(f"L(1/h) underflows to 0 at h={h} and c_L={family.c_L}")
+    return -b * q1(law, beta) * x * math.log(family.tail(x) / numerator)
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,8 @@ def sharper_bounds(
     Sub-logarithmic: lower uses q2 with c- = upsilon + 1.1, upper uses q1
     with c+ = upsilon - 0.1.  Logarithmic: both use q1 with c- = 5/2 +
     upsilon + 0.1 and c+ = upsilon - 1.1.  Super-logarithmic: symmetric
-    envelope exp(-(1 +/- delta) (h/q1)^(-upsilon/(upsilon-1))), delta
-    standing in for the vanishing correction.
+    envelope exp(-(1 +/- delta) (q1/h)^(upsilon/(upsilon-1))), delta
+    standing in for the vanishing correction; q1 = 0 gives its limit, 0.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -80,7 +82,7 @@ def sharper_bounds(
     log_inv_h = math.log(1.0 / h)
 
     if family.kind is FamilyKind.SUPER_LOGARITHMIC:
-        expo = (h / q1v) ** (-u / (u - 1.0))
+        expo = (q1v / h) ** (u / (u - 1.0))
         return SharperBounds(
             log_lower=-(1.0 + delta) * expo,
             log_upper=-(1.0 - delta) * expo,

@@ -9,8 +9,8 @@ unwritable --out included; NaN or infinite values of --beta, --h,
 --upsilon, --cl or any --h-grid entry, a negative --beta, an --n below 1
 and --beta 0 for the coarse suite are configuration errors, rejected
 before anything is computed or written,
-and finite values that overflow a DP (a non-finite value in any row of
-estimate, sweep or annealed) exit 2 without writing the artifact.
+and finite values that overflow a DP or a bound (a non-finite value in any
+row of any tabular command) exit 2 without writing the artifact.
 
 Every command takes the model flags --family, --upsilon, --cl, --law, --n
 and --seed, and of the run flags --beta, --h, --h-grid, --replicas and
@@ -223,23 +223,26 @@ def _parse(argv) -> argparse.Namespace:
     return args
 
 
-def _check_rows_finite(rows) -> None:
-    # finite flags can still overflow inside a DP; refuse the artifact then
+def _check_rows_finite(command, rows) -> None:
+    # finite flags can still overflow inside a DP or a bound formula; refuse the artifact then
+    source = "a bound formula" if command == "bounds" else "the DP"
     for row in rows:
         for key, value in row.items():
             if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{key} = {value} at h = {row['h']}: the inputs overflow the DP")
+                at = f" at h = {row['h']}" if "h" in row else ""
+                raise ValueError(f"{key} = {value}{at}: the inputs overflow {source}")
 
 
 def _emit(args, rows, default_format="csv"):
     # the CSV columns are the keys of the first row, in order, a nested
     # dict's keys spelled outer.inner; every row has them
     fmt = args.format or default_format
+    flat = [_flat(row) for row in rows]
+    _check_rows_finite(args.command, flat)
     header = json.dumps(
         {"artifact_version": __version__, "config": args.config}, sort_keys=True, allow_nan=False
     )
     if fmt == "csv":
-        flat = [_flat(row) for row in rows]
         out = io.StringIO()
         out.write("# " + header + "\n")
         writer = csv.writer(out, lineterminator="\n")  # quotes a cell holding a comma
@@ -288,7 +291,6 @@ def _cmd_estimate(args) -> int:
         row = {"beta": args.beta, "h": h}
         row.update(asdict(est))
         rows.append(row)
-    _check_rows_finite(rows)
     _emit(args, rows)
     return 0
 
@@ -298,7 +300,6 @@ def _cmd_annealed(args) -> int:
     rows = []
     for h, value in zip(args.h_values, log_annealed_Z(kernel, args.n, args.h_values).tolist()):
         rows.append({"h": h, "n": args.n, "log_annealed_z": value, "per_site": value / args.n})
-    _check_rows_finite(rows)
     _emit(args, rows)
     return 0
 

@@ -95,13 +95,29 @@ def log_mgf_prime(law: DisorderLaw, beta: float) -> float:
 
 
 def q1(law: DisorderLaw, beta: float) -> float:
-    """beta * lambda'(beta) - lambda(beta); positive for beta > 0."""
-    return beta * log_mgf_prime(law, beta) - log_mgf(law, beta)
+    """beta * lambda'(beta) - lambda(beta); positive for beta > 0.
+
+    Free of inf - inf (the Gaussian halves beta before the square) and of
+    cancellation (the +/-1 law, where tanh beta rounds to 1, in t = e^(-2 beta)).
+    """
+    _check_beta(beta)
+    if law is GAUSSIAN:
+        return 0.5 * beta * beta
+    if math.tanh(beta) < 1.0:
+        return beta * math.tanh(beta) - log_mgf(law, beta)
+    t = math.exp(-2.0 * beta)
+    return math.log(2.0) - math.log1p(t) - 2.0 * beta * t / (1.0 + t)
 
 
 def q2(law: DisorderLaw, beta: float) -> float:
-    """lambda(2 beta) - 2 lambda(beta)."""
-    return log_mgf(law, 2.0 * beta) - 2.0 * log_mgf(law, beta)
+    """lambda(2 beta) - 2 lambda(beta); free of inf - inf and of cancellation, as q1."""
+    _check_beta(beta)
+    if law is GAUSSIAN:
+        return beta * beta
+    if math.tanh(beta) < 1.0:
+        return log_mgf(law, 2.0 * beta) - 2.0 * log_mgf(law, beta)
+    t = math.exp(-2.0 * beta)
+    return math.log(2.0) + math.log1p(t * t) - 2.0 * math.log1p(t)
 
 
 def rate_function(law: DisorderLaw, x: float) -> RateFunctionEval:

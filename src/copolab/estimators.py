@@ -27,6 +27,7 @@ from .disorder import (
     GAUSSIAN,
     DisorderLaw,
     _draw,
+    log_mgf,
     log_mgf_prime,
     q1,
     q2,
@@ -94,6 +95,7 @@ class FreeEnergyEstimate:
     n: int
     replicas: int
     mean_log_z_per_site: float
+    excess_per_site: float  # the mean less max(0, h - lambda), which is F(h) outside (0, 2 lambda)
     stderr: float
     upper_bracket: float
     lower_bracket: float
@@ -151,8 +153,9 @@ def replica_log_z(
         raise ValueError("need at least one site")
     fields = math.prod(np.shape(h))
     rows = max(1, _quenched_pass(n)[2] // max(fields, 1))
-    # charges past the float range turn non-finite, and their rows NaN
-    with np.errstate(over="ignore"):
+    # charges past the float range turn non-finite (beta omega - lambda may
+    # be inf - inf), and their rows NaN
+    with np.errstate(over="ignore", invalid="ignore"):
         values = _log_z_replicas(_replica_prefixes(law, beta, h, n, seed, replicas, rows), kernel)
     # the values come replica after replica, each replica field after field
     return values.reshape(replicas, fields).T.reshape(np.shape(h) + (replicas,))
@@ -171,7 +174,8 @@ def sweep_free_energy(
 
     One ``replica_log_z`` call over the grid: replica i has the same
     disorder at every h, and each estimate equals the one-field estimate at
-    its h bit for bit.  The upper bracket is the sub-additive
+    its h bit for bit.  excess_per_site is the mean less max(0, h -
+    lambda(beta)).  The upper bracket is the sub-additive
     envelope (mean*n + c4*log n + c5)/n evaluated at the simulated size,
     with c4 = DEFAULT_C4 and c5 = DEFAULT_C5; the lower bracket subtracts
     _Z_SCORE standard errors from the mean.
@@ -181,16 +185,21 @@ def sweep_free_energy(
     if n > kernel.support_cap:
         raise ValueError(f"kernel support {kernel.support_cap} < n = {n}")
 
+    h_values = list(h_values)
+    lam = log_mgf(law, beta)
     estimates = []
-    for values in replica_log_z(kernel, law, beta, list(h_values), n, seed, replicas):
-        per_site = values / n
-        mean = float(per_site.mean())
-        stderr = float(per_site.std(ddof=1) / math.sqrt(replicas))
+    for h, values in zip(h_values, replica_log_z(kernel, law, beta, h_values, n, seed, replicas)):
+        # values near the float's limit sum past it; the estimate is then not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            per_site = values / n
+            mean = float(per_site.mean())
+            stderr = float(per_site.std(ddof=1) / math.sqrt(replicas))
         estimates.append(
             FreeEnergyEstimate(
                 n=n,
                 replicas=replicas,
                 mean_log_z_per_site=mean,
+                excess_per_site=mean - max(0.0, h - lam),
                 stderr=stderr,
                 upper_bracket=(mean * n + DEFAULT_C4 * math.log(n) + DEFAULT_C5) / n,
                 lower_bracket=mean - _Z_SCORE * stderr,

@@ -1,17 +1,22 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from copolab.cli import _build_parser, main
+from copolab.cli import _READS, _build_parser, main
 from copolab.kernel import FamilyKind, SlowlyVaryingFamily, build_kernel
 from copolab.kernel import renewal_mass
 
@@ -225,7 +230,9 @@ def test_estimate_beta_zero_matches_annealed_subcommand(tmp_path):
     run_cli(["annealed", "--h", "0.3", "--n", "400", "--out", str(ann_path)])
     # the column rows, the keys of the rows the commands emit, in order
     est_lines, ann_lines = est_path.read_text().splitlines(), ann_path.read_text().splitlines()
-    assert est_lines[1] == "beta,h,n,replicas,mean_log_z_per_site,stderr,upper_bracket,lower_bracket,c4,c5"
+    assert est_lines[1] == (
+        "beta,h,n,replicas,mean_log_z_per_site,excess_per_site,stderr,upper_bracket,lower_bracket,c4,c5"
+    )
     assert ann_lines[1] == "h,n,log_annealed_z,per_site"
     est_row, ann_row = est_lines[2].split(","), ann_lines[2].split(",")
     mean_per_site = float(est_row[4])
@@ -815,11 +822,16 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert not out.parent.exists()
 
 
-def _header_config(path):
+def _replay(path):
+    """The command line that the header of the artifact at ``path`` spells."""
     text = path.read_text()
-    if text.startswith("# "):
-        return json.loads(text.splitlines()[0][2:])["config"]
-    return json.loads(text)["config"]
+    config = json.loads(text.splitlines()[0][2:] if text.startswith("# ") else text)["config"]
+    replay = [config.pop("command")]
+    if "suite" in config:
+        replay.append(config.pop("suite"))
+    for key, value in config.items():
+        replay += ["--cl" if key == "c_L" else "--" + key.replace("_", "-"), str(value)]
+    return replay
 
 
 @pytest.mark.parametrize(
@@ -842,12 +854,202 @@ def test_header_replays_as_flags(tmp_path, args):
     # the header holds every value the run used and nothing else
     first = tmp_path / "first"
     assert run_cli([*args, "--out", str(first)]) == 0
-    config = _header_config(first)
-    replay = [config.pop("command")]
-    if "suite" in config:
-        replay.append(config.pop("suite"))
-    for key, value in config.items():
-        replay += ["--cl" if key == "c_L" else "--" + key.replace("_", "-"), str(value)]
     second = tmp_path / "second"
-    assert run_cli([*replay, "--out", str(second)]) == 0
+    assert run_cli([*_replay(first), "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--family", "super-logarithmic", "--beta", "0"],
+        ["--family", "super-logarithmic", "--beta", "1e-170"],
+        ["--family", "super-logarithmic", "--beta", "0", "--law", "binary"],
+    ],
+    ids=["beta-0", "beta-underflows-q1", "beta-0-binary"],
+)
+def test_bounds_where_q1_is_zero_give_log_bounds_zero(tmp_path, args):
+    # q1 = 0 leaves the super-logarithmic envelope at its limit, as the
+    # other families' bounds are at beta = 0
+    out = tmp_path / "bounds.json"
+    assert run_cli(["bounds", "--h", "0.1", *args, "--format", "json", "--out", str(out)]) == 0
+    (row,) = read_strict_json(out)["rows"]
+    assert [row[key] for key in ("log_upper_general", "log_upper_sharper", "log_lower_rss")] == [0.0] * 3
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_bounds_past_the_float_range_exit_2_without_artifact(tmp_path, capsys, fmt):
+    # the Gaussian q1 = beta^2 / 2 is inf at beta = 1e200, and so is the bound
+    out = tmp_path / "bounds"
+    assert run_cli(["bounds", "--h", "0.1", "--beta", "1e200", "--format", fmt, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: log_upper_general = -inf at h = 0.1: the inputs overflow a bound formula\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", ["logarithmic", "sub-logarithmic"])
+def test_bounds_of_the_binary_law_at_large_beta_take_q1_q2_near_log_2(tmp_path, family):
+    # each bound of these families is q1 (log_lower_sublog: q2) times a
+    # factor of h alone, and the +/-1 q1 and q2 tend to log 2; the direct
+    # forms cancelled to 0 at beta = 1e16
+    rows = {}
+    for beta in ("1", "1e16"):
+        out = tmp_path / f"bounds-{beta}.json"
+        assert run_cli(["bounds", "--h", "0.1", "--beta", beta, "--law", "binary", "--family", family,
+                        "--format", "json", "--out", str(out)]) == 0
+        (rows[beta],) = read_strict_json(out)["rows"]
+    q1_ratio = math.log(2.0) / (math.tanh(1.0) - math.log(math.cosh(1.0)))
+    q2_ratio = math.log(2.0) / (math.log(math.cosh(2.0)) - 2.0 * math.log(math.cosh(1.0)))
+    ratios = {"log_upper_general": q1_ratio, "log_upper_sharper": q1_ratio, "log_lower_rss": q1_ratio,
+              "log_lower_sublog": q2_ratio}
+    for key, ratio in ratios.items():
+        if rows["1"][key] is not None:
+            assert rows["1e16"][key] == pytest.approx(rows["1"][key] * ratio, rel=1e-13), key
+
+
+# the command-line contract: the value classes of each flag, as text
+_VALID = {
+    "beta": ["0.3", "0.7", "1", "2.5"], "h": ["0.3", "0.1", "0.05", "-0.2"],
+    "upsilon": ["1.5", "2", "2.5", "4"], "c_L": ["0.5", "1", "1.5"],
+    "n": ["2", "7", "40", "150"], "replicas": ["2", "3", "7"], "seed": ["0", "7"],
+}
+_BOUNDARY = {
+    "beta": ["19.1", "1e-8"], "h": ["0.36787944117144233", "1e-3"], "upsilon": ["1", "1.0000001"],
+    "c_L": ["1e-3", "1e3"], "n": ["1", "64", "65"], "replicas": ["2"], "seed": [str(2**32), str(2**64)],
+}
+_FLOAT_CLASSES = {
+    "zero": ["0", "-0", "0.0"],
+    "tiny": ["1e-170", "5e-324", "2.2250738585072014e-308"],
+    "huge": ["1e16", "1e200", "1e308", "1.7976931348623157e308"],
+    "negative": ["-1", "-1e-3", "-1e200"],
+    "non-finite": ["nan", "inf", "-inf"],
+    "empty": [""],
+    "malformed": ["abc", "0.1.2", "1,2", "0x10", "--"],
+}
+# never huge: a huge --n allocates its kernel before any check, and a huge
+# --replicas derives one stream per replica
+_COUNT_CLASSES = {"zero": ["0"], "negative": ["-1", "-40"], "empty": [""], "malformed": ["x", "1.5", "1e3"]}
+_SEED_CLASSES = {
+    "huge": ["123456789012345678901234567890"], "negative": ["-1"], "empty": [""], "malformed": ["seed"],
+}
+_GRID_CLASSES = {"empty": ["", ",", " , "], "malformed": ["0.2,,0.1", "0.2;0.1", "0.1,0.2"]}
+
+
+def _one_of_classes(classes):
+    return st.sampled_from(sorted(classes)).flatmap(lambda cls: st.sampled_from(classes[cls]))
+
+
+def _flag_value(action, odd):
+    """A text value of the flag: valid or boundary, or with ``odd`` any class."""
+    dest = action.dest
+    if action.choices:
+        return st.sampled_from([*action.choices, *(["nosuch", ""] if odd else [])])
+    if dest == "h_grid":
+        # valid grids descend, as bounds needs; an odd one is any list of h values
+        fine = st.lists(st.sampled_from(_VALID["h"] + _BOUNDARY["h"]), min_size=1, max_size=3, unique=True)
+        fine = fine.map(lambda grid: ",".join(sorted(grid, key=float, reverse=True)))
+        if not odd:
+            return fine
+        values = _one_of_classes({**_FLOAT_CLASSES, "valid": _VALID["h"]}).filter(lambda v: "," not in v)
+        return st.one_of(st.lists(values, min_size=1, max_size=3).map(",".join), _one_of_classes(_GRID_CLASSES))
+    classes = {"valid": _VALID[dest], "boundary": _BOUNDARY[dest]}
+    if odd:
+        classes.update(
+            _FLOAT_CLASSES if action.type is float else _SEED_CLASSES if dest == "seed" else _COUNT_CLASSES
+        )
+    return _one_of_classes(classes)
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, the flags it needs, some it reads, now and then one it does not.
+
+    Every value is valid or at a boundary but one flag's, which is drawn
+    from every class, or none.
+    """
+    command = draw(st.sampled_from(sorted(_READS)))
+    run_flags = set().union(*_READS.values())
+    options = [
+        action for action in _build_parser()._subparsers._group_actions[0].choices[command]._actions
+        if action.option_strings and action.dest not in ("help", "config", "out")
+    ]
+    read = [a for a in options if a.dest not in run_flags or a.dest in _READS[command]]
+    fields = [a for a in read if a.dest in ("h", "h_grid")]
+    given = [a for a in read if a.required]
+    if "h_grid" in _READS[command]:
+        given.append(draw(st.sampled_from(fields)))
+    given += draw(st.lists(st.sampled_from([a for a in read if a not in given + fields]), unique=True))
+    # in one line of four, a flag it does not read, or --h next to --h-grid
+    stray = [a for a in options if a not in read] + [a for a in fields if a not in given]
+    if stray and draw(st.integers(0, 3)) == 0:
+        given.append(draw(st.sampled_from(stray)))
+    odd = draw(st.sampled_from([None, *given]))
+    argv = [command]
+    for action in given:
+        argv += [action.option_strings[0], draw(_flag_value(action, action is odd))]
+    return argv
+
+
+def _assert_valid_and_finite(text):
+    # strict JSON, or CSV under a strict JSON header with rows as wide as
+    # it; every number finite; the documented empty cells are bounds'
+    # log_lower_sublog (None) and its flags (no flag raised)
+    if not text.startswith("# "):
+        rows = json.loads(text, parse_constant=_refuse_constant)["rows"]
+        for row in rows:
+            assert [key for key, value in row.items() if value is None] in ([], ["log_lower_sublog"])
+        return
+    comment, *lines = text.splitlines()
+    json.loads(comment[2:], parse_constant=_refuse_constant)
+    columns, *rows = csv.reader(lines)
+    assert rows and all(len(row) == len(columns) for row in rows)
+    for row in rows:
+        for column, cell in zip(columns, row):
+            assert cell or column in ("log_lower_sublog", "flags"), column
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert math.isfinite(value), f"{column} = {cell}"
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses some lines itself
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(argv=_command_lines())
+@example(argv=["bounds", "--family", "super-logarithmic", "--h", "0.1", "--beta", "0"])
+@example(argv=["bounds", "--family", "super-logarithmic", "--h", "0.1", "--beta", "1e-170"])
+@example(argv=["bounds", "--h", "0.1", "--beta", "1e200"])
+@example(argv=["bounds", "--h", "0.1", "--beta", "1e200", "--format", "json"])
+@example(argv=["bounds", "--h", "0.1", "--beta", "1e16", "--law", "binary"])
+@example(argv=["bounds", "--beta", "1", "--h", "0.3", "--upsilon", "1.0000001", "--cl", "5e-324"])
+@example(argv=["estimate", "--beta", "1e308", "--h", "0.3", "--n", "2"])
+@example(argv=["estimate", "--beta", "19.1", "--h", "1e308", "--n", "1", "--law", "binary"])
+def test_command_line_contract(argv):
+    # every command line exits 0 with a valid, finite artifact that replays
+    # from its header byte for byte, or 2 with no artifact and one error
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        code, stdout, stderr = _run_in_process([*argv, "--out", str(first)])
+        assert code in (0, 2)
+        assert stdout == ""
+        if code == 2:
+            assert not first.exists()
+            lines = stderr.splitlines()
+            usage = lines[0].startswith("usage: ") and re.match(r"copolab( \S+)?: error: ", lines[-1])
+            assert usage or (len(lines) == 1 and lines[0].startswith("config error: ")), stderr
+            return
+        assert stderr == ""
+        _assert_valid_and_finite(first.read_text())
+        assert _run_in_process([*_replay(first), "--out", str(second)]) == (0, "", "")
+        assert first.read_bytes() == second.read_bytes()

@@ -1,4 +1,6 @@
+import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -82,6 +84,52 @@ def test_q1_binary_closed_form_and_numeric_derivative():
     step = 1e-5
     numeric = (log_mgf(BINARY, 1.0 + step) - log_mgf(BINARY, 1.0 - step)) / (2 * step)
     assert numeric == pytest.approx(log_mgf_prime(BINARY, 1.0), abs=1e-6)
+
+
+def _decimal_q1_q2(law, beta):
+    """q1 and q2 from their definitions at 450 digits, far past the float's cancellation."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 450
+        ctx.Emin, ctx.Emax = decimal.MIN_EMIN, decimal.MAX_EMAX
+        b = decimal.Decimal(beta)
+        if law is GAUSSIAN:
+            return b * b / 2, b * b
+
+        def log_cosh(x):
+            return x + (1 + (-2 * x).exp()).ln() - decimal.Decimal(2).ln()
+
+        t = (-2 * b).exp()
+        return b * (1 - t) / (1 + t) - log_cosh(b), log_cosh(2 * b) - 2 * log_cosh(b)
+
+
+_Q_BETAS = [
+    0.0, *np.logspace(-170, 300, 236).tolist(), 0.25, 1.0, 19.0, 19.1, 20.0, 1e3, 1e8, 1e16,
+    1.34e154, 1.5e154, 1.89e154, 1.9e154,
+]
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_q1_q2_match_a_decimal_reference_over_the_float_range(law):
+    # relative 1e-12, on the scale of the smallest normal below it; inf
+    # where the value is past the float range (the Gaussian q2 from 1.34e154,
+    # q1 from 1.9e154)
+    for beta in _Q_BETAS:
+        for got, ref in zip((q1(law, beta), q2(law, beta)), _decimal_q1_q2(law, beta)):
+            if ref > decimal.Decimal(sys.float_info.max):
+                assert got == math.inf, beta
+            else:
+                scale = max(ref, decimal.Decimal(sys.float_info.min))
+                assert abs(decimal.Decimal(got) - ref) <= decimal.Decimal("1e-12") * scale, beta
+
+
+def test_q1_q2_keep_the_direct_forms_bit_for_bit_up_to_beta_19():
+    # checks.coarse's default window int(exp(c3 / h)) turns on the last bit
+    # of q1, so below beta = 19 q1 and q2 are the plain cumulant forms
+    for beta in [*np.logspace(-150, math.log10(19.0), 300).tolist(), *np.linspace(0.25, 5.0, 4751).tolist()]:
+        beta = min(beta, 19.0)
+        for law in (GAUSSIAN, BINARY):
+            assert q1(law, beta) == beta * log_mgf_prime(law, beta) - log_mgf(law, beta)
+            assert q2(law, beta) == log_mgf(law, 2.0 * beta) - 2.0 * log_mgf(law, beta)
 
 
 def test_positivity_of_q1_q2():

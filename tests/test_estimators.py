@@ -67,6 +67,20 @@ def test_estimate_beta_zero_matches_annealed(log_kernel_small):
     assert got.stderr == pytest.approx(0.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+def test_excess_is_the_mean_less_the_straight_path_value(log_kernel_small, law):
+    # below 0, inside (0, 2 lambda) and past 2 lambda: the excess is the
+    # mean less max(0, h - lambda) bit for bit, and a field of a grid gives
+    # its one-field estimate, excess included
+    beta = 0.8
+    lam = log_mgf(law, beta)
+    grid = [2.0 * lam + 0.3, lam, 0.5 * lam, -0.2]
+    estimates = est.sweep_free_energy(log_kernel_small, law, beta, grid, 200, 4, 3)
+    for h, got in zip(grid, estimates):
+        assert got.excess_per_site == got.mean_log_z_per_site - max(0.0, h - lam)
+        assert est.sweep_free_energy(log_kernel_small, law, beta, [h], 200, 4, 3) == [got]
+
+
 def test_replica_values_do_not_depend_on_replica_count(log_kernel_small):
     # bit-equal whatever the batch width, which the GEMMs of the batched DP
     # must not leak into a replica's value

@@ -7,6 +7,10 @@ import pytest
 from scipy.integrate import quad
 
 import copolab
+import copolab.bounds
+import copolab.disorder
+import copolab.estimators
+import copolab.partition
 from copolab.kernel import (
     FamilyKind,
     SlowlyVaryingFamily,

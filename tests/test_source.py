@@ -1,15 +1,20 @@
 """Guards over the package source, read as syntax trees: no unused imports,
 no parameter a function never reads, replica disorder drawn in one place,
-one pass loop for both replica engines, and private names crossing modules
-only where a table lists them (none into the front end)."""
+one pass loop for both replica engines, private names crossing modules
+only where a table lists them (none into the front end), and a package
+namespace that imports nothing, so a module loads only what it imports."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "copolab").glob("*.py"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+MODULES = sorted((SRC / "copolab").glob("*.py"))
 
 
 def _tree(path):
@@ -132,3 +137,31 @@ def _private_imports(path):
 
 def test_private_names_crossing_modules_are_the_listed_ones():
     assert {path.stem: _private_imports(path) for path in MODULES} == PRIVATE_IMPORTS
+
+
+def test_package_namespace_holds_only_the_version():
+    # names are imported from their modules, never through the package
+    tree = _tree(SRC / "copolab" / "__init__.py")
+    assert [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+    (exports,) = [
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+    ]
+    assert ast.literal_eval(exports) == ["__version__"]
+
+
+@pytest.mark.parametrize(
+    "module,loaded",
+    [
+        ("disorder", ["disorder"]),
+        ("kernel", ["kernel"]),
+        ("estimators", ["bounds", "disorder", "estimators", "kernel", "partition"]),
+        ("cli", ["bounds", "checks", "cli", "disorder", "estimators", "kernel", "partition"]),
+    ],
+)
+def test_importing_a_module_loads_only_what_it_imports(module, loaded):
+    # in a fresh interpreter; cli and estimators are the benchmark's entry modules
+    probe = f"import sys, copolab.{module}; print(sorted(m for m in sys.modules if m.startswith('copolab.')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == str([f"copolab.{name}" for name in loaded])
