@@ -7,10 +7,10 @@ its own output.  The output path does not enter the header.  Exit codes:
 0 success, 1 verification failure, 2 usage or configuration error, an
 unwritable --out included; NaN or infinite values of --beta, --h,
 --upsilon, --cl or any --h-grid entry, a negative --beta, an --n below 1
-and --beta 0 for the coarse suite are configuration errors, rejected
-before anything is computed or written,
-and finite values that overflow a DP or a bound (a non-finite value in any
-row of any tabular command) exit 2 without writing the artifact.
+and a --beta whose q1 is 0 for the coarse suite are configuration errors,
+rejected before anything is computed or written, and finite values that
+overflow a DP, a bound or a verify suite (a non-finite value in any row of
+a tabular command or anywhere in a verify report) exit 2 without writing it.
 
 Every command takes the model flags --family, --upsilon, --cl, --law, --n
 and --seed, and of the run flags --beta, --h, --h-grid, --replicas and
@@ -56,7 +56,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__, bounds as bounds_mod, checks, estimators
-from .disorder import DisorderLaw
+from .disorder import DisorderLaw, q1
 from .kernel import FamilyKind, SlowlyVaryingFamily, build_kernel, defect_Kk
 from .partition import log_annealed_Z
 
@@ -210,8 +210,8 @@ def _parse(argv) -> argparse.Namespace:
         raise ValueError(f"--beta must be nonnegative, got {args.beta}")
     if args.n < 1:
         raise ValueError(f"--n {args.n}: need at least one site")
-    if "coarse" in names and args.beta == 0:
-        raise ValueError(f"{label} needs --beta above 0: q1(0) = 0 leaves no crossover window")
+    if "coarse" in names and args.beta is not None and q1(DisorderLaw(args.law), args.beta) == 0:
+        raise ValueError(f"{label} needs q1(--beta) above 0: q1({args.beta}) = 0 leaves no crossover window")
     if "h_grid" in reads:
         if not grid and args.h is None:
             raise ValueError("one of --h or --h-grid is required")
@@ -224,8 +224,8 @@ def _parse(argv) -> argparse.Namespace:
 
 
 def _check_rows_finite(command, rows) -> None:
-    # finite flags can still overflow inside a DP or a bound formula; refuse the artifact then
-    source = "a bound formula" if command == "bounds" else "the DP"
+    # finite flags can still overflow a DP, a bound formula or a verify suite; refuse the artifact then
+    source = {"bounds": "a bound formula", "verify": "a verify suite"}.get(command, "the DP")
     for row in rows:
         for key, value in row.items():
             if isinstance(value, float) and not math.isfinite(value):
@@ -263,14 +263,15 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _flat(row: dict, prefix: str = "") -> dict:
-    flat = {}
-    for key, value in row.items():
-        if isinstance(value, dict):
-            flat.update(_flat(value, f"{prefix}{key}."))
-        else:
-            flat[prefix + key] = value
-    return flat
+def _flat(value, path: str = "") -> dict:
+    # every leaf of nested dicts and lists by its path, outer.inner and outer[i]
+    if isinstance(value, dict):
+        items = [(f"{path}.{key}" if path else key, item) for key, item in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", item) for i, item in enumerate(value)]
+    else:
+        return {path: value}
+    return {at: leaf for key, item in items for at, leaf in _flat(item, key).items()}
 
 
 def _cell(value) -> str:
@@ -356,6 +357,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "artifact_version": __version__, "config": args.config, "suites": suites, "pass": ok
     }
+    _check_rows_finite(args.command, [_flat(payload)])
     text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     _write(args, text)
     return 0 if ok else 1

@@ -262,7 +262,7 @@ def trimmed_plan(
     log_sites = 2.0 * c2 * k + 3.0 * math.log(c2 * k)
     if log_sites > math.log(_PLAN_SITE_BUDGET):
         raise ValueError(
-            f"plan at h={h} needs up to e^{log_sites:.1f} sites, over the budget of "
+            f"plan at h={h} needs up to e^{log_sites:.4g} sites, over the budget of "
             f"{_PLAN_SITE_BUDGET}; use a larger h or smaller c1, c2"
         )
     big_m = int(math.exp(c2 * k))
@@ -678,7 +678,11 @@ def coarse_graining_check(
 
     # empirical Green constant, the largest u(n) tail(1/h)^2 / K(n) over
     # 1 <= n <= green_n_max // 2 and over 1 <= n <= green_n_max
-    ratios = u[1 : green_n_max + 1] * tail_at_inv_h**2 / kernel.masses[1 : green_n_max + 1]
+    try:
+        with np.errstate(over="raise"):
+            ratios = u[1 : green_n_max + 1] * tail_at_inv_h**2 / kernel.masses[1 : green_n_max + 1]
+    except (OverflowError, FloatingPointError):
+        raise OverflowError(f"the Green constant overflows at c_L={kernel.family.c_L}") from None
     c_half = float(ratios[: green_n_max // 2].max())
     c_full = float(ratios.max())
 

@@ -379,22 +379,13 @@ def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:
 
 
 def _fill_limit(kernel: RenewalKernel, n: int) -> float:
-    """The largest in-block charge variation the linear fill takes at N = n:
-    _FILL_VARIATION less the kernel's floor, as ``_fill_linear`` derives it.
-
-    The floor is D + log(4/kappa): D the largest |log K(g) - log K(g')|
-    over gaps g, g' <= n less than _BLOCK apart, the range of log K over
-    each window of min(_BLOCK, n) consecutive gaps, whose maxima and minima
-    are built by doubling the window; kappa the smallest K(g), g <= _FILL_ROWS.
+    """The largest in-block charge variation the linear fill takes at N = n,
+    _FILL_VARIATION less ``_fill_linear``'s kernel floor D + log(4/kappa).  L is frozen
+    below x_min and non-increasing above it, so K(g) = c L(g)/g strictly decreases:
+    D = max log K(g) - log K(g + min(_BLOCK, n) - 1) and kappa = K(_FILL_ROWS).
     """
-    width = min(_BLOCK, n)
-    high = low = kernel.log_masses[1 : n + 1]
-    span = 1
-    while span < width:
-        step = min(span, width - span)
-        high, low = np.maximum(high[:-step], high[step:]), np.minimum(low[:-step], low[step:])
-        span += step
-    floor = float((high - low).max()) + math.log(4.0 / kernel.masses[1 : _FILL_ROWS + 1].min())
+    log_k, w = kernel.log_masses, min(_BLOCK, n)
+    floor = float((log_k[1 : n + 2 - w] - log_k[w : n + 1]).max()) + math.log(4.0 / kernel.masses[_FILL_ROWS])
     return _FILL_VARIATION - floor
 
 
@@ -497,9 +488,11 @@ def _fill_linear(pushed, ref, charges, mid, steep, diagonal, views, ws):
     double, in [2^{-1022}, 2^{1024}): a term that turns subnormal inside a
     normal sum is off by at most 2^{-1075}, within a unit of rounding of the
     sum.  Take the block's charge variation TV = sum |S_{i+1} - S_i|, its
-    range R = max S - min S <= TV, so |S - mid| <= R/2, the kernel's drop D,
-    the largest |log K(g) - log K(g')| over gaps g, g' <= N less than _BLOCK
-    apart, and kappa, the smallest K(g) with g <= _FILL_ROWS.  Ceiling: an
+    range R = max S - min S <= TV, so |S - mid| <= R/2, the kernel's drop
+    D = max log K(g) - log K(g + min(_BLOCK, N) - 1), the most log K falls
+    over gaps g, g' <= N less than _BLOCK apart (L is frozen below x_min and
+    non-increasing above it, so K(g) = c L(g)/g strictly decreases), and
+    kappa = K(_FILL_ROWS), the smallest K(g) with g <= _FILL_ROWS.  Ceiling: an
     entry (I - L)^{-1}[u, v] sums, over in-block renewal paths
     v = w_0 < ... < w_k = u, products of K(gap)/2 (1 + e^{dS}) <= K(gap)
     e^{max(dS, 0)}, so it is at most e^{TV} times the renewal mass u(u - v)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import traceback
 import warnings
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from copolab import checks
 from copolab.cli import _READS, _build_parser, main
 from copolab.kernel import FamilyKind, SlowlyVaryingFamily, build_kernel
 from copolab.kernel import renewal_mass
@@ -774,15 +777,28 @@ def test_verify_moments_at_beta_zero_passes(tmp_path):
 
 @pytest.mark.parametrize("suite", ["coarse", "all"])
 def test_coarse_at_beta_zero_exits_2_naming_beta(tmp_path, capsys, suite):
-    # q1(0) = 0 leaves no crossover window; the refusal names --beta, the
-    # flag given, not the h = 0 the suite would derive from it, and comes
-    # before any suite runs
+    # q1(0) = 0, and q1(1e-300) underflows to 0, leave no crossover window;
+    # the refusal names --beta, the flag given, not the h = 0 the suite
+    # would derive from it, and comes before any suite runs
     out = tmp_path / "out"
-    assert run_cli(["verify", suite, "--beta", "0", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"verify {suite} needs --beta above 0: q1(0) = 0 leaves no crossover window" in err
-    assert "h must be positive" not in err
-    assert not out.exists()
+    for beta in ("0", "1e-300"):
+        assert run_cli(["verify", suite, "--beta", beta, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: verify {suite} needs q1(--beta) above 0: "
+            f"q1({float(beta)}) = 0 leaves no crossover window\n"
+        )
+        assert not out.exists()
+
+
+@pytest.mark.xfail(strict=True, raises=IndexError, reason="ROADMAP item 1a: window_sum past its mass table")
+def test_verify_coarse_window_past_its_mass_table_writes_a_report(tmp_path):
+    # at upsilon = 1.0000001 the coarse check's mass table ends before its
+    # crossover window starts, and window_sum indexes past it; the fix
+    # reports the window as a scan finding, so verify writes its report
+    out = tmp_path / "coarse.json"
+    code = run_cli(["verify", "coarse", "--upsilon", "1.0000001", "--replicas", "2", "--out", str(out)])
+    assert code in (0, 1)
+    assert read_strict_json(out)["pass"] is (code == 0)
 
 
 def _run_captured(args, capsys):
@@ -940,8 +956,12 @@ def _one_of_classes(classes):
     return st.sampled_from(sorted(classes)).flatmap(lambda cls: st.sampled_from(classes[cls]))
 
 
-def _flag_value(action, odd):
-    """A text value of the flag: valid or boundary, or with ``odd`` any class."""
+def _flag_value(action, odd, valid=None):
+    """A text value of the flag: valid or boundary, or with ``odd`` any class.
+
+    ``valid`` maps a flag to the values that replace its valid and
+    boundary ones.
+    """
     dest = action.dest
     if action.choices:
         return st.sampled_from([*action.choices, *(["nosuch", ""] if odd else [])])
@@ -953,7 +973,10 @@ def _flag_value(action, odd):
             return fine
         values = _one_of_classes({**_FLOAT_CLASSES, "valid": _VALID["h"]}).filter(lambda v: "," not in v)
         return st.one_of(st.lists(values, min_size=1, max_size=3).map(",".join), _one_of_classes(_GRID_CLASSES))
-    classes = {"valid": _VALID[dest], "boundary": _BOUNDARY[dest]}
+    if valid and dest in valid:
+        classes = {"valid": valid[dest]}
+    else:
+        classes = {"valid": _VALID[dest], "boundary": _BOUNDARY[dest]}
     if odd:
         classes.update(
             _FLOAT_CLASSES if action.type is float else _SEED_CLASSES if dest == "seed" else _COUNT_CLASSES
@@ -961,34 +984,62 @@ def _flag_value(action, odd):
     return _one_of_classes(classes)
 
 
-@st.composite
-def _command_lines(draw):
-    """A command, the flags it needs, some it reads, now and then one it does not.
-
-    Every value is valid or at a boundary but one flag's, which is drawn
-    from every class, or none.
-    """
-    command = draw(st.sampled_from(sorted(_READS)))
-    run_flags = set().union(*_READS.values())
+def _options(command, reads):
+    """The command's flags, and of them the ones it reads: every model flag and ``reads``."""
     options = [
         action for action in _build_parser()._subparsers._group_actions[0].choices[command]._actions
         if action.option_strings and action.dest not in ("help", "config", "out")
     ]
-    read = [a for a in options if a.dest not in run_flags or a.dest in _READS[command]]
-    fields = [a for a in read if a.dest in ("h", "h_grid")]
-    given = [a for a in read if a.required]
-    if "h_grid" in _READS[command]:
-        given.append(draw(st.sampled_from(fields)))
-    given += draw(st.lists(st.sampled_from([a for a in read if a not in given + fields]), unique=True))
-    # in one line of four, a flag it does not read, or --h next to --h-grid
+    run_flags = set().union(*_READS.values())
+    return options, [a for a in options if a.dest not in run_flags or a.dest in reads]
+
+
+def _flags(draw, options, read, given, fields=(), valid=None):
+    """``given``, some more flags of ``read`` but ``fields``, and in one line
+    of four a stray one: a flag not read, or one of ``fields`` not given.
+
+    Every value is valid or at a boundary but one flag's, which is drawn
+    from every class, or none; ``valid`` as ``_flag_value`` takes it.
+    """
+    given = given + draw(st.lists(st.sampled_from([a for a in read if a not in [*given, *fields]]), unique=True))
     stray = [a for a in options if a not in read] + [a for a in fields if a not in given]
     if stray and draw(st.integers(0, 3)) == 0:
         given.append(draw(st.sampled_from(stray)))
     odd = draw(st.sampled_from([None, *given]))
-    argv = [command]
+    argv = []
     for action in given:
-        argv += [action.option_strings[0], draw(_flag_value(action, action is odd))]
+        argv += [action.option_strings[0], draw(_flag_value(action, action is odd, valid))]
     return argv
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, the flags it needs, some it reads, now and then one it does
+    not or --h next to --h-grid, as ``_flags`` draws them."""
+    command = draw(st.sampled_from(sorted(_READS)))
+    options, read = _options(command, _READS[command])
+    fields = [a for a in read if a.dest in ("h", "h_grid")]
+    given = [a for a in read if a.required]
+    if "h_grid" in _READS[command]:
+        given.append(draw(st.sampled_from(fields)))
+    return [command, *_flags(draw, options, read, given, fields)]
+
+
+@st.composite
+def _verify_lines(draw):
+    """``verify`` and a suite, one line in twenty oracle or all (oracle takes
+    about 1.5 s), and flags as ``_flags`` draws them from the suite's
+    parameters and the model flags.  A suite that reads --replicas is given
+    it, 100 where moments runs and a few for coarse, so every line is cheap.
+    """
+    cheap = draw(st.integers(0, 19)) > 0
+    suite = draw(st.sampled_from(["coarse", "moments", "penalization"] if cheap else ["oracle", "all"]))
+    names = list(checks.SUITES) if suite == "all" else [suite]
+    reads = set().union(*(inspect.signature(checks.SUITES[name]).parameters for name in names))
+    options, read = _options("verify", reads)
+    given = [a for a in read if a.dest == "replicas"]
+    valid = {"replicas": ["100"] if "moments" in names else _VALID["replicas"]}
+    return ["verify", suite, *_flags(draw, options, read, given, valid=valid)]
 
 
 def _assert_valid_and_finite(text):
@@ -1044,12 +1095,71 @@ def test_command_line_contract(argv):
         assert code in (0, 2)
         assert stdout == ""
         if code == 2:
-            assert not first.exists()
-            lines = stderr.splitlines()
-            usage = lines[0].startswith("usage: ") and re.match(r"copolab( \S+)?: error: ", lines[-1])
-            assert usage or (len(lines) == 1 and lines[0].startswith("config error: ")), stderr
+            _assert_refused(first, stderr)
             return
         assert stderr == ""
         _assert_valid_and_finite(first.read_text())
         assert _run_in_process([*_replay(first), "--out", str(second)]) == (0, "", "")
         assert first.read_bytes() == second.read_bytes()
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(argv=_verify_lines())
+@example(argv=["verify", "penalization", "--beta", "1e200"])
+@example(argv=["verify", "coarse", "--beta", "1e-300", "--replicas", "2"])
+@example(argv=["verify", "coarse", "--cl", "1e300", "--replicas", "2"])
+@example(argv=["verify", "moments", "--h", "1e-300", "--replicas", "100"])
+@example(argv=["verify", "all", "--replicas", "100"])  # every suite runs, oracle included
+def test_verify_contract(argv):
+    # every verify line exits 0 or 1 with a strict JSON report whose "pass"
+    # is the exit code's and which replays from its header byte for byte,
+    # or 2 with no report and one error
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        try:
+            code, stdout, stderr = _run_in_process([*argv, "--out", str(first)])
+        except IndexError as exc:
+            # the one known defect, ROADMAP item 1a: a crossover window past
+            # the coarse check's mass table; pinned by the strict xfail
+            # test_verify_coarse_window_past_its_mass_table_writes_a_report
+            assert traceback.extract_tb(exc.__traceback__)[-1].name == "window_sum"
+            return
+        assert code in (0, 1, 2)
+        assert stdout == ""
+        if code == 2:
+            _assert_refused(first, stderr)
+            assert stderr.startswith("usage: ") or len(stderr) < 200, stderr
+            return
+        assert stderr == ""
+        assert read_strict_json(first)["pass"] is (code == 0)
+        assert _run_in_process([*_replay(first), "--out", str(second)]) == (code, "", "")
+        assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args,named",
+    [
+        (["penalization", "--beta", "1e200"], "suites.penalization.points[0].log_bound_closed_form = -inf"),
+        (["coarse", "--cl", "1e300"], "the Green constant overflows at c_L=1e+300"),
+        (["coarse", "--cl", "1e152"], "the Green constant overflows at c_L=1e+152"),
+        (["moments", "--h", "1e-300"], "plan at h=1e-300 needs up to e^6.472e+301 sites"),
+    ],
+    ids=["penalization-report-inf", "coarse-green-tail-overflow", "coarse-green-ratio-overflow",
+         "moments-plan-budget"],
+)
+def test_verify_refusals_name_what_the_user_gave(tmp_path, capsys, args, named):
+    # one short config error line naming the report field or the flag, and no report
+    out = tmp_path / "report.json"
+    assert run_cli(["verify", *args, "--out", str(out)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: ") and named in line and len(line) < 200, line
+    assert not out.exists()
+
+
+def _assert_refused(artifact, stderr):
+    # exit 2 leaves no artifact and one config error line, or argparse's usage
+    assert not artifact.exists()
+    lines = stderr.splitlines()
+    usage = lines[0].startswith("usage: ") and re.match(r"copolab( \S+)?: error: ", lines[-1])
+    assert usage or (len(lines) == 1 and lines[0].startswith("config error: ")), stderr

@@ -262,6 +262,46 @@ def limit_kernels(families):
     return kernels
 
 
+def _doubled_fill_limit(kernel, n):
+    # _fill_limit with no premise on K: the range of log K over each window
+    # of min(_BLOCK, n) consecutive gaps, its maxima and minima built by
+    # doubling the window, and kappa the smallest of K(1), ..., K(_FILL_ROWS)
+    width = min(_BLOCK, n)
+    high = low = kernel.log_masses[1 : n + 1]
+    span = 1
+    while span < width:
+        step = min(span, width - span)
+        high, low = np.maximum(high[:-step], high[step:]), np.minimum(low[:-step], low[step:])
+        span += step
+    floor = float((high - low).max()) + math.log(4.0 / kernel.masses[1 : _FILL_ROWS + 1].min())
+    return partition._FILL_VARIATION - floor
+
+
+def test_fill_limit_reads_the_decreasing_kernel_as_the_doubled_window_does():
+    # _fill_limit takes K to strictly decrease (L frozen below x_min and
+    # non-increasing above it): every kernel of the three families over a
+    # grid of upsilon, c_L and support, the ones the family refuses left
+    # out, has strictly decreasing masses and log masses, and its limit
+    # equals the doubled window's bit for bit at N across block and
+    # sub-block edges up to the support
+    sizes = (1, 2, 7, 8, 9, 63, 64, 65, 127, 128, 999, 1000, 20_000)
+    built = 0
+    for kind in FamilyKind:
+        for upsilon in (1.01, 1.5, 2.0, 4.0, 20.0, 160.0, 300.0, 1000.0):
+            for c_l in (1e-3, 1.0, 1e3):
+                for support in (1000, 20_000):
+                    try:
+                        kernel = build_kernel(SlowlyVaryingFamily(kind, upsilon, c_l), support)
+                    except ValueError:
+                        continue
+                    built += 1
+                    assert (np.diff(kernel.masses[1:]) < 0).all()
+                    assert (np.diff(kernel.log_masses[1:]) < 0).all()
+                    for n in (n for n in sizes if n <= support):
+                        assert _fill_limit(kernel, n) == _doubled_fill_limit(kernel, n), (kind, upsilon, c_l, n)
+    assert built == 123
+
+
 @pytest.mark.parametrize("name", ["sub", "log", "super", "sub-1000", "log-300"])
 @pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
 def test_engine_fills_each_block_by_its_variation_at_the_limit(limit_kernels, monkeypatch, name, law):

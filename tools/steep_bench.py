@@ -6,7 +6,8 @@ For each (law, beta) of GRID it times ``estimators.replica_log_z`` at
 N = 2000, R = 32, h = 0.1 and seed 0 on the logarithmic family at
 upsilon = 2, the best of ``--repeats`` calls, and prints one JSON line per
 beta: that time, the largest in-block charge variation of the replicas'
-rows, and the number of (row, block) pairs that the engine sends to its
+rows beside ``partition._fill_limit`` (the variation past which a block's
+row is filled in log space), and the number of (row, block) pairs that the engine sends to its
 log-domain fill, counted by a spy on ``partition._block_plan`` during one
 more, untimed call.  The program is imported from the PYTHONPATH, so two
 checkouts are compared by running the script once with each one's src/.
@@ -60,6 +61,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5)
     args = parser.parse_args(argv)
     kernel = build_kernel(SlowlyVaryingFamily(FamilyKind.LOGARITHMIC, 2.0), N)
+    limit = round(partition._fill_limit(kernel, N), 3)
     for law, beta in GRID:
         (rows,) = _replica_prefixes(law, beta, H, N, SEED, REPLICAS)
         steep = steep_pairs(kernel, law, beta)
@@ -70,7 +72,8 @@ def main(argv=None) -> int:
             times.append(time.perf_counter() - start)
         print(json.dumps({
             "law": law.value, "beta": beta, "best_s": round(min(times), 6),
-            "largest_block_variation": round(largest_variation(rows), 3), "steep_pairs": steep,
+            "largest_block_variation": round(largest_variation(rows), 3), "fill_limit": limit,
+            "steep_pairs": steep,
         }), flush=True)
     return 0
 
