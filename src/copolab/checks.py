@@ -274,8 +274,8 @@ def penalization(kernel, law, beta=1.0) -> dict:
 
 def coarse(kernel, law, seed, beta=1.0, h=None, replicas=100) -> dict:
     c3 = 0.9 * q1(law, beta)
-    if h is None:  # the default field depends on beta
-        h = c3 / math.log(1000.0)
+    if h is None:  # the default field depends on beta; its window int(e^(c3/h)) is 1000 sites
+        h = c3 / math.log(1000.5)
     report = estimators.coarse_graining_check(
         kernel, law, beta, h, c3, replicas=replicas, seed=seed
     )

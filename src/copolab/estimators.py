@@ -581,7 +581,8 @@ def coarse_graining_check(
     a green_n_max below 2 (the half range of the Green constant needs a site),
     a negative seed, c3 >= q1(beta), h >= c3, or outside the
     super-logarithmic family log(c3/h) <= 1 (the window size M_h of h/c3
-    needs it) raise ValueError.
+    needs it), or a c_L so small that the Green constant underflows to 0
+    raise ValueError; one so large that it overflows raises OverflowError.
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
@@ -684,6 +685,8 @@ def coarse_graining_check(
     except (OverflowError, FloatingPointError):
         raise OverflowError(f"the Green constant overflows at c_L={kernel.family.c_L}") from None
     c_half = float(ratios[: green_n_max // 2].max())
+    if c_half == 0.0:  # u(n) tail(1/h)^2 underflowed to 0 at every n
+        raise ValueError(f"the Green constant underflows to 0 at c_L={kernel.family.c_L}")
     c_full = float(ratios.max())
 
     rho_proxy = math.exp(3.0) * (a_term + b_term)
@@ -703,7 +706,7 @@ def coarse_graining_check(
         "fractional_moment_spot": spot,
         "green_constant_half_range": c_half,
         "green_constant_full_range": c_full,
-        "green_relative_change": abs(c_full - c_half) / c_half if c_half > 0 else math.inf,
+        "green_relative_change": abs(c_full - c_half) / c_half,
         "eta": _COARSE_ETA,
         "c3": c3,
     }

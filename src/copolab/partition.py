@@ -774,11 +774,9 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     place; a pass writes the Toeplitz operand into this thread's
     ``_workspace`` and takes its stage buffers there.
 
-    The first long stage starts from f = e_0, so its output on the targets
-    [M, min(M^2, size - 1)] is K/2 itself: the engine reads it from one
-    shared row instead of multiplying a window that is zero but for one
-    entry, and the values are those the product gives, bit for bit.  Every
-    later long stage is one banded Toeplitz matrix T[c, r] = K(r + M^2 - c)/2
+    f starts as e_0, the path's start at position 0, held in its own stage
+    buffer as the quenched engine's site 0 holds the source.  Every long
+    stage is one banded Toeplitz matrix T[c, r] = K(r + M^2 - c)/2
     over gaps in [M, M^2], applied as (_GEMM_REPLICAS, W) @ (W, _TRIMMED_CHUNK)
     GEMMs, W = _TRIMMED_CHUNK + M(M - 1), one per group and chunk of the
     targets that the support left by the previous stage reaches, all in one
@@ -829,10 +827,6 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
     taps[chunk - 1 : chunk + lead - big_m] = 0.5 * kernel.masses[big_m : lead + 1]
     # toeplitz[c, r] = K(r + M^2 - c)/2: from source t0 - M^2 + c to target t0 + r
     operand = _toeplitz_view(taps, width).T
-    # the first long stage in g's column layout: K(x)/2 at column lead + x
-    reach = min(lead, size - 1)
-    opening = np.zeros(lead + reach + 1)
-    opening[lead + big_m :] = 0.5 * kernel.masses[big_m : reach + 1]
     closing = _closing_weights(kernel, plan, size)
     short_w = 0.5 * kernel.masses[1 : k + 1]
 
@@ -863,19 +857,16 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
         for ell in range(1, k + 1):
             charge[:, ell - 1, ell:] *= short_w[ell - 1]
         f.fill(0.0)  # the long stage reads zeros wherever the support does not reach
+        f[:, lead] = 1.0  # e_0
         log_scale = np.zeros(len(rows))
-        s_lo = s_hi = 0  # f, e_0 before pair 0 and not stored, is zero outside s_lo..s_hi
-        for pair in range(m):
-            # the long stage on its targets [lo, hi], read nowhere else:
-            # opening's shared row for pair 0, else g, where chunk t0 = lo +
-            # j chunk reads sources t0 - M^2 .. t0 + chunk - 1 - M, the f
-            # columns t0 .. t0 + width - 1
+        s_lo = s_hi = 0  # f is zero outside s_lo..s_hi
+        for _ in range(m):
+            # the long stage on its targets [lo, hi] of g, read nowhere else:
+            # chunk t0 = lo + j chunk reads sources t0 - M^2 .. t0 + chunk - 1 - M,
+            # the f columns t0 .. t0 + width - 1
             lo, hi = s_lo + big_m, min(s_hi + lead, size - 1)
-            long = opening
-            if pair:
-                chunks = -(-(hi + 1 - lo) // chunk)
-                np.matmul(windows(f, lo, chunks, width), toeplitz, out=windows(g, lead + lo, chunks, chunk))
-                long = g
+            chunks = -(-(hi + 1 - lo) // chunk)
+            np.matmul(windows(f, lo, chunks, width), toeplitz, out=windows(g, lead + lo, chunks, chunk))
             # the short stage leaves f on [lo + 1, top]: l = 1 writes it up
             # to hi + 1, and zeros cover the rest of that range and the part
             # of the old support left of it
@@ -884,7 +875,7 @@ def _trimmed_log_z_replicas(prefix, kernel, plan) -> np.ndarray:
             f[:, lead + hi + 2 : lead + top + 1] = 0.0
             for ell in range(1, k + 1):
                 a, b = lead + lo + ell, lead + min(hi + ell, top) + 1
-                terms = long[..., a - ell : b - ell], charge[:, ell - 1, a - lead : b - lead]
+                terms = g[:, a - ell : b - ell], charge[:, ell - 1, a - lead : b - lead]
                 if ell == 1:
                     np.multiply(*terms, out=f[:, a:b])
                 else:

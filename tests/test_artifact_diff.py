@@ -93,3 +93,24 @@ def test_cheap_forms_reproduce_the_corpus(tmp_path, form):
         kept, fresh = (artifact_diff.load(root / name) for root in (artifact_corpus.CORPUS, tmp_path))
         moves = list(artifact_diff.diff(kept, fresh))
         assert all(kind == "float" and move <= 1e-12 for _, kind, _, _, move in moves), (name, moves)
+
+
+def test_refresh_after_a_failed_run_leaves_the_corpus_untouched(tmp_path, monkeypatch, capsys):
+    # a failed form would otherwise lose its checked-in artifacts, or have
+    # them replaced by partial output
+    corpus = _write(tmp_path / "corpus", _REPORT, _TABLE)
+    kept = {path.name: path.read_bytes() for path in corpus.iterdir()}
+
+    def copolab(argv):
+        out = Path(argv[argv.index("--out") + 1])
+        out.write_text(json.dumps(_REPORT))
+        return 1 if out.name == "verify-coarse-logarithmic-gaussian.json" else 0
+
+    monkeypatch.setattr(artifact_corpus, "CORPUS", corpus)
+    monkeypatch.setattr(artifact_corpus, "copolab", copolab)
+    monkeypatch.syspath_prepend(str(Path(artifact_corpus.__file__).parent))
+    assert artifact_corpus.main(["--refresh"]) == 1
+    assert {path.name: path.read_bytes() for path in corpus.iterdir()} == kept
+    out = capsys.readouterr().out
+    assert "verify-coarse-logarithmic-gaussian.json: the run exited nonzero" in out
+    assert f"left {corpus} untouched: a run exited nonzero" in out

@@ -790,6 +790,26 @@ def test_coarse_at_beta_zero_exits_2_naming_beta(tmp_path, capsys, suite):
         assert not out.exists()
 
 
+def test_coarse_default_window_is_1000_sites_at_every_beta(monkeypatch):
+    # the default h gives int(exp(c3 / h)) = 1000 whatever the last bits of
+    # q1(beta); h = c3 / log(1000) gave 999 at most beta of this grid
+    from copolab.disorder import BINARY, GAUSSIAN
+
+    windows = []
+
+    def spy(kernel, law, beta, h, c3, **kwargs):
+        windows.append(int(math.exp(c3 / h)))
+        return {"feasible": False}
+
+    monkeypatch.setattr(checks.estimators, "coarse_graining_check", spy)
+    kernel = build_kernel(SlowlyVaryingFamily(FamilyKind.LOGARITHMIC, 2.0), 1000)
+    betas = np.linspace(0.25, 5.0, 4751).tolist()
+    for law in (GAUSSIAN, BINARY):
+        for beta in betas:
+            checks.coarse(kernel, law, 0, beta=beta)
+    assert windows == [1000] * (2 * len(betas))
+
+
 @pytest.mark.xfail(strict=True, raises=IndexError, reason="ROADMAP item 1a: window_sum past its mass table")
 def test_verify_coarse_window_past_its_mass_table_writes_a_report(tmp_path):
     # at upsilon = 1.0000001 the coarse check's mass table ends before its
@@ -1108,6 +1128,8 @@ def test_command_line_contract(argv):
 @example(argv=["verify", "penalization", "--beta", "1e200"])
 @example(argv=["verify", "coarse", "--beta", "1e-300", "--replicas", "2"])
 @example(argv=["verify", "coarse", "--cl", "1e300", "--replicas", "2"])
+@example(argv=["verify", "coarse", "--cl", "1e-200", "--replicas", "2"])
+@example(argv=["verify", "coarse", "--law", "binary", "--beta", "1.3", "--replicas", "2"])
 @example(argv=["verify", "moments", "--h", "1e-300", "--replicas", "100"])
 @example(argv=["verify", "all", "--replicas", "100"])  # every suite runs, oracle included
 def test_verify_contract(argv):
@@ -1143,10 +1165,11 @@ def test_verify_contract(argv):
         (["penalization", "--beta", "1e200"], "suites.penalization.points[0].log_bound_closed_form = -inf"),
         (["coarse", "--cl", "1e300"], "the Green constant overflows at c_L=1e+300"),
         (["coarse", "--cl", "1e152"], "the Green constant overflows at c_L=1e+152"),
+        (["coarse", "--cl", "1e-200"], "the Green constant underflows to 0 at c_L=1e-200"),
         (["moments", "--h", "1e-300"], "plan at h=1e-300 needs up to e^6.472e+301 sites"),
     ],
     ids=["penalization-report-inf", "coarse-green-tail-overflow", "coarse-green-ratio-overflow",
-         "moments-plan-budget"],
+         "coarse-green-tail-underflow", "moments-plan-budget"],
 )
 def test_verify_refusals_name_what_the_user_gave(tmp_path, capsys, args, named):
     # one short config error line naming the report field or the flag, and no report

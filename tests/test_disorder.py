@@ -123,8 +123,9 @@ def test_q1_q2_match_a_decimal_reference_over_the_float_range(law):
 
 
 def test_q1_q2_keep_the_direct_forms_bit_for_bit_up_to_beta_19():
-    # checks.coarse's default window int(exp(c3 / h)) turns on the last bit
-    # of q1, so below beta = 19 q1 and q2 are the plain cumulant forms
+    # the artifact corpus records q1-derived values (checks.coarse's c3 and
+    # h) to the last bit, so below beta = 19 q1 and q2 are the plain
+    # cumulant forms
     for beta in [*np.logspace(-150, math.log10(19.0), 300).tolist(), *np.linspace(0.25, 5.0, 4751).tolist()]:
         beta = min(beta, 19.0)
         for law in (GAUSSIAN, BINARY):

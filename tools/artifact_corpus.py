@@ -9,8 +9,9 @@ moments" and "verify coarse", and the family, law and seed flags come last,
 so they beat the form's own.  The script writes the corpus into a temporary
 directory and runs tools/artifact_diff.py on tests/artifacts/ and the new
 corpus, printing every field that moved; with --refresh it then replaces
-the checked-in files with the new ones.  Exits 1 when a run fails or when the
-diff finds anything but a float move, else 0.
+the checked-in files with the new ones, unless a run failed, which leaves
+them untouched.  Exits 1 when a run fails or when the diff finds anything
+but a float move, else 0.
 """
 
 from __future__ import annotations
@@ -74,7 +75,9 @@ def main(argv=None) -> int:
         for name in failed:
             print(f"{name}: the run exited nonzero")
         code = artifact_diff.main([str(CORPUS), str(fresh)]) if CORPUS.is_dir() else 0
-        if args == ["--refresh"]:
+        if args == ["--refresh"] and failed:
+            print(f"left {CORPUS} untouched: a run exited nonzero")
+        elif args == ["--refresh"]:
             shutil.rmtree(CORPUS, ignore_errors=True)
             shutil.copytree(fresh, CORPUS)
             print(f"wrote {len(list(CORPUS.iterdir()))} artifacts to {CORPUS}")
