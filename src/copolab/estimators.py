@@ -53,7 +53,6 @@ from .partition import (
     _trimmed_pass,
     _trimmed_size,
     _trimmed_stages,
-    _workspace,
     charge_prefix,
 )
 
@@ -273,7 +272,7 @@ def trimmed_plan(
     return Trimmed(M=big_m, k=k, m=int(n / (big_m * big_m * log_m)), N=n)
 
 
-def _sample_short_intervals(steps, draws, row):
+def _sample_short_intervals(steps, draws):
     """Short intervals of paths drawn under the tilted ensemble law.
 
     ``steps[g - 1]`` is (windows, w, start) of stage g: the sliding windows
@@ -282,19 +281,19 @@ def _sample_short_intervals(steps, draws, row):
     p at stage g; returns the (paths, m, 2) array of [start, end) of each
     path's short excursions.  Every path takes the same per-row sum, cumsum
     and count as a 1-D searchsorted, so it draws what one path at a time
-    would.  Its weight and cumsum rows, ``row`` per path, are the thread's
-    ``_workspace``.
+    would.  Each stage works in the array its window gather allocates: the
+    weights, their row sums, taken before the cumsum overwrites them, and
+    the cumsum in place.
     """
     paths = draws.shape[0]
-    ws = _workspace(paths, {}, row)
     x = np.zeros(paths, dtype=np.int64)
     shorts = np.empty((paths, len(steps) // 2, 2), dtype=np.int64)
     for g, (windows, w, start) in enumerate(steps, start=1):
-        probs, cdf = (ws[name][:, : len(w)] for name in ("probs", "cdf"))
-        np.multiply(windows[x + start], w, out=probs)
-        np.cumsum(probs, axis=1, out=cdf)
+        probs = windows[x + start]
+        probs *= w
         draw = draws[:, g - 1] * probs.sum(axis=1)
-        j = np.minimum(np.count_nonzero(cdf <= draw[:, None], axis=1), len(w) - 1)
+        np.cumsum(probs, axis=1, out=probs)
+        j = np.minimum(np.count_nonzero(probs <= draw[:, None], axis=1), len(w) - 1)
         ell = start + j
         if g % 2 == 0:
             shorts[:, g // 2 - 1, 0] = x
@@ -334,9 +333,9 @@ def trimmed_moment_check(
     of (b) go through the batched trimmed engine in one call, one engine pass
     of ``_replica_prefixes`` rows at a time, and the overlap paths are drawn
     from one stream, spawn_rng(seed, 1_000_000), for half as many replica
-    pairs at a time as ``_pass_rows`` fits paths, with their sampler rows,
-    in the engine's workspace.  Neither the pass nor the pair chunk moves a
-    value.
+    pairs at a time as ``_pass_rows`` fits paths beside the stage arrays;
+    each stage draws in its own window gather, outside the engine's
+    workspace.  Neither the pass nor the pair chunk moves a value.
     The plan fixes only the ensemble; every part takes beta and h from the
     arguments, and the report records them next to the plan.
     """
@@ -372,8 +371,8 @@ def trimmed_moment_check(
 
     # (b) right side: overlap expectation under the tilted path law; pair i
     # takes the next 2 x 2m uniforms of one stream, first path then second,
-    # drawn for half as many pairs at a time as _pass_rows gives paths, each
-    # path with its weight and cumsum rows, beside B
+    # drawn for half as many pairs at a time as _pass_rows gives paths beside
+    # B, a path holding a long stage's gathered weights and comparison mask
     steps = [(np.lib.stride_tricks.sliding_window_view(stages[g], len(w)), w, start)
              for g, (w, start) in enumerate([(long_w, plan.M), (short_w, 1)] * plan.m, start=1)]
     row = {"probs": (len(long_w),), "cdf": (len(long_w),)}
@@ -383,7 +382,7 @@ def trimmed_moment_check(
     for i0 in range(0, replicas, chunk):
         pairs = min(chunk, replicas - i0)
         draws = rng.random((pairs, 2, 2 * plan.m)).reshape(2 * pairs, 2 * plan.m)
-        shorts = _sample_short_intervals(steps, draws, row)
+        shorts = _sample_short_intervals(steps, draws)
         overlap = _interval_overlap(shorts[0::2], shorts[1::2])
         # math.exp, as one pair at a time took it, keeps the values bit-identical
         rhs_vals[i0 : i0 + pairs] = [math.exp(q2v * v) for v in overlap.tolist()]

@@ -12,6 +12,7 @@ from copolab.bounds import (
     sharper_bounds,
 )
 from copolab.disorder import BINARY, GAUSSIAN, q1
+from copolab.kernel import FamilyKind, SlowlyVaryingFamily
 
 
 def test_upper_general_plugin_value(families):
@@ -152,6 +153,26 @@ def test_bound_table_upper_general_decreasing(families):
         rows = bound_table(fam, GAUSSIAN, 1.0, grid)
         vals = [r.log_upper_general for r in rows]
         assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_bound_table_flags_a_general_upper_bound_above_one():
+    # logarithmic, upsilon = 4: tail(1/h)/L(1/h) < 1 at h = 0.13, so the
+    # general bound's log turns positive and the row is flagged
+    fam = SlowlyVaryingFamily(FamilyKind.LOGARITHMIC, 4.0)
+    (row,) = bound_table(fam, GAUSSIAN, 1.0, [0.13])
+    assert row.flags == "upper_general_exceeds_one"
+    assert row.log_upper_general == pytest.approx(1.3346108217442803, rel=1e-12)
+
+
+def test_bound_table_flags_a_rare_stretch_value_above_the_general_bound():
+    # super-logarithmic, upsilon = 2, beta = 0.1: q1/h < 1 on both rows, and
+    # the rare-stretch value lies above the general upper bound
+    fam = SlowlyVaryingFamily(FamilyKind.SUPER_LOGARITHMIC, 2.0)
+    rows = bound_table(fam, GAUSSIAN, 0.1, [0.1, 0.05])
+    assert [row.flags for row in rows] == ["rss_above_upper_general"] * 2
+    assert rows[0].log_lower_rss == pytest.approx(-0.00275, rel=1e-12)
+    assert rows[0].log_upper_general == pytest.approx(-0.07273730610562669, rel=1e-12)
+    assert all(0.0 > row.log_lower_rss > row.log_upper_general for row in rows)
 
 
 def test_bound_table_rejects_bad_grid(families):

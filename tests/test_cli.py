@@ -266,6 +266,23 @@ def test_bounds_csv_schema(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize(
+    "args, flags",
+    [
+        (["--upsilon", "4", "--beta", "1", "--h", "0.13"], ["upper_general_exceeds_one"]),
+        (["--family", "super-logarithmic", "--beta", "0.1", "--h-grid", "0.1,0.05"],
+         ["rss_above_upper_general"] * 2),
+    ],
+    ids=["upper-general-above-one", "rss-above-upper-general"],
+)
+def test_bounds_csv_flags_column(tmp_path, args, flags):
+    # both ordering flags of bound_table reach the CSV artifact's last column
+    out = tmp_path / "bounds.csv"
+    assert run_cli(["bounds", *args, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+    assert [row["flags"] for row in rows] == flags
+
+
 def test_sweep_runs_over_grid(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(

@@ -838,6 +838,8 @@ def test_tilted_block_success_binary_at_saturated_and_flat_laws():
     assert est.tilted_block_success(BINARY, 0.3, 1.0, 9) == pytest.approx(
         (1.0 / (1.0 + math.exp(-0.6))) ** 9, rel=1e-14
     )
+    # a mean rate past 1 needs ceil(ell (1 + rate) / 2) = 13 > ell = 10 plus signs
+    assert est.tilted_block_success(BINARY, 1.0, 1.5, 10) == 0.0
 
 
 def test_near_term_integral_matches_quad_on_the_coarse_grid():
@@ -1303,6 +1305,16 @@ def test_linf_condition_from_its_formula(big_kernels):
             numerator = plan.k * float(kernel.masses[plan.k]) / kernel.normalization
             want = math.exp(plan.phi) * plan.phi * 4.0 * numerator / kernel.family.tail(plan.k)
             assert rep["linf_lhs"] == pytest.approx(want, rel=1e-12)
+
+
+def test_coarse_analytic_integral_is_zero_where_psi_is_at_most_one(log_kernel_small):
+    # c3/h = 2.8: the window is e^2.8, 16 sites, and psi(2.8) = 0.95 log 2.8
+    # < 1 leaves the near term's integral over [1, psi] empty
+    c3 = 0.45
+    rep = est.coarse_graining_check(log_kernel_small, GAUSSIAN, 1.0, c3 / 2.8, c3, replicas=2, seed=1,
+                                    green_n_max=400)
+    assert rep["n_window"] == 16
+    assert rep["a_term_analytic_integral"] == 0.0
 
 
 def test_coarse_graining_infeasible_report(big_kernels):

@@ -305,6 +305,11 @@ def test_check_eta_kernel_exact_formula(log_kernel_small):
         assert tilted[n] == pytest.approx(expected, rel=1e-15)
 
 
+def test_check_eta_kernel_at_zero_field_is_the_kernel(log_kernel_small):
+    # at h = 0 the tilt has no crossover, and its factor is exactly 1
+    np.testing.assert_array_equal(check_eta_kernel(log_kernel_small, 0.0), log_kernel_small.masses)
+
+
 def test_removed_tilt_and_wrapper_api_stays_gone():
     # a tilted law is its mass array, sweep_free_energy serves one field, a
     # disorder realisation is its charge-prefix row, the trimmed mean's jump

@@ -513,6 +513,24 @@ def test_trimmed_engine_matches_row_loop_at_chunk_edges_of_the_support(big_kerne
             _assert_trimmed_values_match(got, ref)
 
 
+@pytest.mark.parametrize("charge", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+def test_oracle_and_engine_agree_on_a_non_finite_charge(log_kernel_small, charge):
+    # a non-finite omega at site 5 of an N = 50 row: the oracle's logsumexp
+    # meets a non-finite maximum and returns it, ending at NaN, and the engine
+    # gives NaN for a row holding a non-finite charge; a clean row beside it
+    # keeps its oracle value.  The oracle's inf - inf is numpy's invalid
+    # operation, so the row loop runs with it silenced
+    omega = _draw(GAUSSIAN, 50, [spawn_rng(3, 0)])[0]
+    clean = charge_prefix(GAUSSIAN, 1.0, 0.1, omega)
+    omega[4] = charge
+    dirty = charge_prefix(GAUSSIAN, 1.0, 0.1, omega)
+    got = _log_z_replicas(np.array([dirty, clean]), log_kernel_small)
+    with np.errstate(invalid="ignore"):
+        ref = log_Z(dirty, log_kernel_small)
+    assert math.isnan(ref) and math.isnan(got[0])
+    assert got[1] == pytest.approx(log_Z(clean, log_kernel_small), rel=1e-10)
+
+
 def test_trimmed_engine_rescales_out_of_band_rows_on_their_own(log_kernel_small):
     # both laws at beta 6 and 8 and h = +-3 in one batch: the Gaussian rows
     # fall below 2^-64 within three pairs and, at m = 40, below 2^-1000, the

@@ -80,9 +80,9 @@ def test_replicas_are_drawn_only_by_the_seeded_source():
 
 
 def test_passes_are_cut_only_by_the_one_pass_loop():
-    # both replica engines take their workspace from partition._passes, the
-    # trimmed sampler its own; no engine keeps a pass loop of its own
-    assert _call_sites("_workspace") == {("partition", "_passes"), ("estimators", "_sample_short_intervals")}
+    # both replica engines take their workspace from partition._passes, its
+    # one caller; no engine keeps a pass loop of its own
+    assert _call_sites("_workspace") == {("partition", "_passes")}
 
 
 def _private(name):
@@ -107,7 +107,7 @@ PRIVATE_IMPORTS = {
         "disorder._draw", "partition._TRIMMED_PASS_BYTES", "partition._charge_rows",
         "partition._log_z_replicas", "partition._pass_rows", "partition._quenched_pass",
         "partition._trimmed_log_z_replicas", "partition._trimmed_pass", "partition._trimmed_size",
-        "partition._trimmed_stages", "partition._workspace",
+        "partition._trimmed_stages",
     },
     "kernel": set(),
     "partition": {"kernel._toeplitz_view"},
