@@ -14,8 +14,9 @@ a tabular command or anywhere in a verify report) exit 2 without writing it.
 
 Every command takes the model flags --family, --upsilon, --cl, --law, --n
 and --seed, and of the run flags --beta, --h, --h-grid, --replicas and
---format the ones _READS lists, and a verify suite those of its
-parameters; "verify all" reads what any of its suites reads.
+--format the ones its row of _build_parser's command table lists, and a
+verify suite those of its parameters; "verify all" reads what any of its
+suites reads.
 A run flag given, on the command line or in the --config file, to a
 command that does not read it exits 2 without writing anything, and so do
 --h together with --h-grid, an --h-grid holding no value, and neither of
@@ -27,9 +28,9 @@ read, so it replays as flags.  A --config file's flags sit right after the
 command, so a flag on the command line beats the file; its suite line is
 ignored.
 
-estimate and sweep are two names for one handler, each reading one field
-(--h) or a grid (--h-grid); both names stay, because artifacts name their
-command in the header and both names are in use.
+sweep is estimate's alias, reading one field (--h) or a grid (--h-grid)
+as estimate does; the header names the command as typed, so artifacts
+written as sweep still say so.
 
 A verify report is a JSON object with keys "config" (the resolved run
 configuration), "artifact_version", "suites" (one report of
@@ -60,14 +61,6 @@ from .disorder import DisorderLaw, q1
 from .kernel import FamilyKind, SlowlyVaryingFamily, build_kernel, defect_Kk
 from .partition import log_annealed_Z
 
-# the run flags each command reads; a verify suite's are its parameters but kernel, law and seed
-_READS = {
-    "estimate": {"beta", "h", "h_grid", "replicas", "format"},
-    "sweep": {"beta", "h", "h_grid", "replicas", "format"},
-    "annealed": {"h", "h_grid", "format"},
-    "bounds": {"beta", "h", "h_grid", "format"},
-    "kernel-info": {"h", "format"},
-}
 _HEADER_KEYS = (
     "command", "suite", "family", "upsilon", "c_L", "law", "beta", "h", "h_grid", "n",
     "replicas", "seed", "format",
@@ -97,20 +90,33 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="optional key=value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, need_beta=False):
+    # name, aliases, handler, the run flags it reads (verify: None, a suite
+    # reads its parameters but kernel, law and seed) and help
+    commands = [
+        ("estimate", ["sweep"], _cmd_estimate, {"beta", "h", "h_grid", "replicas", "format"},
+         "Monte Carlo free-energy estimates at --h or over --h-grid"),
+        ("annealed", [], _cmd_annealed, {"h", "h_grid", "format"}, "exact disorder-averaged values"),
+        ("bounds", [], _cmd_bounds, {"beta", "h", "h_grid", "format"},
+         "closed-form bound table over an h grid"),
+        ("kernel-info", [], _cmd_kernel_info, {"h", "format"}, "kernel summary and defect diagnostics"),
+        ("verify", [], _cmd_verify, None, "run a verification suite"),
+    ]
+    families = sorted(kind.value for kind in FamilyKind)
+    laws = sorted(law.value for law in DisorderLaw)
+    for name, aliases, run, reads, text in commands:
+        p = sub.add_parser(name, aliases=aliases, help=text)
+        p.set_defaults(run=run, reads=reads)
         # SUPPRESS keeps a pre-subcommand --config from being clobbered
         p.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         # -1e-3 or -0.1,0.2 after a flag is its value, not an unknown option, as from Python 3.13 on
         p._negative_number_matcher = re.compile(r"-\.?\d")
-        families = sorted(kind.value for kind in FamilyKind)
         p.add_argument("--family", choices=families, default="logarithmic")
         p.add_argument("--upsilon", type=float, default=2.0)
         p.add_argument(
             "--cl", dest="c_L", type=float, default=1.0, help="shape constant of the numerator"
         )
-        laws = sorted(law.value for law in DisorderLaw)
         p.add_argument("--law", choices=laws, default="gaussian")
-        p.add_argument("--beta", type=float, required=need_beta, default=None)
+        p.add_argument("--beta", type=float, required="beta" in (reads or ()), default=None)
         p.add_argument("--h", type=float, default=None)
         p.add_argument("--h-grid", default=None, help="comma-separated h values, descending for bounds")
         p.add_argument("--n", type=int, default=1000)
@@ -118,25 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=["csv", "json"], default=None)
-
-    p_est = sub.add_parser("estimate", help="Monte Carlo free-energy estimate")
-    add_common(p_est, need_beta=True)
-
-    p_sweep = sub.add_parser("sweep", help="free-energy estimates over an h grid")
-    add_common(p_sweep, need_beta=True)
-
-    p_ann = sub.add_parser("annealed", help="exact disorder-averaged values")
-    add_common(p_ann)
-
-    p_b = sub.add_parser("bounds", help="closed-form bound table over an h grid")
-    add_common(p_b, need_beta=True)
-
-    p_k = sub.add_parser("kernel-info", help="kernel summary and defect diagnostics")
-    add_common(p_k)
-
-    p_v = sub.add_parser("verify", help="run a verification suite")
-    add_common(p_v)
-    p_v.add_argument("suite", choices=[*checks.SUITES, "all"])
+    sub.choices["verify"].add_argument("suite", choices=[*checks.SUITES, "all"])
     return parser
 
 
@@ -175,18 +163,16 @@ def _parse(argv) -> argparse.Namespace:
     header: every model flag and every run flag the command read.
     """
     args = _build_parser().parse_args(_apply_config_file(argv))
-    label, names = args.command, [args.command]
-    if args.command == "verify":
+    label, names, reads = args.command, [args.command], args.reads
+    if reads is None:  # verify
         label = f"verify {args.suite}"
         names = args.suites = list(checks.SUITES) if args.suite == "all" else [args.suite]
         params = (inspect.signature(checks.SUITES[name]).parameters for name in names)
         reads = set().union(*params) - {"kernel", "law", "seed"}
-    else:
-        reads = _READS[args.command]
     for flag in ("beta", "h", "h_grid", "replicas", "format"):
         if getattr(args, flag) is not None and flag not in reads:
             raise ValueError(f"{label} does not read --{flag.replace('_', '-')}")
-    if args.command in ("estimate", "sweep") and args.replicas is None:
+    if args.run is _cmd_estimate and args.replicas is None:
         args.replicas = 32
     # 2 replicas at least; a verify suite's engine floor up to a desk-scale ceiling
     ranges = [{"moments": (100, 20_000), "coarse": (2, 1000)}.get(n, (2, math.inf)) for n in names]
@@ -247,7 +233,7 @@ def _emit(args, rows, default_format="csv"):
         out.write("# " + header + "\n")
         writer = csv.writer(out, lineterminator="\n")  # quotes a cell holding a comma
         writer.writerow(flat[0])
-        writer.writerows([_cell(value) for value in row.values()] for row in flat)
+        writer.writerows(row.values() for row in flat)  # None as an empty cell, a float by repr
         text = out.getvalue()
     else:
         payload = {"artifact_version": __version__, "config": args.config, "rows": rows}
@@ -272,14 +258,6 @@ def _flat(value, path: str = "") -> dict:
     else:
         return {path: value}
     return {at: leaf for key, item in items for at, leaf in _flat(item, key).items()}
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _cmd_estimate(args) -> int:
@@ -364,17 +342,9 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    commands = {
-        "estimate": _cmd_estimate,
-        "sweep": _cmd_estimate,
-        "annealed": _cmd_annealed,
-        "bounds": _cmd_bounds,
-        "kernel-info": _cmd_kernel_info,
-        "verify": _cmd_verify,
-    }
     try:
         args = _parse(list(sys.argv[1:] if argv is None else argv))
-        return commands[args.command](args)
+        return args.run(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

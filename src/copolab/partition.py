@@ -124,12 +124,15 @@ def log_Z(prefix: np.ndarray, kernel: RenewalKernel) -> float:
     """Quenched log Z_N of one (N+1,) charge-prefix row.
 
     The exact O(N^2) renewal decomposition, one target row at a time.
+    Float range: a row holding a non-finite charge gives NaN, as in the engine.
     """
     n = len(prefix) - 1
     if n < 1:
         raise ValueError("need at least one site")
     if n > kernel.support_cap:
         raise ValueError(f"kernel support {kernel.support_cap} < N = {n}")
+    if not np.isfinite(prefix).all():
+        return math.nan
     log_k = kernel.log_masses
     lz = np.empty(n + 1)
     lz[0] = 0.0

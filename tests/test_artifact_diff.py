@@ -36,7 +36,9 @@ def test_identical_artifacts_show_no_difference(tmp_path, capsys):
     first = _write(tmp_path / "a", _REPORT, _TABLE)
     second = _write(tmp_path / "b", _REPORT, _TABLE)
     assert artifact_diff.main([str(first), str(second)]) == 0
-    assert capsys.readouterr().out == "0 exact differences, 0 floats moved, worst relative move 0.00e+00\n"
+    assert capsys.readouterr().out == (
+        "0 exact differences, 0 floats moved, worst relative move 0.00e+00, 0 byte-only differences\n"
+    )
 
 
 def test_floats_report_their_relative_move_and_everything_else_must_match(tmp_path, capsys):
@@ -55,7 +57,19 @@ def test_floats_report_their_relative_move_and_everything_else_must_match(tmp_pa
         "verify.json:pass: True != False",
         "verify.json:suites.oracle.checks[0].value: 1.5e-13 -> 2e-13 (relative 2.50e-01)",
         "verify.json:suites.oracle.rows: 4 != 5",
-        "4 exact differences, 2 floats moved, worst relative move 2.50e-01",
+        "4 exact differences, 2 floats moved, worst relative move 2.50e-01, 0 byte-only differences",
+    ]
+
+
+def test_equal_fields_in_different_bytes_are_a_byte_only_difference(tmp_path, capsys):
+    # the fields match, so only the byte comparison sees the changed indent
+    first = _write(tmp_path / "a", _REPORT, _TABLE)
+    second = _write(tmp_path / "b", _REPORT, _TABLE)
+    (second / "verify.json").write_text(json.dumps(_REPORT, indent=1))
+    assert artifact_diff.main([str(first), str(second)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verify.json: equal fields, different bytes",
+        "0 exact differences, 0 floats moved, worst relative move 0.00e+00, 1 byte-only differences",
     ]
 
 

@@ -182,6 +182,24 @@ def test_bound_table_rejects_bad_grid(families):
         bound_table(families["log"], GAUSSIAN, 1.0, [])
 
 
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda fam: log_upper_general(fam, GAUSSIAN, 1.0, 0.05, b=1.0), "b must lie in"),
+        (lambda fam: sharper_bounds(fam, GAUSSIAN, 1.0, 0), "h must be positive"),
+        (lambda fam: log_rss_bound(fam, GAUSSIAN, 1.0, -0.1), "h must be positive"),
+        (lambda fam: psi(fam, 1.0, 0.05), "argument > 1"),
+        (lambda fam: m_h(fam, 0, 0.05), "h must be positive"),
+        (lambda fam: m_h(fam, 0.05, 1.0), "eps must lie in"),
+        (lambda fam: m_h(fam, 0.5, 0.05), "log\\(1/h\\) must exceed 1"),
+    ],
+    ids=["upper-b", "sharper-h", "rss-h", "psi-argument", "m_h-h", "m_h-eps", "m_h-large-h"],
+)
+def test_bounds_refuse_arguments_outside_their_domain(families, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(families["log"])
+
+
 def test_formula_fidelity_recomputed_logs(families):
     # each serialized log bound agrees with a from-scratch recomputation
     fam = families["log"]

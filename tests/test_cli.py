@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from copolab import checks
-from copolab.cli import _READS, _build_parser, main
+from copolab.cli import _build_parser, main
 from copolab.kernel import FamilyKind, SlowlyVaryingFamily, build_kernel
 from copolab.kernel import renewal_mass
 
@@ -558,6 +558,31 @@ def test_verify_penalization_closed_form_check_fails_on_a_dropped_b(tmp_path, mo
     assert checks == {"closed_form_two_paths_identical": False, "defect_sign_where_sufficient_condition_holds": True}
 
 
+def test_verify_penalization_defect_sign_check_holds_where_the_sufficient_condition_does(tmp_path):
+    # at upsilon 2 the sufficient condition fails at every point, so the
+    # defect-sign check holds vacuously; at upsilon 3, h = 0.1 gives k = 1,
+    # where the condition holds and the defect is negative
+    out = tmp_path / "pen.json"
+    assert run_cli(["verify", "penalization", "--upsilon", "3", "--out", str(out)]) == 0
+    suite = read_strict_json(out)["suites"]["penalization"]
+    first = suite["points"][0]
+    assert (first["h"], first["k"], first["linf_holds"]) == (0.1, 1, True)
+    assert first["defect_expression"] == pytest.approx(-0.3285, abs=1e-4)
+    checks = {c["name"]: c["ok"] for c in suite["checks"]}
+    assert checks == {"closed_form_two_paths_identical": True, "defect_sign_where_sufficient_condition_holds": True}
+
+
+def test_verify_penalization_defect_sign_check_fails_on_a_positive_defect(tmp_path, monkeypatch):
+    from copolab import estimators
+
+    defect = estimators.defect_Kk
+    monkeypatch.setattr(estimators, "defect_Kk", lambda *args: abs(defect(*args)) + 1.0)
+    out = tmp_path / "pen.json"
+    assert run_cli(["verify", "penalization", "--upsilon", "3", "--out", str(out)]) == 1
+    checks = {c["name"]: c["ok"] for c in read_strict_json(out)["suites"]["penalization"]["checks"]}
+    assert checks == {"closed_form_two_paths_identical": True, "defect_sign_where_sufficient_condition_holds": False}
+
+
 def test_verify_coarse_suite_records_scans(tmp_path):
     out = tmp_path / "coarse.json"
     code = run_cli(
@@ -1021,10 +1046,15 @@ def _flag_value(action, odd, valid=None):
     return _one_of_classes(classes)
 
 
+_COMMANDS = _build_parser()._subparsers._group_actions[0].choices  # every name and alias
+# the run flags each tabular command reads, as its subparser declares them
+_READS = {name: p.get_default("reads") for name, p in _COMMANDS.items() if name != "verify"}
+
+
 def _options(command, reads):
     """The command's flags, and of them the ones it reads: every model flag and ``reads``."""
     options = [
-        action for action in _build_parser()._subparsers._group_actions[0].choices[command]._actions
+        action for action in _COMMANDS[command]._actions
         if action.option_strings and action.dest not in ("help", "config", "out")
     ]
     run_flags = set().union(*_READS.values())

@@ -61,6 +61,8 @@ def test_log_mgf_binary_small_beta_keeps_full_precision():
 def test_log_mgf_domain_error():
     with pytest.raises(ValueError):
         log_mgf(GAUSSIAN, -0.1)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        log_mgf(GAUSSIAN, math.inf)
 
 
 def test_q1_q2_gaussian_exact():

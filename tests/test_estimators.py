@@ -898,11 +898,38 @@ def test_trimmed_plan_schedule_and_constraints():
         est.trimmed_plan(2.0, GAUSSIAN, beta=0.5, h=0.3, c1=2.9, c2=1.5)
     with pytest.raises(ValueError, match="c2"):
         est.trimmed_plan(2.0, GAUSSIAN, beta=2.0, h=0.3, c1=3.3, c2=1.0)
+    with pytest.raises(ValueError, match="k=0 < 1"):
+        est.trimmed_plan(2.0, GAUSSIAN, beta=0.5, h=0.36, c1=3.3, c2=1.5)
+    with pytest.raises(ValueError, match="M=1 <= 2k"):
+        est.trimmed_plan(2.0, GAUSSIAN, beta=0.0, h=0.3, c1=3.3, c2=0.01)
     # N grows like e^{2 c2 k}: h = 0.27 asks for 7.4e5 sites, h = 1e-3 for
     # more than e^{300}; both are refused before any exp
     for h in (0.27, 1e-3):
         with pytest.raises(ValueError, match="budget"):
             est.trimmed_plan(2.0, GAUSSIAN, beta=0.5, h=h, c1=3.3, c2=1.5)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda kernel: est.replica_log_z(kernel, GAUSSIAN, 1.0, 0.1, 0, 0, 4), "at least one site"),
+        (lambda kernel: est.sweep_free_energy(kernel, GAUSSIAN, 1.0, [0.1], 100, 1, 0), "at least 2 replicas"),
+        (
+            lambda kernel: est.sweep_free_energy(kernel, GAUSSIAN, 1.0, [0.1], kernel.support_cap + 1, 4, 0),
+            "kernel support",
+        ),
+        (
+            lambda kernel: est.trimmed_moment_check(kernel, GAUSSIAN, 0.5, 0.3, Trimmed(5, 2, 2, 200), 99),
+            "replicas must lie in",
+        ),
+        (lambda kernel: est.penalization_plan(kernel, 0.1, b=1.0), "b must lie in"),
+        (lambda kernel: est.penalization_plan(kernel, 0), "h must be positive"),
+    ],
+    ids=["replica-n", "sweep-replicas", "sweep-n", "trimmed-replicas", "penalization-b", "penalization-h"],
+)
+def test_estimators_refuse_arguments_outside_their_domain(log_kernel_small, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(log_kernel_small)
 
 
 def test_trimmed_moment_check_refuses_an_empty_plan_before_drawing(log_kernel_small, monkeypatch):

@@ -229,6 +229,22 @@ def test_build_kernel_rejects_small_support(families):
         build_kernel(families["log"], 999)
 
 
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda kernel: kernel.family.tail(0.0), ValueError, "x > 0"),
+        (lambda kernel: renewal_mass(kernel.masses, kernel.support_cap + 1), ValueError, "exceeds the kernel support"),
+        (lambda kernel: defect_Kk(kernel, 0.1, 0), ValueError, "k must be >= 1"),
+        (lambda kernel: defect_Kk(kernel, -0.1, 5), ValueError, "h must be >= 0"),
+        (lambda kernel: check_eta_kernel(kernel, 0.1, eta=0.01), OverflowError, "exponent guard"),
+    ],
+    ids=["tail-x", "renewal-mass-n", "defect-k", "defect-h", "check-eta-guard"],
+)
+def test_kernel_functions_refuse_arguments_outside_their_domain(log_kernel_small, call, error, match):
+    with pytest.raises(error, match=match):
+        call(log_kernel_small)
+
+
 def test_renewal_mass_small_cases(log_kernel_small):
     u = renewal_mass(log_kernel_small.masses, 2)
     assert u[0] == 1.0

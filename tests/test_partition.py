@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -64,6 +65,25 @@ def test_brute_force_refuses_large_n(log_kernel_small):
     prefix = charge_prefix(GAUSSIAN, 1.0, 0.0, _draw(GAUSSIAN, 21, [np.random.default_rng(0)])[0])
     with pytest.raises(ValueError):
         brute_force_log_Z(prefix, log_kernel_small)
+    # N = 11 is within the enumeration limit but past a support of 10
+    short = dataclasses.replace(log_kernel_small, support_cap=10, masses=log_kernel_small.masses[:11])
+    with pytest.raises(ValueError, match="kernel support 10 < N = 11"):
+        brute_force_log_Z(prefix[:12], short)
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda kernel: _trimmed_size(kernel, Trimmed(1, 2, 3, 100)), "need M >= 2"),
+        (lambda kernel: _trimmed_size(kernel, Trimmed(50, 1, 1, 100)), "plan exceeds the kernel support"),
+        (lambda kernel: log_annealed_Z(kernel, 0, 0.1), "need n >= 1"),
+        (lambda kernel: log_annealed_Z(kernel, kernel.support_cap + 1, 0.1), "kernel support"),
+    ],
+    ids=["trimmed-M", "trimmed-support", "annealed-n", "annealed-support"],
+)
+def test_partition_refuses_plans_and_sizes_outside_its_domain(log_kernel_small, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(log_kernel_small)
 
 
 def test_dp_matches_brute_force_pinned_instance(log_kernel_small):
@@ -515,18 +535,15 @@ def test_trimmed_engine_matches_row_loop_at_chunk_edges_of_the_support(big_kerne
 
 @pytest.mark.parametrize("charge", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
 def test_oracle_and_engine_agree_on_a_non_finite_charge(log_kernel_small, charge):
-    # a non-finite omega at site 5 of an N = 50 row: the oracle's logsumexp
-    # meets a non-finite maximum and returns it, ending at NaN, and the engine
-    # gives NaN for a row holding a non-finite charge; a clean row beside it
-    # keeps its oracle value.  The oracle's inf - inf is numpy's invalid
-    # operation, so the row loop runs with it silenced
+    # a non-finite omega at site 5 of an N = 50 row: oracle and engine both
+    # give NaN for a row holding a non-finite charge, without a warning; a
+    # clean row beside it keeps its oracle value
     omega = _draw(GAUSSIAN, 50, [spawn_rng(3, 0)])[0]
     clean = charge_prefix(GAUSSIAN, 1.0, 0.1, omega)
     omega[4] = charge
     dirty = charge_prefix(GAUSSIAN, 1.0, 0.1, omega)
     got = _log_z_replicas(np.array([dirty, clean]), log_kernel_small)
-    with np.errstate(invalid="ignore"):
-        ref = log_Z(dirty, log_kernel_small)
+    ref = log_Z(dirty, log_kernel_small)
     assert math.isnan(ref) and math.isnan(got[0])
     assert got[1] == pytest.approx(log_Z(clean, log_kernel_small), rel=1e-10)
 

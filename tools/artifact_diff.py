@@ -7,14 +7,17 @@ A and B are two JSON or CSV artifacts, or two directories whose *.json and
 CSV artifact is read as its "# {...}" header line, parsed as JSON, and its
 rows, each cell an int, a float or else a string.  Structure (keys, lengths,
 files), flags, integers, strings and nulls must match exactly; a float that
-differs is reported with its relative move |b - a| / max(|a|, |b|).  Prints
-one line per difference and a summary; exits 1 when anything but a float
-differs, else 0.
+differs is reported with its relative move |b - a| / max(|a|, |b|).  Two
+files whose fields all match are compared byte for byte, so a reordered
+key, a changed indent or a float written as 1.00 shows as a byte-only
+difference.  Prints one line per difference and a summary; exits 1 when
+anything but a float or the bytes differ, else 0.
 """
 
 from __future__ import annotations
 
 import csv
+import filecmp
 import json
 import math
 import sys
@@ -95,14 +98,18 @@ def main(argv=None) -> int:
     if len(args) != 2:
         print("usage: python tools/artifact_diff.py A B", file=sys.stderr)
         return 2
-    exact = floats = 0
+    exact = floats = byte_only = 0
     worst = 0.0
     for name, a, b in pairs(Path(args[0]), Path(args[1])):
         if a is None or b is None:
             print(f"{name}: only in {args[0] if b is None else args[1]}")
             exact += 1
             continue
-        for where, kind, x, y, move in diff(load(a), load(b)):
+        found = list(diff(load(a), load(b)))
+        if not found and not filecmp.cmp(a, b, shallow=False):
+            byte_only += 1
+            print(f"{name}: equal fields, different bytes")
+        for where, kind, x, y, move in found:
             if kind == "float":
                 floats += 1
                 worst = max(worst, move)
@@ -110,7 +117,10 @@ def main(argv=None) -> int:
             else:
                 exact += 1
                 print(f"{name}:{where}: {x!r} != {y!r}")
-    print(f"{exact} exact differences, {floats} floats moved, worst relative move {worst:.2e}")
+    print(
+        f"{exact} exact differences, {floats} floats moved, worst relative move {worst:.2e}, "
+        f"{byte_only} byte-only differences"
+    )
     return 1 if exact else 0
 
 
