@@ -44,7 +44,7 @@ import numpy as np
 from . import estimators
 from .disorder import BINARY, GAUSSIAN, q1, replica_rngs, spawn_rng
 from .estimators import _replica_prefixes
-from .kernel import _MASS_BLOCK, build_kernel, renewal_mass
+from .kernel import build_kernel, renewal_mass
 from .partition import (
     _BLOCK,
     _FILL_ROWS,
@@ -138,7 +138,8 @@ def oracle(kernel, law, seed) -> dict:
         lambda row: log_Z_restricted(row, kernel, pass_plan), pass_plan.N, spawn_rng(seed, 0),
     )
     trimmed_two_pass["plan"] = asdict(pass_plan)
-    mass_sizes = tuple(e + d for e in (_MASS_BLOCK, 2 * _MASS_BLOCK) for d in (-1, 0, 1))
+    # both sides of two block edges of the renewal-mass solve's doubling phase
+    mass_sizes = (63, 64, 65, 127, 128, 129)
     worst_mass = 0.0
     for n in mass_sizes:
         mass = float(renewal_mass(kernel.masses, n)[n])

@@ -25,8 +25,8 @@ arrays on the zero-disorder row S_m = h m also give
 weights, and one batched engine, ``_trimmed_log_z_replicas``, which runs the
 stages forward for groups of the same _GEMM_REPLICAS rows in passes; both
 keep the float-range rule stated with the loop.  Both replica engines build
-their push matrices from ``kernel._toeplitz_view`` and keep them, with their
-buffers, in ``_workspace``.
+their push matrices from ``_toeplitz_view``, a read-only strided view, and
+keep them, with their buffers, in ``_workspace``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import DisorderLaw, log_mgf
-from .kernel import RenewalKernel, _toeplitz_view, renewal_mass
+from .kernel import RenewalKernel, renewal_mass
 
 __all__ = [
     "Trimmed",
@@ -274,6 +274,19 @@ def _workspace(width: int, shared, row) -> dict[str, np.ndarray]:
 def _shaped(array: np.ndarray, *shape: int) -> np.ndarray:
     """A C-contiguous array of ``shape`` at the start of a workspace array."""
     return array.reshape(-1)[: math.prod(shape)].reshape(shape)
+
+
+def _toeplitz_view(taps: np.ndarray, width: int) -> np.ndarray:
+    """Read-only Toeplitz view V[r, c] = taps[r - c + width - 1], no copy.
+
+    Row r is a target and column c a source at lag r - c; V has
+    len(taps) - width + 1 rows and width columns.  Both replica engines
+    build their Toeplitz matrices from it, one over ``kernel.masses``.
+    """
+    (step,) = taps.strides
+    view = np.ndarray((len(taps) - width + 1, width), taps.dtype, taps, (width - 1) * step, (step, -step))
+    view.flags.writeable = False
+    return view
 
 
 def _log_z_replicas(prefix, kernel: RenewalKernel) -> np.ndarray:

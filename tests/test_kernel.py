@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import copolab
@@ -234,11 +235,12 @@ def test_build_kernel_rejects_small_support(families):
     [
         (lambda kernel: kernel.family.tail(0.0), ValueError, "x > 0"),
         (lambda kernel: renewal_mass(kernel.masses, kernel.support_cap + 1), ValueError, "exceeds the kernel support"),
+        (lambda kernel: renewal_mass(kernel.masses, -1), ValueError, "n_max=-1 is negative"),
         (lambda kernel: defect_Kk(kernel, 0.1, 0), ValueError, "k must be >= 1"),
         (lambda kernel: defect_Kk(kernel, -0.1, 5), ValueError, "h must be >= 0"),
         (lambda kernel: check_eta_kernel(kernel, 0.1, eta=0.01), OverflowError, "exponent guard"),
     ],
-    ids=["tail-x", "renewal-mass-n", "defect-k", "defect-h", "check-eta-guard"],
+    ids=["tail-x", "renewal-mass-n", "renewal-mass-negative-n", "defect-k", "defect-h", "check-eta-guard"],
 )
 def test_kernel_functions_refuse_arguments_outside_their_domain(log_kernel_small, call, error, match):
     with pytest.raises(error, match=match):
@@ -276,29 +278,58 @@ def _renewal_mass_row_loop(masses, n_max):
 
 @pytest.mark.parametrize("name", ["sub", "log", "super"])
 def test_renewal_mass_matches_row_loop(big_kernels, name):
-    # the blocked solve against the recursion, on both sides of block edges,
-    # for the base law and a subcritical crossover tilt
+    # the blocked solve against the recursion, on both sides of the block
+    # edges of the doubling phase and of the 512-site blocks, for the base
+    # law, a subcritical crossover tilt and a strongly defective law
     kernel = big_kernels[name]
     tilted = check_eta_kernel(kernel, 0.01, 0.9)
     assert 1.0 - math.fsum(tilted[1:]) > 0.0
-    for masses in (kernel.masses, tilted):
+    for masses in (kernel.masses, tilted, 1e-3 * kernel.masses):
         ref = _renewal_mass_row_loop(masses, 10_000)
-        for n in (1, 63, 64, 65, 128, 2000, 10_000):
+        for n in (0, 1, 2, 3, 4, 5, 63, 64, 65, 128, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025, 2000, 10_000):
             got = renewal_mass(masses, n)
             assert got.shape == (n + 1,)
             np.testing.assert_allclose(got, ref[: n + 1], rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("h", [0.08, 1.0, 20.0])
-def test_renewal_mass_refuses_supercritical_tilt_at_the_row_loop_site(big_kernels, h):
-    # the first site whose value leaves the float range, inside the first
-    # block (h = 20) or past it, is the recursion's; no numpy warning
+@pytest.mark.parametrize(
+    "h,past", [(0.08, 1024), (1.0, 512), (1.45, 512), (20.0, 0)], ids=["0.08", "1.0", "1.45", "20.0"]
+)
+def test_renewal_mass_refuses_supercritical_tilt_at_the_row_loop_site(big_kernels, h, past):
+    # the first site whose value leaves the float range, in a block of the
+    # doubling phase (h = 20, site 37), just past it (h = 1.45, site 513) or
+    # further on, is the recursion's; no numpy warning
     tilted = check_eta_kernel(big_kernels["log"], h, 0.1)
     ref = _renewal_mass_row_loop(tilted, 10_000)
     site = int(np.isfinite(ref).argmin())
-    assert site > 0
+    assert site > past
     with pytest.raises(OverflowError, match=f"left the float range at n={site}$"):
         renewal_mass(tilted, 10_000)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(1, 2100),
+    total=st.sampled_from([1e-3, 0.5, 1.0]),
+    log_mean=st.one_of(st.none(), st.floats(-0.5, 6.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_renewal_mass_matches_row_loop_or_refuses_at_its_site(n, total, log_mean, seed):
+    # random positive masses scaled to a defective or proper total, or to a
+    # supercritical mean mass 10^log_mean per site, whose values leave the
+    # float range near site 709 / log(1 + 10^log_mean) when n reaches it:
+    # the solve agrees with the recursion or is refused at its first site out
+    masses = np.random.default_rng(seed).uniform(0.01, 1.0, n + 1)
+    if log_mean is not None:
+        total = n * 10.0**log_mean
+    masses *= total / masses[1:].sum()
+    ref = _renewal_mass_row_loop(masses, n)
+    site = int(np.isfinite(ref).argmin())
+    if site:
+        with pytest.raises(OverflowError, match=f"left the float range at n={site}$"):
+            renewal_mass(masses, n)
+    else:
+        np.testing.assert_allclose(renewal_mass(masses, n), ref, rtol=1e-12, atol=0.0)
 
 
 def test_renewal_mass_defective_geometric_bound(big_kernels):

@@ -15,6 +15,7 @@ from copolab.partition import (
     _GEMM_REPLICAS,
     Trimmed,
     _log_z_replicas,
+    _toeplitz_view,
     _trimmed_log_z_replicas,
     _trimmed_pass,
     _trimmed_size,
@@ -30,6 +31,19 @@ def _trimmed_log_mean(kernel, plan, h):
     # the disorder mean: the engine on the zero-disorder charges h per site
     prefix = charge_prefix(GAUSSIAN, 0.0, h, np.zeros(plan.N))
     return float(_trimmed_log_z_replicas(prefix[None], kernel, plan)[0])
+
+
+def test_toeplitz_view_is_a_read_only_view_of_its_taps(log_kernel_small):
+    # V[r, c] = taps[r - c + width - 1], as sliding_window_view reads it;
+    # the engines build it over kernel.masses, which it must not let them write
+    taps = log_kernel_small.masses[1:]
+    for width in (1, 2, 64, len(taps)):
+        view = _toeplitz_view(taps, width)
+        np.testing.assert_array_equal(view, np.lib.stride_tricks.sliding_window_view(taps, width)[:, ::-1])
+        assert np.shares_memory(view, taps)
+        assert not view.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 0.0
 
 
 def test_log_z_single_site(log_kernel_small):

@@ -98,7 +98,7 @@ PRIVATE_IMPORTS = {
     "__init__": set(),
     "bounds": set(),
     "checks": {
-        "estimators._replica_prefixes", "kernel._MASS_BLOCK", "partition._BLOCK", "partition._FILL_ROWS",
+        "estimators._replica_prefixes", "partition._BLOCK", "partition._FILL_ROWS",
         "partition._GEMM_REPLICAS", "partition._log_z_replicas", "partition._trimmed_log_z_replicas",
     },
     "cli": set(),
@@ -110,7 +110,7 @@ PRIVATE_IMPORTS = {
         "partition._trimmed_stages",
     },
     "kernel": set(),
-    "partition": {"kernel._toeplitz_view"},
+    "partition": set(),
 }
 
 
