@@ -23,10 +23,11 @@ split point) and streams_checked (replica streams
 of stream_seeds compared with numpy's SeedSequence(seed, spawn_key=(i,))
 streams); "moments" embeds the trimmed-ensemble report
 (exact_log_mean_restricted, product_lower_bound_log,
-identity_{lhs,rhs}_{mean,sigma}, identity_abs_diff, identity_three_sigma,
-induction_bound_log, plan {M, k, m, N}, and the beta, h, c1 and c2 of its
-schedule); "penalization" lists per-h points (k, defect_expression,
-linf_holds, log_bound_closed_form, log_bound_rate_form); "coarse" reports
+identity_{lhs,rhs}_{mean,sigma}, identity_rhs_paths, identity_abs_diff,
+identity_three_sigma, induction_bound_log, plan {M, k, m, N}, and the beta,
+h, c1 and c2 of its schedule); "penalization" lists per-h points (k,
+defect_expression, linf_holds, log_bound_closed_form,
+log_bound_rate_form); "coarse" reports
 n_window, theta, a_term, b_term, a_term_analytic_integral, rho_proxy, the
 fractional_moment_spot grid and the green_constant pair, or feasible false
 with a note when the window exceeds its budget or the crossover tilt is

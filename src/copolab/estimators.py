@@ -5,7 +5,8 @@ replica i draws its charges once, from stream i of ``replica_rngs(seed,
 ...)`` (the PCG64 stream of ``SeedSequence(seed, spawn_key=(i,))``), for
 every field.  ``replica_log_z`` and the trimmed second-moment check hand
 its blocks, 2-D and replica-major, to one call of their engine, one
-engine pass of rows at a time.
+engine pass of rows at a time; the check's path side, the covered rows of
+its first paths, rides in the same call after the replicas.
 The verification engines evaluate the change-of-measure, trimmed
 second-moment and coarse-graining constructions at desk scale and return
 plain-dict reports: every value is recorded, and quantities that the
@@ -43,11 +44,10 @@ from .kernel import (
     renewal_mass,
 )
 from .partition import (
-    _TRIMMED_PASS_BYTES,
     Trimmed,
     _charge_rows,
     _log_z_replicas,
-    _pass_rows,
+    _GEMM_REPLICAS,
     _quenched_pass,
     _trimmed_log_z_replicas,
     _trimmed_pass,
@@ -85,6 +85,9 @@ _COARSE_M_CAP = 50_000  # cap on its far end M_h
 _QUAD_NODES = 64  # Gauss-Legendre nodes per panel of its near-term integral
 _QUAD_PANELS = 4  # equal panels between consecutive break points of that integral
 _PLAN_SITE_BUDGET = 100_000  # largest N a trimmed plan may ask for
+# replicas per first path of the trimmed check's path side, for cost parity: an
+# engine row costs about what the 32 sampled paths of 16 independent pairs did
+_PATH_SHARE = 16
 
 
 @dataclass(frozen=True)
@@ -272,42 +275,46 @@ def trimmed_plan(
     return Trimmed(M=big_m, k=k, m=int(n / (big_m * big_m * log_m)), N=n)
 
 
-def _sample_short_intervals(steps, draws):
-    """Short intervals of paths drawn under the tilted ensemble law.
+def _covered_rows(zero_row, q2v, steps, rng, paths, rows):
+    """S0 = ``zero_row``, then S0 + q2 c(tau) for ``paths`` tilted paths, ``rows`` rows a block.
 
-    ``steps[g - 1]`` is (windows, w, start) of stage g: the sliding windows
-    of the backward weights B[g] over the stage's jump weights w, whose
-    first gap is ``start``.  draws[p, g - 1] is the uniform variate of path
-    p at stage g; returns the (paths, m, 2) array of [start, end) of each
-    path's short excursions.  Every path takes the same per-row sum, cumsum
-    and count as a 1-D searchsorted, so it draws what one path at a time
-    would.  Each stage works in the array its window gather allocates: the
-    weights, their row sums, taken before the cumsum overwrites them, and
-    the cumsum in place.
+    ``steps[g]`` is (windows, w, start) of stage g + 1: the sliding windows
+    of the backward weights B[g + 1] over the stage's jump weights w, whose
+    first gap is ``start``.  Path p takes one uniform per stage from ``rng``
+    after path p - 1; every path takes the same per-row sum, cumsum and
+    count as a 1-D searchsorted, so it draws what one path at a time would,
+    in the array its stage's window gather allocates.  c(tau)[x] counts the
+    charged sites i <= x, i in (a, b], of the path's short excursions from a
+    to b.  Rows past the last path stay S0 up to whole _GEMM_REPLICAS
+    groups, so the engine reads every block in place; their values go
+    unused.  All blocks are one buffer, each overwritten by the next; its
+    last column takes the -1 of an excursion that ends at the last position.
     """
-    paths = draws.shape[0]
-    x = np.zeros(paths, dtype=np.int64)
-    shorts = np.empty((paths, len(steps) // 2, 2), dtype=np.int64)
-    for g, (windows, w, start) in enumerate(steps, start=1):
-        probs = windows[x + start]
-        probs *= w
-        draw = draws[:, g - 1] * probs.sum(axis=1)
-        np.cumsum(probs, axis=1, out=probs)
-        j = np.minimum(np.count_nonzero(probs <= draw[:, None], axis=1), len(w) - 1)
-        ell = start + j
-        if g % 2 == 0:
-            shorts[:, g // 2 - 1, 0] = x
-            shorts[:, g // 2 - 1, 1] = x + ell
-        x += ell
-    return shorts
-
-
-def _interval_overlap(first, second):
-    """Sites covered by both lists of [start, end) intervals, (..., m, 2) each."""
-    first, second = np.asarray(first), np.asarray(second)
-    lo = np.maximum(first[..., :, None, 0], second[..., None, :, 0])
-    hi = np.minimum(first[..., :, None, 1], second[..., None, :, 1])
-    return np.maximum(hi - lo, 0).sum(axis=(-2, -1))
+    size = len(zero_row)
+    total = _GEMM_REPLICAS * -(-(paths + 1) // _GEMM_REPLICAS)
+    buffer = np.empty((min(rows, total), size + 1))
+    for r0 in range(0, total, rows):
+        block = buffer[: min(rows, total - r0)]
+        block.fill(0.0)
+        drawn = block[1 if r0 == 0 else 0 : paths + 1 - r0]
+        draws = rng.random((len(drawn), len(steps)))
+        lines, x = np.arange(len(drawn)), np.zeros(len(drawn), dtype=np.int64)
+        for g, (windows, w, start) in enumerate(steps):
+            probs = windows[x + start]
+            probs *= w
+            draw = draws[:, g] * probs.sum(axis=1)  # the row sums, before the cumsum overwrites them
+            np.cumsum(probs, axis=1, out=probs)
+            ell = start + np.minimum(np.count_nonzero(probs <= draw[:, None], axis=1), len(w) - 1)
+            if g % 2:  # a short excursion: +1 at its first charged site, -1 past its last
+                drawn[lines, x + 1] = 1.0
+                drawn[lines, x + ell + 1] = -1.0
+            x += ell
+        # the running sum marks the charged sites, and its running sum counts them
+        np.cumsum(block, axis=1, out=block)
+        np.cumsum(block, axis=1, out=block)
+        block *= q2v
+        block[:, :size] += zero_row
+        yield block[:, :size]
 
 
 def trimmed_moment_check(
@@ -322,20 +329,18 @@ def trimmed_moment_check(
     """Second-moment diagnostics for the trimmed ensemble.
 
     (a) exact disorder-averaged restricted partition function against the
-    product lower bound; (b) two independent Monte Carlo estimators of the
-    normalized second moment -- replica averages of (Z/EZ)^2 versus the
-    overlap expectation under the tilted independent-jump path law -- which
-    the identity says must agree; (c) the induction bound envelope.  The
-    exact mean in (a) is the row oracle's stage loop, ``_trimmed_stages``,
-    on the zero-disorder row S_m = h m, run after the replicas; its stage
-    arrays are the path sampler's backward weights, and the product bound
-    comes from the sums of the long and short jump weights.  The replicas
-    of (b) go through the batched trimmed engine in one call, one engine pass
-    of ``_replica_prefixes`` rows at a time, and the overlap paths are drawn
-    from one stream, spawn_rng(seed, 1_000_000), for half as many replica
-    pairs at a time as ``_pass_rows`` fits paths beside the stage arrays;
-    each stage draws in its own window gather, outside the engine's
-    workspace.  Neither the pass nor the pair chunk moves a value.
+    product lower bound; (b) two Monte Carlo estimators of the normalized
+    second moment that the identity says must agree: replica averages of
+    (Z/EZ)^2, and the overlap moment E[e^{q2 O(tau1, tau2)}] of two
+    independent tilted paths, given the first path exactly Z(S0 + q2
+    c(tau1)) / Z(S0), averaged over replicas // _PATH_SHARE first paths;
+    (c) the induction bound envelope, against the path side.  The exact
+    mean is the row oracle's stage loop, ``_trimmed_stages``, on the
+    zero-disorder row S0, S0_m = h m; its stage arrays weigh the first
+    paths' jumps.  Both sides of (b) are one trimmed-engine call, one pass
+    of rows at a time: the rows of ``_replica_prefixes``, then those of
+    ``_covered_rows``, its paths drawn from spawn_rng(seed, 1_000_000).
+    The pass moves no value, and q2 = 0 gives a path side of exactly 1.
     The plan fixes only the ensemble; every part takes beta and h from the
     arguments, and the report records them next to the plan.
     """
@@ -350,12 +355,9 @@ def trimmed_moment_check(
     if h * plan.k > 700.0:
         raise OverflowError(f"h*k = {h * plan.k:.1f} exceeds the exponent guard")
 
-    # (b) left side: disorder replicas of (Z restricted / exact mean)^2; the
-    # mean's stage loop runs after the passes, so its stage arrays sit
-    # beside the thread's workspace only
-    blocks = _replica_prefixes(law, beta, h, span, seed, replicas, _trimmed_pass(plan, span + 1)[2])
-    log_zt = _trimmed_log_z_replicas(blocks, kernel, plan)
-    stages, exact_log_mean = _trimmed_stages(charge_prefix(law, 0.0, h, np.zeros(span)), kernel, plan)
+    # (a) the exact mean and the first paths' backward weights, on S0
+    zero_row = charge_prefix(law, 0.0, h, np.zeros(span))
+    stages, exact_log_mean = _trimmed_stages(zero_row, kernel, plan)
     if exact_log_mean == -math.inf:
         raise ValueError("trimmed ensemble is empty for this plan")
     # the jump weights: K(l)/2 for a long excursion, K(l) e^{hl}/2 for a short
@@ -365,29 +367,24 @@ def trimmed_moment_check(
     # product bound: (sum of long weights * sum of short weights)^m K(N)/3
     pair_log = math.log(long_w.sum()) + math.log(short_w.sum())
     product_log = plan.m * pair_log + math.log(kernel.masses[plan.N] / 3.0)
-    lhs_vals = np.exp(2.0 * (log_zt - exact_log_mean))
-    lhs_mean = float(lhs_vals.mean())
-    lhs_sigma = float(lhs_vals.std(ddof=1) / math.sqrt(replicas))
 
-    # (b) right side: overlap expectation under the tilted path law; pair i
-    # takes the next 2 x 2m uniforms of one stream, first path then second,
-    # drawn for half as many pairs at a time as _pass_rows gives paths beside
-    # B, a path holding a long stage's gathered weights and comparison mask
+    # (b) one engine call, one pass of rows at a time: the disorder replicas,
+    # then S0 and the covered rows of the first paths, drawn from one stream
     steps = [(np.lib.stride_tricks.sliding_window_view(stages[g], len(w)), w, start)
              for g, (w, start) in enumerate([(long_w, plan.M), (short_w, 1)] * plan.m, start=1)]
-    row = {"probs": (len(long_w),), "cdf": (len(long_w),)}
-    chunk = _pass_rows({"backward": (len(stages), len(stages[0]))}, row, _TRIMMED_PASS_BYTES) // 2
-    rng = spawn_rng(seed, 1_000_000)
-    rhs_vals = np.empty(replicas)
-    for i0 in range(0, replicas, chunk):
-        pairs = min(chunk, replicas - i0)
-        draws = rng.random((pairs, 2, 2 * plan.m)).reshape(2 * pairs, 2 * plan.m)
-        shorts = _sample_short_intervals(steps, draws)
-        overlap = _interval_overlap(shorts[0::2], shorts[1::2])
-        # math.exp, as one pair at a time took it, keeps the values bit-identical
-        rhs_vals[i0 : i0 + pairs] = [math.exp(q2v * v) for v in overlap.tolist()]
+    rows = _trimmed_pass(plan, span + 1)[2]
+    paths = replicas // _PATH_SHARE
+    blocks = itertools.chain(_replica_prefixes(law, beta, h, span, seed, replicas, rows),
+                             _covered_rows(zero_row, q2v, steps, spawn_rng(seed, 1_000_000), paths, rows))
+    log_zt = _trimmed_log_z_replicas(blocks, kernel, plan)
+    # left side: replica averages of (Z restricted / exact mean)^2
+    lhs_vals = np.exp(2.0 * (log_zt[:replicas] - exact_log_mean))
+    lhs_mean = float(lhs_vals.mean())
+    lhs_sigma = float(lhs_vals.std(ddof=1) / math.sqrt(replicas))
+    # right side: E[e^{q2 O(tau1, tau2)} | tau1] = Z(S0 + q2 c(tau1)) / Z(S0), averaged over tau1
+    rhs_vals = np.exp(log_zt[replicas + 1 : replicas + 1 + paths] - log_zt[replicas])
     rhs_mean = float(rhs_vals.mean())
-    rhs_sigma = float(rhs_vals.std(ddof=1) / math.sqrt(replicas))
+    rhs_sigma = float(rhs_vals.std(ddof=1) / math.sqrt(paths))
 
     three_sigma = 3.0 * (lhs_sigma + rhs_sigma)
     # a rounding floor: the engine's log Z and the exact log mean each meet
@@ -423,11 +420,12 @@ def trimmed_moment_check(
         "identity_lhs_sigma": lhs_sigma,
         "identity_rhs_mean": rhs_mean,
         "identity_rhs_sigma": rhs_sigma,
+        "identity_rhs_paths": paths,
         "identity_abs_diff": abs(lhs_mean - rhs_mean),
         "identity_three_sigma": three_sigma,
         "identity_ok": bool(abs(lhs_mean - rhs_mean) <= three_sigma + rounding),
         "induction_bound_log": log_induction,
-        "induction_envelope_holds": bool(lhs_mean <= math.exp(min(log_induction, 700.0))),
+        "induction_envelope_holds": bool(rhs_mean <= math.exp(min(log_induction, 700.0))),
         "q2": q2v,
     }
 

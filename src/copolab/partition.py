@@ -63,7 +63,7 @@ _PLAN_BLOCKS = 8  # blocks whose charge steps a pass's plan measures at a time
 _LINE_DOUBLES = 8  # doubles per 64-byte cache line; every workspace array of both engines starts on one
 _TRIMMED_CHUNK = 32  # targets per long-stage GEMM of the trimmed engine
 _TRIMMED_LOW = 2.0**-64  # the trimmed engine rescales a row whose maximum leaves [2^-64, 2^64]
-_TRIMMED_PASS_BYTES = 2 << 20  # working-set budget of one trimmed pass, and of one sampler chunk's own arrays
+_TRIMMED_PASS_BYTES = 2 << 20  # working-set budget of one trimmed pass
 _EYE = np.eye(_FILL_ROWS)  # I, the first term of the fill's (I - A)^{-1}
 
 
@@ -181,18 +181,16 @@ def _quenched_pass(n: int):
 
 
 def _pass_rows(shared, row, budget: int) -> int:
-    """Rows per pass: the one rule of both engines, and of the trimmed sampler's chunk.
+    """Rows per pass: the one rule of both engines.
 
     ``shared`` and ``row`` are the shape dicts a pass hands ``_workspace``:
     the shared arrays, counted once, and one row of each per-row array,
     counted once per row.  Returns the whole groups of _GEMM_REPLICAS rows
-    whose arrays fit ``budget`` bytes beside the shared ones, at least one group;
-    only the two dicts count: an engine's workspace, or what one sampler
-    path holds and, as ``shared``, its backward stage arrays.  The sampler
-    borrows this rule only; it takes no workspace.  The one-group floor can
-    pass the budget: the quenched engine runs one group per pass from
-    N = 38 130 on, from N = 43 044 that group and the push operand exceed
-    _PASS_BYTES, and from N = 49 216 the operand alone does.
+    whose arrays fit ``budget`` bytes beside the shared ones, at least one
+    group; only the two dicts count, the engine's workspace.  The one-group
+    floor can pass the budget: the quenched engine runs one group per pass
+    from N = 38 130 on, from N = 43 044 that group and the push operand
+    exceed _PASS_BYTES, and from N = 49 216 the operand alone does.
     """
     shared_bytes, row_bytes = (8 * sum(math.prod(shape) for shape in part.values()) for part in (shared, row))
     return _GEMM_REPLICAS * max(1, (budget - shared_bytes) // (_GEMM_REPLICAS * row_bytes))

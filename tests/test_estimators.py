@@ -1030,7 +1030,7 @@ def test_trimmed_identity_against_exhaustive_enumeration(log_kernel_small, law):
 
     ratio_exact = (
         math.fsum(
-            w1 * w2 * math.exp(q2v * est._interval_overlap(s1, s2))
+            w1 * w2 * math.exp(q2v * _scalar_overlap(s1, s2))
             for w1, s1 in paths
             for w2, s2 in paths
         )
@@ -1102,41 +1102,76 @@ def _scalar_overlap(first, second):
     return total
 
 
+def _covered_row(zero_row, q2v, shorts):
+    # reference: S0 + q2 c(tau), c(tau)[x] counting the charged sites i <= x,
+    # i in (a, b], of the path's short excursions from a to b, site by site
+    row = zero_row.copy()
+    for a, b in shorts:
+        for site in range(a + 1, b + 1):
+            row[site:] += q2v
+    return row
+
+
 @pytest.mark.parametrize(
     "law,beta,c1,c2,replicas",
     [(GAUSSIAN, 0.5, 3.3, 1.0, 100), (BINARY, 0.8, 3.3, 1.2, 150), (GAUSSIAN, 0.3, 5.0, 1.0, 133)],
 )
-def test_trimmed_rhs_matches_scalar_sampler_bit_for_bit(big_kernels, law, beta, c1, c2, replicas):
-    # the vectorized sampler draws the same paths from the same stream as
-    # sampling one path at a time, so the RHS mean and sigma are unchanged
+def test_trimmed_rhs_matches_scalar_paths_through_the_row_oracle(big_kernels, law, beta, c1, c2, replicas):
+    # the first paths drawn one at a time from the same stream, each covered
+    # row built site by site and taken through the row oracle against S0:
+    # the path side agrees to the check's own rounding floor
     kernel, seed = big_kernels["log"], 17
     plan = est.trimmed_plan(2.0, law, beta, 0.3, c1, c2)
     span = partition._trimmed_size(kernel, plan) - 1
-    stages = partition._trimmed_stages(charge_prefix(law, 0.0, 0.3, np.zeros(span)), kernel, plan)[0]
+    zero_row = charge_prefix(law, 0.0, 0.3, np.zeros(span))
+    stages = partition._trimmed_stages(zero_row, kernel, plan)[0]
     long_w = 0.5 * kernel.masses[plan.M : plan.M * plan.M + 1]
     short_w = 0.5 * kernel.masses[1 : plan.k + 1] * np.exp(0.3 * np.arange(1, plan.k + 1))
     rng = spawn_rng(seed, 1_000_000)
     q2v = q2(law, beta)
-    vals = np.empty(replicas)
-    for i in range(replicas):
-        first = _scalar_short_intervals(stages, long_w, short_w, plan, rng)
-        second = _scalar_short_intervals(stages, long_w, short_w, plan, rng)
-        vals[i] = math.exp(q2v * _scalar_overlap(first, second))
+    base = partition.log_Z_restricted(zero_row, kernel, plan)
+    vals = [
+        math.exp(partition.log_Z_restricted(_covered_row(zero_row, q2v, shorts), kernel, plan) - base)
+        for shorts in (_scalar_short_intervals(stages, long_w, short_w, plan, rng) for _ in range(replicas // 16))
+    ]
     report = est.trimmed_moment_check(kernel, law, beta, 0.3, plan, replicas=replicas, seed=seed)
-    assert report["identity_rhs_mean"] == float(vals.mean())
-    assert report["identity_rhs_sigma"] == float(vals.std(ddof=1) / math.sqrt(replicas))
+    rhs = report["identity_rhs_mean"]
+    assert report["identity_rhs_paths"] == len(vals) == replicas // 16
+    assert abs(rhs - float(np.mean(vals))) <= 4e-10 * max(1.0, abs(report["exact_log_mean_restricted"])) * rhs
+
+
+@pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
+@pytest.mark.parametrize(
+    "plan",
+    [Trimmed(M=2, k=1, m=1, N=7), Trimmed(M=2, k=2, m=2, N=12), Trimmed(M=3, k=2, m=2, N=40),
+     Trimmed(M=3, k=2, m=2, N=19), Trimmed(M=4, k=1, m=2, N=30), Trimmed(M=4, k=2, m=1, N=25)],
+    ids=lambda plan: f"M{plan.M}-k{plan.k}-m{plan.m}-N{plan.N}",
+)
+def test_covered_row_ratio_is_the_enumerated_conditional_overlap_moment(log_kernel_small, law, plan):
+    # for every first path tau1: Z(S0 + q2 c(tau1)) / Z(S0) from the engine
+    # equals sum over tau2 of w2 e^{q2 O(tau1, tau2)} / sum of w2, enumerated
+    beta, h = 1.2, 0.25
+    q2v = q2(law, beta)
+    paths = _enumerate_trimmed_paths(log_kernel_small, plan, h)
+    total = math.fsum(w for w, _ in paths)
+    zero_row = charge_prefix(law, 0.0, h, np.zeros(partition._trimmed_size(log_kernel_small, plan) - 1))
+    rows = np.stack([zero_row] + [_covered_row(zero_row, q2v, shorts) for _, shorts in paths])
+    log_z = _trimmed_log_z_replicas(rows, log_kernel_small, plan)
+    for (_, first), value in zip(paths, log_z[1:]):
+        exact = math.fsum(w * math.exp(q2v * _scalar_overlap(first, second)) for w, second in paths) / total
+        assert math.exp(value - log_z[0]) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("law", [GAUSSIAN, BINARY], ids=["gaussian", "binary"])
 def test_trimmed_moment_check_report_does_not_depend_on_the_pass_budget(log_kernel_small, law, monkeypatch):
-    # the default budget runs 130 replicas in one engine pass and one
-    # sampler chunk; a budget of one byte, one group per pass and two pairs
-    # per chunk, gives the same report
+    # the default budget runs 130 replicas in one engine pass and the 8
+    # first paths with S0 in another; a budget of one byte, one group per
+    # pass, draws and evaluates the paths one group at a time, and gives
+    # the same report
     plan = est.trimmed_plan(2.0, law, 0.5, 0.3, 3.3, 1.0)
     reports = []
     for budget in (partition._TRIMMED_PASS_BYTES, 1):
         monkeypatch.setattr(partition, "_TRIMMED_PASS_BYTES", budget)
-        monkeypatch.setattr(est, "_TRIMMED_PASS_BYTES", budget)
         report = est.trimmed_moment_check(log_kernel_small, law, 0.5, 0.3, plan, 130, seed=4)
         reports.append(json.dumps(report))
     assert reports[0] == reports[1]

@@ -85,6 +85,11 @@ def test_passes_are_cut_only_by_the_one_pass_loop():
     assert _call_sites("_workspace") == {("partition", "_passes")}
 
 
+def test_pass_rows_size_engine_passes_only():
+    # the rows-per-pass rule sizes the two engines' passes and nothing else
+    assert _call_sites("_pass_rows") == {("partition", "_quenched_pass"), ("partition", "_trimmed_pass")}
+
+
 def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
@@ -104,10 +109,9 @@ PRIVATE_IMPORTS = {
     "cli": set(),
     "disorder": set(),
     "estimators": {
-        "disorder._draw", "partition._TRIMMED_PASS_BYTES", "partition._charge_rows",
-        "partition._log_z_replicas", "partition._pass_rows", "partition._quenched_pass",
-        "partition._trimmed_log_z_replicas", "partition._trimmed_pass", "partition._trimmed_size",
-        "partition._trimmed_stages",
+        "disorder._draw", "partition._GEMM_REPLICAS", "partition._charge_rows",
+        "partition._log_z_replicas", "partition._quenched_pass", "partition._trimmed_log_z_replicas",
+        "partition._trimmed_pass", "partition._trimmed_size", "partition._trimmed_stages",
     },
     "kernel": set(),
     "partition": set(),
